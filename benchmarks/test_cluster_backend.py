@@ -1,64 +1,84 @@
-"""Benchmark: the cluster backend ships boundary deltas over sockets.
+"""Benchmark: the wire executors ship boundary deltas, not the world.
 
-The collocation argument survives the move from shared memory to TCP: a
-cluster run hosts the resident shards in socket-connected node processes,
-but each tick still crosses the wire as the same three-round columnar
-delta frames the process backend uses.  This benchmark reuses the
-strip-world methodology of :mod:`benchmarks.test_resident_shards` — grow
-the world at fixed density so the partition *boundary* stays constant —
-and checks that the measured per-tick socket bytes track the boundary,
-not the agent count: quadrupling the population must not grow the
+The collocation argument of the paper, measured for real: on the executors
+whose shards live outside the driver's memory — pool processes, or
+socket-connected cluster nodes — each tick crosses the wire as the same
+three-round columnar delta frames: migrations, boundary replicas and effect
+partials.  This benchmark grows the world while holding the partition
+*boundary* constant — a strip world whose length scales with the population
+at fixed density — and checks that the measured per-tick bytes track the
+boundary, not the agent count: quadrupling the population must not grow the
 traffic by more than ~10%.
 
-The equivalence half pins the correctness bar the numbers stand on:
-cluster runs (including one with a forced mid-run shard migration
-between nodes) are bit-identical to serial on both evaluation models.
+World geometry: agents are spread along the x axis of a ``length x 30`` box
+at a constant ~0.5 agents per unit of length, partitioned into 4 strips.
+Each strip edge sees a fixed-width visibility band (Boid visibility is 10),
+so replicas per tick stay roughly constant as the world grows.
+
+Bit-identity of both executors (including a forced mid-run shard migration
+between cluster nodes) is pinned by ``tests/brace/test_executor_equivalence.py``
+and ``tests/brace/test_cluster_equivalence.py``.
 """
 
 import statistics
 
+import numpy as np
 import pytest
 
 from benchmarks._bench_io import write_bench
-from benchmarks.test_resident_shards import build_strip_world
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
-from repro.brace.runtime import BraceRuntime
+from repro.core.world import World
 from repro.harness.common import format_table
-from repro.simulations.fish.fish import Fish
-from repro.simulations.fish.workload import build_fish_world
-from repro.simulations.traffic.workload import build_traffic_world
+from repro.spatial.bbox import BBox
+
+from tests.conftest import Boid
 
 NUM_WORKERS = 4
 NUM_NODES = 2
 TICKS = 3
+SEED = 19
+#: Agents per unit of world length: fixed, so boundary population is fixed.
+LINEAR_DENSITY = 0.5
 #: 4x population growth at fixed density (and so a fixed strip boundary).
 SIZES = (150, 600)
-#: Socket traffic may grow this much while the world quadruples.
+#: Wire traffic may grow this much while the world quadruples.
 MAX_BYTE_GROWTH = 1.1
 
 
-def cluster_config(**overrides) -> BraceConfig:
-    return BraceConfig(
+def build_strip_world(num_agents: int, seed: int = SEED) -> World:
+    """A long thin Boid world whose length grows with the population."""
+    length = num_agents / LINEAR_DENSITY
+    world = World(bounds=BBox(((0.0, length), (0.0, 30.0))), seed=seed)
+    rng = np.random.default_rng(seed)
+    slot = length / num_agents
+    for index in range(num_agents):
+        world.add_agent(
+            Boid(
+                x=min((index + float(rng.uniform(0.0, 1.0))) * slot, length - 1e-6),
+                y=float(rng.uniform(0.0, 30.0)),
+                vx=float(rng.uniform(-1.0, 1.0)),
+                vy=float(rng.uniform(-1.0, 1.0)),
+            )
+        )
+    return world
+
+
+def run_wire(executor: str, num_agents: int):
+    """Run ``executor`` on the strip world; returns measured per-tick numbers."""
+    config = BraceConfig(
         num_workers=NUM_WORKERS,
         ticks_per_epoch=1000,  # no epoch events inside the measurement
         load_balance=False,
-        executor="cluster",
+        executor=executor,
         max_workers=NUM_WORKERS,
         cluster_nodes=NUM_NODES,
         heartbeat_interval_seconds=0.1,
-        **overrides,
     )
-
-
-def run_cluster(num_agents: int):
-    """Run the cluster backend on the strip world; returns per-tick bytes."""
-    world = build_strip_world(num_agents)
-    with Simulation.from_agents(world, config=cluster_config()) as session:
-        session.runtime.run_tick()  # spawn the nodes and seed the shards
+    with Simulation.from_agents(build_strip_world(num_agents), config=config) as session:
+        session.runtime.run_tick()  # spawn the hosts and seed the shards
         session.run(TICKS)
         ticks = session.metrics.ticks[1:]
-        assert all(tick.resident for tick in ticks)
         per_tick_bytes = statistics.mean(tick.ipc_bytes_total for tick in ticks)
         boundary = statistics.mean(
             tick.replicas_created + tick.agents_migrated for tick in ticks
@@ -66,80 +86,47 @@ def run_cluster(num_agents: int):
     return per_tick_bytes, boundary
 
 
-def test_socket_bytes_scale_with_boundary_not_world(once):
+@pytest.mark.parametrize("executor", ["process", "cluster"])
+def test_wire_bytes_scale_with_boundary_not_world(once, executor):
     def measure():
         rows = []
         for num_agents in SIZES:
-            per_tick_bytes, boundary = run_cluster(num_agents)
+            per_tick_bytes, boundary = run_wire(executor, num_agents)
             rows.append(
                 {
                     "agents": num_agents,
-                    "socket_bytes_per_tick": per_tick_bytes,
+                    "wire_bytes_per_tick": per_tick_bytes,
                     "boundary": boundary,
                 }
             )
         return rows
 
     rows = once(measure)
-    write_bench(
-        "cluster", rows, ticks=TICKS, workers=NUM_WORKERS, nodes=NUM_NODES
-    )
+    write_bench(executor, rows, ticks=TICKS, workers=NUM_WORKERS, nodes=NUM_NODES)
     print()
     print(
         format_table(
-            ["Agents", "Boundary (replicas+migrations)", "Socket bytes/tick"],
+            ["Agents", "Boundary (replicas+migrations)", "Wire bytes/tick"],
             [
                 [
                     row["agents"],
                     f"{row['boundary']:.0f}",
-                    f"{row['socket_bytes_per_tick']:.0f} B",
+                    f"{row['wire_bytes_per_tick']:.0f} B",
                 ]
                 for row in rows
             ],
-            title="Per-tick driver<->node socket traffic vs world size "
-            f"({NUM_WORKERS} strips on {NUM_NODES} nodes, fixed density)",
+            title=f"Per-tick driver<->shard traffic vs world size on {executor!r} "
+            f"({NUM_WORKERS} strips, fixed density)",
         )
     )
 
     small, large = rows
     world_growth = large["agents"] / small["agents"]
-    byte_growth = large["socket_bytes_per_tick"] / small["socket_bytes_per_tick"]
+    byte_growth = large["wire_bytes_per_tick"] / small["wire_bytes_per_tick"]
     # The boundary barely moves as the world quadruples...
     assert large["boundary"] < 2.0 * small["boundary"]
-    # ...and the socket traffic follows the boundary, not the world.
+    # ...and the wire traffic follows the boundary, not the world.
     assert byte_growth < MAX_BYTE_GROWTH, (
-        f"cluster socket bytes grew {byte_growth:.2f}x for "
+        f"{executor} wire bytes grew {byte_growth:.2f}x for "
         f"{world_growth:.0f}x more agents"
     )
-
-
-class TestClusterBitIdenticalWithMigration:
-    """The measured backend is exact, even across a physical migration."""
-
-    @pytest.mark.parametrize("model", ["fish", "traffic"])
-    def test_matches_serial_with_forced_mid_run_migration(self, model):
-        if model == "fish":
-            # The importable module-level Fish: dynamic classes cannot
-            # cross a node boundary by reference.
-            build = lambda: build_fish_world(48, seed=7, fish_class=Fish)  # noqa: E731
-        else:
-            build = lambda: build_traffic_world(seed=11, num_vehicles=80)  # noqa: E731
-
-        serial_world = build()
-        serial_config = BraceConfig(
-            num_workers=NUM_WORKERS, ticks_per_epoch=1000, load_balance=False
-        )
-        with BraceRuntime(serial_world, serial_config) as runtime:
-            runtime.run(2 * TICKS)
-
-        cluster_world = build()
-        with BraceRuntime(cluster_world, cluster_config()) as runtime:
-            runtime.run(TICKS)
-            shard_id = 0
-            source = runtime.executor.shard_node(shard_id)
-            destination = (source + 1) % NUM_NODES
-            moved_bytes = runtime.migrate_shard(shard_id, destination)
-            assert moved_bytes > 0
-            assert runtime.executor.shard_node(shard_id) == destination
-            runtime.run(TICKS)
-        assert serial_world.same_state_as(cluster_world, tolerance=0.0)

@@ -89,17 +89,12 @@ class FluentConfig:
     def _attach_history(self, path: Any, **options: Any) -> Any:
         raise NotImplementedError
 
-    def with_executor(
-        self,
-        executor: str,
-        max_workers: int | None = None,
-        resident_shards: bool | None = None,
-    ) -> Any:
+    def with_executor(self, executor: str, max_workers: int | None = None) -> Any:
         """Choose the execution backend: "serial", "thread", "process" or "cluster".
 
-        ``max_workers`` bounds the pool; ``resident_shards`` overrides the
-        automatic choice of the per-tick delta protocol (on exactly for
-        backends that do not share the driver's memory).  The "cluster"
+        ``max_workers`` bounds the pool.  "serial" and "thread" host the
+        worker shards in this process and hand deltas over by reference;
+        "process" and "cluster" ship them as columnar frames.  The "cluster"
         backend hosts shards on socket-connected node processes — tune the
         node topology with :meth:`with_nodes`.
         """
@@ -107,8 +102,6 @@ class FluentConfig:
         overrides: dict[str, Any] = {"executor": executor}
         if max_workers is not None:
             overrides["max_workers"] = max_workers
-        if resident_shards is not None:
-            overrides["resident_shards"] = resident_shards
         self._builder.set(**overrides)
         return self
 
@@ -236,23 +229,6 @@ class FluentConfig:
         self._builder.set(plan_backend=backend)
         return self
 
-    def with_ipc_backend(self, backend: str | None) -> Any:
-        """Choose how resident-shard deltas cross the driver/shard boundary.
-
-        ``"columnar"`` packs each round's agents and effect partials into
-        structure-of-arrays delta frames and moves them through pooled
-        shared-memory segments with comm/compute overlap, ``"pickle"`` keeps
-        the legacy per-object protocol, ``None`` restores automatic
-        selection (columnar exactly when deltas really cross a process
-        boundary).  Decoded payloads are bit-identical whichever backend
-        runs — this knob only trades speed.
-        """
-        self._check_not_started()
-        # Validation happens in ConfigBuilder.set() -> BraceConfig.validate(),
-        # the single source of truth for legal backend names.
-        self._builder.set(ipc_backend=backend)
-        return self
-
     def with_load_balancing(
         self,
         enabled: bool = True,
@@ -326,8 +302,9 @@ class FluentConfig:
         window of ticks and ``thin_to_checkpoints=True`` retains only
         checkpoint ticks for the older range — both thin without ever
         breaking a retained tick's replay chain.  Recording forces a world
-        sync per tick on the process backend (like ``snapshot_states=True``),
-        trading resident-shard IPC savings for the persisted trajectory.
+        sync per tick on the process and cluster backends (like
+        ``snapshot_states=True``), trading the delta protocol's IPC savings
+        for the persisted trajectory.
         """
         self._check_not_started()
         return self._attach_history(

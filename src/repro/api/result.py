@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.brace.config import BraceConfig
 from repro.brace.metrics import BraceRunMetrics
+from repro.core.soa import states_equal
 
 
 def script_sha256(source: str) -> str:
@@ -39,15 +40,16 @@ class Provenance:
     source: str
     #: Agent class name(s) simulated, alphabetically sorted.
     model: tuple[str, ...]
-    #: Executor backend the worker phases ran on ("serial"/"thread"/"process").
+    #: Executor backend the worker shards ran on
+    #: ("serial"/"thread"/"process"/"cluster").
     backend: str
     #: Seed all run randomness derived from.
     seed: int
     #: The exact runtime configuration the session compiled down to, with
     #: every automatic knob *resolved* to the choice that actually ran:
-    #: ``seed`` is the effective seed, ``resident_shards`` the runtime's
-    #: resolved residency and ``spatial_backend`` the backend the query
-    #: phases executed ("python" or "vectorized", never None).  Re-running
+    #: ``seed`` is the effective seed and ``spatial_backend`` the backend
+    #: the query phases executed ("python" or "vectorized", never None).
+    #: Re-running
     #: with this config reproduces the run bit for bit — backend resolution
     #: is state-neutral, so pinning it changes nothing but speed.
     config: BraceConfig
@@ -106,8 +108,8 @@ class RunResult:
     def ipc_bytes(self) -> int:
         """Measured driver<->shard bytes for the whole run.
 
-        Real pickled payload sizes from the resident-shard protocol; 0 for
-        runs on memory-sharing backends (nothing crossed a process boundary).
+        Real encoded frame sizes from the shard protocol; 0 for runs on
+        memory-sharing backends (nothing crossed a process boundary).
         """
         return self.metrics.total_ipc_bytes()
 
@@ -124,8 +126,12 @@ class RunResult:
         return self.metrics.total_bytes_over_network()
 
     def same_states_as(self, other: "RunResult") -> bool:
-        """True when both runs ended with bit-identical agent states."""
-        return self.final_states == other.final_states
+        """True when both runs ended with bit-identical agent states.
+
+        Exact under :func:`repro.core.soa.states_equal`: float bit patterns
+        (a NaN equals the same NaN, ``-0.0`` is not ``0.0``) and types.
+        """
+        return states_equal(self.final_states, other.final_states)
 
     def summary(self) -> str:
         """A short multi-line report of the run."""

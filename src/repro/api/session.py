@@ -41,7 +41,7 @@ from repro.brasil.compiler import CompiledScript
 from repro.brasil.kernels import resolve_plan_backend
 from repro.core.agent import Agent
 from repro.core.context import resolve_spatial_backend
-from repro.core.errors import BraceError, NodeLossError, SimulationSessionError
+from repro.core.errors import BraceError, SimulationSessionError
 from repro.core.world import World
 from repro.history.query import History
 from repro.history.recorder import HistoryRecorder
@@ -372,9 +372,10 @@ class Simulation(FluentConfig):
         :meth:`run`.
 
         ``snapshot_states=True`` attaches a full per-tick copy of every
-        agent's state to each event; on the process backend this forces a
-        world-sized sync per tick, defeating the resident-shard IPC savings
-        — use it for debugging and visualisation, not benchmarking.
+        agent's state to each event; on the process and cluster backends
+        this forces a world-sized sync per tick, defeating the delta
+        protocol's IPC savings — use it for debugging and visualisation, not
+        benchmarking.
         """
         self._check_open()
         if self._active_stream is not None:
@@ -395,37 +396,15 @@ class Simulation(FluentConfig):
     def _stream_ticks(self, ticks: int, snapshot_states: bool) -> Iterator[TickEvent]:
         runtime = self._runtime
         assert runtime is not None
-        best_tick = runtime.world.tick
-        stalled_recoveries = 0
+        # Node losses are absorbed by the runtime's supervision policy; a
+        # tick re-executed after a recovery is yielded (and recorded) again.
+        supervised = runtime.supervised_ticks(ticks)
         try:
-            for _ in range(ticks):
-                if self._pause_requested:
-                    break
+            while not self._pause_requested:
                 self._epoch_events.clear()
-                while True:
-                    try:
-                        stats = runtime.run_tick()
-                        break
-                    except NodeLossError as error:
-                        # Mirror BraceRuntime.run's supervision policy:
-                        # absorb a survivable node loss by recovering from
-                        # the last checkpoint, but re-raise when nothing
-                        # survived, no checkpoint exists, or losses outpace
-                        # re-execution.
-                        if error.action == "lost":
-                            raise
-                        if not (
-                            runtime.config.checkpointing
-                            and runtime.master.checkpoint_manager.has_checkpoint()
-                        ):
-                            raise
-                        if runtime.world.tick > best_tick:
-                            best_tick = runtime.world.tick
-                            stalled_recoveries = 0
-                        stalled_recoveries += 1
-                        if stalled_recoveries > 3:
-                            raise
-                        runtime.recover()
+                stats = next(supervised, None)
+                if stats is None:
+                    break
                 epoch = self._epoch_events[-1] if self._epoch_events else None
                 states = None
                 if snapshot_states:
@@ -491,14 +470,12 @@ class Simulation(FluentConfig):
         model = tuple(sorted({type(agent).__name__ for agent in self.world.agents()}))
         # Resolve every automatic knob to the choice that actually ran, so
         # the recorded config reproduces the run without re-deriving the
-        # defaults: the effective seed, the runtime's resolved residency, the
-        # spatial backend the query phases executed and the plan backend the
-        # BRASIL phases attempted.  All of these are state-neutral, so
-        # pinning them is safe.
+        # defaults: the effective seed, the spatial backend the query phases
+        # executed and the plan backend the BRASIL phases attempted.  All of
+        # these are state-neutral, so pinning them is safe.
         config = dataclasses.replace(
             runtime.config,
             seed=runtime.seed,
-            resident_shards=runtime.resident,
             # Never let the cluster auth secret leak into provenance (it is
             # persisted with history recordings and serialized in results);
             # record only *that* auth was configured.
@@ -514,7 +491,6 @@ class Simulation(FluentConfig):
                 runtime.config.plan_backend,
                 {type(agent) for agent in self.world.agents()},
             ),
-            ipc_backend=runtime.ipc_backend,
         )
         # The cluster backend knows which node hosts which shard; record the
         # resolved topology (addresses, pids, placement) so a result can say

@@ -9,9 +9,9 @@ the simulated cluster:
   agents to partitions (the map task);
 * :mod:`repro.brace.worker` — per-worker state: owned agents, replicas, the
   query/update execution (the reduce tasks);
-* :mod:`repro.brace.shards` — the resident-shard delta protocol: workers
-  hosted durably inside executor processes, exchanging only migrations,
-  boundary replicas and effect partials per tick;
+* :mod:`repro.brace.shards` — the shard delta protocol: workers hosted
+  durably inside the executor, exchanging only migrations, boundary
+  replicas and effect partials per tick;
 * :mod:`repro.brace.master` — epoch coordination: statistics, load
   balancing and checkpoint scheduling;
 * :mod:`repro.brace.loadbalance` — the one-dimensional load balancer;

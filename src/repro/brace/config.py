@@ -28,25 +28,16 @@ class BraceConfig:
     load_balance_axis: int = 0
 
     # Execution backend ---------------------------------------------------
-    #: How worker phases actually execute: "serial" (inline, the default),
-    #: "thread" (a shared thread pool), "process" (a process pool; worker
-    #: payloads are pickled, so agent classes must be importable by name) or
-    #: "cluster" (resident shards hosted on socket-connected node processes,
-    #: spawnable on other machines — see the cluster knobs below).
+    #: Where the worker shards live: "serial" (inline, the default) and
+    #: "thread" (a shared thread pool) host them in the driver's process and
+    #: hand deltas over by reference; "process" (pool processes) and
+    #: "cluster" (socket-connected node processes, spawnable on other
+    #: machines — see the cluster knobs below) ship deltas as columnar
+    #: frames, so agent classes must be importable by name there.
     executor: str = "serial"
     #: Parallel task slots for the thread/process executors.  ``None`` uses
     #: ``min(num_workers, cpu count)``.
     max_workers: int | None = None
-    #: Resident worker shards: host each worker's agents durably inside the
-    #: executor (pinned to one pool process on the process backend) and ship
-    #: only per-tick deltas — migrations, boundary replicas and effect
-    #: partials — instead of pickling the whole owned set every tick.
-    #: ``None`` (the default) enables residency exactly for backends that do
-    #: not share the driver's memory (i.e. the process backend); ``True``
-    #: forces the delta protocol on any backend (useful for testing it
-    #: without pool overhead); ``False`` keeps the legacy ship-everything
-    #: path.  Results are bit-identical either way.
-    resident_shards: bool | None = None
 
     # Cluster backend (executor="cluster") --------------------------------
     #: Number of node processes hosting the shards.
@@ -108,17 +99,6 @@ class BraceConfig:
     #: classes — fall back to the interpreter per worker-phase, so states
     #: are bit-identical across backends; only the speed differs.
     plan_backend: str | None = None
-    #: How resident-shard deltas cross the driver/shard boundary:
-    #: ``"pickle"`` (the legacy per-object protocol), ``"columnar"``
-    #: (structure-of-arrays delta frames moved through pooled
-    #: shared-memory segments, with comm/compute overlap in every round)
-    #: or ``None`` for automatic selection (columnar exactly when resident
-    #: deltas really cross a process boundary — the process backend).
-    #: Decoded payloads are bit-identical across backends; only the speed
-    #: differs.  Forcing ``"columnar"`` on a memory-sharing backend
-    #: round-trips every delta through the frame codec in process, which
-    #: is how the wire format is conformance-tested without pools.
-    ipc_backend: str | None = None
 
     # Load balancing -------------------------------------------------------
     load_balance: bool = True
@@ -193,19 +173,6 @@ class BraceConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise BraceError("max_workers must be at least 1 (or None for automatic)")
-        if self.resident_shards not in (None, True, False):
-            raise BraceError(
-                "resident_shards must be True, False or None (automatic: on for "
-                "backends that do not share the driver's memory)"
-            )
-        if self.executor == "cluster" and self.resident_shards is False:
-            raise BraceError(
-                "executor='cluster' requires resident shards: the socket backend "
-                "only speaks the resident-shard delta protocol (the legacy "
-                "ship-everything path never leaves the driver process). Drop "
-                "resident_shards=False, or use executor='process' if you need "
-                "the legacy path."
-            )
         if self.executor == "cluster":
             if self.cluster_nodes < 1:
                 raise BraceError("cluster_nodes must be at least 1")
@@ -249,11 +216,6 @@ class BraceConfig:
             raise BraceError(
                 f"unknown plan backend {self.plan_backend!r}; expected "
                 "'interpreted', 'compiled' or None for automatic selection"
-            )
-        if self.ipc_backend not in (None, "pickle", "columnar"):
-            raise BraceError(
-                f"unknown ipc backend {self.ipc_backend!r}; expected "
-                "'pickle', 'columnar' or None for automatic selection"
             )
         if self.cell_size is not None and not self.cell_size > 0:
             # cell_size is only *used* by the grid index but may legitimately

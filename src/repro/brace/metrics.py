@@ -30,10 +30,8 @@ class BraceTickStatistics:
     killed: int = 0
     #: Executor backend that ran the worker phases ("serial", "thread", "process").
     executor: str = "serial"
-    #: True when the tick ran the resident-shard delta protocol.
-    resident: bool = False
     #: Measured bytes the driver actually shipped to shards this tick
-    #: (pickled payload sizes; 0 on memory-sharing backends).  Unlike the
+    #: (encoded frame sizes; 0 on memory-sharing backends).  Unlike the
     #: modeled ``bytes_*`` fields these are real bytes on the wire, so they
     #: are *not* part of the cross-backend determinism contract.
     ipc_bytes_sent: int = 0

@@ -8,30 +8,8 @@ without any further communication (Section 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
 from repro.core.agent import Agent
 from repro.spatial.partitioning import SpatialPartitioning
-
-
-@dataclass
-class DistributionPlan:
-    """The outcome of distributing one worker's agents for a tick.
-
-    ``owner_of`` maps agent id to owning partition; ``replicas`` maps a
-    destination partition to the agents that must be replicated there (agents
-    it does not own but whose position falls in its visible region).
-    """
-
-    owner_of: dict[Any, int] = field(default_factory=dict)
-    replicas: dict[int, list[Agent]] = field(default_factory=dict)
-    replica_count: int = 0
-
-    def add_replica(self, partition_id: int, agent: Agent) -> None:
-        """Record that ``partition_id`` needs a replica of ``agent``."""
-        self.replicas.setdefault(partition_id, []).append(agent)
-        self.replica_count += 1
 
 
 def replication_targets(agent: Agent, partitioning: SpatialPartitioning) -> list[int]:
@@ -44,22 +22,3 @@ def replication_targets(agent: Agent, partitioning: SpatialPartitioning) -> list
     if not radii or any(radius is None for radius in radii):
         return [part.partition_id for part in partitioning.partitions()]
     return partitioning.replication_targets(agent.position(), list(radii))
-
-
-def distribute_agents(
-    agents: list[Agent], partitioning: SpatialPartitioning
-) -> DistributionPlan:
-    """Compute owners and replication targets for ``agents``.
-
-    Replicas are *not* cloned here; the plan only names which agent goes
-    where so the runtime can account for the communication before paying the
-    copy cost.
-    """
-    plan = DistributionPlan()
-    for agent in agents:
-        owner = partitioning.partition_of(agent.position())
-        plan.owner_of[agent.agent_id] = owner
-        for partition_id in replication_targets(agent, partitioning):
-            if partition_id != owner:
-                plan.add_replica(partition_id, agent)
-    return plan

@@ -22,28 +22,31 @@ time by the cluster cost model; throughput is reported in agent-ticks per
 *states* produced are identical to a sequential run — this is checked by the
 equivalence tests.
 
-Worker phases execute through the configured executor backend in one of two
-modes:
+There is one tick protocol.  Every worker lives durably inside the executor
+as a *shard* (see :mod:`repro.brace.shards`) and a tick is three shard
+rounds — map/distribute, query, update — that exchange only *deltas*:
+migrations, boundary replicas and effect partials.  The executor's
+transport is the only thing that varies, and the runtime reads it off
+``executor.shares_memory``:
 
-* **in place** (serial/thread backends, or ``resident_shards=False``): the
-  driver holds every :class:`~repro.brace.worker.Worker`; the legacy process
-  path pickles each worker's full owned+replica sets out per tick;
-* **resident shards** (the default whenever the executor does not share the
-  driver's memory): each worker lives durably inside an executor host
-  process, and ticks exchange only *deltas* — migrations, boundary replicas
-  and effect partials — so measured per-tick IPC scales with the partition
-  boundary, not the world (see :mod:`repro.brace.shards`).
+* **by reference** (serial, thread): shards hold the world's own agent
+  objects and payloads are handed over as they are — no copy, no bytes, no
+  sync; replicas travel as full clones;
+* **columnar frames** (process, cluster): payloads cross a process or socket
+  boundary as :mod:`repro.ipc.frames` frames, replicas travel as per-tick
+  deltas against what the destination already holds, and the driver's world
+  is synced from the shards on demand (:meth:`BraceRuntime.sync_world`).
+  Measured per-tick IPC scales with the partition boundary, not the world.
 
 At epoch boundaries the master may rebalance the partitioning (Figures 7/8)
-— physically moving agents between shards in resident mode — and trigger
-coordinated checkpoints (which pull state from the shards), from which
+— physically moving agents between shards — and trigger coordinated
+checkpoints (which pull state from the shards), from which
 :meth:`BraceRuntime.recover` restores after an injected failure by re-seeding
 the shards from the restored world.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from collections import Counter
@@ -53,7 +56,6 @@ from repro.brace.checkpoint import FailureInjector
 from repro.brace.config import BraceConfig
 from repro.brace.master import Master, WorkerReport
 from repro.brace.metrics import BraceRunMetrics, BraceTickStatistics, EpochStatistics
-from repro.brace.replication import replication_targets
 from repro.brace.shards import (
     BoundaryDelta,
     MapCommand,
@@ -73,7 +75,7 @@ from repro.brace.shards import (
     shard_retain_checkpoint,
     shard_update_phase,
 )
-from repro.brace.worker import Worker, run_query_phase_remote, run_update_phase_remote
+from repro.brace.worker import Worker
 from repro.cluster.costmodel import ClusterCostModel, WorkerTickCost
 from repro.cluster.network import NetworkModel
 from repro.cluster._simnode import SimulatedNode
@@ -82,10 +84,8 @@ from repro.core.engine import apply_births_and_deaths
 from repro.core.errors import BraceError, ExecutorError, NodeLossError
 from repro.core.ordering import agent_sort_key
 from repro.core.world import World
-from repro.ipc import agent_frame_bytes, partial_frame_bytes, resolve_ipc_backend
-from repro.ipc.frames import ColumnarCodec, concat_agent_chunks
-from repro.mapreduce.executor import available_parallelism, make_executor
-from repro.spatial.partitioning import StripPartitioning
+from repro.ipc import agent_frame_bytes, partial_frame_bytes
+from repro.mapreduce.executor import make_executor
 
 
 class BraceRuntime:
@@ -122,7 +122,9 @@ class BraceRuntime:
         max_workers = self.config.max_workers
         if max_workers is None:
             max_workers = max(1, min(self.config.num_workers, os.cpu_count() or 1))
-        #: Execution backend running the per-worker query and update phases.
+        #: Execution backend hosting the worker shards.  Its ``shares_memory``
+        #: flag is the one transport decision: true hands shard payloads over
+        #: by reference, false ships them as columnar frames.
         #: The cluster backend is built directly so the config's topology
         #: knobs and the *same* network model that prices virtual time also
         #: drive the physical shard placement.
@@ -160,40 +162,12 @@ class BraceRuntime:
         #: restored tick before the re-executed ticks are recorded again.
         self.recovery_listeners: list = []
 
-        #: Whether ticks run the resident-shard delta protocol.  ``None`` in
-        #: the config resolves to "on exactly when the executor does not
-        #: share the driver's memory" — i.e. the process backend.
-        if self.config.resident_shards is None:
-            self._resident = not self.executor.shares_memory
-        else:
-            self._resident = bool(self.config.resident_shards)
-        #: Resolved wire format for the resident-shard delta protocol.
-        #: ``None`` (auto) picks columnar frames exactly when deltas really
-        #: cross a process boundary; a forced value wins either way.  The
-        #: knob only matters to resident runs — non-resident ticks never
-        #: serialize protocol payloads — so the codec stays unset for them.
-        self._ipc_backend = resolve_ipc_backend(
-            self.config.ipc_backend, self.executor.shares_memory, self._resident
-        )
-        self._codec = (
-            ColumnarCodec()
-            if (self._ipc_backend == "columnar" and self._resident)
-            else None
-        )
-        #: Ship each frame as soon as it is encoded so hosts decode and
-        #: compute while later frames still serialize.  Overlap only helps
-        #: when driver and hosts can actually run simultaneously; on a
-        #: single-CPU machine the eager submissions just add context
-        #: switches, so it stays off there.
-        self._overlap = self._codec is not None and available_parallelism() > 1
-        #: Replica delta shipping: destinations retain last tick's replicas
-        #: and receive only changed/removed rows.  Part of the columnar
-        #: delta protocol, so it switches with the codec.
-        self._replica_deltas = self._codec is not None
         self._shards_ready = False
         #: Births/deaths applied driver-side but not yet shipped to shards.
         self._pending_boundary: dict[int, BoundaryDelta] = {}
-        #: True when shard-resident states are newer than the driver's world.
+        #: True when shard-resident states are newer than the driver's world
+        #: (never on a by-reference transport: the shards hold the world's
+        #: own agents).
         self._world_dirty = False
         #: Bumped whenever the partitioning (or the physical shard layout)
         #: changes; part of the checkpoint stash tag so :meth:`recover`
@@ -231,29 +205,6 @@ class BraceRuntime:
             self.workers[owner].add_owned(agent)
             self._owner_of[agent.agent_id] = owner
 
-    @property
-    def resident(self) -> bool:
-        """Whether ticks run the resident-shard delta protocol.
-
-        This is the *resolved* value of :attr:`BraceConfig.resident_shards`:
-        ``None`` (automatic) has already been turned into the actual choice —
-        on exactly when the executor does not share the driver's memory.
-        """
-        return self._resident
-
-    @property
-    def ipc_backend(self) -> str:
-        """The *resolved* wire format of the resident-shard protocol.
-
-        ``BraceConfig.ipc_backend``'s ``None`` (automatic) has already been
-        turned into the actual choice: ``"columnar"`` exactly when resident
-        deltas cross a process boundary, ``"pickle"`` otherwise.  Forced
-        values pass through — forcing ``"columnar"`` on a memory-sharing
-        backend round-trips every delta through the frame codec in process,
-        which is how the wire format is conformance-tested without pools.
-        """
-        return self._ipc_backend
-
     def worker_of(self, agent_id: Any) -> int:
         """Return the id of the worker currently owning ``agent_id``."""
         try:
@@ -271,153 +222,11 @@ class BraceRuntime:
     def run_tick(self) -> BraceTickStatistics:
         """Execute one distributed tick and return its statistics.
 
-        Dispatches to the resident-shard delta protocol
-        (:meth:`_run_tick_resident`) or the legacy in-place/ship-everything
-        path (:meth:`_run_tick_inplace`); both produce bit-identical agent
-        states and deterministic statistics.
-        """
-        if self._resident:
-            return self._run_tick_resident()
-        return self._run_tick_inplace()
-
-    def _run_tick_inplace(self) -> BraceTickStatistics:
-        """One tick with driver-held workers (serial/thread/legacy process)."""
-        config = self.config
-        world = self.world
-        tick = world.tick
-        network = self.cost_model.network
-        wall_start = time.perf_counter()
-
-        worker_costs = [WorkerTickCost(worker.worker_id) for worker in self.workers]
-        num_agents = world.agent_count()
-
-        # ------------------------------------------------------------------
-        # Map phase: reset effects, migrate agents that changed partitions,
-        # replicate agents into neighbouring partitions' visible regions.
-        # ------------------------------------------------------------------
-        for worker in self.workers:
-            worker.clear_replicas()
-            for agent in worker.owned_agents():
-                agent.reset_effects()
-
-        # Transfers are batched per (source, destination) pair per tick: a
-        # worker sends one message containing every migrated agent, replica
-        # or effect partial addressed to a given peer, as a real runtime would.
-        migration_bytes: Counter = Counter()
-        replication_bytes: Counter = Counter()
-
-        agents_migrated = 0
-        for worker in self.workers:
-            # Harvest positions into the worker's tick cache (reused by the
-            # query phase's columnar snapshot) and batch the ownership
-            # lookups when the vectorized backend is in play.
-            owned = worker.owned_agents()
-            owners = worker._harvest_positions(
-                owned, self.master.partitioning, config.spatial_backend, config.index
-            )
-            for agent, owner in zip(owned, owners):
-                if owner != worker.worker_id:
-                    worker.remove_owned(agent.agent_id)
-                    self.workers[owner].add_owned(agent)
-                    self._owner_of[agent.agent_id] = owner
-                    migration_bytes[(worker.worker_id, owner)] += agent_frame_bytes(agent)
-                    agents_migrated += 1
-
-        replicas_created = 0
-        for worker in self.workers:
-            cost = worker_costs[worker.worker_id]
-            cost.work_units += config.map_work_units_per_agent * worker.owned_count()
-            for agent in worker.owned_agents():
-                size = agent_frame_bytes(agent)
-                for target in replication_targets(agent, self.master.partitioning):
-                    if target == worker.worker_id:
-                        continue
-                    self.workers[target].receive_replica(agent)
-                    replication_bytes[(worker.worker_id, target)] += size
-                    replicas_created += 1
-
-        bytes_migrated = self._charge_transfers(migration_bytes, worker_costs, network)
-        bytes_replicated = self._charge_transfers(replication_bytes, worker_costs, network)
-
-        # ------------------------------------------------------------------
-        # Reduce 1: query phase over owned agents (with replicas visible).
-        # One task per worker, dispatched through the configured executor.
-        # ------------------------------------------------------------------
-        query_seconds = self._run_query_phases(tick)
-        for worker in self.workers:
-            worker_costs[worker.worker_id].work_units += worker.last_query_work_units
-
-        # ------------------------------------------------------------------
-        # Reduce 2: route non-local effect partials to their owners.
-        # ------------------------------------------------------------------
-        bytes_effects = 0
-        if config.non_local_effects:
-            effect_bytes: Counter = Counter()
-            for worker in self.workers:
-                for agent_id, partials in sorted(
-                    worker.touched_replica_partials().items(),
-                    key=lambda item: agent_sort_key(item[0]),
-                ):
-                    owner = self.worker_of(agent_id)
-                    size = partial_frame_bytes(partials)
-                    if owner != worker.worker_id:
-                        effect_bytes[(worker.worker_id, owner)] += size
-                    self.workers[owner].merge_remote_partials(agent_id, partials)
-                    worker_costs[owner].work_units += len(partials)
-            bytes_effects = self._charge_transfers(effect_bytes, worker_costs, network)
-        else:
-            for worker in self.workers:
-                if worker.touched_replica_partials():
-                    raise BraceError(
-                        "the model assigned non-local effects but "
-                        "BraceConfig.non_local_effects is False; enable the second "
-                        "reduce pass or use an effect-inverted script"
-                    )
-
-        # ------------------------------------------------------------------
-        # Update phase (the next tick's map task, executed at the boundary).
-        # ------------------------------------------------------------------
-        merged_updates = UpdateContext(tick=tick, seed=self.seed, world_bounds=world.bounds)
-        update_seconds = self._run_update_phases(tick, merged_updates)
-        for worker in self.workers:
-            cost = worker_costs[worker.worker_id]
-            cost.work_units += config.update_work_units_per_agent * worker.owned_count()
-            cost.agents_owned = worker.owned_count()
-
-        spawned_agents, killed_ids = apply_births_and_deaths(world, merged_updates)
-        for agent_id in killed_ids:
-            owner = self._owner_of.pop(agent_id, None)
-            if owner is not None and agent_id in self.workers[owner].owned:
-                self.workers[owner].remove_owned(agent_id)
-        for agent in spawned_agents:
-            owner = self.master.partitioning.partition_of(agent.position())
-            self.workers[owner].add_owned(agent)
-            self._owner_of[agent.agent_id] = owner
-
-        return self._finalize_tick(
-            tick=tick,
-            num_agents=num_agents,
-            worker_costs=worker_costs,
-            wall_start=wall_start,
-            bytes_replicated=bytes_replicated,
-            bytes_effects=bytes_effects,
-            bytes_migrated=bytes_migrated,
-            replicas_created=replicas_created,
-            agents_migrated=agents_migrated,
-            spawned=len(spawned_agents),
-            killed=len(killed_ids),
-            query_seconds=query_seconds,
-            update_seconds=update_seconds,
-        )
-
-    def _run_tick_resident(self) -> BraceTickStatistics:
-        """One tick of the resident-shard delta protocol.
-
         Three shard rounds — map/distribute, query, update — exchange only
         boundary deltas with the executor-hosted workers; the driver keeps
-        shadow workers (membership and stale agent objects, no per-tick
-        state) so ownership, load statistics and the cost model work exactly
-        as in the in-place path.
+        shadow workers (membership and, on a copying transport, stale agent
+        objects; no per-tick state) for ownership, load statistics and the
+        cost model.
         """
         config = self.config
         world = self.world
@@ -426,6 +235,9 @@ class BraceRuntime:
         wall_start = time.perf_counter()
 
         self._ensure_shards()
+        # Crossing a wire copies every outgoing agent, which is what lets
+        # shards skip replica clones and ship replica deltas instead.
+        transport_copies = not self.executor.shares_memory
         worker_costs = [WorkerTickCost(worker.worker_id) for worker in self.workers]
         num_agents = world.agent_count()
         ipc_sent = 0
@@ -446,10 +258,7 @@ class BraceRuntime:
                         boundary=pending.get(worker.worker_id),
                         spatial_backend=config.spatial_backend,
                         index=config.index,
-                        # Crossing the process wire copies every outgoing
-                        # agent anyway, so the shard can skip the clones.
-                        clone_replicas=self.executor.shares_memory,
-                        replica_deltas=self._replica_deltas,
+                        transport_copies=transport_copies,
                     ),
                 )
                 for worker in self.workers
@@ -477,10 +286,12 @@ class BraceRuntime:
                     self._owner_of[agent.agent_id] = destination
                     migrated_in[destination].append(agent)
             for destination, replicas in sorted(plan.replicas_out.items()):
-                # Each entry is a routed chunk: a plain agent list, or a
-                # still-packed frame under the columnar codec (the driver
-                # never looks inside replicas, so they stay packed).
-                replicas_in[destination].append(replicas)
+                if transport_copies:
+                    # One still-packed ReplicaDelta per source: the driver
+                    # never looks inside replicas, so they route as they are.
+                    replicas_in[destination].append(replicas)
+                else:
+                    replicas_in[destination].extend(replicas)
             migration_bytes.update(plan.migration_pair_bytes)
             replication_bytes.update(plan.replication_pair_bytes)
             agents_migrated += plan.agents_migrated
@@ -504,13 +315,7 @@ class BraceRuntime:
                     shard_query_phase,
                     QueryCommand(
                         migrated_in=migrated_in[worker.worker_id],
-                        # Delta chunks route as-is (one ReplicaDelta per
-                        # source); full chunks concatenate per destination.
-                        replicas_in=(
-                            replicas_in[worker.worker_id]
-                            if self._replica_deltas
-                            else concat_agent_chunks(replicas_in[worker.worker_id])
-                        ),
+                        replicas_in=replicas_in[worker.worker_id],
                         tick=tick,
                         seed=self.seed,
                         index=config.index,
@@ -533,8 +338,8 @@ class BraceRuntime:
             worker_costs[worker.worker_id].work_units += result.value.work_units
 
         # ------------------------------------------------------------------
-        # Reduce 2 — route partials driver-side in the same global order the
-        # in-place path uses (source worker id, then agent sort key).
+        # Reduce 2 — route partials driver-side in one global order (source
+        # worker id, then agent sort key).
         # ------------------------------------------------------------------
         bytes_effects = 0
         routed: dict[int, list] = {worker.worker_id: [] for worker in self.workers}
@@ -615,61 +420,17 @@ class BraceRuntime:
             self._owner_of[agent.agent_id] = owner
             self._boundary_for(owner).spawn_agents.append(agent)
 
-        self._world_dirty = True
-        return self._finalize_tick(
-            tick=tick,
-            num_agents=num_agents,
-            worker_costs=worker_costs,
-            wall_start=wall_start,
-            bytes_replicated=bytes_replicated,
-            bytes_effects=bytes_effects,
-            bytes_migrated=bytes_migrated,
-            replicas_created=replicas_created,
-            agents_migrated=agents_migrated,
-            spawned=len(spawned_agents),
-            killed=len(killed_ids),
-            query_seconds=query_seconds,
-            update_seconds=update_seconds,
-            resident=True,
-            ipc_bytes_sent=ipc_sent,
-            ipc_bytes_received=ipc_received,
-            ipc_phase=ipc_phase,
-        )
+        self._world_dirty = transport_copies
 
-    def _finalize_tick(
-        self,
-        *,
-        tick: int,
-        num_agents: int,
-        worker_costs: list[WorkerTickCost],
-        wall_start: float,
-        bytes_replicated: int,
-        bytes_effects: int,
-        bytes_migrated: int,
-        replicas_created: int,
-        agents_migrated: int,
-        spawned: int,
-        killed: int,
-        query_seconds: list[float],
-        update_seconds: list[float],
-        resident: bool = False,
-        ipc_bytes_sent: int = 0,
-        ipc_bytes_received: int = 0,
-        ipc_phase: dict[str, float] | None = None,
-    ) -> BraceTickStatistics:
-        """Convert a tick's measurements into virtual time and statistics.
-
-        Shared epilogue of both tick paths: charges the cost model, records
-        the tick, advances the world clock and handles the epoch boundary.
-        """
-        config = self.config
+        # ------------------------------------------------------------------
+        # Epilogue: charge the cost model, record the tick, advance the world
+        # clock and handle the epoch boundary.
+        # ------------------------------------------------------------------
         num_passes = 3 if config.non_local_effects else 2
         breakdown = self.cost_model.tick_cost(tick, worker_costs, num_passes=num_passes)
         owned_counts = self.owned_counts()
         wall_seconds = time.perf_counter() - wall_start
-        self.world.tick += 1
-        if ipc_phase is None:
-            ipc_phase = self._zero_ipc_phase()
+        world.tick += 1
 
         stats = BraceTickStatistics(
             tick=tick,
@@ -687,12 +448,11 @@ class BraceRuntime:
             max_worker_agents=max(owned_counts) if owned_counts else 0,
             min_worker_agents=min(owned_counts) if owned_counts else 0,
             num_passes=num_passes,
-            spawned=spawned,
-            killed=killed,
+            spawned=len(spawned_agents),
+            killed=len(killed_ids),
             executor=self.executor.name,
-            resident=resident,
-            ipc_bytes_sent=ipc_bytes_sent,
-            ipc_bytes_received=ipc_bytes_received,
+            ipc_bytes_sent=ipc_sent,
+            ipc_bytes_received=ipc_received,
             ipc_serialize_seconds=ipc_phase["serialize"],
             ipc_transport_seconds=ipc_phase["transport"],
             ipc_compute_seconds=ipc_phase["compute"],
@@ -713,27 +473,35 @@ class BraceRuntime:
         return stats
 
     def run(self, ticks: int) -> BraceRunMetrics:
-        """Execute ``ticks`` distributed ticks.
+        """Execute ``ticks`` distributed ticks under :meth:`supervised_ticks`.
 
-        With resident shards the driver's world holds stale agent state
+        On a copying transport the driver's world holds stale agent state
         while ticks run; the final states are pulled back once at the end
-        (:meth:`sync_world`), so callers observe exactly what an in-place
-        run would have produced.
+        (:meth:`sync_world`).
+        """
+        for _stats in self.supervised_ticks(ticks):
+            pass
+        self.metrics.add_sync_ipc(self.sync_world())
+        return self.metrics
 
-        When checkpointing is on and a checkpoint exists, a supervised node
-        loss (:class:`~repro.core.errors.NodeLossError`) is absorbed here:
-        the run recovers from the last checkpoint and re-executes the lost
-        ticks, raising only when no node survived, no checkpoint exists
-        yet, or repeated losses stop the run from making progress.
-        (:meth:`run_tick` itself always raises — callers driving ticks
-        directly own their recovery policy.)
+    def supervised_ticks(self, ticks: int):
+        """Yield the statistics of ``ticks`` ticks, absorbing node losses.
+
+        The one supervision policy, shared by :meth:`run` and the session
+        layer's streams: when checkpointing is on and a checkpoint exists, a
+        supervised node loss (:class:`~repro.core.errors.NodeLossError`) is
+        absorbed — the run recovers from the last checkpoint and re-executes
+        the lost ticks (yielding them again) — raising only when no node
+        survived, no checkpoint exists yet, or repeated losses stop the run
+        from making progress.  (:meth:`run_tick` itself always raises —
+        callers driving ticks directly own their recovery policy.)
         """
         target_tick = self.world.tick + ticks
         best_tick = self.world.tick
         stalled_recoveries = 0
         while self.world.tick < target_tick:
             try:
-                self.run_tick()
+                stats = self.run_tick()
             except NodeLossError as error:
                 if error.action == "lost":
                     raise  # no node survived; nothing to resume on
@@ -749,110 +517,20 @@ class BraceRuntime:
                 if stalled_recoveries > 3:
                     raise  # losing nodes faster than ticks re-execute
                 self.recover()
-        self.metrics.add_sync_ipc(self.sync_world())
-        return self.metrics
+            else:
+                yield stats
 
     # ------------------------------------------------------------------
-    # Phase dispatch through the executor
-    # ------------------------------------------------------------------
-    def _run_query_phases(self, tick: int) -> list[float]:
-        """Run every worker's query phase; return per-worker wall seconds.
-
-        With a memory-sharing backend (serial, thread) each task runs the
-        phase in place on the worker's own agents.  With the process backend
-        the worker's owned agents and replicas are shipped to a pool process
-        and only the computed effects come back — the driver merges them into
-        its copies, so the observable state is identical either way.
-        """
-        config = self.config
-        if self.executor.shares_memory:
-            tasks = [
-                functools.partial(
-                    worker.run_query_phase,
-                    tick=tick,
-                    seed=self.seed,
-                    index=config.index,
-                    cell_size=config.cell_size,
-                    check_visibility=config.check_visibility,
-                    spatial_backend=config.spatial_backend,
-                    plan_backend=config.plan_backend,
-                )
-                for worker in self.workers
-            ]
-            results = self.executor.run_tasks(tasks)
-        else:
-            tasks = [
-                functools.partial(
-                    run_query_phase_remote,
-                    worker.worker_id,
-                    worker.owned_agents(),
-                    worker.replica_agents(),
-                    tick,
-                    self.seed,
-                    config.index,
-                    config.cell_size,
-                    config.check_visibility,
-                    config.spatial_backend,
-                    config.plan_backend,
-                )
-                for worker in self.workers
-            ]
-            results = self.executor.run_tasks(tasks)
-            for result in results:
-                self.workers[result.value.worker_id].apply_query_result(result.value)
-        return [result.wall_seconds for result in results]
-
-    def _run_update_phases(self, tick: int, merged_updates: UpdateContext) -> list[float]:
-        """Run every worker's update phase; return per-worker wall seconds.
-
-        Births and deaths are merged into ``merged_updates`` in worker-id
-        order (results come back in submission order), so the global
-        application at the tick boundary stays deterministic on every
-        backend.
-        """
-        if self.executor.shares_memory:
-            tasks = [
-                functools.partial(
-                    worker.run_update_phase,
-                    tick=tick,
-                    seed=self.seed,
-                    world_bounds=self.world.bounds,
-                    plan_backend=self.config.plan_backend,
-                )
-                for worker in self.workers
-            ]
-            results = self.executor.run_tasks(tasks)
-            for result in results:
-                merged_updates.merge(result.value)
-        else:
-            tasks = [
-                functools.partial(
-                    run_update_phase_remote,
-                    worker.worker_id,
-                    worker.owned_agents(),
-                    tick,
-                    self.seed,
-                    self.world.bounds,
-                    self.config.plan_backend,
-                )
-                for worker in self.workers
-            ]
-            results = self.executor.run_tasks(tasks)
-            for result in results:
-                context = self.workers[result.value.worker_id].apply_update_result(result.value)
-                merged_updates.merge(context)
-        return [result.wall_seconds for result in results]
-
-    # ------------------------------------------------------------------
-    # Resident-shard management
+    # Shard management
     # ------------------------------------------------------------------
     def _ensure_shards(self) -> None:
         """Seed the executor-hosted shards from the driver's workers (lazy).
 
-        Ships each worker's partition, the current partitioning and its
-        owned agents **once**; afterwards ticks exchange only deltas.  Called
-        again after :meth:`recover` (shards are re-seeded from the restored
-        world) or after an executor failure invalidated the shard state.
+        Hands each worker's partition, the current partitioning and its
+        owned agents over **once**; afterwards ticks exchange only deltas.
+        Called again after :meth:`recover` (shards are re-seeded from the
+        restored world) or after an executor failure invalidated the shard
+        state.
         """
         if self._shards_ready:
             return
@@ -866,7 +544,7 @@ class BraceRuntime:
             )
             for worker in self.workers
         }
-        self.executor.init_shards(make_resident_worker, payloads, codec=self._codec)
+        self.executor.init_shards(make_resident_worker, payloads)
         self._shards_ready = True
         self._pending_boundary = {}
         self._world_dirty = False
@@ -874,16 +552,17 @@ class BraceRuntime:
     def _shard_round(self, tasks, phase: dict[str, float] | None = None):
         """One synchronized round of shard tasks, invalidating state on failure.
 
-        When ``phase`` is given, the round's IPC phase breakdown accumulates
-        into it: per-task serialize/transport seconds as measured at both
-        ends, total task compute, and the *wait* residual — round wall clock
-        not accounted for by serialization, transport, or the slowest task —
-        which is the synchronization + pipe overhead the comm/compute
-        overlap is meant to shrink.
+        When ``phase`` is given and the transport is a wire, the round's IPC
+        phase breakdown accumulates into it: per-task serialize/transport
+        seconds as measured at both ends, total task compute, and the *wait*
+        residual — round wall clock not accounted for by serialization,
+        transport, or the slowest task — which is the synchronization + pipe
+        overhead the comm/compute overlap is meant to shrink.  By reference
+        there is no IPC to account for and the breakdown stays zero.
         """
         start = time.perf_counter()
         results = self._shard_round_raw(tasks)
-        if phase is not None:
+        if phase is not None and not self.executor.shares_memory:
             round_wall = time.perf_counter() - start
             serialize = sum(result.serialize_seconds for result in results)
             transport = sum(result.transport_seconds for result in results)
@@ -896,9 +575,7 @@ class BraceRuntime:
 
     def _shard_round_raw(self, tasks):
         try:
-            return self.executor.run_sharded_tasks(
-                tasks, codec=self._codec, overlap=self._overlap
-            )
+            return self.executor.run_sharded_tasks(tasks)
         except NodeLossError:
             # A node died but the executor degraded instead of collapsing:
             # survivors keep their resident state (and their checkpoint
@@ -960,12 +637,13 @@ class BraceRuntime:
         """Pull resident agent states back into the driver's world.
 
         Returns the measured IPC bytes the sync cost (0 when nothing had to
-        be pulled — non-resident runs, or an already-clean world).  This is
-        the one deliberately world-sized transfer of the resident protocol;
-        it happens at the end of :meth:`run`, before checkpoints, and on
-        demand — never per tick.
+        be pulled — a by-reference transport, whose shards hold the world's
+        own agents, or an already-clean world).  This is the one
+        deliberately world-sized transfer of the protocol; it happens at the
+        end of :meth:`run`, before checkpoints, and on demand — never per
+        tick.
         """
-        if not (self._resident and self._shards_ready and self._world_dirty):
+        if not (self._shards_ready and self._world_dirty):
             return 0
         ipc_bytes = self._flush_pending_boundary()
         results = self._shard_round(
@@ -983,12 +661,9 @@ class BraceRuntime:
     def _collect_axis_coordinates(self, axis: int) -> tuple[list[float], int]:
         """Balancing-axis coordinates of every agent, plus the IPC bytes paid.
 
-        In-place runs read the driver's world; resident runs pull one float
-        per agent from the shards — the per-epoch "statistics message" the
-        paper's master receives from its slaves.
+        One float per agent pulled from the shards — the per-epoch
+        "statistics message" the paper's master receives from its slaves.
         """
-        if not (self._resident and self._shards_ready):
-            return [agent.position()[axis] for agent in self.world.agents()], 0
         results = self._shard_round(
             [(worker.worker_id, shard_collect_coordinates, axis) for worker in self.workers]
         )
@@ -1009,7 +684,7 @@ class BraceRuntime:
         simulation occupies no pool-process memory.
         """
         self.metrics.add_sync_ipc(self.sync_world())
-        if self._resident and self._shards_ready:
+        if self._shards_ready:
             self._invalidate_shards()
 
     def restore_world(self, snapshot: dict[str, Any]) -> None:
@@ -1025,8 +700,7 @@ class BraceRuntime:
         """
         self.world.restore(snapshot)
         self._rebuild_ownership()
-        if self._resident:
-            self._invalidate_shards()
+        self._invalidate_shards()
         self._world_dirty = False
 
     def close(self) -> None:
@@ -1072,11 +746,9 @@ class BraceRuntime:
     # ------------------------------------------------------------------
     def _end_of_epoch(self) -> None:
         config = self.config
-        epoch_ipc_bytes = 0
-        if self._resident:
-            # Shards must reflect this tick's births/deaths before the master
-            # gathers statistics or moves agents around.
-            epoch_ipc_bytes += self._flush_pending_boundary()
+        # Shards must reflect this tick's births/deaths before the master
+        # gathers statistics or moves agents around.
+        epoch_ipc_bytes = self._flush_pending_boundary()
         reports = [
             WorkerReport(
                 worker_id=worker.worker_id,
@@ -1095,13 +767,10 @@ class BraceRuntime:
         lb_seconds = 0.0
         if decision.load_balance is not None and decision.load_balance.rebalance:
             rebalanced = True
-            if self._resident and self._shards_ready:
-                migrated_by_balancer, lb_seconds, repartition_ipc = (
-                    self._apply_new_partitioning_resident()
-                )
-                epoch_ipc_bytes += repartition_ipc
-            else:
-                migrated_by_balancer, lb_seconds = self._apply_new_partitioning()
+            migrated_by_balancer, lb_seconds, repartition_ipc = (
+                self._apply_new_partitioning()
+            )
+            epoch_ipc_bytes += repartition_ipc
 
         checkpointed = False
         checkpoint_bytes = 0
@@ -1109,7 +778,7 @@ class BraceRuntime:
         if decision.checkpoint:
             checkpointed = True
             # Checkpoints pull state from the shards: the driver's world is
-            # synced once, then snapshot exactly as an in-place run would.
+            # synced once, then snapshot.
             epoch_ipc_bytes += self.sync_world()
             checkpoint_bytes = sum(worker.checkpoint_size_bytes() for worker in self.workers)
             self.master.checkpoint_manager.take(self.world, self.master.epoch, checkpoint_bytes)
@@ -1162,8 +831,7 @@ class BraceRuntime:
         Returns the measured IPC bytes of the stash round.
         """
         if not (
-            self._resident
-            and self._shards_ready
+            self._shards_ready
             and getattr(self.executor, "supports_partial_recovery", False)
         ):
             return 0
@@ -1178,36 +846,7 @@ class BraceRuntime:
         self._checkpoint_ownership = dict(self._owner_of)
         return sum(result.payload_bytes + result.result_bytes for result in results)
 
-    def _apply_new_partitioning(self) -> tuple[int, float]:
-        """Reassign ownership after the master adopted a new partitioning.
-
-        Returns the number of migrated agents and the virtual time the
-        migration cost (max over per-worker send/receive time).
-        """
-        network = self.cost_model.network
-        partitioning = self.master.partitioning
-        per_worker_seconds = [0.0] * len(self.workers)
-        migrated = 0
-        self._partitioning_version += 1
-
-        for worker in self.workers:
-            worker.partition = partitioning.partition(worker.worker_id)
-
-        for worker in self.workers:
-            for agent in worker.owned_agents():
-                owner = partitioning.partition_of(agent.position())
-                if owner != worker.worker_id:
-                    worker.remove_owned(agent.agent_id)
-                    self.workers[owner].add_owned(agent)
-                    self._owner_of[agent.agent_id] = owner
-                    size = agent_frame_bytes(agent)
-                    seconds = network.transfer_seconds(worker.worker_id, owner, size)
-                    per_worker_seconds[worker.worker_id] += seconds
-                    per_worker_seconds[owner] += seconds
-                    migrated += 1
-        return migrated, max(per_worker_seconds, default=0.0)
-
-    def _apply_new_partitioning_resident(
+    def _apply_new_partitioning(
         self, rebalance_nodes: bool = True
     ) -> tuple[int, float, int]:
         """Physically move agents between shards after a rebalance.
@@ -1215,7 +854,7 @@ class BraceRuntime:
         Two shard rounds: every shard adopts the new partitioning and hands
         back the agents that no longer belong to it; the driver routes them
         to their new shards (updating its shadow ownership and charging the
-        cost model exactly like the in-place path) and installs them.
+        cost model per moved agent) and installs them.
         Returns ``(agents migrated, virtual seconds, measured IPC bytes)``.
         """
         network = self.cost_model.network
@@ -1299,15 +938,13 @@ class BraceRuntime:
                 f"the {self.executor.name!r} executor does not place shards on "
                 "nodes; shard migration requires executor='cluster'"
             )
-        if not self._resident:
-            raise BraceError("shard migration requires resident shards")
         self._ensure_shards()
         ipc_bytes = self._flush_pending_boundary()
         ipc_bytes += self.executor.migrate_shard(shard_id, node)
         # Adopt under the current partitioning with the automatic node
         # rebalance suppressed, or the cost model could undo the forced
         # move before the replica caches are even reset.
-        _migrated, _seconds, adopt_ipc = self._apply_new_partitioning_resident(
+        _migrated, _seconds, adopt_ipc = self._apply_new_partitioning(
             rebalance_nodes=False
         )
         return ipc_bytes + adopt_ipc
@@ -1325,19 +962,16 @@ class BraceRuntime:
         checkpoint = self.master.checkpoint_manager.restore_latest(self.world)
         ticks_lost = max(0, tick_before_failure - checkpoint.tick)
         restored_in_place = (
-            self._resident
-            and self._shards_ready
+            self._shards_ready
             and getattr(self.executor, "supports_partial_recovery", False)
             and self._recover_shards_in_place(checkpoint)
         )
         if not restored_in_place:
             self._rebuild_ownership()
-            if self._resident:
-                # Resident state died with the "failed" workers: drop the
-                # shards and lazily re-seed them from the restored world
-                # next tick.
-                self._invalidate_shards()
-                self._world_dirty = False
+            # Resident state died with the "failed" workers: drop the shards
+            # and lazily re-seed them from the restored world next tick.
+            self._invalidate_shards()
+            self._world_dirty = False
         # Any partially accumulated epoch is discarded along with the lost ticks.
         self._epoch_ticks = 0
         self._epoch_virtual_seconds = 0.0

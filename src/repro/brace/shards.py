@@ -1,7 +1,6 @@
-"""The resident-shard protocol: what crosses the driver/shard boundary.
+"""The shard protocol: what crosses the driver/shard boundary.
 
-With ``BraceConfig.resident_shards`` enabled (the default on the process
-backend), each executor host process durably hosts one or more
+Each executor host durably hosts one or more
 :class:`~repro.brace.worker.Worker` objects across ticks — the paper's
 collocation argument made literal.  The driver never ships a worker's owned
 agents per tick; instead each tick exchanges three **deltas**, one shard
@@ -12,7 +11,7 @@ round per phase:
    boundary replicas locally (:meth:`Worker.distribute`).  Only agents that
    actually crossed a partition boundary come back.
 2. :func:`shard_query_phase` — the driver routes the migrated agents and
-   replica clones in; the shard joins owned + replicas and runs the query
+   replicas in; the shard joins owned + replicas and runs the query
    phase.  Only the *non-local* effect partials accumulated on replicas come
    back; owned effects stay resident.
 3. :func:`shard_update_phase` — the driver routes each shard the remote
@@ -26,10 +25,14 @@ balancer, :func:`shard_collect_states` for checkpoints and driver sync,
 repartitioning) pull state on demand, exactly as the paper's master talks to
 its slaves once per epoch.
 
-Every function here is module-level and every command/result dataclass is
-picklable, as the process executor requires; all of them also run unchanged
-against in-process shards (``resident_shards=True`` on the serial or thread
-backend), which is how the protocol is tested without pool overhead.
+The protocol is the same on every executor; only the transport differs.
+The serial and thread executors hand these commands and results over **by
+reference** (the shards hold the world's own agents; replicas travel as full
+clones).  The process and cluster executors ship them as **columnar frames**
+(:mod:`repro.ipc.frames`; replicas travel as
+:class:`~repro.ipc.frames.ReplicaDelta` rows) — which is why every function
+here is module-level, every command/result dataclass is picklable, and the
+bottom of this module registers how each one packs.
 """
 
 from __future__ import annotations
@@ -85,23 +88,21 @@ class MapCommand:
     boundary: BoundaryDelta | None = None
     spatial_backend: str | None = None
     index: str | None = "kdtree"
-    #: False when every boundary crossing is a real copy anyway (the process
-    #: backend's wire), letting the shard skip the per-replica clone.
-    clone_replicas: bool = True
-    #: True to ship replicas as per-destination deltas
-    #: (:class:`repro.ipc.frames.ReplicaDelta`) against what each
-    #: destination already holds, instead of the full set every tick.
-    replica_deltas: bool = False
+    #: True when the transport copies everything that crosses it (a wire):
+    #: the shard then skips the per-replica clone and ships replicas as
+    #: per-destination deltas (:class:`repro.ipc.frames.ReplicaDelta`)
+    #: against what each destination already holds.  False (by reference)
+    #: ships the full set of clones every tick.
+    transport_copies: bool = False
 
 
 @dataclass
 class QueryCommand:
     """Round 2 input: incoming deltas plus the query-phase parameters.
 
-    ``replicas_in`` is a flat agent list on the memory-sharing path; under
-    the columnar codec the driver routes replicas as still-packed frames,
-    so it may arrive as an :class:`repro.ipc.frames.AgentChunks` that the
-    shard (or the wire decode) flattens.
+    ``replicas_in`` is a flat list of replica clones by reference; over a
+    wire it is one :class:`repro.ipc.frames.ReplicaDelta` per source shard,
+    routed by the driver with its additions still packed.
     """
 
     migrated_in: list[Agent]
@@ -177,8 +178,7 @@ def shard_map_phase(worker: Worker, command: MapCommand) -> DistributionResult:
     return worker.distribute(
         spatial_backend=command.spatial_backend,
         index=command.index,
-        clone_replicas=command.clone_replicas,
-        replica_deltas=command.replica_deltas,
+        transport_copies=command.transport_copies,
     )
 
 
@@ -186,11 +186,8 @@ def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:
     """Round 2: install incoming deltas and run the query phase."""
     for agent in command.migrated_in:
         worker.add_owned(agent)
-    replicas_in = command.replicas_in
-    if isinstance(replicas_in, ipc_frames.AgentChunks):
-        replicas_in = replicas_in.unpack()
     if worker._replica_delta_mode:
-        deltas = replicas_in or ()
+        deltas = command.replicas_in
         # Removals strictly before additions: after a rebalance the old
         # owner's removal and the new owner's addition for the same agent
         # can arrive in the same tick.
@@ -209,7 +206,7 @@ def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:
             for replica in additions:
                 worker.install_replica(replica)
     else:
-        for replica in replicas_in:
+        for replica in command.replicas_in:
             worker.install_replica(replica)
     worker.run_query_phase(
         tick=command.tick,
@@ -334,104 +331,64 @@ def shard_restore_checkpoint(worker: Worker, payload: dict) -> dict:
 
 
 def _pack_agent_map(agent_map: dict) -> list:
-    """Pack ``destination -> agents`` into ``(destination, frame)`` pairs.
-
-    Destination lists holding the *same object sequence* — what
-    ``distribute(clone_replicas=False)`` produces when an agent replicates
-    to every neighbour — are packed once and share one frame, so both the
-    pack pass and the pickled bytes scale with distinct agents, not with
-    ``agents × destinations`` (pickle's memo dedupes the shared frame's
-    buffers on the wire).
-    """
-    memo: dict = {}
-
-    def shared_frame(agents):
-        if isinstance(agents, ipc_frames.LazyAgentFrame):
-            return agents.frame
-        identity = tuple(map(id, agents))
-        frame = memo.get(identity)
-        if frame is None:
-            frame = memo[identity] = ipc_frames.pack_agents(agents)
-        return frame
-
-    payload = []
-    for key, agents in agent_map.items():
-        if isinstance(agents, ipc_frames.ReplicaDelta):
-            entry = ("delta", shared_frame(agents.additions), pack_cells(agents.removed_ids))
-        else:
-            entry = shared_frame(agents)
-        payload.append((key, entry))
-    return payload
+    """Pack ``destination -> agents`` into ``(destination, frame)`` pairs."""
+    return [(key, ipc_frames.pack_agents(agents)) for key, agents in agent_map.items()]
 
 
 def _unpack_agent_map(payload: list) -> dict:
     return {key: ipc_frames.unpack_agents(frame) for key, frame in payload}
 
 
-def _lazy_agent_map(payload: list) -> dict:
-    """Decode an agent map without unpacking its frames.
+def _pack_replica_deltas(replicas_out: dict) -> list:
+    """Pack ``destination -> ReplicaDelta`` into ``(destination, additions
+    frame, removed ids)`` triples.
 
-    Used for the replica map: the driver only concatenates replica lists
-    per destination, so the frames stay packed end-to-end and are re-emitted
-    verbatim into the next query command (see
-    :class:`repro.ipc.frames.LazyAgentFrame`).  Delta-mode entries decode
-    to :class:`repro.ipc.frames.ReplicaDelta` with their additions frame
-    kept packed the same way.
+    Additions holding the *same agent sequence* — what ``distribute``
+    produces when an agent replicates to every neighbour — are packed once
+    and share one frame, so both the pack pass and the pickled bytes scale
+    with distinct agents, not with ``agents × destinations`` (pickle's memo
+    dedupes the shared frame's buffers on the wire).
     """
-    decoded = {}
-    for key, entry in payload:
-        if type(entry) is tuple and entry[0] == "delta":
-            decoded[key] = ipc_frames.ReplicaDelta(
-                ipc_frames.LazyAgentFrame(entry[1]), unpack_cells(entry[2])
-            )
-        else:
-            decoded[key] = ipc_frames.LazyAgentFrame(entry)
-    return decoded
+    memo: dict = {}
+    payload = []
+    for key, delta in replicas_out.items():
+        identity = tuple(map(id, delta.additions))
+        frame = memo.get(identity)
+        if frame is None:
+            frame = memo[identity] = ipc_frames.pack_agents(delta.additions)
+        payload.append((key, frame, pack_cells(delta.removed_ids)))
+    return payload
 
 
-def _pack_agent_chunks(replicas) -> tuple:
-    """Pack routed replica chunks, re-emitting already-packed frames."""
-    if isinstance(replicas, list) and any(
-        isinstance(chunk, ipc_frames.ReplicaDelta) for chunk in replicas
-    ):
-        return (
-            "deltas",
-            [
-                (
-                    delta.additions.frame
-                    if isinstance(delta.additions, ipc_frames.LazyAgentFrame)
-                    else ipc_frames.pack_agents(delta.additions),
-                    pack_cells(delta.removed_ids),
-                )
-                for delta in replicas
-            ],
+def _lazy_delta(frame, removed) -> ipc_frames.ReplicaDelta:
+    """Decode one replica delta without unpacking its additions.
+
+    The driver only routes replica deltas per destination, so the frames
+    stay packed end-to-end and are re-emitted verbatim into the next query
+    command (see :class:`repro.ipc.frames.LazyAgentFrame`).
+    """
+    return ipc_frames.ReplicaDelta(ipc_frames.LazyAgentFrame(frame), unpack_cells(removed))
+
+
+def _lazy_replica_deltas(payload: list) -> dict:
+    return {key: _lazy_delta(frame, removed) for key, frame, removed in payload}
+
+
+def _pack_routed_deltas(deltas: list) -> list:
+    """Pack routed replica deltas, re-emitting already-packed frames."""
+    return [
+        (
+            delta.additions.frame
+            if isinstance(delta.additions, ipc_frames.LazyAgentFrame)
+            else ipc_frames.pack_agents(delta.additions),
+            pack_cells(delta.removed_ids),
         )
-    if isinstance(replicas, ipc_frames.AgentChunks):
-        return (
-            "frames",
-            [
-                chunk.frame
-                if isinstance(chunk, ipc_frames.LazyAgentFrame)
-                else ipc_frames.pack_agents(chunk)
-                for chunk in replicas.chunks
-            ],
-        )
-    return ("frames", [ipc_frames.pack_agents(replicas)])
+        for delta in deltas
+    ]
 
 
-def _unpack_agent_chunks(payload: tuple):
-    kind, entries = payload
-    if kind == "deltas":
-        return [
-            ipc_frames.ReplicaDelta(
-                ipc_frames.LazyAgentFrame(frame), unpack_cells(removed)
-            )
-            for frame, removed in entries
-        ]
-    agents: list = []
-    for frame in entries:
-        agents.extend(ipc_frames.unpack_agents(frame))
-    return agents
+def _unpack_routed_deltas(payload: list) -> list:
+    return [_lazy_delta(frame, removed) for frame, removed in payload]
 
 
 def _encode_seed(seed: ShardSeed) -> tuple:
@@ -461,26 +418,24 @@ def _encode_map_command(command: MapCommand) -> tuple:
         None if boundary is None else _encode_boundary(boundary),
         command.spatial_backend,
         command.index,
-        command.clone_replicas,
-        command.replica_deltas,
+        command.transport_copies,
     )
 
 
 def _decode_map_command(payload: tuple) -> MapCommand:
-    boundary, spatial_backend, index, clone_replicas, replica_deltas = payload
+    boundary, spatial_backend, index, transport_copies = payload
     return MapCommand(
         None if boundary is None else _decode_boundary(boundary),
         spatial_backend,
         index,
-        clone_replicas,
-        replica_deltas,
+        transport_copies,
     )
 
 
 def _encode_distribution(result: DistributionResult) -> tuple:
     return (
         _pack_agent_map(result.migrations_out),
-        _pack_agent_map(result.replicas_out),
+        _pack_replica_deltas(result.replicas_out),
         result.migration_pair_bytes,
         result.replication_pair_bytes,
         result.agents_migrated,
@@ -492,7 +447,7 @@ def _decode_distribution(payload: tuple) -> DistributionResult:
     migrations, replicas, migration_bytes, replication_bytes, migrated, created = payload
     return DistributionResult(
         _unpack_agent_map(migrations),
-        _lazy_agent_map(replicas),
+        _lazy_replica_deltas(replicas),
         migration_bytes,
         replication_bytes,
         migrated,
@@ -503,7 +458,7 @@ def _decode_distribution(payload: tuple) -> DistributionResult:
 def _encode_query_command(command: QueryCommand) -> tuple:
     return (
         ipc_frames.pack_agents(command.migrated_in),
-        _pack_agent_chunks(command.replicas_in),
+        _pack_routed_deltas(command.replicas_in),
         command.tick,
         command.seed,
         command.index,
@@ -515,10 +470,10 @@ def _encode_query_command(command: QueryCommand) -> tuple:
 
 
 def _decode_query_command(payload: tuple) -> QueryCommand:
-    migrated_in, replica_frames = payload[0], payload[1]
+    migrated_in, replica_deltas = payload[0], payload[1]
     return QueryCommand(
         ipc_frames.unpack_agents(migrated_in),
-        _unpack_agent_chunks(replica_frames),
+        _unpack_routed_deltas(replica_deltas),
         *payload[2:],
     )
 

@@ -9,6 +9,13 @@ Collocation is implicit in this design: the map and reduce tasks of a
 partition live inside the same worker object, so agents that stay in their
 partition never touch the (simulated) network — only replicas and effect
 partials do.
+
+Every worker runs as a *shard* hosted by the executor (:mod:`repro.brace.
+shards`): in the driver's process on the serial and thread backends, in a
+pool process or on a cluster node otherwise.  The code here is the same
+either way; the one thing a worker is told about its host is whether the
+transport copies what it hands out (``transport_copies``), which selects how
+replicas ship — full clones by reference, per-tick deltas over a wire.
 """
 
 from __future__ import annotations
@@ -28,40 +35,8 @@ from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
 from repro.ipc.frames import ReplicaDelta
 from repro.ipc.sizing import agent_frame_bytes
-from repro.spatial.bbox import BBox
 from repro.spatial.columnar import PointSet
 from repro.spatial.partitioning import Partition, SpatialPartitioning
-
-
-@dataclass
-class QueryPhaseResult:
-    """What a remotely executed query phase sends back to the driver.
-
-    Effects are plain dictionaries (not agent objects) so only the tick's
-    actual output crosses the process boundary, mirroring what a real BRACE
-    worker would put on the wire.
-    """
-
-    worker_id: int
-    #: ``agent_id -> (effect accumulators, touched field names)`` for owned agents.
-    owned_effects: dict[Any, tuple[dict[str, Any], set[str]]]
-    #: ``agent_id -> touched accumulators`` for replicas (non-local partials).
-    replica_partials: dict[Any, dict[str, Any]]
-    work_units: float
-    index_probes: int
-
-
-@dataclass
-class UpdatePhaseResult:
-    """What a remotely executed update phase sends back to the driver."""
-
-    worker_id: int
-    #: ``agent_id -> new state values`` for owned agents.
-    states: dict[Any, dict[str, Any]]
-    #: ``(parent_id, sequence, child agent)`` spawn requests, in request order.
-    spawn_requests: list[tuple[Any, int, Any]] = field(default_factory=list)
-    #: Ids of agents whose removal was requested.
-    kill_requests: set[Any] = field(default_factory=set)
 
 
 def _query_loop(owned: list[Agent], context: QueryContext, plan_backend: str | None) -> None:
@@ -98,79 +73,11 @@ def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str |
             agent._updating = False
 
 
-def run_query_phase_remote(
-    worker_id: int,
-    owned: list[Agent],
-    replicas: list[Agent],
-    tick: int,
-    seed: int,
-    index: str | None,
-    cell_size: float | None,
-    check_visibility: bool,
-    spatial_backend: str | None = None,
-    plan_backend: str | None = None,
-) -> QueryPhaseResult:
-    """Execute one worker's query phase on pickled agent copies.
-
-    Module-level (picklable) so the process executor can ship it.  The agent
-    lists must be sorted the way :meth:`Worker.run_query_phase` sorts them so
-    the spatial index — and therefore every neighbor enumeration — is built
-    identically, keeping the results bit-identical to in-place execution.
-    """
-    agents = owned + replicas
-    context = QueryContext(
-        agents,
-        tick=tick,
-        seed=seed,
-        index=index,
-        cell_size=cell_size,
-        check_visibility=check_visibility,
-        spatial_backend=spatial_backend,
-    )
-    with phase(Phase.QUERY):
-        _query_loop(owned, context, plan_backend)
-    replica_partials = {}
-    for replica in replicas:
-        touched = replica.touched_effect_partials()
-        if touched:
-            replica_partials[replica.agent_id] = touched
-    return QueryPhaseResult(
-        worker_id=worker_id,
-        owned_effects={
-            agent.agent_id: (agent.effect_partials(), set(agent._effects_touched))
-            for agent in owned
-        },
-        replica_partials=replica_partials,
-        work_units=context.work_units,
-        index_probes=context.index_probes,
-    )
-
-
-def run_update_phase_remote(
-    worker_id: int,
-    owned: list[Agent],
-    tick: int,
-    seed: int,
-    world_bounds: BBox | None,
-    plan_backend: str | None = None,
-) -> UpdatePhaseResult:
-    """Execute one worker's update phase on pickled agent copies."""
-    context = UpdateContext(tick=tick, seed=seed, world_bounds=world_bounds)
-    with phase(Phase.UPDATE):
-        _update_loop(owned, context, plan_backend)
-    return UpdatePhaseResult(
-        worker_id=worker_id,
-        states={agent.agent_id: agent.state_dict() for agent in owned},
-        spawn_requests=context.spawn_requests,
-        kill_requests=context.kill_requests,
-    )
-
-
 @dataclass
 class DistributionResult:
     """What one worker's map phase produced for the rest of the cluster.
 
-    The per-tick *delta* a resident shard ships to the driver: agents that
+    The per-tick *delta* a shard hands the driver: agents that
     left the partition, replica snapshots headed for neighbouring
     partitions, and the per-(source, destination) byte accounting the cost
     model charges.  Everything scales with boundary activity, never with the
@@ -192,13 +99,13 @@ class DistributionResult:
 class Worker:
     """Per-node execution state.
 
-    A worker can run *in place* (the driver holds it and its agents — the
-    serial/thread backends) or as a **resident shard** living inside a pool
-    process across ticks.  In resident mode it additionally remembers the
+    A worker lives inside its executor host across ticks.  It remembers the
     whole :class:`~repro.spatial.partitioning.SpatialPartitioning` (set via
     :meth:`adopt_partitioning` or the shard seed) so it can compute
     migrations and replication targets locally, and its ``replicas`` dict
-    acts as the per-tick replica cache the query phase joins against.
+    is the replica cache the query phase joins against.  (The driver also
+    keeps one bare ``Worker`` per partition as a *shadow*: membership only,
+    for ownership, load statistics and the cost model.)
     """
 
     def __init__(
@@ -209,7 +116,7 @@ class Worker:
     ):
         self.worker_id = worker_id
         self.partition = partition
-        #: Full partitioning, needed by resident shards to route locally.
+        #: Full partitioning, needed to route migrations and replicas locally.
         self.partitioning = partitioning
         self.owned: dict[Any, Agent] = {}
         self.replicas: dict[Any, Agent] = {}
@@ -262,9 +169,9 @@ class Worker:
         """Owned agents sorted by id (deterministic iteration order).
 
         Uses :func:`~repro.core.ordering.agent_sort_key`, the same total
-        order the driver uses to route effect partials, so an in-place
-        worker, a resident shard and the driver always enumerate agents
-        identically.  The order is memoized between ownership changes —
+        order the driver uses to route effect partials, so a shard and the
+        driver always enumerate agents identically.  The order is memoized
+        between ownership changes —
         several phases per tick iterate it — and a fresh list is returned
         each call so callers can mutate ownership while iterating.
         """
@@ -297,13 +204,6 @@ class Worker:
         if self.replicas.pop(agent_id, None) is not None:
             self._replicas_sorted = None
 
-    def receive_replica(self, agent: Agent) -> None:
-        """Host a read-only replica of an agent owned elsewhere."""
-        replica = agent.clone()
-        replica.reset_effects()
-        self.replicas[replica.agent_id] = replica
-        self._replicas_sorted = None
-
     def install_replica(self, replica: Agent) -> None:
         """Host an already-cloned replica (shipped from another shard)."""
         self.replicas[replica.agent_id] = replica
@@ -318,15 +218,14 @@ class Worker:
         return list(self._replicas_sorted)
 
     # ------------------------------------------------------------------
-    # Resident-shard operations (the map phase, computed shard-locally)
+    # Shard operations (the map phase, computed shard-locally)
     # ------------------------------------------------------------------
     def distribute(
         self,
         partitioning: SpatialPartitioning | None = None,
         spatial_backend: str | None = None,
         index: str | None = "kdtree",
-        clone_replicas: bool = True,
-        replica_deltas: bool = False,
+        transport_copies: bool = False,
     ) -> DistributionResult:
         """Run the tick's map phase locally: reset, migrate out, replicate.
 
@@ -344,29 +243,35 @@ class Worker:
         :meth:`~repro.spatial.partitioning.SpatialPartitioning.partition_of_batch`
         call (bit-identical to the scalar path).
 
-        ``clone_replicas=False`` skips the per-replica clone: effects were
-        just reset, so the agent itself *is* the replica snapshot.  Only
-        valid when every outgoing list is copied anyway before anyone
-        mutates the originals — the process backend's wire does exactly
-        that (encoding happens in the same shard task, before the query
-        phase runs), which is where the driver requests it.
+        ``transport_copies`` says whether everything handed out is copied
+        before anyone mutates the originals.  A wire does exactly that
+        (encoding happens in the same shard task, before the query phase
+        runs); a by-reference transport does not.  It selects how replicas
+        ship:
 
-        ``replica_deltas=True`` switches replica shipping to *delta mode*:
-        destinations retain last tick's replicas, and ``replicas_out``
-        carries :class:`~repro.ipc.frames.ReplicaDelta` objects naming only
-        the rows that are new, changed, or gone.  "Changed" is decided by
-        object identity of the state values against what was last sent —
-        exact by construction (an untouched field keeps the very same
-        object; a rewritten one cannot), so a false "unchanged" is
-        impossible.  Modeled byte/replica accounting still charges every
-        logical replica, keeping the cost model identical across modes.
+        * without copies each replica is a fresh ``clone()`` and every
+          destination receives its full replica list every tick;
+        * with copies the clone is skipped (effects were just reset, so the
+          agent itself *is* the replica snapshot) and shipping switches to
+          *delta mode*: destinations retain last tick's replicas, and
+          ``replicas_out`` carries :class:`~repro.ipc.frames.ReplicaDelta`
+          objects naming only the rows that are new, changed, or gone.
+          "Changed" is decided by object identity of the state values
+          against what was last sent — exact by construction (an untouched
+          field keeps the very same object; a rewritten one cannot), so a
+          false "unchanged" is impossible.
+
+        Deltas save bytes, so they run where bytes exist; by reference the
+        bookkeeping would buy nothing.  Modeled byte/replica accounting
+        charges every logical replica either way, keeping the cost model
+        identical across transports.
         """
         partitioning = partitioning if partitioning is not None else self.partitioning
         if partitioning is None:
             raise BraceError(f"worker {self.worker_id} has no partitioning to distribute with")
         result = DistributionResult()
-        self._replica_delta_mode = replica_deltas
-        if replica_deltas:
+        self._replica_delta_mode = transport_copies
+        if transport_copies:
             previous_sent = self._replica_sent
             sent: dict[int, dict] = {}
             additions: dict[int, list] = {}
@@ -385,7 +290,7 @@ class Worker:
                 result.migration_pair_bytes[(self.worker_id, owner)] += size
                 result.agents_migrated += 1
             targets = replication_targets(agent, partitioning)
-            if replica_deltas and targets:
+            if transport_copies and targets:
                 values = tuple(agent._state.values())
                 agent_id = agent.agent_id
             for target in targets:
@@ -393,7 +298,7 @@ class Worker:
                     continue
                 result.replication_pair_bytes[(owner, target)] += size
                 result.replicas_created += 1
-                if replica_deltas:
+                if transport_copies:
                     cache = sent.get(target)
                     if cache is None:
                         cache = sent[target] = {}
@@ -407,19 +312,19 @@ class Worker:
                             and all(map(is_, prev, values))
                         ):
                             continue  # destination already holds this row
-                if clone_replicas:
-                    replica = agent.clone()
-                    replica.reset_effects()
-                else:
+                if transport_copies:
                     # Effects were reset above; the wire copies the rest.
                     replica = agent
+                else:
+                    replica = agent.clone()
+                    replica.reset_effects()
                 if target == self.worker_id:
                     self.install_replica(replica)
-                elif replica_deltas:
+                elif transport_copies:
                     additions.setdefault(target, []).append(replica)
                 else:
                     result.replicas_out.setdefault(target, []).append(replica)
-        if replica_deltas:
+        if transport_copies:
             for target in previous_sent.keys() | sent.keys() | additions.keys():
                 new_cache = sent.get(target, ())
                 removed = [
@@ -472,7 +377,7 @@ class Worker:
         """Apply a tick boundary's births and deaths; returns the owned count.
 
         Mirrors what :func:`~repro.core.engine.apply_births_and_deaths` did
-        on the driver: killed agents leave the owned set, spawned agents
+        on the driver's world: killed agents leave the owned set, spawned agents
         (already carrying their driver-assigned ids) join it.
         """
         self._owned_sorted = None
@@ -621,33 +526,6 @@ class Worker:
             )
         self.owned[agent_id].merge_effect_partials(partials)
 
-    def apply_query_result(self, result: QueryPhaseResult) -> None:
-        """Install the effects computed by a remotely executed query phase.
-
-        The counterpart of :func:`run_query_phase_remote`: owned agents get
-        their full accumulator set, replicas get the partials touched on the
-        remote copy, and the work accounting is carried over — leaving the
-        worker in the same state as an in-place :meth:`run_query_phase`.
-        """
-        for agent_id, (effects, touched) in result.owned_effects.items():
-            agent = self.owned[agent_id]
-            agent._effects = dict(effects)
-            agent._effects_touched = set(touched)
-        for agent_id, partials in result.replica_partials.items():
-            self.replicas[agent_id].set_effect_partials(partials)
-        self.last_query_work_units = result.work_units
-        self.last_index_probes = result.index_probes
-        self._position_cache = None
-
-    def apply_update_result(self, result: UpdatePhaseResult) -> UpdateContext:
-        """Install remotely computed states; return the births/deaths context."""
-        for agent_id, state in result.states.items():
-            self.owned[agent_id].set_state_dict(state)
-        context = UpdateContext(tick=0, seed=0)
-        context._spawn_requests = list(result.spawn_requests)
-        context._kill_requests = set(result.kill_requests)
-        return context
-
     def run_update_phase(
         self,
         tick: int,
@@ -667,14 +545,6 @@ class Worker:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self) -> dict[str, Any]:
-        """Snapshot the worker's owned agents (replicas are recomputed on recovery)."""
-        return {
-            "worker_id": self.worker_id,
-            "agents": [agent.snapshot() for agent in self.owned_agents()],
-            "classes": {type(agent).__name__: type(agent) for agent in self.owned_agents()},
-        }
-
     def checkpoint_size_bytes(self) -> int:
         """Modeled serialized size of a checkpoint of this worker.
 

@@ -101,13 +101,14 @@ def _rebuild_compiled_agent(spec: AgentClassSpec):
 class BrasilAgentBase(Agent):
     """Base class of every compiled BRASIL agent.
 
-    The class attributes ``_run_body``, ``_update_rules`` and
-    ``_restrict_to_visible`` are filled in by the compiler; ``query`` and
+    The class attributes ``_run_body``, ``_update_rules``, ``_float_fields``
+    and ``_restrict_to_visible`` are filled in by the compiler; ``query`` and
     ``update`` interpret them with :mod:`repro.brasil.interpreter`.
     """
 
     _run_body = None
     _update_rules: dict[str, Any] = {}
+    _float_fields: frozenset = frozenset()
     _restrict_to_visible = True
     _compile_spec: AgentClassSpec | None = None
 
@@ -145,6 +146,10 @@ class BrasilAgentBase(Agent):
         for field_name, rule in rules.items():
             value = evaluate(rule, environment)
             if value is not None:  # NIL keeps the previous value
+                if isinstance(value, int) and field_name in self._float_fields:
+                    # The declared type wins (``state float w : 1`` stores
+                    # 1.0), which is also what the column kernels store.
+                    value = float(value)
                 new_values[field_name] = value
         for field_name, value in new_values.items():
             setattr(self, field_name, value)
@@ -365,6 +370,11 @@ class BrasilCompiler:
             for field_decl in declaration.state_fields()
             if field_decl.update_rule is not None
         }
+        namespace["_float_fields"] = frozenset(
+            field_decl.name
+            for field_decl in declaration.state_fields()
+            if field_decl.type_name == "float"
+        )
         namespace["_restrict_to_visible"] = self.use_index
         namespace["_class_decl"] = declaration
         namespace["_script_info"] = info

@@ -12,12 +12,13 @@ simulation in BRASIL once, and the system owns parallelization.
    (reduce-pass structure from the inversion outcome, spatial index from the
    optimizer's :class:`~repro.brasil.optimizer.IndexSelection`);
 4. execute on :class:`~repro.brace.runtime.BraceRuntime` with whichever
-   executor backend the caller configured (serial, thread or process —
-   compiled agents are picklable, see :mod:`repro.brasil.compiler`).  On the
-   process backend the runtime defaults to **resident worker shards**
-   (``BraceConfig.resident_shards``): compiled agents live inside the pool
-   processes across ticks and only boundary deltas are shipped, so a
-   script's per-tick IPC scales with its visibility boundary rather than
+   executor backend the caller configured (serial, thread, process or
+   cluster — compiled agents are picklable, see
+   :mod:`repro.brasil.compiler`).  There is one tick protocol: compiled
+   agents live inside executor-hosted shards across ticks and only boundary
+   deltas are exchanged — by reference on the serial and thread backends,
+   as columnar frames on the process and cluster backends, where a script's
+   per-tick IPC therefore scales with its visibility boundary rather than
    its population (``ScriptRunResult.ipc_bytes()`` reports the measurement).
 
 Because every step is deterministic, the same script with the same seed
@@ -229,9 +230,8 @@ class ScriptRunResult:
     def ipc_bytes(self) -> int:
         """Measured driver<->shard bytes for the whole run.
 
-        Real pickled payload sizes from the resident-shard protocol; 0 for
-        runs on memory-sharing backends (nothing crossed a process
-        boundary).
+        Real encoded frame sizes from the shard protocol; 0 for runs on
+        memory-sharing backends (nothing crossed a process boundary).
         """
         return self.metrics.total_ipc_bytes()
 
@@ -261,8 +261,7 @@ def run_script(
         (``BraceConfig(executor="process", num_workers=8)``).  The
         script-derived knobs (``non_local_effects``, ``index``,
         ``cell_size``) are overridden from the compilation result;
-        everything else — including ``resident_shards``, on by default for
-        the process backend — passes through untouched.
+        everything else passes through untouched.
     class_name, effect_inversion, use_index:
         Forwarded to :func:`~repro.brasil.compiler.compile_script`.
     index:

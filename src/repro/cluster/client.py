@@ -67,6 +67,7 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.retry import RetryPolicy
 from repro.core.errors import ExecutorError, NodeLossError
+from repro.ipc.frames import ColumnarCodec
 from repro.mapreduce.executor import (
     Executor,
     ShardTaskResult,
@@ -236,7 +237,7 @@ class ClusterExecutor(Executor):
         self._spawned_by_pid: Dict[int, subprocess.Popen] = {}
         self._shard_to_node: Dict[int, int] = {}
         self._shard_factory: Optional[Callable[[int, Any], Any]] = None
-        self._shard_codec = None
+        self._codec = ColumnarCodec()
         self._reset_nonce = 0
         #: Lost shard -> node chosen to host its re-seeded state.
         self._lost_assignment: Dict[int, int] = {}
@@ -561,7 +562,7 @@ class ClusterExecutor(Executor):
 
         The counterpart of :meth:`init_shards` for partial recovery:
         only the shards a node death lost are re-built (through the
-        original factory and codec), on the replacement node or the
+        original factory), on the replacement node or the
         survivors the supervisor picked — the other shards' resident
         state is never touched.
         """
@@ -577,17 +578,14 @@ class ClusterExecutor(Executor):
             raise ExecutorError(
                 f"reseed_shards must cover every lost shard; missing {missing}"
             )
-        codec_name = self._codec_name(self._shard_codec)
         sent: List[Tuple[int, _NodeConnection]] = []
         for shard_id in sorted(payloads):
             connection = self._node(self._lost_assignment[shard_id])
-            blob = self._encode_payload(self._shard_codec, payloads[shard_id])
             self._send(
                 connection,
                 "init_shard",
-                {"shard_id": shard_id, "factory": self._shard_factory,
-                 "codec": codec_name},
-                blob,
+                {"shard_id": shard_id, "factory": self._shard_factory},
+                self._encode_payload(payloads[shard_id]),
             )
             sent.append((shard_id, connection))
         first_error: Optional[BaseException] = None
@@ -605,16 +603,10 @@ class ClusterExecutor(Executor):
     # ------------------------------------------------------------------
     # Wire helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _codec_name(codec) -> Optional[str]:
-        return "columnar" if codec is not None else None
-
-    @staticmethod
-    def _encode_payload(codec, payload) -> bytes:
+    def _encode_payload(self, payload) -> bytes:
+        """Encode a shard payload as one columnar frame, classifying failures."""
         try:
-            if codec is not None:
-                return codec.encode(payload)
-            return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            return self._codec.encode(payload)
         except (pickle.PickleError, AttributeError, TypeError) as error:
             if not _is_pickling_error(error):
                 raise
@@ -623,12 +615,6 @@ class ClusterExecutor(Executor):
                 "Everything crossing the node boundary must be picklable "
                 "(module-level functions and importable classes)."
             ) from error
-
-    @staticmethod
-    def _decode_payload(codec, blob: bytes):
-        if codec is not None:
-            return codec.decode(blob)
-        return pickle.loads(blob)
 
     def _send(self, connection: _NodeConnection, kind: str, meta, blob: bytes = b"") -> int:
         """Send one message, draining the node's replies while blocked.
@@ -782,7 +768,6 @@ class ClusterExecutor(Executor):
         self,
         factory: Callable[[int, Any], Any],
         payloads: Dict[int, Any],
-        codec=None,
     ) -> None:
         if self._shard_to_node:
             raise ExecutorError(
@@ -792,7 +777,6 @@ class ClusterExecutor(Executor):
             raise ExecutorError("init_shards needs at least one shard payload")
         self._ensure_nodes()
         self._shard_factory = factory
-        self._shard_codec = codec
         self._lost_assignment = {}
         weights = {
             shard_id: float(len(getattr(payload, "agents", ()) or ()) or 1)
@@ -805,13 +789,11 @@ class ClusterExecutor(Executor):
             sent: List[Tuple[int, _NodeConnection]] = []
             for shard_id in sorted(payloads):
                 connection = self._node(placement[shard_id])
-                blob = self._encode_payload(codec, payloads[shard_id])
                 self._send(
                     connection,
                     "init_shard",
-                    {"shard_id": shard_id, "factory": factory,
-                     "codec": self._codec_name(codec)},
-                    blob,
+                    {"shard_id": shard_id, "factory": factory},
+                    self._encode_payload(payloads[shard_id]),
                 )
                 sent.append((shard_id, connection))
             first_error: Optional[BaseException] = None
@@ -839,16 +821,13 @@ class ClusterExecutor(Executor):
     def run_sharded_tasks(
         self,
         tasks: Sequence[Tuple[int, Callable[[Any, Any], Any], Any]],
-        codec=None,
-        overlap: bool = False,
     ) -> List[ShardTaskResult]:
         """Ship ``(shard_id, fn, payload)`` tasks to the shards' nodes.
 
         All commands go out first (each node then works through its batch
         sequentially, preserving per-shard serialization), replies are
         collected per node afterwards — the round's wall clock is the
-        slowest node, not the sum.  ``overlap`` is implied by the
-        send-all-then-collect structure.
+        slowest node, not the sum.
         """
         if not self._shard_to_node:
             raise ExecutorError("no resident shards are initialized; call init_shards() first")
@@ -860,7 +839,6 @@ class ClusterExecutor(Executor):
             )
         if not tasks:
             return []
-        codec_name = self._codec_name(codec)
         pending: List[dict] = []
         for index, (shard_id, fn, payload) in enumerate(tasks):
             node_index = self._shard_to_node.get(shard_id)
@@ -868,13 +846,13 @@ class ClusterExecutor(Executor):
                 raise ExecutorError(f"unknown resident shard {shard_id!r}")
             connection = self._node(node_index)
             start = time.perf_counter()
-            blob = self._encode_payload(codec, payload)
+            blob = self._encode_payload(payload)
             encode_seconds = time.perf_counter() - start
             start = time.perf_counter()
             self._send(
                 connection,
                 "run_task",
-                {"shard_id": shard_id, "fn": fn, "codec": codec_name},
+                {"shard_id": shard_id, "fn": fn},
                 blob,
             )
             send_seconds = time.perf_counter() - start
@@ -903,7 +881,7 @@ class ClusterExecutor(Executor):
                         first_error = self._remote_error(meta)
                     continue
                 start = time.perf_counter()
-                value = self._decode_payload(codec, blob)
+                value = self._codec.decode(blob)
                 decode_seconds = time.perf_counter() - start
                 results[entry["index"]] = ShardTaskResult(
                     entry["shard_id"],
@@ -933,7 +911,6 @@ class ClusterExecutor(Executor):
         """
         self._shard_to_node = {}
         self._shard_factory = None
-        self._shard_codec = None
         self._lost_assignment = {}
         self._reset_nonce += 1
         nonce = self._reset_nonce
@@ -978,9 +955,8 @@ class ClusterExecutor(Executor):
             raise ExecutorError(f"cluster node {node_index} is not connected")
         if source_index == node_index:
             return 0
-        codec_name = self._codec_name(self._shard_codec)
         source = self._node(source_index)
-        self._send(source, "collect_shard", {"shard_id": shard_id, "codec": codec_name})
+        self._send(source, "collect_shard", {"shard_id": shard_id})
         kind, meta, blob = self._check_reply(self._recv_reply(source))
         if kind != "shard_state":
             raise ExecutorError(
@@ -994,8 +970,7 @@ class ClusterExecutor(Executor):
                 destination,
                 "init_shard",
                 {"shard_id": shard_id,
-                 "factory": self._shard_factory if meta.get("reseed") else None,
-                 "codec": codec_name},
+                 "factory": self._shard_factory if meta.get("reseed") else None},
                 blob,
             )
             self._check_reply(self._recv_reply(destination))
@@ -1084,7 +1059,6 @@ class ClusterExecutor(Executor):
         nodes, self._nodes = self._nodes, {}
         self._shard_to_node = {}
         self._shard_factory = None
-        self._shard_codec = None
         self._lost_assignment = {}
         for connection in nodes.values():
             try:

@@ -69,16 +69,6 @@ class _NodeState:
         self.shards: Dict[int, Any] = {}
         self.codec = ColumnarCodec()
 
-    def decode(self, codec_name: Optional[str], blob: bytes):
-        if codec_name == "columnar":
-            return self.codec.decode(blob)
-        return pickle.loads(blob)
-
-    def encode(self, codec_name: Optional[str], value) -> bytes:
-        if codec_name == "columnar":
-            return self.codec.encode(value)
-        return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-
 
 def _heartbeat_loop(channel: FrameChannel, interval: float,
                     stop: threading.Event) -> None:
@@ -107,7 +97,7 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
     if kind == "init_shard":
         shard_id = meta["shard_id"]
         factory = meta["factory"]
-        payload = state.decode(meta["codec"], blob)
+        payload = state.codec.decode(blob)
         # factory=None installs the payload as the shard state directly —
         # the migration path for states without a re-seeding protocol.
         state.shards[shard_id] = (
@@ -119,13 +109,13 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
         if shard_id not in state.shards:
             raise KeyError(f"resident shard {shard_id!r} is not hosted on this node")
         start = time.perf_counter()
-        payload = state.decode(meta["codec"], blob)
+        payload = state.codec.decode(blob)
         codec_seconds = time.perf_counter() - start
         start = time.perf_counter()
         value = meta["fn"](state.shards[shard_id], payload)
         wall_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        result_blob = state.encode(meta["codec"], value)
+        result_blob = state.codec.encode(value)
         codec_seconds += time.perf_counter() - start
         return (
             "result",
@@ -149,7 +139,7 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
         return (
             "shard_state",
             {"shard_id": shard_id, "reseed": seed_hook is not None},
-            state.encode(meta["codec"], payload),
+            state.codec.encode(payload),
         )
     if kind == "call":
         task = pickle.loads(blob)

@@ -21,6 +21,7 @@ from typing import Any, Iterator
 
 from repro.core.errors import AgentDefinitionError
 from repro.core.fields import EffectField, StateField
+from repro.core.soa import cells_equal
 from repro.spatial.bbox import BBox
 
 
@@ -257,14 +258,19 @@ class Agent(metaclass=AgentMeta):
         """True when ``other`` has the same id and (numerically close) state.
 
         ``tolerance`` is used both as a relative and an absolute bound
-        (``math.isclose``); 0.0 demands exact equality.
+        (``math.isclose``); 0.0 demands exact equality under
+        :func:`repro.core.soa.cells_equal` (float bit patterns, types
+        distinguished).
         """
         if self.agent_id != other.agent_id or type(self).__name__ != type(other).__name__:
             return False
         for field_name in self._state_fields:
             mine = self._state[field_name]
             theirs = other._state[field_name]
-            if isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
+            if tolerance == 0.0:
+                if not cells_equal(mine, theirs):
+                    return False
+            elif isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
                 if not math.isclose(mine, theirs, rel_tol=tolerance, abs_tol=tolerance):
                     return False
             elif mine != theirs:

@@ -32,10 +32,13 @@ pack → writeback round-trip bit-identical to not packing at all.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
+
+from repro.core.ordering import agent_sort_key
 
 
 class UnpackableValueError(ValueError):
@@ -175,11 +178,47 @@ def unpack_cells(column: PackedColumn) -> list:
     return out
 
 
-def _cells_equal(a: float, b: float) -> bool:
-    """Exact cell equality: same double, NaN equal to NaN, -0.0 != 0.0."""
-    if math.isnan(a):
-        return math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+_DOUBLE_BITS = struct.Struct("<d").pack
+
+
+def cells_equal(a, b) -> bool:
+    """Exact equality of two state cells — the repo's definition of "same".
+
+    Floats compare by IEEE-754 bit pattern: a NaN equals a NaN with the
+    same payload, and ``-0.0`` differs from ``0.0``.  Everything else must
+    have the same type *and* compare equal, so ``1``, ``1.0`` and ``True``
+    are three different cells; tuples and lists compare cell by cell.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b:
+            return a != 0.0 or _DOUBLE_BITS(a) == _DOUBLE_BITS(b)
+        return a != a and b != b and _DOUBLE_BITS(a) == _DOUBLE_BITS(b)
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(cells_equal, a, b))
+    return a == b
+
+
+def states_equal(mine: Mapping, theirs: Mapping) -> bool:
+    """Exact equality of two ``{agent_id: {field: value}}`` state maps.
+
+    The one oracle behind every bit-identity claim (``RunResult.
+    same_states_as``, ``World.same_state_as(tolerance=0.0)``, the
+    differential suites): same agents, same fields, every cell equal under
+    :func:`cells_equal`, walked in :func:`~repro.core.ordering.agent_sort_key`
+    order.  ``dict ==`` is the wrong oracle — under it two runs that both
+    produce ``nan`` never agree and a flipped zero sign goes unnoticed.
+    """
+    if mine.keys() != theirs.keys():
+        return False
+    for agent_id in sorted(mine, key=agent_sort_key):
+        fields, other = mine[agent_id], theirs[agent_id]
+        if fields.keys() != other.keys():
+            return False
+        if not all(cells_equal(value, other[name]) for name, value in fields.items()):
+            return False
+    return True
 
 
 class AgentTable:
@@ -259,7 +298,7 @@ class AgentTable:
             packed_originals = self._packed_originals[name]
             for row, agent in enumerate(self.agents):
                 new = float(column[row])
-                if _cells_equal(new, float(packed_originals[row])):
+                if cells_equal(new, float(packed_originals[row])):
                     agent._state[name] = originals[row]
                 else:
                     agent._state[name] = new

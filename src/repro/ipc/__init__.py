@@ -1,8 +1,9 @@
 """Columnar IPC: SoA delta frames and shared-memory transport.
 
-The resident-shard protocol's wire layer.  :mod:`repro.ipc.frames` packs
-each tick's replica/migration/partial traffic into columnar frames with a
-pickle escape column (bit-identity is never at risk);
+The shard protocol's wire layer — the one transport of every executor that
+does not share the driver's memory.  :mod:`repro.ipc.frames` packs each
+tick's replica/migration/partial traffic into columnar frames with a pickle
+escape column (bit-identity is never at risk);
 :mod:`repro.ipc.transport` moves encoded frames through pooled
 ``multiprocessing.shared_memory`` segments on the process backend; and
 :mod:`repro.ipc.sizing` is the one modeled frame-size formula every byte
@@ -17,27 +18,9 @@ from __future__ import annotations
 
 from repro.ipc.sizing import CELL_BYTES, ROW_HEADER_BYTES, agent_frame_bytes, partial_frame_bytes
 
-
-def resolve_ipc_backend(
-    ipc_backend: str | None, shares_memory: bool, resident: bool
-) -> str:
-    """Resolve the ``BraceConfig.ipc_backend`` knob to a concrete backend.
-
-    Forced values (``"pickle"`` / ``"columnar"``) win.  ``None`` (auto)
-    picks ``"columnar"`` exactly when the resident protocol actually
-    crosses a process boundary — resident shards on an executor that does
-    not share memory; everywhere else payloads never serialize, so auto
-    stays on ``"pickle"`` and the knob changes nothing.
-    """
-    if ipc_backend in ("pickle", "columnar"):
-        return ipc_backend
-    return "columnar" if (resident and not shares_memory) else "pickle"
-
-
 __all__ = [
     "CELL_BYTES",
     "ROW_HEADER_BYTES",
     "agent_frame_bytes",
     "partial_frame_bytes",
-    "resolve_ipc_backend",
 ]

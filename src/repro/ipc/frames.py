@@ -1,13 +1,13 @@
-"""Columnar delta frames: the SoA wire format for resident-shard traffic.
+"""Columnar delta frames: the one wire format for shard traffic.
 
-The resident-shard protocol (:mod:`repro.brace.shards`) moves four kinds of
-bulk payload across the driver/shard boundary every tick: replica clones and
+The shard protocol (:mod:`repro.brace.shards`) moves four kinds of bulk
+payload across the driver/shard boundary every tick: replicas and
 migrations (lists of :class:`~repro.core.agent.Agent`), non-local effect
 partials (``{agent_id: {field: partial}}`` maps), and routed partials
-(``[(agent_id, {field: partial}), ...]`` rows).  The legacy transport
-pickles these object by object — every agent walks its ``_state`` dict,
-every partial map pickles its keys as strings — which PR 7's compiled plan
-kernels left as the dominant per-tick cost on the process backend.
+(``[(agent_id, {field: partial}), ...]`` rows).  Pickling these object by
+object — every agent walks its ``_state`` dict, every partial map pickles
+its keys as strings — would dominate the tick on every executor that does
+not share the driver's memory.
 
 This module packs that traffic into **columnar frames** instead:
 
@@ -48,7 +48,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.agent import Agent
-from repro.core.soa import PackedColumn, _cells_equal, pack_cells, unpack_cells
+from repro.core.soa import PackedColumn, cells_equal, pack_cells, unpack_cells
 
 
 def _float_matrix(value_rows: list) -> np.ndarray | None:
@@ -72,7 +72,7 @@ class ClassHandle:
     """The class of one agent group, shipped once per group.
 
     Plain agent classes travel by reference (``cls``) — pickle resolves
-    them by module path, exactly as the legacy per-object path did.
+    them by module path.
     BRASIL-compiled classes are *generated* types that cannot be imported,
     so they travel as their pure-data
     :class:`~repro.brasil.compiler.AgentClassSpec` (``spec``) and resolve
@@ -161,7 +161,7 @@ def _effects_are_default(effects: dict, template: dict) -> bool:
         if type(value) is not type(ref):
             return False
         if isinstance(ref, float):
-            if not _cells_equal(value, ref):
+            if not cells_equal(value, ref):
                 return False
         elif value != ref:
             return False
@@ -333,7 +333,8 @@ class ReplicaDelta:
     sent, and ``removed_ids`` names replicas the destination must drop.
     Unchanged replicas are simply retained by the destination, so
     steady-state replica traffic scales with the *change rate*, not the
-    replica count.
+    replica count.  A wire always ships replicas this way; by reference they
+    travel as plain clone lists instead (see ``Worker.distribute``).
     """
 
     __slots__ = ("additions", "removed_ids")
@@ -346,47 +347,6 @@ class ReplicaDelta:
 
     def __len__(self) -> int:
         return len(self.additions)
-
-
-class AgentChunks:
-    """An ordered concatenation of agent groups, some still packed.
-
-    Produced by :func:`concat_agent_chunks` when at least one routed chunk
-    is a :class:`LazyAgentFrame`; the query-command wire transform ships
-    each chunk as its own frame (re-using packed ones untouched) and the
-    receiving shard flattens them back into one agent list.
-    """
-
-    __slots__ = ("chunks",)
-
-    def __init__(self, chunks: list):
-        self.chunks = chunks
-
-    def __len__(self) -> int:
-        return sum(len(chunk) for chunk in self.chunks)
-
-    def unpack(self) -> list:
-        """Materialize the concatenated agent list, in routing order."""
-        flat: list = []
-        for chunk in self.chunks:
-            flat.extend(chunk.unpack() if isinstance(chunk, LazyAgentFrame) else chunk)
-        return flat
-
-
-def concat_agent_chunks(chunks: list):
-    """Concatenate routed agent groups, preserving packed frames.
-
-    Plain lists collapse into one flat list (the memory-sharing backends'
-    path, unchanged); as soon as any chunk is a :class:`LazyAgentFrame`
-    the concatenation stays symbolic so the frames cross the driver
-    without being unpacked.
-    """
-    if any(isinstance(chunk, LazyAgentFrame) for chunk in chunks):
-        return AgentChunks(list(chunks))
-    flat: list = []
-    for chunk in chunks:
-        flat.extend(chunk)
-    return flat
 
 
 @dataclass
@@ -553,22 +513,3 @@ class ColumnarCodec:
     def decode(self, blob):
         """Restore the exact payload of an :meth:`encode` blob."""
         return _from_wire(pickle.loads(blob))
-
-    def roundtrip(self, obj) -> tuple:
-        """In-process encode→decode; returns ``(decoded copy, frame bytes)``.
-
-        The memory-sharing conformance path uses this instead of
-        :meth:`encode`/:meth:`decode` so dynamically built agent classes —
-        which residency supports in process precisely because nothing is
-        pickled — still exercise the frame transforms.  When the wire shell
-        pickles (the common case, and always true wherever a real process
-        boundary could run) the round trip goes through actual bytes and the
-        measured size is real; when it cannot (a dynamic class in the shell),
-        the frames are decoded directly and the byte count reports 0.
-        """
-        wire = _to_wire(obj)
-        try:
-            blob = pickle.dumps(wire, self.protocol)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            return _from_wire(wire), 0
-        return _from_wire(pickle.loads(blob)), len(blob)

@@ -13,7 +13,7 @@ formula.
 
 Every modeled byte count in :mod:`repro.brace.runtime` and
 :mod:`repro.brace.worker` routes through these helpers **unconditionally**
-(whatever ``ipc_backend`` actually ran), so the modeled statistics —
+(whichever transport actually ran), so the modeled statistics —
 ``bytes_migrated``/``bytes_replicated``/``bytes_effects`` and the virtual
 seconds derived from them — stay part of the cross-backend determinism
 contract.  ``tests/ipc/test_sizing.py`` pins the formula to the measured

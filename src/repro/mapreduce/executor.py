@@ -21,8 +21,8 @@ list of zero-argument callables and return one :class:`TaskResult` per task,
 task ran.  Keeping results in submission order is what lets the engine
 produce bit-identical output regardless of the backend.
 
-Beyond the stateless contract, every backend also supports **resident
-shards** — durable, executor-hosted state with shard-affine dispatch:
+Beyond the stateless contract, every backend is a **shard host** — durable,
+executor-hosted state with shard-affine dispatch:
 
 * :meth:`Executor.init_shards` builds one state object per shard from a
   picklable factory;
@@ -34,12 +34,15 @@ shards** — durable, executor-hosted state with shard-affine dispatch:
 * :meth:`Executor.teardown_shards` releases the states (and, for the process
   backend, the host processes).
 
-The process backend pre-pickles every payload and result exactly once, so
+Shard hosts differ only in their *transport*.  The serial and thread
+backends hand payloads and results over **by reference** (``shares_memory``
+is true: no copy, no bytes).  The process backend encodes every payload and
+result exactly once as a columnar frame (:mod:`repro.ipc.frames`), so
 :class:`ShardTaskResult` carries the *measured* bytes that crossed the
 process boundary — the number the BRACE runtime reports as real IPC traffic
 per tick.  This is the substrate for the paper's collocation argument: a
-shard's agents stay resident in its host process across ticks, and only
-deltas (migrations, boundary replicas, effect partials) are shipped.
+shard's agents stay resident in its host across ticks, and only deltas
+(migrations, boundary replicas, effect partials) are shipped.
 
 The module also provides :func:`stable_hash_partition`, a deterministic
 (process-independent) hash partitioner used for the parallel shuffle.
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.errors import ExecutorError
+from repro.ipc.frames import ColumnarCodec
 
 #: Executor kinds accepted by :func:`make_executor` and ``BraceConfig.executor``.
 EXECUTOR_KINDS = ("serial", "thread", "process", "cluster")
@@ -125,9 +129,7 @@ class ShardTaskResult:
 
     ``payload_bytes``/``result_bytes`` are the *measured* encoded sizes of
     what crossed a process boundary; both are 0 on backends that share the
-    caller's memory, unless a codec was supplied (forced columnar framing on
-    an in-process backend), in which case they are the measured frame sizes
-    of the in-process round trip.
+    caller's memory.
 
     ``serialize_seconds``/``transport_seconds`` split the non-compute IPC
     cost: time spent encoding/decoding payloads and results (both ends) and
@@ -163,34 +165,6 @@ def _timed_shard_call(fn: Callable[[Any, Any], Any], state: Any, payload: Any) -
     return value, time.perf_counter() - start
 
 
-def _codec_shard_call(
-    codec, shard_id: int, fn: Callable[[Any, Any], Any], state: Any, payload: Any
-) -> ShardTaskResult:
-    """Run one shard task through a full in-process codec round trip.
-
-    The memory-sharing backends use this when a codec is forced on them:
-    the payload and result are encoded and decoded exactly as they would be
-    across a process boundary (same bytes, same object copies), which is how
-    the columnar wire format is conformance-tested without pool overhead —
-    and why the returned byte counts are real measurements, not zeros.
-    """
-    start = time.perf_counter()
-    decoded_payload, payload_bytes = codec.roundtrip(payload)
-    serialize_seconds = time.perf_counter() - start
-    value, seconds = _timed_shard_call(fn, state, decoded_payload)
-    start = time.perf_counter()
-    result, result_bytes = codec.roundtrip(value)
-    serialize_seconds += time.perf_counter() - start
-    return ShardTaskResult(
-        shard_id,
-        result,
-        seconds,
-        payload_bytes=payload_bytes,
-        result_bytes=result_bytes,
-        serialize_seconds=serialize_seconds,
-    )
-
-
 def _is_pickling_error(error: BaseException) -> bool:
     """Whether an exception actually stems from (un)pickling.
 
@@ -220,10 +194,11 @@ class Executor:
 
     #: Short name used in statistics and configuration ("serial", ...).
     name: str = "abstract"
-    #: True when tasks run in the caller's address space, so in-place
-    #: mutation of shared objects is visible to the caller.  The BRACE
-    #: runtime uses this to decide between in-place and message-passing
-    #: phase execution.
+    #: True when tasks run in the caller's address space: shard payloads
+    #: and results are handed over by reference, and in-place mutation of
+    #: shared objects is visible to the caller.  The BRACE runtime reads
+    #: this — and nothing else — to tell the by-reference transport from
+    #: the wire.
     shares_memory: bool = True
 
     def __init__(self, max_workers: int | None = None):
@@ -243,19 +218,14 @@ class Executor:
         self,
         factory: Callable[[int, Any], Any],
         payloads: dict[int, Any],
-        codec=None,
     ) -> None:
         """Create one durable shard state per entry of ``payloads``.
 
         ``factory(shard_id, payload)`` builds the state *where the shard will
         live*; on the process backend both the factory and the payload must
         be picklable.  Shards stay alive across :meth:`run_sharded_tasks`
-        calls until :meth:`teardown_shards`.
-
-        ``codec`` (a :class:`repro.ipc.frames.ColumnarCodec`) selects the
-        columnar wire format for seed payloads on backends that cross a
-        process boundary; memory-sharing backends hand the payloads to the
-        factory directly and ignore it.
+        calls until :meth:`teardown_shards`.  Memory-sharing backends hand
+        the payloads to the factory by reference.
         """
         if self._shards is not None:
             raise ExecutorError(
@@ -272,8 +242,6 @@ class Executor:
     def run_sharded_tasks(
         self,
         tasks: Sequence[tuple[int, Callable[[Any, Any], Any], Any]],
-        codec=None,
-        overlap: bool = False,
     ) -> list[ShardTaskResult]:
         """Run ``(shard_id, fn, payload)`` tasks against their resident states.
 
@@ -281,30 +249,16 @@ class Executor:
         come back in submission order.  Tasks addressing the *same* shard
         within one batch run sequentially in submission order (shard state is
         never mutated concurrently); tasks addressing different shards may
-        run in parallel.
-
-        ``codec`` selects the columnar wire format for payloads and results
-        (see :class:`repro.ipc.frames.ColumnarCodec`).  Memory-sharing
-        backends honor it by round-tripping every payload and result through
-        the codec *in process* — same bytes, same object copies as a real
-        boundary crossing, measured and reported — which is how the wire
-        format is conformance-tested without pool overhead.  ``overlap``
-        lets the process backend ship each payload as soon as it is encoded
-        so hosts compute while later payloads are still serializing; it is a
-        scheduling hint only and never changes results, so memory-sharing
-        backends ignore it.
+        run in parallel.  Memory-sharing backends pass ``payload`` and the
+        returned value by reference; the others encode both as columnar
+        frames and report the measured bytes.
         """
         states = self._require_shards(tasks)
-        results: list[ShardTaskResult | None] = [None] * len(tasks)
-        for index, (shard_id, fn, payload) in enumerate(tasks):
-            if codec is not None:
-                results[index] = _codec_shard_call(
-                    codec, shard_id, fn, states[shard_id], payload
-                )
-            else:
-                value, seconds = _timed_shard_call(fn, states[shard_id], payload)
-                results[index] = ShardTaskResult(shard_id, value, seconds)
-        return results  # type: ignore[return-value]
+        results = []
+        for shard_id, fn, payload in tasks:
+            value, seconds = _timed_shard_call(fn, states[shard_id], payload)
+            results.append(ShardTaskResult(shard_id, value, seconds))
+        return results
 
     def teardown_shards(self) -> None:
         """Drop every resident shard state (idempotent)."""
@@ -442,15 +396,12 @@ class ThreadExecutor(_PooledExecutor):
     def run_sharded_tasks(
         self,
         tasks: Sequence[tuple[int, Callable[[Any, Any], Any], Any]],
-        codec=None,
-        overlap: bool = False,
     ) -> list[ShardTaskResult]:
         """Run shard tasks on the thread pool, one serialized chain per shard.
 
         Grouping by shard keeps a shard's state single-threaded while
         distinct shards overlap, matching the process backend's concurrency
-        contract without pickling anything.  A forced ``codec`` round-trips
-        payloads and results in process, exactly like the serial backend.
+        contract without copying anything.
         """
         states = self._require_shards(tasks)
         if not tasks:
@@ -463,12 +414,8 @@ class ThreadExecutor(_PooledExecutor):
             state = states[shard_id]
             out = []
             for index, fn, payload in items:
-                if codec is not None:
-                    result = _codec_shard_call(codec, shard_id, fn, state, payload)
-                else:
-                    value, seconds = _timed_shard_call(fn, state, payload)
-                    result = ShardTaskResult(shard_id, value, seconds)
-                out.append((index, result))
+                value, seconds = _timed_shard_call(fn, state, payload)
+                out.append((index, ShardTaskResult(shard_id, value, seconds)))
             return out
 
         pool = self._ensure_pool()
@@ -494,40 +441,16 @@ class ThreadExecutor(_PooledExecutor):
 _RESIDENT_SHARD_STATES: dict[int, Any] = {}
 
 
-def _host_init_shards(items: list, codec=None) -> int:
+def _host_init_shards(items: list, codec) -> int:
     """Build shard states inside a host process; returns the host's pid.
 
     ``items`` is a list of ``(shard_id, factory, payload_blob)`` with the
-    payload pre-encoded by the driver (so serialization happens exactly once
-    and its size can be measured there); ``codec`` names the wire format the
-    blobs were encoded with (``None`` means plain pickle).
+    payload pre-encoded by the driver's ``codec`` (so serialization happens
+    exactly once and its size can be measured there).
     """
     for shard_id, factory, blob in items:
-        payload = codec.decode(blob) if codec is not None else pickle.loads(blob)
-        _RESIDENT_SHARD_STATES[shard_id] = factory(shard_id, payload)
+        _RESIDENT_SHARD_STATES[shard_id] = factory(shard_id, codec.decode(blob))
     return os.getpid()
-
-
-def _host_run_shard_tasks(items: list) -> list:
-    """Run ``(shard_id, fn, payload_blob)`` tasks against resident states.
-
-    The legacy pickle wire path.  Returns one ``(result_blob, wall_seconds,
-    codec_seconds)`` per item, in order; results are pickled here so the
-    driver can measure the bytes coming back, and ``codec_seconds`` is the
-    host-side share of (de)serialization time.
-    """
-    out = []
-    for shard_id, fn, blob in items:
-        state = _host_shard_state(shard_id)
-        start = time.perf_counter()
-        payload = pickle.loads(blob)
-        codec_seconds = time.perf_counter() - start
-        value, seconds = _timed_shard_call(fn, state, payload)
-        start = time.perf_counter()
-        result_blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        codec_seconds += time.perf_counter() - start
-        out.append((result_blob, seconds, codec_seconds))
-    return out
 
 
 def _host_shard_state(shard_id: int):
@@ -609,8 +532,10 @@ class ProcessExecutor(_PooledExecutor):
     Resident shards get *real* process affinity: :meth:`init_shards` creates
     dedicated single-worker host pools and assigns each shard to one host for
     its whole lifetime, so shard state built there never moves.  Every
-    payload and result is pickled exactly once, and the measured sizes are
-    reported on each :class:`ShardTaskResult` — the actual bytes on the wire.
+    payload and result is encoded exactly once as a columnar frame (whatever
+    the columns cannot carry rides in the codec's pickle escape column), and
+    the measured sizes are reported on each :class:`ShardTaskResult` — the
+    actual bytes on the wire.
     """
 
     name = "process"
@@ -621,6 +546,13 @@ class ProcessExecutor(_PooledExecutor):
         self._shard_hosts: list[ProcessPoolExecutor] | None = None
         self._shard_to_host: dict[int, int] = {}
         self._host_pids: dict[int, int] = {}
+        self._codec = ColumnarCodec()
+        #: Ship each frame as soon as it is encoded so hosts decode and
+        #: compute while later frames still serialize.  Overlap only helps
+        #: when driver and hosts can actually run simultaneously; on a
+        #: single-CPU machine the eager submissions just add context
+        #: switches, so it stays off there.
+        self._overlap = available_parallelism() > 1
         self._shm_pool = None   # driver-owned command segments (lazily built)
         self._shm_cache = None  # driver attachments to host result segments
         self._host_release: dict[int, list[str]] = {}
@@ -635,7 +567,6 @@ class ProcessExecutor(_PooledExecutor):
         self,
         factory: Callable[[int, Any], Any],
         payloads: dict[int, Any],
-        codec=None,
     ) -> None:
         if self._shard_hosts is not None:
             raise ExecutorError(
@@ -652,12 +583,12 @@ class ProcessExecutor(_PooledExecutor):
         per_host: dict[int, list] = {}
         try:
             for shard_id in shard_ids:
-                blob = self._encode(codec, payloads[shard_id], "resident shard seed")
+                blob = self._encode(payloads[shard_id], "resident shard seed")
                 per_host.setdefault(self._shard_to_host[shard_id], []).append(
                     (shard_id, factory, blob)
                 )
             futures = {
-                host: self._shard_hosts[host].submit(_host_init_shards, items, codec)
+                host: self._shard_hosts[host].submit(_host_init_shards, items, self._codec)
                 for host, items in sorted(per_host.items())
             }
             wait(list(futures.values()), return_when=FIRST_EXCEPTION)
@@ -673,63 +604,22 @@ class ProcessExecutor(_PooledExecutor):
     def run_sharded_tasks(
         self,
         tasks: Sequence[tuple[int, Callable[[Any, Any], Any], Any]],
-        codec=None,
-        overlap: bool = False,
     ) -> list[ShardTaskResult]:
+        """Ship each task to its shard's host as one columnar frame.
+
+        With shared memory the frame parks in a driver-owned pooled segment
+        and only a tiny token crosses the pipe; hosts return their results
+        the same way (tokens into host-owned pools), and each side's
+        segments recycle — command segments when their round's future
+        completes, result segments via the release list piggybacked on the
+        host's next task.  With more than one CPU each task is submitted
+        the moment its frame is encoded, so hosts decode and compute while
+        the driver is still encoding later frames.
+        """
         if self._shard_hosts is None:
             raise ExecutorError("no resident shards are initialized; call init_shards() first")
         if not tasks:
             return []
-        if codec is not None:
-            return self._run_framed_tasks(tasks, codec, overlap)
-        groups: dict[int, list] = {}
-        dump_seconds: dict[int, float] = {}
-        for index, (shard_id, fn, payload) in enumerate(tasks):
-            host = self._shard_to_host.get(shard_id)
-            if host is None:
-                raise ExecutorError(f"unknown resident shard {shard_id!r}")
-            start = time.perf_counter()
-            blob = self._dumps(payload, "resident shard payload")
-            dump_seconds[index] = time.perf_counter() - start
-            groups.setdefault(host, []).append((index, shard_id, fn, blob))
-        futures = {
-            host: self._shard_hosts[host].submit(
-                _host_run_shard_tasks, [(shard_id, fn, blob) for _, shard_id, fn, blob in items]
-            )
-            for host, items in sorted(groups.items())
-        }
-        wait(list(futures.values()), return_when=FIRST_EXCEPTION)
-        results: list[ShardTaskResult | None] = [None] * len(tasks)
-        for host, items in sorted(groups.items()):
-            host_results = self._shard_result(futures[host])
-            for (index, shard_id, _fn, blob), (value_blob, seconds, host_codec) in zip(
-                items, host_results
-            ):
-                start = time.perf_counter()
-                value = pickle.loads(value_blob)
-                loads_seconds = time.perf_counter() - start
-                results[index] = ShardTaskResult(
-                    shard_id,
-                    value,
-                    seconds,
-                    payload_bytes=len(blob),
-                    result_bytes=len(value_blob),
-                    serialize_seconds=dump_seconds[index] + host_codec + loads_seconds,
-                )
-        return results  # type: ignore[return-value]
-
-    def _run_framed_tasks(self, tasks, codec, overlap: bool) -> list[ShardTaskResult]:
-        """The columnar wire path: framed payloads, pooled shm, overlap.
-
-        Each task travels as one encoded frame.  With shared memory the
-        frame parks in a driver-owned pooled segment and only a tiny token
-        crosses the pipe; hosts return their results the same way (tokens
-        into host-owned pools), and each side's segments recycle — command
-        segments when their round's future completes, result segments via
-        the release list piggybacked on the host's next task.  ``overlap``
-        submits each task the moment its frame is encoded, so hosts decode
-        and compute while the driver is still encoding later frames.
-        """
         from repro.ipc import transport as ipc_transport
 
         use_shm = ipc_transport.shm_available()
@@ -742,7 +632,7 @@ class ProcessExecutor(_PooledExecutor):
             if host is None:
                 raise ExecutorError(f"unknown resident shard {shard_id!r}")
             start = time.perf_counter()
-            blob = self._encode(codec, payload, "resident shard payload")
+            blob = self._encode(payload, "resident shard payload")
             encode_seconds = time.perf_counter() - start
             token = None
             shm_seconds = 0.0
@@ -765,12 +655,12 @@ class ProcessExecutor(_PooledExecutor):
                 "transport": shm_seconds,
                 "future": None,
             }
-            if overlap:
-                self._submit_framed(entry, codec, use_shm)
+            if self._overlap:
+                self._submit_framed(entry, use_shm)
             pending.append(entry)
         for entry in pending:
             if entry["future"] is None:
-                self._submit_framed(entry, codec, use_shm)
+                self._submit_framed(entry, use_shm)
         wait([entry["future"] for entry in pending], return_when=FIRST_EXCEPTION)
         results: list[ShardTaskResult | None] = [None] * len(tasks)
         for entry in pending:
@@ -783,13 +673,13 @@ class ProcessExecutor(_PooledExecutor):
                 shm_seconds = time.perf_counter() - start
                 start = time.perf_counter()
                 try:
-                    value = codec.decode(view)
+                    value = self._codec.decode(view)
                 finally:
                     view.release()
                 decode_seconds = time.perf_counter() - start
                 self._host_release.setdefault(entry["host"], []).append(result_ref.name)
             else:
-                value = codec.decode(result_ref)
+                value = self._codec.decode(result_ref)
                 decode_seconds = time.perf_counter() - start
                 shm_seconds = 0.0
             if entry["token"] is not None:
@@ -807,12 +697,12 @@ class ProcessExecutor(_PooledExecutor):
             )
         return results  # type: ignore[return-value]
 
-    def _submit_framed(self, entry: dict, codec, use_shm: bool) -> None:
+    def _submit_framed(self, entry: dict, use_shm: bool) -> None:
         host = entry["host"]
         release_names = self._host_release.pop(host, [])
         entry["future"] = self._shard_hosts[host].submit(
             _host_run_framed_task,
-            codec,
+            self._codec,
             entry["shard_id"],
             entry["fn"],
             entry["frame"],
@@ -872,28 +762,10 @@ class ProcessExecutor(_PooledExecutor):
                 "(module-level functions and importable classes)."
             ) from error
 
-    @classmethod
-    def _encode(cls, codec, value: Any, what: str) -> bytes:
-        """Encode ``value`` with the codec (or plain pickle), classifying failures."""
-        if codec is None:
-            return cls._dumps(value, what)
+    def _encode(self, value: Any, what: str) -> bytes:
+        """Encode ``value`` as one columnar frame, classifying failures."""
         try:
-            return codec.encode(value)
-        except (pickle.PickleError, AttributeError, TypeError) as error:
-            if not _is_pickling_error(error):
-                raise
-            raise ExecutorError(
-                f"the process executor could not serialize a {what}: {error}. "
-                "Everything crossing the shard boundary must be picklable "
-                "(module-level functions and importable classes; dynamic classes "
-                "need a __reduce__ hook)."
-            ) from error
-
-    @staticmethod
-    def _dumps(value: Any, what: str) -> bytes:
-        """Pickle ``value`` once, classifying serialization failures."""
-        try:
-            return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            return self._codec.encode(value)
         except (pickle.PickleError, AttributeError, TypeError) as error:
             if not _is_pickling_error(error):
                 raise

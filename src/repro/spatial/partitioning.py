@@ -79,6 +79,11 @@ class SpatialPartitioning:
                 return part
         raise PartitioningError(f"unknown partition id {partition_id}")
 
+    def _on_world_edge(self, partition_id: int) -> list[tuple[bool, bool]]:
+        """Per dimension, whether the partition's (low, high) face lies on the
+        world bounds — the faces :meth:`partition_of` clamps outside points to."""
+        raise NotImplementedError
+
     def replication_targets(
         self, point: Sequence[float], visibility: Sequence[float] | float
     ) -> list[int]:
@@ -86,7 +91,11 @@ class SpatialPartitioning:
 
         A partition needs a replica of an agent at ``point`` exactly when the
         agent falls inside the partition's visible region, i.e. the owned
-        region expanded by the visibility radii.
+        region expanded by the visibility radii.  :meth:`partition_of` clamps
+        points outside the world box into an edge partition, so the faces of
+        a visible region that lie on the world bounds are open: an agent that
+        drifted out of the box is still seen by every edge partition that
+        owns agents it can see.
 
         The expanded regions depend only on the partitioning and the radii,
         not on the point, so they are cached per visibility — this runs once
@@ -97,10 +106,15 @@ class SpatialPartitioning:
         key = tuple(visibility) if isinstance(visibility, (list, tuple)) else visibility
         regions = cache.get(key)
         if regions is None:
-            regions = [
-                (part.partition_id, part.visible_region(visibility))
-                for part in self.partitions()
-            ]
+            regions = []
+            for part in self.partitions():
+                grown = part.visible_region(visibility).intervals
+                edges = self._on_world_edge(part.partition_id)
+                opened = tuple(
+                    (-math.inf if low_edge else lo, math.inf if high_edge else hi)
+                    for (lo, hi), (low_edge, high_edge) in zip(grown, edges)
+                )
+                regions.append((part.partition_id, BBox(opened)))
             cache[key] = regions
         return [
             partition_id
@@ -160,6 +174,12 @@ class GridPartitioning(SpatialPartitioning):
         for coordinate, count in zip(coords, self._cells):
             pid = pid * count + coordinate
         return pid
+
+    def _on_world_edge(self, partition_id: int) -> list[tuple[bool, bool]]:
+        return [
+            (cell == 0, cell == count - 1)
+            for cell, count in zip(self._id_to_coords(partition_id), self._cells)
+        ]
 
     @property
     def bounds(self) -> BBox:
@@ -252,6 +272,15 @@ class StripPartitioning(SpatialPartitioning):
             intervals[self._axis] = (strip_lo, strip_hi)
             partitions.append(Partition(pid, BBox(tuple(intervals))))
         return partitions
+
+    def _on_world_edge(self, partition_id: int) -> list[tuple[bool, bool]]:
+        # The strips span the whole box in every dimension but the cut one.
+        return [
+            (partition_id == 0, partition_id == len(self._boundaries))
+            if dimension == self._axis
+            else (True, True)
+            for dimension in range(self._bounds.dim)
+        ]
 
     @property
     def bounds(self) -> BBox:

@@ -9,9 +9,12 @@ the same commit — but removals and renames should never happen by accident.
 
 import dataclasses
 
+import pytest
+
 import repro
 import repro.api
 from repro.api import Provenance, RunResult, Simulation
+from repro.core.errors import BraceError
 
 REPRO_EXPORTS = {
     "Agent",
@@ -60,7 +63,6 @@ SIMULATION_SURFACE = {
     "with_index",
     "with_spatial_backend",
     "with_plan_backend",
-    "with_ipc_backend",
     "with_load_balancing",
     "with_epochs",
     "with_checkpointing",
@@ -134,6 +136,17 @@ def test_simulation_public_surface_matches_snapshot():
         if not name.startswith("_")
     }
     assert public == SIMULATION_SURFACE
+
+
+def test_transport_knobs_were_removed_deliberately():
+    # PR 12: one tick protocol, transport read off the executor.
+    session = Simulation.from_agents([], bounds=((0.0, 1.0),))
+    assert not hasattr(session, "with_ipc_backend")
+    with pytest.raises(TypeError):
+        session.with_executor("serial", resident_shards=True)
+    for knob in ("resident_shards", "ipc_backend"):
+        with pytest.raises(BraceError, match="unknown configuration option"):
+            session.with_options(**{knob: None})
 
 
 def test_run_result_fields_match_snapshot():

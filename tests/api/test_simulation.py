@@ -263,8 +263,8 @@ class TestRepr:
 
 class TestProvenanceRoundTrip:
     """result.provenance.config must reproduce the run without re-deriving
-    any automatic default: every knob the runtime resolved (seed, shard
-    residency, spatial backend) is recorded as the concrete choice that ran."""
+    any automatic default: every knob the runtime resolved (seed, spatial
+    backend, plan backend) is recorded as the concrete choice that ran."""
 
     def test_automatic_knobs_are_recorded_resolved(self, full_run_result):
         result = full_run_result
@@ -272,7 +272,6 @@ class TestProvenanceRoundTrip:
         # The session never set these; the defaults are None/auto — the
         # provenance must hold what actually executed instead.
         assert config.spatial_backend in ("python", "vectorized")
-        assert config.resident_shards in (True, False)
         # Hand-written RingCar has no plan kernels: auto resolves to the
         # interpreter, and the provenance records that concrete choice.
         assert config.plan_backend == "interpreted"
@@ -289,10 +288,7 @@ class TestProvenanceRoundTrip:
             runtime = sim.runtime
             config = result.provenance.config
             assert config.seed == runtime.seed == 23
-            assert config.resident_shards == runtime.resident
-            # The process executor does not share memory, so auto residency
-            # resolves to on — and the provenance says so explicitly.
-            assert config.resident_shards is True
+            assert config.executor == runtime.executor.name == "process"
 
     def test_config_round_trips_into_an_identical_run(self):
         """A session built from the recorded config replays bit-identically."""

@@ -1,11 +1,13 @@
-"""The socket cluster backend against the in-driver backends, bit for bit.
+"""The socket cluster backend against the sequential oracle, bit for bit.
 
 The cluster executor moves resident shards out of the driver's *machine*
 (not just its process), but the delta protocol it speaks is the same —
-so cluster runs must produce bit-identical agent states and identical
-deterministic statistics on both evaluation models (fish and traffic),
-including across a forced mid-run shard migration, and the configuration
-and provenance layers must reflect the new backend honestly.
+so cluster runs must produce agent states bit-identical to
+:class:`~repro.core.engine.SequentialEngine` and deterministic statistics
+identical to a serial run on the evaluation models (fish, traffic, and the
+non-local predator script with its second reduce pass), including across a
+forced mid-run shard migration, and the configuration and provenance layers
+must reflect the backend honestly.
 """
 
 import pytest
@@ -13,9 +15,13 @@ import pytest
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
+from repro.brasil import compile_script
+from repro.brasil.runner import build_script_world
+from repro.core.engine import SequentialEngine
 from repro.core.errors import BraceError
 from repro.simulations.fish.fish import Fish
 from repro.simulations.fish.workload import build_fish_world
+from repro.simulations.predator.brasil_scripts import PREDATOR_NON_LOCAL_SCRIPT
 from repro.simulations.traffic.workload import build_traffic_world
 
 TICKS = 3
@@ -26,21 +32,35 @@ def build_world(model):
         # The importable module-level Fish: dynamic classes cannot cross
         # a process (or node) boundary by reference.
         return build_fish_world(48, seed=7, fish_class=Fish)
+    if model == "predator":
+        # Bites stay non-local assignments: the second reduce pass runs.
+        compiled = compile_script(PREDATOR_NON_LOCAL_SCRIPT, effect_inversion="off")
+        return build_script_world(compiled, num_agents=60, seed=7)
     return build_traffic_world(seed=11, num_vehicles=80)
 
 
-def run_model(model, executor, ticks=TICKS):
-    world = build_world(model)
-    config = BraceConfig(
+def model_config(model, executor, ticks):
+    return BraceConfig(
         num_workers=4,
         ticks_per_epoch=ticks,
         check_visibility=False,
         executor=executor,
         max_workers=2,
+        non_local_effects=model == "predator",
     )
-    with BraceRuntime(world, config) as runtime:
+
+
+def run_model(model, executor, ticks=TICKS):
+    world = build_world(model)
+    with BraceRuntime(world, model_config(model, executor, ticks)) as runtime:
         runtime.run(ticks)
         return world, runtime.metrics
+
+
+def sequential_reference(model, ticks=TICKS):
+    world = build_world(model)
+    SequentialEngine(world).run(ticks)
+    return world
 
 
 #: Tick statistics that must match across backends (wall clock excluded).
@@ -61,18 +81,12 @@ DETERMINISTIC_TICK_FIELDS = (
 
 @pytest.mark.slow
 class TestClusterEquivalence:
-    @pytest.mark.parametrize("model", ["fish", "traffic"])
-    def test_states_bit_identical_to_serial(self, model):
-        serial_world, _ = run_model(model, "serial")
-        cluster_world, cluster_metrics = run_model(model, "cluster")
-        assert serial_world.same_state_as(cluster_world, tolerance=0.0)
-        assert all(tick.resident for tick in cluster_metrics.ticks)
-
-    @pytest.mark.parametrize("model", ["fish", "traffic"])
-    def test_states_bit_identical_to_process(self, model):
-        process_world, _ = run_model(model, "process")
-        cluster_world, _ = run_model(model, "cluster")
-        assert process_world.same_state_as(cluster_world, tolerance=0.0)
+    @pytest.mark.parametrize("executor", ["process", "cluster"])
+    @pytest.mark.parametrize("model", ["fish", "traffic", "predator"])
+    def test_states_bit_identical_to_sequential(self, model, executor):
+        world, metrics = run_model(model, executor)
+        assert world.same_state_as(sequential_reference(model), tolerance=0.0)
+        assert metrics.ticks[0].num_passes == (3 if model == "predator" else 2)
 
     def test_statistics_identical_to_serial(self):
         _, serial_metrics = run_model("traffic", "serial")
@@ -92,15 +106,8 @@ class TestClusterEquivalence:
 class TestForcedMigrationEquivalence:
     @pytest.mark.parametrize("model", ["fish", "traffic"])
     def test_mid_run_migration_stays_bit_identical(self, model):
-        serial_world = build_world(model)
-        config = dict(
-            num_workers=4, ticks_per_epoch=6, check_visibility=False, max_workers=2
-        )
-        with BraceRuntime(serial_world, BraceConfig(executor="serial", **config)) as runtime:
-            runtime.run(6)
-
         cluster_world = build_world(model)
-        with BraceRuntime(cluster_world, BraceConfig(executor="cluster", **config)) as runtime:
+        with BraceRuntime(cluster_world, model_config(model, "cluster", 6)) as runtime:
             runtime.run(3)
             shard_id = 0
             source = runtime.executor.shard_node(shard_id)
@@ -109,7 +116,7 @@ class TestForcedMigrationEquivalence:
             assert moved_bytes > 0
             assert runtime.executor.shard_node(shard_id) == destination
             runtime.run(3)
-        assert serial_world.same_state_as(cluster_world, tolerance=0.0)
+        assert cluster_world.same_state_as(sequential_reference(model, 6), tolerance=0.0)
 
     def test_migrate_shard_requires_cluster_backend(self):
         world = build_traffic_world(seed=11, num_vehicles=40)
@@ -120,10 +127,6 @@ class TestForcedMigrationEquivalence:
 
 
 class TestClusterConfigValidation:
-    def test_cluster_with_legacy_path_rejected(self):
-        with pytest.raises(BraceError, match="resident shards"):
-            BraceConfig(executor="cluster", resident_shards=False).validate()
-
     def test_cluster_defaults_validate(self):
         BraceConfig(executor="cluster").validate()
 

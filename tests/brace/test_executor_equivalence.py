@@ -1,41 +1,62 @@
 """Equivalence of the BRACE runtime across executor backends.
 
-The executor only changes *where* the worker phases run, never *what* they
-compute: a thread- or process-backed run must produce bit-identical agent
-states and identical work statistics to a serial run on the same world.
+There is one tick protocol; the executor only changes *where* the shards
+live and how deltas reach them (by reference, or as columnar frames).  Every
+backend must therefore produce agent states bit-identical to the naive
+:class:`~repro.core.engine.SequentialEngine` and identical deterministic
+statistics.  ``"codec"`` is the in-process wire double
+(:mod:`tests.wire_double`): the full columnar wire without pools.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
+from repro.core.engine import SequentialEngine
 from repro.core.errors import BraceError, ExecutorError
+from repro.simulations.fish.fish import Fish
+from repro.simulations.fish.workload import build_fish_world
 from repro.simulations.predator.workload import build_predator_world
 from repro.simulations.traffic.workload import build_traffic_world
+
+from tests.wire_double import CodecRoundTripExecutor
 
 TICKS = 3
 
 
-def run_traffic(
-    executor,
-    max_workers=2,
-    num_workers=4,
-    resident_shards=None,
-    ipc_backend=None,
-):
-    world = build_traffic_world(seed=11, num_vehicles=80)
+def run_brace(world, executor, ticks, **options):
+    """Run ``world`` on ``executor`` ("codec" = the in-process wire double)."""
     config = BraceConfig(
-        num_workers=num_workers,
-        ticks_per_epoch=TICKS,
-        check_visibility=False,
-        executor=executor,
-        max_workers=max_workers,
-        resident_shards=resident_shards,
-        ipc_backend=ipc_backend,
+        executor="serial" if executor == "codec" else executor, max_workers=2, **options
     )
     with BraceRuntime(world, config) as runtime:
-        runtime.run(TICKS)
+        if executor == "codec":
+            runtime.executor = CodecRoundTripExecutor()
+        runtime.run(ticks)
         return world, runtime.metrics
+
+
+def run_traffic(executor):
+    world = build_traffic_world(seed=11, num_vehicles=80)
+    return run_brace(
+        world, executor, TICKS, num_workers=4, ticks_per_epoch=TICKS, check_visibility=False
+    )
+
+
+def run_predator(executor):
+    # Births, deaths and the second reduce pass, on dynamically built classes.
+    world = build_predator_world(50, seed=5)
+    return run_brace(
+        world, executor, 4, num_workers=2, ticks_per_epoch=4, non_local_effects=True
+    )
+
+
+def sequential(world, ticks):
+    SequentialEngine(world).run(ticks)
+    return world
 
 
 #: Tick-statistics fields that must match exactly across backends
@@ -58,13 +79,13 @@ DETERMINISTIC_TICK_FIELDS = (
 
 
 class TestTrafficEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_states_bit_identical_to_serial(self, backend):
-        serial_world, _ = run_traffic("serial")
-        other_world, _ = run_traffic(backend)
-        assert serial_world.same_state_as(other_world, tolerance=0.0)
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "codec"])
+    def test_states_bit_identical_to_sequential(self, backend):
+        reference = sequential(build_traffic_world(seed=11, num_vehicles=80), TICKS)
+        world, _ = run_traffic(backend)
+        assert world.same_state_as(reference, tolerance=0.0)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "codec"])
     def test_statistics_identical_to_serial(self, backend):
         _, serial_metrics = run_traffic("serial")
         _, other_metrics = run_traffic(backend)
@@ -84,164 +105,105 @@ class TestTrafficEquivalence:
         assert metrics.mean_query_wall_imbalance() >= 1.0
 
 
-class TestResidentShardEquivalence:
-    """The resident-shard delta protocol must be invisible to results.
+#: Epoch fields of the same contract (Figure 8's seconds-per-epoch and the
+#: load balancer's decisions).
+DETERMINISTIC_EPOCH_FIELDS = (
+    "epoch",
+    "first_tick",
+    "ticks",
+    "virtual_seconds",
+    "agent_ticks",
+    "rebalanced",
+    "agents_migrated_by_balancer",
+)
 
-    The process backend defaults to resident shards; forcing the protocol
-    onto the serial backend exercises every round without pool overhead, and
-    disabling it on the process backend keeps the legacy ship-everything
-    path alive as a second oracle.
+#: name -> (world builder, BraceConfig options, ticks), as recorded.
+PINNED_SCENARIOS = {
+    "traffic": (
+        lambda: build_traffic_world(seed=11, num_vehicles=80),
+        dict(num_workers=4, ticks_per_epoch=3, check_visibility=False),
+        7,
+    ),
+    "fish": (
+        lambda: build_fish_world(60, seed=3),
+        dict(num_workers=4, ticks_per_epoch=2, load_balance_threshold=1.05),
+        6,
+    ),
+}
+
+
+class TestVirtualTimeDidNotMove:
+    """Figures 6-8 are virtual time: the single tick protocol must charge
+    exactly what the in-place tick it replaced charged.
+
+    ``fixtures/inplace_tick_fields.json`` was recorded at the last commit
+    that still had ``_run_tick_inplace`` (PR 11, 07c4efa), on the serial
+    executor; JSON floats round-trip exactly.
     """
 
-    def test_process_backend_defaults_to_resident(self):
-        _, metrics = run_traffic("process")
-        assert all(tick.resident for tick in metrics.ticks)
-
-    def test_legacy_process_path_still_available_and_identical(self):
-        serial_world, _ = run_traffic("serial")
-        legacy_world, legacy_metrics = run_traffic("process", resident_shards=False)
-        assert not any(tick.resident for tick in legacy_metrics.ticks)
-        assert serial_world.same_state_as(legacy_world, tolerance=0.0)
-
-    def test_forced_resident_serial_matches_in_place_serial(self):
-        in_place_world, in_place_metrics = run_traffic("serial")
-        resident_world, resident_metrics = run_traffic("serial", resident_shards=True)
-        assert all(tick.resident for tick in resident_metrics.ticks)
-        assert in_place_world.same_state_as(resident_world, tolerance=0.0)
-        for in_place_tick, resident_tick in zip(in_place_metrics.ticks, resident_metrics.ticks):
-            for field in DETERMINISTIC_TICK_FIELDS:
-                assert getattr(in_place_tick, field) == getattr(resident_tick, field), field
-
-    def test_ipc_bytes_measured_only_across_process_boundaries(self):
-        _, serial_metrics = run_traffic("serial", resident_shards=True)
-        _, process_metrics = run_traffic("process")
-        # Memory-sharing residency ships nothing; the process backend reports
-        # real pickled bytes in both directions every tick.
-        assert serial_metrics.total_ipc_bytes() == 0
-        assert all(tick.ipc_bytes_sent > 0 for tick in process_metrics.ticks)
-        assert all(tick.ipc_bytes_received > 0 for tick in process_metrics.ticks)
-        assert process_metrics.total_ipc_bytes() > 0
+    @pytest.mark.parametrize("scenario", sorted(PINNED_SCENARIOS))
+    def test_serial_statistics_equal_the_in_place_recording(self, scenario):
+        recorded = json.loads(
+            (Path(__file__).parent / "fixtures" / "inplace_tick_fields.json").read_text()
+        )[scenario]
+        build, options, ticks = PINNED_SCENARIOS[scenario]
+        with BraceRuntime(build(), BraceConfig(**options)) as runtime:
+            metrics = runtime.run(ticks)
+        assert [
+            {field: getattr(tick, field) for field in DETERMINISTIC_TICK_FIELDS}
+            for tick in metrics.ticks
+        ] == recorded["ticks"]
+        assert [
+            {field: getattr(epoch, field) for field in DETERMINISTIC_EPOCH_FIELDS}
+            for epoch in metrics.epochs
+        ] == recorded["epochs"]
+        assert sum(tick["agents_migrated"] for tick in recorded["ticks"]) > 0
 
 
-class TestIpcBackendEquivalence:
-    """The wire format must be invisible to results.
+class TestTransports:
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_by_reference_measures_no_ipc(self, backend):
+        _, metrics = run_traffic(backend)
+        assert metrics.total_ipc_bytes() == 0
+        for tick in metrics.ticks:
+            assert tick.ipc_bytes_total == 0
+            assert tick.ipc_serialize_seconds == tick.ipc_transport_seconds == 0.0
+            assert tick.ipc_compute_seconds == tick.ipc_wait_seconds == 0.0
 
-    The columnar delta frames replace pickled protocol objects on the
-    resident path; forcing either backend must leave agent states and every
-    deterministic statistic bit-identical.  Forcing ``"columnar"`` on the
-    serial backend round-trips every round's payload and result through the
-    frame codec in process — full wire-format conformance without pools.
-    """
-
-    def test_process_resident_defaults_to_columnar(self):
-        world = build_traffic_world(seed=11, num_vehicles=80)
-        config = BraceConfig(
-            num_workers=4,
-            ticks_per_epoch=TICKS,
-            check_visibility=False,
-            executor="process",
-            max_workers=2,
-        )
-        with BraceRuntime(world, config) as runtime:
-            assert runtime.ipc_backend == "columnar"
-
-    def test_memory_sharing_backends_default_to_pickle(self):
-        world = build_traffic_world(seed=11, num_vehicles=80)
-        config = BraceConfig(
-            num_workers=4, ticks_per_epoch=TICKS, resident_shards=True
-        )
-        with BraceRuntime(world, config) as runtime:
-            assert runtime.ipc_backend == "pickle"
-
-    @pytest.mark.parametrize("ipc_backend", ["pickle", "columnar"])
-    def test_forced_backend_states_identical_to_serial(self, ipc_backend):
-        serial_world, _ = run_traffic("serial")
-        forced_world, _ = run_traffic("process", ipc_backend=ipc_backend)
-        assert serial_world.same_state_as(forced_world, tolerance=0.0)
-
-    @pytest.mark.parametrize("ipc_backend", ["pickle", "columnar"])
-    def test_forced_backend_statistics_identical_to_serial(self, ipc_backend):
-        _, serial_metrics = run_traffic("serial")
-        _, forced_metrics = run_traffic("process", ipc_backend=ipc_backend)
-        assert len(forced_metrics.ticks) == TICKS
-        for serial_tick, forced_tick in zip(serial_metrics.ticks, forced_metrics.ticks):
-            for field in DETERMINISTIC_TICK_FIELDS:
-                assert getattr(serial_tick, field) == getattr(forced_tick, field), field
-
-    def test_forced_columnar_serial_roundtrips_codec_in_process(self):
-        in_place_world, _ = run_traffic("serial")
-        codec_world, codec_metrics = run_traffic(
-            "serial", resident_shards=True, ipc_backend="columnar"
-        )
-        assert in_place_world.same_state_as(codec_world, tolerance=0.0)
-        # The in-process round trip measures real encoded frame bytes even
-        # though nothing crosses a process boundary.
-        assert all(tick.ipc_bytes_sent > 0 for tick in codec_metrics.ticks)
-        assert all(tick.ipc_bytes_received > 0 for tick in codec_metrics.ticks)
-
-    def test_columnar_handles_births_deaths_and_second_reduce(self):
-        # Forced columnar + forced residency on the serial backend pushes
-        # spawn/kill round-trips and routed second-reduce partials through
-        # the frame codec, on agent classes that need the escape paths.
-        def run(ipc_backend):
-            world = build_predator_world(50, seed=5)
-            config = BraceConfig(
-                num_workers=2,
-                ticks_per_epoch=4,
-                non_local_effects=True,
-                resident_shards=True,
-                ipc_backend=ipc_backend,
-            )
-            with BraceRuntime(world, config) as runtime:
-                runtime.run(4)
-            return world
-
-        pickle_world = run("pickle")
-        columnar_world = run("columnar")
-        assert pickle_world.agent_count() == columnar_world.agent_count()
-        assert pickle_world.same_state_as(columnar_world, tolerance=0.0)
+    @pytest.mark.parametrize("backend", ["process", "codec"])
+    def test_a_wire_measures_real_frame_bytes_both_ways(self, backend):
+        _, metrics = run_traffic(backend)
+        assert all(tick.ipc_bytes_sent > 0 for tick in metrics.ticks)
+        assert all(tick.ipc_bytes_received > 0 for tick in metrics.ticks)
+        assert all(tick.ipc_compute_seconds > 0 for tick in metrics.ticks)
+        assert metrics.total_ipc_bytes() > 0
 
 
 class TestDynamicPopulationEquivalence:
-    def test_thread_backend_handles_births_and_deaths(self):
-        def run(executor):
-            world = build_predator_world(50, seed=5)
-            config = BraceConfig(
-                num_workers=2,
-                ticks_per_epoch=4,
-                non_local_effects=True,
-                executor=executor,
-                max_workers=2,
-            )
-            with BraceRuntime(world, config) as runtime:
-                runtime.run(4)
-            return world
+    @pytest.mark.parametrize("backend", ["serial", "thread", "codec"])
+    def test_births_deaths_and_second_reduce_match_sequential(self, backend):
+        # The codec double pushes spawn/kill round trips and routed
+        # second-reduce partials through the frame transforms, on agent
+        # classes that need the escape paths.
+        reference = sequential(build_predator_world(50, seed=5), 4)
+        world, metrics = run_predator(backend)
+        assert sum(tick.spawned + tick.killed for tick in metrics.ticks) > 0
+        assert world.agent_count() == reference.agent_count()
+        assert world.same_state_as(reference, tolerance=0.0)
 
-        serial_world = run("serial")
-        thread_world = run("thread")
-        assert serial_world.agent_count() == thread_world.agent_count()
-        assert serial_world.same_state_as(thread_world, tolerance=0.0)
 
-    def test_resident_protocol_handles_births_deaths_and_second_reduce(self):
-        # Forced residency on the serial backend runs the full delta protocol
-        # (boundary deltas, partial routing, spawn/kill round-trips) without
-        # requiring picklable agent classes.
-        def run(resident):
-            world = build_predator_world(50, seed=5)
-            config = BraceConfig(
-                num_workers=2,
-                ticks_per_epoch=4,
-                non_local_effects=True,
-                resident_shards=resident,
-            )
-            with BraceRuntime(world, config) as runtime:
-                runtime.run(4)
-            return world
+class TestRebalanceEquivalence:
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "codec"])
+    def test_fish_with_rebalancing_matches_sequential(self, backend):
+        # The importable Fish: the process wire pickles classes by name.
+        def build():
+            return build_fish_world(60, seed=3, fish_class=Fish)
 
-        in_place_world = run(False)
-        resident_world = run(True)
-        assert in_place_world.agent_count() == resident_world.agent_count()
-        assert in_place_world.same_state_as(resident_world, tolerance=0.0)
+        world, metrics = run_brace(
+            build(), backend, 6, num_workers=4, ticks_per_epoch=2, load_balance_threshold=1.05
+        )
+        assert any(epoch.rebalanced for epoch in metrics.epochs)
+        assert world.same_state_as(sequential(build(), 6), tolerance=0.0)
 
 
 class TestProcessBackendErrorPath:
@@ -270,3 +232,12 @@ class TestConfigValidation:
     def test_bad_max_workers_rejected(self):
         with pytest.raises(BraceError):
             BraceConfig(max_workers=0).validate()
+
+    @pytest.mark.parametrize("knob", ["resident_shards", "ipc_backend"])
+    def test_transport_knobs_are_gone(self, knob):
+        # One tick protocol, transport read off the executor: nothing to set.
+        with pytest.raises(TypeError):
+            BraceConfig(**{knob: None})
+        world = build_traffic_world(seed=11, num_vehicles=8)
+        with BraceRuntime(world, BraceConfig(num_workers=2)) as runtime:
+            assert not hasattr(runtime, "resident") and not hasattr(runtime, knob)

@@ -2,11 +2,12 @@
 
 The plan kernels (:mod:`repro.brasil.kernels`) are an *execution* strategy,
 never a semantic one: ``plan_backend="interpreted"`` and ``"compiled"`` must
-produce exactly the same agent states — on every executor, under both
-spatial backends, with resident shards on and off, for both the fish-school
-and ring-traffic BRASIL workloads, through dynamic populations and across a
-pause/resume boundary.  This is the conformance matrix backing the
-``plan_backend`` knob's "only trades speed" promise.
+produce exactly the same agent states as the naive
+:class:`~repro.core.engine.SequentialEngine` — on every executor, under both
+spatial backends, for both the fish-school and ring-traffic BRASIL
+workloads, through dynamic populations and across a pause/resume boundary.
+This is the conformance matrix backing the ``plan_backend`` knob's "only
+trades speed" promise.
 """
 
 import pytest
@@ -14,9 +15,12 @@ import pytest
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
 from repro.brasil import compile_script, run_script
+from repro.brasil.runner import build_script_world
 from repro.core.agent import Agent
+from repro.core.engine import SequentialEngine
 from repro.core.errors import BraceError
 from repro.core.fields import StateField
+from repro.core.soa import states_equal
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
 from repro.simulations.traffic.brasil_scripts import TRAFFIC_SCRIPT
 
@@ -26,16 +30,14 @@ SCRIPTS = {"fish": FISH_SCHOOL_SCRIPT, "traffic": TRAFFIC_SCRIPT}
 
 SPATIAL_BACKENDS = ("python", "vectorized")
 PLAN_BACKENDS = ("interpreted", "compiled")
-RESIDENCY = (False, True)
 
 
-def run_cell(workload, executor, spatial, plan, resident):
+def run_cell(workload, executor, spatial, plan):
     config = BraceConfig(
         num_workers=3,
         executor=executor,
         spatial_backend=spatial,
         plan_backend=plan,
-        resident_shards=resident,
         ticks_per_epoch=2,
     )
     result = run_script(
@@ -46,42 +48,42 @@ def run_cell(workload, executor, spatial, plan, resident):
 
 @pytest.fixture(scope="module")
 def baseline():
-    # The reference cell every other combination must reproduce exactly.
-    return {
-        workload: run_cell(workload, "serial", "python", "interpreted", False)
-        for workload in SCRIPTS
-    }
+    # The oracle every cell must reproduce exactly: one naive tick loop.
+    states = {}
+    for workload, source in SCRIPTS.items():
+        world = build_script_world(compile_script(source), num_agents=NUM_AGENTS, seed=5)
+        SequentialEngine(world).run(TICKS)
+        states[workload] = {agent.agent_id: agent.state_dict() for agent in world.agents()}
+    return states
 
 
 class TestPlanBackendMatrix:
     @pytest.mark.parametrize("workload", sorted(SCRIPTS))
     @pytest.mark.parametrize("spatial", SPATIAL_BACKENDS)
     @pytest.mark.parametrize("plan", PLAN_BACKENDS)
-    @pytest.mark.parametrize("resident", RESIDENCY)
-    def test_serial_matrix_bit_identical(self, baseline, workload, spatial, plan, resident):
-        states = run_cell(workload, "serial", spatial, plan, resident)
-        assert states == baseline[workload]
+    def test_serial_matrix_bit_identical(self, baseline, workload, spatial, plan):
+        states = run_cell(workload, "serial", spatial, plan)
+        assert states_equal(states, baseline[workload])
 
     @pytest.mark.parametrize("workload", sorted(SCRIPTS))
-    def test_process_compiled_matches_serial_interpreted(self, baseline, workload):
-        states = run_cell(workload, "process", "vectorized", "compiled", True)
-        assert states == baseline[workload]
+    def test_process_compiled_matches_sequential(self, baseline, workload):
+        states = run_cell(workload, "process", "vectorized", "compiled")
+        assert states_equal(states, baseline[workload])
 
     @pytest.mark.slow
     @pytest.mark.parametrize("workload", sorted(SCRIPTS))
     @pytest.mark.parametrize("spatial", SPATIAL_BACKENDS)
     @pytest.mark.parametrize("plan", PLAN_BACKENDS)
-    @pytest.mark.parametrize("resident", RESIDENCY)
-    def test_process_matrix_bit_identical(self, baseline, workload, spatial, plan, resident):
-        states = run_cell(workload, "process", spatial, plan, resident)
-        assert states == baseline[workload]
+    def test_process_matrix_bit_identical(self, baseline, workload, spatial, plan):
+        states = run_cell(workload, "process", spatial, plan)
+        assert states_equal(states, baseline[workload])
 
     @pytest.mark.parametrize("workload", sorted(SCRIPTS))
     def test_auto_matches_forced_backends(self, baseline, workload):
         # plan_backend=None attempts kernels wherever they exist, so for
         # these fully-compilable scripts it must equal both forced choices.
-        states = run_cell(workload, "serial", "vectorized", None, False)
-        assert states == baseline[workload]
+        states = run_cell(workload, "serial", "vectorized", None)
+        assert states_equal(states, baseline[workload])
 
     def test_workloads_actually_compile(self):
         # Non-vacuity: both matrix workloads exercise real kernels.
@@ -160,7 +162,7 @@ class TestDynamicPopulation:
     def test_births_and_deaths_bit_identical(self):
         interpreted, interp_count = _run_dynamic("interpreted")
         compiled, compiled_count = _run_dynamic("compiled")
-        assert compiled == interpreted
+        assert states_equal(compiled, interpreted)
         assert compiled_count == interp_count
         # Non-vacuity: the population actually changed (drones died after
         # spawning three critters each).
@@ -191,8 +193,8 @@ class TestPauseResumeBoundary:
         with straight:
             reference = straight.run(TICKS).final_states
 
-        assert split_run("compiled") == reference
-        assert split_run("interpreted") == reference
+        assert states_equal(split_run("compiled"), reference)
+        assert states_equal(split_run("interpreted"), reference)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Checkpointing and recovery on the process backend (resident shards).
+"""Checkpointing and recovery across a real process boundary.
 
-The fault-tolerance machinery was previously only exercised in process: these
-tests run the full story across a real process boundary — coordinated
-checkpoints pull state out of the resident shards, ``recover()`` restores the
-driver's world and re-seeds the shards, and the recovered run must match an
-uninterrupted serial run bit for bit.
+Coordinated checkpoints pull state out of the resident shards, ``recover()``
+restores the driver's world and re-seeds the shards, and the recovered run
+must match an uninterrupted :class:`~repro.core.engine.SequentialEngine` run
+bit for bit.
 """
 
 import os
@@ -18,6 +17,7 @@ import pytest
 from repro.brace.checkpoint import FailureInjector
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
+from repro.core.engine import SequentialEngine
 from repro.core.errors import ExecutorError
 from repro.simulations.traffic.workload import build_traffic_world
 
@@ -31,7 +31,7 @@ def build_world():
     return build_traffic_world(seed=SEED, num_vehicles=VEHICLES)
 
 
-def make_config(executor, resident_shards=None, **overrides):
+def make_config(executor, **overrides):
     """Checkpoint-every-epoch configuration (epoch = 2 ticks)."""
     return BraceConfig(
         num_workers=3,
@@ -42,16 +42,14 @@ def make_config(executor, resident_shards=None, **overrides):
         checkpoint_interval_epochs=1,
         executor=executor,
         max_workers=2,
-        resident_shards=resident_shards,
         **overrides,
     )
 
 
 def reference_world():
-    """An uninterrupted serial run to TOTAL_TICKS (the ground truth)."""
+    """An uninterrupted sequential run to TOTAL_TICKS (the ground truth)."""
     world = build_world()
-    with BraceRuntime(world, make_config("serial")) as runtime:
-        runtime.run(TOTAL_TICKS)
+    SequentialEngine(world).run(TOTAL_TICKS)
     return world
 
 
@@ -92,14 +90,6 @@ class TestProcessCheckpointRecovery:
             assert all(epoch.checkpoint_bytes > 0 for epoch in epochs)
             # Pulling state out of the shards is measured epoch traffic.
             assert all(epoch.ipc_bytes > 0 for epoch in epochs)
-
-    def test_legacy_process_path_recovers_identically(self, serial_reference):
-        world = build_world()
-        with BraceRuntime(world, make_config("process", resident_shards=False)) as runtime:
-            runtime.run(5)
-            runtime.recover()
-            runtime.run(TOTAL_TICKS - world.tick)
-        assert world.same_state_as(serial_reference, tolerance=0.0)
 
 
 @pytest.mark.slow

@@ -1,22 +1,22 @@
 """Replica delta shipping: ship only what the destination doesn't hold.
 
-In delta mode (``distribute(replica_deltas=True)``) every destination
-retains last tick's replicas and the source ships a
+Over a copying transport (``distribute(transport_copies=True)``) every
+destination retains last tick's replicas and the source ships a
 :class:`~repro.ipc.frames.ReplicaDelta` naming only new, changed, or
 removed rows.  "Changed" is decided by *object identity* of the state
 values against what was last sent — exact by construction, never by
 ``==`` (which would conflate NaNs and signed zeros).  These tests pin the
 protocol's invariants; the end-to-end equivalence suites prove the whole
-runtime stays bit-identical across modes.
+runtime stays bit-identical across transports.
 """
 
 import math
 
 from repro.brace.shards import (
-    _lazy_agent_map,
-    _pack_agent_chunks,
-    _pack_agent_map,
-    _unpack_agent_chunks,
+    _lazy_replica_deltas,
+    _pack_replica_deltas,
+    _pack_routed_deltas,
+    _unpack_routed_deltas,
 )
 from repro.brace.worker import Worker
 from repro.ipc.frames import LazyAgentFrame, ReplicaDelta
@@ -34,7 +34,7 @@ def make_worker(worker_id=0, partitions=2, width=60.0):
 
 
 def distribute(worker, partitioning):
-    return worker.distribute(partitioning, replica_deltas=True)
+    return worker.distribute(partitioning, transport_copies=True)
 
 
 class TestDeltaDistribute:
@@ -123,7 +123,7 @@ class TestDeltaDistribute:
 
         full_worker, partitioning = make_worker()
         populate(full_worker)
-        full = full_worker.distribute(partitioning, replica_deltas=False)
+        full = full_worker.distribute(partitioning, transport_copies=False)
 
         delta_worker, _ = make_worker()
         populate(delta_worker)
@@ -153,18 +153,18 @@ class TestDeltaDistribute:
 
 
 class TestDeltaWireFormat:
-    def test_agent_map_roundtrips_deltas_lazily(self):
+    def test_replica_map_roundtrips_deltas_lazily(self):
         worker, partitioning = make_worker()
         worker.add_owned(Boid(agent_id=1, x=29.0, y=5.0))
         result = distribute(worker, partitioning)
-        decoded = _lazy_agent_map(_pack_agent_map(result.replicas_out))
+        decoded = _lazy_replica_deltas(_pack_replica_deltas(result.replicas_out))
         delta = decoded[1]
         assert isinstance(delta, ReplicaDelta)
         assert isinstance(delta.additions, LazyAgentFrame)
         assert [a.agent_id for a in delta.additions.unpack()] == [1]
         assert delta.removed_ids == []
 
-    def test_agent_chunks_roundtrip_delta_lists(self):
+    def test_routed_deltas_roundtrip(self):
         worker, partitioning = make_worker()
         agent = Boid(agent_id=1, x=29.0, y=5.0)
         worker.add_owned(agent)
@@ -172,7 +172,7 @@ class TestDeltaWireFormat:
         agent._state["x"] = 5.0
         removal = distribute(worker, partitioning).replicas_out[1]
         chunks = [shipped, removal]
-        decoded = _unpack_agent_chunks(_pack_agent_chunks(chunks))
+        decoded = _unpack_routed_deltas(_pack_routed_deltas(chunks))
         assert [a.agent_id for a in decoded[0].additions.unpack()] == [1]
         assert decoded[0].removed_ids == []
         assert decoded[1].additions.unpack() == []
@@ -182,8 +182,7 @@ class TestDeltaWireFormat:
         worker, partitioning = make_worker()
         worker.add_owned(Boid(agent_id=1, x=29.0, y=5.0))
         result = distribute(worker, partitioning)
-        lazy = _lazy_agent_map(_pack_agent_map(result.replicas_out))
+        lazy = _lazy_replica_deltas(_pack_replica_deltas(result.replicas_out))
         packed_frame = lazy[1].additions.frame
-        kind, entries = _pack_agent_chunks([lazy[1]])
-        assert kind == "deltas"
+        entries = _pack_routed_deltas([lazy[1]])
         assert entries[0][0] is packed_frame  # same object, never re-encoded

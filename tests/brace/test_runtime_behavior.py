@@ -3,7 +3,7 @@
 import pytest
 
 from repro.brace.config import BraceConfig
-from repro.brace.replication import distribute_agents, replication_targets
+from repro.brace.replication import replication_targets
 from repro.brace.runtime import BraceRuntime
 from repro.brace.worker import Worker
 from repro.core.errors import BraceError
@@ -11,7 +11,7 @@ from repro.core.world import World
 from repro.spatial.bbox import BBox
 from repro.spatial.partitioning import StripPartitioning
 
-from tests.conftest import Boid, make_boid_world
+from tests.conftest import Boid, SpawningAgent, make_boid_world
 
 
 class TestConfigValidation:
@@ -67,15 +67,6 @@ class TestReplication:
         finally:
             type(agent).visibility_radii = original
 
-    def test_distribute_agents_plan(self):
-        world = make_boid_world(num_agents=30, seed=5)
-        partitioning = StripPartitioning.uniform(world.bounds, 0, 3)
-        plan = distribute_agents(world.agents(), partitioning)
-        assert len(plan.owner_of) == 30
-        for agent in world.agents():
-            assert plan.owner_of[agent.agent_id] == partitioning.partition_of(agent.position())
-        assert plan.replica_count == sum(len(v) for v in plan.replicas.values())
-
 
 class TestWorkerMechanics:
     def test_ownership_and_replicas(self):
@@ -84,7 +75,7 @@ class TestWorkerMechanics:
         agent = Boid(agent_id=1, x=5.0, y=5.0)
         worker.add_owned(agent)
         assert worker.owned_count() == 1
-        worker.receive_replica(Boid(agent_id=2, x=31.0, y=5.0))
+        worker.install_replica(Boid(agent_id=2, x=31.0, y=5.0))
         assert len(worker.replica_agents()) == 1
         removed = worker.remove_owned(1)
         assert removed is agent
@@ -167,3 +158,55 @@ class TestRuntimeMetrics:
             runtime_many.metrics.total_bytes_over_network()
             > runtime_few.metrics.total_bytes_over_network()
         )
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+class TestByReferenceTransport:
+    """In-process shards hold the world's own agents: no copy, no sync, no IPC."""
+
+    @staticmethod
+    def assert_shards_alias_world(runtime):
+        # Epochs of one tick flush births/deaths to the shards every tick.
+        owned = {}
+        for shard in runtime.executor._shards.values():
+            owned.update(shard.owned)
+        assert sorted(owned, key=repr) == runtime.world.agent_ids()
+        for agent_id, agent in owned.items():
+            assert agent is runtime.world.get_agent(agent_id)
+        assert runtime.sync_world() == 0
+        assert runtime.metrics.total_ipc_bytes() == 0
+        for tick in runtime.metrics.ticks:
+            assert tick.ipc_bytes_total == 0 and tick.ipc_overhead_seconds == 0.0
+            assert tick.ipc_compute_seconds == 0.0
+
+    def test_across_migration_rebalance_and_recovery(self, executor):
+        world = make_boid_world(num_agents=40, seed=3)
+        config = BraceConfig(
+            num_workers=3,
+            executor=executor,
+            max_workers=2,
+            ticks_per_epoch=1,
+            load_balance_threshold=1.01,
+            checkpointing=True,
+        )
+        with BraceRuntime(world, config) as runtime:
+            runtime.run(4)
+            assert sum(tick.agents_migrated for tick in runtime.metrics.ticks) > 0
+            assert any(epoch.rebalanced for epoch in runtime.metrics.epochs)
+            self.assert_shards_alias_world(runtime)
+            before = world.agents()
+            runtime.recover()
+            runtime.run_tick()
+            assert all(a is not b for a, b in zip(before, world.agents()))
+            self.assert_shards_alias_world(runtime)
+
+    def test_across_births_and_deaths(self, executor):
+        world = make_boid_world(num_agents=60, seed=7, agent_class=SpawningAgent, size=30.0)
+        config = BraceConfig(
+            num_workers=2, executor=executor, max_workers=2, ticks_per_epoch=1
+        )
+        with BraceRuntime(world, config) as runtime:
+            runtime.run(8)
+            assert sum(tick.spawned for tick in runtime.metrics.ticks) > 0
+            assert sum(tick.killed for tick in runtime.metrics.ticks) > 0
+            self.assert_shards_alias_world(runtime)

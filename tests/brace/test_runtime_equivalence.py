@@ -13,6 +13,12 @@ from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
 from repro.core.engine import SequentialEngine
 
+from repro.core.agent import Agent
+from repro.core.combinators import COUNT
+from repro.core.fields import EffectField, StateField
+from repro.core.world import World
+from repro.spatial.bbox import BBox
+
 from tests.conftest import Boid, NonLocalBoid, SpawningAgent, make_boid_world
 
 
@@ -95,3 +101,40 @@ class TestDynamicPopulationEquivalence:
         BraceRuntime(world, BraceConfig(num_workers=workers, ticks_per_epoch=3)).run(8)
         assert world.agent_ids() == reference.agent_ids()
         assert world.same_state_as(reference, tolerance=1e-9)
+
+
+class Climber(Agent):
+    """Climbs out of the box in y, remembering how many neighbours it met."""
+
+    x = StateField(0.0, spatial=True, visibility=10.0, reachability=2.0)
+    y = StateField(0.0, spatial=True, visibility=10.0, reachability=2.0)
+    met = StateField(0)
+    near = EffectField(COUNT)
+
+    def query(self, ctx):
+        for _other in ctx.neighbors(self, 6.0):
+            self.near = 1
+
+    def update(self, ctx):
+        self.met = self.met + self.near
+        self.y = self.y + 2.0
+
+
+class TestAgentsOutsideTheWorldBox:
+    def test_two_strips_match_sequential_after_drifting_out_of_the_uncut_axis(self):
+        # Two columns straddle the strip boundary (x=30) and end well past
+        # one visibility radius (10) above the box; each agent must stay
+        # replicated to the other strip the whole way.
+        def build():
+            world = World(bounds=BBox(((0.0, 60.0), (0.0, 60.0))), seed=5)
+            for row in range(6):
+                for x in (28.5, 31.5):
+                    world.add_agent(Climber(x=x, y=54.0 + row))
+            return world
+
+        reference = build()
+        SequentialEngine(reference).run(12)
+        assert min(agent.y for agent in reference.agents()) > 70.0
+        world = build()
+        BraceRuntime(world, BraceConfig(num_workers=2, load_balance=False)).run(12)
+        assert world.same_state_as(reference, tolerance=0.0)

@@ -25,12 +25,14 @@ The generator intentionally produces some of those (unbounded visibility,
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.brace.config import BraceConfig
 from repro.brasil import compile_script, run_script
+from repro.core.soa import states_equal
 
 TICKS = 3
 NUM_AGENTS = 10
@@ -188,7 +190,7 @@ def _run(source: str, plan_backend: str, *, ticks: int = TICKS, seed: int = 3):
 def _assert_differential(source: str, *, ticks: int = TICKS, seed: int = 3) -> None:
     interpreted = _run(source, "interpreted", ticks=ticks, seed=seed)
     compiled = _run(source, "compiled", ticks=ticks, seed=seed)
-    assert compiled.final_states() == interpreted.final_states()
+    assert states_equal(compiled.final_states(), interpreted.final_states())
     # The kernels charge the same work units and index probes the
     # interpreter would have, so the deterministic cost model (virtual and
     # compute seconds derive from work units) must not notice the backend.
@@ -280,6 +282,36 @@ class TestCombinatorMatrix:
         selection = compile_script(source).plan_selection
         assert selection is not None and selection.query_compiled
         _assert_differential(source, ticks=4)
+
+
+class TestExactOracle:
+    def test_nan_states_are_bit_identical_across_backends(self):
+        # min over an empty neighbourhood finalizes to inf; the second tick
+        # computes inf - inf.  ``dict ==`` can never accept that run.
+        source = (
+            "class Critter {\n"
+            "    public state float x : x; #visibility[0.001];\n"
+            "    public state float y : y; #visibility[0.001];\n"
+            "    public state float w : acc - w;\n"
+            "    private effect float acc : min;\n"
+            "    public void run() {\n"
+            "        foreach (Critter p : Extent<Critter>) {\n"
+            "            if (p.x != x) { acc <- p.w; }\n"
+            "        }\n    }\n}\n"
+        )
+        compiled = _run(source, "compiled").final_states()
+        interpreted = _run(source, "interpreted").final_states()
+        assert any(math.isnan(state["w"]) for state in compiled.values())
+        assert compiled != interpreted and states_equal(compiled, interpreted)
+
+    def test_int_rule_on_float_field_stores_a_float(self):
+        source = _combinator_script("sum", "").replace(
+            "float w : (cnt > 0) ? (w + acc / cnt) * 0.5 : w;", "float w : cnt;"
+        )
+        for backend in ("interpreted", "compiled"):
+            states = _run(source, backend).final_states()
+            assert {type(state["w"]) for state in states.values()} == {float}
+        _assert_differential(source)
 
 
 class TestFallbackScripts:

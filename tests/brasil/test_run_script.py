@@ -22,6 +22,7 @@ from repro.brasil import (
 )
 from repro.brasil.translate import agent_tuple, environment_for
 from repro.core.errors import BrasilError
+from repro.core.soa import states_equal
 from repro.mapreduce.executor import ProcessExecutor
 from repro.mapreduce.simulation_job import LocalEffectSimulationJob
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
@@ -56,14 +57,14 @@ class TestCrossBackendEquivalence:
     def test_traffic_states_bit_identical_to_serial(self, backend):
         serial = run_traffic("serial")
         other = run_traffic(backend)
-        assert serial.final_states() == other.final_states()
+        assert states_equal(serial.final_states(), other.final_states())
         assert serial.world.same_state_as(other.world, tolerance=0.0)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_fish_states_bit_identical_to_serial(self, backend):
         serial = run_fish("serial")
         other = run_fish(backend)
-        assert serial.final_states() == other.final_states()
+        assert states_equal(serial.final_states(), other.final_states())
 
     def test_traffic_actually_moves(self):
         run = run_traffic("serial")

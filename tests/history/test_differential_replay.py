@@ -6,13 +6,14 @@ states a fresh run of the same model would report after ``t`` ticks.  These
 tests enforce the contract differentially across the full execution matrix —
 
     {fish school, traffic ring} x {serial, process executor}
-        x {python, vectorized spatial backend} x {resident shards on, off}
+        x {python, vectorized spatial backend}
 
 — with a pause/resume boundary in the middle of every recorded run, plus
 checkpoint recovery (``recover()``) and a dynamic population (births and
-deaths) as separate scenarios.  The reference is always a serial run:
-cross-backend state equivalence is the repo's standing invariant, so any
-deviation localizes to the recording/replay layer itself.
+deaths) as separate scenarios.  The reference is always the naive
+:class:`~repro.core.engine.SequentialEngine`: equivalence to it is the
+repo's standing invariant, so any deviation localizes to the
+recording/replay layer itself.
 
 Process-executor combinations spin up pools and are marked ``slow`` (the CI
 history-smoke job runs with ``-m "not slow"``).
@@ -23,6 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Simulation
+from repro.core.engine import SequentialEngine
 from repro.history import History
 from repro.simulations.fish.fish import Fish
 from repro.simulations.fish.workload import build_fish_world
@@ -47,23 +49,23 @@ WORLDS = {"fish": fish_world, "ring": ring_world}
 
 
 def reference_states(world_builder, ticks):
-    """Tick -> states for a fresh serial run: {0: initial, t+1: after tick t}."""
-    session = Simulation.from_agents(world_builder())
-    reference = {0: session.states()}
-    with session:
-        for event in session.stream(ticks, snapshot_states=True):
-            reference[event.tick + 1] = event.states
+    """Tick -> states of a sequential run: {0: initial, t+1: after tick t}."""
+    world = world_builder()
+    engine = SequentialEngine(world)
+    reference = {}
+    for tick in range(ticks + 1):
+        reference[tick] = {agent.agent_id: agent.state_dict() for agent in world.agents()}
+        engine.run(1)
     return reference
 
 
-def record_run(world_builder, path, *, executor, backend, resident, ticks=TICKS):
+def record_run(world_builder, path, *, executor, backend, ticks=TICKS):
     """Record ``ticks`` ticks with a pause/resume boundary in the middle."""
     session = (
         Simulation.from_agents(world_builder())
         .with_executor(executor, max_workers=2)
         .with_workers(2)
         .with_spatial_backend(backend)
-        .with_options(resident_shards=resident)
         .with_history(path, checkpoint_every=4)
     )
     with session:
@@ -78,17 +80,15 @@ MATRIX = [
     pytest.param(
         executor,
         backend,
-        resident,
         marks=[pytest.mark.slow] if executor == "process" else [],
-        id=f"{executor}-{backend}-{'resident' if resident else 'inplace'}",
+        id=f"{executor}-{backend}",
     )
     for executor in ("serial", "process")
     for backend in ("python", "vectorized")
-    for resident in (False, True)
 ]
 
 
-# Every matrix cell compares against the same deterministic serial
+# Every matrix cell compares against the same deterministic sequential
 # reference, so compute it once per workload instead of once per cell.
 @pytest.fixture(scope="module")
 def cached_references():
@@ -102,26 +102,24 @@ def cached_references():
     return get
 
 
-# The serial/auto/in-place recording is read-only for its consumers, so one
+# The serial/auto recording is read-only for its consumers, so one
 # recording per workload serves every test that replays it.
 @pytest.fixture(scope="module", params=sorted(WORLDS))
 def serial_recording(request, tmp_path_factory):
     workload = request.param
     path = tmp_path_factory.mktemp(f"replay-{workload}") / "run"
-    record_run(WORLDS[workload], path, executor="serial", backend=None, resident=False)
+    record_run(WORLDS[workload], path, executor="serial", backend=None)
     return workload, History.open(path)
 
 
 @pytest.mark.parametrize("workload", sorted(WORLDS))
-@pytest.mark.parametrize("executor,backend,resident", MATRIX)
+@pytest.mark.parametrize("executor,backend", MATRIX)
 def test_state_at_matches_fresh_run_across_backends(
-    tmp_path, cached_references, workload, executor, backend, resident
+    tmp_path, cached_references, workload, executor, backend
 ):
     """Every recorded tick replays bit-identically, on every combination."""
     path = tmp_path / "run"
-    record_run(
-        WORLDS[workload], path, executor=executor, backend=backend, resident=resident
-    )
+    record_run(WORLDS[workload], path, executor=executor, backend=backend)
     reference = cached_references(workload)
     history = History.open(path)
 
@@ -129,8 +127,7 @@ def test_state_at_matches_fresh_run_across_backends(
     assert history.last_tick == TICKS
     for tick in range(TICKS + 1):
         assert history.state_at(tick) == reference[tick], (
-            f"replay diverged at tick {tick} "
-            f"({workload}, {executor}, {backend}, resident={resident})"
+            f"replay diverged at tick {tick} ({workload}, {executor}, {backend})"
         )
 
 

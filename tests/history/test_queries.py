@@ -237,7 +237,6 @@ class TestProvenanceManifest:
         assert provenance["seed"] == 2
         # Automatic knobs are stored resolved, never as None/auto.
         assert provenance["config"]["spatial_backend"] in ("python", "vectorized")
-        assert provenance["config"]["resident_shards"] in (True, False)
 
     def test_world_at_reconstructs_bounds_seed_and_tick(self, tmp_path):
         record_ring(tmp_path / "run", ticks=6)

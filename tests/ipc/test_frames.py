@@ -26,6 +26,7 @@ from repro.ipc.frames import (
     unpack_mapping_rows,
 )
 from tests.conftest import Boid
+from tests.wire_double import roundtrip
 
 
 def bits(value: float) -> int:
@@ -313,19 +314,17 @@ class TestColumnarCodec:
         decoded = codec.decode(codec.encode(agents))
         assert_agents_bit_identical(agents, decoded)
 
-    def test_roundtrip_reports_real_bytes_for_picklable_payloads(self):
-        codec = ColumnarCodec()
-        decoded, nbytes = codec.roundtrip([make_boid(i) for i in range(3)])
+    def test_wire_double_reports_real_bytes_for_picklable_payloads(self):
+        decoded, nbytes = roundtrip([make_boid(i) for i in range(3)])
         assert nbytes > 0
         assert len(decoded) == 3
 
-    def test_roundtrip_degrades_for_unpicklable_classes(self):
+    def test_wire_double_degrades_for_unpicklable_classes(self):
         class Local(Boid):  # not importable by name -> unpicklable
             pass
 
-        codec = ColumnarCodec()
         agents = [Local(agent_id=0)]
-        decoded, nbytes = codec.roundtrip(agents)
+        decoded, nbytes = roundtrip(agents)
         assert nbytes == 0
         assert type(decoded[0]) is Local
         assert decoded[0] is not agents[0]

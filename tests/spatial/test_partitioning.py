@@ -107,6 +107,39 @@ class TestStripPartitioning:
 
 
 # ---------------------------------------------------------------------------
+# Replication past the world box
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "partitioning",
+    [GridPartitioning(BOUNDS, [3, 2]), StripPartitioning.uniform(BOUNDS, axis=0, num_strips=3)],
+    ids=["grid", "strip"],
+)
+class TestWorldEdgeReplication:
+    """``partition_of`` clamps outside points into an edge partition, so the
+    visible regions must be open on the faces that lie on the world bounds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate, coordinate, st.floats(min_value=0.1, max_value=20))
+    def test_points_inside_the_box_see_the_closed_regions(self, partitioning, x, y, radius):
+        closed = [
+            part.partition_id
+            for part in partitioning.partitions()
+            if part.visible_region(radius).contains_point((x, y))
+        ]
+        assert partitioning.replication_targets((x, y), radius) == closed
+
+    @pytest.mark.parametrize("y", [-150.0, 250.0])
+    def test_points_far_outside_still_reach_their_neighbours(self, partitioning, y):
+        # x=34 is owned by the middle column and visible (radius 2) from the
+        # left one; being 150 units outside the box in y must not change that.
+        owners = {
+            partitioning.partition_of((x, y)) for x in (32.0, 34.0)
+        }
+        assert len(owners) == 2
+        assert set(partitioning.replication_targets((34.0, y), 2.0)) == owners
+
+
+# ---------------------------------------------------------------------------
 # Batch / scalar equivalence (property-based)
 # ---------------------------------------------------------------------------
 #: Bounds far from the origin: (coordinate - lo) loses low-order bits to
