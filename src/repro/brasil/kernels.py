@@ -5,7 +5,9 @@ agent's ``run()`` body and update rules one agent — one *pair*, inside a
 ``foreach`` — at a time.  This module compiles whole query and update
 plans to NumPy so a phase becomes a handful of array operations: effect
 aggregation turns into ``np.ufunc.at`` scatter-reductions over the spatial
-join's match lists, and update rules turn into column arithmetic over a
+join's pair arrays (:meth:`~repro.core.context.QueryContext.visible_pairs`:
+no agent object is touched between the join and the effect writeback), and
+update rules turn into column arithmetic over a
 :class:`~repro.core.soa.AgentTable` structure-of-arrays snapshot.
 
 Bit-identity with the interpreter is the contract, never tolerance, so the
@@ -41,6 +43,7 @@ for the interpreter to process from scratch.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -435,19 +438,17 @@ class _Accumulator:
 
     def writeback(self, agents: Sequence[Any]) -> None:
         """Store combined accumulators into the touched agents' effects."""
-        for row in np.nonzero(self.touch)[0]:
-            agent = agents[int(row)]
-            name = self.combinator
-            if name == "count":
-                value: Any = int(self.data[row])
-            elif name in ("any", "all"):
-                value = bool(self.data[row])
-            elif name == "mean":
-                value = (float(self.sums[row]), int(self.counts[row]))
-            else:
-                value = float(self.data[row])
-            agent._effects[self.field] = value
-            agent._effects_touched.add(self.field)
+        rows = np.flatnonzero(self.touch)
+        # tolist() rebuilds native ints / bools / floats with exact values.
+        if self.combinator == "mean":
+            values = list(zip(self.sums[rows].tolist(), self.counts[rows].tolist()))
+        else:
+            values = self.data[rows].tolist()
+        field = self.field
+        for row, value in zip(rows.tolist(), values):
+            agent = agents[row]
+            agent._effects[field] = value
+            agent._effects_touched.add(field)
 
 
 class _VectorFrame:
@@ -462,6 +463,9 @@ class _VectorFrame:
         self.context = None
         self.kernel: Optional[QueryKernel] = None
         self.probes: List[Any] = []
+        #: Canonical extent row -> is it this kernel's class / its table row.
+        self.in_class: Optional[np.ndarray] = None
+        self.table_rows: Optional[np.ndarray] = None
         self.accumulators: Dict[str, _Accumulator] = {}
         self.pair_probe: Optional[np.ndarray] = None
         self.pair_rows: Optional[np.ndarray] = None
@@ -473,7 +477,8 @@ class _VectorFrame:
     @classmethod
     def for_query(cls, kernel: QueryKernel, owned: Sequence[Any], context: Any):
         canonical = context._canonical_agents()
-        extent = [a for a in canonical if type(a).__name__ == kernel.class_name]
+        in_class = [type(agent).__name__ == kernel.class_name for agent in canonical]
+        extent = list(compress(canonical, in_class))
         try:
             table = AgentTable(extent, kernel.state_field_names)
         except UnpackableValueError as exc:
@@ -488,6 +493,8 @@ class _VectorFrame:
         frame.kernel = kernel
         frame.context = context
         frame.probes = list(owned)
+        frame.in_class = np.array(in_class, dtype=bool)
+        frame.table_rows = np.cumsum(frame.in_class) - 1
         frame.state_fields = set(kernel.state_field_names)
         frame.accumulators = {
             field: _Accumulator(
@@ -738,25 +745,19 @@ class _VectorFrame:
             raise PlanKernelFallback(f"statement {type(statement).__name__}")
 
     def _exec_foreach(self, statement: ForEach, mask: np.ndarray) -> None:
-        # Resolve the extent per active probe through the same public
-        # context API the interpreter uses: identical matches, identical
-        # work accounting, canonical (ascending) match order.
-        pair_probe: List[int] = []
-        pair_rows: List[int] = []
-        row_of = self.table.row_of
-        class_name = self.kernel.class_name
-        for index in np.nonzero(mask)[0]:
-            agent = self.probes[int(index)]
-            for match in self.context.visible(agent):
-                if type(match).__name__ == class_name:
-                    pair_probe.append(int(index))
-                    pair_rows.append(row_of(match))
+        # One set-at-a-time call resolves every active probe's extent:
+        # the matches, order and work accounting of the interpreter's
+        # ``visible()`` per probe, as pair index arrays.
+        active = np.flatnonzero(mask)
+        probes = [self.probes[index] for index in active.tolist()]
+        pair_probe, pair_rows = self.context.visible_pairs(probes)
+        same_class = self.in_class[pair_rows]
         saved_locals = dict(self.locals)
-        self.pair_probe = np.array(pair_probe, dtype=np.intp)
-        self.pair_rows = np.array(pair_rows, dtype=np.intp)
+        self.pair_probe = active[pair_probe[same_class]]
+        self.pair_rows = self.table_rows[pair_rows[same_class]]
         self.loopvar = statement.variable
         self._pair_cache = {}
-        pair_mask = np.ones(len(pair_rows), dtype=bool)
+        pair_mask = np.ones(len(self.pair_rows), dtype=bool)
         self.exec_block(statement.body.statements, pair_mask, "pair")
         # Locals declared (or re-declared) inside the loop held the last
         # iteration's scalar in the interpreter; no single vector
@@ -788,31 +789,29 @@ class _VectorFrame:
 # ----------------------------------------------------------------------
 # Kernel construction and caching
 # ----------------------------------------------------------------------
-def build_query_kernel(
-    class_decl: ClassDecl, info: ScriptInfo, restrict_to_visible: bool = True
-) -> Optional[QueryKernel]:
-    """Compile the class's ``run()`` body, or ``None`` if unprovable."""
+def _compile_query_kernel(
+    class_decl: ClassDecl, info: ScriptInfo, restrict_to_visible: bool
+) -> QueryKernel:
+    """Compile the class's ``run()`` body or raise ``_Unsupported`` with why not."""
     run_method = class_decl.run_method()
     if run_method is None or not info.has_run_method:
-        return None
+        raise _Unsupported("no run() method")
     if info.uses_rand_in_query:
-        return None
+        raise _Unsupported("rand() in the query phase")
     body = run_method.body
     uses_foreach = any(isinstance(stmt, ForEach) for stmt in _all_statements(body))
-    if uses_foreach and not (info.has_bounded_visibility and restrict_to_visible):
-        return None
-    try:
-        _validate_query_body(body, info)
-    except _Unsupported:
-        return None
+    if uses_foreach and not info.has_bounded_visibility:
+        raise _Unsupported("foreach over an unbounded visible region")
+    if uses_foreach and not restrict_to_visible:
+        raise _Unsupported("foreach not restricted to the visible region")
+    _validate_query_body(body, info)
     return QueryKernel(info.class_name, body, info)
 
 
-def build_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> Optional[UpdateKernel]:
-    """Compile the class's update rules, or ``None`` if unprovable."""
+def _compile_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> UpdateKernel:
+    """Compile the class's update rules or raise ``_Unsupported`` with why not."""
     if info.uses_rand_in_update:
-        return None
-    rules = []
+        raise _Unsupported("rand() in an update rule")
     readable = {
         name
         for name, combinator in info.effect_combinators.items()
@@ -823,17 +822,38 @@ def build_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> Optional[Upd
         agent_names=set(),
         state_fields=set(),
     )
+    rules = []
     for field_decl in class_decl.state_fields():
         if field_decl.update_rule is None:
             continue
         try:
             checker.check(field_decl.update_rule)
-        except _Unsupported:
-            return None
+        except _Unsupported as exc:
+            raise _Unsupported(f"update rule of {field_decl.name!r}: {exc}") from exc
         rules.append((field_decl.name, field_decl.update_rule))
     if not rules:
-        return None
+        raise _Unsupported("no update rules")
     return UpdateKernel(info.class_name, rules, info)
+
+
+def _try_compile(compile_kernel, *args):
+    """``(kernel, None)``, or ``(None, reason)`` keeping the ``_Unsupported`` message."""
+    try:
+        return compile_kernel(*args), None
+    except _Unsupported as exc:
+        return None, str(exc)
+
+
+def build_query_kernel(
+    class_decl: ClassDecl, info: ScriptInfo, restrict_to_visible: bool = True
+) -> Optional[QueryKernel]:
+    """Compile the class's ``run()`` body, or ``None`` if unprovable."""
+    return _try_compile(_compile_query_kernel, class_decl, info, restrict_to_visible)[0]
+
+
+def build_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> Optional[UpdateKernel]:
+    """Compile the class's update rules, or ``None`` if unprovable."""
+    return _try_compile(_compile_update_kernel, class_decl, info)[0]
 
 
 def _all_statements(block: Block):
@@ -867,14 +887,35 @@ def kernels_for_class(cls) -> Tuple[Optional[QueryKernel], Optional[UpdateKernel
     info = getattr(cls, "_script_info", None)
     if class_decl is None or info is None:
         kernels: Tuple[Optional[QueryKernel], Optional[UpdateKernel]] = (None, None)
+        reasons = dict.fromkeys(("query", "update"), "not a BRASIL-compiled class")
     else:
         restrict = getattr(cls, "_restrict_to_visible", True)
-        kernels = (
-            build_query_kernel(class_decl, info, restrict),
-            build_update_kernel(class_decl, info),
+        query_kernel, query_reason = _try_compile(
+            _compile_query_kernel, class_decl, info, restrict
         )
+        update_kernel, update_reason = _try_compile(_compile_update_kernel, class_decl, info)
+        kernels = (query_kernel, update_kernel)
+        reasons = {
+            phase: reason
+            for phase, reason in (("query", query_reason), ("update", update_reason))
+            if reason is not None
+        }
     cls._plan_kernels = kernels
+    cls._plan_fallback_reasons = reasons
     return kernels
+
+
+def kernel_fallback_reasons(cls) -> Dict[str, str]:
+    """Why ``cls`` runs a phase interpreted: ``{"query" | "update": reason}``.
+
+    A phase that compiled has no entry, so an empty dict means both phases
+    run as kernels.  The reason names the first construct the plan compiler
+    could not prove (``"nested foreach"``, ``"rand() in the query phase"``).
+    Runtime fallbacks (:class:`PlanKernelFallback`) are per tick and not
+    recorded here.
+    """
+    kernels_for_class(cls)
+    return dict(cls.__dict__["_plan_fallback_reasons"])
 
 
 def resolve_plan_backend(plan_backend: Optional[str], agent_classes) -> str:

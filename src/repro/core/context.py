@@ -131,8 +131,10 @@ class QueryContext:
         self._canonical_rank: dict[int, int] | None = None
         #: radius -> (per-row neighbour arrays, per-row examined counts).
         self._neighbor_batches: dict[float, tuple] = {}
-        #: Lazily computed per-row visible-region matches (vectorized only).
-        self._visible_batch = None
+        #: Lazily computed σ_V batch over the snapshot (vectorized only), as
+        #: CSR: row ``r`` matched ``match_rows[offsets[r]:offsets[r + 1]]``
+        #: (ascending, self included) and surfaced ``examined[r]`` candidates.
+        self._visible_batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if self.spatial_backend == "vectorized":
             self._index = None
         else:
@@ -348,8 +350,7 @@ class QueryContext:
 
     def _visible_vectorized(self, agent, include_self) -> list[Any]:
         snapshot = self._ensure_snapshot()
-        region = agent.visible_region()
-        if region is None:
+        if not agent.has_bounded_visibility():
             # Mirror the interpreted path exactly, including its work charge:
             # a full-extent scan, no index probe.
             self.work_units += len(self._agents)
@@ -357,46 +358,117 @@ class QueryContext:
         row = snapshot.row_of(agent)
         self.index_probes += 1
         if row is None:
+            region = agent.visible_region()
             rows = snapshot.scan_box(region.lows, region.highs)
             self.work_units += self._probe_work(len(rows))
             return self._materialize(snapshot, rows, agent, include_self)
-        if self._visible_batch is None:
-            self._visible_batch = self._build_visible_batch(snapshot)
-        lists, examined = self._visible_batch
+        offsets, match_rows, examined = self._visible_csr()
         self.work_units += self._probe_work(int(examined[row]))
-        rows = lists[row]
+        rows = match_rows[offsets[row] : offsets[row + 1]]
         if not include_self:
             rows = rows[rows != row]
         return snapshot.take(rows)
 
+    def visible_pairs(self, probes: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+        """Every probe's visible matches at once, as two parallel index arrays.
+
+        The set-at-a-time form of :meth:`visible` for the plan kernels:
+        pair ``k`` says probe ``probes[pair_probe[k]]`` sees the agent at
+        canonical row ``pair_rows[k]`` (the snapshot's row order, i.e.
+        ascending :func:`agent_sort_key` over the extent).  Pairs are laid
+        out probe-major, matches ascending, the probe itself excluded —
+        exactly what calling ``visible(probe)`` once per probe, in order,
+        returns — and ``work_units`` / ``index_probes`` are charged exactly
+        what those calls would charge.
+
+        When the vectorized batch covers every probe the arrays are gathered
+        straight from its CSR; otherwise (python backend, unbounded
+        visibility, a probe outside the snapshot) they are assembled from
+        :meth:`visible` itself, so callers have one code path.
+        """
+        if not probes:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        rows = self._batch_rows(probes)
+        if rows is None:
+            rank = self._rank()
+            counts, matched = [], []
+            for agent in probes:
+                matches = self.visible(agent)
+                counts.append(len(matches))
+                matched.extend(rank[id(match)] for match in matches)
+            pair_probe = np.repeat(np.arange(len(probes), dtype=np.intp), counts)
+            return pair_probe, np.array(matched, dtype=np.intp)
+        offsets, match_rows, examined = self._visible_csr()
+        self.index_probes += len(probes)
+        self.work_units += len(probes) * self._probe_work(0) + int(examined[rows].sum())
+        starts = offsets[rows]
+        counts = offsets[rows + 1] - starts
+        pair_probe = np.repeat(np.arange(len(probes), dtype=np.intp), counts)
+        # Position of every pair inside match_rows: each probe's run start
+        # plus the pair's offset within its run.
+        positions = np.arange(len(pair_probe), dtype=np.intp)
+        positions += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        pair_rows = match_rows[positions]
+        others = pair_rows != rows[pair_probe]
+        return pair_probe[others], pair_rows[others]
+
+    def _batch_rows(self, probes: Sequence[Any]) -> np.ndarray | None:
+        """Snapshot rows of ``probes`` when the σ_V batch serves all of them."""
+        if self.spatial_backend != "vectorized":
+            return None
+        if not all(cls.has_bounded_visibility() for cls in set(map(type, probes))):
+            return None
+        snapshot = self._ensure_snapshot()
+        rows = [snapshot.row_of(agent) for agent in probes]
+        if None in rows:
+            return None
+        return np.array(rows, dtype=np.intp)
+
+    def _visible_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The σ_V batch ``(offsets, match_rows, examined)``, joined at most once."""
+        if self._visible_batch is None:
+            self._visible_batch = self._build_visible_batch(self._ensure_snapshot())
+        return self._visible_batch
+
     def _build_visible_batch(self, snapshot: PointSet):
         """Batch σ_V probe: every row's declared visible region at once.
 
-        Rows with unbounded visibility never consult the batch (they take
-        the full-extent path above), so their probe boxes are voided —
-        the kernel marks them invalid and does no work for them.
+        Probe boxes are column arithmetic per agent class — ``points -
+        radii`` / ``points + radii``, the same float64 operations
+        :meth:`BBox.around` performs per agent, including its rejection of
+        a negative radius.  Rows with unbounded visibility never consult
+        the batch (they take the full-extent path), so their probe boxes
+        stay voided — the kernel marks them invalid and does no work for
+        them.
         """
         points = snapshot.points
-        lows = np.empty_like(points)
-        highs = np.empty_like(points)
-        sides: list[Any] = []
-        for row, candidate in enumerate(snapshot.items):
-            region = candidate.visible_region()
-            if region is None:
-                lows[row] = np.inf
-                highs[row] = -np.inf
-            else:
-                lows[row] = region.lows
-                highs[row] = region.highs
-                sides.append(highs[row] - lows[row])
-        if sides:
-            cell = np.maximum(np.max(sides, axis=0), 1e-12)
+        lows = np.full_like(points, np.inf)
+        highs = np.full_like(points, -np.inf)
+        classes = list(map(type, snapshot.items))
+        bounded = np.zeros(len(points), dtype=bool)
+        for cls in set(classes):
+            if not cls.has_bounded_visibility():
+                continue
+            rows = np.flatnonzero([c is cls for c in classes])
+            radii = np.array(cls.visibility_radii(), dtype=np.float64)
+            lows[rows] = points[rows] - radii
+            highs[rows] = points[rows] + radii
+            bounded[rows] = True
+        bounded_lows, bounded_highs = lows[bounded], highs[bounded]
+        inverted = bounded_lows > bounded_highs
+        if inverted.any():
+            raise ValueError(
+                "BBox interval has low > high: "
+                f"({bounded_lows[inverted][0]}, {bounded_highs[inverted][0]})"
+            )
+        if bounded.any():
+            cell = np.maximum((bounded_highs - bounded_lows).max(axis=0), 1e-12)
         else:
             cell = np.maximum(points.max(axis=0) - points.min(axis=0), 1.0)
         grid = VectorizedGrid(snapshot, cell)
-        probe_ids, rows, examined = grid.batch_range_query(lows, highs)
-        cuts = np.searchsorted(probe_ids, np.arange(1, len(snapshot)))
-        return np.split(rows, cuts), examined
+        probe_ids, match_rows, examined = grid.batch_range_query(lows, highs)
+        offsets = np.searchsorted(probe_ids, np.arange(len(points) + 1))
+        return offsets, match_rows, examined
 
     def _nearest_vectorized(self, agent, center, k: int) -> list[Any]:
         snapshot = self._ensure_snapshot()

@@ -24,9 +24,10 @@ Writeback is keyed by the *object references* captured at pack time, not by
 row position in some later list, so agents born or killed between pack and
 writeback cannot shift rows: new agents are simply not in the table, and
 rows whose agents left the world write to an unreferenced ``_state`` dict,
-which is harmless.  A cell whose packed value never changed writes the
-*original* Python object back (same type, same NaN payload), making a
-pack → writeback round-trip bit-identical to not packing at all.
+which is harmless.  A cell whose packed bit pattern never changed is not
+written at all, so it keeps the *original* Python object (same type, same
+NaN payload), making a pack → writeback round-trip bit-identical to not
+packing at all.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ def pack_value(value) -> float:
 
 def pack_column(values: Iterable) -> np.ndarray:
     """Pack a sequence of field values into one ``float64`` column."""
+    values = list(values)
+    if set(map(type, values)) <= {float}:
+        # All floats already: one C-level conversion, bit patterns verbatim.
+        return np.array(values, dtype=np.float64)
     return np.array([pack_value(value) for value in values], dtype=np.float64)
 
 
@@ -241,14 +246,11 @@ class AgentTable:
         self.field_names: List[str] = list(field_names)
         self._row_of: Dict[int, int] = {id(a): i for i, a in enumerate(self.agents)}
         self._columns: Dict[str, np.ndarray] = {}
-        self._originals: Dict[str, list] = {}
         self._packed_originals: Dict[str, np.ndarray] = {}
         self._dirty: set = set()
         for name in self.field_names:
-            originals = [agent._state[name] for agent in self.agents]
-            packed = pack_column(originals)
+            packed = pack_column([agent._state[name] for agent in self.agents])
             self._columns[name] = packed
-            self._originals[name] = originals
             self._packed_originals[name] = packed.copy()
 
     def __len__(self) -> int:
@@ -287,19 +289,19 @@ class AgentTable:
     def writeback(self) -> None:
         """Write dirty columns back into the agents' ``_state`` dicts.
 
-        Cells whose packed value is unchanged restore the original Python
-        object (preserving its type and, for NaN, its identity); changed
-        cells are written as Python floats — matching what the interpreted
-        update path stores for computed values.
+        Only cells whose bit pattern differs from the packed original are
+        written, as Python floats — matching what the interpreted update
+        path stores for computed values.  Every other cell keeps the
+        original Python object (its type and, for NaN, its identity).
         """
+        agents = self.agents
         for name in sorted(self._dirty):
             column = self._columns[name]
-            originals = self._originals[name]
-            packed_originals = self._packed_originals[name]
-            for row, agent in enumerate(self.agents):
-                new = float(column[row])
-                if cells_equal(new, float(packed_originals[row])):
-                    agent._state[name] = originals[row]
-                else:
-                    agent._state[name] = new
+            # uint64 views compare bit patterns: NaN payloads and the sign
+            # of zero count, exactly as cells_equal defines "same".
+            changed = np.flatnonzero(
+                column.view(np.uint64) != self._packed_originals[name].view(np.uint64)
+            )
+            for row, value in zip(changed.tolist(), column[changed].tolist()):
+                agents[row]._state[name] = value
         self._dirty.clear()

@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterator
 from repro.core.agent import Agent
 from repro.core.errors import HistoryError
 from repro.core.ordering import agent_sort_key
+from repro.core.soa import cells_equal, states_equal
 from repro.core.world import World
 from repro.history.recorder import unpack_column
 from repro.history.store import HistoryStore
@@ -304,7 +305,9 @@ class History:
         per-agent, per-field delta report at that tick — the cross-run
         debugging primitive: two runs that should be bit-identical either
         come back ``identical``, or the report pinpoints exactly where and
-        how they split.
+        how they split.  "Differ" is the exact oracle's definition
+        (:func:`repro.core.soa.cells_equal`): a NaN equals the same NaN,
+        ``0.0`` and ``-0.0`` are different cells.
         """
         start = max(self.base_tick, other.base_tick) if start is None else start
         stop = min(self.last_tick, other.last_tick) if stop is None else stop
@@ -317,19 +320,22 @@ class History:
         mine = self.walk(start, stop)
         theirs = other.walk(start, stop)
         for (tick, left), (_, right) in zip(mine, theirs):
-            if left == right:
+            if states_equal(left, right):
                 continue
             only_left = tuple(sorted(set(left) - set(right), key=agent_sort_key))
             only_right = tuple(sorted(set(right) - set(left), key=agent_sort_key))
             deltas: dict[Any, dict[str, tuple[Any, Any]]] = {}
             for agent_id in set(left) & set(right):
-                if left[agent_id] == right[agent_id]:
-                    continue
-                deltas[agent_id] = {
-                    name: (left[agent_id][name], right[agent_id].get(name))
-                    for name in left[agent_id]
-                    if left[agent_id][name] != right[agent_id].get(name)
+                ours, others = left[agent_id], right[agent_id]
+                changed = {
+                    name: (ours.get(name), others.get(name))
+                    for name in {**ours, **others}
+                    if name not in ours
+                    or name not in others
+                    or not cells_equal(ours[name], others[name])
                 }
+                if changed:
+                    deltas[agent_id] = changed
             return HistoryDiff(
                 ticks_compared=(start, stop),
                 first_divergent_tick=tick,

@@ -77,6 +77,16 @@ def _pairwise_dist_sq(diff: np.ndarray) -> np.ndarray:
     return total
 
 
+def _columns(matrix: np.ndarray) -> list[np.ndarray]:
+    """One contiguous array per dimension of an ``(n, dim)`` matrix.
+
+    The exact filters gather candidate coordinates by row; a gather from a
+    contiguous column moves 8 bytes per candidate where a fancy-indexed
+    ``(n, dim)`` row gather builds a temporary matrix first.
+    """
+    return [np.ascontiguousarray(matrix[:, dimension]) for dimension in range(matrix.shape[1])]
+
+
 def derive_cell_size(points: np.ndarray, target_per_cell: float = 2.0) -> tuple[float, ...]:
     """A data-derived grid cell size: ~``target_per_cell`` items per cell.
 
@@ -352,14 +362,17 @@ class VectorizedGrid:
         Returns ``(probe_ids, match_rows, examined)`` with the pair arrays
         sorted by ``(probe, row)``.
         """
-        points = self.pointset.points
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
+        columns = _columns(self.pointset.points)
+        low_columns, high_columns = _columns(lows), _columns(highs)
 
         def keep(probe_ids: np.ndarray, rows: np.ndarray):
-            candidate_points = points[rows]
-            inside = (candidate_points >= lows[probe_ids]).all(axis=1)
-            inside &= (candidate_points <= highs[probe_ids]).all(axis=1)
+            inside = np.ones(len(rows), dtype=bool)
+            for column, low, high in zip(columns, low_columns, high_columns):
+                coordinate = column[rows]
+                inside &= coordinate >= low[probe_ids]
+                inside &= coordinate <= high[probe_ids]
             return inside, inside
 
         return self._batch_join(lows, highs, keep)
@@ -375,23 +388,28 @@ class VectorizedGrid:
         subnormal-scale offsets the squared distance underflows to zero
         while the box still excludes the point.
         """
-        points = self.pointset.points
         centers = np.asarray(centers, dtype=np.float64)
         radius = float(radius)
         radius_sq = radius * radius
-        lows = centers - radius
-        highs = centers + radius
+        columns = _columns(self.pointset.points)
+        center_columns = _columns(centers)
 
         def keep(probe_ids: np.ndarray, rows: np.ndarray):
-            candidate_points = points[rows]
-            inside = (candidate_points >= lows[probe_ids]).all(axis=1)
-            inside &= (candidate_points <= highs[probe_ids]).all(axis=1)
-            dist_sq = _pairwise_dist_sq(candidate_points - centers[probe_ids])
+            inside = np.ones(len(rows), dtype=bool)
+            dist_sq = np.zeros(len(rows), dtype=np.float64)
+            for column, center_column in zip(columns, center_columns):
+                coordinate = column[rows]
+                center = center_column[probe_ids]
+                inside &= coordinate >= center - radius
+                inside &= coordinate <= center + radius
+                # Left-to-right accumulation, as in _pairwise_dist_sq.
+                diff = coordinate - center
+                dist_sq += diff * diff
             # Work charge = the box candidates an interpreted index surfaces;
             # matches additionally pass the distance test.
             return inside & (dist_sq <= radius_sq), inside
 
-        return self._batch_join(lows, highs, keep)
+        return self._batch_join(centers - radius, centers + radius, keep)
 
 
 def _split_rows(probe_ids: np.ndarray, rows: np.ndarray, n_probes: int) -> list[np.ndarray]:

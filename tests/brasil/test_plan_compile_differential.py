@@ -32,7 +32,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.brace.config import BraceConfig
 from repro.brasil import compile_script, run_script
-from repro.core.soa import states_equal
+from repro.brasil.kernels import QueryKernel, kernel_fallback_reasons
+from repro.core.context import QueryContext
+from repro.core.soa import AgentTable, states_equal
+from repro.spatial.columnar import PointSet
+
+from tests.conftest import Boid
 
 TICKS = 3
 NUM_AGENTS = 10
@@ -329,8 +334,12 @@ class TestFallbackScripts:
             "            cnt <- 1;\n"
             "        }\n    }\n}\n"
         )
-        selection = compile_script(source).plan_selection
-        assert selection is not None and not selection.query_compiled
+        compiled = compile_script(source)
+        assert not compiled.plan_selection.query_compiled
+        # The update rules compiled; the query phase says why it did not.
+        assert kernel_fallback_reasons(compiled.agent_class) == {
+            "query": "rand() in the query phase"
+        }
         _assert_differential(source, ticks=4)
 
     def test_nested_foreach_falls_back_and_matches(self):
@@ -347,9 +356,54 @@ class TestFallbackScripts:
             "            }\n"
             "        }\n    }\n}\n"
         )
-        selection = compile_script(source).plan_selection
-        assert selection is not None and not selection.query_compiled
+        compiled = compile_script(source)
+        assert not compiled.plan_selection.query_compiled
+        assert kernel_fallback_reasons(compiled.agent_class) == {"query": "nested foreach"}
         _assert_differential(source, ticks=4)
+
+    def test_compiled_and_hand_written_classes_report_too(self):
+        compiled = compile_script(_combinator_script("sum", "p."))
+        assert kernel_fallback_reasons(compiled.agent_class) == {}
+        assert kernel_fallback_reasons(Boid) == {
+            "query": "not a BRASIL-compiled class",
+            "update": "not a BRASIL-compiled class",
+        }
+
+
+class TestColumnarQueryPhase:
+    """Exact call counts (cannot flake): a compiled vectorized tick asks the
+    context for pair arrays once, never for per-agent object lists."""
+
+    def test_compiled_tick_makes_no_per_agent_or_per_pair_calls(self, monkeypatch):
+        agents, ticks = 80, 2
+        calls: dict[str, int] = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(QueryContext, "visible")
+        count(QueryContext, "visible_pairs")
+        count(PointSet, "take")
+        count(AgentTable, "row_of")
+        count(QueryKernel, "run")
+        config = BraceConfig(num_workers=1, plan_backend="compiled", spatial_backend="vectorized")
+        result = run_script(
+            _combinator_script("sum", "p."), config, num_agents=agents, ticks=ticks, seed=3
+        )
+        assert len(result.final_states()) == agents
+        # The kernels ran every tick and resolved their pairs in one call...
+        assert calls["run"] == ticks
+        assert calls["visible_pairs"] == ticks
+        # ...with no object-at-a-time bridge left around them.
+        assert "visible" not in calls
+        assert "take" not in calls
+        assert calls["row_of"] <= agents * ticks
 
 
 class TestPlanSelectionReporting:

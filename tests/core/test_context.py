@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.agent import Agent
 from repro.core.context import QueryContext, UpdateContext, agent_rng
 from repro.core.errors import VisibilityError, WorldError
+from repro.core.fields import StateField
+from repro.core.ordering import agent_sort_key
 
 from tests.conftest import Boid, make_boid_world
 
@@ -148,3 +152,159 @@ class TestUpdateContext:
         first.merge(second)
         assert len(first.spawn_requests) == 1
         assert first.kill_requests == {2}
+
+
+# ---------------------------------------------------------------------------
+# visible_pairs: the set-at-a-time form of visible()
+# ---------------------------------------------------------------------------
+class Near(Agent):
+    x = StateField(0.0, spatial=True, visibility=2.0)
+    y = StateField(0.0, spatial=True, visibility=2.0)
+
+
+class Far(Agent):
+    x = StateField(0.0, spatial=True, visibility=5.0)
+    y = StateField(0.0, spatial=True, visibility=3.0)
+
+
+class Everywhere(Agent):
+    x = StateField(0.0, spatial=True, visibility=None)
+    y = StateField(0.0, spatial=True, visibility=None)
+
+
+class Inverted(Agent):
+    x = StateField(0.0, spatial=True, visibility=-1.0)
+    y = StateField(0.0, spatial=True, visibility=1.0)
+
+
+#: A coarse lattice makes coincident points and on-the-boundary matches
+#: common; 40.0 / -1e6 sit outside any world box the cluster would suggest.
+_COORDINATES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 5.5, 8.0, 40.0, -1e6])
+
+
+@st.composite
+def extents(draw, classes=(Near, Far), allow_nan=False):
+    """``(agents, probes)``: a shuffled mixed-class extent and a probe subset.
+
+    Agents left out of ``probes`` play the replicas of a worker's extent (in
+    the extent, never probing) and the lanes a ``foreach`` under ``if``
+    masks off.
+    """
+    count = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.permutations(range(count)))
+    agents = []
+    for agent_id in ids:
+        cls = draw(st.sampled_from(classes))
+        agents.append(cls(agent_id=agent_id, x=draw(_COORDINATES), y=draw(_COORDINATES)))
+    if allow_nan:
+        agents[draw(st.integers(0, count - 1))]._state["x"] = float("nan")
+    probes = [agent for agent in agents if draw(st.booleans())]
+    return agents, probes
+
+
+def _looped(context, probes):
+    """What one ``visible()`` call per probe returns, as ``(probe, match)`` ids."""
+    return [
+        (index, match.agent_id)
+        for index, probe in enumerate(probes)
+        for match in context.visible(probe)
+    ]
+
+
+def _paired(context, agents, probes):
+    canonical = sorted(agents, key=lambda agent: agent_sort_key(agent.agent_id))
+    pair_probe, pair_rows = context.visible_pairs(probes)
+    assert pair_probe.dtype == pair_rows.dtype == np.intp
+    return [
+        (probe, canonical[row].agent_id)
+        for probe, row in zip(pair_probe.tolist(), pair_rows.tolist())
+    ]
+
+
+def _assert_pairs_equal_loop(agents, probes, **options):
+    loop = QueryContext(agents, tick=0, seed=0, **options)
+    batch = QueryContext(agents, tick=0, seed=0, **options)
+    try:
+        expected = _looped(loop, probes)
+    except ValueError:
+        # A NaN coordinate voids the vectorized grid's cell size: both forms
+        # refuse the same way rather than one of them guessing.
+        with pytest.raises(ValueError):
+            batch.visible_pairs(probes)
+        return
+    assert _paired(batch, agents, probes) == expected
+    assert (batch.work_units, batch.index_probes) == (loop.work_units, loop.index_probes)
+
+
+class TestVisiblePairs:
+    @settings(max_examples=150, deadline=None)
+    @given(extents(), st.sampled_from(["kdtree", "grid", None]))
+    def test_vectorized_pairs_equal_looped_visible(self, extent, index):
+        agents, probes = extent
+        _assert_pairs_equal_loop(agents, probes, index=index, spatial_backend="vectorized")
+
+    @settings(max_examples=100, deadline=None)
+    @given(extents(), st.sampled_from(["kdtree", "grid", "quadtree", None]))
+    def test_python_backend_pairs_equal_looped_visible(self, extent, index):
+        # N < 64 resolves to the python backend on its own; index=None is
+        # the un-indexed nested-loop baseline.
+        agents, probes = extent
+        context = QueryContext(agents, tick=0, seed=0, index=index)
+        assert context.spatial_backend == "python"
+        _assert_pairs_equal_loop(agents, probes, index=index)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents(classes=(Near, Far, Everywhere)), st.sampled_from(["python", "vectorized"]))
+    def test_unbounded_probes_take_the_same_route(self, extent, backend):
+        agents, probes = extent
+        _assert_pairs_equal_loop(agents, probes, spatial_backend=backend)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents(allow_nan=True), st.sampled_from(["python", "vectorized"]))
+    def test_nan_coordinate(self, extent, backend):
+        agents, probes = extent
+        _assert_pairs_equal_loop(agents, probes, index=None, spatial_backend=backend)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents(), _COORDINATES, _COORDINATES)
+    def test_probe_outside_the_snapshot(self, extent, x, y):
+        agents, probes = extent
+        outsider = Far(agent_id=99, x=x, y=y)
+        _assert_pairs_equal_loop(agents, probes + [outsider], spatial_backend="vectorized")
+
+    def test_no_probes_no_pairs_no_charge(self):
+        context = QueryContext([Near(agent_id=0)], tick=0, seed=0, spatial_backend="vectorized")
+        pair_probe, pair_rows = context.visible_pairs([])
+        assert len(pair_probe) == len(pair_rows) == 0
+        assert (context.work_units, context.index_probes) == (0, 0)
+
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_negative_radius_is_rejected_like_bbox_around(self, backend):
+        agents = [Inverted(agent_id=0, x=1.0, y=1.0), Inverted(agent_id=1, x=1.5, y=1.0)]
+        with pytest.raises(ValueError, match="low > high"):
+            QueryContext(agents, 0, 0, spatial_backend=backend).visible(agents[0])
+        with pytest.raises(ValueError, match="low > high"):
+            QueryContext(agents, 0, 0, spatial_backend=backend).visible_pairs(agents)
+
+    def test_probe_boxes_are_bit_identical_to_bbox_around(self):
+        # 0.1 + 0.2-style coordinates: p - r and p + r must round exactly as
+        # the per-agent BBox does, or boundary matches flip.
+        rng = np.random.default_rng(5)
+        agents = [
+            (Near if i % 2 else Far)(agent_id=i, x=float(x), y=float(y))
+            for i, (x, y) in enumerate(rng.uniform(0.0, 6.0, size=(120, 2)))
+        ]
+        # Put agents exactly on other agents' region faces.
+        for target, source in ((3, 4), (10, 11), (20, 21)):
+            region = agents[source].visible_region()
+            agents[target]._state["x"] = region.lows[0]
+            agents[target + 30]._state["y"] = region.highs[1]
+        _assert_pairs_equal_loop(agents, agents, spatial_backend="vectorized")
+        _assert_pairs_equal_loop(agents, agents, spatial_backend="python")
+        vectorized = QueryContext(agents, 0, 0, spatial_backend="vectorized")
+        python = QueryContext(agents, 0, 0, spatial_backend="python")
+        assert _paired(vectorized, agents, agents) == _looped(python, agents)
+        assert (vectorized.work_units, vectorized.index_probes) == (
+            python.work_units,
+            python.index_probes,
+        )

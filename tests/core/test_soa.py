@@ -8,6 +8,7 @@ far-origin overflow case, mirroring the partitioning property tests).
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,35 @@ class TestAgentTable:
         table.set_column("w", np.array([0.0]))
         table.writeback()
         assert math.copysign(1.0, agents[0]._state["w"]) == 1.0
+
+    def test_nan_payload_change_is_a_real_write(self):
+        quiet = float("nan")
+        (tagged,) = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))
+        agents = make_particles([quiet, quiet])
+        table = AgentTable(agents)
+        table.set_column("w", np.array([tagged, quiet]))
+        table.writeback()
+        written = agents[0]._state["w"]
+        assert struct.pack("<d", written) == struct.pack("<d", tagged)
+        assert agents[1]._state["w"] is quiet  # same payload: never rewritten
+
+    def test_only_changed_rows_are_written(self):
+        class CountingState(dict):
+            writes = 0
+
+            def __setitem__(self, name, value):
+                self.writes += 1
+                super().__setitem__(name, value)
+
+        agents = make_particles([1.0, -0.0, 3.0])
+        for agent in agents:
+            agent._state = CountingState(agent._state)
+        table = AgentTable(agents)
+        # A strided (non-contiguous) column that flips row 1's zero sign.
+        table.set_column("w", np.array([1.0, 9.0, 0.0, 9.0, 3.0])[::2])
+        table.writeback()
+        assert [agent._state.writes for agent in agents] == [0, 1, 0]
+        assert math.copysign(1.0, agents[1]._state["w"]) == 1.0
 
     def test_nan_and_inf_round_trip(self):
         values = [float("nan"), float("inf"), float("-inf"), -0.0]

@@ -7,13 +7,38 @@ not against hand-built store fixtures.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.api import Simulation
+from repro.core.agent import Agent
 from repro.core.errors import HistoryError, SimulationSessionError
+from repro.core.fields import StateField
+from repro.core.world import World
 from repro.harness.table2 import rmspe_from_histories
 from repro.history import History, HistoryStore
 from repro.simulations.traffic.ring import RING_LENGTH, build_ring_world
+from repro.spatial.bbox import BBox
+
+
+class Gauge(Agent):
+    """Moves along x; ``reading`` is carried unchanged from tick to tick."""
+
+    x = StateField(0.0, spatial=True, visibility=1.0, reachability=1.0)
+    reading = StateField(0.0)
+
+    def update(self, ctx):
+        self.x = self.x + 0.25
+
+
+def record_gauges(path, reading):
+    world = World(bounds=BBox(((0.0, 30.0),)), seed=1)
+    for index in range(3):
+        world.add_agent(Gauge(x=10.0 * index, reading=reading))
+    with Simulation.from_agents(world).with_history(path) as session:
+        session.run(3)
+    return History.open(path)
 
 
 def record_ring(path, *, seed=3, cars=12, ticks=10, **history_options):
@@ -125,6 +150,25 @@ class TestDiff:
     def test_disjoint_ranges_raise(self, tmp_path, history):
         with pytest.raises(HistoryError, match="no ticks"):
             history.diff(history, start=5, stop=2)
+
+    def test_nan_field_does_not_diverge_from_itself(self, tmp_path):
+        # ``nan != nan``: under dict equality a NaN field "differed" on
+        # every tick of two bit-identical runs.
+        left = record_gauges(tmp_path / "left", float("nan"))
+        right = record_gauges(tmp_path / "right", float("nan"))
+        assert math.isnan(left.state_at(left.last_tick)[0]["reading"])
+        assert left.diff(right).identical
+
+    def test_zero_sign_flip_is_a_divergence(self, tmp_path):
+        # ``0.0 == -0.0``: dict equality could not see the flip at all.
+        left = record_gauges(tmp_path / "left", 0.0)
+        right = record_gauges(tmp_path / "right", -0.0)
+        diff = left.diff(right)
+        assert diff.first_divergent_tick == 0
+        assert set(diff.agent_deltas) == {0, 1, 2}
+        assert set(diff.agent_deltas[0]) == {"reading"}
+        ours, theirs = diff.agent_deltas[0]["reading"]
+        assert (math.copysign(1.0, ours), math.copysign(1.0, theirs)) == (1.0, -1.0)
 
 
 class TestRetention:

@@ -171,6 +171,36 @@ class TestKernelPlumbing:
         assert len(rows) == 50 * 50
         assert (examined == 50).all()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_column_filters_equal_the_row_wise_predicates(self, dim):
+        # The exact filters test one coordinate column at a time; the
+        # reference is the row-wise form over every (probe, row) pair.
+        rng = np.random.default_rng(dim)
+        points = np.round(rng.uniform(-4, 4, size=(70, dim)), 1)  # ties on faces
+        pointset = PointSet(distinct_points(points))
+        grid = VectorizedGrid(pointset, 1.5)
+        probe_ids, rows = (a.ravel() for a in np.mgrid[0:70, 0:70])
+
+        lows = points - rng.uniform(0.0, 2.0, size=(70, dim)).round(1)
+        highs = points + rng.uniform(0.0, 2.0, size=(70, dim)).round(1)
+        inside = (points[rows] >= lows[probe_ids]).all(axis=1)
+        inside &= (points[rows] <= highs[probe_ids]).all(axis=1)
+        got_probes, got_rows, examined = grid.batch_range_query(lows, highs)
+        assert (got_probes == probe_ids[inside]).all() and (got_rows == rows[inside]).all()
+        assert (examined == np.bincount(probe_ids[inside], minlength=70)).all()
+
+        radius = 1.7
+        box = (points[rows] >= (points - radius)[probe_ids]).all(axis=1)
+        box &= (points[rows] <= (points + radius)[probe_ids]).all(axis=1)
+        diff = points[rows] - points[probe_ids]
+        dist_sq = diff[:, 0] * diff[:, 0]
+        for dimension in range(1, dim):
+            dist_sq = dist_sq + diff[:, dimension] * diff[:, dimension]
+        near = box & (dist_sq <= radius * radius)
+        got_probes, got_rows, examined = grid.batch_radius_query(points, radius)
+        assert (got_probes == probe_ids[near]).all() and (got_rows == rows[near]).all()
+        assert (examined == np.bincount(probe_ids[box], minlength=70)).all()
+
     def test_infinite_boxes_are_clamped(self):
         pointset = PointSet(distinct_points([(0.0, 0.0), (3.0, 4.0)]))
         lists = batch_range_query(

@@ -114,9 +114,14 @@ class TestRadiusAndNearest:
     )
     def test_radius_matches_brute_force(self, points, center, radius):
         tree = KDTree(points)
+        # A radius query is the closed box ``center ± radius`` pruned by
+        # distance (the contract every index and the columnar kernels
+        # share).  The box is not redundant in floats: a point 1e-28 beyond
+        # the box face can still round to a squared distance of radius².
         expected = [
             point
             for point in points
-            if (point[0] - center[0]) ** 2 + (point[1] - center[1]) ** 2 <= radius * radius
+            if all(c - radius <= p <= c + radius for p, c in zip(point, center))
+            and (point[0] - center[0]) ** 2 + (point[1] - center[1]) ** 2 <= radius * radius
         ]
         assert sorted(tree.radius_query(center, radius)) == sorted(expected)
