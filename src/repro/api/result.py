@@ -57,10 +57,10 @@ class Provenance:
     script_hash: str | None = None
     #: Where the script came from (path, or ``"<script>"`` for inline source).
     script_label: str | None = None
-    #: Resolved node topology for cluster-backend runs — one record per
-    #: connected node (index, address, pid, whether it was auto-spawned,
-    #: and the shards it hosted when the run finished); ``None`` for every
-    #: single-host backend.  Topology affects wall-clock and wire bytes,
+    #: Resolved node topology of a wire-executor run (process, cluster) —
+    #: one record per attached node (index, address, pid, whether the
+    #: driver started it, and the shards it hosted when the run finished);
+    #: ``None`` for every by-reference backend.  Topology affects wall-clock and wire bytes,
     #: never states, so it is recorded but not part of the reproduction key.
     nodes: tuple | None = None
 

@@ -492,11 +492,10 @@ class Simulation(FluentConfig):
                 {type(agent) for agent in self.world.agents()},
             ),
         )
-        # The cluster backend knows which node hosts which shard; record the
-        # resolved topology (addresses, pids, placement) so a result can say
-        # where its shards physically ran.  Duck-typed: every single-host
-        # executor simply lacks the hook.
-        topology = getattr(runtime.executor, "node_topology", None)
+        # A wire executor knows which node process hosts which shard; record
+        # the resolved topology (addresses, pids, placement) so a result can
+        # say where its shards physically ran.
+        executor = runtime.executor
         return Provenance(
             source=self._source,
             model=model,
@@ -505,7 +504,7 @@ class Simulation(FluentConfig):
             config=config,
             script_hash=self._script_hash,
             script_label=self._script_label,
-            nodes=topology() if topology is not None else None,
+            nodes=None if executor.shares_memory else executor.node_topology(),
         )
 
     # ------------------------------------------------------------------
@@ -516,7 +515,7 @@ class Simulation(FluentConfig):
 
         Snapshots the world through the checkpoint machinery and releases
         the executor-hosted shards, so a paused session holds no state in
-        pool processes.  From inside an observer (or between ``next()``
+        node processes.  From inside an observer (or between ``next()``
         calls on an active stream) the pause takes effect at the next tick
         boundary and ends the stream; otherwise it is immediate.
         """

@@ -30,10 +30,11 @@ class BraceConfig:
     # Execution backend ---------------------------------------------------
     #: Where the worker shards live: "serial" (inline, the default) and
     #: "thread" (a shared thread pool) host them in the driver's process and
-    #: hand deltas over by reference; "process" (pool processes) and
-    #: "cluster" (socket-connected node processes, spawnable on other
-    #: machines — see the cluster knobs below) ship deltas as columnar
-    #: frames, so agent classes must be importable by name there.
+    #: hand deltas over by reference; "process" (node processes forked
+    #: over socketpairs) and "cluster" (node processes that dial in over
+    #: TCP, spawnable on other machines — see the cluster knobs below) are
+    #: the same wire executor and ship deltas as columnar frames, so agent
+    #: classes must be importable by name there.
     executor: str = "serial"
     #: Parallel task slots for the thread/process executors.  ``None`` uses
     #: ``min(num_workers, cpu count)``.

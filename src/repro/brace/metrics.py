@@ -43,14 +43,14 @@ class BraceTickStatistics:
     #: fields above), the phase breakdown is real wall clock, so it is *not*
     #: part of the cross-backend determinism contract.
     ipc_serialize_seconds: float = 0.0
-    #: Measured seconds moving encoded frames through shared memory
-    #: (parking/mapping at both ends; 0 on the pipe and in-process paths).
+    #: Measured seconds the driver spent writing encoded command frames to
+    #: the nodes' sockets (0 by reference).
     ipc_transport_seconds: float = 0.0
     #: Measured seconds of shard task bodies, summed across workers.
     ipc_compute_seconds: float = 0.0
     #: Measured round residual: wall clock not covered by serialization,
-    #: transport, or the slowest task — synchronization and pipe overhead,
-    #: the share that comm/compute overlap shrinks.
+    #: transport, or the slowest task — synchronization and the replies'
+    #: trip back.
     ipc_wait_seconds: float = 0.0
     #: Wall-clock seconds each worker's query phase took, indexed by worker id.
     query_seconds_per_worker: list[float] = field(default_factory=list)
@@ -216,11 +216,11 @@ class BraceRunMetrics:
     def ipc_phase_breakdown(self, skip_ticks: int = 0) -> dict[str, float]:
         """Summed per-tick IPC phase seconds: serialize/transport/compute/wait.
 
-        The observable form of the wire format's cost structure: the pickle
-        protocol spends its time in ``serialize``; the columnar shm path
-        shifts it into (much smaller) ``transport`` and overlapped ``wait``.
-        All measured wall clock — compare across runs, not across backends'
-        determinism contract.
+        The observable form of the wire's cost structure: encoding and
+        decoding land in ``serialize``, the socket sends of the commands in
+        ``transport``, and whatever of a round neither they nor the slowest
+        task explain in ``wait``.  All measured wall clock — compare across
+        runs, not across backends' determinism contract.
         """
         ticks = self.ticks[skip_ticks:]
         return {

@@ -32,11 +32,14 @@ transport is the only thing that varies, and the runtime reads it off
 * **by reference** (serial, thread): shards hold the world's own agent
   objects and payloads are handed over as they are — no copy, no bytes, no
   sync; replicas travel as full clones;
-* **columnar frames** (process, cluster): payloads cross a process or socket
-  boundary as :mod:`repro.ipc.frames` frames, replicas travel as per-tick
-  deltas against what the destination already holds, and the driver's world
-  is synced from the shards on demand (:meth:`BraceRuntime.sync_world`).
+* **columnar frames** (process, cluster): the shards live on node processes
+  behind the one wire executor (:mod:`repro.cluster.client`); payloads cross
+  as :mod:`repro.ipc.frames` frames, replicas travel as per-tick deltas
+  against what the destination already holds, and the driver's world is
+  synced from the shards on demand (:meth:`BraceRuntime.sync_world`).
   Measured per-tick IPC scales with the partition boundary, not the world.
+  A wire is also everything that can lose a node: it alone places and
+  migrates shards, keeps a fault log and recovers a lost subset in place.
 
 At epoch boundaries the master may rebalance the partitioning (Figures 7/8)
 — physically moving agents between shards — and trigger coordinated
@@ -124,7 +127,8 @@ class BraceRuntime:
             max_workers = max(1, min(self.config.num_workers, os.cpu_count() or 1))
         #: Execution backend hosting the worker shards.  Its ``shares_memory``
         #: flag is the one transport decision: true hands shard payloads over
-        #: by reference, false ships them as columnar frames.
+        #: by reference, false ships them as columnar frames to node
+        #: processes (which can be lost, and between which shards can move).
         #: The cluster backend is built directly so the config's topology
         #: knobs and the *same* network model that prices virtual time also
         #: drive the physical shard placement.
@@ -557,8 +561,8 @@ class BraceRuntime:
         seconds as measured at both ends, total task compute, and the *wait*
         residual — round wall clock not accounted for by serialization,
         transport, or the slowest task — which is the synchronization + pipe
-        overhead the comm/compute overlap is meant to shrink.  By reference
-        there is no IPC to account for and the breakdown stays zero.
+        overhead.  By reference there is no IPC to account for and the
+        breakdown stays zero.
         """
         start = time.perf_counter()
         results = self._shard_round_raw(tasks)
@@ -594,10 +598,9 @@ class BraceRuntime:
             raise
 
     def _drain_fault_events(self) -> None:
-        """Move supervision events from the executor onto the runtime."""
-        drain = getattr(self.executor, "drain_fault_events", None)
-        if drain is not None:
-            self.fault_events.extend(drain())
+        """Move supervision events from a wire executor onto the runtime."""
+        if not self.executor.shares_memory:
+            self.fault_events.extend(self.executor.drain_fault_events())
 
     def _invalidate_shards(self) -> None:
         """Drop the executor-hosted shard state; the next tick re-seeds it."""
@@ -681,7 +684,7 @@ class BraceRuntime:
         states and no simulation state lives inside the executor; the runtime
         stays fully usable — the next tick lazily re-seeds the shards.  This
         is the teardown half of the session layer's ``pause()``: a paused
-        simulation occupies no pool-process memory.
+        simulation keeps no shard state on its node processes.
         """
         self.metrics.add_sync_ipc(self.sync_world())
         if self._shards_ready:
@@ -708,7 +711,7 @@ class BraceRuntime:
         try:
             self.metrics.add_sync_ipc(self.sync_world())
         except ExecutorError:
-            # Closing must succeed even when the pool already died; the
+            # Closing must succeed even when the nodes already died; the
             # world then keeps its last synced states.
             pass
         finally:
@@ -824,16 +827,13 @@ class BraceRuntime:
     def _stash_shard_checkpoints(self) -> int:
         """Have every resident shard stash its own seed for this checkpoint.
 
-        Only runs on executors that can lose a *subset* of their shards
-        (``supports_partial_recovery``): after a node death the surviving
-        shards rewind themselves from this stash in place, so recovery
-        re-ships only the lost shards instead of tearing the cluster down.
-        Returns the measured IPC bytes of the stash round.
+        Only runs on a wire, which can lose a *subset* of its shards: after
+        a node death the surviving shards rewind themselves from this stash
+        in place, so recovery re-ships only the lost shards instead of
+        tearing every node's state down.  Returns the measured IPC bytes of
+        the stash round.
         """
-        if not (
-            self._shards_ready
-            and getattr(self.executor, "supports_partial_recovery", False)
-        ):
+        if not self._shards_ready or self.executor.shares_memory:
             return 0
         tag = (self.world.tick, self._partitioning_version)
         results = self._shard_round(
@@ -866,12 +866,12 @@ class BraceRuntime:
         # checkpoint epoch predates the new layout.
         self._partitioning_version += 1
 
-        # Executors that place shards on physical nodes (the cluster
-        # backend) get a chance to re-home shards for the new load before
-        # the adopt round; the round then clears every shard's replica
-        # cache and delta send history, which is exactly what makes the
-        # re-homed shard (rebuilt without either) protocol-correct.
-        if rebalance_nodes and hasattr(self.executor, "rebalance_shards"):
+        # A wire places shards on node processes and gets a chance to
+        # re-home them for the new load before the adopt round; the round
+        # then clears every shard's replica cache and delta send history,
+        # which is exactly what makes the re-homed shard (rebuilt without
+        # either) protocol-correct.
+        if rebalance_nodes and not self.executor.shares_memory:
             weights = {
                 worker.worker_id: float(max(1, worker.owned_count()))
                 for worker in self.workers
@@ -924,19 +924,20 @@ class BraceRuntime:
         return migrated, max(per_worker_seconds, default=0.0), ipc_bytes
 
     def migrate_shard(self, shard_id: int, node: int) -> int:
-        """Force one resident shard onto another physical node mid-run.
+        """Force one resident shard onto another node process mid-run.
 
-        Only meaningful on executors that place shards on nodes (the
-        cluster backend).  The shard's owned agents are serialized through
-        the codec, re-homed, and a full adopt round under the *current*
-        partitioning follows so every shard reships its replicas from
-        scratch — the same sequence an automatic rebalance uses.  States
-        stay bit-identical; returns the measured IPC bytes the move cost.
+        Only meaningful on a wire executor (``"process"``, ``"cluster"``),
+        which places shards on nodes.  The shard's owned agents are
+        serialized through the codec, re-homed, and a full adopt round under
+        the *current* partitioning follows so every shard reships its
+        replicas from scratch — the same sequence an automatic rebalance
+        uses.  States stay bit-identical; returns the measured IPC bytes the
+        move cost.
         """
-        if not hasattr(self.executor, "migrate_shard"):
+        if self.executor.shares_memory:
             raise BraceError(
                 f"the {self.executor.name!r} executor does not place shards on "
-                "nodes; shard migration requires executor='cluster'"
+                "nodes; shard migration requires executor='process' or 'cluster'"
             )
         self._ensure_shards()
         ipc_bytes = self._flush_pending_boundary()
@@ -963,7 +964,7 @@ class BraceRuntime:
         ticks_lost = max(0, tick_before_failure - checkpoint.tick)
         restored_in_place = (
             self._shards_ready
-            and getattr(self.executor, "supports_partial_recovery", False)
+            and not self.executor.shares_memory
             and self._recover_shards_in_place(checkpoint)
         )
         if not restored_in_place:
@@ -1005,7 +1006,7 @@ class BraceRuntime:
         on any mismatch or mid-recovery failure; the caller then falls back
         to the full teardown-and-reseed path, which is always correct.
         """
-        lost = set(getattr(self.executor, "lost_shards", lambda: ())())
+        lost = set(self.executor.lost_shards())
         survivors = sorted(
             worker.worker_id for worker in self.workers if worker.worker_id not in lost
         )

@@ -11,8 +11,8 @@ partition never touch the (simulated) network — only replicas and effect
 partials do.
 
 Every worker runs as a *shard* hosted by the executor (:mod:`repro.brace.
-shards`): in the driver's process on the serial and thread backends, in a
-pool process or on a cluster node otherwise.  The code here is the same
+shards`): in the driver's process on the serial and thread backends, on a
+node process (forked, or dialed in) otherwise.  The code here is the same
 either way; the one thing a worker is told about its host is whether the
 transport copies what it hands out (``transport_copies``), which selects how
 replicas ship — full clones by reference, per-tick deltas over a wire.

@@ -186,7 +186,7 @@ class CompiledScript:
         """A picklable task evaluating the optimized query plan, if one exists.
 
         The task carries only algebra dataclasses (pure data), so it runs on
-        every executor backend, process pool included.
+        every executor backend, forked node processes included.
         """
         if self.optimized_plan is None:
             return None

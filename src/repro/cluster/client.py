@@ -1,18 +1,25 @@
-"""The cluster executor: resident shards hosted on socket-connected nodes.
+"""The wire executors: resident shards hosted on node processes.
 
 :class:`ClusterExecutor` implements the executor contract of
-:mod:`repro.mapreduce.executor` over TCP.  The driver listens on a
-configurable address; node processes (auto-spawned localhost subprocesses
-by default, or started on other machines with ``python -m
-repro.cluster.node --connect host:port``) dial in and host the resident
-shards.  Every command and result crosses the wire as one length-prefixed
-frame in the integrity envelope of :mod:`repro.cluster.protocol` —
-CRC-checked, sequence-numbered, and HMAC-SHA256-authenticated whenever a
-``cluster_secret`` is configured (mandatory for non-loopback listeners).
-The payload blob is encoded by the shard codec — the same columnar delta
-frames the process backend ships through shared memory, so the
-three-round tick protocol, the replica-delta shipping and the
-bit-identical results carry over unchanged.
+:mod:`repro.mapreduce.executor` for every backend that does not share the
+driver's memory.  Node processes run the one shard host
+(:mod:`repro.cluster.server`) and the driver speaks to each over a
+:class:`~repro.cluster.protocol.FrameChannel`; every command and result
+crosses as one length-prefixed frame in the integrity envelope of
+:mod:`repro.cluster.protocol` — CRC-checked and sequence-numbered — whose
+payload blob is a columnar delta frame of the shard codec.  The round
+logic, supervision, migration and fault log below are shared; how a node
+is *attached* is the one thing that varies:
+
+* ``executor="cluster"`` (:class:`ClusterExecutor`) — the driver listens on
+  a configurable address and nodes dial in over TCP: auto-spawned localhost
+  subprocesses by default, or started on other machines with ``python -m
+  repro.cluster.node --connect host:port``.  Frames are additionally
+  HMAC-SHA256-authenticated whenever a ``cluster_secret`` is configured
+  (mandatory for non-loopback listeners).
+* ``executor="process"`` (:class:`ProcessExecutor`) — the zero-configuration
+  local case: ``max_workers`` nodes forked over private socketpairs, with
+  no listener, token or handshake.
 
 Placement is cost-model-driven (:mod:`repro.cluster.placement`): shards
 land on nodes in contiguous strip blocks scored with the
@@ -24,9 +31,9 @@ cheaper.
 Liveness is heartbeat-based, and node death is *supervised* rather than
 fatal: when a node dies or stops heartbeating the executor retires it,
 resynchronizes the survivors (their resident shard state stays put),
-tries to refill the slot — respawning the subprocess in spawned mode, or
-holding the listener open for ``readmission_timeout`` seconds so an
-external replacement can dial in — and otherwise rehomes the lost
+tries to refill the slot — starting a fresh node process when it starts
+its own, or holding the listener open for ``readmission_timeout`` seconds
+so an external replacement can dial in — and otherwise rehomes the lost
 shards' *assignments* onto the survivors.  Either way the lost shard
 *state* is gone and must be re-seeded, so the round still raises a
 :class:`~repro.core.errors.NodeLossError` ("recover from the last
@@ -38,6 +45,7 @@ the executor give up its resident state entirely.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import pickle
 import secrets
@@ -47,7 +55,7 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.auth import (
     SECRET_ENV_VAR,
@@ -66,6 +74,7 @@ from repro.cluster.protocol import (
     ProtocolError,
 )
 from repro.cluster.retry import RetryPolicy
+from repro.cluster.server import serve_socketpair
 from repro.core.errors import ExecutorError, NodeLossError
 from repro.ipc.frames import ColumnarCodec
 from repro.mapreduce.executor import (
@@ -73,9 +82,10 @@ from repro.mapreduce.executor import (
     ShardTaskResult,
     TaskResult,
     _is_pickling_error,
+    default_worker_count,
 )
 
-__all__ = ["ClusterExecutor"]
+__all__ = ["ClusterExecutor", "ProcessExecutor"]
 
 #: Grace between ``terminate`` and ``kill`` when reaping spawned nodes
 #: at interpreter exit.
@@ -96,9 +106,7 @@ def _register_spawned(process: subprocess.Popen) -> None:
             _REAPER_INSTALLED = True
 
 
-def _unregister_spawned(process: Optional[subprocess.Popen]) -> None:
-    if process is None:
-        return
+def _unregister_spawned(process) -> None:
     with _REAPER_LOCK:
         _SPAWNED_NODES.discard(process)
 
@@ -128,8 +136,29 @@ def _reap_spawned_nodes() -> None:
                 pass
 
 
+class _ForkedNode:
+    """A forked node process behind the slice of :class:`subprocess.Popen`
+    that supervision uses (``pid``, ``kill``, ``wait``)."""
+
+    def __init__(self, process) -> None:
+        self._process = process
+        self.pid = process.pid
+
+    def kill(self) -> None:
+        self._process.kill()
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        self._process.join(timeout)
+        if self._process.is_alive():
+            raise subprocess.TimeoutExpired(f"forked node {self.pid}", timeout)
+
+
 class _NodeConnection:
-    """One connected node: its socket, enveloped channel and identity."""
+    """One attached node: its socket, enveloped channel and identity.
+
+    ``process`` is set for nodes this executor started itself (a spawned
+    ``Popen`` or a :class:`_ForkedNode`) and ``None`` for external ones.
+    """
 
     def __init__(
         self,
@@ -137,8 +166,8 @@ class _NodeConnection:
         sock: socket.socket,
         channel: FrameChannel,
         pid: int,
-        address: Tuple[str, int],
-        process: Optional[subprocess.Popen] = None,
+        address: str,
+        process=None,
     ) -> None:
         self.index = index
         self.sock = sock
@@ -155,7 +184,7 @@ class _NodeConnection:
 
 
 class ClusterExecutor(Executor):
-    """Socket-based multi-node backend for resident shards.
+    """The wire executor: resident shards on node processes, nodes dial in.
 
     ``num_nodes`` node processes host the shards; with ``spawn=True``
     (the default) they are started as localhost subprocesses, otherwise
@@ -172,7 +201,6 @@ class ClusterExecutor(Executor):
 
     name = "cluster"
     shares_memory = False
-    supports_partial_recovery = True
 
     def __init__(
         self,
@@ -304,26 +332,34 @@ class ClusterExecutor(Executor):
 
     def _ensure_nodes(self) -> None:
         """Bring the node set up to ``num_nodes`` live connections."""
-        if len(self._nodes) == self.num_nodes:
-            return
-        address = self._ensure_listener()
         missing = [index for index in range(self.num_nodes) if index not in self._nodes]
-        processes: List[Optional[subprocess.Popen]] = []
-        for _ in missing:
-            processes.append(self._spawn_node(address) if self.spawn else None)
+        if not missing:
+            return
         try:
-            for index in missing:
-                self._nodes[index] = self._accept_node(
-                    index, self.retry.accept_timeout_seconds
-                )
+            self._attach(missing, self.retry.accept_timeout_seconds)
         except socket.timeout:
+            host, port = self._listener.getsockname()[:2]
             raise ExecutorError(
                 f"cluster executor expected {self.num_nodes} nodes but only "
                 f"{len(self._nodes)} connected within "
                 f"{self.retry.accept_timeout_seconds:.0f}s; start the missing "
-                "nodes with "
-                f"'python -m repro.cluster.node --connect {address[0]}:{address[1]}'"
+                f"nodes with 'python -m repro.cluster.node --connect {host}:{port}'"
             ) from None
+
+    def _attach(self, indices: Sequence[int], timeout: float) -> None:
+        """Attach one node per slot in ``indices`` — the dial-in way.
+
+        Every missing node process is started first (spawned mode), then
+        each slot admits the next authenticated peer, so fresh
+        interpreters start in parallel.  Raises ``socket.timeout`` when a
+        slot stays empty for ``timeout`` seconds.
+        """
+        address = self._ensure_listener()
+        if self.spawn:
+            for _ in indices:
+                self._spawn_node(address)
+        for index in indices:
+            self._nodes[index] = self._accept_node(index, timeout)
 
     def _accept_node(self, index: int, timeout: float) -> _NodeConnection:
         """Accept, challenge and authenticate the next node for one slot.
@@ -371,92 +407,98 @@ class ClusterExecutor(Executor):
             # by the hello's pid, never by spawn order (``process`` is only
             # the fallback for a peer we did not spawn ourselves).
             return _NodeConnection(
-                index, sock, channel, pid, peer, self._spawned_by_pid.get(pid)
+                index, sock, channel, pid, f"{peer[0]}:{peer[1]}", self._spawned_by_pid.get(pid)
             )
 
     def _node(self, index: int) -> _NodeConnection:
         try:
             return self._nodes[index]
         except KeyError:
-            raise ExecutorError(f"cluster node {index} is not connected") from None
+            raise ExecutorError(f"{self.name} node {index} is not connected") from None
 
     # ------------------------------------------------------------------
     # Supervision: node death, re-admission, degradation
     # ------------------------------------------------------------------
-    def _node_failed(self, connection: _NodeConnection, error: BaseException) -> NodeLossError:
-        """A node died or timed out: supervise the loss and build the
-        error that routes the caller into checkpoint recovery."""
-        return self._supervise_loss(connection, error)
+    def _reap(self, process, grace: float = 0.0) -> None:
+        """Stop a node process this executor started, and wait for it.
 
-    def _retire(self, connection: _NodeConnection, dead: Dict[int, _NodeConnection]) -> None:
+        The process gets ``grace`` seconds to exit on its own (it was asked
+        to, or its socket is already closed), then SIGKILL.
+        """
+        self._spawned_by_pid.pop(process.pid, None)
+        try:
+            process.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            try:
+                process.kill()
+                process.wait(timeout=5)
+            except (OSError, subprocess.TimeoutExpired):
+                pass
+        _unregister_spawned(process)
+
+    def _retire(self, connection: _NodeConnection) -> None:
         """Remove a connection from the live set and reap its process."""
-        dead[connection.index] = connection
         self._nodes.pop(connection.index, None)
         connection.close()
         if connection.process is not None:
-            self._spawned_by_pid.pop(connection.process.pid, None)
-            try:
-                connection.process.kill()
-                connection.process.wait(timeout=5)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
-            _unregister_spawned(connection.process)
+            self._reap(connection.process)
 
-    def _resync_survivors(self, dead: Dict[int, _NodeConnection]) -> None:
-        """Drain every surviving stream to a clean frame boundary.
+    def _barrier(self, kind: str) -> List[_NodeConnection]:
+        """Drain every live node's stream to a clean frame boundary.
 
-        An aborted round leaves queued replies on the survivors; the
-        nonce-tagged ``sync`` drains each stream up to its ack *without*
-        touching the node's resident shard state (that is the difference
-        from ``reset``).  A survivor that fails the sync is dead too.
+        An aborted round leaves queued replies on the nodes that outlived
+        it.  Each node acknowledges the nonce-tagged ``kind`` — ``"sync"``
+        keeps its resident shard state, ``"reset"`` drops it — and
+        everything that arrives before that ack is stale and discarded.  A
+        node that fails the barrier is dead too: it is retired, and
+        returned.
         """
         self._reset_nonce += 1
         nonce = self._reset_nonce
-        for index, connection in sorted(list(self._nodes.items())):
+        failed = []
+        for _, connection in sorted(self._nodes.items()):
             try:
-                connection.channel.send_message("sync", {"nonce": nonce})
+                connection.channel.send_message(kind, {"nonce": nonce})
                 connection.sock.settimeout(self.heartbeat_timeout)
                 while True:
                     message = connection.channel.recv_message()
                     if message is None:
-                        raise ConnectionLostError("node closed during resync")
-                    if message[0] == "ok" and (message[1] or {}).get("nonce") == nonce:
+                        raise ConnectionLostError(f"node closed during {kind}")
+                    if message[0] == "ok" and message[1].get("nonce") == nonce:
                         break
                 connection.sock.settimeout(None)
             except (ProtocolError, OSError):
-                self._retire(connection, dead)
+                self._retire(connection)
+                failed.append(connection)
+        return failed
 
-    def _acquire_replacement(self, index: int) -> Optional[_NodeConnection]:
-        """One attempt to refill a dead slot.
+    def _acquire_replacement(self, index: int) -> bool:
+        """One attempt to refill a dead slot; true when a node now fills it.
 
-        Spawned mode starts a fresh subprocess and waits the accept
-        window for it; external mode holds the listener open for
-        ``readmission_timeout`` seconds so a replacement started by an
-        operator (or a supervisor script) can dial in.  Returns ``None``
-        when no authenticated replacement arrives.
+        An executor that starts its own nodes starts a fresh one and waits
+        the accept window for it; external mode holds the listener open
+        for ``readmission_timeout`` seconds so a replacement started by an
+        operator (or a supervisor script) can dial in.
         """
-        if self._listener is None:
-            return None
-        process: Optional[subprocess.Popen] = None
-        if self.spawn:
-            timeout = self.retry.accept_timeout_seconds
-            process = self._spawn_node(self._listener.getsockname()[:2])
-        else:
-            timeout = self.readmission_timeout
-            if timeout <= 0:
-                return None
+        timeout = (
+            self.retry.accept_timeout_seconds if self.spawn else self.readmission_timeout
+        )
+        if timeout <= 0:
+            return False
         try:
-            return self._accept_node(index, timeout)
+            self._attach([index], timeout)
         except (socket.timeout, OSError):
-            if process is not None:
-                self._spawned_by_pid.pop(process.pid, None)
-                try:
-                    process.kill()
-                    process.wait(timeout=5)
-                except (OSError, subprocess.TimeoutExpired):
-                    pass
-                _unregister_spawned(process)
-            return None
+            self._reap_stragglers()
+            return False
+        return True
+
+    def _reap_stragglers(self) -> None:
+        """Kill spawned processes that never completed a handshake: they
+        have no connection to ask nicely through."""
+        attached = {connection.pid for connection in self._nodes.values()}
+        for pid, process in list(self._spawned_by_pid.items()):
+            if pid not in attached:
+                self._reap(process)
 
     def _emptiest_node(self) -> int:
         """Survivor with the fewest (current + already assigned) shards;
@@ -473,17 +515,16 @@ class ClusterExecutor(Executor):
     def _supervise_loss(self, first: _NodeConnection, error: BaseException) -> NodeLossError:
         """Handle one detected node death end to end.
 
-        Retire the dead node, resync the survivors (retiring any that
-        fail), refill each dead slot (respawn / re-admit) or fall back
+        Retire the dead node, drain the survivors' streams (retiring any
+        that fail), refill each dead slot (respawn / re-admit) or fall back
         to rehoming onto survivors, and record where every lost shard's
         re-seeded state should land (claimed later by
         :meth:`reseed_shards`).  Surviving nodes keep their resident
         state throughout — there is no teardown.
         """
         started = time.monotonic()
-        dead: Dict[int, _NodeConnection] = {}
-        self._retire(first, dead)
-        self._resync_survivors(dead)
+        self._retire(first)
+        dead = {first.index} | {connection.index for connection in self._barrier("sync")}
         # Which shards lost their state: everything hosted on a dead node,
         # plus anything still awaiting a reseed from an earlier loss.
         origin: Dict[int, int] = {
@@ -499,9 +540,7 @@ class ClusterExecutor(Executor):
 
         actions: Dict[int, str] = {}
         for index in sorted(dead):
-            replacement = self._acquire_replacement(index)
-            if replacement is not None:
-                self._nodes[index] = replacement
+            if self._acquire_replacement(index):
                 actions[index] = "respawned" if self.spawn else "readmitted"
             else:
                 actions[index] = "rehomed" if self._nodes else "lost"
@@ -509,7 +548,6 @@ class ClusterExecutor(Executor):
         if not self._nodes:
             # Total loss: no resident state survives anywhere.
             self._shard_to_node = {}
-            self._shards = None
             action = "lost"
         else:
             for shard_id in sorted(origin):
@@ -539,7 +577,7 @@ class ClusterExecutor(Executor):
             }
         )
         return NodeLossError(
-            f"cluster node {first.index} (pid {first.pid}) died or stopped "
+            f"{self.name} node {first.index} (pid {first.pid}) died or stopped "
             f"heartbeating; {described}. The lost resident shard state must "
             "be re-seeded (for BRACE runs: recover from the last checkpoint). "
             f"Original error: {type(error).__name__}: {error}",
@@ -578,27 +616,10 @@ class ClusterExecutor(Executor):
             raise ExecutorError(
                 f"reseed_shards must cover every lost shard; missing {missing}"
             )
-        sent: List[Tuple[int, _NodeConnection]] = []
-        for shard_id in sorted(payloads):
-            connection = self._node(self._lost_assignment[shard_id])
-            self._send(
-                connection,
-                "init_shard",
-                {"shard_id": shard_id, "factory": self._shard_factory},
-                self._encode_payload(payloads[shard_id]),
-            )
-            sent.append((shard_id, connection))
-        first_error: Optional[BaseException] = None
-        for shard_id, connection in sent:
-            kind, meta, _ = self._recv_reply(connection)
-            if kind == "error":
-                if first_error is None:
-                    first_error = self._remote_error(meta)
-                continue
-            self._shard_to_node[shard_id] = connection.index
-            self._lost_assignment.pop(shard_id, None)
-        if first_error is not None:
-            raise first_error
+        homes = {shard_id: self._lost_assignment[shard_id] for shard_id in payloads}
+        self._seed_round(homes, payloads)
+        self._shard_to_node.update(homes)
+        self._lost_assignment = {}
 
     # ------------------------------------------------------------------
     # Wire helpers
@@ -611,12 +632,12 @@ class ClusterExecutor(Executor):
             if not _is_pickling_error(error):
                 raise
             raise ExecutorError(
-                f"the cluster executor could not serialize a shard payload: {error}. "
+                f"the {self.name} executor could not serialize a shard payload: {error}. "
                 "Everything crossing the node boundary must be picklable "
                 "(module-level functions and importable classes)."
             ) from error
 
-    def _send(self, connection: _NodeConnection, kind: str, meta, blob: bytes = b"") -> int:
+    def _send(self, connection: _NodeConnection, kind: str, meta, blob: bytes = b"") -> None:
         """Send one message, draining the node's replies while blocked.
 
         Commands go out before replies are collected, so a large command
@@ -627,7 +648,6 @@ class ClusterExecutor(Executor):
         on the next :meth:`_recv_reply`.
         """
         data = memoryview(connection.channel.seal_message(kind, meta, blob))
-        payload_bytes = len(data) - 8  # minus the length prefix
         sock = connection.sock
         stall_seconds = self.retry.send_stall_seconds
         try:
@@ -655,8 +675,7 @@ class ClusterExecutor(Executor):
             finally:
                 sock.setblocking(True)
         except (ProtocolError, OSError) as error:
-            raise self._node_failed(connection, error) from error
-        return payload_bytes
+            raise self._supervise_loss(connection, error) from error
 
     def _recv_reply(self, connection: _NodeConnection) -> Tuple[str, Any, bytes]:
         """Next non-heartbeat message; any frame resets the liveness clock.
@@ -664,8 +683,8 @@ class ClusterExecutor(Executor):
         ``"error"`` replies are *returned*, not raised: a round with many
         outstanding commands must keep collecting the other replies so the
         stream stays in sync (a mid-collection raise would leave stale
-        results queued for the next round to misread).  Callers pass the
-        reply through :meth:`_check_reply` once their batch is drained.
+        results queued for the next round to misread); :meth:`_round`
+        raises the first one once its batch is drained.
         Envelope violations (corruption, bad MAC, sequence gaps) are
         fail-stop node deaths — a stream that cannot be trusted is
         indistinguishable from a dead node, and is handled the same way.
@@ -675,14 +694,14 @@ class ClusterExecutor(Executor):
             while True:
                 message = connection.channel.recv_message()
                 if message is None:
-                    raise self._node_failed(
+                    raise self._supervise_loss(
                         connection, ConnectionLostError("node closed its connection")
                     )
                 if message[0] == "heartbeat":
                     continue
                 return message
         except socket.timeout as error:
-            raise self._node_failed(
+            raise self._supervise_loss(
                 connection,
                 TimeoutError(
                     f"no frame from the node for {self.heartbeat_timeout:.1f}s "
@@ -690,18 +709,66 @@ class ClusterExecutor(Executor):
                 ),
             ) from error
         except (ProtocolError, OSError) as error:
-            raise self._node_failed(connection, error) from error
+            raise self._supervise_loss(connection, error) from error
         finally:
             try:
                 connection.sock.settimeout(None)
             except OSError:
                 pass
 
-    def _check_reply(self, reply: Tuple[str, Any, bytes]) -> Tuple[str, Any, bytes]:
-        """Raise the rebuilt remote exception if ``reply`` is an error."""
-        if reply[0] == "error":
-            raise self._remote_error(reply[1])
-        return reply
+    def _round(
+        self, commands: Iterable[Tuple[_NodeConnection, str, Any, bytes]]
+    ) -> Tuple[List[Tuple[str, Any, bytes]], List[float]]:
+        """One wire round: send every command, then collect one reply each.
+
+        ``commands`` yields ``(connection, kind, meta, blob)`` and is
+        consumed lazily — callers encode inside a generator, so a node
+        already decodes and computes while the driver encodes the next
+        frame.  Returns the replies in command order, with the seconds each
+        send took.
+
+        Whatever stops the round, every command that did go out has its
+        reply collected first, so no stream is left holding a stale reply
+        for the next round to misread: a command that cannot be produced
+        (an unpicklable payload, an unknown shard) raises once the replies
+        to its predecessors are in, and ``"error"`` replies raise — the
+        first of them, rebuilt — once the whole batch is.  Only a node loss
+        raises straight away: supervision has by then drained every
+        surviving stream itself.
+        """
+        sent: List[_NodeConnection] = []
+        send_seconds: List[float] = []
+        failure: Optional[BaseException] = None
+        try:
+            for connection, kind, meta, blob in commands:
+                start = time.perf_counter()
+                self._send(connection, kind, meta, blob)
+                send_seconds.append(time.perf_counter() - start)
+                sent.append(connection)
+        except NodeLossError:
+            raise
+        except Exception as error:  # noqa: BLE001 - re-raised below, after the drain
+            failure = error
+        replies = [self._recv_reply(connection) for connection in sent]
+        if failure is not None:
+            raise failure
+        for kind, meta, _ in replies:
+            if kind == "error":
+                raise self._remote_error(meta)
+        return replies, send_seconds
+
+    def _seed_round(self, homes: Dict[int, int], payloads: Dict[int, Any]) -> None:
+        """One round building shard ``s`` from ``payloads[s]``, through the
+        shard factory, on node ``homes[s]``."""
+        self._round(
+            (
+                self._node(homes[shard_id]),
+                "init_shard",
+                {"shard_id": shard_id, "factory": self._shard_factory},
+                self._encode_payload(payloads[shard_id]),
+            )
+            for shard_id in sorted(homes)
+        )
 
     @staticmethod
     def _remote_error(meta: dict) -> BaseException:
@@ -713,7 +780,7 @@ class ClusterExecutor(Executor):
             except Exception:  # noqa: BLE001 - fall back to the formatted text
                 pass
         return ExecutorError(
-            "a cluster shard task failed on its node:\n" + meta.get("traceback", "")
+            "a shard task failed on its node:\n" + meta.get("traceback", "")
         )
 
     # ------------------------------------------------------------------
@@ -725,38 +792,23 @@ class ClusterExecutor(Executor):
             return []
         self._ensure_nodes()
         order = sorted(self._nodes)
-        per_node: Dict[int, List[int]] = {index: [] for index in order}
-        for position, task in enumerate(tasks):
-            node_index = order[position % len(order)]
-            blob = self._dumps_task(task)
-            self._send(self._nodes[node_index], "call", None, blob)
-            per_node[node_index].append(position)
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        first_error: Optional[BaseException] = None
-        for node_index in order:
-            connection = self._nodes[node_index]
-            for position in per_node[node_index]:
-                kind, meta, blob = self._recv_reply(connection)
-                if kind == "error":
-                    if first_error is None:
-                        first_error = self._remote_error(meta)
-                    continue
-                results[position] = TaskResult(
-                    position, pickle.loads(blob), meta["wall_seconds"]
-                )
-        if first_error is not None:
-            raise first_error
-        return results  # type: ignore[return-value]
+        replies, _ = self._round(
+            (self._nodes[order[position % len(order)]], "call", None, self._dumps_task(task))
+            for position, task in enumerate(tasks)
+        )
+        return [
+            TaskResult(position, pickle.loads(blob), meta["wall_seconds"])
+            for position, (_, meta, blob) in enumerate(replies)
+        ]
 
-    @staticmethod
-    def _dumps_task(task: Callable[[], Any]) -> bytes:
+    def _dumps_task(self, task: Callable[[], Any]) -> bytes:
         try:
             return pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
         except (pickle.PickleError, AttributeError, TypeError) as error:
             if not _is_pickling_error(error):
                 raise
             raise ExecutorError(
-                f"the cluster executor could not serialize a task: {error}. "
+                f"the {self.name} executor could not serialize a task: {error}. "
                 "Tasks must be picklable (module-level functions, "
                 "functools.partial over importable callables)."
             ) from error
@@ -786,34 +838,14 @@ class ClusterExecutor(Executor):
             sorted(payloads), weights, self.sim_nodes, self.network
         )
         try:
-            sent: List[Tuple[int, _NodeConnection]] = []
-            for shard_id in sorted(payloads):
-                connection = self._node(placement[shard_id])
-                self._send(
-                    connection,
-                    "init_shard",
-                    {"shard_id": shard_id, "factory": factory},
-                    self._encode_payload(payloads[shard_id]),
-                )
-                sent.append((shard_id, connection))
-            first_error: Optional[BaseException] = None
-            for shard_id, connection in sent:
-                kind, meta, _ = self._recv_reply(connection)
-                if kind == "error":
-                    if first_error is None:
-                        first_error = self._remote_error(meta)
-                    continue
-                self._shard_to_node[shard_id] = connection.index
-        except NodeLossError:
+            self._seed_round(placement, payloads)
+        except BaseException:
             # A half-seeded shard set is unusable: wipe what did install so
-            # the recovery path can re-init from scratch on the (possibly
-            # refilled) node set.
+            # the caller (or the recovery path, on the possibly refilled
+            # node set) can re-init from scratch.
             self.teardown_shards()
             raise
-        if first_error is not None:
-            self.teardown_shards()  # drop the shards that did install
-            raise first_error
-        self._shards = None  # the base-class in-process map stays unused
+        self._shard_to_node = placement
 
     def has_shards(self) -> bool:
         return bool(self._shard_to_node)
@@ -824,10 +856,10 @@ class ClusterExecutor(Executor):
     ) -> List[ShardTaskResult]:
         """Ship ``(shard_id, fn, payload)`` tasks to the shards' nodes.
 
-        All commands go out first (each node then works through its batch
-        sequentially, preserving per-shard serialization), replies are
-        collected per node afterwards — the round's wall clock is the
-        slowest node, not the sum.
+        One :meth:`_round`: all commands go out first (each node then works
+        through its batch sequentially, preserving per-shard
+        serialization), replies are collected afterwards — the round's wall
+        clock is the slowest node, not the sum.
         """
         if not self._shard_to_node:
             raise ExecutorError("no resident shards are initialized; call init_shards() first")
@@ -839,102 +871,51 @@ class ClusterExecutor(Executor):
             )
         if not tasks:
             return []
-        pending: List[dict] = []
-        for index, (shard_id, fn, payload) in enumerate(tasks):
-            node_index = self._shard_to_node.get(shard_id)
-            if node_index is None:
-                raise ExecutorError(f"unknown resident shard {shard_id!r}")
-            connection = self._node(node_index)
-            start = time.perf_counter()
-            blob = self._encode_payload(payload)
-            encode_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            self._send(
-                connection,
-                "run_task",
-                {"shard_id": shard_id, "fn": fn},
-                blob,
-            )
-            send_seconds = time.perf_counter() - start
-            pending.append(
-                {
-                    "index": index,
-                    "shard_id": shard_id,
-                    "node": node_index,
-                    "payload_bytes": len(blob),
-                    "serialize": encode_seconds,
-                    "transport": send_seconds,
-                }
-            )
-        results: List[Optional[ShardTaskResult]] = [None] * len(tasks)
-        first_error: Optional[BaseException] = None
-        for node_index in sorted(self._nodes):
-            connection = self._nodes[node_index]
-            for entry in pending:
-                if entry["node"] != node_index:
-                    continue
-                kind, meta, blob = self._recv_reply(connection)
-                if kind == "error":
-                    # Keep draining the other replies so the streams stay
-                    # in sync; raise once the round is fully collected.
-                    if first_error is None:
-                        first_error = self._remote_error(meta)
-                    continue
+        encoded: List[Tuple[int, float]] = []  # (payload bytes, encode seconds) per task
+
+        def commands():
+            for shard_id, fn, payload in tasks:
+                node_index = self._shard_to_node.get(shard_id)
+                if node_index is None:
+                    raise ExecutorError(f"unknown resident shard {shard_id!r}")
                 start = time.perf_counter()
-                value = self._codec.decode(blob)
-                decode_seconds = time.perf_counter() - start
-                results[entry["index"]] = ShardTaskResult(
-                    entry["shard_id"],
+                blob = self._encode_payload(payload)
+                encoded.append((len(blob), time.perf_counter() - start))
+                yield self._node(node_index), "run_task", {"shard_id": shard_id, "fn": fn}, blob
+
+        replies, send_seconds = self._round(commands())
+        results = []
+        for (shard_id, _, _), (payload_bytes, encode_seconds), send, (_, meta, blob) in zip(
+            tasks, encoded, send_seconds, replies
+        ):
+            start = time.perf_counter()
+            value = self._codec.decode(blob)
+            decode_seconds = time.perf_counter() - start
+            results.append(
+                ShardTaskResult(
+                    shard_id,
                     value,
                     meta["wall_seconds"],
-                    payload_bytes=entry["payload_bytes"],
+                    payload_bytes=payload_bytes,
                     result_bytes=len(blob),
-                    serialize_seconds=entry["serialize"]
-                    + meta["codec_seconds"]
-                    + decode_seconds,
-                    transport_seconds=entry["transport"],
+                    serialize_seconds=encode_seconds + meta["codec_seconds"] + decode_seconds,
+                    transport_seconds=send,
                 )
-        if first_error is not None:
-            raise first_error
-        return results  # type: ignore[return-value]
+            )
+        return results
 
     def teardown_shards(self) -> None:
         """Drop every node's shard state; connections and processes stay up.
 
-        The reset is a nonce-tagged synchronization point: an aborted
-        round (a node died mid-collection) can leave queued replies on
-        the surviving nodes, so each node's stream is drained until the
-        ``"ok"`` echoing this reset's nonce — anything older is stale and
-        discarded.  A node that fails to acknowledge is disconnected (and
-        respawned by the next :meth:`_ensure_nodes`), so teardown always
-        leaves a clean slate even mid-failure.
+        The reset is a :meth:`_barrier`: whatever an aborted round left
+        queued on a node is discarded, and a node that fails to acknowledge
+        is retired (and replaced by the next :meth:`_ensure_nodes`), so
+        teardown always leaves a clean slate even mid-failure.
         """
         self._shard_to_node = {}
         self._shard_factory = None
         self._lost_assignment = {}
-        self._reset_nonce += 1
-        nonce = self._reset_nonce
-        for index in sorted(self._nodes):
-            connection = self._nodes[index]
-            try:
-                connection.channel.send_message("reset", {"nonce": nonce})
-                connection.sock.settimeout(self.heartbeat_timeout)
-                while True:
-                    message = connection.channel.recv_message()
-                    if message is None:
-                        raise ConnectionLostError("node closed during reset")
-                    if message[0] == "ok" and (message[1] or {}).get("nonce") == nonce:
-                        break
-                connection.sock.settimeout(None)
-            except (ProtocolError, OSError):
-                connection.close()
-                if connection.process is not None:
-                    self._spawned_by_pid.pop(connection.process.pid, None)
-                    connection.process.kill()
-                    connection.process.wait()
-                    _unregister_spawned(connection.process)
-                del self._nodes[index]
-        self._shards = None
+        self._barrier("reset")
 
     def migrate_shard(self, shard_id: int, node_index: int) -> int:
         """Physically re-home one shard onto another node; returns the
@@ -952,28 +933,24 @@ class ClusterExecutor(Executor):
         if source_index is None:
             raise ExecutorError(f"unknown resident shard {shard_id!r}")
         if node_index not in self._nodes:
-            raise ExecutorError(f"cluster node {node_index} is not connected")
+            raise ExecutorError(f"{self.name} node {node_index} is not connected")
         if source_index == node_index:
             return 0
-        source = self._node(source_index)
-        self._send(source, "collect_shard", {"shard_id": shard_id})
-        kind, meta, blob = self._check_reply(self._recv_reply(source))
+        ((kind, meta, blob),), _ = self._round(
+            [(self._node(source_index), "collect_shard", {"shard_id": shard_id}, b"")]
+        )
         if kind != "shard_state":
             raise ExecutorError(
-                f"cluster node {source_index} answered a shard collection with {kind!r}"
+                f"{self.name} node {source_index} answered a shard collection with {kind!r}"
             )
         destination = self._node(node_index)
         try:
             # States with a migration_seed() hook rebuild through the original
             # factory; plain states install verbatim (factory=None).
-            self._send(
-                destination,
-                "init_shard",
-                {"shard_id": shard_id,
-                 "factory": self._shard_factory if meta.get("reseed") else None},
-                blob,
+            factory = self._shard_factory if meta.get("reseed") else None
+            self._round(
+                [(destination, "init_shard", {"shard_id": shard_id, "factory": factory}, blob)]
             )
-            self._check_reply(self._recv_reply(destination))
         except NodeLossError as error:
             # The shard's state left its source and never landed: it is
             # lost with the destination, whatever the supervisor decided
@@ -1038,7 +1015,7 @@ class ClusterExecutor(Executor):
         return tuple(
             {
                 "node": index,
-                "address": f"{connection.address[0]}:{connection.address[1]}",
+                "address": connection.address,
                 "pid": connection.pid,
                 "spawned": connection.process is not None,
                 "authenticated": connection.channel.authenticated,
@@ -1072,24 +1049,8 @@ class ClusterExecutor(Executor):
                 pass
             connection.close()
             if connection.process is not None:
-                self._spawned_by_pid.pop(connection.process.pid, None)
-                try:
-                    connection.process.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    connection.process.kill()
-                    connection.process.wait()
-                _unregister_spawned(connection.process)
-        # Spawned processes that never completed a handshake (stragglers
-        # from a failed cluster formation) have no connection to ask nicely
-        # through; kill them so shutdown never leaks a child.
-        stragglers, self._spawned_by_pid = self._spawned_by_pid, {}
-        for process in stragglers.values():
-            try:
-                process.kill()
-                process.wait(timeout=5)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
-            _unregister_spawned(process)
+                self._reap(connection.process, grace=5.0)
+        self._reap_stragglers()
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -1097,3 +1058,51 @@ class ClusterExecutor(Executor):
                 pass
             self._listener = None
         super().shutdown()
+
+
+class ProcessExecutor(ClusterExecutor):
+    """The wire executor's zero-configuration local case: forked nodes.
+
+    ``max_workers`` node processes are started with ``multiprocessing``'s
+    platform-default start method (fork on Linux), each over a private
+    ``socket.socketpair()``.  Everything past the attachment — the command
+    loop the node runs, the frame envelope, rounds, supervised node loss,
+    migration — is :class:`ClusterExecutor`'s.
+    """
+
+    name = "process"
+
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        workers = default_worker_count() if max_workers is None else int(max_workers)
+        super().__init__(max_workers, num_nodes=workers)
+
+    def _attach(self, indices: Sequence[int], timeout: float) -> None:
+        """Attach one node per slot in ``indices`` — the forked way.
+
+        Nobody else can reach a private pair, so there is nothing to wait
+        for (``timeout`` is unused) and nobody to authenticate.
+        """
+        context = multiprocessing.get_context()
+        for index in indices:
+            driver_end, node_end = socket.socketpair()
+            process = context.Process(
+                target=serve_socketpair,
+                args=(
+                    node_end,
+                    [driver_end] + [node.sock for node in self._nodes.values()],
+                    self.heartbeat_interval,
+                ),
+                # A driver that exits without shutdown() must not wait on
+                # nodes that are themselves waiting for it.
+                daemon=True,
+            )
+            process.start()
+            node_end.close()
+            self._nodes[index] = _NodeConnection(
+                index,
+                driver_end,
+                FrameChannel(driver_end, role="driver"),
+                process.pid,
+                "socketpair",
+                _ForkedNode(process),
+            )

@@ -1,20 +1,30 @@
-"""The cluster node process: hosts resident shards behind a TCP socket.
+"""The shard host: one command loop behind a :class:`FrameChannel`.
 
-``python -m repro.cluster.node --connect host:port`` runs :func:`serve`:
-the node dials the driver (retrying while the driver is still binding its
-listener), answers the driver's ``challenge`` with a ``hello`` — carrying
-the join token and, when a cluster secret is configured, an HMAC-SHA256
-proof over the challenge nonce — then processes commands one at a time
-from the socket: shard seeding, the per-tick delta rounds, whole-shard
-collection for migrations, stateless callables — replying to each in
-arrival order.  A daemon thread emits ``heartbeat`` frames on an interval
-so the driver can tell a slow shard from a dead node while a long phase
-computes.
+A *node* is a process that hosts resident shards for a driver and serves
+its commands one at a time, in arrival order — shard seeding, the
+per-tick delta rounds, whole-shard collection for migrations, stateless
+callables — replying to each.  :func:`serve_channel` is that loop and
+:func:`_handle` the only place a framed shard command executes; every
+wire executor talks to it.  A daemon thread emits ``heartbeat`` frames on
+an interval so the driver can tell a slow shard from a dead node while a
+long phase computes.
 
-Credentials never appear on the command line (``ps`` on a shared host
-would leak them): the token and secret come from the
-``REPRO_CLUSTER_TOKEN`` / ``REPRO_CLUSTER_SECRET`` environment variables
-or from files named by ``--token-file`` / ``--secret-file``.
+How a node gets its channel is the one thing that varies:
+
+* **dial-in** (``executor="cluster"``) — ``python -m repro.cluster.node
+  --connect host:port`` runs :func:`serve`: the node dials the driver
+  over TCP (retrying while the driver is still binding its listener) and
+  answers the driver's ``challenge`` with a ``hello`` carrying the join
+  token and, when a cluster secret is configured, an HMAC-SHA256 proof
+  over the challenge nonce.  Credentials never appear on the command
+  line (``ps`` on a shared host would leak them): the token and secret
+  come from the ``REPRO_CLUSTER_TOKEN`` / ``REPRO_CLUSTER_SECRET``
+  environment variables or from files named by ``--token-file`` /
+  ``--secret-file``.
+* **forked** (``executor="process"``) — the driver starts the node with
+  ``multiprocessing`` over a private ``socket.socketpair()`` and the
+  child enters :func:`serve_socketpair` directly: nobody else can reach
+  a private pair, so there is no listener, token or handshake.
 
 Every frame travels in the integrity envelope of
 :mod:`repro.cluster.protocol`; a corrupt, out-of-sequence or badly-MAC'd
@@ -54,7 +64,7 @@ from repro.cluster.protocol import (
 from repro.cluster.retry import RetryPolicy
 from repro.ipc.frames import ColumnarCodec
 
-__all__ = ["serve", "main"]
+__all__ = ["serve", "serve_channel", "serve_socketpair", "main"]
 
 #: Seconds the node keeps retrying its initial connect.  Long enough to
 #: start nodes before the driver listens (the docs walkthrough does), short
@@ -208,12 +218,10 @@ def serve(
     retry_seconds: float = CONNECT_RETRY_SECONDS,
     secret: Optional[str] = None,
 ) -> None:
-    """Connect to the driver at ``host:port`` and serve shard commands.
+    """Dial the driver at ``host:port``, prove who we are, then serve.
 
-    Returns when the driver sends ``shutdown`` or closes the connection;
-    raises the typed `ProtocolError` if the stream itself becomes
-    untrustworthy (corruption, reordering, a failed MAC) — fail-stop, so
-    a fault can never execute as a command.
+    The dial-in attachment: connect (retrying for ``retry_seconds``),
+    answer the handshake, and hand the channel to :func:`serve_channel`.
     """
     policy = RetryPolicy(connect_timeout_seconds=retry_seconds)
     sock = policy.retry(
@@ -221,14 +229,39 @@ def serve(
         describe=f"connecting to cluster driver at {host}:{port}",
     )
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    state = _NodeState()
     channel = FrameChannel(sock, role="node")
-    stop = threading.Event()
     try:
         _handshake(channel, token, secret)
     except ProtocolError:
         sock.close()
         raise
+    serve_channel(channel, heartbeat_interval)
+
+
+def serve_socketpair(sock, driver_sockets, heartbeat_interval: float) -> None:
+    """Entry point of a node the driver forked over a private socketpair.
+
+    A forked child holds a copy of every driver-side socket that was open
+    at the fork — its own pair's included.  It closes them first: a node
+    that kept one would hold a sibling's (or its own) stream open after
+    the driver let go of it, and that node would never read the
+    end-of-stream that tells it to exit.
+    """
+    for inherited in driver_sockets:
+        inherited.close()
+    serve_channel(FrameChannel(sock, role="node"), heartbeat_interval)
+
+
+def serve_channel(channel: FrameChannel, heartbeat_interval: float) -> None:
+    """Host shards behind ``channel`` until the driver lets go of it.
+
+    Returns when the driver sends ``shutdown`` or closes the connection;
+    raises the typed `ProtocolError` if the stream itself becomes
+    untrustworthy (corruption, reordering, a failed MAC) — fail-stop, so
+    a fault can never execute as a command.
+    """
+    state = _NodeState()
+    stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop, args=(channel, heartbeat_interval, stop), daemon=True
     )
@@ -252,7 +285,7 @@ def serve(
     finally:
         stop.set()
         try:
-            sock.close()
+            channel.sock.close()
         except OSError:
             pass
 

@@ -2,7 +2,7 @@
 
 Several layers of the runtime must enumerate agents in *exactly* the same
 order regardless of where the enumeration happens — the driver, an in-place
-worker, or a resident shard living in a pool process:
+worker, or a resident shard living on a node process:
 
 * a worker's owned/replica iteration order fixes how the spatial index is
   built and therefore which work every query phase performs;

@@ -19,7 +19,6 @@ from repro.mapreduce.executor import (
     Executor,
     SerialExecutor,
     ThreadExecutor,
-    ProcessExecutor,
     TaskResult,
     make_executor,
     stable_hash_partition,
@@ -55,3 +54,13 @@ __all__ = [
     "LocalEffectSimulationJob",
     "NonLocalEffectSimulationJob",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy for the reason given in :mod:`repro.mapreduce.executor`: the class
+    # lives with the wire client, which imports this package.
+    if name == "ProcessExecutor":
+        from repro.mapreduce.executor import ProcessExecutor
+
+        return ProcessExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

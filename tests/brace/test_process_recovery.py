@@ -92,15 +92,52 @@ class TestProcessCheckpointRecovery:
             assert all(epoch.ipc_bytes > 0 for epoch in epochs)
 
 
+class TestProcessNodeLoss:
+    """A SIGKILLed forked node is supervised like any other lost node.
+
+    The process backend shares the cluster's client and host, so a dead
+    node costs only its own shards: the slot is refilled by a fresh fork,
+    the survivor rewinds from its checkpoint stash in place, and the run
+    ends bit-identical to the sequential engine.
+    """
+
+    def test_sigkill_mid_run_recovers_partially_and_bit_identical(self, serial_reference):
+        world = build_world()
+        with BraceRuntime(world, make_config("process")) as runtime:
+            runtime.run(5)  # checkpoints at ticks 2 and 4
+            pids_before = dict(runtime.executor.node_pids())
+            os.kill(pids_before[1], signal.SIGKILL)
+            # run() absorbs the supervised loss: recover + re-execute.
+            runtime.run(TOTAL_TICKS - world.tick)
+            (loss,) = [e for e in runtime.fault_events if e["event"] == "node_loss"]
+            assert loss["node"] == 1 and loss["pid"] == pids_before[1]
+            assert loss["action"] == "respawned"
+            (recovered,) = [e for e in runtime.fault_events if e["event"] == "recovered"]
+            assert recovered["partial"] is True  # survivors rewound in place
+            pids_after = runtime.executor.node_pids()
+            # The survivor kept its process; only the dead slot changed.
+            assert pids_after[0] == pids_before[0]
+            assert pids_after[1] != pids_before[1]
+        assert world.tick == TOTAL_TICKS
+        assert world.same_state_as(serial_reference, tolerance=0.0)
+
+    def test_node_loss_without_a_checkpoint_raises_the_recovery_error(self):
+        world = build_world()
+        with BraceRuntime(world, make_config("process")) as runtime:
+            runtime.run(1)  # the first checkpoint lands at tick 2
+            os.kill(runtime.executor.node_pids()[0], signal.SIGKILL)
+            with pytest.raises(ExecutorError, match="recover from the last checkpoint"):
+                runtime.run(TOTAL_TICKS - world.tick)
+
+
 @pytest.mark.slow
 class TestClusterNodeFailureRecovery:
     """A killed cluster node is a *machine* failure, not a pool hiccup.
 
     The heartbeat detector must turn a SIGKILLed node process into the
-    same recoverable :class:`ExecutorError` the process backend raises,
-    so the one checkpoint-recover path handles both failure domains —
-    and the recovered run must still match the serial ground truth bit
-    for bit.
+    recoverable :class:`ExecutorError` every wire executor raises, so the
+    one checkpoint-recover path handles both failure domains — and the
+    recovered run must still match the serial ground truth bit for bit.
     """
 
     def cluster_config(self):

@@ -1,202 +1,31 @@
-"""The socket-backed cluster executor on localhost nodes.
+"""What only the dial-in attachment of the wire executor does.
 
-These tests exercise the executor contract end to end over real TCP:
-resident shards initialized onto spawned node processes, sharded tasks
-running where the state lives, physical migration between nodes, remote
-errors surfacing with their original type, and externally started nodes
-(``python -m repro.cluster.node --connect``) joining a driver that did
-not spawn them.
+The executor contract itself — resident shards, sharded tasks, migration,
+remote errors, supervised node death — is checked once for both wire
+executors in ``tests/mapreduce/test_shard_contract.py``.  Left here is what
+is specific to nodes that *dial in* over TCP: the recorded peer address,
+and externally started nodes (``python -m repro.cluster.node --connect``)
+joining a driver that did not spawn them.
 """
 
 import socket
 import subprocess
 import sys
 
-import pytest
-
-from repro.core.errors import ExecutorError, NodeLossError
 from repro.cluster.client import ClusterExecutor
 
-
-class CounterShard:
-    """Minimal resident state: remembers its payload and counts calls."""
-
-    def __init__(self, shard_id, start):
-        self.shard_id = shard_id
-        self.value = start
-        self.calls = 0
+from tests.mapreduce.test_shard_contract import add_task, make_counter
 
 
-def make_counter(shard_id, payload):
-    return CounterShard(shard_id, payload)
-
-
-def add_task(shard, amount):
-    shard.value += amount
-    shard.calls += 1
-    return (shard.shard_id, shard.value, shard.calls)
-
-
-def failing_task(shard, payload):
-    raise KeyError("missing-thing")
-
-
-def identity_task(value):
-    return value
-
-
-@pytest.fixture()
-def executor():
-    ex = ClusterExecutor(2, num_nodes=2, heartbeat_interval=0.1)
-    yield ex
-    ex.shutdown()
-
-
-class TestRunTasks:
-    def test_results_in_submission_order(self, executor):
-        from functools import partial
-
-        tasks = [partial(identity_task, i * i) for i in range(5)]
-        results = executor.run_tasks(tasks)
-        assert [r.value for r in results] == [0, 1, 4, 9, 16]
-
-    def test_unpicklable_task_rejected_with_guidance(self, executor):
-        with pytest.raises(ExecutorError, match="picklable"):
-            executor.run_tasks([lambda: 1])
-
-
-class TestResidentShards:
-    def test_init_run_teardown_roundtrip(self, executor):
-        executor.init_shards(make_counter, {0: 10, 1: 20, 2: 30})
-        assert executor.has_shards()
-        results = executor.run_sharded_tasks(
-            [(0, add_task, 1), (1, add_task, 2), (2, add_task, 3)]
-        )
-        assert [r.value for r in results] == [(0, 11, 1), (1, 22, 1), (2, 33, 1)]
-        # State is durable across calls — the counter keeps counting.
-        results = executor.run_sharded_tasks([(1, add_task, 0)])
-        assert results[0].value == (1, 22, 2)
-        executor.teardown_shards()
-        assert not executor.has_shards()
-
-    def test_shards_are_spread_across_nodes(self, executor):
-        executor.init_shards(make_counter, {i: 0 for i in range(4)})
-        assert set(executor.shard_node(i) for i in range(4)) == {0, 1}
-
-    def test_byte_accounting_reported(self, executor):
-        executor.init_shards(make_counter, {0: 0})
-        (result,) = executor.run_sharded_tasks([(0, add_task, 5)])
-        assert result.payload_bytes > 0
-        assert result.result_bytes > 0
-        assert result.wall_seconds >= 0.0
-
-    def test_remote_task_error_surfaces_original_type(self, executor):
-        executor.init_shards(make_counter, {0: 0})
-        with pytest.raises(KeyError, match="missing-thing"):
-            executor.run_sharded_tasks([(0, failing_task, None)])
-        # The node survives a task error; the shard state is untouched.
-        (result,) = executor.run_sharded_tasks([(0, add_task, 1)])
-        assert result.value == (0, 1, 1)
-
-    def test_unknown_shard_rejected(self, executor):
-        executor.init_shards(make_counter, {0: 0})
-        with pytest.raises(ExecutorError, match="unknown resident shard"):
-            executor.run_sharded_tasks([(7, add_task, 1)])
-
-    def test_sharded_tasks_require_init(self, executor):
-        with pytest.raises(ExecutorError, match="init_shards"):
-            executor.run_sharded_tasks([(0, add_task, 1)])
-
-
-class TestMigration:
-    def test_migrate_moves_live_state(self, executor):
-        executor.init_shards(make_counter, {0: 100, 1: 200})
-        executor.run_sharded_tasks([(0, add_task, 1), (1, add_task, 1)])
-        source = executor.shard_node(0)
-        destination = 1 - source
-        moved_bytes = executor.migrate_shard(0, destination)
-        assert moved_bytes > 0
-        assert executor.shard_node(0) == destination
-        # The migrated shard kept its mutated state, not its seed payload.
-        (result,) = executor.run_sharded_tasks([(0, add_task, 1)])
-        assert result.value == (0, 102, 2)
-
-    def test_migrate_to_current_node_is_noop(self, executor):
-        executor.init_shards(make_counter, {0: 0})
-        node = executor.shard_node(0)
-        assert executor.migrate_shard(0, node) == 0
-
-    def test_migrated_shard_runs_on_destination_pid(self, executor):
+def test_dial_in_nodes_record_their_tcp_peer_address():
+    executor = ClusterExecutor(2, num_nodes=2, heartbeat_interval=0.1)
+    try:
         executor.init_shards(make_counter, {0: 0, 1: 0})
-        destination = 1 - executor.shard_node(0)
-        executor.migrate_shard(0, destination)
-        assert executor.shard_host_pid(0) == executor.node_pids()[destination]
-
-    def test_rebalance_follows_weights(self, executor):
-        executor.init_shards(make_counter, {0: 0, 1: 0, 2: 0, 3: 0})
-        # All the weight on shard 3: the planner must give it a node of
-        # its own and pack the light shards together.
-        moves, moved_bytes = executor.rebalance_shards(
-            {0: 1.0, 1: 1.0, 2: 1.0, 3: 500.0}
-        )
-        assert executor.shard_node(3) != executor.shard_node(0)
-        assert executor.shard_node(0) == executor.shard_node(1) == executor.shard_node(2)
-        if moves:
-            assert moved_bytes > 0
-
-
-class TestTopologyIntrospection:
-    def test_node_topology_records_placement(self, executor):
-        executor.init_shards(make_counter, {0: 0, 1: 0})
-        topology = executor.node_topology()
-        assert len(topology) == 2
-        hosted = [shard for record in topology for shard in record["shards"]]
-        assert sorted(hosted) == [0, 1]
-        for record in topology:
-            assert record["spawned"] is True
-            assert record["pid"] > 0
-            assert ":" in record["address"]
-
-
-class TestNodeDeath:
-    def test_dead_node_raises_recovery_pointing_error(self):
-        executor = ClusterExecutor(
-            2, num_nodes=2, heartbeat_interval=0.1, heartbeat_timeout=1.5
-        )
-        try:
-            executor.init_shards(make_counter, {0: 0, 1: 0, 2: 0})
-            victim = executor.shard_node(0)
-            executor._nodes[victim].process.kill()
-            with pytest.raises(NodeLossError, match="recover from the last checkpoint") as info:
-                for _ in range(20):
-                    executor.run_sharded_tasks(
-                        [(i, add_task, 1) for i in range(3)]
-                    )
-            # Supervision pins the loss to the node that actually died and
-            # keeps the survivors' resident state — there is no teardown.
-            assert info.value.node_index == victim
-            assert executor.has_shards()
-            lost = executor.lost_shards()
-            assert lost == tuple(info.value.lost_shards)
-            assert lost and all(s not in executor._shard_to_node for s in lost)
-            # Rounds are refused until the lost shards are re-seeded...
-            with pytest.raises(ExecutorError, match="re-seeded"):
-                executor.run_sharded_tasks([(i, add_task, 1) for i in range(3)])
-            # ...and resume — with survivor state intact — once they are.
-            executor.reseed_shards({shard_id: 0 for shard_id in lost})
-            results = executor.run_sharded_tasks([(i, add_task, 1) for i in range(3)])
-            by_shard = {value[0]: value for value in (r.value for r in results)}
-            for shard_id in lost:
-                assert by_shard[shard_id] == (shard_id, 1, 1)  # re-seeded fresh
-            survivors = [i for i in range(3) if i not in lost]
-            for shard_id in survivors:
-                # Survivor counters kept counting across the loss.
-                assert by_shard[shard_id][2] >= 1
-            (event,) = executor.drain_fault_events()
-            assert event["action"] == "respawned"
-            assert event["node"] == victim
-        finally:
-            executor.shutdown()
+        for record in executor.node_topology():
+            host, _, port = record["address"].rpartition(":")
+            assert host == "127.0.0.1" and port.isdigit()
+    finally:
+        executor.shutdown()
 
 
 class TestExternalNodes:

@@ -3,6 +3,8 @@
 The contract under test: a job produces *bit-identical* output and
 equivalent statistics on every backend, per-task accounting is recorded, and
 the process backend fails loudly (not mysteriously) on unpicklable tasks.
+The resident-shard half of the executor contract has its own suite,
+``test_shard_contract.py``.
 """
 
 import pytest
@@ -177,110 +179,6 @@ class TestSimulationJobAcrossBackends:
         serial = self._final_states("serial")
         other = self._final_states(make_executor(backend, max_workers=2))
         assert other == serial
-
-
-# Module-level shard helpers: picklable for the process backend.
-def make_counter_shard(shard_id, payload):
-    return {"shard_id": shard_id, "total": payload}
-
-
-def add_to_shard(state, amount):
-    state["total"] += amount
-    return (state["shard_id"], state["total"])
-
-
-def shard_pid(_state, _payload):
-    import os
-
-    return os.getpid()
-
-
-class TestShardedTasks:
-    """The resident-shard contract: durable state, affinity, measured bytes."""
-
-    @pytest.fixture(params=BACKENDS)
-    def executor(self, request):
-        executor = make_executor(request.param, max_workers=2)
-        yield executor
-        executor.shutdown()
-
-    def test_state_persists_across_batches(self, executor):
-        executor.init_shards(make_counter_shard, {0: 100, 1: 200, 2: 300})
-        first = executor.run_sharded_tasks(
-            [(0, add_to_shard, 1), (1, add_to_shard, 2), (2, add_to_shard, 3)]
-        )
-        assert [result.value for result in first] == [(0, 101), (1, 202), (2, 303)]
-        second = executor.run_sharded_tasks(
-            [(2, add_to_shard, 3), (0, add_to_shard, 1), (1, add_to_shard, 2)]
-        )
-        # State accumulated where the shard lives; results in submission order.
-        assert [result.value for result in second] == [(2, 306), (0, 102), (1, 204)]
-        assert all(result.wall_seconds >= 0.0 for result in second)
-
-    def test_same_shard_tasks_run_in_submission_order(self, executor):
-        executor.init_shards(make_counter_shard, {0: 0})
-        results = executor.run_sharded_tasks([(0, add_to_shard, 1)] * 4)
-        assert [result.value for result in results] == [(0, 1), (0, 2), (0, 3), (0, 4)]
-
-    def test_init_twice_rejected_and_teardown_allows_reinit(self, executor):
-        executor.init_shards(make_counter_shard, {0: 0})
-        with pytest.raises(ExecutorError, match="already initialized"):
-            executor.init_shards(make_counter_shard, {0: 0})
-        executor.teardown_shards()
-        assert not executor.has_shards()
-        executor.init_shards(make_counter_shard, {0: 7})
-        result = executor.run_sharded_tasks([(0, add_to_shard, 1)])[0]
-        assert result.value == (0, 8)
-
-    def test_run_without_init_raises(self, executor):
-        with pytest.raises(ExecutorError, match="init_shards"):
-            executor.run_sharded_tasks([(0, add_to_shard, 1)])
-
-    def test_unknown_shard_raises(self, executor):
-        executor.init_shards(make_counter_shard, {0: 0})
-        with pytest.raises(ExecutorError, match="unknown"):
-            executor.run_sharded_tasks([(5, add_to_shard, 1)])
-
-    def test_byte_accounting_matches_backend(self, executor):
-        executor.init_shards(make_counter_shard, {0: 0, 1: 0})
-        results = executor.run_sharded_tasks([(0, add_to_shard, 1), (1, add_to_shard, 2)])
-        if executor.shares_memory:
-            # Nothing was serialized: bytes must be exactly zero.
-            assert all(r.payload_bytes == 0 and r.result_bytes == 0 for r in results)
-        else:
-            # Real pickled sizes in both directions.
-            assert all(r.payload_bytes > 0 and r.result_bytes > 0 for r in results)
-
-
-class TestProcessShardAffinity:
-    def test_shards_are_pinned_to_host_processes(self):
-        with ProcessExecutor(max_workers=2) as executor:
-            executor.init_shards(make_counter_shard, {0: 0, 1: 0, 2: 0, 3: 0})
-            first = executor.run_sharded_tasks([(s, shard_pid, None) for s in range(4)])
-            second = executor.run_sharded_tasks([(s, shard_pid, None) for s in range(4)])
-            pids_first = [result.value for result in first]
-            pids_second = [result.value for result in second]
-            # A shard never moves between processes...
-            assert pids_first == pids_second
-            # ...and with 2 hosts for 4 shards, exactly 2 processes are used.
-            assert len(set(pids_first)) == 2
-            # The driver-side affinity probe agrees with what actually ran.
-            assert pids_first == [executor.shard_host_pid(s) for s in range(4)]
-
-    def test_unpicklable_seed_payload_raises_executor_error(self):
-        with ProcessExecutor(max_workers=2) as executor:
-            with pytest.raises(ExecutorError, match="picklable"):
-                executor.init_shards(make_counter_shard, {0: lambda: None})
-            # The failed init tore everything down; a clean retry works.
-            assert not executor.has_shards()
-            executor.init_shards(make_counter_shard, {0: 5})
-            assert executor.run_sharded_tasks([(0, add_to_shard, 1)])[0].value == (0, 6)
-
-    def test_unpicklable_task_payload_raises_executor_error(self):
-        with ProcessExecutor(max_workers=2) as executor:
-            executor.init_shards(make_counter_shard, {0: 0})
-            with pytest.raises(ExecutorError, match="picklable"):
-                executor.run_sharded_tasks([(0, add_to_shard, lambda: None)])
 
 
 class TestProcessExecutorErrorPath:

@@ -41,6 +41,17 @@ class CodecRoundTripExecutor(SerialExecutor):
     name = "codec-roundtrip"
     shares_memory = False
 
+    # What the runtime asks of every wire, answered for a wire without nodes:
+    # nothing can be lost, and there is nowhere to move a shard to.
+    def drain_fault_events(self) -> list:
+        return []
+
+    def lost_shards(self) -> tuple:
+        return ()
+
+    def rebalance_shards(self, weights) -> tuple:
+        return [], 0
+
     def init_shards(self, factory, payloads) -> None:
         super().init_shards(
             factory, {shard_id: roundtrip(payload)[0] for shard_id, payload in payloads.items()}
