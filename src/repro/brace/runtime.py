@@ -1017,8 +1017,7 @@ class BraceRuntime:
         if self._stash_tag != tag or ownership is None:
             return False
         for worker in self.workers:
-            worker.owned.clear()
-            worker._owned_sorted = None
+            worker.clear_owned()
             worker.clear_replicas()
         self._owner_of = dict(ownership)
         for agent_id, owner in ownership.items():
@@ -1056,8 +1055,7 @@ class BraceRuntime:
 
     def _rebuild_ownership(self) -> None:
         for worker in self.workers:
-            worker.owned.clear()
-            worker._owned_sorted = None
+            worker.clear_owned()
             worker.clear_replicas()
         self._owner_of.clear()
         self._assign_initial_ownership()

@@ -78,11 +78,11 @@ class BoundaryDelta:
 class MapCommand:
     """Round 1 input: the previous tick's boundary delta (if any).
 
-    ``spatial_backend``/``index`` select how the shard routes ownership
-    during its local distribution — when they resolve to the vectorized
-    backend, the shard packs the owned positions into the tick's columnar
-    cache and resolves owners in one batched lookup; the rows are then
-    reused by the query round's snapshot.
+    The map phase is one batch on every spatial backend, so it consults
+    neither ``spatial_backend`` nor ``index`` any more; the two fields stay
+    on the command because they are part of its wire encoding, and the
+    per-tick frame bytes are a tracked benchmark count (their removal, with
+    the re-baseline, is the first task of ROADMAP's ``[design]`` item).
     """
 
     boundary: BoundaryDelta | None = None
@@ -175,11 +175,7 @@ def shard_map_phase(worker: Worker, command: MapCommand) -> DistributionResult:
     """Round 1: apply the boundary delta, then distribute locally."""
     if command.boundary is not None:
         worker.apply_boundary(command.boundary.kill_ids, command.boundary.spawn_agents)
-    return worker.distribute(
-        spatial_backend=command.spatial_backend,
-        index=command.index,
-        transport_copies=command.transport_copies,
-    )
+    return worker.distribute(transport_copies=command.transport_copies)
 
 
 def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:

@@ -23,16 +23,18 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import compress
+from typing import Any, Iterable
 
 import numpy as np
 
-from repro.brace.replication import replication_targets
+from repro.brace.replication import replication_targets_batch
 from repro.core.agent import Agent
 from repro.core.context import QueryContext, UpdateContext, resolve_spatial_backend
 from repro.core.errors import BraceError
 from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
+from repro.core.soa import pack_positions
 from repro.ipc.frames import ReplicaDelta
 from repro.ipc.sizing import agent_frame_bytes
 from repro.spatial.columnar import PointSet
@@ -71,6 +73,80 @@ def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str |
             agent.update(context)
         finally:
             agent._updating = False
+
+
+class _SortedAgents:
+    """Agents in canonical (:func:`agent_sort_key`) order, as a small table.
+
+    Three parallel sequences — the agents, the sort keys that ordered them
+    (computed once per residency) and, between a harvest and the next update
+    phase, their position rows.  Only the methods here rearrange them, and
+    always all three at once; they rebind the sequences rather than mutate
+    them, so a list handed out earlier stays what it was.
+    """
+
+    __slots__ = ("agents", "keys", "points", "_late")
+
+    def __init__(self, agents: Iterable[Agent] = ()):
+        self.agents: list[Agent] = []
+        self.keys: list[tuple] = []
+        #: ``(n, dim)`` positions, rows parallel to ``agents``; None when
+        #: not harvested (or stale).
+        self.points: np.ndarray | None = None
+        self._late: list[Agent] = list(agents)
+
+    def insert(self, agent: Agent) -> None:
+        """Add ``agent``; it takes its row at the next :meth:`settle`."""
+        self._late.append(agent)
+
+    def settle(self) -> _SortedAgents:
+        """Merge the insertions in; returns ``self``, in canonical order."""
+        if self._late:
+            late, self._late = self._late, []
+            self._merge(late, [agent_sort_key(agent.agent_id) for agent in late])
+        return self
+
+    def _merge(self, late: list[Agent], late_keys: list[tuple]) -> None:
+        """Merge the agents ``late`` (any order) in by their ``late_keys``.
+
+        One sort of the row numbers over the stored keys: Timsort finds the
+        already-sorted run and merges the rest into it, no key function
+        runs, and ties keep the resident row first.  Position rows, when
+        held, are permuted along (the newcomers' are read here).
+        """
+        agents, keys = self.agents + late, self.keys + late_keys
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if self.points is not None:
+            self.points = np.concatenate([self.points, pack_positions(late)])[order]
+        self.agents = [agents[row] for row in order]
+        self.keys = [keys[row] for row in order]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every row whose ``mask`` entry is False."""
+        flags = mask.tolist()
+        self.agents = list(compress(self.agents, flags))
+        self.keys = list(compress(self.keys, flags))
+        if self.points is not None:
+            self.points = self.points[mask]
+
+    def harvest(self) -> np.ndarray | None:
+        """Read every agent's position into ``points`` (None when empty)."""
+        self.points = pack_positions(self.agents) if self.agents else None
+        return self.points
+
+    def extent_with(self, other: _SortedAgents) -> tuple[list[Agent], np.ndarray]:
+        """This table and ``other`` merged: agents and position rows.
+
+        Neither table changes.  Rows harvested here are reused; ``other``'s
+        positions (and everyone's, when nothing was harvested) are read now.
+        """
+        extent = _SortedAgents()
+        extent.agents, extent.keys, extent.points = self.agents, self.keys, self.points
+        if other.agents:
+            extent._merge(other.agents, other.keys)
+        if extent.points is None:
+            return extent.agents, pack_positions(extent.agents)
+        return extent.agents, extent.points
 
 
 @dataclass
@@ -122,17 +198,17 @@ class Worker:
         self.replicas: dict[Any, Agent] = {}
         self.last_query_work_units = 0.0
         self.last_index_probes = 0
-        #: ``agent_id -> position`` harvested during this tick's map phase.
-        #: Positions only change in the update phase, so the query phase can
-        #: assemble its columnar snapshot from these rows instead of walking
-        #: every agent's state again — the tick's one-snapshot contract.
-        self._position_cache: dict[Any, tuple] | None = None
         #: The columnar snapshot served to the last vectorized query phase.
         self.last_snapshot: PointSet | None = None
-        #: Memoized ``owned_agents()`` order; ownership changes clear it.
-        self._owned_sorted: list[Agent] | None = None
-        #: Memoized ``replica_agents()`` order; replica changes clear it.
-        self._replicas_sorted: list[Agent] | None = None
+        #: The owned set in canonical order.  Between a map phase and the
+        #: next update phase it also holds the position rows, harvested once
+        #: by :meth:`distribute` and handed to the query phase's snapshot
+        #: (the tick's one-snapshot contract; positions only change in the
+        #: update phase).  Arrivals are merged in; any other ownership change
+        #: drops the table (None) and the next reader rebuilds it.
+        self._owned_table: _SortedAgents | None = None
+        #: The hosted replicas in canonical order; any replica change drops it.
+        self._replica_table: _SortedAgents | None = None
         #: Delta-mode bookkeeping: ``destination -> {agent_id: state values
         #: tuple last sent}``.  Compared by object identity next tick to
         #: decide which replicas actually need reshipping.
@@ -151,13 +227,25 @@ class Worker:
     # Ownership management
     # ------------------------------------------------------------------
     def add_owned(self, agent: Agent) -> None:
-        """Take ownership of ``agent``."""
+        """Take ownership of ``agent``.
+
+        BRACE places agents by position: a class without spatial fields has
+        no owner to compute and is refused.
+        """
+        if not agent._spatial_fields:
+            raise BraceError(
+                f"worker {self.worker_id} cannot own {type(agent).__name__} "
+                f"agent {agent.agent_id}: the class declares no spatial field"
+            )
+        if agent.agent_id in self.owned:
+            self._owned_table = None  # a replaced object: its row is stale
+        elif self._owned_table is not None:
+            self._owned_table.insert(agent)
         self.owned[agent.agent_id] = agent
-        self._owned_sorted = None
 
     def remove_owned(self, agent_id: Any) -> Agent:
         """Release ownership of the agent with ``agent_id`` and return it."""
-        self._owned_sorted = None
+        self._owned_table = None
         try:
             return self.owned.pop(agent_id)
         except KeyError:
@@ -165,21 +253,30 @@ class Worker:
                 f"worker {self.worker_id} does not own agent {agent_id}"
             ) from None
 
+    def clear_owned(self) -> None:
+        """Release every owned agent (ownership is about to be rebuilt)."""
+        self.owned.clear()
+        self._owned_table = None
+
+    def _owned_rows(self) -> _SortedAgents:
+        """The owned table, rebuilt if dropped, with every arrival merged in."""
+        if self._owned_table is None:
+            self._owned_table = _SortedAgents(self.owned.values())
+        return self._owned_table.settle()
+
     def owned_agents(self) -> list[Agent]:
         """Owned agents sorted by id (deterministic iteration order).
 
         Uses :func:`~repro.core.ordering.agent_sort_key`, the same total
         order the driver uses to route effect partials, so a shard and the
         driver always enumerate agents identically.  The order is memoized
-        between ownership changes —
-        several phases per tick iterate it — and a fresh list is returned
-        each call so callers can mutate ownership while iterating.
+        between ownership changes — several phases per tick iterate it —
+        and agents that arrived since are *merged* into it (their keys are
+        the only ones computed, their position rows the only ones packed);
+        a fresh list is returned each call so callers can mutate ownership
+        while iterating.
         """
-        if self._owned_sorted is None:
-            self._owned_sorted = [
-                self.owned[agent_id] for agent_id in sorted(self.owned, key=agent_sort_key)
-            ]
-        return list(self._owned_sorted)
+        return list(self._owned_rows().agents)
 
     def owned_count(self) -> int:
         """Number of owned agents."""
@@ -196,26 +293,28 @@ class Worker:
         history could go stale — clearing both forces a full resend.
         """
         self.replicas.clear()
-        self._replicas_sorted = None
+        self._replica_table = None
         self._replica_sent = {}
 
     def discard_replica(self, agent_id: Any) -> None:
         """Drop one hosted replica, if present (delta-mode removals)."""
         if self.replicas.pop(agent_id, None) is not None:
-            self._replicas_sorted = None
+            self._replica_table = None
 
     def install_replica(self, replica: Agent) -> None:
         """Host an already-cloned replica (shipped from another shard)."""
         self.replicas[replica.agent_id] = replica
-        self._replicas_sorted = None
+        self._replica_table = None
 
     def replica_agents(self) -> list[Agent]:
         """Hosted replicas sorted by id (memoized between replica changes)."""
-        if self._replicas_sorted is None:
-            self._replicas_sorted = [
-                self.replicas[agent_id] for agent_id in sorted(self.replicas, key=agent_sort_key)
-            ]
-        return list(self._replicas_sorted)
+        return list(self._replica_rows().agents)
+
+    def _replica_rows(self) -> _SortedAgents:
+        """The replica table, rebuilt if dropped."""
+        if self._replica_table is None:
+            self._replica_table = _SortedAgents(self.replicas.values()).settle()
+        return self._replica_table
 
     # ------------------------------------------------------------------
     # Shard operations (the map phase, computed shard-locally)
@@ -223,25 +322,28 @@ class Worker:
     def distribute(
         self,
         partitioning: SpatialPartitioning | None = None,
-        spatial_backend: str | None = None,
-        index: str | None = "kdtree",
         transport_copies: bool = False,
     ) -> DistributionResult:
         """Run the tick's map phase locally: reset, migrate out, replicate.
 
-        Examines every owned agent once: agents whose position left this
+        The phase is one batch over the owned set: positions are harvested
+        into a matrix, owners and replication targets are resolved as column
+        arithmetic against the partition faces
+        (:meth:`~repro.spatial.partitioning.SpatialPartitioning.partition_of_batch`,
+        :func:`~repro.brace.replication.replication_targets_batch` — both
+        bit-identical to their scalar forms), and Python then visits only the
+        *boundary* rows, in canonical order: agents whose position left this
         partition are removed and queued for their new owner; replica clones
         are produced for every partition whose visible region contains the
         agent (on behalf of the agent's *new* owner when it migrated, so the
         byte accounting matches a centralized map phase exactly).  Replicas
         destined for this very partition — an agent that migrated away but
-        is still visible here — are installed directly.
+        is still visible here — are installed directly.  An interior agent
+        costs no Python beyond its effect reset.
 
-        Positions are harvested into the tick's columnar cache here and
-        reused by :meth:`run_query_phase`; with the vectorized backend the
-        ownership routing itself runs as one batched
-        :meth:`~repro.spatial.partitioning.SpatialPartitioning.partition_of_batch`
-        call (bit-identical to the scalar path).
+        The harvested rows stay with the owned table and become the query
+        phase's snapshot (:meth:`run_query_phase`), so positions are read
+        once per tick.
 
         ``transport_copies`` says whether everything handed out is copied
         before anyone mutates the originals.  A wire does exactly that
@@ -278,22 +380,37 @@ class Worker:
             is_ = operator.is_
         else:
             self.clear_replicas()
-        for agent in self.owned_agents():
+        table = self._owned_rows()
+        owned = table.agents
+        for agent in owned:
             agent.reset_effects()
-        owned = self.owned_agents()
-        owners = self._harvest_positions(owned, partitioning, spatial_backend, index)
-        for agent, owner in zip(owned, owners):
+        owners, replicates, targets_of, everywhere = self._harvest_positions(
+            table, partitioning
+        )
+        migrates = owners != self.worker_id
+        if migrates.any():
+            # Ownership first, all at once: the migrants leave the dict and
+            # their rows leave the table (``owned`` keeps the old rows for
+            # the loop below).
+            for agent in compress(owned, migrates.tolist()):
+                del self.owned[agent.agent_id]
+            table.keep(~migrates)
+        boundary = np.flatnonzero(migrates | replicates)
+        for row, owner, replicating in zip(
+            boundary.tolist(), owners[boundary].tolist(), replicates[boundary].tolist()
+        ):
+            agent = owned[row]
             size = agent_frame_bytes(agent)
             if owner != self.worker_id:
-                self.remove_owned(agent.agent_id)
                 result.migrations_out.setdefault(owner, []).append(agent)
                 result.migration_pair_bytes[(self.worker_id, owner)] += size
                 result.agents_migrated += 1
-            targets = replication_targets(agent, partitioning)
-            if transport_copies and targets:
+            if not replicating:
+                continue
+            if transport_copies:
                 values = tuple(agent._state.values())
                 agent_id = agent.agent_id
-            for target in targets:
+            for target in targets_of.get(row, everywhere):
                 if target == owner:
                     continue
                 result.replication_pair_bytes[(owner, target)] += size
@@ -343,35 +460,20 @@ class Worker:
         return result
 
     def _harvest_positions(
-        self,
-        owned: list[Agent],
-        partitioning: SpatialPartitioning,
-        spatial_backend: str | None,
-        index: str | None,
-    ) -> list[int]:
-        """Resolve ownership; pack positions into the tick cache when useful.
+        self, table: _SortedAgents, partitioning: SpatialPartitioning
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]], list[int]]:
+        """Pack the owned positions; resolve owners and replication targets.
 
-        One pass over the owned set.  When ``(spatial_backend, index)``
-        resolves to the vectorized backend for this worker's size, the
-        positions additionally land in ``_position_cache`` (the snapshot
-        rows the query phase reuses) and ownership is resolved as a single
-        batched lookup over the packed matrix; on the python backend this
-        is exactly the old per-agent loop, with no extra allocations.
+        The matrix stays with the owned table as its position rows, for the
+        query phase's snapshot.  Returns the owner of every row plus what
+        :func:`~repro.brace.replication.replication_targets_batch` says
+        about them.
         """
-        self._position_cache = None
-        if not owned:
-            return []
-        vectorized = resolve_spatial_backend(
-            spatial_backend, index, len(owned)
-        ) == "vectorized"
-        if not vectorized:
-            return [partitioning.partition_of(agent.position()) for agent in owned]
-        positions = [agent.position() for agent in owned]
-        self._position_cache = {
-            agent.agent_id: position for agent, position in zip(owned, positions)
-        }
-        matrix = np.asarray(positions, dtype=np.float64)
-        return [int(owner) for owner in partitioning.partition_of_batch(matrix)]
+        points = table.harvest()
+        if points is None:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), {}, []
+        owners = partitioning.partition_of_batch(points)
+        return owners, *replication_targets_batch(table.agents, points, owners, partitioning)
 
     def apply_boundary(self, kill_ids: list[Any], spawn_agents: list[Agent]) -> int:
         """Apply a tick boundary's births and deaths; returns the owned count.
@@ -380,7 +482,8 @@ class Worker:
         on the driver's world: killed agents leave the owned set, spawned agents
         (already carrying their driver-assigned ids) join it.
         """
-        self._owned_sorted = None
+        if kill_ids:
+            self._owned_table = None
         for agent_id in kill_ids:
             self.owned.pop(agent_id, None)
         for agent in spawn_agents:
@@ -459,50 +562,47 @@ class Worker:
     ) -> QueryContext:
         """Execute the query phase (reduce 1) for every owned agent.
 
-        With the vectorized backend the columnar snapshot is assembled here
-        — reusing the position rows harvested by :meth:`distribute` earlier
-        this tick — and handed to the context, so positions are packed once
-        per tick, not once per phase.
+        With the vectorized backend the context is served the columnar
+        snapshot over the extent — owned agents plus replicas, in canonical
+        order — assembled from the position rows :meth:`distribute`
+        harvested earlier this tick: positions are packed once per tick, not
+        once per phase.
         """
-        agents = self.owned_agents() + self.replica_agents()
+        owned, replicas = self.owned_agents(), self.replica_agents()
         context = QueryContext(
-            agents,
+            # Not the snapshot's merged order: ``ctx.agents()`` hands this
+            # list to user code, and it must not depend on the backend.
+            owned + replicas,
             tick=tick,
             seed=seed,
             index=index,
             cell_size=cell_size,
             check_visibility=check_visibility,
             spatial_backend=spatial_backend,
-            snapshot=self._build_snapshot(agents, index, spatial_backend),
+            snapshot=self._build_snapshot(index, spatial_backend),
         )
         with phase(Phase.QUERY):
-            _query_loop(self.owned_agents(), context, plan_backend)
+            _query_loop(owned, context, plan_backend)
         self.last_query_work_units = context.work_units
         self.last_index_probes = context.index_probes
         return context
 
-    def _build_snapshot(
-        self, agents: list[Agent], index: str | None, spatial_backend: str | None
-    ) -> PointSet | None:
+    def _build_snapshot(self, index: str | None, spatial_backend: str | None) -> PointSet | None:
         """The query phase's columnar snapshot (None on the python backend).
 
-        Rows come from the map phase's position cache when available;
-        agents that arrived after the harvest (migrations in, replicas)
-        contribute their positions directly.
+        Its rows are the extent in canonical order.  Both tables are already
+        sorted, so that is one merge over their stored keys, and the owned
+        rows come from the map phase's harvest: only the replicas — rows
+        that arrived after it — have their positions read here (everyone's
+        when no map phase ran this tick).
         """
-        if resolve_spatial_backend(spatial_backend, index, len(agents)) != "vectorized":
+        owned, replicas = self._owned_rows(), self._replica_rows()
+        extent = len(owned.agents) + len(replicas.agents)
+        if resolve_spatial_backend(spatial_backend, index, extent) != "vectorized":
             self.last_snapshot = None
             return None
-        ordered = sorted(agents, key=lambda agent: agent_sort_key(agent.agent_id))
-        cache = self._position_cache
-        if cache:
-            def key(agent):
-                position = cache.get(agent.agent_id)
-                return position if position is not None else agent.position()
-        else:
-            def key(agent):
-                return agent.position()
-        self.last_snapshot = PointSet(ordered, key=key)
+        agents, points = owned.extent_with(replicas)
+        self.last_snapshot = PointSet(agents, points=points)
         return self.last_snapshot
 
     def touched_replica_partials(self) -> dict[Any, dict[str, Any]]:
@@ -534,8 +634,8 @@ class Worker:
         plan_backend: str | None = None,
     ) -> UpdateContext:
         """Execute the update phase for every owned agent, collecting births/deaths."""
-        # Positions change now: the map-phase snapshot rows are stale.
-        self._position_cache = None
+        # Positions change now: the map phase's position rows are stale.
+        self._owned_rows().points = None
         self.last_snapshot = None
         context = UpdateContext(tick=tick, seed=seed, world_bounds=world_bounds)
         with phase(Phase.UPDATE):

@@ -31,12 +31,19 @@ _ATOMIC_TYPES = frozenset(
 )
 
 
+def _is_immutable(value: Any) -> bool:
+    """True for atomic values and tuples of them: safe to share between agents."""
+    if type(value) is tuple:
+        return all(map(_is_immutable, value))
+    return type(value) in _ATOMIC_TYPES
+
+
 def _copy_mapping(mapping: dict) -> dict:
     """Copy a field-value dict, deep-copying only what is actually mutable."""
     for value in mapping.values():
         if type(value) not in _ATOMIC_TYPES:
             return {
-                name: value if type(value) in _ATOMIC_TYPES else copy.deepcopy(value)
+                name: value if _is_immutable(value) else copy.deepcopy(value)
                 for name, value in mapping.items()
             }
     return dict(mapping)
@@ -72,6 +79,22 @@ class AgentMeta(type):
         cls._spatial_fields = [
             field_name for field_name, field in state_fields.items() if field.spatial
         ]
+        # reset_effects runs once per agent per tick: identities that are
+        # immutable are shared from one per-class template; the others
+        # (a custom collect-into-a-list combinator) are made per agent.
+        identities = {
+            field_name: field.combinator.identity()
+            for field_name, field in effect_fields.items()
+        }
+        cls._effect_identities = {
+            field_name: value for field_name, value in identities.items()
+            if _is_immutable(value)
+        }
+        cls._mutable_effect_fields = tuple(
+            (field_name, effect_fields[field_name].combinator)
+            for field_name in identities
+            if field_name not in cls._effect_identities
+        )
         return cls
 
 
@@ -86,6 +109,8 @@ class Agent(metaclass=AgentMeta):
     _state_fields: dict[str, StateField] = {}
     _effect_fields: dict[str, EffectField] = {}
     _spatial_fields: list[str] = []
+    _effect_identities: dict[str, Any] = {}
+    _mutable_effect_fields: tuple = ()
 
     def __init__(self, agent_id: int | None = None, **field_values: Any):
         self.agent_id = agent_id
@@ -210,8 +235,9 @@ class Agent(metaclass=AgentMeta):
 
     def reset_effects(self) -> None:
         """Reset every effect accumulator to its combinator identity."""
-        for field_name, field in self._effect_fields.items():
-            self._effects[field_name] = field.combinator.identity()
+        self._effects.update(self._effect_identities)
+        for field_name, combinator in self._mutable_effect_fields:
+            self._effects[field_name] = combinator.identity()
         self._effects_touched.clear()
 
     def effect_value(self, field_name: str) -> Any:
@@ -243,15 +269,15 @@ class Agent(metaclass=AgentMeta):
         return {
             "class": type(self).__name__,
             "agent_id": self.agent_id,
-            "state": copy.deepcopy(self._state),
-            "effects": copy.deepcopy(self._effects),
+            "state": _copy_mapping(self._state),
+            "effects": _copy_mapping(self._effects),
         }
 
     def restore(self, snapshot: dict[str, Any]) -> None:
         """Restore state and effects from a snapshot taken with :meth:`snapshot`."""
         self.agent_id = snapshot["agent_id"]
-        self._state = copy.deepcopy(snapshot["state"])
-        self._effects = copy.deepcopy(snapshot["effects"])
+        self._state = _copy_mapping(snapshot["state"])
+        self._effects = _copy_mapping(snapshot["effects"])
         self._effects_touched = set()
 
     def same_state_as(self, other: "Agent", tolerance: float = 0.0) -> bool:

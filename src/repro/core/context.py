@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.errors import VisibilityError, WorldError
 from repro.core.ordering import agent_sort_key
+from repro.core.soa import pack_positions, rows_by_class
 from repro.spatial.bbox import BBox
 from repro.spatial.columnar import PointSet, VectorizedGrid, batch_neighbor_lists
 from repro.spatial.grid import UniformGrid
@@ -94,8 +95,10 @@ class QueryContext:
     snapshot:
         Optional prebuilt :class:`~repro.spatial.columnar.PointSet` over
         exactly these agents in canonical (:func:`agent_sort_key`) order —
-        how a worker reuses the positions it already packed during the
-        distribution phase.  Ignored by the python backend.
+        how a worker hands over the positions it already packed during the
+        distribution phase.  Its row order is adopted as the context's
+        canonical order; the extent is not sorted again.  Ignored by the
+        python backend.
 
     Both backends return neighbour/visible matches in the *canonical agent
     order* (ascending :func:`agent_sort_key`), so every floating-point
@@ -126,7 +129,7 @@ class QueryContext:
         )
         self._snapshot = snapshot if self.spatial_backend == "vectorized" else None
         self._canonical_list: list[Any] | None = (
-            list(snapshot.items) if self._snapshot is not None else None
+            snapshot.items if self._snapshot is not None else None
         )
         self._canonical_rank: dict[int, int] | None = None
         #: radius -> (per-row neighbour arrays, per-row examined counts).
@@ -303,9 +306,8 @@ class QueryContext:
     def _ensure_snapshot(self) -> PointSet:
         """The columnar snapshot over the extent, built at most once."""
         if self._snapshot is None:
-            self._snapshot = PointSet(
-                self._canonical_agents(), key=lambda agent: agent.position()
-            )
+            canonical = self._canonical_agents()
+            self._snapshot = PointSet(canonical, points=pack_positions(canonical))
         return self._snapshot
 
     def _materialize(self, snapshot, rows, agent, include_self) -> list[Any]:
@@ -444,12 +446,10 @@ class QueryContext:
         points = snapshot.points
         lows = np.full_like(points, np.inf)
         highs = np.full_like(points, -np.inf)
-        classes = list(map(type, snapshot.items))
         bounded = np.zeros(len(points), dtype=bool)
-        for cls in set(classes):
+        for cls, rows in rows_by_class(snapshot.items).items():
             if not cls.has_bounded_visibility():
                 continue
-            rows = np.flatnonzero([c is cls for c in classes])
             radii = np.array(cls.visibility_radii(), dtype=np.float64)
             lows[rows] = points[rows] - radii
             highs[rows] = points[rows] + radii

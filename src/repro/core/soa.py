@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
@@ -224,6 +225,49 @@ def states_equal(mine: Mapping, theirs: Mapping) -> bool:
         if not all(cells_equal(value, other[name]) for name, value in fields.items()):
             return False
     return True
+
+
+def rows_by_class(agents: Sequence) -> Dict[type, np.ndarray]:
+    """Row indices of ``agents`` grouped by exact class.
+
+    Visibility radii, spatial field names and kernels are all declared per
+    class, so the set-at-a-time paths resolve them once per class and apply
+    them to that class's rows.
+    """
+    classes = list(map(type, agents))
+    distinct = set(classes)
+    if len(distinct) == 1:
+        return {classes[0]: np.arange(len(classes))}
+    return {
+        cls: np.flatnonzero(np.fromiter((c is cls for c in classes), bool, len(classes)))
+        for cls in distinct
+    }
+
+
+def pack_positions(agents: Sequence) -> np.ndarray:
+    """The agents' positions as one ``(n, dim)`` ``float64`` matrix.
+
+    Row ``i`` holds what ``agents[i].position()`` returns, read column by
+    column from the spatial state fields of each agent's class — no method
+    call, tuple or ``float()`` per agent.  Agents whose classes disagree on
+    the number of spatial dimensions cannot share a matrix (``ValueError``).
+    """
+    groups = rows_by_class(agents)
+    dims = {len(cls._spatial_fields) for cls in groups}
+    if len(dims) > 1:
+        raise ValueError(
+            "agents disagree on their number of spatial dimensions: "
+            + ", ".join(f"{cls.__name__}={len(cls._spatial_fields)}" for cls in groups)
+        )
+    points = np.empty((len(agents), dims.pop() if dims else 0), dtype=np.float64)
+    for cls, rows in groups.items():
+        members = agents if len(rows) == len(agents) else [agents[row] for row in rows.tolist()]
+        states = [agent._state for agent in members]
+        for column, name in enumerate(cls._spatial_fields):
+            points[rows, column] = np.fromiter(
+                map(itemgetter(name), states), np.float64, len(states)
+            )
+    return points
 
 
 class AgentTable:

@@ -28,6 +28,25 @@ from repro.core.errors import PartitioningError
 from repro.spatial.bbox import BBox
 
 
+def _reject_nan(coordinates) -> None:
+    """Raise when any coordinate (of a point, or of a matrix of points) is NaN.
+
+    ``floor``, ``bisect`` and ``<=`` each do something different with a NaN
+    (raise, sort it last, answer False), so no partition "owns" one; both the
+    scalar and the batch lookups refuse it with the same typed error instead.
+    Infinite coordinates are fine: they clamp to an edge like any point
+    outside the box.
+    """
+    if isinstance(coordinates, np.ndarray):
+        found = bool(np.isnan(coordinates).any())
+    else:
+        found = any(coordinate != coordinate for coordinate in coordinates)
+    if found:
+        raise PartitioningError(
+            f"cannot place a point with a NaN coordinate: {coordinates!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Partition:
     """A single spatial partition: an id plus its owned region."""
@@ -84,28 +103,26 @@ class SpatialPartitioning:
         world bounds — the faces :meth:`partition_of` clamps outside points to."""
         raise NotImplementedError
 
-    def replication_targets(
-        self, point: Sequence[float], visibility: Sequence[float] | float
-    ) -> list[int]:
-        """Return the ids of every partition that must receive a replica.
+    def _visible_regions(
+        self, visibility: Sequence[float] | float
+    ) -> tuple[list[tuple[int, BBox]], np.ndarray, np.ndarray]:
+        """Every partition's *opened* visible region, cached per visibility.
 
-        A partition needs a replica of an agent at ``point`` exactly when the
-        agent falls inside the partition's visible region, i.e. the owned
-        region expanded by the visibility radii.  :meth:`partition_of` clamps
-        points outside the world box into an edge partition, so the faces of
-        a visible region that lie on the world bounds are open: an agent that
-        drifted out of the box is still seen by every edge partition that
-        owns agents it can see.
+        :meth:`partition_of` clamps points outside the world box into an edge
+        partition, so the faces of a visible region that lie on the world
+        bounds are open (±inf): an agent that drifted out of the box is still
+        seen by every edge partition that owns agents it can see.
 
-        The expanded regions depend only on the partitioning and the radii,
-        not on the point, so they are cached per visibility — this runs once
-        per agent per tick and partitionings are replaced (never mutated)
-        when boundaries move, which keeps the cache trivially valid.
+        Returned as ``(partition id, box)`` pairs for the scalar form and as
+        the same bounds stacked into two ``(P, dim)`` arrays for the batch
+        form.  The regions depend only on the partitioning and the radii, and
+        partitionings are replaced (never mutated) when boundaries move,
+        which keeps the cache trivially valid.
         """
         cache = self.__dict__.setdefault("_visible_region_cache", {})
         key = tuple(visibility) if isinstance(visibility, (list, tuple)) else visibility
-        regions = cache.get(key)
-        if regions is None:
+        cached = cache.get(key)
+        if cached is None:
             regions = []
             for part in self.partitions():
                 grown = part.visible_region(visibility).intervals
@@ -115,12 +132,59 @@ class SpatialPartitioning:
                     for (lo, hi), (low_edge, high_edge) in zip(grown, edges)
                 )
                 regions.append((part.partition_id, BBox(opened)))
-            cache[key] = regions
+            lows = np.array([box.lows for _, box in regions], dtype=np.float64)
+            highs = np.array([box.highs for _, box in regions], dtype=np.float64)
+            cached = cache[key] = (regions, lows, highs)
+        return cached
+
+    def replication_targets(
+        self, point: Sequence[float], visibility: Sequence[float] | float
+    ) -> list[int]:
+        """Return the ids of every partition that must receive a replica.
+
+        A partition needs a replica of an agent at ``point`` exactly when the
+        agent falls inside the partition's visible region, i.e. the owned
+        region expanded by the visibility radii, with the faces on the world
+        bounds opened (:meth:`_visible_regions`).  An infinite coordinate is
+        an ordinary point outside the box; a NaN coordinate raises
+        :class:`~repro.core.errors.PartitioningError`.
+
+        This scalar form is the *reference*: the tick's map phase calls
+        :meth:`replication_targets_batch`, which the tests hold to this
+        function row by row.
+        """
+        _reject_nan(point)
+        regions, _, _ = self._visible_regions(visibility)
         return [
             partition_id
             for partition_id, region in regions
             if region.contains_point(point)
         ]
+
+    def replication_targets_batch(
+        self, points: np.ndarray, visibility: Sequence[float] | float
+    ) -> np.ndarray:
+        """:meth:`replication_targets` for many points: an ``(N, P)`` bool mask.
+
+        ``mask[i, j]`` says row ``i`` of ``points`` lies in the visible region
+        of the ``j``-th partition of :meth:`partitions`.  Each coordinate
+        column is compared against the cached region faces with the very
+        predicates of :meth:`BBox.contains_point` (closed ``lo <= p <= hi``
+        on float64), so every row equals the scalar form — including points
+        on a region face, outside the world box and at ±inf; a NaN anywhere
+        raises :class:`~repro.core.errors.PartitioningError` as it does there.
+        """
+        _, lows, highs = self._visible_regions(visibility)
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != lows.shape[1]:
+            raise ValueError("point dimensionality does not match the box")
+        _reject_nan(points)
+        mask = np.ones((len(points), len(lows)), dtype=bool)
+        for dimension in range(lows.shape[1]):
+            column = points[:, dimension, None]
+            mask &= lows[:, dimension] <= column
+            mask &= column <= highs[:, dimension]
+        return mask
 
 
 class GridPartitioning(SpatialPartitioning):
@@ -200,34 +264,42 @@ class GridPartitioning(SpatialPartitioning):
         return self._partitions[partition_id]
 
     def partition_of(self, point: Sequence[float]) -> int:
+        point = point[: self._bounds.dim]
+        _reject_nan(point)
         coords = []
-        for dimension, coordinate in enumerate(point[: self._bounds.dim]):
+        for dimension, coordinate in enumerate(point):
             lo, hi = self._bounds.intervals[dimension]
-            width = (hi - lo) / self._cells[dimension]
-            if width == 0:
+            cells = self._cells[dimension]
+            width = (hi - lo) / cells
+            # Points on or past the boundary (±inf included) are clamped into
+            # the grid: the simulated space is conceptually unbounded (fish
+            # ocean) but the partitioning must always produce an owner.
+            offset = (coordinate - lo) / width if width else 0.0
+            if offset <= 0:
                 index = 0
+            elif offset >= cells:
+                index = cells - 1
             else:
-                index = int(math.floor((coordinate - lo) / width))
-            # Points on or past the boundary are clamped into the grid: the
-            # simulated space is conceptually unbounded (fish ocean) but the
-            # partitioning must always produce an owner.
-            index = min(max(index, 0), self._cells[dimension] - 1)
+                index = int(math.floor(offset))
             coords.append(index)
         return self._coords_to_id(coords)
 
     def partition_of_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`partition_of` (same clamping, same float ops)."""
         points = np.asarray(points, dtype=np.float64)
+        _reject_nan(points[:, : self._bounds.dim])
         ids = np.zeros(len(points), dtype=np.int64)
         for dimension in range(self._bounds.dim):
             lo, hi = self._bounds.intervals[dimension]
-            width = (hi - lo) / self._cells[dimension]
+            cells = self._cells[dimension]
+            width = (hi - lo) / cells
             if width == 0:
                 index = np.zeros(len(points), dtype=np.int64)
             else:
-                index = np.floor((points[:, dimension] - lo) / width).astype(np.int64)
-            index = np.clip(index, 0, self._cells[dimension] - 1)
-            ids = ids * self._cells[dimension] + index
+                # Clamp while still float: ±inf has no int64 to cast to.
+                offset = np.floor((points[:, dimension] - lo) / width)
+                index = np.clip(offset, 0, cells - 1).astype(np.int64)
+            ids = ids * cells + index
         return ids
 
 
@@ -307,8 +379,8 @@ class StripPartitioning(SpatialPartitioning):
 
     def partition_of(self, point: Sequence[float]) -> int:
         coordinate = point[self._axis]
-        index = bisect.bisect_right(self._boundaries, coordinate)
-        return index
+        _reject_nan((coordinate,))
+        return bisect.bisect_right(self._boundaries, coordinate)
 
     def partition_of_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`partition_of`.
@@ -317,9 +389,10 @@ class StripPartitioning(SpatialPartitioning):
         comparisons of ``bisect.bisect_right``, so the owners are
         bit-identical to the scalar path.
         """
-        points = np.asarray(points, dtype=np.float64)
+        coordinates = np.asarray(points, dtype=np.float64)[:, self._axis]
+        _reject_nan(coordinates)
         boundaries = np.asarray(self._boundaries, dtype=np.float64)
-        return np.searchsorted(boundaries, points[:, self._axis], side="right").astype(
+        return np.searchsorted(boundaries, coordinates, side="right").astype(
             np.int64
         )
 

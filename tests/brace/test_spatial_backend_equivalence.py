@@ -12,12 +12,48 @@ import pytest
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
+from repro.core.agent import Agent
 from repro.core.errors import BraceError
+from repro.core.fields import EffectField, StateField
+from repro.core.world import World
 from repro.simulations.fish.fish import Fish
 from repro.simulations.fish.workload import build_fish_world
 from repro.simulations.traffic.workload import build_traffic_world
+from repro.spatial.bbox import BBox
 
 TICKS = 4
+
+
+class Star(Agent):
+    """Unbounded visibility: its query folds a float over the whole extent,
+    in the order ``ctx.agents()`` hands it out — any reordering shows in the
+    last bit of ``pull``, which the update stores verbatim."""
+
+    x = StateField(0.0, spatial=True)
+    y = StateField(0.0, spatial=True)
+    mass = StateField(1.0)
+    pull = EffectField("sum", 0.0)
+
+    def query(self, ctx):
+        total = 0.0
+        for other in ctx.agents():
+            total += (other.x - self.x) * other.mass * 0.1
+        self.pull = total
+
+    def update(self, ctx):
+        self.mass = self.pull
+
+
+def build_star_world(count=60):
+    import random
+
+    rng = random.Random(3)
+    world = World(bounds=BBox([(0, 100), (0, 100)]))
+    for _ in range(count):
+        world.add_agent(
+            Star(x=rng.uniform(0, 100), y=rng.uniform(0, 100), mass=rng.uniform(0.1, 3.7))
+        )
+    return world
 
 
 def final_states(world):
@@ -57,6 +93,20 @@ class TestBackendEquivalence:
     def test_auto_matches_forced_backends(self, workload):
         auto_states = run_backend(workload, None, "serial")
         assert auto_states == run_backend(workload, "python", "serial")
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_extent_iteration_order_does_not_depend_on_the_backend(self, executor):
+        # ``ctx.agents()`` feeds BRASIL's foreach for unbounded classes; the
+        # vectorized backend's snapshot has its own (merged) row order, which
+        # must stay out of what user code iterates.
+        states = {}
+        for backend in ("python", "vectorized"):
+            world = build_star_world()
+            config = BraceConfig(num_workers=4, executor=executor, spatial_backend=backend)
+            with BraceRuntime(world, config) as runtime:
+                runtime.run(2)
+            states[backend] = final_states(world)
+        assert states["python"] == states["vectorized"]
 
     def test_index_choice_is_bit_neutral(self):
         # Canonical match ordering makes the access path invisible even at

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.agent import Agent
-from repro.core.combinators import MIN, SUM
+from repro.core.combinators import COLLECT, MEAN, MIN, SUM, Combinator
 from repro.core.errors import AgentDefinitionError, PhaseViolationError
 from repro.core.fields import EffectField, StateField
 from repro.core.phase import Phase, phase, set_enforcement
@@ -20,6 +20,21 @@ class Probe(Agent):
     plain = StateField(0.0)
     total = EffectField(SUM)
     best = EffectField(MIN)
+
+
+#: A collect-style combinator whose identity is a *mutable* list.
+BAG = Combinator("bag", list, lambda acc, value: acc + [value], merge_fn=lambda a, b: a + b)
+
+
+class Gatherer(Agent):
+    """Effect fields with immutable (tuple) and mutable (list) identities."""
+
+    x = StateField(0.0, spatial=True, visibility=1.0)
+    trail = StateField(None)
+    total = EffectField(SUM)
+    average = EffectField(MEAN)
+    seen = EffectField(COLLECT)
+    bag = EffectField(BAG)
 
 
 class TestDeclarations:
@@ -139,6 +154,46 @@ class TestEffectAggregation:
         assert agent.total == 0.0
         assert agent.touched_effect_partials() == {}
 
+    def test_reset_effects_restores_every_identity(self):
+        agent = Gatherer()
+        with phase(Phase.QUERY):
+            agent.total = 2.0
+            agent.average = 4.0
+            agent.seen = "a"
+            agent.bag = "b"
+        agent.reset_effects()
+        fresh = Gatherer()
+        assert agent.effect_partials() == fresh.effect_partials()
+        assert list(agent.effect_partials()) == list(Gatherer._effect_fields)
+        assert agent.touched_effect_partials() == {}
+
+    def test_reset_effects_never_shares_a_mutable_identity(self):
+        # Immutable identities come from one per-class template; a mutable
+        # one must be made per agent, or one agent's accumulation would
+        # leak into every other's.
+        assert set(Gatherer._effect_identities) == {"total", "average", "seen"}
+        first, second = Gatherer(), Gatherer()
+        for _ in range(2):
+            first.reset_effects()
+            second.reset_effects()
+            assert first._effects["bag"] is not second._effects["bag"]
+            first._effects["bag"].append("leak")
+            assert second._effects["bag"] == []
+        previous = first._effects["bag"]
+        first.reset_effects()
+        assert first._effects["bag"] == [] and first._effects["bag"] is not previous
+
+    def test_reset_effects_template_is_per_class(self):
+        class Wider(Probe):
+            extra = EffectField(MIN)
+
+        assert set(Probe._effect_identities) == {"total", "best"}
+        assert set(Wider._effect_identities) == {"total", "best", "extra"}
+        agent = Wider()
+        agent.set_effect_partials({"extra": 1.0})
+        agent.reset_effects()
+        assert agent.effect_partials() == {"total": 0.0, "best": float("inf"), "extra": float("inf")}
+
     def test_touched_partials_only_contains_assigned_fields(self):
         agent = Probe()
         with phase(Phase.QUERY):
@@ -177,6 +232,36 @@ class TestCloningAndSnapshots:
         agent.restore(snapshot)
         assert agent.x == 3.0
         assert agent.plain == 2.0
+
+    def test_snapshot_deep_copies_mutable_values(self):
+        agent = Gatherer(trail=[1, [2]])
+        agent.agent_id = 1
+        with phase(Phase.QUERY):
+            agent.bag = "b"
+            agent.average = 2.0
+        snapshot = agent.snapshot()
+        assert snapshot["state"] == {"x": 0.0, "trail": [1, [2]]}
+        assert snapshot["effects"]["bag"] == ["b"]
+        # Later mutation of the live agent cannot reach the snapshot ...
+        agent._state["trail"][1].append(3)
+        agent._effects["bag"].append("late")
+        assert snapshot["state"]["trail"] == [1, [2]]
+        assert snapshot["effects"]["bag"] == ["b"]
+        # ... and a restored agent shares nothing mutable with it.
+        other = Gatherer()
+        other.restore(snapshot)
+        assert other.state_dict() == {"x": 0.0, "trail": [1, [2]]}
+        assert other.effect_partials() == snapshot["effects"]
+        assert other._state is not snapshot["state"]
+        assert other._effects is not snapshot["effects"]
+        assert other._state["trail"] is not snapshot["state"]["trail"]
+        assert other._state["trail"][1] is not snapshot["state"]["trail"][1]
+        assert other._effects["bag"] is not snapshot["effects"]["bag"]
+        other._state["trail"][1].append(4)
+        other._effects["bag"].append("mine")
+        assert snapshot["state"]["trail"] == [1, [2]]
+        assert snapshot["effects"]["bag"] == ["b"]
+        assert other.touched_effect_partials() == {}
 
     def test_same_state_as(self):
         first = Probe(x=1.0)
