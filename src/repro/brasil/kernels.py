@@ -32,10 +32,19 @@ compiler only accepts constructs it can prove equivalent:
   :class:`PlanKernelFallback` *before* any agent is mutated — NumPy's
   ``minimum.at`` and Python's ``min`` disagree on NaN ordering.
 
+The evaluator (:class:`_VectorFrame`, shared by both kernels) does no
+work whose result is known or already computed: literals stay Python
+scalars, NIL validity and the statement mask stay ``True`` until an
+operator or an ``if`` actually switches a lane off, comparisons stay
+boolean, and a compound sub-expression the body repeats (found once, at
+kernel-compile time, by :class:`_SharingPass`) is evaluated once per
+``foreach`` execution and released at its last use.
+
 Anything outside the provable subset — ``rand()`` in the phase, nested
 ``foreach``, loop-carried local accumulators, agent-valued locals, the
-``collect`` combinator, unbounded visibility — simply leaves the phase on
-the interpreted path.  Fallback is per worker-phase and all-or-nothing:
+``collect`` combinator, unbounded visibility, an update rule on an ``int``
+or ``bool`` state field (columns are ``float64``) — simply leaves the phase
+on the interpreted path.  Fallback is per worker-phase and all-or-nothing:
 kernels do all their reading and computing first and only then write
 effects/state back, so a fallback mid-compute leaves the world untouched
 for the interpreter to process from scratch.
@@ -44,6 +53,7 @@ for the interpreter to process from scratch.
 from __future__ import annotations
 
 from itertools import compress
+from operator import is_, mod
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -289,6 +299,92 @@ def _target_kind(stmt: EffectAssign, loopvar: Optional[str]) -> str:
     raise _Unsupported("effect target is neither 'this' nor the loop variable")
 
 
+#: Expression nodes that compute (and may therefore be shared); literals,
+#: names and field reads are cheap or plain gathers and never memoised.
+_COMPOUND = (BinaryOp, UnaryOp, Conditional, Call)
+
+
+def _operands(expr) -> List[Any]:
+    """The child expressions of a compound node, in evaluation order."""
+    if isinstance(expr, BinaryOp):
+        return [expr.left, expr.right]
+    if isinstance(expr, UnaryOp):
+        return [expr.operand]
+    if isinstance(expr, Conditional):
+        return [expr.condition, expr.then_expr, expr.else_expr]
+    return list(expr.arguments)
+
+
+class _SharingPass:
+    """Finds the compound sub-expressions a kernel evaluates more than once.
+
+    Walks statements in the executor's order and groups structurally
+    identical compound nodes (``repr`` of the dataclass tree is the
+    structural key).  A repeated occurrence is a memo hit at run time and
+    evaluates no children, so the walk does not descend into it either —
+    the counts are exactly the evaluator's.  A group never spans a point
+    where a memoised value could go stale — an ``Assign``, the
+    re-declaration of a bound name, a ``foreach`` boundary (its body is
+    pair space) — because each such point opens a new *scope* and the scope
+    is part of the memo key.  The result maps ``id(node)`` to ``(key,
+    later_uses)``: how many occurrences of the same expression are still to
+    come, which is what lets the evaluator release a shared result at its
+    last use.
+    """
+
+    def __init__(self, bound_names):
+        self._bound = set(bound_names)
+        self._groups: Dict[Tuple[int, str], List[int]] = {}
+        self._scopes = 0
+        self._scope = 0
+
+    def _new_scope(self) -> None:
+        self._scopes += 1
+        self._scope = self._scopes
+
+    def expression(self, expr) -> None:
+        if not isinstance(expr, _COMPOUND):
+            return
+        group = self._groups.setdefault((self._scope, repr(expr)), [])
+        group.append(id(expr))
+        if len(group) == 1:
+            for operand in _operands(expr):
+                self.expression(operand)
+
+    def block(self, statements) -> None:
+        for stmt in statements:
+            if isinstance(stmt, Block):
+                self.block(stmt.statements)
+            elif isinstance(stmt, LocalDecl):
+                self.expression(stmt.initializer)
+                if stmt.name in self._bound:
+                    self._new_scope()
+                self._bound.add(stmt.name)
+            elif isinstance(stmt, Assign):
+                self.expression(stmt.value)
+                self._new_scope()
+            elif isinstance(stmt, EffectAssign):
+                self.expression(stmt.value)
+            elif isinstance(stmt, If):
+                self.expression(stmt.condition)
+                self.block(stmt.then_block.statements)
+                if stmt.else_block is not None:
+                    self.block(stmt.else_block.statements)
+            elif isinstance(stmt, ForEach):
+                outer = self._scope
+                self._new_scope()
+                self.block(stmt.body.statements)
+                self._scope = outer
+
+    def shared(self) -> Dict[int, Tuple[Tuple[int, str], int]]:
+        return {
+            node: (key, len(group) - 1 - position)
+            for key, group in self._groups.items()
+            if len(group) > 1
+            for position, node in enumerate(group)
+        }
+
+
 class QueryKernel:
     """A compiled query phase: one worker's ``run()`` bodies as array ops."""
 
@@ -297,6 +393,10 @@ class QueryKernel:
         self.body = body
         self.state_field_names = list(info.state_field_names)
         self.effect_combinators = dict(info.effect_combinators)
+        sharing = _SharingPass(self.state_field_names)
+        sharing.block(body.statements)
+        #: ``id(node) -> (key, later_uses)`` of the repeated sub-expressions.
+        self.shared = sharing.shared()
 
     def run(self, owned: Sequence[Any], context: Any) -> None:
         """Execute the query phase for ``owned`` probes against ``context``.
@@ -305,8 +405,7 @@ class QueryKernel:
         runtime-only condition blocks the compiled path.
         """
         frame = _VectorFrame.for_query(self, owned, context)
-        mask = np.ones(len(owned), dtype=bool)
-        frame.exec_block(self.body.statements, mask, "probe")
+        frame.exec_block(self.body.statements, True, "probe")
         frame.writeback_effects()
 
 
@@ -318,27 +417,37 @@ class UpdateKernel:
         #: ``(field_name, expression)`` in declaration order — the same
         #: order the interpreted path applies ``setattr`` in.
         self.rules = list(rules)
-        self.state_field_names = list(info.state_field_names)
-        self.effect_reads = {
-            name
-            for _, expr in self.rules
-            for name in _names_in(expr)
-            if name in info.effect_combinators
-        }
+        names = {name for _, expr in self.rules for name in _names_in(expr)}
+        self.effect_reads = names & set(info.effect_combinators)
+        #: Only the columns the rules touch are packed: an unpackable value
+        #: in a field no rule reads or writes cannot block the kernel.
+        names.update(field for field, _ in self.rules)
+        self.state_field_names = [name for name in info.state_field_names if name in names]
+        sharing = _SharingPass(())
+        for _, expr in self.rules:
+            sharing.expression(expr)
+        self.shared = sharing.shared()
 
     def run(self, agents: Sequence[Any], context: Any) -> None:
-        """Apply every update rule to ``agents`` (all of this class)."""
+        """Apply every update rule to ``agents`` (all of this class).
+
+        Raises :class:`PlanKernelFallback` before anything is mutated when a
+        value the rules need cannot be packed into a ``float64`` column.
+        """
         if not agents:
             return
         cls = type(agents[0])
-        table = AgentTable(agents, self.state_field_names)
-        effect_columns = {}
-        for name in self.effect_reads:
-            combinator = cls._effect_fields[name].combinator
-            effect_columns[name] = pack_column(
-                [combinator.finalize(agent._effects[name]) for agent in agents]
-            )
-        frame = _VectorFrame.for_update(table, effect_columns, self.state_field_names)
+        try:
+            table = AgentTable(agents, self.state_field_names)
+            effect_columns = {}
+            for name in self.effect_reads:
+                combinator = cls._effect_fields[name].combinator
+                effect_columns[name] = pack_column(
+                    [combinator.finalize(agent._effects[name]) for agent in agents]
+                )
+        except UnpackableValueError as exc:
+            raise PlanKernelFallback(str(exc)) from exc
+        frame = _VectorFrame.for_update(self, table, effect_columns)
         computed = [(field, frame.eval(expr, "probe")) for field, expr in self.rules]
         # All reads and computation are done; from here on, writeback only.
         for field, (values, valid) in computed:
@@ -365,17 +474,203 @@ def _names_in(expr) -> List[str]:
         node = stack.pop()
         if isinstance(node, Name):
             found.append(node.identifier)
-        elif isinstance(node, BinaryOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, Conditional):
-            stack.extend((node.condition, node.then_expr, node.else_expr))
-        elif isinstance(node, Call):
-            stack.extend(node.arguments)
         elif isinstance(node, FieldAccess):
             stack.append(node.target)
+        elif isinstance(node, _COMPOUND):
+            stack.extend(_operands(node))
     return found
+
+
+# ----------------------------------------------------------------------
+# Lanes: values, validity and masks
+# ----------------------------------------------------------------------
+# A *value* is a Python scalar (a literal, or anything computed from
+# literals only) or one 1-D array with a lane per probe / pair: ``float64``
+# for numbers, ``bool`` for conditions.  A *lane mask* — NIL validity, or
+# the lanes a statement is active on — is ``True`` (every lane), ``False``
+# (no lane) or a 1-D bool array; it stays ``True`` until something can
+# actually switch a lane off, so the common all-valid, unmasked case costs
+# no array at all.
+
+
+def _lanes(mask):
+    """Normalise a computed mask: scalars and 0-d arrays become ``bool``."""
+    if isinstance(mask, np.ndarray) and mask.ndim:
+        return mask
+    return bool(mask)
+
+
+def _both(a, b):
+    """``a & b`` over lane masks."""
+    if a is True:
+        return b
+    if b is True:
+        return a
+    if a is False or b is False:
+        return False
+    return a & b
+
+
+def _either(a, b):
+    """``a | b`` over lane masks."""
+    if a is False:
+        return b
+    if b is False:
+        return a
+    if a is True or b is True:
+        return True
+    return a | b
+
+
+def _not(a):
+    """``~a`` over a lane mask."""
+    if isinstance(a, bool):
+        return not a
+    return ~a
+
+
+def _is_condition(values) -> bool:
+    if isinstance(values, np.ndarray):
+        return values.dtype == np.bool_
+    return isinstance(values, bool)
+
+
+def _truthy(values):
+    """The lanes on which ``values`` is true (non-zero; NaN is true)."""
+    if _is_condition(values):
+        return values
+    return values != 0.0
+
+
+def _numeric(values):
+    """``values`` as arithmetic sees it: conditions count as 0.0 / 1.0."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.float64) if values.dtype == np.bool_ else values
+    return float(values)
+
+
+_COMPARISONS = {
+    "==": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    ">": np.greater,
+    "<=": np.less_equal,
+    ">=": np.greater_equal,
+}
+
+
+def _lanewise(function, columns, valid):
+    """Apply a Python scalar ``function`` lane by lane (the exact path).
+
+    ``ValueError`` / ``OverflowError`` invalidate the lane, as the
+    interpreter's NIL does.
+    """
+    columns = np.broadcast_arrays(*columns)
+    n = len(columns[0])
+    ok = np.array(np.broadcast_to(valid, n))
+    out = np.zeros(n, dtype=np.float64)
+    for lane in np.flatnonzero(ok):
+        try:
+            out[lane] = function(*(float(column[lane]) for column in columns))
+        except (ValueError, OverflowError):
+            ok[lane] = False
+    return out, ok
+
+
+def _apply_binary(operator: str, left, left_valid, right, right_valid):
+    if operator == "&&":
+        truthy = _truthy(left)
+        return (
+            _both(truthy, _truthy(right)),
+            _both(left_valid, _either(_not(truthy), right_valid)),
+        )
+    if operator == "||":
+        truthy = _truthy(left)
+        return (
+            _either(truthy, _truthy(right)),
+            _both(left_valid, _either(truthy, right_valid)),
+        )
+    left, right = _numeric(left), _numeric(right)
+    valid = _both(left_valid, right_valid)
+    if operator == "+":
+        return left + right, valid
+    if operator == "-":
+        return left - right, valid
+    if operator == "*":
+        return left * right, valid
+    if operator == "/":
+        nonzero = right != 0.0
+        if np.all(nonzero):
+            return left / right, valid
+        return left / np.where(nonzero, right, 1.0), _both(valid, _lanes(nonzero))
+    if operator == "%":
+        # CPython's float modulo (fmod + sign correction) is the
+        # reference; evaluate it lane by lane to stay exact.
+        return _lanewise(mod, (left, right), _both(valid, _lanes(right != 0.0)))
+    comparison = _COMPARISONS.get(operator)
+    if comparison is None:
+        raise PlanKernelFallback(f"operator {operator!r}")
+    return comparison(left, right), valid
+
+
+def _apply_call(function: str, values, valid):
+    if function == "abs":
+        return np.abs(values[0]), valid
+    if function in ("min", "max"):
+        # Python fold semantics: candidate replaces the running
+        # value only on a strict comparison win (NaN never wins).
+        accumulator = values[0]
+        for candidate in values[1:]:
+            wins = candidate < accumulator if function == "min" else candidate > accumulator
+            accumulator = np.where(wins, candidate, accumulator)
+        return accumulator, valid
+    if function == "sqrt":
+        argument = values[0]
+        negative = argument < 0.0
+        if not np.any(negative):
+            return np.sqrt(argument), valid
+        return (
+            np.sqrt(np.where(negative, 0.0, argument)),
+            _both(valid, _lanes(~negative)),
+        )
+    if function in ("floor", "ceil"):
+        argument = values[0]
+        rounding = np.floor if function == "floor" else np.ceil
+        finite = np.isfinite(argument)
+        if np.all(finite):
+            return rounding(argument), valid
+        return rounding(np.where(finite, argument, 0.0)), _both(valid, _lanes(finite))
+    if function == "sign":
+        argument = values[0]
+        return np.where(argument > 0.0, 1.0, np.where(argument < 0.0, -1.0, 0.0)), valid
+    if function in _LANE_CALLS:
+        return _lanewise(BUILTIN_FUNCTIONS[function], values, valid)
+    raise PlanKernelFallback(f"call to {function!r}")
+
+
+def _apply(expr, evaluated):
+    """One compound node over its evaluated operands (one is an array)."""
+    if isinstance(expr, BinaryOp):
+        (left, left_valid), (right, right_valid) = evaluated
+        return _apply_binary(expr.operator, left, left_valid, right, right_valid)
+    if isinstance(expr, UnaryOp):
+        ((values, valid),) = evaluated
+        if expr.operator == "-":
+            return -_numeric(values), valid
+        return _not(_truthy(values)), valid
+    if isinstance(expr, Conditional):
+        (cond, cond_valid), (then_v, then_valid), (else_v, else_valid) = evaluated
+        truthy = _truthy(cond)
+        if then_valid is True and else_valid is True:
+            branch_valid = True
+        else:
+            branch_valid = _lanes(np.where(truthy, then_valid, else_valid))
+        return np.where(truthy, then_v, else_v), _both(cond_valid, branch_valid)
+    values = [_numeric(values) for values, _ in evaluated]
+    valid = True
+    for _, operand_valid in evaluated:
+        valid = _both(valid, operand_valid)
+    return _apply_call(expr.function, values, valid)
 
 
 class _Accumulator:
@@ -384,8 +679,7 @@ class _Accumulator:
     def __init__(self, field: str, combinator_name: str, raw_values: list):
         self.field = field
         self.combinator = combinator_name
-        n = len(raw_values)
-        self.touch = np.zeros(n, dtype=np.int64)
+        self.touch = np.zeros(len(raw_values), dtype=bool)
         if combinator_name == "count":
             if any(type(value) is not int for value in raw_values):
                 raise PlanKernelFallback(f"count accumulator for {field!r} not int")
@@ -409,10 +703,14 @@ class _Accumulator:
             except UnpackableValueError as exc:
                 raise PlanKernelFallback(str(exc)) from exc
 
-    def scatter(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Combine ``values`` into the accumulator at ``rows``, in order."""
+    def scatter(self, rows: np.ndarray, values) -> None:
+        """Combine ``values`` (lanes or one scalar) into ``rows``, in order."""
         name = self.combinator
-        if name in ("min", "max") and bool(np.isnan(values).any()):
+        if name in ("any", "all"):
+            values = _truthy(values)
+        else:
+            values = _numeric(values)
+        if name in ("min", "max") and bool(np.any(np.isnan(values))):
             # Python's min/max keep the accumulator when the candidate is
             # NaN; np.minimum.at would propagate it.  Bail out before any
             # agent has been touched.
@@ -428,13 +726,13 @@ class _Accumulator:
         elif name == "product":
             np.multiply.at(self.data, rows, values)
         elif name == "any":
-            np.logical_or.at(self.data, rows, values != 0.0)
+            np.logical_or.at(self.data, rows, values)
         elif name == "all":
-            np.logical_and.at(self.data, rows, values != 0.0)
+            np.logical_and.at(self.data, rows, values)
         elif name == "mean":
             np.add.at(self.sums, rows, values)
             np.add.at(self.counts, rows, 1)
-        np.add.at(self.touch, rows, 1)
+        self.touch[rows] = True
 
     def writeback(self, agents: Sequence[Any]) -> None:
         """Store combined accumulators into the touched agents' effects."""
@@ -452,49 +750,78 @@ class _Accumulator:
 
 
 class _VectorFrame:
-    """Runtime state for one kernel execution: columns, locals, pair lists."""
+    """Runtime state for one kernel execution: columns, locals, pair lists.
 
-    def __init__(self, table: AgentTable, probe_rows: np.ndarray):
+    The one evaluator of both kernels.  ``eval`` returns ``(values,
+    valid)`` in the lane conventions above; ``exec_*`` carry the statement
+    mask the same way.
+    """
+
+    def __init__(self, table: AgentTable, shared, probe_rows: Optional[np.ndarray]):
         self.table = table
+        #: Table row of every probe lane; ``None`` when probe lane ``i`` *is*
+        #: row ``i`` (every row probes, in row order) and no gather is needed.
         self.probe_rows = probe_rows
+        #: ``id(node) -> (key, later_uses)`` from the kernel's sharing pass.
+        self.shared = shared
         self.locals: Dict[str, Any] = {}
         self.effect_columns: Dict[str, np.ndarray] = {}
         self.state_fields: set = set()
         self.context = None
         self.kernel: Optional[QueryKernel] = None
-        self.probes: List[Any] = []
-        #: Canonical extent row -> is it this kernel's class / its table row.
+        self.probes: Sequence[Any] = ()
+        #: Canonical extent row -> is it this kernel's class / its table row;
+        #: ``None`` when the whole extent is this one class (rows coincide).
         self.in_class: Optional[np.ndarray] = None
         self.table_rows: Optional[np.ndarray] = None
         self.accumulators: Dict[str, _Accumulator] = {}
         self.pair_probe: Optional[np.ndarray] = None
         self.pair_rows: Optional[np.ndarray] = None
+        self._pair_targets: Optional[np.ndarray] = None
         self.loopvar: Optional[str] = None
         self._probe_cache: Dict[str, np.ndarray] = {}
-        self._pair_cache: Dict[str, np.ndarray] = {}
+        #: Shared sub-expression results still owed a later use, per space.
+        self._memo: Dict[str, Dict[Any, Any]] = {"probe": {}, "pair": {}}
 
     # -- construction --------------------------------------------------
     @classmethod
     def for_query(cls, kernel: QueryKernel, owned: Sequence[Any], context: Any):
         canonical = context._canonical_agents()
-        in_class = [type(agent).__name__ == kernel.class_name for agent in canonical]
-        extent = list(compress(canonical, in_class))
+        classes = list(map(type, canonical))
+        if len(set(classes)) == 1 and classes[0].__name__ == kernel.class_name:
+            in_class, extent = None, canonical
+        else:
+            in_class = np.fromiter(
+                (cls_.__name__ == kernel.class_name for cls_ in classes), bool, len(classes)
+            )
+            extent = list(compress(canonical, in_class.tolist()))
         try:
             table = AgentTable(extent, kernel.state_field_names)
         except UnpackableValueError as exc:
             raise PlanKernelFallback(str(exc)) from exc
         try:
-            probe_rows = np.array(
-                [table.row_of(agent) for agent in owned], dtype=np.intp
-            )
+            # Every row probing in row order needs no lane -> row gather:
+            # the first probe anchors row 0 through the table's own index,
+            # one identity pass proves the rest.
+            if (
+                len(owned) == len(extent)
+                and table.row_of(owned[0]) == 0
+                and all(map(is_, owned, extent))
+            ):
+                probe_rows = None
+            else:
+                probe_rows = np.array(
+                    [table.row_of(agent) for agent in owned], dtype=np.intp
+                )
         except KeyError as exc:
             raise PlanKernelFallback("probe not in extent") from exc
-        frame = cls(table, probe_rows)
+        frame = cls(table, kernel.shared, probe_rows)
         frame.kernel = kernel
         frame.context = context
-        frame.probes = list(owned)
-        frame.in_class = np.array(in_class, dtype=bool)
-        frame.table_rows = np.cumsum(frame.in_class) - 1
+        frame.probes = owned
+        if in_class is not None:
+            frame.in_class = in_class
+            frame.table_rows = np.cumsum(in_class) - 1
         frame.state_fields = set(kernel.state_field_names)
         frame.accumulators = {
             field: _Accumulator(
@@ -505,205 +832,121 @@ class _VectorFrame:
         return frame
 
     @classmethod
-    def for_update(cls, table: AgentTable, effect_columns, state_field_names):
-        frame = cls(table, np.arange(len(table), dtype=np.intp))
+    def for_update(cls, kernel: UpdateKernel, table: AgentTable, effect_columns):
+        frame = cls(table, kernel.shared, None)
         frame.effect_columns = effect_columns
-        frame.state_fields = set(state_field_names)
+        frame.state_fields = set(kernel.state_field_names)
         return frame
 
     # -- spaces --------------------------------------------------------
-    def _length(self, space: str) -> int:
-        if space == "probe":
-            return len(self.probe_rows)
-        return len(self.pair_rows)
-
-    def _promote(self, pair, space_from: str, space_to: str):
+    def _promote(self, values, valid, space_from: str, space_to: str):
         if space_from == space_to:
-            return pair
+            return values, valid
         if space_from == "probe" and space_to == "pair":
-            values, valid = pair
-            return values[self.pair_probe], valid[self.pair_probe]
+            if isinstance(values, np.ndarray):
+                values = values[self.pair_probe]
+            if isinstance(valid, np.ndarray):
+                valid = valid[self.pair_probe]
+            return values, valid
         raise PlanKernelFallback("pair-space value escaping its foreach")
 
     def _state_column(self, name: str, space: str, of_match: bool):
         if of_match:
-            key = name
-            cached = self._pair_cache.get(key)
-            if cached is None:
-                cached = self.table.column(name)[self.pair_rows]
-                self._pair_cache[key] = cached
-            return cached
-        cached = self._probe_cache.get(name)
-        if cached is None:
-            cached = self.table.column(name)[self.probe_rows]
-            self._probe_cache[name] = cached
+            return self.table.column(name)[self.pair_rows]
+        column = self._probe_cache.get(name)
+        if column is None:
+            column = self.table.column(name)
+            if self.probe_rows is not None:
+                column = column[self.probe_rows]
+            self._probe_cache[name] = column
         if space == "pair":
-            return cached[self.pair_probe]
-        return cached
+            return column[self.pair_probe]
+        return column
+
+    def _effect_rows(self, to_match: bool, space: str) -> np.ndarray:
+        """Accumulator rows an effect assignment scatters to, per lane."""
+        if to_match:
+            return self.pair_rows
+        if space == "pair":
+            if self._pair_targets is None:
+                self._pair_targets = (
+                    self.pair_probe
+                    if self.probe_rows is None
+                    else self.probe_rows[self.pair_probe]
+                )
+            return self._pair_targets
+        if self.probe_rows is None:
+            return np.arange(len(self.table), dtype=np.intp)
+        return self.probe_rows
 
     # -- expression evaluation -----------------------------------------
     def eval(self, expr, space: str):
-        """Evaluate ``expr`` to ``(values, valid)`` float64/bool arrays."""
-        n = self._length(space)
+        """Evaluate ``expr`` to ``(values, valid)``.
+
+        A sub-expression the sharing pass found repeated is computed on its
+        first occurrence, served from the memo afterwards and released on
+        the last one — nothing that is used once is ever cached.
+        """
+        shared = self.shared.get(id(expr))
+        if shared is None:
+            return self._eval(expr, space)
+        key, later_uses = shared
+        memo = self._memo[space]
+        result = memo.get(key)
+        if result is None:
+            result = self._eval(expr, space)
+            if later_uses:
+                memo[key] = result
+        elif not later_uses:
+            del memo[key]
+        return result
+
+    def _eval(self, expr, space: str):
         if isinstance(expr, NumberLit):
-            return (
-                np.full(n, float(expr.value), dtype=np.float64),
-                np.ones(n, dtype=bool),
-            )
+            return float(expr.value), True
         if isinstance(expr, BoolLit):
-            return (
-                np.full(n, 1.0 if expr.value else 0.0, dtype=np.float64),
-                np.ones(n, dtype=bool),
-            )
+            return bool(expr.value), True
         if isinstance(expr, Name):
-            return self._eval_name(expr.identifier, space, n)
+            return self._eval_name(expr.identifier, space)
         if isinstance(expr, FieldAccess):
             of_match = expr.target.identifier != "this"
-            values = self._state_column(expr.field_name, space, of_match)
-            return values, np.ones(n, dtype=bool)
-        if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, space, n)
-        if isinstance(expr, UnaryOp):
-            values, valid = self.eval(expr.operand, space)
-            if expr.operator == "-":
-                return -values, valid
-            return np.where(values != 0.0, 0.0, 1.0), valid
-        if isinstance(expr, Conditional):
-            cond, cond_valid = self.eval(expr.condition, space)
-            then_v, then_valid = self.eval(expr.then_expr, space)
-            else_v, else_valid = self.eval(expr.else_expr, space)
-            truthy = cond != 0.0
-            return (
-                np.where(truthy, then_v, else_v),
-                cond_valid & np.where(truthy, then_valid, else_valid),
-            )
-        if isinstance(expr, Call):
-            return self._eval_call(expr, space, n)
-        raise PlanKernelFallback(f"cannot evaluate {type(expr).__name__}")
+            return self._state_column(expr.field_name, space, of_match), True
+        if not isinstance(expr, _COMPOUND):
+            raise PlanKernelFallback(f"cannot evaluate {type(expr).__name__}")
+        evaluated = [self.eval(operand, space) for operand in _operands(expr)]
+        # Literal-only operands have no lane count: run them as one lane
+        # through the same array code, and hand back a scalar again.
+        constant = not any(isinstance(values, np.ndarray) for values, _ in evaluated)
+        if constant:
+            evaluated = [(np.array([values]), valid) for values, valid in evaluated]
+        with np.errstate(all="ignore"):
+            values, valid = _apply(expr, evaluated)
+        if constant:
+            return values.item(), (valid if isinstance(valid, bool) else bool(valid[0]))
+        return values, valid
 
-    def _eval_name(self, name: str, space: str, n: int):
+    def _eval_name(self, name: str, space: str):
         entry = self.locals.get(name)
         if entry is _POISON:
             raise PlanKernelFallback(f"read of loop-scoped local {name!r}")
         if entry is not None:
             values, valid, stored_space = entry
-            return self._promote((values, valid), stored_space, space)
+            return self._promote(values, valid, stored_space, space)
         if name in self.state_fields:
-            return self._state_column(name, space, of_match=False), np.ones(n, dtype=bool)
+            return self._state_column(name, space, of_match=False), True
         column = self.effect_columns.get(name)
         if column is not None:
-            return column, np.ones(n, dtype=bool)
+            return column, True
         raise PlanKernelFallback(f"unresolvable name {name!r}")
 
-    def _eval_binary(self, expr: BinaryOp, space: str, n: int):
-        operator = expr.operator
-        left, left_valid = self.eval(expr.left, space)
-        right, right_valid = self.eval(expr.right, space)
-        with np.errstate(all="ignore"):
-            if operator == "+":
-                return left + right, left_valid & right_valid
-            if operator == "-":
-                return left - right, left_valid & right_valid
-            if operator == "*":
-                return left * right, left_valid & right_valid
-            if operator == "/":
-                valid = left_valid & right_valid & (right != 0.0)
-                values = left / np.where(right == 0.0, 1.0, right)
-                return values, valid
-            if operator == "%":
-                # CPython's float modulo (fmod + sign correction) is the
-                # reference; evaluate it lane by lane to stay exact.
-                valid = left_valid & right_valid & (right != 0.0)
-                values = np.zeros(n, dtype=np.float64)
-                for lane in np.nonzero(valid)[0]:
-                    values[lane] = float(left[lane]) % float(right[lane])
-                return values, valid
-            if operator == "&&":
-                left_truthy = left != 0.0
-                values = np.where(left_truthy, (right != 0.0).astype(np.float64), 0.0)
-                valid = left_valid & (~left_truthy | right_valid)
-                return values, valid
-            if operator == "||":
-                left_truthy = left != 0.0
-                values = np.where(left_truthy, 1.0, (right != 0.0).astype(np.float64))
-                valid = left_valid & (left_truthy | right_valid)
-                return values, valid
-            comparison = {
-                "==": np.equal,
-                "!=": np.not_equal,
-                "<": np.less,
-                ">": np.greater,
-                "<=": np.less_equal,
-                ">=": np.greater_equal,
-            }.get(operator)
-            if comparison is None:
-                raise PlanKernelFallback(f"operator {operator!r}")
-            return (
-                comparison(left, right).astype(np.float64),
-                left_valid & right_valid,
-            )
-
-    def _eval_call(self, expr: Call, space: str, n: int):
-        evaluated = [self.eval(argument, space) for argument in expr.arguments]
-        values = [pair[0] for pair in evaluated]
-        valid = np.ones(n, dtype=bool)
-        for pair in evaluated:
-            valid = valid & pair[1]
-        function = expr.function
-        with np.errstate(all="ignore"):
-            if function == "abs":
-                return np.abs(values[0]), valid
-            if function in ("min", "max"):
-                # Python fold semantics: candidate replaces the running
-                # value only on a strict comparison win (NaN never wins).
-                accumulator = values[0]
-                for candidate in values[1:]:
-                    if function == "min":
-                        accumulator = np.where(
-                            candidate < accumulator, candidate, accumulator
-                        )
-                    else:
-                        accumulator = np.where(
-                            candidate > accumulator, candidate, accumulator
-                        )
-                return accumulator, valid
-            if function == "sqrt":
-                argument = values[0]
-                negative = argument < 0.0
-                return np.sqrt(np.where(negative, 0.0, argument)), valid & ~negative
-            if function in ("floor", "ceil"):
-                argument = values[0]
-                finite = np.isfinite(argument)
-                rounded = (np.floor if function == "floor" else np.ceil)(
-                    np.where(finite, argument, 0.0)
-                )
-                return rounded, valid & finite
-            if function == "sign":
-                argument = values[0]
-                return (
-                    np.where(argument > 0.0, 1.0, np.where(argument < 0.0, -1.0, 0.0)),
-                    valid,
-                )
-            if function in _LANE_CALLS:
-                reference = BUILTIN_FUNCTIONS[function]
-                out = np.zeros(n, dtype=np.float64)
-                ok = valid.copy()
-                for lane in np.nonzero(valid)[0]:
-                    try:
-                        out[lane] = reference(
-                            *(float(column[lane]) for column in values)
-                        )
-                    except (ValueError, OverflowError):
-                        ok[lane] = False
-                return out, ok
-        raise PlanKernelFallback(f"call to {function!r}")
-
     # -- statement execution -------------------------------------------
-    def exec_block(self, statements, mask: np.ndarray, space: str) -> None:
+    def exec_block(self, statements, mask, space: str) -> None:
+        if mask is False:
+            return  # no lane is active: nothing in the block can have an effect
         for statement in statements:
             self.exec_statement(statement, mask, space)
 
-    def exec_statement(self, statement, mask: np.ndarray, space: str) -> None:
+    def exec_statement(self, statement, mask, space: str) -> None:
         if isinstance(statement, Block):
             self.exec_block(statement.statements, mask, space)
         elif isinstance(statement, LocalDecl):
@@ -714,29 +957,39 @@ class _VectorFrame:
             entry = self.locals.get(statement.name)
             if entry is None or entry is _POISON:
                 raise PlanKernelFallback(f"assignment to {statement.name!r}")
-            old_values, old_valid, stored_space = entry
-            self.locals[statement.name] = (
-                np.where(mask, new_values, old_values),
-                np.where(mask, new_valid, old_valid),
-                space,
-            )
+            old_values, old_valid, _ = entry
+            if mask is not True:
+                new_values = np.where(mask, new_values, old_values)
+                if new_valid is not True or old_valid is not True:
+                    new_valid = np.where(mask, new_valid, old_valid)
+            self.locals[statement.name] = (new_values, new_valid, space)
         elif isinstance(statement, EffectAssign):
             values, valid = self.eval(statement.value, space)
-            lanes = mask & valid
-            if _target_kind(statement, self.loopvar) == "loopvar":
-                rows = self.pair_rows
-            elif space == "pair":
-                rows = self.probe_rows[self.pair_probe]
-            else:
-                rows = self.probe_rows
-            accumulator = self.accumulators[statement.field_name]
-            accumulator.scatter(rows[lanes], values[lanes])
+            lanes = _both(mask, valid)
+            if lanes is False:
+                return
+            to_match = _target_kind(statement, self.loopvar) == "loopvar"
+            rows = self._effect_rows(to_match, space)
+            if lanes is not True:
+                lanes = np.flatnonzero(lanes)  # one scan, then plain takes
+                rows = rows[lanes]
+                if isinstance(values, np.ndarray):
+                    values = values[lanes]
+            self.accumulators[statement.field_name].scatter(rows, values)
         elif isinstance(statement, If):
             cond, cond_valid = self.eval(statement.condition, space)
-            taken = cond_valid & (cond != 0.0)
-            self.exec_block(statement.then_block.statements, mask & taken, space)
+            taken = _both(cond_valid, _truthy(cond))
+            if isinstance(taken, np.ndarray):
+                # One reduction decides whether the branch narrows at all.
+                if taken.all():
+                    taken = True
+                elif not taken.any():
+                    taken = False
+            self.exec_block(statement.then_block.statements, _both(mask, taken), space)
             if statement.else_block is not None:
-                self.exec_block(statement.else_block.statements, mask & ~taken, space)
+                self.exec_block(
+                    statement.else_block.statements, _both(mask, _not(taken)), space
+                )
         elif isinstance(statement, ForEach):
             self._exec_foreach(statement, mask)
         elif isinstance(statement, ExprStmt):
@@ -744,21 +997,27 @@ class _VectorFrame:
         else:
             raise PlanKernelFallback(f"statement {type(statement).__name__}")
 
-    def _exec_foreach(self, statement: ForEach, mask: np.ndarray) -> None:
+    def _exec_foreach(self, statement: ForEach, mask) -> None:
         # One set-at-a-time call resolves every active probe's extent:
         # the matches, order and work accounting of the interpreter's
         # ``visible()`` per probe, as pair index arrays.
-        active = np.flatnonzero(mask)
-        probes = [self.probes[index] for index in active.tolist()]
+        if mask is True:
+            active, probes = None, self.probes
+        else:
+            active = np.flatnonzero(mask)
+            probes = [self.probes[index] for index in active.tolist()]
         pair_probe, pair_rows = self.context.visible_pairs(probes)
-        same_class = self.in_class[pair_rows]
+        if self.in_class is not None:
+            same_class = np.flatnonzero(self.in_class[pair_rows])
+            pair_probe = pair_probe[same_class]
+            pair_rows = self.table_rows[pair_rows[same_class]]
+        if active is not None:
+            pair_probe = active[pair_probe]
         saved_locals = dict(self.locals)
-        self.pair_probe = active[pair_probe[same_class]]
-        self.pair_rows = self.table_rows[pair_rows[same_class]]
+        self.pair_probe = pair_probe
+        self.pair_rows = pair_rows
         self.loopvar = statement.variable
-        self._pair_cache = {}
-        pair_mask = np.ones(len(self.pair_rows), dtype=bool)
-        self.exec_block(statement.body.statements, pair_mask, "pair")
+        self.exec_block(statement.body.statements, True, "pair")
         # Locals declared (or re-declared) inside the loop held the last
         # iteration's scalar in the interpreter; no single vector
         # represents that, so reads after the loop fall back.
@@ -775,8 +1034,9 @@ class _VectorFrame:
         self.locals = restored
         self.pair_probe = None
         self.pair_rows = None
+        self._pair_targets = None
         self.loopvar = None
-        self._pair_cache = {}
+        self._memo["pair"].clear()
 
     # -- writeback ------------------------------------------------------
     def writeback_effects(self) -> None:
@@ -826,6 +1086,10 @@ def _compile_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> UpdateKer
     for field_decl in class_decl.state_fields():
         if field_decl.update_rule is None:
             continue
+        if field_decl.type_name != "float":
+            # Columns are float64: an int or bool rule would come back as a
+            # float (and int arithmetic past 2**53 as a different value).
+            raise _Unsupported(f"update rule of non-float field {field_decl.name!r}")
         try:
             checker.check(field_decl.update_rule)
         except _Unsupported as exc:
@@ -966,9 +1230,12 @@ def try_compiled_update_phase(owned: Sequence[Any], context: Any) -> List[Any]:
     """Run compiled update kernels; return the agents still needing the
     interpreted loop, in their original (canonical) order."""
     interpreted_classes = set()
-    groups: Dict[type, List[Any]] = {}
-    for agent in owned:
-        groups.setdefault(type(agent), []).append(agent)
+    groups: Dict[type, Sequence[Any]] = {}
+    if len(set(map(type, owned))) == 1:
+        groups[type(owned[0])] = owned
+    else:
+        for agent in owned:
+            groups.setdefault(type(agent), []).append(agent)
     for cls, agents in groups.items():
         kernel = kernels_for_class(cls)[1]
         if kernel is None:

@@ -14,6 +14,7 @@ transparency BRASIL promises domain scientists.
 from __future__ import annotations
 
 import math
+from operator import is_
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -136,8 +137,10 @@ class QueryContext:
         self._neighbor_batches: dict[float, tuple] = {}
         #: Lazily computed σ_V batch over the snapshot (vectorized only), as
         #: CSR: row ``r`` matched ``match_rows[offsets[r]:offsets[r + 1]]``
-        #: (ascending, self included) and surfaced ``examined[r]`` candidates.
-        self._visible_batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: (ascending, self included) and surfaced ``examined[r]`` candidates;
+        #: ``probe_ids`` is the join's own expansion of ``offsets`` (the
+        #: probing row of every entry of ``match_rows``).
+        self._visible_batch: tuple[np.ndarray, ...] | None = None
         if self.spatial_backend == "vectorized":
             self._index = None
         else:
@@ -364,7 +367,7 @@ class QueryContext:
             rows = snapshot.scan_box(region.lows, region.highs)
             self.work_units += self._probe_work(len(rows))
             return self._materialize(snapshot, rows, agent, include_self)
-        offsets, match_rows, examined = self._visible_csr()
+        offsets, _, match_rows, examined = self._visible_csr()
         self.work_units += self._probe_work(int(examined[row]))
         rows = match_rows[offsets[row] : offsets[row + 1]]
         if not include_self:
@@ -384,9 +387,11 @@ class QueryContext:
         what those calls would charge.
 
         When the vectorized batch covers every probe the arrays are gathered
-        straight from its CSR; otherwise (python backend, unbounded
-        visibility, a probe outside the snapshot) they are assembled from
-        :meth:`visible` itself, so callers have one code path.
+        straight from its CSR — and when the probes *are* the snapshot, row
+        for row, they are the join's own pair arrays minus the self pairs;
+        otherwise (python backend, unbounded visibility, a probe outside the
+        snapshot) they are assembled from :meth:`visible` itself, so callers
+        have one code path.
         """
         if not probes:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
@@ -400,9 +405,13 @@ class QueryContext:
                 matched.extend(rank[id(match)] for match in matches)
             pair_probe = np.repeat(np.arange(len(probes), dtype=np.intp), counts)
             return pair_probe, np.array(matched, dtype=np.intp)
-        offsets, match_rows, examined = self._visible_csr()
+        offsets, probe_ids, match_rows, examined = self._visible_csr()
         self.index_probes += len(probes)
         self.work_units += len(probes) * self._probe_work(0) + int(examined[rows].sum())
+        if len(rows) == len(examined) and (rows == np.arange(len(rows))).all():
+            # Probe k is row k: the join's (probe, row) pairs are the answer.
+            others = np.flatnonzero(match_rows != probe_ids)
+            return probe_ids[others], match_rows[others]
         starts = offsets[rows]
         counts = offsets[rows + 1] - starts
         pair_probe = np.repeat(np.arange(len(probes), dtype=np.intp), counts)
@@ -411,7 +420,7 @@ class QueryContext:
         positions = np.arange(len(pair_probe), dtype=np.intp)
         positions += np.repeat(starts - (np.cumsum(counts) - counts), counts)
         pair_rows = match_rows[positions]
-        others = pair_rows != rows[pair_probe]
+        others = np.flatnonzero(pair_rows != rows[pair_probe])
         return pair_probe[others], pair_rows[others]
 
     def _batch_rows(self, probes: Sequence[Any]) -> np.ndarray | None:
@@ -421,13 +430,15 @@ class QueryContext:
         if not all(cls.has_bounded_visibility() for cls in set(map(type, probes))):
             return None
         snapshot = self._ensure_snapshot()
+        if len(probes) == len(snapshot) and all(map(is_, probes, snapshot.items)):
+            return np.arange(len(probes), dtype=np.intp)
         rows = [snapshot.row_of(agent) for agent in probes]
         if None in rows:
             return None
         return np.array(rows, dtype=np.intp)
 
-    def _visible_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The σ_V batch ``(offsets, match_rows, examined)``, joined at most once."""
+    def _visible_csr(self) -> tuple[np.ndarray, ...]:
+        """The σ_V batch ``(offsets, probe_ids, match_rows, examined)``, joined at most once."""
         if self._visible_batch is None:
             self._visible_batch = self._build_visible_batch(self._ensure_snapshot())
         return self._visible_batch
@@ -462,13 +473,16 @@ class QueryContext:
                 f"({bounded_lows[inverted][0]}, {bounded_highs[inverted][0]})"
             )
         if bounded.any():
-            cell = np.maximum((bounded_highs - bounded_lows).max(axis=0), 1e-12)
+            # Half the widest box side: a probe then sweeps two or three
+            # strips per binned dimension, and the candidates it surfaces
+            # beyond its box shrink with the strip (dimension 0 is exact).
+            cell = np.maximum((bounded_highs - bounded_lows).max(axis=0) / 2, 1e-12)
         else:
             cell = np.maximum(points.max(axis=0) - points.min(axis=0), 1.0)
         grid = VectorizedGrid(snapshot, cell)
         probe_ids, match_rows, examined = grid.batch_range_query(lows, highs)
         offsets = np.searchsorted(probe_ids, np.arange(len(points) + 1))
-        return offsets, match_rows, examined
+        return offsets, probe_ids, match_rows, examined
 
     def _nearest_vectorized(self, agent, center, k: int) -> list[Any]:
         snapshot = self._ensure_snapshot()

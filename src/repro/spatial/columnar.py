@@ -8,10 +8,13 @@ spirit of MADlib-style vectorized bulk operators:
 
 * :class:`PointSet` — a per-tick snapshot packing item positions into one
   ``float64`` matrix (built once, reused by every query of the tick);
-* :class:`VectorizedGrid` — a uniform grid over a snapshot built with
-  ``np.floor`` binning and a single stable ``argsort`` (lexicographic
-  bucketing); buckets are contiguous runs of the sort order, located with
-  ``np.searchsorted``;
+* :class:`VectorizedGrid` — the rank-run index over a snapshot: the
+  dimension-0 column is ranked once and *not* binned, the other dimensions
+  are binned with ``np.floor``, and rows are sorted by ``cell_key * n +
+  rank0``.  A probe's dimension-0 interval is two ``searchsorted`` calls on
+  the sorted column (exact, unclamped); inside each cell it touches, its
+  candidates are one contiguous run of the sort order, located with two
+  more.  Only dimensions ``>= 1`` ever surface a candidate outside the box;
 * :func:`batch_range_query` / :func:`batch_neighbor_lists` — answer *all*
   probes of a tick in a handful of array operations instead of one Python
   query per probe;
@@ -24,12 +27,16 @@ Exactness contract
 ------------------
 The kernels never approximate: candidate enumeration may differ from the
 interpreted indexes, but the final membership tests use the same float64
-operations Python performs (``lo <= p <= hi`` box tests; squared Euclidean
-distance accumulated dimension by dimension), so the match *sets* are
-bit-identical to the interpreted join.  Matches are reported in ascending
-snapshot-row order, which equals the item order of the snapshot — the
-canonical order the query contexts also use — so downstream floating-point
-accumulations are bit-identical across backends as well.
+comparisons Python performs (``lo <= p <= hi`` box tests — in dimension 0
+as the ``left``/``right`` binary searches over the sorted column, which
+select exactly that closed set; squared Euclidean distance accumulated
+dimension by dimension), so the match *sets* are bit-identical to the
+interpreted join.  The cell sweep this index replaced is kept verbatim in
+``tests/spatial/cell_sweep_oracle.py`` and must agree array for array.
+Matches are reported in ascending snapshot-row order, which equals the item
+order of the snapshot — the canonical order the query contexts also use —
+so downstream floating-point accumulations are bit-identical across
+backends as well.
 
 The one semantic difference: self-exclusion is positional (row ``i`` is not
 its own neighbour) rather than by object identity, which only matters when
@@ -190,14 +197,38 @@ class PointSet:
         return np.flatnonzero(dist_sq <= float(radius) * float(radius))
 
 
-class VectorizedGrid:
-    """A uniform grid over a :class:`PointSet`, built with array ops only.
+def _cells_per_axis_cap(count: int, binned_dims: int) -> float:
+    """Most cells one binned dimension may have with ``count`` rows indexed.
 
-    Binning is ``np.floor(points / cell_size)``; buckets are contiguous runs
-    of one stable ``argsort`` over the flattened cell keys (lexicographic
-    bucketing), located per query with two ``searchsorted`` calls.  Because
-    the sort is stable, every bucket lists its rows in ascending order — the
-    canonical match order falls out of the data layout for free.
+    The grid sorts rows by the integer key ``cell_key * count + rank``; the
+    cap keeps every such key (and the probe-side ``cell_key * count + count``
+    run bounds) inside ``int64``.  A binned axis spans at most ``cap + 1``
+    cells (the maximum point sits on the far face), hence one spare bit per
+    axis.  A snapshot too large to leave even one cell per axis is a typed
+    error, never a wrapped key.
+    """
+    bits = 62 - binned_dims - int(count).bit_length()
+    if bits < 0:
+        raise ValueError(
+            f"{count} rows leave no int64 key space for {binned_dims} binned dimensions"
+        )
+    return float(2 ** (bits // binned_dims))
+
+
+class VectorizedGrid:
+    """A rank-run index over a :class:`PointSet`, built with array ops only.
+
+    Dimension 0 is not binned: its column is stable-ranked once, and a
+    probe's dimension-0 interval becomes a *rank interval* through two
+    ``searchsorted`` calls on the sorted column.  Dimensions ``1 … d-1`` are
+    binned with ``np.floor`` into cells (strips in 2-D), and rows are sorted
+    by the integer key ``cell_key * n + rank0`` — so inside one cell the
+    rows a probe can match in dimension 0 are one contiguous run, located
+    with two more ``searchsorted`` calls.  A 1-D snapshot has no cells at
+    all: the rank run *is* the answer.
+
+    ``cell_size`` keeps one entry per dimension (a scalar is broadcast);
+    every entry is validated, the dimension-0 entry is otherwise unused.
     """
 
     def __init__(self, pointset: PointSet, cell_size: float | Sequence[float]):
@@ -212,35 +243,46 @@ class VectorizedGrid:
                 raise ValueError("cell_size must match the point dimensionality")
         if (cell <= 0).any() or not np.isfinite(cell).all():
             raise ValueError(f"grid cell sizes must be positive and finite, got {cell!r}")
+        self.cell_size = cell
+        binned = max(dim - 1, 0)
+        self._origin = np.zeros(binned, dtype=np.float64)
+        self._min_cell = np.zeros(binned, dtype=np.int64)
+        self._max_cell = self._min_cell
+        self._strides = np.ones(binned, dtype=np.int64)
+        self._sorted_first = np.zeros(0, dtype=np.float64)
+        self._order = np.zeros(0, dtype=np.intp)
+        self._sorted_keys = np.zeros(0, dtype=np.int64)
         if count == 0 or dim == 0:
-            self.cell_size = cell
-            self._origin = np.zeros(max(dim, 1), dtype=np.float64)
-            self._min_cell = np.zeros(max(dim, 1), dtype=np.int64)
-            self._max_cell = self._min_cell
-            self._strides = np.ones(max(dim, 1), dtype=np.int64)
-            self._order = np.zeros(0, dtype=np.intp)
-            self._sorted_keys = np.zeros(0, dtype=np.int64)
+            return
+        first = points[:, 0]
+        by_first = np.argsort(first, kind="stable")
+        self._sorted_first = first[by_first]
+        rank = np.empty(count, dtype=np.int64)
+        rank[by_first] = np.arange(count, dtype=np.int64)
+        if binned == 0:
+            self._order, self._sorted_keys = by_first, np.arange(count, dtype=np.int64)
             return
         # Bin relative to the data's own origin: cell indices then span only
         # the occupied extent, so coordinates far from zero cannot overflow.
         # A requested cell size far smaller than the extent is clamped so the
-        # per-dimension index space stays bounded (the exact filters make
-        # oversized cells a performance detail, never a correctness one).
-        self._origin = points.min(axis=0)
-        span = points.max(axis=0) - self._origin
-        max_cells_per_axis = float(2 ** (50 // dim))
-        cell = np.maximum(cell, span / max_cells_per_axis)
-        self.cell_size = cell
-        cells = np.floor((points - self._origin) / cell).astype(np.int64)
+        # key space stays inside int64 (the exact filters make oversized
+        # cells a performance detail, never a correctness one).
+        rest = points[:, 1:]
+        self._origin = rest.min(axis=0)
+        span = rest.max(axis=0) - self._origin
+        cell[1:] = np.maximum(cell[1:], span / _cells_per_axis_cap(count, binned))
+        cells = np.floor((rest - self._origin) / cell[1:]).astype(np.int64)
         self._min_cell = cells.min(axis=0)
         self._max_cell = cells.max(axis=0)
         spans = self._max_cell - self._min_cell + 1
-        strides = np.ones(dim, dtype=np.int64)
-        for dimension in range(dim - 2, -1, -1):
+        strides = np.ones(binned, dtype=np.int64)
+        for dimension in range(binned - 2, -1, -1):
             strides[dimension] = strides[dimension + 1] * spans[dimension + 1]
-        keys = (cells - self._min_cell) @ strides
         self._strides = strides
-        self._order = np.argsort(keys, kind="stable")
+        # Keys are unique (ranks are), so any sort yields the one order:
+        # cell-major, dimension-0 rank within the cell.
+        keys = ((cells - self._min_cell) @ strides) * count + rank
+        self._order = np.argsort(keys)
         self._sorted_keys = keys[self._order]
 
     # ------------------------------------------------------------------
@@ -250,106 +292,114 @@ class VectorizedGrid:
         self,
         lows: np.ndarray,
         highs: np.ndarray,
-        keep: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run every probe box through the grid with an exact ``keep`` filter.
+        keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run every probe box through the index with an exact ``keep`` filter.
 
-        ``lows``/``highs`` are ``(n_probes, dim)`` closed box bounds (they
-        may be infinite; they are clamped to the occupied extent first);
-        ``keep(probe_ids, rows)`` returns ``(match_mask, work_mask)`` for a
-        chunk of candidate pairs — the exact matches, and the candidates an
-        interpreted index would have surfaced for the same probe (its work
-        charge).  Returns ``(probe_ids, match_rows, examined)`` with the
-        pair arrays sorted by ``(probe, row)`` and ``examined[p]`` counting
-        probe ``p``'s work-mask candidates, so per-probe work units are
-        comparable across the python and vectorized backends (virtual-time
-        figures must not shift when the backend flips mid-sweep).
+        ``lows``/``highs`` are ``(n_probes, dim)`` closed box bounds; they
+        may be infinite, and a box with ``low > high`` (or a NaN bound) in
+        any dimension matches nothing.  Dimension 0 is answered by rank: the
+        rows with ``low <= p <= high`` are exactly the sorted-column slots
+        ``[searchsorted(low, "left"), searchsorted(high, "right"))`` — the
+        bounds are *not* clamped, ±inf simply land on the ends.  The other
+        dimensions are clamped to (just beyond) the occupied extent and
+        swept one cell offset at a time; per offset, a probe's candidates
+        are the run of sorted keys between ``cell * n + lo_rank`` and
+        ``cell * n + hi_rank``.
 
-        The sweep enumerates one cell offset at a time, filtering each
-        chunk *before* anything global happens, so memory traffic scales
-        with the matches, not the candidates; the final per-probe ordering
-        costs one single-key sort of composite ``probe * n + row`` keys.
-        Probes whose clamped box spans more than :data:`MAX_SPAN_PER_DIM`
-        cells in a dimension (or :data:`MAX_CELLS_PER_PROBE` overall) fall
-        back to one exact columnar scan each, so unbounded visible regions
-        cannot blow up the cell enumeration.
+        ``keep(probe_ids, rows)`` returns the exact-match mask of a chunk of
+        candidates (every one already inside the box in dimension 0);
+        ``keep=None`` says every candidate is a match (a 1-D range query).
+        Returns ``(probe_ids, match_rows)`` sorted by ``(probe, row)``.
+
+        Each chunk is filtered *before* anything global happens, so memory
+        traffic scales with the matches, not the candidates; the final
+        per-probe ordering costs one single-key sort of composite ``probe *
+        n + row`` keys.  Probes whose clamped box spans more than
+        :data:`MAX_SPAN_PER_DIM` cells in a binned dimension (or
+        :data:`MAX_CELLS_PER_PROBE` overall) fall back to one exact columnar
+        scan each, so unbounded visible regions cannot blow up the cell
+        enumeration.
         """
-        points = self.pointset.points
-        count, dim = points.shape
-        n_probes = len(lows)
+        count = len(self.pointset)
         empty = np.zeros(0, dtype=np.int64)
-        examined = np.zeros(n_probes, dtype=np.int64)
-        if count == 0 or n_probes == 0:
-            return empty, empty, examined
+        if count == 0 or len(lows) == 0:
+            return empty, empty
 
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
+        lo_rank = np.searchsorted(self._sorted_first, lows[:, 0], side="left")
+        hi_rank = np.searchsorted(self._sorted_first, highs[:, 0], side="right")
+        valid = (lows <= highs).all(axis=1) & (lo_rank < hi_rank)
         # Clamp into (just beyond) the occupied extent so ±inf or far-away
         # boxes bin cleanly; validity is judged on the clamped cells below.
-        pad_lo = self._origin + (self._min_cell - 1) * self.cell_size
-        pad_hi = self._origin + (self._max_cell + 2) * self.cell_size
-        low_cells = np.floor(
-            (np.clip(lows, pad_lo, pad_hi) - self._origin) / self.cell_size
-        ).astype(np.int64)
-        high_cells = np.floor(
-            (np.clip(highs, pad_lo, pad_hi) - self._origin) / self.cell_size
-        ).astype(np.int64)
-
-        valid = (high_cells >= self._min_cell).all(axis=1)
+        cell = self.cell_size[1:]
+        pad_lo = self._origin + (self._min_cell - 1) * cell
+        pad_hi = self._origin + (self._max_cell + 2) * cell
+        with np.errstate(invalid="ignore"):  # a NaN bound: already invalid
+            low_cells = np.floor(
+                (np.clip(lows[:, 1:], pad_lo, pad_hi) - self._origin) / cell
+            ).astype(np.int64)
+            high_cells = np.floor(
+                (np.clip(highs[:, 1:], pad_lo, pad_hi) - self._origin) / cell
+            ).astype(np.int64)
+        valid &= (high_cells >= self._min_cell).all(axis=1)
         valid &= (low_cells <= self._max_cell).all(axis=1)
         low_cells = np.clip(low_cells, self._min_cell, self._max_cell)
         high_cells = np.clip(high_cells, self._min_cell, self._max_cell)
-        probe_spans = high_cells - low_cells + 1
+        offset_span = high_cells - low_cells
         wide = valid & (
-            (probe_spans > MAX_SPAN_PER_DIM).any(axis=1)
-            | (probe_spans.prod(axis=1) > MAX_CELLS_PER_PROBE)
+            (offset_span >= MAX_SPAN_PER_DIM).any(axis=1)
+            | ((offset_span + 1).prod(axis=1) > MAX_CELLS_PER_PROBE)
         )
         narrow = valid & ~wide
 
         key_chunks: list[np.ndarray] = []
 
+        def collect(probe_ids: np.ndarray, rows: np.ndarray) -> None:
+            if keep is not None:
+                # Index arrays beat a boolean mask applied to two arrays.
+                matched = np.flatnonzero(keep(probe_ids, rows))
+                probe_ids, rows = probe_ids[matched], rows[matched]
+            key_chunks.append(probe_ids * count + rows)
+
         if narrow.any():
-            reach = probe_spans[narrow].max(axis=0)
-            offset_span = high_cells - low_cells
-            for offset in np.ndindex(*reach):
+            base_keys = ((low_cells - self._min_cell) @ self._strides) * count
+            rank_span = hi_rank - lo_rank
+            for offset in np.ndindex(*(offset_span[narrow].max(axis=0) + 1)):
                 offset = np.asarray(offset, dtype=np.int64)
-                mask = narrow & (offset <= offset_span).all(axis=1)
-                if not mask.any():
+                probes = np.flatnonzero(narrow & (offset <= offset_span).all(axis=1))
+                if len(probes) == 0:
                     continue
-                keys = (low_cells[mask] + offset - self._min_cell) @ self._strides
-                starts = np.searchsorted(self._sorted_keys, keys, side="left")
-                ends = np.searchsorted(self._sorted_keys, keys, side="right")
+                low_keys = base_keys[probes] + (offset @ self._strides) * count
+                low_keys += lo_rank[probes]
+                # Chunk order is free (the final sort fixes it), and needles
+                # in key order make both binary searches walk forwards.
+                by_key = np.argsort(low_keys)
+                probes, low_keys = probes[by_key], low_keys[by_key]
+                starts = np.searchsorted(self._sorted_keys, low_keys)
+                ends = np.searchsorted(self._sorted_keys, low_keys + rank_span[probes])
                 counts = ends - starts
                 total = int(counts.sum())
                 if total == 0:
                     continue
-                probes = np.flatnonzero(mask)
                 cumulative = np.cumsum(counts) - counts
                 positions = np.arange(total, dtype=np.int64)
                 positions += np.repeat(starts - cumulative, counts)
-                rows = self._order[positions]
-                probe_ids = np.repeat(probes, counts)
-                matched, worked = keep(probe_ids, rows)
-                examined += np.bincount(probe_ids[worked], minlength=n_probes)
-                key_chunks.append((probe_ids[matched] * count + rows[matched]))
+                collect(np.repeat(probes, counts), self._order[positions])
 
         for probe in np.flatnonzero(wide):
             rows = self.pointset.scan_box(lows[probe], highs[probe])
-            probe_ids = np.full(len(rows), probe, dtype=np.int64)
-            matched, worked = keep(probe_ids, rows)
-            examined[probe] += int(np.count_nonzero(worked))
-            # Scan rows are already ascending: the composite keys are sorted.
-            key_chunks.append(probe_ids[matched] * count + rows[matched])
+            collect(np.full(len(rows), probe, dtype=np.int64), rows)
 
         if not key_chunks:
-            return empty, empty, examined
+            return empty, empty
         keys = np.concatenate(key_chunks)
         # (probe, row) pairs are unique across cell offsets, so one unstable
         # single-key sort recovers the canonical (probe, row) order.
         keys.sort()
         probe_ids = keys // count
-        match_rows = keys - probe_ids * count
-        return probe_ids, match_rows, examined
+        return probe_ids, keys - probe_ids * count
 
     # ------------------------------------------------------------------
     # Exact batch joins
@@ -360,22 +410,29 @@ class VectorizedGrid:
         """Exact closed-box matches for every probe box, in one sweep.
 
         Returns ``(probe_ids, match_rows, examined)`` with the pair arrays
-        sorted by ``(probe, row)``.
+        sorted by ``(probe, row)``.  ``examined[p]`` counts the candidates
+        an interpreted index would have surfaced for probe ``p`` — the rows
+        inside its closed box — so per-probe work units are comparable
+        across the python and vectorized backends (virtual-time figures must
+        not shift when the backend flips mid-sweep).  Here those are the
+        matches themselves: one ``bincount`` of the final probe ids.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
-        columns = _columns(self.pointset.points)
-        low_columns, high_columns = _columns(lows), _columns(highs)
+        # Dimension 0 is exact by rank; only the others need the box test.
+        columns = _columns(self.pointset.points)[1:]
+        low_columns, high_columns = _columns(lows)[1:], _columns(highs)[1:]
 
-        def keep(probe_ids: np.ndarray, rows: np.ndarray):
-            inside = np.ones(len(rows), dtype=bool)
+        def keep(probe_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            inside = True
             for column, low, high in zip(columns, low_columns, high_columns):
                 coordinate = column[rows]
                 inside &= coordinate >= low[probe_ids]
                 inside &= coordinate <= high[probe_ids]
-            return inside, inside
+            return inside
 
-        return self._batch_join(lows, highs, keep)
+        probe_ids, match_rows = self._batch_join(lows, highs, keep if columns else None)
+        return probe_ids, match_rows, np.bincount(probe_ids, minlength=len(lows))
 
     def batch_radius_query(
         self, centers: np.ndarray, radius: float
@@ -386,30 +443,41 @@ class VectorizedGrid:
         Euclidean distance test, exactly like the interpreted path (a box
         range query pruned by distance).  The box test is not redundant: for
         subnormal-scale offsets the squared distance underflows to zero
-        while the box still excludes the point.
+        while the box still excludes the point.  ``examined`` (see
+        :meth:`batch_range_query`) is the box candidates, a superset of the
+        matches, counted chunk by chunk.
         """
         centers = np.asarray(centers, dtype=np.float64)
         radius = float(radius)
         radius_sq = radius * radius
         columns = _columns(self.pointset.points)
         center_columns = _columns(centers)
+        examined = np.zeros(len(centers), dtype=np.int64)
 
-        def keep(probe_ids: np.ndarray, rows: np.ndarray):
-            inside = np.ones(len(rows), dtype=bool)
-            dist_sq = np.zeros(len(rows), dtype=np.float64)
-            for column, center_column in zip(columns, center_columns):
+        def keep(probe_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            inside = None  # every lane, until a dimension >= 1 says otherwise
+            dist_sq = None
+            for dimension, (column, center_column) in enumerate(zip(columns, center_columns)):
                 coordinate = column[rows]
                 center = center_column[probe_ids]
-                inside &= coordinate >= center - radius
-                inside &= coordinate <= center + radius
+                if dimension:  # dimension 0 is inside the box by rank
+                    within = coordinate >= center - radius
+                    within &= coordinate <= center + radius
+                    inside = within if inside is None else inside & within
                 # Left-to-right accumulation, as in _pairwise_dist_sq.
                 diff = coordinate - center
-                dist_sq += diff * diff
+                dist_sq = diff * diff if dist_sq is None else dist_sq + diff * diff
             # Work charge = the box candidates an interpreted index surfaces;
             # matches additionally pass the distance test.
-            return inside & (dist_sq <= radius_sq), inside
+            near = dist_sq <= radius_sq
+            if inside is None:
+                examined[:] += np.bincount(probe_ids, minlength=len(examined))
+                return near
+            examined[:] += np.bincount(probe_ids[inside], minlength=len(examined))
+            return inside & near
 
-        return self._batch_join(centers - radius, centers + radius, keep)
+        probe_ids, match_rows = self._batch_join(centers - radius, centers + radius, keep)
+        return probe_ids, match_rows, examined
 
 
 def _split_rows(probe_ids: np.ndarray, rows: np.ndarray, n_probes: int) -> list[np.ndarray]:
