@@ -260,8 +260,6 @@ class BraceRuntime:
                     shard_map_phase,
                     MapCommand(
                         boundary=pending.get(worker.worker_id),
-                        spatial_backend=config.spatial_backend,
-                        index=config.index,
                         transport_copies=transport_copies,
                     ),
                 )

@@ -78,16 +78,11 @@ class BoundaryDelta:
 class MapCommand:
     """Round 1 input: the previous tick's boundary delta (if any).
 
-    The map phase is one batch on every spatial backend, so it consults
-    neither ``spatial_backend`` nor ``index`` any more; the two fields stay
-    on the command because they are part of its wire encoding, and the
-    per-tick frame bytes are a tracked benchmark count (their removal, with
-    the re-baseline, is the first task of ROADMAP's ``[design]`` item).
+    The map phase is one batch on every spatial backend, so it needs no
+    spatial parameters.
     """
 
     boundary: BoundaryDelta | None = None
-    spatial_backend: str | None = None
-    index: str | None = "kdtree"
     #: True when the transport copies everything that crosses it (a wire):
     #: the shard then skips the per-replica clone and ships replicas as
     #: per-destination deltas (:class:`repro.ipc.frames.ReplicaDelta`)
@@ -183,24 +178,7 @@ def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:
     for agent in command.migrated_in:
         worker.add_owned(agent)
     if worker._replica_delta_mode:
-        deltas = command.replicas_in
-        # Removals strictly before additions: after a rebalance the old
-        # owner's removal and the new owner's addition for the same agent
-        # can arrive in the same tick.
-        for delta in deltas:
-            for agent_id in delta.removed_ids:
-                worker.discard_replica(agent_id)
-        # Retained replicas carry last tick's effect assignments; reset
-        # them to match what a freshly shipped clone would hold.
-        for replica in worker.replicas.values():
-            if replica._effects_touched:
-                replica.reset_effects()
-        for delta in deltas:
-            additions = delta.additions
-            if isinstance(additions, ipc_frames.LazyAgentFrame):
-                additions = additions.unpack()
-            for replica in additions:
-                worker.install_replica(replica)
+        worker.apply_replica_deltas(command.replicas_in)
     else:
         for replica in command.replicas_in:
             worker.install_replica(replica)
@@ -337,13 +315,14 @@ def _unpack_agent_map(payload: list) -> dict:
 
 def _pack_replica_deltas(replicas_out: dict) -> list:
     """Pack ``destination -> ReplicaDelta`` into ``(destination, additions
-    frame, removed ids)`` triples.
+    frame, removed ids, refresh groups)`` entries.
 
-    Additions holding the *same agent sequence* — what ``distribute``
-    produces when an agent replicates to every neighbour — are packed once
-    and share one frame, so both the pack pass and the pickled bytes scale
-    with distinct agents, not with ``agents × destinations`` (pickle's memo
-    dedupes the shared frame's buffers on the wire).
+    Parts holding the *same rows* — what ``distribute`` produces when an
+    agent replicates to every neighbour — are packed once and shared, so
+    both the pack pass and the pickled bytes scale with distinct agents, not
+    with ``agents × destinations`` (pickle's memo dedupes the shared
+    frame's buffers on the wire).  Refresh rows are recognized by their
+    value tuples, which ``distribute`` builds once per agent.
     """
     memo: dict = {}
     payload = []
@@ -352,39 +331,55 @@ def _pack_replica_deltas(replicas_out: dict) -> list:
         frame = memo.get(identity)
         if frame is None:
             frame = memo[identity] = ipc_frames.pack_agents(delta.additions)
-        payload.append((key, frame, pack_cells(delta.removed_ids)))
+        refreshes = delta.refreshes
+        if refreshes:
+            identity = tuple(
+                (group, tuple(map(id, rows))) for group, (_, rows) in refreshes.items()
+            )
+            packed = memo.get(identity)
+            if packed is None:
+                packed = memo[identity] = ipc_frames.pack_refreshes(refreshes)
+        else:
+            packed = []
+        payload.append((key, frame, pack_cells(delta.removed_ids), packed))
     return payload
 
 
-def _lazy_delta(frame, removed) -> ipc_frames.ReplicaDelta:
+def _lazy_delta(frame, removed, refreshes) -> ipc_frames.ReplicaDelta:
     """Decode one replica delta without unpacking its additions.
 
     The driver only routes replica deltas per destination, so the frames
     stay packed end-to-end and are re-emitted verbatim into the next query
-    command (see :class:`repro.ipc.frames.LazyAgentFrame`).
+    command (see :class:`repro.ipc.frames.LazyAgentFrame`); the refresh
+    groups are applied by the destination straight from their columns.
     """
-    return ipc_frames.ReplicaDelta(ipc_frames.LazyAgentFrame(frame), unpack_cells(removed))
+    return ipc_frames.ReplicaDelta(
+        ipc_frames.LazyAgentFrame(frame), unpack_cells(removed), refreshes
+    )
 
 
 def _lazy_replica_deltas(payload: list) -> dict:
-    return {key: _lazy_delta(frame, removed) for key, frame, removed in payload}
+    return {key: _lazy_delta(*delta) for key, *delta in payload}
 
 
 def _pack_routed_deltas(deltas: list) -> list:
-    """Pack routed replica deltas, re-emitting already-packed frames."""
+    """Pack routed replica deltas, re-emitting already-packed parts."""
     return [
         (
             delta.additions.frame
             if isinstance(delta.additions, ipc_frames.LazyAgentFrame)
             else ipc_frames.pack_agents(delta.additions),
             pack_cells(delta.removed_ids),
+            delta.refreshes
+            if isinstance(delta.refreshes, list)
+            else ipc_frames.pack_refreshes(delta.refreshes),
         )
         for delta in deltas
     ]
 
 
 def _unpack_routed_deltas(payload: list) -> list:
-    return [_lazy_delta(frame, removed) for frame, removed in payload]
+    return [_lazy_delta(*delta) for delta in payload]
 
 
 def _encode_seed(seed: ShardSeed) -> tuple:
@@ -412,19 +407,14 @@ def _encode_map_command(command: MapCommand) -> tuple:
     boundary = command.boundary
     return (
         None if boundary is None else _encode_boundary(boundary),
-        command.spatial_backend,
-        command.index,
         command.transport_copies,
     )
 
 
 def _decode_map_command(payload: tuple) -> MapCommand:
-    boundary, spatial_backend, index, transport_copies = payload
+    boundary, transport_copies = payload
     return MapCommand(
-        None if boundary is None else _decode_boundary(boundary),
-        spatial_backend,
-        index,
-        transport_copies,
+        None if boundary is None else _decode_boundary(boundary), transport_copies
     )
 
 

@@ -20,22 +20,28 @@ replicas ship — full clones by reference, per-tick deltas over a wire.
 
 from __future__ import annotations
 
-import operator
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import is_, is_not
 from typing import Any, Iterable
 
 import numpy as np
 
 from repro.brace.replication import replication_targets_batch
-from repro.core.agent import Agent
+from repro.core.agent import Agent, mutable_cells
 from repro.core.context import QueryContext, UpdateContext, resolve_spatial_backend
 from repro.core.errors import BraceError
 from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
 from repro.core.soa import pack_positions
-from repro.ipc.frames import ReplicaDelta
+from repro.ipc.frames import (
+    LazyAgentFrame,
+    ReplicaDelta,
+    refresh_replicas,
+    state_field_names,
+)
 from repro.ipc.sizing import agent_frame_bytes
 from repro.spatial.columnar import PointSet
 from repro.spatial.partitioning import Partition, SpatialPartitioning
@@ -75,14 +81,59 @@ def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str |
             agent._updating = False
 
 
+#: An empty send cache (never written).
+_NO_ROWS: dict = {}
+
+#: ``n -> (0, ..., n - 1)``: the cells of a row that changed in every cell.
+_ALL_CELLS: dict[int, tuple] = {}
+
+
+def _row_delta(prev: tuple | None, state: dict, names: tuple) -> tuple:
+    """``(row sent, what to ship)`` for a ``_state`` whose cells are not all
+    the very objects of the row ``prev`` last sent (None: nothing sent).
+
+    A row, as the send history keeps it, is ``(values, layout, mutable)``:
+    the state values in ``_state`` order; the class's declared field names
+    ``names`` when ``state`` holds exactly those keys in that order (None
+    otherwise); and the positions of the values that can change in place
+    (:func:`~repro.core.agent.mutable_cells`).  What to ship is True — the
+    whole row — unless both rows share one declared layout, so that
+    positions name the same fields in both; then it is the positions of the
+    cells that are not the very objects sent, plus the mutable ones.
+    """
+    values = tuple(state.values())
+    layout = names if tuple(state) == names else None
+    if prev is None or layout is None or prev[1] is not layout:
+        return (values, layout, mutable_cells(values)), True
+    old = prev[0]
+    every = _ALL_CELLS.get(len(values))
+    if every is None:
+        every = _ALL_CELLS[len(values)] = tuple(range(len(values)))
+    if not any(map(is_, old, values)):
+        return (values, layout, mutable_cells(values)), every
+    cells = tuple(compress(every, map(is_not, old, values)))
+    if prev[2] or 2 * len(cells) > len(values):
+        mutable = mutable_cells(values)
+    else:
+        # Nothing sent was mutable, and a cell that is still the object
+        # sent is as mutable as it was then: only the rewritten ones need a
+        # look (the cheaper scan when few cells changed).
+        mutable = mutable_cells(values, cells)
+    if mutable:
+        cells = tuple(sorted(set(cells).union(mutable)))
+    return (values, layout, mutable), cells
+
+
 class _SortedAgents:
     """Agents in canonical (:func:`agent_sort_key`) order, as a small table.
 
     Three parallel sequences — the agents, the sort keys that ordered them
     (computed once per residency) and, between a harvest and the next update
     phase, their position rows.  Only the methods here rearrange them, and
-    always all three at once; they rebind the sequences rather than mutate
-    them, so a list handed out earlier stays what it was.
+    always all three at once.  Merges and :meth:`keep` rebind the sequences
+    rather than mutate them, so a list handed out earlier stays what it was;
+    :meth:`remove` and :meth:`replace` edit one row in place, which is what
+    the replica table — whose lists are never handed out — uses them for.
     """
 
     __slots__ = ("agents", "keys", "points", "_late")
@@ -120,6 +171,33 @@ class _SortedAgents:
             self.points = np.concatenate([self.points, pack_positions(late)])[order]
         self.agents = [agents[row] for row in order]
         self.keys = [keys[row] for row in order]
+
+    def _row_of(self, agent_id: Any) -> int:
+        """The settled row holding ``agent_id``, found by its sort key."""
+        self.settle()
+        key = agent_sort_key(agent_id)
+        agents, keys = self.agents, self.keys
+        row = bisect_left(keys, key)
+        # Distinct ids can share a key (two objects with one ``str``).
+        while row < len(keys) and keys[row] == key:
+            if agents[row].agent_id == agent_id:
+                return row
+            row += 1
+        raise KeyError(agent_id)
+
+    def remove(self, agent_id: Any) -> None:
+        """Drop the row of ``agent_id``, in place (``KeyError`` if absent)."""
+        row = self._row_of(agent_id)
+        del self.agents[row], self.keys[row]
+        if self.points is not None:
+            self.points = np.delete(self.points, row, axis=0)
+
+    def replace(self, agent: Agent) -> None:
+        """Put ``agent`` into the row of the agent holding its id, in place."""
+        row = self._row_of(agent.agent_id)
+        self.agents[row] = agent
+        if self.points is not None:
+            self.points[row] = agent.position()
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop every row whose ``mask`` entry is False."""
@@ -207,11 +285,13 @@ class Worker:
         #: update phase).  Arrivals are merged in; any other ownership change
         #: drops the table (None) and the next reader rebuilds it.
         self._owned_table: _SortedAgents | None = None
-        #: The hosted replicas in canonical order; any replica change drops it.
+        #: The hosted replicas in canonical order, edited row by row as
+        #: replicas come and go; dropped (None) only with all of them.
         self._replica_table: _SortedAgents | None = None
-        #: Delta-mode bookkeeping: ``destination -> {agent_id: state values
-        #: tuple last sent}``.  Compared by object identity next tick to
-        #: decide which replicas actually need reshipping.
+        #: Delta-mode bookkeeping: ``destination -> {agent_id: row sent}``, a
+        #: row being ``(state values tuple, declared field names or None,
+        #: mutable cell positions)``.  Compared by object identity next tick
+        #: to decide which cells actually need reshipping.
         self._replica_sent: dict[int, dict] = {}
         #: Whether the last map phase ran in replica-delta mode (consulted
         #: by the query phase to apply incoming deltas incrementally).
@@ -298,23 +378,58 @@ class Worker:
 
     def discard_replica(self, agent_id: Any) -> None:
         """Drop one hosted replica, if present (delta-mode removals)."""
-        if self.replicas.pop(agent_id, None) is not None:
-            self._replica_table = None
+        if self.replicas.pop(agent_id, None) is not None and self._replica_table is not None:
+            self._replica_table.remove(agent_id)
 
     def install_replica(self, replica: Agent) -> None:
-        """Host an already-cloned replica (shipped from another shard)."""
+        """Host an already-cloned replica (shipped from another shard).
+
+        A replica replacing one held under the same id takes over its row of
+        the replica table; a new one is merged in at the next read.
+        """
+        table = self._replica_table
+        if table is not None:
+            if replica.agent_id in self.replicas:
+                table.replace(replica)
+            else:
+                table.insert(replica)
         self.replicas[replica.agent_id] = replica
-        self._replica_table = None
+
+    def apply_replica_deltas(self, deltas: Iterable[ReplicaDelta]) -> None:
+        """Bring the hosted replicas up to this tick's incoming deltas.
+
+        The order is the delta contract: every removal first (after a
+        rebalance one source's removal and another's addition of the same
+        agent can arrive in the same tick), then the effect reset of the
+        retained replicas (they carry last tick's assignments; a freshly
+        shipped row holds identities), then the refreshes — cells written
+        into the replica objects already held, so no agent is built and the
+        replica table stays valid — and the additions last.
+        """
+        for delta in deltas:
+            for agent_id in delta.removed_ids:
+                self.discard_replica(agent_id)
+        for replica in self.replicas.values():
+            if replica._effects_touched:
+                replica.reset_effects()
+        for delta in deltas:
+            refresh_replicas(delta.refreshes, self.replicas)
+        for delta in deltas:
+            additions = delta.additions
+            if isinstance(additions, LazyAgentFrame):
+                additions = additions.unpack()
+            for replica in additions:
+                self.install_replica(replica)
 
     def replica_agents(self) -> list[Agent]:
-        """Hosted replicas sorted by id (memoized between replica changes)."""
+        """Hosted replicas sorted by id (the table is edited, not rebuilt)."""
         return list(self._replica_rows().agents)
 
     def _replica_rows(self) -> _SortedAgents:
-        """The replica table, rebuilt if dropped."""
+        """The replica table, rebuilt if dropped, with every arrival merged in."""
         if self._replica_table is None:
-            self._replica_table = _SortedAgents(self.replicas.values()).settle()
-        return self._replica_table
+            self._replica_table = _SortedAgents(self.replicas.values())
+        return self._replica_table.settle()
 
     # ------------------------------------------------------------------
     # Shard operations (the map phase, computed shard-locally)
@@ -357,11 +472,24 @@ class Worker:
           agent itself *is* the replica snapshot) and shipping switches to
           *delta mode*: destinations retain last tick's replicas, and
           ``replicas_out`` carries :class:`~repro.ipc.frames.ReplicaDelta`
-          objects naming only the rows that are new, changed, or gone.
-          "Changed" is decided by object identity of the state values
-          against what was last sent — exact by construction (an untouched
-          field keeps the very same object; a rewritten one cannot), so a
-          false "unchanged" is impossible.
+          objects in three parts — *additions* (whole rows the destination
+          does not hold), *refreshes* (only the changed cells of rows it
+          does hold) and *removals*.
+
+        "Changed" is decided cell by cell, by object identity of the state
+        values against the row last sent to that destination, never by
+        ``==`` (which conflates NaN payloads and signed zeros).  For an
+        immutable value this is exact: an untouched cell keeps the very same
+        object, and a rewritten one is a new object (the send history holds
+        the old one, so its identity cannot be reused).  A mutable value (a
+        list appended to, say) changes in place without changing identity;
+        such cells — exactly those ``clone()`` deep-copies
+        (:func:`~repro.core.agent.mutable_cells`) — are treated as stale and
+        shipped every tick.  An unchanged row costs one identity pass and no
+        allocation; a row's value tuple and mutable positions are built only
+        when it changed.  A row whose ``_state`` keys differ from its class
+        declaration (reordered, say) is never refreshed cell by cell: when it
+        changes it ships whole, as an addition.
 
         Deltas save bytes, so they run where bytes exist; by reference the
         bookkeeping would buy nothing.  Modeled byte/replica accounting
@@ -377,13 +505,16 @@ class Worker:
             previous_sent = self._replica_sent
             sent: dict[int, dict] = {}
             additions: dict[int, list] = {}
-            is_ = operator.is_
+            refreshes: dict[int, dict] = {}
         else:
             self.clear_replicas()
         table = self._owned_rows()
         owned = table.agents
         for agent in owned:
-            agent.reset_effects()
+            # A class without effect fields has nothing to reset unless
+            # something was touched.
+            if agent._effect_fields or agent._effects_touched:
+                agent.reset_effects()
         owners, replicates, targets_of, everywhere = self._harvest_positions(
             table, partitioning
         )
@@ -396,54 +527,83 @@ class Worker:
                 del self.owned[agent.agent_id]
             table.keep(~migrates)
         boundary = np.flatnonzero(migrates | replicates)
+        # Per class: agent_frame_bytes (it depends on the class only) and the
+        # declared field names.
+        classes: dict[type, tuple] = {}
         for row, owner, replicating in zip(
             boundary.tolist(), owners[boundary].tolist(), replicates[boundary].tolist()
         ):
             agent = owned[row]
-            size = agent_frame_bytes(agent)
+            cls = type(agent)
+            per_class = classes.get(cls)
+            if per_class is None:
+                per_class = classes[cls] = (agent_frame_bytes(agent), state_field_names(cls))
+            size = per_class[0]
             if owner != self.worker_id:
                 result.migrations_out.setdefault(owner, []).append(agent)
                 result.migration_pair_bytes[(self.worker_id, owner)] += size
                 result.agents_migrated += 1
             if not replicating:
                 continue
-            if transport_copies:
-                values = tuple(agent._state.values())
-                agent_id = agent.agent_id
+            if not transport_copies:
+                for target in targets_of.get(row, everywhere):
+                    if target == owner:
+                        continue
+                    result.replication_pair_bytes[(owner, target)] += size
+                    result.replicas_created += 1
+                    replica = agent.clone()
+                    replica.reset_effects()
+                    if target == self.worker_id:
+                        self.install_replica(replica)
+                    else:
+                        result.replicas_out.setdefault(target, []).append(replica)
+                continue
+            agent_id = agent.agent_id
+            state = agent._state
+            # Destinations usually share the row last sent: judge each
+            # distinct one once.  ``keep`` is the row the destination holds
+            # after this tick, ``ship`` what it needs of it (nothing, True:
+            # the whole row, else the cell positions to refresh).
+            judged = None
             for target in targets_of.get(row, everywhere):
                 if target == owner:
                     continue
                 result.replication_pair_bytes[(owner, target)] += size
                 result.replicas_created += 1
-                if transport_copies:
-                    cache = sent.get(target)
-                    if cache is None:
-                        cache = sent[target] = {}
-                    cache[agent_id] = values
-                    prev_cache = previous_sent.get(target)
-                    if prev_cache is not None:
-                        prev = prev_cache.get(agent_id)
-                        if (
-                            prev is not None
-                            and len(prev) == len(values)
-                            and all(map(is_, prev, values))
-                        ):
-                            continue  # destination already holds this row
-                if transport_copies:
-                    # Effects were reset above; the wire copies the rest.
-                    replica = agent
-                else:
-                    replica = agent.clone()
-                    replica.reset_effects()
+                prev = previous_sent.get(target, _NO_ROWS).get(agent_id)
+                if prev is None or prev is not judged:
+                    judged = prev
+                    if (
+                        prev is not None
+                        and len(prev[0]) == len(state)
+                        and all(map(is_, prev[0], state.values()))
+                    ):
+                        keep = prev
+                        ship = prev[2] and (prev[2] if prev[1] is not None else True)
+                    else:
+                        keep, ship = _row_delta(prev, state, per_class[1])
+                cache = sent.get(target)
+                if cache is None:
+                    cache = sent[target] = {}
+                cache[agent_id] = keep
+                if not ship:
+                    continue  # the destination already holds this row
                 if target == self.worker_id:
-                    self.install_replica(replica)
-                elif transport_copies:
-                    additions.setdefault(target, []).append(replica)
+                    self.install_replica(agent)
+                elif ship is True:
+                    additions.setdefault(target, []).append(agent)
                 else:
-                    result.replicas_out.setdefault(target, []).append(replica)
+                    groups = refreshes.get(target)
+                    if groups is None:
+                        groups = refreshes[target] = {}
+                    group = groups.get((cls, ship))
+                    if group is None:
+                        group = groups[(cls, ship)] = ([], [])
+                    group[0].append(agent_id)
+                    group[1].append(keep[0])
         if transport_copies:
-            for target in previous_sent.keys() | sent.keys() | additions.keys():
-                new_cache = sent.get(target, ())
+            for target in previous_sent.keys() | sent.keys():
+                new_cache = sent.get(target, _NO_ROWS)
                 removed = [
                     agent_id
                     for agent_id in previous_sent.get(target, ())
@@ -454,8 +614,9 @@ class Worker:
                         self.discard_replica(agent_id)
                     continue
                 added = additions.get(target, [])
-                if added or removed:
-                    result.replicas_out[target] = ReplicaDelta(added, removed)
+                refreshed = refreshes.get(target, {})
+                if added or removed or refreshed:
+                    result.replicas_out[target] = ReplicaDelta(added, removed, refreshed)
             self._replica_sent = sent
         return result
 
@@ -611,12 +772,11 @@ class Worker:
         These are the non-local effect assignments that must be routed to the
         owning partitions by the second reduce pass.
         """
-        partials: dict[Any, dict[str, Any]] = {}
-        for agent_id, replica in self.replicas.items():
-            touched = replica.touched_effect_partials()
-            if touched:
-                partials[agent_id] = touched
-        return partials
+        return {
+            agent_id: replica.touched_effect_partials()
+            for agent_id, replica in self.replicas.items()
+            if replica._effects_touched
+        }
 
     def merge_remote_partials(self, agent_id: Any, partials: dict[str, Any]) -> None:
         """Merge effect partials produced at another partition into an owned agent."""

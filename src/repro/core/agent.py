@@ -38,6 +38,21 @@ def _is_immutable(value: Any) -> bool:
     return type(value) in _ATOMIC_TYPES
 
 
+def mutable_cells(values: tuple, positions=None) -> tuple:
+    """Positions of the ``values`` that :meth:`Agent.clone` would deep-copy.
+
+    Such a value (a list, a dict, any object) can change in place while
+    keeping its identity, so nothing that compares cells by identity may
+    call it unchanged.  ``positions`` restricts the search to those cells.
+    """
+    cells = values if positions is None else map(values.__getitem__, positions)
+    if _ATOMIC_TYPES.issuperset(map(type, cells)):
+        return ()
+    if positions is None:
+        positions = range(len(values))
+    return tuple([position for position in positions if not _is_immutable(values[position])])
+
+
 def _copy_mapping(mapping: dict) -> dict:
     """Copy a field-value dict, deep-copying only what is actually mutable."""
     for value in mapping.values():

@@ -23,6 +23,10 @@ This module packs that traffic into **columnar frames** instead:
   rest;
 * partial rows group by their exact field-key tuple, giving one
   ``PackedColumn`` per accumulator field instead of one dict per agent;
+* replica refreshes (:class:`ReplicaDelta`) carry only the changed cells of
+  rows a destination already holds, grouped by class and changed-cell set:
+  one id column, the field names once, and the cells as one float matrix or
+  per-field columns — applied in place by :func:`refresh_replicas`;
 * any agent whose ``_state`` keys do not match its class declaration
   escapes as a whole object — bit-identity is never at risk.
 
@@ -43,11 +47,13 @@ import pickle
 import weakref
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.agent import Agent
+from repro.core.errors import BraceError
 from repro.core.soa import PackedColumn, cells_equal, pack_cells, unpack_cells
 
 
@@ -98,6 +104,22 @@ def class_handle(cls: type) -> ClassHandle:
     if spec is not None:
         return ClassHandle(spec=spec)
     return ClassHandle(cls=cls)
+
+
+#: ``cls -> tuple of its declared state field names``; weak keys as below.
+_FIELD_NAMES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def state_field_names(cls: type) -> tuple:
+    """The declared state field names of ``cls``, one cached tuple per class.
+
+    The same tuple object every call, so two rows can be tested for the same
+    declared layout by identity.
+    """
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(cls._state_fields)
+    return names
 
 
 #: Cache of per-class effect identity templates: ``cls -> (template dict,
@@ -209,7 +231,7 @@ def pack_agents(agents: Sequence) -> AgentFrame:
         cls = type(agent)
         fields = field_tuples.get(cls)
         if fields is None:
-            fields = field_tuples[cls] = tuple(cls._state_fields)
+            fields = field_tuples[cls] = state_field_names(cls)
         # Order-sensitive on purpose: a matching key *sequence* lets the
         # column transpose below read ``_state.values()`` directly, one
         # pass instead of one dict lookup per cell.  Reordered dicts (rare)
@@ -276,6 +298,10 @@ def unpack_agents(frame: AgentFrame) -> list:
             else:
                 value_rows = iter([()] * len(rows))
         fields = group.fields
+        if fields == state_field_names(cls):
+            # The class's own name objects as keys: the shard's test of a
+            # row's layout (``Worker.distribute``) then compares pointers.
+            fields = state_field_names(cls)
         new = cls.__new__
         template, fast = _effect_template(cls)
         # Assigning ``__dict__`` wholesale sidesteps one setattr per
@@ -324,29 +350,116 @@ class LazyAgentFrame:
 
 
 class ReplicaDelta:
-    """One destination's replica delta for a tick.
+    """One destination's replica delta for a tick, in three parts.
 
     Instead of reshipping every replica every tick, a shard in delta mode
-    sends each destination only the rows that changed: ``additions`` holds
-    replicas that are new or whose state values differ (by object identity
-    — exact by construction, see ``Worker.distribute``) from what was last
-    sent, and ``removed_ids`` names replicas the destination must drop.
-    Unchanged replicas are simply retained by the destination, so
-    steady-state replica traffic scales with the *change rate*, not the
-    replica count.  A wire always ships replicas this way; by reference they
-    travel as plain clone lists instead (see ``Worker.distribute``).
+    sends each destination only what changed since it last sent there:
+
+    * ``additions`` — whole rows the destination does not hold (new
+      replicas, or rows that cannot be refreshed cell by cell: another
+      class under the same id, a ``_state`` whose key order differs from the
+      class declaration);
+    * ``refreshes`` — rows the destination already holds, carrying only the
+      cells whose value objects are not identical to what was last sent
+      (plus every cell holding a mutable value, which can change in place
+      without changing identity — see ``Worker.distribute``), grouped by
+      ``(class, changed cells)``;
+    * ``removed_ids`` — replicas the destination must drop.
+
+    Unchanged cells and rows are simply retained by the destination, so
+    steady-state replica traffic scales with the cells that *change*, not
+    with the replica count or the row width.  The destination applies
+    removals, resets the effects of retained replicas, writes refreshes into
+    its existing replica objects and installs additions, in that order
+    (``Worker.apply_replica_deltas``).  A wire always ships replicas this
+    way; by reference they travel as plain clone lists instead.
     """
 
-    __slots__ = ("additions", "removed_ids")
+    __slots__ = ("additions", "removed_ids", "refreshes")
 
-    def __init__(self, additions, removed_ids):
+    def __init__(self, additions, removed_ids, refreshes=None):
         #: ``list[Agent]`` at the source, a :class:`LazyAgentFrame` in
         #: transit (the driver routes deltas without unpacking them).
         self.additions = additions
         self.removed_ids = removed_ids
+        #: At the source ``{(class, cell positions): (ids, state value
+        #: tuples)}``; in transit a list of packed :class:`RefreshGroup`.
+        self.refreshes = {} if refreshes is None else refreshes
 
-    def __len__(self) -> int:
-        return len(self.additions)
+
+@dataclass
+class RefreshGroup:
+    """One ``(class, changed cells)`` group of a delta's refreshes.
+
+    ``fields`` names the shipped cells once for the whole group; ``ids`` is
+    the id column.  The cells are one ``(rows, fields)`` float64 ``matrix``
+    when every one is a float, else one :class:`~repro.core.soa.PackedColumn`
+    per field in ``columns`` (escape column included), as in
+    :class:`_AgentGroup`.
+    """
+
+    handle: ClassHandle
+    fields: tuple
+    ids: PackedColumn
+    columns: list
+    matrix: np.ndarray | None = None
+
+
+def pack_refreshes(refreshes: dict) -> list:
+    """Pack a source-side refresh map into :class:`RefreshGroup` frames.
+
+    ``refreshes`` maps ``(class, cell positions)`` to the group's agent ids
+    and the rows' state value tuples (in declared field order); only the
+    named positions of each tuple are packed.
+    """
+    groups = []
+    for (cls, positions), (ids, value_rows) in refreshes.items():
+        names = state_field_names(cls)
+        if len(positions) == len(names):
+            cells = value_rows
+        elif len(positions) == 1:
+            (position,) = positions
+            cells = [(values[position],) for values in value_rows]
+        else:
+            cells = list(map(itemgetter(*positions), value_rows))
+        matrix = _float_matrix(cells)
+        columns = [] if matrix is not None else [pack_cells(column) for column in zip(*cells)]
+        groups.append(
+            RefreshGroup(
+                class_handle(cls),
+                tuple(names[position] for position in positions),
+                pack_cells(ids),
+                columns,
+                matrix,
+            )
+        )
+    return groups
+
+
+def refresh_replicas(groups: list, replicas: dict) -> None:
+    """Write packed refresh groups into the held ``replicas``, in place.
+
+    Exactly the named cells of each row's existing replica object change; no
+    agent is built.  A row for an id that is not held (or is held as another
+    class) means the source's send history and this destination disagree,
+    and raises :class:`~repro.core.errors.BraceError` rather than skipping.
+    """
+    for group in groups:
+        cls = group.handle.resolve()
+        if group.matrix is not None:
+            value_rows = group.matrix.tolist()
+        else:
+            value_rows = zip(*[unpack_cells(column) for column in group.columns])
+        names = group.fields
+        for agent_id, cells in zip(unpack_cells(group.ids), value_rows):
+            replica = replicas.get(agent_id)
+            if type(replica) is not cls:
+                held = "no replica" if replica is None else f"a {type(replica).__name__}"
+                raise BraceError(
+                    f"refresh of {cls.__name__} agent {agent_id!r} {names} "
+                    f"but this shard holds {held} under that id"
+                )
+            replica._state.update(zip(names, cells))
 
 
 @dataclass

@@ -10,12 +10,17 @@ snapshot assembly — exactly as they were, driving a :class:`Worker` through
 its public ownership/replica methods, so
 ``tests/brace/test_map_phase_differential.py`` can hold the batch form to
 them field by field.  Reference code: slow on purpose, not to be optimised.
-"""
 
-import operator
+The wire's decision per (agent, destination) follows the three-part delta
+contract in its plainest form: every row's values, layout and mutable cells
+are rebuilt each time, the identity test runs per destination, and a row the
+destination holds ships the positions of its non-identical and mutable
+cells.
+"""
 
 from repro.brace.replication import replication_targets
 from repro.brace.worker import DistributionResult, Worker
+from repro.core.agent import _is_immutable
 from repro.core.ordering import agent_sort_key
 from repro.ipc.frames import ReplicaDelta
 from repro.ipc.sizing import agent_frame_bytes
@@ -34,7 +39,7 @@ def reference_distribute(
         previous_sent = self._replica_sent
         sent: dict[int, dict] = {}
         additions: dict[int, list] = {}
-        is_ = operator.is_
+        refreshes: dict[int, dict] = {}
     else:
         self.clear_replicas()
     for agent in self.owned_agents():
@@ -49,43 +54,37 @@ def reference_distribute(
             result.migration_pair_bytes[(self.worker_id, owner)] += size
             result.agents_migrated += 1
         targets = replication_targets(agent, partitioning)
-        if transport_copies and targets:
-            values = tuple(agent._state.values())
-            agent_id = agent.agent_id
         for target in targets:
             if target == owner:
                 continue
             result.replication_pair_bytes[(owner, target)] += size
             result.replicas_created += 1
-            if transport_copies:
-                cache = sent.get(target)
-                if cache is None:
-                    cache = sent[target] = {}
-                cache[agent_id] = values
-                prev_cache = previous_sent.get(target)
-                if prev_cache is not None:
-                    prev = prev_cache.get(agent_id)
-                    if (
-                        prev is not None
-                        and len(prev) == len(values)
-                        and all(map(is_, prev, values))
-                    ):
-                        continue  # destination already holds this row
-            if transport_copies:
-                # Effects were reset above; the wire copies the rest.
-                replica = agent
-            else:
+            if not transport_copies:
                 replica = agent.clone()
                 replica.reset_effects()
+                if target == self.worker_id:
+                    self.install_replica(replica)
+                else:
+                    result.replicas_out.setdefault(target, []).append(replica)
+                continue
+            prev = previous_sent.get(target, {}).get(agent.agent_id)
+            keep, ship = reference_row_delta(agent, prev)
+            sent.setdefault(target, {})[agent.agent_id] = keep
+            if not ship:
+                continue  # destination already holds this row
             if target == self.worker_id:
-                self.install_replica(replica)
-            elif transport_copies:
-                additions.setdefault(target, []).append(replica)
+                self.install_replica(agent)
+            elif ship is True:
+                additions.setdefault(target, []).append(agent)
             else:
-                result.replicas_out.setdefault(target, []).append(replica)
+                ids, rows = refreshes.setdefault(target, {}).setdefault(
+                    (type(agent), ship), ([], [])
+                )
+                ids.append(agent.agent_id)
+                rows.append(keep[0])
     if transport_copies:
-        for target in previous_sent.keys() | sent.keys() | additions.keys():
-            new_cache = sent.get(target, ())
+        for target in previous_sent.keys() | sent.keys():
+            new_cache = sent.get(target, {})
             removed = [
                 agent_id
                 for agent_id in previous_sent.get(target, ())
@@ -96,10 +95,36 @@ def reference_distribute(
                     self.discard_replica(agent_id)
                 continue
             added = additions.get(target, [])
-            if added or removed:
-                result.replicas_out[target] = ReplicaDelta(added, removed)
+            refreshed = refreshes.get(target, {})
+            if added or removed or refreshed:
+                result.replicas_out[target] = ReplicaDelta(added, removed, refreshed)
         self._replica_sent = sent
     return result
+
+
+def reference_row_delta(agent, prev):
+    """``(row the destination holds afterwards, what to ship)`` for one agent.
+
+    A row is ``(values, declared field names or None, mutable positions)``;
+    ``ship`` is falsy (nothing), True (the whole row) or the cell positions
+    to refresh.
+    """
+    state = agent._state
+    values = tuple(state.values())
+    declared = tuple(type(agent)._state_fields)
+    layout = declared if tuple(state) == declared else None
+    mutable = tuple(i for i, value in enumerate(values) if not _is_immutable(value))
+    if prev is not None and len(prev[0]) == len(values) and all(
+        old is new for old, new in zip(prev[0], values)
+    ):
+        if not mutable:
+            return prev, None
+        return prev, mutable if prev[1] is not None else True
+    row = (values, layout, mutable)
+    if prev is None or layout is None or prev[1] != layout:
+        return row, True
+    changed = {i for i, (old, new) in enumerate(zip(prev[0], values)) if old is not new}
+    return row, tuple(sorted(changed | set(mutable)))
 
 
 def reference_snapshot(worker: Worker) -> PointSet:

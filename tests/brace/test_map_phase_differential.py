@@ -9,7 +9,8 @@ every ``_replica_sent`` and every snapshot row must be identical.
 
 The call-count guards are the map-phase twin of the "compiled tick makes no
 per-agent ``visible()`` calls" guard: interior agents cost the map phase no
-Python call at all, boundary agents exactly one ``agent_frame_bytes`` each.
+Python call at all, and the modeled row size (a function of the class) is
+taken once per class of boundary agent.
 """
 
 import copy
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.brace import replication, worker as worker_module
+from repro.brace.shards import _pack_routed_deltas, _unpack_routed_deltas
 from repro.brace.worker import Worker, _SortedAgents
 from repro.core.agent import Agent
 from repro.core.combinators import COUNT
@@ -104,15 +106,8 @@ def route(workers, results, transport_copies) -> None:
             for result in results
             if worker.worker_id in result.replicas_out
         ]
-        for delta in deltas:
-            for agent_id in delta.removed_ids:
-                worker.discard_replica(agent_id)
-        for replica in worker.replicas.values():
-            if replica._effects_touched:
-                replica.reset_effects()
-        for delta in deltas:
-            for replica in delta.additions:
-                worker.install_replica(replica.clone())  # the wire's copy
+        # Through the wire transforms: the destination gets the wire's copy.
+        worker.apply_replica_deltas(_unpack_routed_deltas(_pack_routed_deltas(deltas)))
 
 
 def describe_agents(agents) -> list:
@@ -126,7 +121,13 @@ def describe_result(result) -> dict:
     replicas = []
     for destination, shipped in result.replicas_out.items():
         if isinstance(shipped, ReplicaDelta):
-            replicas.append((destination, describe_agents(shipped.additions), shipped.removed_ids))
+            refreshes = [
+                (cls.__name__, cells, ids, rows)
+                for (cls, cells), (ids, rows) in shipped.refreshes.items()
+            ]
+            replicas.append(
+                (destination, describe_agents(shipped.additions), shipped.removed_ids, refreshes)
+            )
         else:
             replicas.append((destination, describe_agents(shipped)))
     return {
@@ -186,7 +187,7 @@ def test_batch_map_phase_equals_the_per_agent_loop(layout, transport_copies):
     agents = make_agents()
     batch = make_workers(partitioning, copy.deepcopy(agents))
     reference = make_workers(partitioning, copy.deepcopy(agents))
-    migrated = removed = 0
+    migrated = removed = refreshed = 0
     for tick in range(7):
         batch_results = [
             worker.distribute(transport_copies=transport_copies) for worker in batch
@@ -199,6 +200,11 @@ def test_batch_map_phase_equals_the_per_agent_loop(layout, transport_copies):
             migrated += ours.agents_migrated
             if transport_copies:
                 removed += sum(len(delta.removed_ids) for delta in ours.replicas_out.values())
+                refreshed += sum(
+                    len(ids)
+                    for delta in ours.replicas_out.values()
+                    for ids, _ in delta.refreshes.values()
+                )
         route(batch, batch_results, transport_copies)
         route(reference, reference_results, transport_copies)
         query_round(batch, tick)
@@ -219,6 +225,7 @@ def test_batch_map_phase_equals_the_per_agent_loop(layout, transport_copies):
         assert migrated > 20  # the run did exercise migrations ...
         if transport_copies:
             assert removed > 5  # ... and delta removals
+            assert refreshed > 20  # ... and refreshes of held rows
 
 
 def test_arrivals_and_boundary_changes_keep_the_owned_table_in_step():
@@ -294,6 +301,61 @@ def test_the_sorted_table_keeps_agents_keys_and_rows_aligned():
         )
         assert points.tolist() == [list(a.position()) for a in agents]
     assert _SortedAgents().settle().harvest() is None
+
+
+@pytest.mark.parametrize("harvested", [False, True])
+def test_remove_and_replace_edit_the_sorted_table_in_place(harvested):
+    """The replica table's row edits keep agents, keys and rows aligned."""
+    rng = np.random.default_rng(SEED)
+
+    def drifter(agent_id):
+        return Drifter(agent_id=agent_id, x=float(rng.uniform(0, SIZE)), y=2.0)
+
+    def check(table):
+        ids = [agent.agent_id for agent in table.agents]
+        assert table.keys == [agent_sort_key(i) for i in ids] == sorted(table.keys)
+        if table.points is not None:
+            assert table.points.tolist() == [list(a.position()) for a in table.agents]
+
+    table = _SortedAgents(map(drifter, [9, 3, "b", 5.5, 1, "a", 0])).settle()
+    if harvested:
+        table.harvest()
+    table.insert(drifter(4))  # not yet settled: found all the same
+    table.remove(5.5)
+    check(table)
+    table.remove("a")
+    table.remove(0)  # the first row
+    table.remove("b")  # the last row
+    check(table)
+    replacement = drifter(3)
+    table.replace(replacement)
+    check(table)
+    assert replacement in table.agents
+    assert [a.agent_id for a in table.agents] == [1, 3, 4, 9]
+    for missing in (5.5, "zz", 2):
+        with pytest.raises(KeyError):
+            table.remove(missing)
+    with pytest.raises(KeyError):
+        table.replace(drifter(8))
+    check(table)
+
+
+def test_replica_changes_edit_the_replica_table_instead_of_dropping_it():
+    worker = make_workers(PARTITIONINGS["strips"](), [])[0]
+    replicas = [Drifter(agent_id=i, x=1.0, y=float(i)) for i in range(6)]
+    for replica in replicas:
+        worker.install_replica(replica)
+    table = worker._replica_rows()
+    worker.discard_replica(2)
+    worker.install_replica(Drifter(agent_id=2.5, x=1.0, y=1.0))
+    newer = Drifter(agent_id=4, x=2.0, y=2.0)
+    worker.install_replica(newer)
+    assert worker._replica_rows() is table
+    assert [a.agent_id for a in worker.replica_agents()] == [0, 1, 2.5, 3, 4, 5]
+    assert worker.replica_agents()[4] is newer
+    assert worker.replica_agents() == sorted(
+        worker.replicas.values(), key=lambda agent: agent_sort_key(agent.agent_id)
+    )
 
 
 def test_a_class_without_spatial_fields_has_no_owner():
@@ -375,7 +437,7 @@ def test_interior_world_costs_the_map_phase_no_per_agent_call(counter, transport
     }
 
 
-def test_boundary_world_costs_one_size_call_per_boundary_agent(counter):
+def test_boundary_world_costs_one_size_call_per_class(counter):
     interior = [Drifter(agent_id=i, x=5.0, y=float(i)) for i in range(40)]
     replicating = [Drifter(agent_id=100 + i, x=27.5, y=float(i)) for i in range(7)]
     migrating = [Drifter(agent_id=200 + i, x=45.0, y=float(i)) for i in range(3)]
@@ -384,7 +446,7 @@ def test_boundary_world_costs_one_size_call_per_boundary_agent(counter):
     result = worker.distribute()
     assert result.agents_migrated == 5
     assert result.replicas_created == 9
-    assert counter.calls["repro.brace.worker.agent_frame_bytes"] == 12
+    assert counter.calls["repro.brace.worker.agent_frame_bytes"] == 1  # 12 boundary rows
     assert counter.calls["Agent.clone"] == 9
     assert counter.calls["repro.brace.replication.replication_targets"] == 0
     assert counter.calls["Agent.position"] == 0
@@ -395,6 +457,6 @@ def test_unbounded_class_is_resolved_once_not_per_row(counter):
     worker = strip_worker(beacons, strips=3)
     result = worker.distribute(transport_copies=True)
     assert result.replicas_created == 100
-    assert counter.calls["repro.brace.worker.agent_frame_bytes"] == 50
+    assert counter.calls["repro.brace.worker.agent_frame_bytes"] == 1
     assert counter.calls["Agent.visibility_radii"] == 1
     assert counter.calls["Agent.position"] == 0
