@@ -30,7 +30,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.brace.replication import replication_targets_batch
-from repro.core.agent import Agent, mutable_cells
+from repro.core.agent import Agent, _set_updating, mutable_cells
 from repro.core.context import QueryContext, UpdateContext, resolve_spatial_backend
 from repro.core.errors import BraceError
 from repro.core.ordering import agent_sort_key
@@ -74,11 +74,11 @@ def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str |
 
         remaining = try_compiled_update_phase(owned, context)
     for agent in remaining:
-        agent._updating = True
+        _set_updating(agent, True)
         try:
             agent.update(context)
         finally:
-            agent._updating = False
+            _set_updating(agent, False)
 
 
 #: An empty send cache (never written).

@@ -37,7 +37,7 @@ from repro.brasil.optimizer import (
 from repro.brasil.parser import parse
 from repro.brasil.semantics import ScriptInfo, analyze_class
 from repro.brasil.translate import PlanQueryTask, TranslationNotSupported, translate_query
-from repro.core.agent import Agent, AgentMeta
+from repro.core.agent import Agent, AgentMeta, _rebuild_agent
 from repro.core.errors import BrasilError
 from repro.core.fields import EffectField, StateField
 
@@ -92,10 +92,10 @@ def compiled_class_for_spec(spec: AgentClassSpec) -> type:
     return agent_class
 
 
-def _rebuild_compiled_agent(spec: AgentClassSpec):
-    """Create an empty compiled-agent instance (pickle then applies the state)."""
-    agent_class = compiled_class_for_spec(spec)
-    return agent_class.__new__(agent_class)
+def _rebuild_compiled_agent(spec: AgentClassSpec, *parts):
+    """Unpickle a compiled agent: its class from ``spec``, then the agent
+    from :meth:`~repro.core.agent.Agent.__reduce__`'s positional ``parts``."""
+    return _rebuild_agent(compiled_class_for_spec(spec), *parts)
 
 
 class BrasilAgentBase(Agent):
@@ -116,13 +116,15 @@ class BrasilAgentBase(Agent):
         """Pickle by compile spec + state so instances cross process boundaries.
 
         The dynamic class cannot be pickled by reference; shipping the spec
-        and the instance ``__dict__`` instead makes compiled agents first
-        class citizens of the process executor.
+        in its place (with the same positional parts as
+        :meth:`Agent.__reduce__`) makes compiled agents first class citizens
+        of the process executor.
         """
+        rebuild, args = super().__reduce__()
         spec = type(self)._compile_spec
         if spec is None:
-            return super().__reduce__()
-        return (_rebuild_compiled_agent, (spec,), dict(self.__dict__))
+            return rebuild, args
+        return _rebuild_compiled_agent, (spec, *args[1:])
 
     def query(self, ctx) -> None:
         """Execute the compiled ``run()`` method (the query phase)."""

@@ -7,8 +7,13 @@ declares :class:`~repro.core.fields.StateField` and
 :meth:`Agent.update` (the update phase: read own state + aggregated effects,
 write new state).
 
-Agents are plain Python objects but expose explicit snapshot/merge hooks so
-the BRACE runtime can replicate them to other partitions, merge partially
+Agents are plain Python objects whose instance ``__dict__`` *is* their
+state: ``agent.x`` is an ordinary attribute load, and every write passes
+through :meth:`Agent.__setattr__`, which enforces the phase rules on
+declared state fields and rejects undeclared attributes (an executor only
+carries declared state, so an ad-hoc attribute would silently diverge
+between them).  Agents also expose explicit snapshot/merge hooks so the
+BRACE runtime can replicate them to other partitions, merge partially
 aggregated effects coming back from replicas, checkpoint workers and compare
 runs for equivalence.
 """
@@ -64,6 +69,34 @@ def _copy_mapping(mapping: dict) -> dict:
     return dict(mapping)
 
 
+#: Every attribute :class:`Agent` itself defines (slots, methods, class
+#: attributes); a field of the same name would shadow it.  Set once
+#: ``Agent`` exists.
+_AGENT_ATTRIBUTES: frozenset = frozenset()
+
+#: The per-instance slots; assignments to them bypass the field rules.
+_AGENT_SLOTS = ("agent_id", "_updating", "_state", "_effects", "_effects_touched")
+
+_set_slot = object.__setattr__
+
+
+def _bind_agent(agent, agent_id, state: dict, effects: dict, touched: set) -> None:
+    """Fill ``agent``'s slots; ``state`` becomes its ``__dict__`` as well."""
+    _set_dict(agent, state)
+    _set_state(agent, state)
+    _set_agent_id(agent, agent_id)
+    _set_updating(agent, False)
+    _set_effects(agent, effects)
+    _set_effects_touched(agent, touched)
+
+
+def _rebuild_agent(cls, state: dict, agent_id, effects: dict, touched: set):
+    """Unpickle an agent from :meth:`Agent.__reduce__`'s positional parts."""
+    agent = cls.__new__(cls)
+    _bind_agent(agent, agent_id, state, effects, touched)
+    return agent
+
+
 class AgentMeta(type):
     """Collects field declarations (including inherited ones) in order."""
 
@@ -88,12 +121,36 @@ class AgentMeta(type):
                         f"{name}.{attr_name} redeclares a state field as effect"
                     )
                 effect_fields[attr_name] = attr_value
+            else:
+                continue
+            if attr_name in _AGENT_ATTRIBUTES:
+                raise AgentDefinitionError(
+                    f"{name}.{attr_name} collides with Agent.{attr_name}; "
+                    "pick another field name"
+                )
 
         cls._state_fields = state_fields
         cls._effect_fields = effect_fields
         cls._spatial_fields = [
             field_name for field_name, field in state_fields.items() if field.spatial
         ]
+        cls._visibility_radii = tuple(
+            state_fields[field_name].visibility for field_name in cls._spatial_fields
+        )
+        cls._bounded_visibility = bool(cls._visibility_radii) and all(
+            radius is not None for radius in cls._visibility_radii
+        )
+        # The largest radius a neighbour query may ask for (the context's
+        # visibility check raises above it, naming the first bound exceeded).
+        cls._radius_limit = min(
+            (radius * (1 + 1e-9) for radius in cls._visibility_radii if radius is not None),
+            default=math.inf,
+        )
+        # Agent.__setattr__'s dispatch: a declared field's write hook.
+        cls._field_writers = {
+            **{field_name: field.write for field_name, field in state_fields.items()},
+            **{field_name: field.__set__ for field_name, field in effect_fields.items()},
+        }
         # reset_effects runs once per agent per tick: identities that are
         # immutable are shared from one per-class template; the others
         # (a custom collect-into-a-list combinator) are made per agent.
@@ -119,31 +176,69 @@ class Agent(metaclass=AgentMeta):
     Subclasses declare fields at class level and implement ``query`` and
     ``update``.  Instances may be constructed with keyword arguments naming
     any state field.
+
+    The state dict is both the ``_state`` slot and the instance ``__dict__``
+    (one object), so state reads are attribute loads and every internal
+    ``agent._state`` access stays a slot read.  Only declared fields and the
+    slots below may be assigned.
     """
+
+    __slots__ = _AGENT_SLOTS + ("__dict__", "__weakref__")
 
     _state_fields: dict[str, StateField] = {}
     _effect_fields: dict[str, EffectField] = {}
     _spatial_fields: list[str] = []
+    _visibility_radii: tuple = ()
+    _bounded_visibility: bool = False
+    _radius_limit: float = math.inf
+    _field_writers: dict = {}
     _effect_identities: dict[str, Any] = {}
     _mutable_effect_fields: tuple = ()
 
     def __init__(self, agent_id: int | None = None, **field_values: Any):
-        self.agent_id = agent_id
-        self._updating = False
-        self._state: dict[str, Any] = {}
-        self._effects: dict[str, Any] = {}
-        self._effects_touched: set[str] = set()
+        state: dict[str, Any] = {}
+        effects: dict[str, Any] = {}
         for field_name, field in self._state_fields.items():
-            self._state[field_name] = copy.copy(field.default)
+            state[field_name] = copy.copy(field.default)
         for field_name, field in self._effect_fields.items():
-            self._effects[field_name] = field.combinator.identity()
+            effects[field_name] = field.combinator.identity()
+        _bind_agent(self, agent_id, state, effects, set())
         unknown = set(field_values) - set(self._state_fields)
         if unknown:
             raise AgentDefinitionError(
                 f"unknown state field(s) {sorted(unknown)} for {type(self).__name__}"
             )
-        for field_name, value in field_values.items():
-            self._state[field_name] = value
+        state.update(field_values)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        """Route a write: declared fields through their hooks, slots as is.
+
+        Assigning ``_state`` (or ``__dict__``) rebinds both, so they stay
+        one dict.  Any other name is rejected: executors carry only declared
+        state, so an undeclared attribute would silently diverge between a
+        serial run and a distributed one.
+        """
+        write = self._field_writers.get(name)
+        if write is not None:
+            write(self, value)
+        elif name == "_state" or name == "__dict__":
+            _set_dict(self, value)
+            _set_state(self, value)
+        elif name in _AGENT_SLOTS:
+            _set_slot(self, name, value)
+        else:
+            raise AgentDefinitionError(
+                f"{type(self).__name__}.{name} is not a declared field; agents "
+                "may only carry state declared with StateField (or EffectField), "
+                "since that is all an executor replicates, migrates and checkpoints"
+            )
+
+    def __reduce__(self):
+        """Pickle positionally: class, state, id, effects, touched effects."""
+        return (
+            _rebuild_agent,
+            (type(self), self._state, self.agent_id, self._effects, self._effects_touched),
+        )
 
     # ------------------------------------------------------------------
     # Behaviour hooks (overridden by concrete models)
@@ -176,7 +271,7 @@ class Agent(metaclass=AgentMeta):
     @classmethod
     def visibility_radii(cls) -> tuple[float | None, ...]:
         """Per-dimension visibility bounds (None = unbounded)."""
-        return tuple(cls._state_fields[name].visibility for name in cls._spatial_fields)
+        return cls._visibility_radii
 
     @classmethod
     def reachability_radii(cls) -> tuple[float | None, ...]:
@@ -186,8 +281,7 @@ class Agent(metaclass=AgentMeta):
     @classmethod
     def has_bounded_visibility(cls) -> bool:
         """True when every spatial dimension has a finite visibility bound."""
-        radii = cls.visibility_radii()
-        return bool(radii) and all(radius is not None for radius in radii)
+        return cls._bounded_visibility
 
     def position(self) -> tuple[float, ...]:
         """The agent's spatial location (tuple of its spatial state fields)."""
@@ -271,13 +365,13 @@ class Agent(metaclass=AgentMeta):
         strings) are shared rather than walked through ``copy.deepcopy``,
         which is an order of magnitude cheaper and observably identical.
         """
-        duplicate = type(self).__new__(type(self))
-        duplicate.agent_id = self.agent_id
-        duplicate._updating = False
-        duplicate._state = _copy_mapping(self._state)
-        duplicate._effects = _copy_mapping(self._effects)
-        duplicate._effects_touched = set(self._effects_touched)
-        return duplicate
+        return _rebuild_agent(
+            type(self),
+            _copy_mapping(self._state),
+            self.agent_id,
+            _copy_mapping(self._effects),
+            set(self._effects_touched),
+        )
 
     def snapshot(self) -> dict[str, Any]:
         """A serializable snapshot (class name, id, state, effects)."""
@@ -290,10 +384,13 @@ class Agent(metaclass=AgentMeta):
 
     def restore(self, snapshot: dict[str, Any]) -> None:
         """Restore state and effects from a snapshot taken with :meth:`snapshot`."""
-        self.agent_id = snapshot["agent_id"]
-        self._state = _copy_mapping(snapshot["state"])
-        self._effects = _copy_mapping(snapshot["effects"])
-        self._effects_touched = set()
+        _bind_agent(
+            self,
+            snapshot["agent_id"],
+            _copy_mapping(snapshot["state"]),
+            _copy_mapping(snapshot["effects"]),
+            set(),
+        )
 
     def same_state_as(self, other: "Agent", tolerance: float = 0.0) -> bool:
         """True when ``other`` has the same id and (numerically close) state.
@@ -338,3 +435,16 @@ class Agent(metaclass=AgentMeta):
     def __iter__(self) -> Iterator[tuple[str, Any]]:
         """Iterate over ``(state field name, value)`` pairs."""
         return iter(self._state.items())
+
+
+_AGENT_ATTRIBUTES = frozenset(dir(Agent))
+
+# The slot descriptors' setters: a direct call skips Agent.__setattr__ and
+# object.__setattr__'s lookup on the paths that build agents in bulk
+# (construction, clone, unpickle, frame decoding).
+_set_dict = vars(Agent)["__dict__"].__set__
+_set_state = vars(Agent)["_state"].__set__
+_set_agent_id = vars(Agent)["agent_id"].__set__
+_set_updating = vars(Agent)["_updating"].__set__
+_set_effects = vars(Agent)["_effects"].__set__
+_set_effects_touched = vars(Agent)["_effects_touched"].__set__

@@ -23,7 +23,7 @@ from repro.core.errors import VisibilityError, WorldError
 from repro.core.ordering import agent_sort_key
 from repro.core.soa import pack_positions, rows_by_class
 from repro.spatial.bbox import BBox
-from repro.spatial.columnar import PointSet, VectorizedGrid, batch_neighbor_lists
+from repro.spatial.columnar import PointSet, VectorizedGrid, batch_neighbor_pairs
 from repro.spatial.grid import UniformGrid
 from repro.spatial.kdtree import KDTree
 from repro.spatial.quadtree import QuadTree
@@ -67,6 +67,30 @@ def agent_rng(seed: int, tick: int, agent_id: Any) -> np.random.Generator:
     else:
         components = [int(agent_id)]
     return np.random.default_rng([int(seed) & 0x7FFFFFFF, int(tick), *components])
+
+
+class LazyAgentRng:
+    """The :func:`agent_rng` generator of one agent, built on first use.
+
+    Seeding a generator costs far more than most agents' draws, and many
+    agents draw nothing in a given tick.  This stand-in keeps the
+    ``(seed, tick, agent_id)`` triple and calls :func:`agent_rng` when an
+    attribute (a draw method) is first touched, delegating to that generator
+    from then on, so the stream is bit-identical to calling
+    :func:`agent_rng` directly and an agent that never draws pays nothing.
+    """
+
+    __slots__ = ("_key", "_generator")
+
+    def __init__(self, seed: int, tick: int, agent_id: Any):
+        self._key = (seed, tick, agent_id)
+        self._generator: np.random.Generator | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = agent_rng(*self._key)
+        return getattr(generator, name)
 
 
 class QueryContext:
@@ -133,7 +157,9 @@ class QueryContext:
             snapshot.items if self._snapshot is not None else None
         )
         self._canonical_rank: dict[int, int] | None = None
-        #: radius -> (per-row neighbour arrays, per-row examined counts).
+        #: The log-cost index descent every indexed probe is charged.
+        self._probe_base = max(1, int(math.log2(len(self._agents) + 1)))
+        #: radius -> the self-join's per-row runs (see :meth:`_row_runs`).
         self._neighbor_batches: dict[float, tuple] = {}
         #: Lazily computed σ_V batch over the snapshot (vectorized only), as
         #: CSR: row ``r`` matched ``match_rows[offsets[r]:offsets[r + 1]]``
@@ -141,6 +167,8 @@ class QueryContext:
         #: ``probe_ids`` is the join's own expansion of ``offsets`` (the
         #: probing row of every entry of ``match_rows``).
         self._visible_batch: tuple[np.ndarray, ...] | None = None
+        #: The σ_V batch as per-row runs, for per-agent :meth:`visible` calls.
+        self._visible_runs: tuple | None = None
         if self.spatial_backend == "vectorized":
             self._index = None
         else:
@@ -273,9 +301,13 @@ class QueryContext:
             ]
         return found
 
-    def rng(self, agent: Any) -> np.random.Generator:
-        """Deterministic random generator for ``agent`` at this tick."""
-        return agent_rng(self.seed, self.tick, agent.agent_id)
+    def rng(self, agent: Any) -> LazyAgentRng:
+        """Deterministic random generator for ``agent`` at this tick.
+
+        Built on first use (see :class:`LazyAgentRng`): the same stream as
+        :func:`agent_rng`, at no cost to an agent that never draws.
+        """
+        return LazyAgentRng(self.seed, self.tick, agent.agent_id)
 
     # ------------------------------------------------------------------
     # Internals — canonical ordering
@@ -331,7 +363,7 @@ class QueryContext:
         identically on both backends so virtual-time measurements stay
         comparable when the backend flips between runs or worker sizes.
         """
-        return max(1, int(math.log2(len(self._agents) + 1))) + candidates
+        return self._probe_base + candidates
 
     def _neighbors_vectorized(self, agent, radius, include_self) -> list[Any]:
         snapshot = self._ensure_snapshot()
@@ -342,16 +374,13 @@ class QueryContext:
             rows = snapshot.scan_radius(agent.position(), radius)
             self.work_units += self._probe_work(len(rows))
             return self._materialize(snapshot, rows, agent, include_self)
-        batch = self._neighbor_batches.get(radius)
-        if batch is None:
-            batch = batch_neighbor_lists(snapshot, radius, include_self=True)
-            self._neighbor_batches[radius] = batch
-        lists, examined = batch
-        self.work_units += self._probe_work(int(examined[row]))
-        rows = lists[row]
-        if not include_self:
-            rows = rows[rows != row]
-        return snapshot.take(rows)
+        runs = self._neighbor_batches.get(radius)
+        if runs is None:
+            probe_ids, match_rows, examined = batch_neighbor_pairs(snapshot, radius)
+            runs = self._neighbor_batches[radius] = self._row_runs(
+                probe_ids, match_rows, examined
+            )
+        return self._serve_row(snapshot, runs, row, include_self)
 
     def _visible_vectorized(self, agent, include_self) -> list[Any]:
         snapshot = self._ensure_snapshot()
@@ -367,12 +396,38 @@ class QueryContext:
             rows = snapshot.scan_box(region.lows, region.highs)
             self.work_units += self._probe_work(len(rows))
             return self._materialize(snapshot, rows, agent, include_self)
-        offsets, _, match_rows, examined = self._visible_csr()
-        self.work_units += self._probe_work(int(examined[row]))
-        rows = match_rows[offsets[row] : offsets[row + 1]]
-        if not include_self:
-            rows = rows[rows != row]
-        return snapshot.take(rows)
+        if self._visible_runs is None:
+            _, probe_ids, match_rows, examined = self._visible_csr()
+            self._visible_runs = self._row_runs(probe_ids, match_rows, examined)
+        return self._serve_row(snapshot, self._visible_runs, row, include_self)
+
+    def _row_runs(self, probe_ids, match_rows, examined) -> tuple:
+        """A batch join's pairs as per-row runs a probe serves without array work.
+
+        Returns ``(offsets, match_rows, charges, self_at)``: row ``r``'s
+        matches are ``match_rows[offsets[r]:offsets[r + 1]]`` (ascending),
+        its probe costs ``charges[r]`` work units and, when the row matched
+        itself, ``self_at[r]`` is that match's position in its run (else
+        -1).  All but ``match_rows`` are Python lists.
+        """
+        count = len(examined)
+        offsets = np.searchsorted(probe_ids, np.arange(count + 1))
+        self_pairs = np.flatnonzero(match_rows == probe_ids)
+        self_rows = probe_ids[self_pairs]
+        self_at = np.full(count, -1, dtype=np.intp)
+        self_at[self_rows] = self_pairs - offsets[self_rows]
+        charges = examined + self._probe_base
+        return offsets.tolist(), match_rows, charges.tolist(), self_at.tolist()
+
+    def _serve_row(self, snapshot: PointSet, runs: tuple, row: int, include_self: bool):
+        """Charge row ``row``'s probe and materialize its matches from ``runs``."""
+        offsets, match_rows, charges, self_at = runs
+        self.work_units += charges[row]
+        rows = match_rows[offsets[row] : offsets[row + 1]].tolist()
+        if not include_self and self_at[row] >= 0:
+            del rows[self_at[row]]
+        items = snapshot.items
+        return [items[match] for match in rows]
 
     def visible_pairs(self, probes: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
         """Every probe's visible matches at once, as two parallel index arrays.
@@ -516,7 +571,7 @@ class QueryContext:
         if self._index is None:
             return self._agents
         self.index_probes += 1
-        self.work_units += max(1, int(math.log2(len(self._agents) + 1)))
+        self.work_units += self._probe_base
         return self._index.range_query(box)
 
     def _default_radius(self, agent: Any) -> float:
@@ -528,7 +583,7 @@ class QueryContext:
         return min(radii)
 
     def _check_radius(self, agent: Any, radius: float) -> None:
-        if not self.check_visibility:
+        if not self.check_visibility or radius <= type(agent)._radius_limit:
             return
         for bound in agent.visibility_radii():
             if bound is not None and radius > bound * (1 + 1e-9):
@@ -553,13 +608,15 @@ class UpdateContext:
         self._kill_requests: set[Any] = set()
         self._spawn_counts: dict[Any, int] = {}
 
-    def rng(self, agent: Any) -> np.random.Generator:
+    def rng(self, agent: Any) -> LazyAgentRng:
         """Deterministic random generator for ``agent`` at this tick.
 
         The stream is offset from the query-phase stream so query and update
-        draws never overlap.
+        draws never overlap.  Built on first use (see :class:`LazyAgentRng`):
+        the same stream as :func:`agent_rng`, at no cost to an agent that
+        never draws.
         """
-        return agent_rng(self.seed ^ 0x5BD1E995, self.tick, agent.agent_id)
+        return LazyAgentRng(self.seed ^ 0x5BD1E995, self.tick, agent.agent_id)
 
     def spawn(self, parent: Any, child: Any) -> None:
         """Request that ``child`` (an agent without an id) joins the world next tick."""

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.agent import _set_updating
 from repro.core.context import QueryContext, UpdateContext
 from repro.core.phase import Phase, phase
 from repro.core.world import World
@@ -158,11 +159,11 @@ class SequentialEngine:
         update_start = time.perf_counter()
         with phase(Phase.UPDATE):
             for agent in agents:
-                agent._updating = True
+                _set_updating(agent, True)
                 try:
                     agent.update(update_context)
                 finally:
-                    agent._updating = False
+                    _set_updating(agent, False)
         update_seconds = time.perf_counter() - update_start
 
         spawned_agents, killed_ids = apply_births_and_deaths(world, update_context)

@@ -14,19 +14,32 @@ Agent classes declare their attributes with :class:`StateField` and
         avoid_y = EffectField(SUM)
         count = EffectField(COUNT)
 
-The descriptors enforce the read/write rules of the state-effect pattern
-(see :mod:`repro.core.phase`) and, for effect fields, route assignments
-through the field's combinator so that concurrent writes from many agents are
-order-independent.
+An agent's state lives in its instance ``__dict__``, so reading a state
+field is a plain attribute load; every write goes through
+:meth:`repro.core.agent.Agent.__setattr__`, which hands a state field to
+:meth:`StateField.write`.  Together they enforce the read/write rules of the
+state-effect pattern (see :mod:`repro.core.phase`); effect fields are data
+descriptors that route assignments through the field's combinator so that
+concurrent writes from many agents are order-independent.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.core import phase as _phase
 from repro.core.combinators import Combinator, get_combinator
 from repro.core.errors import PhaseViolationError
-from repro.core.phase import Phase, current_phase, enforcement_enabled
+from repro.core.phase import Phase
+
+# The field hooks run once per attribute write (and, for effects, per read)
+# of every agent, so they read the thread-local phase and the module-level
+# enforcement flag directly instead of through current_phase() /
+# enforcement_enabled().
+_thread_phase = _phase._state
+_QUERY = Phase.QUERY
+_UPDATE = Phase.UPDATE
+_IDLE = Phase.IDLE
 
 
 class StateField:
@@ -73,34 +86,42 @@ class StateField:
         self.name = name
 
     def __get__(self, instance, owner=None):
+        # A non-data descriptor: an agent's state *is* its instance
+        # ``__dict__``, so ``agent.x`` is a plain dict load and this hook
+        # only runs for the class attribute (or a state dict lacking the key).
         if instance is None:
             return self
         return instance._state[self.name]
 
-    def __set__(self, instance, value):
-        if enforcement_enabled():
-            phase_now = current_phase()
-            if phase_now is Phase.QUERY:
-                raise PhaseViolationError(
-                    f"state field {self.name!r} written during the query phase; "
-                    "state is read-only while effects are being computed"
-                )
-            if phase_now is Phase.UPDATE and not instance._updating:
-                raise PhaseViolationError(
-                    f"state field {self.name!r} of agent {instance.agent_id} written "
-                    "during another agent's update phase; agents may only update "
-                    "their own state"
-                )
-        if (
-            self.spatial
-            and self.reachability is not None
-            and current_phase() is Phase.UPDATE
-        ):
-            # Reachability clamp: the new coordinate may not move farther than
-            # the reachability bound from the coordinate at the start of the tick.
-            old = instance._state[self.name]
-            lo, hi = old - self.reachability, old + self.reachability
-            value = min(max(value, lo), hi)
+    def write(self, instance, value) -> None:
+        """Assign ``value`` to ``instance`` under the phase rules.
+
+        Reached through :meth:`repro.core.agent.Agent.__setattr__`: a state
+        write is forbidden in the query phase and, in the update phase,
+        allowed only on the agent being updated; an update-phase write to a
+        spatial field is clamped to its reachability bound.
+        """
+        phase_now = _thread_phase.phase
+        if phase_now is not _IDLE:
+            if _phase._enforcement:
+                if phase_now is _QUERY:
+                    raise PhaseViolationError(
+                        f"state field {self.name!r} written during the query phase; "
+                        "state is read-only while effects are being computed"
+                    )
+                if phase_now is _UPDATE and not instance._updating:
+                    raise PhaseViolationError(
+                        f"state field {self.name!r} of agent {instance.agent_id} written "
+                        "during another agent's update phase; agents may only update "
+                        "their own state"
+                    )
+            if phase_now is _UPDATE and self.spatial and self.reachability is not None:
+                # Reachability clamp: the new coordinate may not move farther
+                # than the reachability bound from the coordinate at the start
+                # of the tick.
+                old = instance._state[self.name]
+                lo, hi = old - self.reachability, old + self.reachability
+                value = min(max(value, lo), hi)
         instance._state[self.name] = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -121,6 +142,10 @@ class EffectField:
         self.combinator = get_combinator(combinator)
         self.doc = doc
         self.name: str | None = None
+        # What Combinator.combine / finalize forward to, resolved once
+        # (a finalize_fn of None is the identity).
+        self._combine = self.combinator.combine_fn
+        self._finalize = self.combinator.finalize_fn
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -128,22 +153,25 @@ class EffectField:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        if enforcement_enabled() and current_phase() is Phase.QUERY:
+        if _phase._enforcement and _thread_phase.phase is _QUERY:
             raise PhaseViolationError(
                 f"effect field {self.name!r} read during the query phase; "
                 "effects are write-only until the update phase"
             )
-        return self.combinator.finalize(instance._effects[self.name])
+        finalize = self._finalize
+        if finalize is None:
+            return instance._effects[self.name]
+        return finalize(instance._effects[self.name])
 
     def __set__(self, instance, value):
-        phase_now = current_phase()
-        if phase_now is Phase.QUERY:
-            instance._effects[self.name] = self.combinator.combine(
-                instance._effects[self.name], value
-            )
-            instance._effects_touched.add(self.name)
+        phase_now = _thread_phase.phase
+        if phase_now is _QUERY:
+            name = self.name
+            effects = instance._effects
+            effects[name] = self._combine(effects[name], value)
+            instance._effects_touched.add(name)
             return
-        if enforcement_enabled() and phase_now is Phase.UPDATE:
+        if _phase._enforcement and phase_now is _UPDATE:
             raise PhaseViolationError(
                 f"effect field {self.name!r} written during the update phase; "
                 "effects may only be assigned in the query phase"

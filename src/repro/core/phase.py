@@ -1,8 +1,8 @@
 """Tick phase tracking and enforcement of the state-effect pattern.
 
 The engines wrap the query and update phases in the :func:`phase` context
-manager; the field descriptors consult :func:`current_phase` to enforce the
-read/write rules of the state-effect pattern:
+manager; the field hooks (:mod:`repro.core.fields`) read the calling
+thread's phase to enforce the read/write rules of the state-effect pattern:
 
 =============  ===========================  ===========================
 Phase          state fields                 effect fields

@@ -52,7 +52,15 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.agent import Agent
+from repro.core.agent import (
+    Agent,
+    _set_agent_id,
+    _set_dict,
+    _set_effects,
+    _set_effects_touched,
+    _set_state,
+    _set_updating,
+)
 from repro.core.errors import BraceError
 from repro.core.soa import PackedColumn, cells_equal, pack_cells, unpack_cells
 
@@ -304,23 +312,23 @@ def unpack_agents(frame: AgentFrame) -> list:
             fields = state_field_names(cls)
         new = cls.__new__
         template, fast = _effect_template(cls)
-        # Assigning ``__dict__`` wholesale sidesteps one setattr per
-        # attribute; agent instances carry exactly these five (clone() and
-        # pickle restore the same set).
+        # The slots are filled through their descriptors, inline (as
+        # core.agent._bind_agent does): the state dict is both the
+        # ``_state`` slot and the instance ``__dict__``.
         for row, agent_id, values in zip(rows, ids, value_rows):
             agent = new(cls)
-            agent.__dict__ = {
-                "agent_id": agent_id,
-                "_updating": False,
-                "_state": dict(zip(fields, values)),
-                "_effects": dict(template) if fast else _fresh_effects(cls),
-                "_effects_touched": set(),
-            }
+            state = dict(zip(fields, values))
+            _set_dict(agent, state)
+            _set_state(agent, state)
+            _set_agent_id(agent, agent_id)
+            _set_updating(agent, False)
+            _set_effects(agent, dict(template) if fast else _fresh_effects(cls))
+            _set_effects_touched(agent, set())
             out[row] = agent
         for offset, effects, touched in group.effect_overrides:
             agent = out[rows[offset]]
-            agent._effects = dict(effects)
-            agent._effects_touched = set(touched)
+            _set_effects(agent, dict(effects))
+            _set_effects_touched(agent, set(touched))
     for row, agent in frame.escapes:
         out[row] = agent
     return out

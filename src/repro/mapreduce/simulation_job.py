@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.core.agent import Agent
+from repro.core.agent import Agent, _set_updating
 from repro.core.context import QueryContext, UpdateContext
 from repro.core.errors import MapReduceError
 from repro.core.phase import Phase, phase
@@ -67,11 +67,11 @@ def _apply_update(agent: Agent, update_tick: int, seed: int) -> None:
     """Run the update phase of ``update_tick`` on one agent (fixed population)."""
     update_context = UpdateContext(tick=update_tick, seed=seed)
     with phase(Phase.UPDATE):
-        agent._updating = True
+        _set_updating(agent, True)
         try:
             agent.update(update_context)
         finally:
-            agent._updating = False
+            _set_updating(agent, False)
     if update_context.spawn_requests or update_context.kill_requests:
         raise MapReduceError(
             "the Appendix A simulation jobs do not support births/deaths; "

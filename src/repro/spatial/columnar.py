@@ -509,27 +509,45 @@ def batch_range_query(
     return _split_rows(probe_ids, rows, len(lows))
 
 
+def batch_neighbor_pairs(
+    pointset: PointSet,
+    radius: float,
+    grid: VectorizedGrid | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radius-based neighbour pairs for *every* row of the snapshot at once.
+
+    The self-join kernel: every point is both probe and candidate.  Returns
+    ``(probe_ids, rows, examined)`` — the matched ``(probe, row)`` pairs,
+    probe-major with rows ascending (each probe's own row included), and
+    ``examined[i]`` the number of candidates enumerated for probe ``i``.
+    """
+    count = len(pointset)
+    if count == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0, dtype=np.int64)
+    radius = float(radius)
+    if grid is None:
+        grid = VectorizedGrid(pointset, radius if radius > 0 else 1.0)
+    return grid.batch_radius_query(pointset.points, radius)
+
+
 def batch_neighbor_lists(
     pointset: PointSet,
     radius: float,
     include_self: bool = False,
     grid: VectorizedGrid | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Radius-based neighbour rows for *every* row of the snapshot at once.
+    """:func:`batch_neighbor_pairs` split into one row array per probe.
 
-    The self-join kernel: every point is both probe and candidate.  Returns
-    ``(lists, examined)`` — ``lists[i]`` holds the neighbour rows of row
-    ``i`` in ascending order and ``examined[i]`` the number of candidates
-    enumerated for it.  ``include_self=False`` drops the positional self
-    match.
+    Returns ``(lists, examined)`` — ``lists[i]`` holds the neighbour rows of
+    row ``i`` in ascending order and ``examined[i]`` the number of
+    candidates enumerated for it.  ``include_self=False`` drops the
+    positional self match.
     """
     count = len(pointset)
     if count == 0:
         return [], np.zeros(0, dtype=np.int64)
-    radius = float(radius)
-    if grid is None:
-        grid = VectorizedGrid(pointset, radius if radius > 0 else 1.0)
-    probe_ids, rows, examined = grid.batch_radius_query(pointset.points, radius)
+    probe_ids, rows, examined = batch_neighbor_pairs(pointset, radius, grid)
     if not include_self:
         keep = probe_ids != rows
         probe_ids, rows = probe_ids[keep], rows[keep]
