@@ -1,9 +1,10 @@
 """BRASIL compilation pipeline walkthrough.
 
 Shows what the compiler does to the paper's fish script: parsing, semantic
-analysis (state-effect pattern enforcement), effect inversion, translation to
-a monad algebra plan and algebraic optimization — and then runs the compiled
-agent class on the sequential engine.
+analysis (state-effect pattern enforcement), effect inversion and the
+plan-kernel proof; then translates the query phase to a monad algebra plan
+and optimizes it (the Appendix B library, which the compiler itself does not
+run) — and finally runs the compiled agent class on the sequential engine.
 
 Run with:  python examples/brasil_compile.py
 """
@@ -12,6 +13,8 @@ import numpy as np
 
 from repro import SequentialEngine, World
 from repro.brasil import compile_script
+from repro.brasil.optimizer import optimize_plan
+from repro.brasil.translate import translate_query
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
 from repro.spatial.bbox import BBox
 
@@ -31,18 +34,21 @@ def main() -> None:
     print("effect inversion applied:", compiled.was_inverted,
           "-> non-local assignments after compilation:",
           compiled.info.non_local_assignment_count)
+    selection = compiled.plan_selection
+    print("plan kernels: query compiled =", selection.query_compiled,
+          "| update compiled =", selection.update_compiled)
     print()
-    if compiled.optimized_plan is not None:
-        report = compiled.optimized_plan.report
-        print("monad algebra plan:",
-              f"{compiled.optimized_plan.original_size} operators ->",
-              f"{compiled.optimized_plan.optimized_size} after optimization")
-        print("  rewrites applied:", report.total,
-              f"(identity={report.identity_eliminations},"
-              f" map fusion={report.map_fusions},"
-              f" singleton={report.singleton_flattenings},"
-              f" select fusion={report.selection_fusions},"
-              f" dead tuples={report.dead_tuple_eliminations})")
+    optimized = optimize_plan(translate_query(compiled.class_decl, compiled.info))
+    report = optimized.report
+    print("monad algebra plan:",
+          f"{optimized.original_size} operators ->",
+          f"{optimized.optimized_size} after optimization")
+    print("  rewrites applied:", report.total,
+          f"(identity={report.identity_eliminations},"
+          f" map fusion={report.map_fusions},"
+          f" singleton={report.singleton_flattenings},"
+          f" select fusion={report.selection_fusions},"
+          f" dead tuples={report.dead_tuple_eliminations})")
     print()
 
     # Run the compiled class for a few ticks.

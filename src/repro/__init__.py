@@ -2,10 +2,11 @@
 
 The package reproduces *Behavioral Simulations in MapReduce* (Wang et al.,
 VLDB 2010).  It contains the agent model and state-effect tick engine
-(:mod:`repro.core`), a spatial substrate (:mod:`repro.spatial`), an in-memory
-iterative MapReduce engine (:mod:`repro.mapreduce`), a simulated
-shared-nothing cluster (:mod:`repro.cluster`), the BRACE runtime
-(:mod:`repro.brace`), the BRASIL language (:mod:`repro.brasil`), the paper's
+(:mod:`repro.core`), a spatial substrate (:mod:`repro.spatial`), the
+executors BRACE's map–reduce–reduce shard rounds run on
+(:mod:`repro.mapreduce`), a simulated shared-nothing cluster
+(:mod:`repro.cluster`), the BRACE runtime (:mod:`repro.brace`), the BRASIL
+language (:mod:`repro.brasil`), the paper's
 simulation workloads (:mod:`repro.simulations`), single-node baselines
 (:mod:`repro.baselines`), statistics (:mod:`repro.stats`) and the experiment
 harness regenerating every table and figure (:mod:`repro.harness`).

@@ -6,8 +6,8 @@ contains it, so that each reducer can run the query phase of its owned agents
 without any further communication (Section 3.2).
 
 Two forms of one rule live here.  :func:`replication_targets` answers for one
-agent and is the documented reference (the rule ``SimulationJob``'s map task
-applies, the docs, the oracle tests).  :func:`replication_targets_batch`
+agent and is the documented reference (the docs and the oracle tests use
+it).  :func:`replication_targets_batch`
 answers for a whole shard as column arithmetic and is what the tick runs
 (:meth:`repro.brace.worker.Worker.distribute`); the tests hold it to the
 scalar form row by row.

@@ -29,14 +29,18 @@ The compilation pipeline mirrors the paper's:
    the agent's own fields) and detects non-local effect assignments;
 3. :mod:`repro.brasil.effect_inversion` rewrites non-local effect
    assignments into local ones when possible (Theorems 2 and 3);
-4. :mod:`repro.brasil.translate` translates the query script into a monad
-   algebra plan (Appendix B) on which :mod:`repro.brasil.optimizer` applies
-   algebraic rewrites; where the proof obligations hold, both phases also
-   compile to whole-phase columnar kernels (:mod:`repro.brasil.kernels`)
-   selected by ``BraceConfig.plan_backend``;
-5. :mod:`repro.brasil.compiler` packages everything into a Python
+4. :mod:`repro.brasil.compiler` packages everything into a Python
    :class:`~repro.core.agent.Agent` subclass executable by the sequential
-   engine and by BRACE.
+   engine and by BRACE, with the access path :mod:`repro.brasil.optimizer`
+   selects for the query phase's join;
+5. where the proof obligations hold, both phases also compile to
+   whole-phase columnar kernels (:mod:`repro.brasil.kernels`) selected by
+   ``BraceConfig.plan_backend``; the class is proved once per process.
+
+:mod:`repro.brasil.translate` translates a query script into a monad
+algebra plan (Appendix B) on which :mod:`repro.brasil.optimizer` applies
+algebraic rewrites.  It is a library the Theorem 1 tests check against the
+interpreter, not a compile step: nothing at run time evaluates the plans.
 """
 
 from repro.brasil.compiler import (

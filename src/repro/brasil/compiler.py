@@ -1,12 +1,13 @@
 """The BRASIL compiler: source text to an executable agent class.
 
-``compile_script`` runs the full pipeline — parse, semantic analysis,
-optional effect inversion, monad algebra translation and optimization — and
+``compile_script`` runs the pipeline — parse, semantic analysis, optional
+effect inversion, access-path selection and the plan-kernel proof — and
 packages the result as a :class:`CompiledScript` whose ``agent_class`` is a
 regular :class:`~repro.core.agent.Agent` subclass.  Instances of that class
-run unchanged on the sequential engine, on the Appendix A MapReduce jobs and
-on the BRACE runtime: this is the transparency BRASIL gives domain
-scientists.
+run unchanged on the sequential engine and on the BRACE runtime: this is
+the transparency BRASIL gives domain scientists.  The monad-algebra
+translation of Appendix B (:mod:`repro.brasil.translate`) is a library the
+Theorem 1 tests check against the interpreter, not a compile step.
 
 Although the agent classes are built dynamically (there is no module the
 process executor could re-import them from), their *instances* are picklable:
@@ -26,17 +27,9 @@ from typing import Any
 from repro.brasil.ast_nodes import ClassDecl, Script
 from repro.brasil.effect_inversion import EffectInversionError, InversionResult, invert_effects
 from repro.brasil.interpreter import Environment, evaluate, execute_block
-from repro.brasil.optimizer import (
-    IndexSelection,
-    OptimizedPlan,
-    PlanSelection,
-    optimize_plan,
-    select_index,
-    select_plan,
-)
+from repro.brasil.optimizer import IndexSelection, PlanSelection, select_index, select_plan
 from repro.brasil.parser import parse
 from repro.brasil.semantics import ScriptInfo, analyze_class
-from repro.brasil.translate import PlanQueryTask, TranslationNotSupported, translate_query
 from repro.core.agent import Agent, AgentMeta, _rebuild_agent
 from repro.core.errors import BrasilError
 from repro.core.fields import EffectField, StateField
@@ -48,10 +41,9 @@ _DEFAULTS_BY_TYPE = {"float": 0.0, "int": 0, "bool": False}
 class AgentClassSpec:
     """Everything needed to rebuild a compiled agent class in another process.
 
-    The spec is pure data (no closures, no class objects), following the same
-    discipline as the task objects in :mod:`repro.mapreduce.simulation_job`.
-    Compilation is deterministic, so two processes compiling the same spec
-    build behaviourally identical classes.
+    The spec is pure data (no closures, no class objects), so it pickles by
+    value to any executor.  Compilation is deterministic, so two processes
+    compiling the same spec build behaviourally identical classes.
     """
 
     source: str
@@ -80,11 +72,7 @@ def compiled_class_for_spec(spec: AgentClassSpec) -> type:
     """
     agent_class = _CLASS_REGISTRY.get(spec)
     if agent_class is None:
-        compiler = BrasilCompiler(
-            effect_inversion=spec.effect_inversion,
-            use_index=spec.use_index,
-            translate_algebra=False,  # workers only need the interpreted path
-        )
+        compiler = BrasilCompiler(effect_inversion=spec.effect_inversion, use_index=spec.use_index)
         compiled = compiler.compile(spec.source, class_name=spec.class_name)
         # compile() registered the class; read it back through the registry
         # so concurrent rebuilds agree on one class object.
@@ -169,30 +157,16 @@ class CompiledScript:
     info: ScriptInfo
     agent_class: type
     inversion: InversionResult | None = None
-    algebra_plan: Any | None = None
-    optimized_plan: OptimizedPlan | None = None
     spec: AgentClassSpec | None = None
     index_selection: IndexSelection | None = None
-    #: Which phases the plan compiler proved kernel-compilable (advisory:
-    #: the runtime re-derives feasibility per class; see
-    #: :class:`~repro.brasil.optimizer.PlanSelection`).
+    #: Which phases the plan compiler proved kernel-compilable: the proof
+    #: the runtime runs, read from ``kernels_for_class(agent_class)``.
     plan_selection: PlanSelection | None = None
 
     @property
     def class_name(self) -> str:
         """Name of the compiled agent class."""
         return self.class_decl.name
-
-    @property
-    def query_task(self) -> PlanQueryTask | None:
-        """A picklable task evaluating the optimized query plan, if one exists.
-
-        The task carries only algebra dataclasses (pure data), so it runs on
-        every executor backend, forked node processes included.
-        """
-        if self.optimized_plan is None:
-            return None
-        return PlanQueryTask(self.optimized_plan.plan)
 
     @property
     def has_non_local_effects(self) -> bool:
@@ -247,23 +221,13 @@ class BrasilCompiler:
         the agent's visible region, letting the engine's spatial index answer
         it as an orthogonal range query.  When False the whole extent is
         scanned — the "no indexing" configuration of Figures 3 and 4.
-    translate_algebra:
-        When True the query script is also translated to a monad algebra plan
-        and optimized; scripts outside the translatable subset silently skip
-        this step (the interpreted path is always available).
     """
 
-    def __init__(
-        self,
-        effect_inversion: str = "auto",
-        use_index: bool = True,
-        translate_algebra: bool = True,
-    ):
+    def __init__(self, effect_inversion: str = "auto", use_index: bool = True):
         if effect_inversion not in ("auto", "on", "off"):
             raise BrasilError("effect_inversion must be 'auto', 'on' or 'off'")
         self.effect_inversion = effect_inversion
         self.use_index = use_index
-        self.translate_algebra = translate_algebra
 
     def compile(self, source: str, class_name: str | None = None) -> CompiledScript:
         """Compile ``source``; ``class_name`` selects the class in multi-class scripts."""
@@ -297,16 +261,6 @@ class BrasilCompiler:
             spec, self._build_agent_class(compiled_decl, info, spec)
         )
 
-        algebra_plan = None
-        optimized_plan = None
-        if self.translate_algebra:
-            try:
-                algebra_plan = translate_query(compiled_decl, info)
-                optimized_plan = optimize_plan(algebra_plan)
-            except TranslationNotSupported:
-                algebra_plan = None
-                optimized_plan = None
-
         return CompiledScript(
             source=source,
             script=script,
@@ -316,17 +270,13 @@ class BrasilCompiler:
             info=info,
             agent_class=agent_class,
             inversion=inversion,
-            algebra_plan=algebra_plan,
-            optimized_plan=optimized_plan,
             spec=spec,
             index_selection=select_index(info) if self.use_index else IndexSelection(
                 index=None,
                 cell_size=None,
                 reason="indexing disabled by the compiler (use_index=False)",
             ),
-            plan_selection=select_plan(
-                compiled_decl, info, restrict_to_visible=self.use_index
-            ),
+            plan_selection=select_plan(agent_class),
         )
 
     # ------------------------------------------------------------------
@@ -389,12 +339,7 @@ def compile_script(
     class_name: str | None = None,
     effect_inversion: str = "auto",
     use_index: bool = True,
-    translate_algebra: bool = True,
 ) -> CompiledScript:
     """Compile a BRASIL script (convenience wrapper around :class:`BrasilCompiler`)."""
-    compiler = BrasilCompiler(
-        effect_inversion=effect_inversion,
-        use_index=use_index,
-        translate_algebra=translate_algebra,
-    )
+    compiler = BrasilCompiler(effect_inversion=effect_inversion, use_index=use_index)
     return compiler.compile(source, class_name=class_name)

@@ -197,17 +197,58 @@ class _ExprChecker:
         raise _Unsupported(f"expression node {type(expr).__name__}")
 
 
-def _validate_query_body(body: Block, info: ScriptInfo) -> None:
+#: Builtins whose result is a Python float whatever their arguments are.
+_FLOAT_CALLS = {"sqrt", "exp", "log", "pow", "sin", "cos", "tan", "atan2", "hypot", "sign"}
+
+
+def _float_valued(expr, float_names: set, float_fields: set) -> bool:
+    """Whether the interpreter evaluates ``expr`` to a ``float`` (or NIL).
+
+    ``float_names`` are the bare names bound to floats (declared-``float``
+    state fields not shadowed by a local, and locals proved float);
+    ``float_fields`` the declared-``float`` state fields, read through
+    ``this.f`` / ``p.f``.
+    """
+    if isinstance(expr, NumberLit):
+        return type(expr.value) is float
+    if isinstance(expr, Name):
+        return expr.identifier in float_names
+    if isinstance(expr, FieldAccess):
+        return expr.field_name in float_fields
+    if not isinstance(expr, _COMPOUND):
+        return False
+    operands = [_float_valued(e, float_names, float_fields) for e in _operands(expr)]
+    if isinstance(expr, BinaryOp):
+        # Python's true division always yields a float; + - * % do as soon
+        # as one operand is a float; comparisons and && || yield bools.
+        return expr.operator == "/" or (expr.operator in ("+", "-", "*", "%") and any(operands))
+    if isinstance(expr, UnaryOp):
+        return expr.operator == "-" and operands[0]
+    if isinstance(expr, Conditional):
+        return operands[1] and operands[2]
+    if isinstance(expr, Call):
+        # min/max return the winning argument, abs keeps its argument's type.
+        return expr.function in _FLOAT_CALLS or (
+            expr.function in ("abs", "min", "max") and all(operands)
+        )
+    return False
+
+
+def _validate_query_body(body: Block, info: ScriptInfo, float_fields: set) -> None:
     """Prove the whole ``run()`` body compilable, or raise ``_Unsupported``.
 
     Mirrors the executor's structure: simulates local declarations in
     statement order, tracks which effect fields are written where, and
-    enforces the per-field fold-order restrictions.
+    enforces the per-field fold-order restrictions.  A ``min``/``max``
+    effect must be assigned float values: the interpreter keeps the winning
+    value's Python type, and an ``int`` winner would come back from the
+    ``float64`` accumulator as a float.
     """
     state_fields = set(info.state_field_names)
     combinators = dict(info.effect_combinators)
     probe_locals: set = set()
     poisoned: set = set()
+    float_names = set(float_fields)
     # field -> list of (depth, target_kind) with target_kind in {"this", "loopvar"}
     writers: Dict[str, List[Tuple[int, str]]] = {}
 
@@ -221,6 +262,10 @@ def _validate_query_body(body: Block, info: ScriptInfo) -> None:
                 if stmt.name == "this":
                     raise _Unsupported("local named 'this'")
                 checker(depth, loopvar, loop_locals).check(stmt.initializer)
+                if _float_valued(stmt.initializer, float_names, float_fields):
+                    float_names.add(stmt.name)
+                else:
+                    float_names.discard(stmt.name)
                 if depth == 0:
                     probe_locals.add(stmt.name)
                 else:
@@ -232,6 +277,8 @@ def _validate_query_body(body: Block, info: ScriptInfo) -> None:
                 if stmt.name not in probe_locals or stmt.name in poisoned:
                     raise _Unsupported(f"assignment to {stmt.name!r}")
                 checker(depth, loopvar, loop_locals).check(stmt.value)
+                if not _float_valued(stmt.value, float_names, float_fields):
+                    float_names.discard(stmt.name)
             elif isinstance(stmt, EffectAssign):
                 kind = _target_kind(stmt, loopvar)
                 combinator = combinators.get(stmt.field_name)
@@ -240,6 +287,12 @@ def _validate_query_body(body: Block, info: ScriptInfo) -> None:
                 if combinator not in _SCATTERABLE:
                     raise _Unsupported(f"combinator {combinator!r} not scatterable")
                 checker(depth, loopvar, loop_locals).check(stmt.value)
+                if combinator in ("min", "max") and not _float_valued(
+                    stmt.value, float_names, float_fields
+                ):
+                    raise _Unsupported(
+                        f"{combinator} effect {stmt.field_name!r} may keep a non-float value"
+                    )
                 writers.setdefault(stmt.field_name, []).append((depth, kind))
             elif isinstance(stmt, If):
                 checker(depth, loopvar, loop_locals).check(stmt.condition)
@@ -388,11 +441,18 @@ class _SharingPass:
 class QueryKernel:
     """A compiled query phase: one worker's ``run()`` bodies as array ops."""
 
-    def __init__(self, class_name: str, body: Block, info: ScriptInfo):
+    def __init__(self, class_name: str, body: Block, info: ScriptInfo, float_fields: set):
         self.class_name = class_name
         self.body = body
         self.state_field_names = list(info.state_field_names)
         self.effect_combinators = dict(info.effect_combinators)
+        #: The ``min``/``max`` proof takes declared-``float`` fields to hold
+        #: floats; a run where one of them holds anything else falls back.
+        self.float_guard = (
+            [name for name in self.state_field_names if name in float_fields]
+            if {"min", "max"} & set(self.effect_combinators.values())
+            else []
+        )
         sharing = _SharingPass(self.state_field_names)
         sharing.block(body.statements)
         #: ``id(node) -> (key, later_uses)`` of the repeated sub-expressions.
@@ -799,6 +859,9 @@ class _VectorFrame:
             table = AgentTable(extent, kernel.state_field_names)
         except UnpackableValueError as exc:
             raise PlanKernelFallback(str(exc)) from exc
+        for name in kernel.float_guard:
+            if any(type(agent._state[name]) is not float for agent in extent):
+                raise PlanKernelFallback(f"non-float value in float field {name!r}")
         try:
             # Every row probing in row order needs no lane -> row gather:
             # the first probe anchors row 0 through the table's own index,
@@ -1064,8 +1127,9 @@ def _compile_query_kernel(
         raise _Unsupported("foreach over an unbounded visible region")
     if uses_foreach and not restrict_to_visible:
         raise _Unsupported("foreach not restricted to the visible region")
-    _validate_query_body(body, info)
-    return QueryKernel(info.class_name, body, info)
+    float_fields = {f.name for f in class_decl.state_fields() if f.type_name == "float"}
+    _validate_query_body(body, info, float_fields)
+    return QueryKernel(info.class_name, body, info, float_fields)
 
 
 def _compile_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> UpdateKernel:
@@ -1106,18 +1170,6 @@ def _try_compile(compile_kernel, *args):
         return compile_kernel(*args), None
     except _Unsupported as exc:
         return None, str(exc)
-
-
-def build_query_kernel(
-    class_decl: ClassDecl, info: ScriptInfo, restrict_to_visible: bool = True
-) -> Optional[QueryKernel]:
-    """Compile the class's ``run()`` body, or ``None`` if unprovable."""
-    return _try_compile(_compile_query_kernel, class_decl, info, restrict_to_visible)[0]
-
-
-def build_update_kernel(class_decl: ClassDecl, info: ScriptInfo) -> Optional[UpdateKernel]:
-    """Compile the class's update rules, or ``None`` if unprovable."""
-    return _try_compile(_compile_update_kernel, class_decl, info)[0]
 
 
 def _all_statements(block: Block):

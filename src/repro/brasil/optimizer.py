@@ -44,7 +44,6 @@ from repro.brasil.algebra import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.brasil.ast_nodes import ClassDecl
     from repro.brasil.semantics import ScriptInfo
 
 
@@ -129,10 +128,11 @@ def select_index(info: "ScriptInfo") -> IndexSelection:
 class PlanSelection:
     """Which phases of a script the plan compiler proved kernel-compilable.
 
-    Advisory (it does not pin ``BraceConfig.plan_backend``): the runtime
-    re-derives kernel feasibility per agent class from the same proof, so
-    the selection merely *reports* what ``plan_backend=None`` will do for
-    this script.  ``reason`` records why, mirroring :class:`IndexSelection`.
+    A report, not a pin on ``BraceConfig.plan_backend``: it is read from
+    the one per-class proof the runtime runs
+    (:func:`~repro.brasil.kernels.kernels_for_class`), so it says exactly
+    what ``plan_backend=None`` will do for this script.  ``reason`` records
+    why, mirroring :class:`IndexSelection`.
     """
 
     query_compiled: bool
@@ -140,20 +140,17 @@ class PlanSelection:
     reason: str
 
 
-def select_plan(
-    class_decl: "ClassDecl", info: "ScriptInfo", restrict_to_visible: bool = True
-) -> PlanSelection:
-    """Decide which phases compile to whole-phase columnar kernels.
+def select_plan(agent_class: type) -> PlanSelection:
+    """Report which phases of ``agent_class`` run as whole-phase columnar kernels.
 
-    Feasibility comes from :func:`repro.brasil.translate.translate_plan_kernels`
-    — a phase is compilable exactly when a kernel provably bit-identical to
-    the interpreter exists for it.
+    Feasibility is :func:`repro.brasil.kernels.kernels_for_class` — a phase
+    is compilable exactly when a kernel provably bit-identical to the
+    interpreter exists for it — so the class is proved once per process and
+    the selection cannot disagree with what runs.
     """
-    from repro.brasil.translate import translate_plan_kernels
+    from repro.brasil.kernels import kernels_for_class
 
-    query_kernel, update_kernel = translate_plan_kernels(
-        class_decl, info, restrict_to_visible=restrict_to_visible
-    )
+    query_kernel, update_kernel = kernels_for_class(agent_class)
     if query_kernel is not None and update_kernel is not None:
         reason = (
             "both phases are inside the provable subset: effect aggregation "

@@ -16,8 +16,13 @@ identifies the BRASIL weak-reference semantics with the BRACE implementation.
 The translator supports the declarative core of BRASIL: constant locals,
 ``foreach`` over an extent, ``if`` guards and effect assignments.  Scripts
 using ``rand()`` in the query phase or reassigning locals cannot be expressed
-as a pure plan and raise :class:`TranslationNotSupported`; the compiler then
-keeps only the interpreted execution path for them.
+as a pure plan and raise :class:`TranslationNotSupported`.
+
+Nothing at run time executes these plans: the runtime runs the interpreter
+or the plan kernels of :mod:`repro.brasil.kernels`.  The translation is the
+Appendix B library the Theorem 1 tests evaluate against the interpreter
+(:func:`environment_for` builds their input, :func:`aggregate_effects`
+folds their output).
 """
 
 from __future__ import annotations
@@ -289,64 +294,6 @@ class QueryTranslator:
 def translate_query(declaration: ClassDecl, info: ScriptInfo | None = None) -> AlgebraOp:
     """Translate ``declaration``'s query phase into a monad algebra plan."""
     return QueryTranslator(declaration, info).translate()
-
-
-def translate_plan_kernels(
-    declaration: ClassDecl,
-    info: ScriptInfo | None = None,
-    restrict_to_visible: bool = True,
-) -> tuple[Any, Any]:
-    """Translate both phases into whole-phase columnar kernels, where provable.
-
-    This is the batched counterpart of :func:`translate_query`: instead of an
-    algebra plan evaluated tuple-at-a-time, the query phase becomes one
-    :class:`~repro.brasil.kernels.QueryKernel` (effect aggregation as
-    ``np.ufunc.at`` scatter-reductions over the spatial join's match lists)
-    and the update rules become one
-    :class:`~repro.brasil.kernels.UpdateKernel` (column math over a
-    structure-of-arrays snapshot).  Either slot is ``None`` when that phase
-    uses a construct whose kernel cannot be *proven* bit-identical to the
-    interpreter — ``rand()``, nested ``foreach``, loop-carried locals,
-    ``collect`` effects — in which case the runtime keeps the interpreted
-    path for it.
-    """
-    from repro.brasil.kernels import build_query_kernel, build_update_kernel
-
-    if info is None:
-        info = analyze_class(declaration)
-    return (
-        build_query_kernel(declaration, info, restrict_to_visible=restrict_to_visible),
-        build_update_kernel(declaration, info),
-    )
-
-
-# ----------------------------------------------------------------------
-# Executor-ready plan evaluation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlanQueryTask:
-    """A picklable query task: evaluate an algebra plan over environment tuples.
-
-    Follows the same no-closure discipline as the Appendix A jobs in
-    :mod:`repro.mapreduce.simulation_job`: the plan is a tree of module-level
-    dataclasses (pure data), so the task pickles cleanly and runs identically
-    on the serial, thread and process executor backends.  Calling the task
-    with a batch of environment tuples returns the flat list of effect tuples
-    the batch generates.
-
-    The BRACE runtime executes compiled scripts through the interpreter (the
-    path that covers the whole language); this task is the algebra-path
-    counterpart, used to cross-check the optimized plan against the
-    interpreter on every backend (``tests/brasil/test_run_script.py``).
-    """
-
-    plan: AlgebraOp
-
-    def __call__(self, environments: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        effects: list[dict[str, Any]] = []
-        for environment in environments:
-            effects.extend(self.plan.evaluate(environment))
-        return effects
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ class PartitioningError(ReproError):
 
 
 class MapReduceError(ReproError):
-    """Raised by the generic MapReduce engine for malformed jobs."""
+    """Base class of the errors raised by the executor layer."""
 
 
 class ExecutorError(MapReduceError):

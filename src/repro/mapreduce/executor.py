@@ -1,9 +1,9 @@
-"""Pluggable parallel execution backends for the MapReduce engine.
+"""Pluggable parallel execution backends for the BRACE shard rounds.
 
 The paper's central performance claim is that behavioral simulations scale
 near-linearly when expressed as iterated map-reduce-reduce passes.  The
-engine in :mod:`repro.mapreduce.engine` expresses the passes; this module
-supplies the *executors* that actually run the map and reduce tasks:
+BRACE runtime (:mod:`repro.brace.runtime`) expresses the passes as shard
+rounds; this module supplies the *executors* that actually run them:
 
 * :class:`SerialExecutor` — runs every task inline in the calling thread
   (the original single-process behavior, and the default);
@@ -19,7 +19,7 @@ supplies the *executors* that actually run the map and reduce tasks:
 All backends share one contract, :meth:`Executor.run_tasks`: execute a
 list of zero-argument callables and return one :class:`TaskResult` per task,
 *in submission order*, with per-task wall-clock timing measured where the
-task ran.  Keeping results in submission order is what lets the engine
+task ran.  Keeping results in submission order is what lets the runtime
 produce bit-identical output regardless of the backend.
 
 Beyond the stateless contract, every backend is a **shard host** — durable,
@@ -45,12 +45,6 @@ process boundary — the number the BRACE runtime reports as real IPC traffic
 per tick.  This is the substrate for the paper's collocation argument: a
 shard's agents stay resident in its host across ticks, and only deltas
 (migrations, boundary replicas, effect partials) are shipped.
-
-The module also provides :func:`stable_hash_partition`, a deterministic
-(process-independent) hash partitioner used for the parallel shuffle.
-Python's builtin ``hash`` is salted per interpreter for strings, so it would
-assign keys to different reduce partitions in different worker processes;
-CRC-32 over ``repr(key)`` is stable everywhere.
 """
 
 from __future__ import annotations
@@ -58,28 +52,14 @@ from __future__ import annotations
 import os
 import pickle
 import time
-import zlib
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.errors import ExecutorError
 
 #: Executor kinds accepted by :func:`make_executor` and ``BraceConfig.executor``.
 EXECUTOR_KINDS = ("serial", "thread", "process", "cluster")
-
-
-def stable_hash_partition(key: Hashable, num_partitions: int) -> int:
-    """Deterministically assign ``key`` to one of ``num_partitions`` buckets.
-
-    Uses CRC-32 of ``repr(key)`` so the assignment is identical across
-    interpreter instances and worker processes (unlike the salted builtin
-    ``hash``).
-    """
-    if num_partitions <= 1:
-        return 0
-    data = repr(key).encode("utf-8", "backslashreplace")
-    return zlib.crc32(data) % num_partitions
 
 
 def default_worker_count() -> int:
@@ -90,8 +70,7 @@ def default_worker_count() -> int:
 def wall_clock_imbalance(seconds: Sequence[float]) -> float:
     """Max-over-mean ratio of per-task wall-clock times (1.0 = perfectly even).
 
-    The load-skew summary shared by the MapReduce task statistics and the
-    BRACE per-worker phase statistics.
+    The load-skew summary of the BRACE per-worker phase statistics.
     """
     if not seconds:
         return 1.0

@@ -51,8 +51,7 @@ class PredatorParameters:
     time_step: float = 1.0
 
     #: When True the update phase may kill/spawn agents.  Disable to keep the
-    #: population fixed, which the deterministic equivalence tests and the
-    #: Appendix A MapReduce jobs require.
+    #: population fixed, which the deterministic equivalence tests require.
     dynamic_population: bool = True
 
     def reachability(self) -> float:

@@ -32,8 +32,15 @@ from repro.brasil.translate import (
     translate_query,
 )
 from repro.core.combinators import get_combinator
-from repro.core.engine import SequentialEngine
+from repro.core.context import QueryContext
+from repro.core.phase import Phase, phase
 from repro.brasil import compile_script
+from repro.simulations.predator.brasil_scripts import (
+    FISH_SCHOOL_SCRIPT,
+    PREDATOR_LOCAL_SCRIPT,
+    PREDATOR_NON_LOCAL_SCRIPT,
+)
+from repro.simulations.traffic.brasil_scripts import TRAFFIC_SCRIPT
 from tests.brasil.test_compiler_and_interpreter import build_world
 
 FISH = """
@@ -50,6 +57,14 @@ class Fish {
   }
 }
 """
+
+#: Every BRASIL script the package ships, by name.
+SHIPPED_SCRIPTS = {
+    "fish_school": FISH_SCHOOL_SCRIPT,
+    "predator_local": PREDATOR_LOCAL_SCRIPT,
+    "predator_non_local": PREDATOR_NON_LOCAL_SCRIPT,
+    "traffic": TRAFFIC_SCRIPT,
+}
 
 
 class TestAlgebraOperators:
@@ -108,21 +123,18 @@ class TestAlgebraOperators:
 
 
 class TestTranslation:
-    def test_query_plan_effects_match_interpreter(self):
-        compiled = compile_script(FISH)
-        declaration = parse(FISH).classes[0]
-        plan = translate_query(declaration)
-
-        world = build_world(compiled.agent_class, num_agents=25, seed=6)
-        SequentialEngine(world, index=None).run_tick()
-
+    @pytest.mark.parametrize("script", SHIPPED_SCRIPTS)
+    def test_query_plan_effects_match_interpreter(self, script):
+        # Theorem 1: the translated plan generates the effects the
+        # interpreter accumulates, on every shipped script.
+        compiled = compile_script(SHIPPED_SCRIPTS[script])
+        plan = translate_query(compiled.class_decl, compiled.info)
         combinators = {
             name: get_combinator(combinator)
             for name, combinator in compiled.info.effect_combinators.items()
         }
-        # Recompute the same tick's effects through the algebra plan.
-        fresh = build_world(compiled.agent_class, num_agents=25, seed=6)
-        agents = fresh.agents()
+        # Recompute one tick's effects through the algebra plan.
+        agents = build_world(compiled.agent_class, num_agents=25, seed=6).agents()
         effect_tuples = []
         for agent in agents:
             effect_tuples.extend(plan.evaluate(environment_for(agent, agents)))
@@ -131,21 +143,18 @@ class TestTranslation:
         # Compare against the values the interpreter accumulated before the update.
         reference = build_world(compiled.agent_class, num_agents=25, seed=6)
         reference_agents = reference.agents()
-        from repro.core.context import QueryContext
-        from repro.core.phase import Phase, phase
-
         context = QueryContext(reference_agents, tick=0, seed=reference.seed, index=None)
         with phase(Phase.QUERY):
             for agent in reference_agents:
                 agent.query(context)
+        assert effect_tuples
         for agent in reference_agents:
-            for field_name in ("pull", "count"):
+            for field_name, combinator in combinators.items():
                 expected = agent.effect_value(field_name)
-                actual = aggregated.get((agent.agent_id, field_name), 0.0)
-                if expected == 0.0:
-                    assert actual in (0.0, 0)
-                else:
-                    assert actual == pytest.approx(expected, rel=1e-9)
+                actual = aggregated.get(
+                    (agent.agent_id, field_name), combinator.finalize(combinator.identity())
+                )
+                assert actual == pytest.approx(expected, rel=1e-9)
 
     def test_translation_rejects_rand(self):
         source = FISH.replace("(p.x - x) * 0.5", "rand()")
@@ -212,11 +221,11 @@ class TestOptimizer:
         assert optimized.report.dead_tuple_eliminations >= 1
         assert optimized.plan.evaluate(None) == 1
 
-    def test_optimized_query_plan_is_equivalent(self):
-        declaration = parse(FISH).classes[0]
-        plan = translate_query(declaration)
+    @pytest.mark.parametrize("script", SHIPPED_SCRIPTS)
+    def test_optimized_query_plan_is_equivalent(self, script):
+        compiled = compile_script(SHIPPED_SCRIPTS[script])
+        plan = translate_query(compiled.class_decl, compiled.info)
         optimized = optimize_plan(plan)
-        compiled = compile_script(FISH)
         world = build_world(compiled.agent_class, num_agents=15, seed=3)
         agents = world.agents()
         for agent in agents[:5]:
@@ -225,3 +234,4 @@ class TestOptimizer:
                 map(repr, optimized.plan.evaluate(environment))
             )
         assert optimized.report.total > 0
+        assert optimized.optimized_size <= optimized.original_size

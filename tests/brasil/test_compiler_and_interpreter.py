@@ -84,23 +84,6 @@ class TestCompilation:
         non_local = compile_script(PREDATOR_NON_LOCAL_SCRIPT, effect_inversion="off")
         assert non_local.brace_config_overrides()["non_local_effects"] is True
 
-    def test_algebra_plan_produced_for_pure_scripts(self):
-        compiled = compile_script(SIMPLE)
-        assert compiled.algebra_plan is not None
-        assert compiled.optimized_plan is not None
-        assert compiled.optimized_plan.optimized_size <= compiled.optimized_plan.original_size
-
-    def test_algebra_skipped_for_rand_scripts(self):
-        source = """
-        class A {
-          public state float x : x; #range[-1, 1];
-          private effect float e : sum;
-          public void run() { e <- rand(); }
-        }
-        """
-        compiled = compile_script(source)
-        assert compiled.algebra_plan is None
-
 
 class TestInterpretedExecution:
     def test_compiled_agents_run_and_move(self):

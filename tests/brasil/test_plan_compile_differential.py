@@ -41,6 +41,7 @@ from repro.brasil.kernels import (
     UpdateKernel,
     _VectorFrame,
     kernel_fallback_reasons,
+    kernels_for_class,
 )
 from repro.core.context import QueryContext, UpdateContext
 from repro.core.phase import Phase, phase
@@ -146,7 +147,7 @@ def brasil_scripts(draw) -> str:
         )
     )
     float_comb = draw(st.sampled_from(["sum", "min", "max", "product", "mean"]))
-    int_comb = draw(st.sampled_from(["sum", "count"]))
+    int_comb = draw(st.sampled_from(["sum", "count", "min", "max"]))
     use_flag = draw(st.booleans())
     flag_comb = draw(st.sampled_from(["any", "all"]))
     # Non-local targets go through effect inversion before kernel building.
@@ -248,11 +249,11 @@ def brasil_scripts(draw) -> str:
         v_rule = f"flag ? ({v_rule}) : (v * 0.5 - 1)"
     # int / bool state with rules: columns are float64, so the update kernel
     # must refuse the class (it used to store 2.0 for ``steps + 1``) and the
-    # run must still match.  The rules read typed state only: effects come
-    # back from a compiled query phase as floats.
+    # run must still match.  ``cnt`` comes back from the query phase with the
+    # type the interpreter gives it, whichever backend ran that phase.
     typed_decl = (
         "    public state int steps : steps + 1;\n"
-        "    public state int n : n * 3 + 1;\n"
+        "    public state int n : n * 3 + cnt;\n"
         "    public state bool hot : !hot;\n"
         if use_typed_state
         else ""
@@ -302,6 +303,14 @@ def _assert_differential(source: str, *, ticks: int = TICKS, seed: int = 3) -> N
     assert compiled_work == interp_work
 
 
+def _assert_one_proof(source: str) -> None:
+    """The compile-time report is the runtime's own per-class proof."""
+    compiled = compile_script(source)
+    query_kernel, update_kernel = kernels_for_class(compiled.agent_class)
+    assert compiled.plan_selection.query_compiled == (query_kernel is not None)
+    assert compiled.plan_selection.update_compiled == (update_kernel is not None)
+
+
 class TestFuzzedScripts:
     @settings(
         max_examples=25,
@@ -310,6 +319,7 @@ class TestFuzzedScripts:
     )
     @given(source=brasil_scripts(), seed=st.integers(min_value=0, max_value=2**20))
     def test_compiled_matches_interpreted(self, source: str, seed: int):
+        _assert_one_proof(source)
         _assert_differential(source, seed=seed)
 
     @pytest.mark.slow
@@ -320,6 +330,7 @@ class TestFuzzedScripts:
     )
     @given(source=brasil_scripts(), seed=st.integers(min_value=0, max_value=2**20))
     def test_compiled_matches_interpreted_deep(self, source: str, seed: int):
+        _assert_one_proof(source)
         _assert_differential(source, ticks=5, seed=seed)
 
 
@@ -379,6 +390,64 @@ class TestCombinatorMatrix:
         selection = compile_script(source).plan_selection
         assert selection is not None and selection.query_compiled
         _assert_differential(source, ticks=4)
+
+    @pytest.mark.parametrize("combinator", ["min", "max"])
+    @pytest.mark.parametrize("value", ["3", "p.k", "p.w"])
+    def test_int_effect_min_max_read_by_int_state(self, combinator: str, value: str):
+        # The interpreter keeps the winner's type (``max(-inf, 3)`` is the
+        # int 3); a float64 accumulator cannot, so int-valued min/max
+        # assignments stay interpreted while float-valued ones compile.
+        source = (
+            "class Critter {\n"
+            "    public state float x : (x + min(max(w, 0 - 0.5), 0.5)); #visibility[2];\n"
+            "    public state float y : (y - min(max(w, 0 - 0.5), 0.5)); #visibility[2];\n"
+            "    public state float w : w * 0.5 + 0.25;\n"
+            "    public state int k : crowd;\n"
+            f"    private effect int crowd : {combinator};\n"
+            "    public void run() {\n"
+            "        foreach (Critter p : Extent<Critter>) {\n"
+            f"            crowd <- {value};\n"
+            "        }\n    }\n}\n"
+        )
+        reasons = kernel_fallback_reasons(compile_script(source).agent_class)
+        assert reasons.pop("update") == "update rule of non-float field 'k'"
+        if value == "p.w":
+            assert reasons == {}
+        else:
+            assert reasons == {
+                "query": f"{combinator} effect 'crowd' may keep a non-float value"
+            }
+        _assert_differential(source, ticks=3)
+
+    def test_int_cells_in_float_fields_fall_back_at_run_time(self):
+        # The min/max proof takes ``float`` fields to hold floats; ints
+        # placed there by the caller hand the phase to the interpreter.
+        source = (
+            "class Critter {\n"
+            "    public state float x : x + 0.5; #visibility[2];\n"
+            "    public state float y : y; #visibility[2];\n"
+            "    public state int k : gap;\n"
+            "    private effect float gap : min;\n"
+            "    public void run() {\n"
+            "        foreach (Critter p : Extent<Critter>) {\n"
+            "            if (p.x > x) { gap <- p.x - x; }\n"
+            "        }\n    }\n}\n"
+        )
+        reasons = kernel_fallback_reasons(compile_script(source).agent_class)
+        assert "query" not in reasons
+        initial = [{"x": index, "y": 0} for index in range(NUM_AGENTS)]
+        runs = {
+            backend: run_script(
+                source,
+                BraceConfig(num_workers=2, plan_backend=backend),
+                ticks=1,  # the rule stores floats in x from the first update on
+                initial_states=initial,
+            )
+            for backend in ("interpreted", "compiled")
+        }
+        assert states_equal(
+            runs["compiled"].final_states(), runs["interpreted"].final_states()
+        )
 
 
 class TestExactOracle:

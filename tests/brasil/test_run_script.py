@@ -6,7 +6,6 @@ process executors, for a local-effect script (traffic) and an inverted
 non-local one (fish school).
 """
 
-import functools
 import pickle
 
 import pytest
@@ -20,15 +19,10 @@ from repro.brasil import (
     run_script,
     select_index,
 )
-from repro.brasil.translate import agent_tuple, environment_for
 from repro.core.errors import BrasilError
 from repro.core.soa import states_equal
-from repro.mapreduce.executor import ProcessExecutor
-from repro.mapreduce.simulation_job import LocalEffectSimulationJob
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
-from repro.simulations.traffic.brasil_scripts import TRAFFIC_SCRIPT, traffic_script
-from repro.spatial.bbox import BBox
-from repro.spatial.partitioning import StripPartitioning
+from repro.simulations.traffic.brasil_scripts import TRAFFIC_SCRIPT
 
 TICKS = 3
 TRAFFIC_BOUNDS = ((0.0, 1000.0),)
@@ -105,29 +99,6 @@ class TestCompiledAgentPickling:
         clone = pickle.loads(pickle.dumps(second.make_agent(agent_id=1, x=5.0)))
         assert type(clone) is second.agent_class
         assert isinstance(clone, first.agent_class)
-
-
-class TestSimulationJobWithCompiledScript:
-    def test_appendix_a_job_runs_compiled_agents_on_process_pool(self):
-        compiled = compile_script(traffic_script(length=400.0))
-        partitioning = StripPartitioning(BBox(((0.0, 400.0),)), axis=0, boundaries=[200.0])
-
-        def agents():
-            return [
-                compiled.make_agent(agent_id=i, x=float(40 * i + 5), v=1.0)
-                for i in range(10)
-            ]
-
-        serial_job = LocalEffectSimulationJob(partitioning, seed=0)
-        serial_out = serial_job.run(agents(), ticks=2)
-        process_job = LocalEffectSimulationJob(
-            partitioning, seed=0, executor=ProcessExecutor(max_workers=2)
-        )
-        try:
-            process_out = process_job.run(agents(), ticks=2)
-        finally:
-            process_job.shutdown()
-        assert [a.state_dict() for a in serial_out] == [a.state_dict() for a in process_out]
 
 
 class TestIndexSelection:
@@ -208,27 +179,3 @@ class TestRunScriptInputs:
             bounds=TRAFFIC_BOUNDS,
         )
         assert run.world.agent_count() == 2
-
-
-class TestPlanQueryTask:
-    def test_plan_task_matches_interpreter_on_process_pool(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        task = compiled.query_task
-        assert task is not None
-        agents = [
-            compiled.make_agent(agent_id=i, x=float(i), y=float(-i), vx=0.0, vy=0.0)
-            for i in range(6)
-        ]
-        environments = [environment_for(agent, agents) for agent in agents]
-        inline_effects = task(environments)
-        # functools.partial of a picklable task with picklable inputs crosses
-        # the process boundary; a closure would not.
-        with ProcessExecutor(max_workers=2) as executor:
-            results = executor.run_tasks([functools.partial(task, environments)])
-        assert results[0].value == inline_effects
-
-    def test_plan_task_is_picklable(self):
-        compiled = compile_script(TRAFFIC_SCRIPT)
-        task = compiled.query_task
-        clone = pickle.loads(pickle.dumps(task))
-        assert repr(clone.plan) == repr(task.plan)
