@@ -85,11 +85,37 @@ class TestNonLocalEffectEquivalence:
         BraceRuntime(world, config).run(5)
         assert world.same_state_as(reference, tolerance=1e-9)
 
+    @pytest.mark.parametrize("workers", [1, 3, 5])
+    def test_local_model_also_correct_under_second_reduce_pass(self, workers):
+        # A local-effects model must be unaffected by the extra reduce pass.
+        reference = sequential_reference(Boid, seed=4, ticks=3)
+        world = make_boid_world(num_agents=40, seed=4, agent_class=Boid)
+        config = BraceConfig(num_workers=workers, non_local_effects=True)
+        BraceRuntime(world, config).run(3)
+        assert world.same_state_as(reference, tolerance=1e-9)
+
+    def test_two_pass_grid_partitioning_matches_sequential(self):
+        reference = sequential_reference(NonLocalBoid, seed=11, ticks=4)
+        world = make_boid_world(num_agents=40, seed=11, agent_class=NonLocalBoid)
+        config = BraceConfig(num_workers=4, non_local_effects=True, partitioning="grid",
+                             grid_cells=(2, 2), load_balance=False)
+        BraceRuntime(world, config).run(4)
+        assert world.same_state_as(reference, tolerance=1e-9)
+
     def test_non_local_effects_without_flag_is_an_error(self):
         world = make_boid_world(num_agents=20, seed=37, agent_class=NonLocalBoid)
         runtime = BraceRuntime(world, BraceConfig(num_workers=3, non_local_effects=False))
         with pytest.raises(Exception):
             runtime.run(1)
+
+
+class TestZeroTicks:
+    def test_zero_ticks_leave_the_world_unchanged(self):
+        reference = make_boid_world(num_agents=20, seed=1, agent_class=Boid)
+        world = make_boid_world(num_agents=20, seed=1, agent_class=Boid)
+        BraceRuntime(world, BraceConfig(num_workers=2)).run(0)
+        assert world.tick == 0
+        assert world.same_state_as(reference)
 
 
 class TestDynamicPopulationEquivalence:

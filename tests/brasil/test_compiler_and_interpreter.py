@@ -7,6 +7,8 @@ from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
 from repro.brasil import compile_script
 from repro.brasil.compiler import BrasilCompiler
+from repro.brasil.optimizer import optimize_plan
+from repro.brasil.translate import TranslationNotSupported, translate_query
 from repro.core.engine import SequentialEngine
 from repro.core.errors import BrasilError
 from repro.core.world import World
@@ -83,6 +85,27 @@ class TestCompilation:
         assert overrides["cell_size"] == 16.0
         non_local = compile_script(PREDATOR_NON_LOCAL_SCRIPT, effect_inversion="off")
         assert non_local.brace_config_overrides()["non_local_effects"] is True
+
+    def test_algebra_plan_built_on_demand_for_pure_scripts(self):
+        # compile_script runs no algebra pass; the Appendix B library
+        # translates and optimizes the compiled declaration when asked.
+        compiled = compile_script(SIMPLE)
+        assert not hasattr(compiled, "algebra_plan")
+        optimized = optimize_plan(translate_query(compiled.class_decl, compiled.info))
+        assert optimized.optimized_size <= optimized.original_size
+
+    def test_rand_scripts_compile_without_an_algebra_plan(self):
+        source = """
+        class A {
+          public state float x : x; #range[-1, 1];
+          private effect float e : sum;
+          public void run() { e <- rand(); }
+        }
+        """
+        compiled = compile_script(source)
+        assert compiled.agent_class is not None
+        with pytest.raises(TranslationNotSupported):
+            translate_query(compiled.class_decl, compiled.info)
 
 
 class TestInterpretedExecution:
