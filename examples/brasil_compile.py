@@ -63,7 +63,7 @@ def main() -> None:
                 vy=float(rng.uniform(-1, 1)),
             )
         )
-    engine = SequentialEngine(world, index="kdtree")
+    engine = SequentialEngine(world)
     engine.run(10)
     print(f"ran 10 ticks of the compiled script over {world.agent_count()} fish "
           f"({engine.statistics.throughput():,.0f} agent ticks/s)")

@@ -2,8 +2,8 @@
 
 The paper's end-to-end promise: write the simulation in BRASIL once, and the
 system owns parallelization.  This example compiles the fish-school script,
-shows what the compiler decided (effect inversion, reduce passes, spatial
-index), then runs the *same* script on the serial, thread and process
+shows what the compiler decided (effect inversion, reduce passes, plan
+kernels), then runs the *same* script on the serial, thread and process
 executor backends and checks the final agent states are bit-identical.
 
 Run with:  python examples/brasil_parallel.py
@@ -23,8 +23,8 @@ def main() -> None:
     print("class:", compiled.class_name)
     print("effect inversion applied:", compiled.was_inverted,
           "-> reduce passes per tick:", 2 if compiled.has_non_local_effects else 1)
-    selection = compiled.index_selection
-    print(f"access path: index={selection.index!r} cell_size={selection.cell_size}")
+    selection = compiled.plan_selection
+    print(f"plan kernels: query={selection.query_compiled} update={selection.update_compiled}")
     print("  reason:", selection.reason)
     print()
 

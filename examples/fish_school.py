@@ -30,7 +30,7 @@ def main() -> None:
         .with_workers(8)
         .with_epochs(5)
         .with_load_balancing(threshold=1.1)
-        .with_index("kdtree", check_visibility=False)
+        .with_index("grid", check_visibility=False)
     )
     session.on_epoch(
         lambda epoch: epoch.rebalanced

@@ -26,7 +26,7 @@ def run_configuration(label: str, non_local: bool, ticks: int = 10) -> float:
         .with_workers(16)
         .with_epochs(ticks)
         .with_non_local_effects(non_local)
-        .with_index("kdtree", check_visibility=False)
+        .with_index("grid", check_visibility=False)
         .with_load_balancing(False)
     )
     with session as sim:

@@ -73,7 +73,7 @@ def main() -> None:
     ticks = 20
 
     sequential_world = build_world()
-    sequential = SequentialEngine(sequential_world, index="kdtree")
+    sequential = SequentialEngine(sequential_world)
     sequential.run(ticks)
     print(f"sequential: {ticks} ticks, "
           f"{sequential.statistics.throughput():,.0f} agent ticks/s (wall clock)")
@@ -84,7 +84,7 @@ def main() -> None:
         Simulation.from_agents(build_world())
         .with_workers(4)
         .with_epochs(5)
-        .with_index("kdtree")
+        .with_index("grid")
     )
     with session as sim:
         for event in sim.stream(ticks):

@@ -25,7 +25,7 @@ def main() -> None:
     world = build_traffic_world(parameters, seed=7)
     agent_stats = TrafficStatisticsCollector(parameters)
     engine = SequentialEngine(
-        world, index="kdtree", on_tick_end=lambda w, _s: agent_stats.observe(w.agents())
+        world, on_tick_end=lambda w, _s: agent_stats.observe(w.agents())
     )
     engine.run(ticks)
 

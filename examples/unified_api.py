@@ -28,7 +28,7 @@ def from_agents(executor: str) -> Simulation:
         Simulation.from_agents(build_ring_world(NUM_CARS, SEED))
         .with_executor(executor, max_workers=4)
         .with_workers(4)
-        .with_index("kdtree")
+        .with_index("grid")
     )
 
 
@@ -40,7 +40,7 @@ def from_script(executor: str) -> Simulation:
         )
         .with_executor(executor, max_workers=4)
         .with_workers(4)
-        .with_index("kdtree")
+        .with_index("grid")
     )
 
 

@@ -13,7 +13,7 @@ rather than as a deep ``KeyError`` ticks into a run.  The builder is shared
 by both session sources: agent sessions build the config directly; script
 sessions hand the built config to
 :func:`repro.brasil.runner.config_for_script`, which layers the compiler's
-own overrides (reduce-pass structure, access-path selection) on top.
+own override (the reduce-pass structure) on top.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class ConfigBuilder:
     def __init__(self, base: BraceConfig | None = None):
         self._base = base if base is not None else BraceConfig()
         self._overrides: dict[str, Any] = {}
-        #: Spatial index explicitly chosen by the caller, or ``"auto"`` to let
-        #: script sessions adopt the optimizer's access-path selection.
-        self.index_choice: str | None = "auto"
 
     def set(self, **overrides: Any) -> "ConfigBuilder":
         """Record ``overrides`` and fail fast if they produce a bad config."""
@@ -58,10 +55,6 @@ class ConfigBuilder:
         config.validate()
         return config
 
-    def explicitly_set(self, name: str) -> bool:
-        """True when the caller overrode ``name`` (vs inheriting the base)."""
-        return name in self._overrides
-
 
 class FluentConfig:
     """Mixin providing the ``with_*`` surface on :class:`~repro.api.Simulation`.
@@ -72,7 +65,7 @@ class FluentConfig:
         sim = (Simulation.from_agents(world)
                .with_executor("process", max_workers=8)
                .with_partitioning("strip", num_workers=8)
-               .with_index("kdtree")
+               .with_index("grid")
                .with_checkpointing(every_epochs=2)
                .with_seed(7))
 
@@ -168,43 +161,36 @@ class FluentConfig:
         self._builder.set(num_workers=num_workers)
         return self
 
-    def with_index(
-        self,
-        index: str | None,
-        cell_size: float | None = None,
-        check_visibility: bool | None = None,
-    ) -> Any:
-        """Force the query phase's spatial access path.
+    def with_index(self, index: str | None, check_visibility: bool | None = None) -> Any:
+        """Index the query phase's spatial join, or not.
 
-        ``index`` is "kdtree", "grid", "quadtree" or None (nested-loop scan).
-        Script sessions default to the optimizer's selection; calling this
-        overrides it.  ``cell_size`` applies to the grid index only.
+        ``"grid"`` is the columnar grid (the default) and ``None`` the
+        un-indexed linear scan — the two series of Figures 3–5.  This is
+        :meth:`with_spatial_backend` under the paper's names: ``"grid"``
+        sets ``"vectorized"`` and ``None`` sets ``"python"``.
         """
         self._check_not_started()
-        if index not in (None, "kdtree", "grid", "quadtree"):
+        if index not in (None, "grid"):
             raise BraceError(
-                f"unknown spatial index {index!r}; expected 'kdtree', "
-                "'grid', 'quadtree' or None for a nested-loop scan"
+                f"unknown spatial index {index!r}; expected 'grid' (the columnar "
+                "grid) or None (the linear scan)"
             )
-        overrides: dict[str, Any] = {"index": index}
-        if cell_size is not None:
-            # Recorded as an explicit choice: script sessions keep it over
-            # the optimizer's cell-size selection.
-            overrides["cell_size"] = cell_size
+        overrides: dict[str, Any] = {
+            "spatial_backend": "vectorized" if index == "grid" else "python"
+        }
         if check_visibility is not None:
             overrides["check_visibility"] = check_visibility
         self._builder.set(**overrides)
-        self._builder.index_choice = index
         return self
 
-    def with_spatial_backend(self, backend: str | None) -> Any:
+    def with_spatial_backend(self, backend: str) -> Any:
         """Choose how the query phase's spatial joins execute.
 
-        ``"vectorized"`` runs the columnar NumPy batch kernels (one position
-        snapshot per worker per tick, all probes answered in a handful of
-        array ops), ``"python"`` the interpreted per-probe index queries,
-        ``None`` restores automatic selection.  Agent states are
-        bit-identical whichever backend runs — this knob only trades speed.
+        ``"vectorized"`` (the default) runs the columnar grid's batch
+        kernels (one position snapshot per worker per tick, all probes
+        answered in a handful of array ops), ``"python"`` a linear scan of
+        the extent per probe — the oracle.  Agent states are bit-identical
+        whichever backend runs — this knob only trades speed.
         """
         self._check_not_started()
         # Validation happens in ConfigBuilder.set() -> BraceConfig.validate(),

@@ -47,11 +47,11 @@ class Provenance:
     seed: int
     #: The exact runtime configuration the session compiled down to, with
     #: every automatic knob *resolved* to the choice that actually ran:
-    #: ``seed`` is the effective seed and ``spatial_backend`` the backend
-    #: the query phases executed ("python" or "vectorized", never None).
-    #: Re-running
-    #: with this config reproduces the run bit for bit — backend resolution
-    #: is state-neutral, so pinning it changes nothing but speed.
+    #: ``seed`` is the effective seed and ``plan_backend`` the plan backend
+    #: the BRASIL phases attempted.  ``spatial_backend`` is the configured
+    #: value, which every shard's query phase ran.  Re-running with this
+    #: config reproduces the run bit for bit — backend resolution is
+    #: state-neutral, so pinning it changes nothing but speed.
     config: BraceConfig
     #: SHA-256 of the BRASIL source for script runs, None for agent runs.
     script_hash: str | None = None

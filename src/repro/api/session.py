@@ -40,7 +40,6 @@ from repro.brace.runtime import BraceRuntime
 from repro.brasil.compiler import CompiledScript
 from repro.brasil.kernels import resolve_plan_backend
 from repro.core.agent import Agent
-from repro.core.context import resolve_spatial_backend
 from repro.core.errors import BraceError, SimulationSessionError
 from repro.core.world import World
 from repro.history.query import History
@@ -134,7 +133,6 @@ class Simulation(FluentConfig):
         config: BraceConfig | None = None,
         class_name: str | None = None,
         effect_inversion: str = "auto",
-        use_index: bool = True,
         num_agents: int = 50,
         initial_states: Sequence[dict[str, Any]] | None = None,
         bounds: BBox | Sequence[Sequence[float]] | None = None,
@@ -145,10 +143,8 @@ class Simulation(FluentConfig):
         Compilation happens here — eagerly — so script errors surface at
         construction.  The world is populated deterministically exactly as
         :func:`repro.brasil.runner.build_script_world` does, and the
-        compiler's configuration overrides (reduce-pass structure, the
-        optimizer's access path) are applied when the session starts; use
-        :meth:`~repro.api.builder.FluentConfig.with_index` to force a
-        different access path.
+        compiler's configuration override (the reduce-pass structure) is
+        applied when the session starts.
         """
         from repro.brasil.runner import (
             _compile_with_label,
@@ -158,7 +154,7 @@ class Simulation(FluentConfig):
 
         source_text, label = load_script_source(script)
         compiled = _compile_with_label(
-            source_text, label, class_name, effect_inversion, use_index
+            source_text, label, class_name, effect_inversion
         )
         world = build_script_world(
             compiled,
@@ -251,23 +247,7 @@ class Simulation(FluentConfig):
         if self._compiled is not None:
             from repro.brasil.runner import config_for_script
 
-            derived = config_for_script(
-                self._compiled, config, index=self._builder.index_choice
-            )
-            if self._builder.explicitly_set("cell_size"):
-                # with_index(..., cell_size=...) wins over the optimizer's
-                # access-path selection, as its docstring promises.
-                derived = dataclasses.replace(derived, cell_size=config.cell_size)
-                derived.validate()
-            if self._builder.explicitly_set("spatial_backend"):
-                # with_spatial_backend() likewise overrides the optimizer's
-                # backend pin — forcing the interpreted path must stay
-                # possible (it is how the columnar speedups are measured).
-                derived = dataclasses.replace(
-                    derived, spatial_backend=config.spatial_backend
-                )
-                derived.validate()
-            config = derived
+            config = config_for_script(self._compiled, config)
         return config
 
     def _ensure_started(self) -> BraceRuntime:
@@ -470,9 +450,10 @@ class Simulation(FluentConfig):
         model = tuple(sorted({type(agent).__name__ for agent in self.world.agents()}))
         # Resolve every automatic knob to the choice that actually ran, so
         # the recorded config reproduces the run without re-deriving the
-        # defaults: the effective seed, the spatial backend the query phases
-        # executed and the plan backend the BRASIL phases attempted.  All of
-        # these are state-neutral, so pinning them is safe.
+        # defaults: the effective seed and the plan backend the BRASIL
+        # phases attempted.  Both are state-neutral, so pinning them is
+        # safe.  The spatial backend needs no resolving: every shard runs
+        # the configured one.
         config = dataclasses.replace(
             runtime.config,
             seed=runtime.seed,
@@ -481,11 +462,6 @@ class Simulation(FluentConfig):
             # record only *that* auth was configured.
             cluster_secret=(
                 "<scrubbed>" if runtime.config.cluster_secret is not None else None
-            ),
-            spatial_backend=resolve_spatial_backend(
-                runtime.config.spatial_backend,
-                runtime.config.index,
-                self.world.agent_count(),
             ),
             plan_backend=resolve_plan_backend(
                 runtime.config.plan_backend,

@@ -13,8 +13,8 @@ class BraceConfig:
     """Every knob of the BRACE runtime.
 
     Parameters mirror the design choices described in Section 3.3 of the
-    paper: number of workers, epoch length, spatial index used inside the
-    query phase, whether the model needs the second reduce pass (non-local
+    paper: number of workers, epoch length, how the query phase's spatial
+    join executes, whether the model needs the second reduce pass (non-local
     effects), load balancing and checkpointing.
 
     The cluster-model parameters at the bottom control the virtual-time cost
@@ -74,20 +74,15 @@ class BraceConfig:
     non_local_effects: bool = False  # run the second reduce pass
 
     # Query-phase execution ----------------------------------------------
-    index: str | None = "kdtree"
-    cell_size: float | None = None
     check_visibility: bool = True
-    #: How the query phase's spatial joins execute: ``"python"`` (interpreted
-    #: per-probe index queries), ``"vectorized"`` (columnar NumPy batch
-    #: kernels — one position snapshot per worker per tick, every probe
-    #: answered in a handful of array ops) or ``None`` for automatic
-    #: selection (vectorized whenever an index is requested and the worker's
-    #: extent is large enough to amortize the snapshot).  Agent states are
-    #: bit-identical across backends; only the speed differs.  (Sole caveat:
-    #: ``QueryContext.nearest`` breaks *exact* distance ties in canonical
-    #: order on the vectorized backend vs k-d tree traversal order on the
-    #: python backend — neighbour/visible queries are tie-free.)
-    spatial_backend: str | None = None
+    #: How the query phase's spatial joins execute: ``"vectorized"`` (the
+    #: columnar grid — one position snapshot per worker per tick, every
+    #: probe answered in a handful of array ops) or ``"python"`` (a linear
+    #: scan of the extent per probe: the "no indexing" baseline and the
+    #: oracle the grid is checked against).  Every shard runs this value;
+    #: agent states are bit-identical across the two, only the speed and
+    #: the work charged differ.
+    spatial_backend: str = "vectorized"
     #: How BRASIL query/update plans execute: ``"interpreted"`` (the
     #: reference per-agent AST walk), ``"compiled"`` (whole-phase columnar
     #: kernels — effect aggregation as ``np.ufunc.at`` scatter-reductions
@@ -203,27 +198,15 @@ class BraceConfig:
                     "admits nodes that prove knowledge of the shared secret "
                     "(loopback listeners may run without one)"
                 )
-        if self.index not in (None, "kdtree", "grid", "quadtree"):
-            raise BraceError(
-                f"unknown spatial index {self.index!r}; expected 'kdtree', "
-                "'grid', 'quadtree' or None for a nested-loop scan"
-            )
-        if self.spatial_backend not in (None, "python", "vectorized"):
+        if self.spatial_backend not in ("vectorized", "python"):
             raise BraceError(
                 f"unknown spatial backend {self.spatial_backend!r}; expected "
-                "'python', 'vectorized' or None for automatic selection"
+                "'vectorized' (the columnar grid) or 'python' (the linear scan)"
             )
         if self.plan_backend not in (None, "interpreted", "compiled"):
             raise BraceError(
                 f"unknown plan backend {self.plan_backend!r}; expected "
                 "'interpreted', 'compiled' or None for automatic selection"
-            )
-        if self.cell_size is not None and not self.cell_size > 0:
-            # cell_size is only *used* by the grid index but may legitimately
-            # be set alongside any index choice (it is ignored otherwise).
-            raise BraceError(
-                f"cell_size must be positive, got {self.cell_size!r} "
-                "(or None for the index's default)"
             )
         if self.load_balance_axis < 0:
             raise BraceError("load_balance_axis must be a non-negative dimension index")

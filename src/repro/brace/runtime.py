@@ -320,8 +320,6 @@ class BraceRuntime:
                         replicas_in=replicas_in[worker.worker_id],
                         tick=tick,
                         seed=self.seed,
-                        index=config.index,
-                        cell_size=config.cell_size,
                         check_visibility=config.check_visibility,
                         spatial_backend=config.spatial_backend,
                         plan_backend=config.plan_backend,

@@ -104,10 +104,8 @@ class QueryCommand:
     replicas_in: Any
     tick: int
     seed: int
-    index: str | None
-    cell_size: float | None
     check_visibility: bool
-    spatial_backend: str | None = None
+    spatial_backend: str = "vectorized"
     plan_backend: str | None = None
 
 
@@ -185,8 +183,6 @@ def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:
     worker.run_query_phase(
         tick=command.tick,
         seed=command.seed,
-        index=command.index,
-        cell_size=command.cell_size,
         check_visibility=command.check_visibility,
         spatial_backend=command.spatial_backend,
         plan_backend=command.plan_backend,
@@ -447,20 +443,23 @@ def _encode_query_command(command: QueryCommand) -> tuple:
         _pack_routed_deltas(command.replicas_in),
         command.tick,
         command.seed,
-        command.index,
-        command.cell_size,
         command.check_visibility,
-        command.spatial_backend,
+        # One of two values: a bool is the smallest pickle that carries it.
+        command.spatial_backend == "vectorized",
         command.plan_backend,
     )
 
 
 def _decode_query_command(payload: tuple) -> QueryCommand:
-    migrated_in, replica_deltas = payload[0], payload[1]
+    migrated_in, replica_deltas, tick, seed, check_visibility, on_grid, plan_backend = payload
     return QueryCommand(
         ipc_frames.unpack_agents(migrated_in),
         _unpack_routed_deltas(replica_deltas),
-        *payload[2:],
+        tick,
+        seed,
+        check_visibility,
+        "vectorized" if on_grid else "python",
+        plan_backend,
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.brace.replication import replication_targets_batch
 from repro.core.agent import Agent, _set_updating, mutable_cells
-from repro.core.context import QueryContext, UpdateContext, resolve_spatial_backend
+from repro.core.context import QueryContext, UpdateContext
 from repro.core.errors import BraceError
 from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
@@ -715,10 +715,8 @@ class Worker:
         self,
         tick: int,
         seed: int,
-        index: str | None,
-        cell_size: float | None,
         check_visibility: bool,
-        spatial_backend: str | None = None,
+        spatial_backend: str = "vectorized",
         plan_backend: str | None = None,
     ) -> QueryContext:
         """Execute the query phase (reduce 1) for every owned agent.
@@ -736,11 +734,9 @@ class Worker:
             owned + replicas,
             tick=tick,
             seed=seed,
-            index=index,
-            cell_size=cell_size,
             check_visibility=check_visibility,
             spatial_backend=spatial_backend,
-            snapshot=self._build_snapshot(index, spatial_backend),
+            snapshot=self._build_snapshot(spatial_backend),
         )
         with phase(Phase.QUERY):
             _query_loop(owned, context, plan_backend)
@@ -748,7 +744,7 @@ class Worker:
         self.last_index_probes = context.index_probes
         return context
 
-    def _build_snapshot(self, index: str | None, spatial_backend: str | None) -> PointSet | None:
+    def _build_snapshot(self, spatial_backend: str) -> PointSet | None:
         """The query phase's columnar snapshot (None on the python backend).
 
         Its rows are the extent in canonical order.  Both tables are already
@@ -757,12 +753,10 @@ class Worker:
         that arrived after it — have their positions read here (everyone's
         when no map phase ran this tick).
         """
-        owned, replicas = self._owned_rows(), self._replica_rows()
-        extent = len(owned.agents) + len(replicas.agents)
-        if resolve_spatial_backend(spatial_backend, index, extent) != "vectorized":
+        if spatial_backend != "vectorized":
             self.last_snapshot = None
             return None
-        agents, points = owned.extent_with(replicas)
+        agents, points = self._owned_rows().extent_with(self._replica_rows())
         self.last_snapshot = PointSet(agents, points=points)
         return self.last_snapshot
 

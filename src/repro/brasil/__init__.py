@@ -56,7 +56,7 @@ from repro.brasil.kernels import (
     kernels_for_class,
     resolve_plan_backend,
 )
-from repro.brasil.optimizer import IndexSelection, PlanSelection, select_index, select_plan
+from repro.brasil.optimizer import PlanSelection, select_plan
 from repro.brasil.parser import parse
 from repro.brasil.runner import (
     ScriptRunResult,
@@ -71,7 +71,6 @@ __all__ = [
     "BrasilCompiler",
     "CompiledScript",
     "EffectInversionError",
-    "IndexSelection",
     "PlanKernelFallback",
     "PlanSelection",
     "ScriptInfo",
@@ -86,6 +85,5 @@ __all__ = [
     "parse",
     "resolve_plan_backend",
     "run_script",
-    "select_index",
     "select_plan",
 ]

@@ -1,7 +1,7 @@
 """The BRASIL compiler: source text to an executable agent class.
 
 ``compile_script`` runs the pipeline — parse, semantic analysis, optional
-effect inversion, access-path selection and the plan-kernel proof — and
+effect inversion and the plan-kernel proof — and
 packages the result as a :class:`CompiledScript` whose ``agent_class`` is a
 regular :class:`~repro.core.agent.Agent` subclass.  Instances of that class
 run unchanged on the sequential engine and on the BRACE runtime: this is
@@ -27,7 +27,7 @@ from typing import Any
 from repro.brasil.ast_nodes import ClassDecl, Script
 from repro.brasil.effect_inversion import EffectInversionError, InversionResult, invert_effects
 from repro.brasil.interpreter import Environment, evaluate, execute_block
-from repro.brasil.optimizer import IndexSelection, PlanSelection, select_index, select_plan
+from repro.brasil.optimizer import PlanSelection, select_plan
 from repro.brasil.parser import parse
 from repro.brasil.semantics import ScriptInfo, analyze_class
 from repro.core.agent import Agent, AgentMeta, _rebuild_agent
@@ -49,7 +49,6 @@ class AgentClassSpec:
     source: str
     class_name: str
     effect_inversion: str = "auto"
-    use_index: bool = True
 
 
 #: Compiled agent classes by spec.  Populated by every compile and by
@@ -72,7 +71,7 @@ def compiled_class_for_spec(spec: AgentClassSpec) -> type:
     """
     agent_class = _CLASS_REGISTRY.get(spec)
     if agent_class is None:
-        compiler = BrasilCompiler(effect_inversion=spec.effect_inversion, use_index=spec.use_index)
+        compiler = BrasilCompiler(effect_inversion=spec.effect_inversion)
         compiled = compiler.compile(spec.source, class_name=spec.class_name)
         # compile() registered the class; read it back through the registry
         # so concurrent rebuilds agree on one class object.
@@ -89,15 +88,14 @@ def _rebuild_compiled_agent(spec: AgentClassSpec, *parts):
 class BrasilAgentBase(Agent):
     """Base class of every compiled BRASIL agent.
 
-    The class attributes ``_run_body``, ``_update_rules``, ``_float_fields``
-    and ``_restrict_to_visible`` are filled in by the compiler; ``query`` and
+    The class attributes ``_run_body``, ``_update_rules`` and
+    ``_float_fields`` are filled in by the compiler; ``query`` and
     ``update`` interpret them with :mod:`repro.brasil.interpreter`.
     """
 
     _run_body = None
     _update_rules: dict[str, Any] = {}
     _float_fields: frozenset = frozenset()
-    _restrict_to_visible = True
     _compile_spec: AgentClassSpec | None = None
 
     def __reduce__(self):
@@ -118,12 +116,7 @@ class BrasilAgentBase(Agent):
         """Execute the compiled ``run()`` method (the query phase)."""
         if self._run_body is None:
             return
-        environment = Environment(
-            agent=self,
-            query_context=ctx,
-            rng=ctx.rng(self),
-            restrict_to_visible=self._restrict_to_visible,
-        )
+        environment = Environment(agent=self, query_context=ctx, rng=ctx.rng(self))
         execute_block(self._run_body, environment)
 
     def update(self, ctx) -> None:
@@ -158,7 +151,6 @@ class CompiledScript:
     agent_class: type
     inversion: InversionResult | None = None
     spec: AgentClassSpec | None = None
-    index_selection: IndexSelection | None = None
     #: Which phases the plan compiler proved kernel-compilable: the proof
     #: the runtime runs, read from ``kernels_for_class(agent_class)``.
     plan_selection: PlanSelection | None = None
@@ -186,21 +178,10 @@ class CompiledScript:
     def brace_config_overrides(self) -> dict[str, Any]:
         """Configuration the BRACE runtime should adopt for this script.
 
-        Besides the reduce-pass structure (``non_local_effects``), this
-        threads the optimizer's access-path choice through to the query
-        phase: the spatial index — and with it the join algorithm answering
-        each ``foreach`` — is driven by the script's visible-region
-        declarations rather than a hand-picked default.
+        Only the reduce-pass structure: ``non_local_effects`` says whether
+        the compiled script still needs the second reduce pass.
         """
-        overrides: dict[str, Any] = {"non_local_effects": self.has_non_local_effects}
-        if self.index_selection is not None:
-            overrides["index"] = self.index_selection.index
-            overrides["cell_size"] = self.index_selection.cell_size
-            if self.index_selection.spatial_backend is not None:
-                # Only a positive pin is an override; "no opinion" must not
-                # stomp a backend the caller configured explicitly.
-                overrides["spatial_backend"] = self.index_selection.spatial_backend
-        return overrides
+        return {"non_local_effects": self.has_non_local_effects}
 
     def make_agent(self, agent_id: int | None = None, **state_values: Any):
         """Instantiate one agent with the given initial state."""
@@ -216,18 +197,12 @@ class BrasilCompiler:
         ``"auto"`` (invert when the script has non-local assignments and the
         rewrite applies, otherwise keep the two-pass plan), ``"on"`` (require
         inversion, raising when it is impossible) or ``"off"``.
-    use_index:
-        When True (the default), ``foreach`` over an extent is restricted to
-        the agent's visible region, letting the engine's spatial index answer
-        it as an orthogonal range query.  When False the whole extent is
-        scanned — the "no indexing" configuration of Figures 3 and 4.
     """
 
-    def __init__(self, effect_inversion: str = "auto", use_index: bool = True):
+    def __init__(self, effect_inversion: str = "auto"):
         if effect_inversion not in ("auto", "on", "off"):
             raise BrasilError("effect_inversion must be 'auto', 'on' or 'off'")
         self.effect_inversion = effect_inversion
-        self.use_index = use_index
 
     def compile(self, source: str, class_name: str | None = None) -> CompiledScript:
         """Compile ``source``; ``class_name`` selects the class in multi-class scripts."""
@@ -252,7 +227,6 @@ class BrasilCompiler:
             source=source,
             class_name=declaration.name,
             effect_inversion=self.effect_inversion,
-            use_index=self.use_index,
         )
         # Recompiles of the same spec adopt the registered class, so
         # ``type(unpickled_agent) is compiled.agent_class`` holds no matter
@@ -271,11 +245,6 @@ class BrasilCompiler:
             agent_class=agent_class,
             inversion=inversion,
             spec=spec,
-            index_selection=select_index(info) if self.use_index else IndexSelection(
-                index=None,
-                cell_size=None,
-                reason="indexing disabled by the compiler (use_index=False)",
-            ),
             plan_selection=select_plan(agent_class),
         )
 
@@ -327,7 +296,6 @@ class BrasilCompiler:
             for field_decl in declaration.state_fields()
             if field_decl.type_name == "float"
         )
-        namespace["_restrict_to_visible"] = self.use_index
         namespace["_class_decl"] = declaration
         namespace["_script_info"] = info
         namespace["_compile_spec"] = spec
@@ -338,8 +306,7 @@ def compile_script(
     source: str,
     class_name: str | None = None,
     effect_inversion: str = "auto",
-    use_index: bool = True,
 ) -> CompiledScript:
     """Compile a BRASIL script (convenience wrapper around :class:`BrasilCompiler`)."""
-    compiler = BrasilCompiler(effect_inversion=effect_inversion, use_index=use_index)
+    compiler = BrasilCompiler(effect_inversion=effect_inversion)
     return compiler.compile(source, class_name=class_name)

@@ -48,9 +48,6 @@ class Environment:
     locals: dict[str, Any] = field(default_factory=dict)
     #: Names of agent-typed bindings (foreach variables, agent-typed consts).
     agent_bindings: dict[str, Any] = field(default_factory=dict)
-    #: When True, foreach over an Extent is restricted (by the spatial index)
-    #: to the agent's visible region — the BRACE implementation of visibility.
-    restrict_to_visible: bool = True
 
     def child(self) -> "Environment":
         """A copy sharing the agent but with copied local scopes."""
@@ -60,7 +57,6 @@ class Environment:
             rng=self.rng,
             locals=dict(self.locals),
             agent_bindings=dict(self.agent_bindings),
-            restrict_to_visible=self.restrict_to_visible,
         )
 
 
@@ -259,27 +255,16 @@ def _resolve_extent(element_type: str, env: Environment) -> list[Any]:
     """The agents a ``foreach`` ranges over.
 
     With bounded visibility the extent is restricted to the agent's visible
-    region (references outside it would resolve to NIL anyway — Theorem 1);
-    otherwise the whole extent is scanned.  The active agent itself is never
-    part of the extent.
+    region (references outside it would resolve to NIL anyway — Theorem 1),
+    answered by the query context as one range query; otherwise the whole
+    extent is scanned.  The active agent itself is never part of the extent.
     """
     context = env.query_context
     if context is None:
         raise BrasilRuntimeError("foreach used outside of the query phase")
     agent = env.agent
     if agent.has_bounded_visibility():
-        if env.restrict_to_visible:
-            # Index-assisted orthogonal range query (the optimized plan).
-            candidates = context.visible(agent)
-        else:
-            # Un-indexed plan: scan the whole extent and test each candidate
-            # against the visible region — same semantics, quadratic cost.
-            region = agent.visible_region()
-            candidates = [
-                other
-                for other in context.agents()
-                if other is not agent and region.contains_point(other.position())
-            ]
+        candidates = context.visible(agent)
     else:
         candidates = [other for other in context.agents() if other is not agent]
     return [other for other in candidates if type(other).__name__ == element_type]

@@ -1112,9 +1112,7 @@ class _VectorFrame:
 # ----------------------------------------------------------------------
 # Kernel construction and caching
 # ----------------------------------------------------------------------
-def _compile_query_kernel(
-    class_decl: ClassDecl, info: ScriptInfo, restrict_to_visible: bool
-) -> QueryKernel:
+def _compile_query_kernel(class_decl: ClassDecl, info: ScriptInfo) -> QueryKernel:
     """Compile the class's ``run()`` body or raise ``_Unsupported`` with why not."""
     run_method = class_decl.run_method()
     if run_method is None or not info.has_run_method:
@@ -1125,8 +1123,6 @@ def _compile_query_kernel(
     uses_foreach = any(isinstance(stmt, ForEach) for stmt in _all_statements(body))
     if uses_foreach and not info.has_bounded_visibility:
         raise _Unsupported("foreach over an unbounded visible region")
-    if uses_foreach and not restrict_to_visible:
-        raise _Unsupported("foreach not restricted to the visible region")
     float_fields = {f.name for f in class_decl.state_fields() if f.type_name == "float"}
     _validate_query_body(body, info, float_fields)
     return QueryKernel(info.class_name, body, info, float_fields)
@@ -1205,10 +1201,7 @@ def kernels_for_class(cls) -> Tuple[Optional[QueryKernel], Optional[UpdateKernel
         kernels: Tuple[Optional[QueryKernel], Optional[UpdateKernel]] = (None, None)
         reasons = dict.fromkeys(("query", "update"), "not a BRASIL-compiled class")
     else:
-        restrict = getattr(cls, "_restrict_to_visible", True)
-        query_kernel, query_reason = _try_compile(
-            _compile_query_kernel, class_decl, info, restrict
-        )
+        query_kernel, query_reason = _try_compile(_compile_query_kernel, class_decl, info)
         update_kernel, update_reason = _try_compile(_compile_update_kernel, class_decl, info)
         kernels = (query_kernel, update_kernel)
         reasons = {
@@ -1237,10 +1230,10 @@ def kernel_fallback_reasons(cls) -> Dict[str, str]:
 def resolve_plan_backend(plan_backend: Optional[str], agent_classes) -> str:
     """The backend a run with this knob actually attempts.
 
-    Mirrors :func:`repro.core.context.resolve_spatial_backend` for the
-    provenance record: an explicit knob wins; ``None`` (automatic) means
-    "compiled wherever a kernel exists", which resolves to ``compiled``
-    when at least one class compiled and ``interpreted`` otherwise.
+    For the provenance record: an explicit knob wins; ``None`` (automatic)
+    means "compiled wherever a kernel exists", which resolves to
+    ``compiled`` when at least one class compiled and ``interpreted``
+    otherwise.
     """
     if plan_backend in ("interpreted", "compiled"):
         return plan_backend

@@ -16,19 +16,11 @@ relevant to the plans produced by :mod:`repro.brasil.translate`:
 
 The optimizer applies the rules bottom-up until a fixpoint is reached and
 reports how many rewrites fired, which the optimization tests assert on.
-
-Besides plan rewrites, the optimizer performs *access-path selection*
-(:func:`select_index`): from the script's visible-region declarations it
-decides which spatial index — and therefore which spatial-join algorithm in
-:mod:`repro.spatial.join` — should answer the ``foreach`` range queries of
-the query phase.  The choice rides on :class:`IndexSelection` through
-``CompiledScript.brace_config_overrides()`` into the runtime configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.brasil.algebra import (
     AlgebraOp,
@@ -43,86 +35,6 @@ from repro.brasil.algebra import (
     TupleCons,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.brasil.semantics import ScriptInfo
-
-
-@dataclass(frozen=True)
-class IndexSelection:
-    """The access path chosen for the query phase's spatial join.
-
-    ``index`` / ``cell_size`` / ``spatial_backend`` plug directly into
-    :class:`~repro.core.context.QueryContext` and
-    :class:`~repro.brace.config.BraceConfig`; ``reason`` records why the
-    optimizer picked this path (surfaced by ``examples/brasil_parallel.py``).
-    """
-
-    index: str | None
-    cell_size: float | None
-    reason: str
-    #: ``"vectorized"`` when the columnar batch kernels should execute the
-    #: join, ``None`` to let the runtime choose per extent size.
-    spatial_backend: str | None = None
-
-
-def select_index(info: "ScriptInfo") -> IndexSelection:
-    """Choose the spatial index answering the script's ``foreach`` queries.
-
-    The decision follows the declared visible regions:
-
-    * no spatial fields — there is no geometry, nothing to index;
-    * unbounded visibility — every ``foreach`` must scan the whole extent, so
-      an index would be built but never prune anything;
-    * uniform visibility radii — a uniform grid with cell size equal to the
-      visibility diameter answers each visible-region query by probing a
-      constant number of cells; the *vectorized* columnar grid additionally
-      amortizes the per-probe interpreter overhead (its cost profile is
-      roughly :data:`repro.harness.registry.VECTORIZED_GRID_COSTS`: O(n)
-      snapshot + one batched kernel for all n probes, versus n interpreted
-      probes), so the backend is pinned to ``"vectorized"``;
-    * anisotropic radii — a k-d tree handles per-dimension bounds without
-      committing to one cell size; the backend is left to the runtime's
-      per-extent auto selection.
-    """
-    if not info.spatial_field_names:
-        return IndexSelection(
-            index=None,
-            cell_size=None,
-            reason="no spatial fields declared; the extent has no geometry to index",
-        )
-    if not info.has_bounded_visibility:
-        return IndexSelection(
-            index=None,
-            cell_size=None,
-            reason=(
-                "unbounded visibility: every foreach scans the whole extent, "
-                "an index would never prune candidates"
-            ),
-        )
-    radii = [info.visibility_radii[name] for name in info.spatial_field_names]
-    if len(set(radii)) == 1 and radii[0] > 0:
-        return IndexSelection(
-            index="grid",
-            cell_size=2.0 * radii[0],
-            reason=(
-                f"uniform visibility radius {radii[0]:g}: a grid with cell size "
-                "equal to the visibility diameter answers each visible-region "
-                "query with a constant number of cell probes; the vectorized "
-                "columnar grid answers all probes of a tick in one batched "
-                "kernel (O(n) snapshot amortized over n probes)"
-            ),
-            spatial_backend="vectorized",
-        )
-    return IndexSelection(
-        index="kdtree",
-        cell_size=None,
-        reason=(
-            "anisotropic visibility radii "
-            f"{sorted(set(radii))}: a k-d tree range query handles "
-            "per-dimension bounds without committing to one grid cell size"
-        ),
-    )
-
 
 @dataclass(frozen=True)
 class PlanSelection:
@@ -132,7 +44,7 @@ class PlanSelection:
     the one per-class proof the runtime runs
     (:func:`~repro.brasil.kernels.kernels_for_class`), so it says exactly
     what ``plan_backend=None`` will do for this script.  ``reason`` records
-    why, mirroring :class:`IndexSelection`.
+    why.
     """
 
     query_compiled: bool

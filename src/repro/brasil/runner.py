@@ -4,13 +4,12 @@ This is the compilation *backend* the paper promises its users: write a
 simulation in BRASIL once, and the system owns parallelization.
 :func:`run_script` drives the full path —
 
-1. compile the script (semantic checks, effect inversion, algebra
-   translation, access-path selection);
+1. compile the script (semantic checks, effect inversion, the plan-kernel
+   proof);
 2. build a :class:`~repro.core.world.World` populated with deterministic
    initial agent states;
 3. derive the :class:`~repro.brace.config.BraceConfig` the script needs
-   (reduce-pass structure from the inversion outcome, spatial index from the
-   optimizer's :class:`~repro.brasil.optimizer.IndexSelection`);
+   (the reduce-pass structure from the inversion outcome);
 4. execute on :class:`~repro.brace.runtime.BraceRuntime` with whichever
    executor backend the caller configured (serial, thread, process or
    cluster — compiled agents are picklable, see
@@ -72,7 +71,6 @@ def _compile_with_label(
     label: str,
     class_name: str | None,
     effect_inversion: str,
-    use_index: bool,
 ) -> CompiledScript:
     """Compile, prefixing any compiler error with the script's label.
 
@@ -86,7 +84,6 @@ def _compile_with_label(
             source,
             class_name=class_name,
             effect_inversion=effect_inversion,
-            use_index=use_index,
         )
     except BrasilError as error:
         raise type(error)(f"cannot compile BRASIL script {label}: {error}") from error
@@ -161,52 +158,19 @@ def build_script_world(
 
 
 def config_for_script(
-    compiled: CompiledScript,
-    config: BraceConfig | None = None,
-    index: str | None = "auto",
+    compiled: CompiledScript, config: BraceConfig | None = None
 ) -> BraceConfig:
     """Derive the runtime configuration a compiled script needs.
 
     Starts from ``config`` (or defaults), then applies the compiler's
     overrides: ``non_local_effects`` reflects the effect-inversion outcome
     (one reduce pass when inversion localized every assignment, two
-    otherwise) and ``index``/``cell_size`` carry the optimizer's
-    access-path selection.  ``index`` other than ``"auto"`` (including
-    ``None`` for a nested-loop scan) overrides the selection.
+    otherwise).
     """
     base = config if config is not None else BraceConfig()
-    overrides = compiled.brace_config_overrides()
-    if base.spatial_backend is not None:
-        # An explicitly configured backend beats the optimizer's pin — a
-        # caller forcing the interpreted path (e.g. to measure the columnar
-        # speedup) must actually get it.
-        overrides.pop("spatial_backend", None)
-    if index != "auto":
-        overrides["index"] = index
-        overrides["cell_size"] = _grid_cell_size(compiled) if index == "grid" else None
-        # A forced access path drops the optimizer's backend pin too: the
-        # runtime's per-extent auto selection respects index=None (the
-        # un-indexed baseline stays interpreted and quadratic).
-        overrides.pop("spatial_backend", None)
-    derived = dataclasses.replace(base, **overrides)
+    derived = dataclasses.replace(base, **compiled.brace_config_overrides())
     derived.validate()
     return derived
-
-
-def _grid_cell_size(compiled: CompiledScript) -> float | None:
-    """Cell size for a *forced* grid index: the optimizer's choice if it made
-    one, else the visibility diameter (UniformGrid's built-in 1.0 default is
-    almost always wrong for real workloads)."""
-    selection = compiled.index_selection
-    if selection is not None and selection.cell_size is not None:
-        return selection.cell_size
-    info = compiled.info
-    radii = [
-        info.visibility_radii[name]
-        for name in info.spatial_field_names
-        if name in info.visibility_radii
-    ]
-    return 2.0 * max(radii) if radii else None
 
 
 @dataclass
@@ -242,8 +206,6 @@ def run_script(
     *,
     class_name: str | None = None,
     effect_inversion: str = "auto",
-    use_index: bool = True,
-    index: str | None = "auto",
     ticks: int = 10,
     num_agents: int = 50,
     initial_states: Sequence[dict[str, Any]] | None = None,
@@ -259,15 +221,10 @@ def run_script(
     config:
         Base :class:`BraceConfig`; pick the executor backend here
         (``BraceConfig(executor="process", num_workers=8)``).  The
-        script-derived knobs (``non_local_effects``, ``index``,
-        ``cell_size``) are overridden from the compilation result;
-        everything else passes through untouched.
-    class_name, effect_inversion, use_index:
+        script-derived knob (``non_local_effects``) is overridden from the
+        compilation result; everything else passes through untouched.
+    class_name, effect_inversion:
         Forwarded to :func:`~repro.brasil.compiler.compile_script`.
-    index:
-        ``"auto"`` (default) adopts the optimizer's selection; any other
-        value (``"kdtree"``, ``"grid"``, ``"quadtree"`` or ``None``)
-        forces that access path.
     ticks, num_agents, initial_states, bounds, seed:
         Simulation length and world construction — see
         :func:`build_script_world`.
@@ -287,14 +244,11 @@ def run_script(
         config=config,
         class_name=class_name,
         effect_inversion=effect_inversion,
-        use_index=use_index,
         num_agents=num_agents,
         initial_states=initial_states,
         bounds=bounds,
         seed=seed,
     )
-    if index != "auto":
-        session.with_index(index)
     with session:
         result = session.run(int(ticks))
     assert session.compiled is not None

@@ -1,8 +1,8 @@
 """Query- and update-phase contexts handed to agent behaviour code.
 
 The *query context* is how an agent sees the rest of the world during the
-query phase: it can enumerate the agents inside its visible region (a spatial
-index accelerates the lookup) and draw deterministic random numbers.  The
+query phase: it can enumerate the agents inside its visible region (the
+columnar grid answers the lookup) and draw deterministic random numbers.  The
 *update context* lets an agent draw random numbers and request births and
 deaths, which the engine applies at the tick boundary.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from operator import is_
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -24,35 +24,6 @@ from repro.core.ordering import agent_sort_key
 from repro.core.soa import pack_positions, rows_by_class
 from repro.spatial.bbox import BBox
 from repro.spatial.columnar import PointSet, VectorizedGrid, batch_neighbor_pairs
-from repro.spatial.grid import UniformGrid
-from repro.spatial.kdtree import KDTree
-from repro.spatial.quadtree import QuadTree
-
-#: Extent size from which ``spatial_backend=None`` (auto) prefers the
-#: columnar kernels: below this the per-tick snapshot costs more than the
-#: handful of interpreted probes it replaces.
-AUTO_VECTORIZE_MIN_AGENTS = 64
-
-
-def resolve_spatial_backend(backend: str | None, index: str | None, num_agents: int) -> str:
-    """Resolve a ``spatial_backend`` knob to ``"python"`` or ``"vectorized"``.
-
-    ``None`` (auto) picks the vectorized columnar kernels when an index was
-    requested (``index=None`` is an explicit ask for the un-indexed
-    nested-loop baseline, which stays interpreted so the Figure 3/4
-    no-indexing series keep their meaning) and the extent is large enough
-    to amortize the snapshot.
-    """
-    if backend in ("python", "vectorized"):
-        return backend
-    if backend is not None:
-        raise WorldError(
-            f"unknown spatial backend {backend!r}; expected 'python', "
-            "'vectorized' or None for automatic selection"
-        )
-    if index is not None and num_agents >= AUTO_VECTORIZE_MIN_AGENTS:
-        return "vectorized"
-    return "python"
 
 
 def agent_rng(seed: int, tick: int, agent_id: Any) -> np.random.Generator:
@@ -105,18 +76,14 @@ class QueryContext:
         Current tick number.
     seed:
         Simulation seed used for the per-agent random streams.
-    index:
-        ``"kdtree"``, ``"grid"``, ``"quadtree"`` or ``None`` (linear scan).
-    cell_size:
-        Grid cell size when ``index == "grid"``.
     check_visibility:
         When True, :meth:`neighbors` raises :class:`VisibilityError` if asked
         for a radius larger than the probing agent's declared visibility.
     spatial_backend:
-        ``"python"`` (interpreted per-probe queries against the chosen
-        index), ``"vectorized"`` (columnar batch kernels answering every
-        probe of the tick in a handful of array operations) or ``None`` for
-        automatic selection (:func:`resolve_spatial_backend`).
+        ``"vectorized"`` (the columnar grid: batch kernels answering every
+        probe of the tick in a handful of array operations) or ``"python"``
+        (a linear scan of the extent per probe — the oracle the grid is
+        checked against, and the "no indexing" series of Figures 3–5).
     snapshot:
         Optional prebuilt :class:`~repro.spatial.columnar.PointSet` over
         exactly these agents in canonical (:func:`agent_sort_key`) order —
@@ -125,10 +92,10 @@ class QueryContext:
         canonical order; the extent is not sorted again.  Ignored by the
         python backend.
 
-    Both backends return neighbour/visible matches in the *canonical agent
-    order* (ascending :func:`agent_sort_key`), so every floating-point
+    Both backends return neighbour/visible/nearest matches in the *canonical
+    agent order* (ascending :func:`agent_sort_key`), so every floating-point
     accumulation an agent performs over its matches is bit-identical
-    regardless of backend, index choice, or how the extent was assembled.
+    regardless of backend or how the extent was assembled.
     """
 
     def __init__(
@@ -136,28 +103,28 @@ class QueryContext:
         agents: Sequence[Any],
         tick: int,
         seed: int,
-        index: str | None = "kdtree",
-        cell_size: float | None = None,
         check_visibility: bool = True,
-        spatial_backend: str | None = None,
+        spatial_backend: str = "vectorized",
         snapshot: PointSet | None = None,
     ):
+        if spatial_backend not in ("vectorized", "python"):
+            raise WorldError(
+                f"unknown spatial backend {spatial_backend!r}; expected 'vectorized' "
+                "(the columnar grid) or 'python' (the linear-scan oracle)"
+            )
         self._agents = list(agents)
         self.tick = tick
         self.seed = seed
-        self.index_kind = index
         self.check_visibility = check_visibility
         self.work_units = 0
         self.index_probes = 0
-        self.spatial_backend = resolve_spatial_backend(
-            spatial_backend, index, len(self._agents)
-        )
+        self.spatial_backend = spatial_backend
         self._snapshot = snapshot if self.spatial_backend == "vectorized" else None
         self._canonical_list: list[Any] | None = (
             snapshot.items if self._snapshot is not None else None
         )
         self._canonical_rank: dict[int, int] | None = None
-        #: The log-cost index descent every indexed probe is charged.
+        #: The log-cost index descent every grid probe is charged.
         self._probe_base = max(1, int(math.log2(len(self._agents) + 1)))
         #: radius -> the self-join's per-row runs (see :meth:`_row_runs`).
         self._neighbor_batches: dict[float, tuple] = {}
@@ -169,33 +136,6 @@ class QueryContext:
         self._visible_batch: tuple[np.ndarray, ...] | None = None
         #: The σ_V batch as per-row runs, for per-agent :meth:`visible` calls.
         self._visible_runs: tuple | None = None
-        if self.spatial_backend == "vectorized":
-            self._index = None
-        else:
-            self._index = self._build_index(index, cell_size)
-
-    def _build_index(self, index: str | None, cell_size: float | None):
-        if index is None or not self._agents:
-            return None
-        key = lambda agent: agent.position()
-        if index == "kdtree":
-            return KDTree(self._agents, key=key)
-        if index == "grid":
-            if cell_size is None:
-                cell_size = self._default_cell_size()
-            return UniformGrid(self._agents, cell_size, key=key)
-        if index == "quadtree":
-            return QuadTree(self._agents, key=key)
-        raise WorldError(f"unknown spatial index {index!r}")
-
-    def _default_cell_size(self) -> float:
-        radii = [
-            radius
-            for agent in self._agents
-            for radius in agent.visibility_radii()
-            if radius is not None
-        ]
-        return max(radii) if radii else 1.0
 
     # ------------------------------------------------------------------
     # Extent access
@@ -228,18 +168,16 @@ class QueryContext:
         if self.spatial_backend == "vectorized":
             return self._neighbors_vectorized(agent, radius, include_self)
         center = agent.position()
-        candidates = self._candidates(BBox.around(center, radius))
+        box = BBox.around(center, radius)
         radius_sq = radius * radius
-        matches = []
-        for candidate in candidates:
-            if candidate is agent and not include_self:
-                continue
-            point = candidate.position()
-            dist_sq = sum((p - c) ** 2 for p, c in zip(point, center))
-            if dist_sq <= radius_sq:
-                matches.append(candidate)
-        self.work_units += len(candidates)
-        return self._in_canonical_order(matches)
+        # Every candidate costs one distance test, whatever the radius; the
+        # box test (which the grid applies too) only confirms the matches.
+        return [
+            candidate
+            for candidate in self._scan(agent, include_self)
+            if sum((p - c) ** 2 for p, c in zip(candidate.position(), center)) <= radius_sq
+            and box.contains_point(candidate.position())
+        ]
 
     def neighbors_in_box(self, agent: Any, box: BBox, include_self: bool = False) -> list[Any]:
         """Agents whose position lies inside ``box``, in canonical order."""
@@ -249,15 +187,11 @@ class QueryContext:
             self.work_units += self._probe_work(len(rows))
             self.index_probes += 1
             return self._materialize(snapshot, rows, agent, include_self)
-        candidates = self._candidates(box)
-        matches = []
-        for candidate in candidates:
-            if candidate is agent and not include_self:
-                continue
-            if box.contains_point(candidate.position()):
-                matches.append(candidate)
-        self.work_units += len(candidates)
-        return self._in_canonical_order(matches)
+        return [
+            candidate
+            for candidate in self._scan(agent, include_self)
+            if box.contains_point(candidate.position())
+        ]
 
     def visible(self, agent: Any, include_self: bool = False) -> list[Any]:
         """Agents inside ``agent``'s declared visible region, in canonical order."""
@@ -265,33 +199,25 @@ class QueryContext:
             return self._visible_vectorized(agent, include_self)
         region = agent.visible_region()
         if region is None:
-            result = [
-                a for a in self._canonical_agents() if include_self or a is not agent
-            ]
-            self.work_units += len(self._agents)
-            return result
+            return self._scan(agent, include_self)
         return self.neighbors_in_box(agent, region, include_self=include_self)
 
     def nearest(self, agent: Any, k: int = 1, max_radius: float | None = None) -> list[Any]:
         """Up to ``k`` nearest other agents, optionally within ``max_radius``.
 
-        The vectorized backend breaks exact distance ties by canonical order;
-        the k-d tree path breaks them by traversal order.
+        Nearest first; exact distance ties in canonical order.  ``k <= 0``
+        returns no agents.
         """
         center = agent.position()
         if self.spatial_backend == "vectorized":
             found = self._nearest_vectorized(agent, center, k)
-        elif isinstance(self._index, KDTree):
-            self.index_probes += 1
-            # Ask for one extra in case the agent itself is indexed here.
-            found = [a for a in self._index.k_nearest(center, k + 1) if a is not agent][:k]
         else:
+            # A stable sort of the canonical list: ties keep canonical order.
             ranked = sorted(
-                (a for a in self._agents if a is not agent),
+                self._scan(agent, include_self=False),
                 key=lambda a: sum((p - c) ** 2 for p, c in zip(a.position(), center)),
             )
-            self.work_units += len(self._agents)
-            found = ranked[:k]
+            found = ranked[:k] if k > 0 else []
         if max_radius is not None:
             radius_sq = max_radius * max_radius
             found = [
@@ -328,12 +254,17 @@ class QueryContext:
             }
         return self._canonical_rank
 
-    def _in_canonical_order(self, matches: list[Any]) -> list[Any]:
-        """Sort ``matches`` into canonical order (in place, returned)."""
-        if len(matches) > 1:
-            rank = self._rank()
-            matches.sort(key=lambda agent: rank[id(agent)])
-        return matches
+    def _scan(self, agent: Any, include_self: bool) -> list[Any]:
+        """The python backend's probe: the whole extent, in canonical order.
+
+        Charges one work unit per agent of the extent, whatever the probe
+        keeps.
+        """
+        self.work_units += len(self._agents)
+        canonical = self._canonical_agents()
+        if include_self:
+            return list(canonical)
+        return [candidate for candidate in canonical if candidate is not agent]
 
     # ------------------------------------------------------------------
     # Internals — vectorized backend
@@ -357,11 +288,10 @@ class QueryContext:
         return matches
 
     def _probe_work(self, candidates: int) -> int:
-        """The python backend's work charge for one indexed probe.
+        """The grid's work charge for one probe.
 
-        One log-cost index descent plus the surfaced candidates — charged
-        identically on both backends so virtual-time measurements stay
-        comparable when the backend flips between runs or worker sizes.
+        One log-cost index descent plus the candidates inside the probe's
+        box, as a per-probe range query on a spatial index would cost.
         """
         return self._probe_base + candidates
 
@@ -542,12 +472,7 @@ class QueryContext:
     def _nearest_vectorized(self, agent, center, k: int) -> list[Any]:
         snapshot = self._ensure_snapshot()
         points = snapshot.points
-        # Charge what the python path would for the configured index, so
-        # virtual-time accounting stays backend-independent.
-        if self.index_kind == "kdtree":
-            self.index_probes += 1
-        else:
-            self.work_units += len(self._agents)
+        self.index_probes += 1
         if len(points) == 0 or k <= 0:
             return []
         center_arr = np.asarray(tuple(map(float, center)), dtype=np.float64)
@@ -566,13 +491,6 @@ class QueryContext:
             if len(found) == k:
                 break
         return found
-
-    def _candidates(self, box: BBox) -> Iterable[Any]:
-        if self._index is None:
-            return self._agents
-        self.index_probes += 1
-        self.work_units += self._probe_base
-        return self._index.range_query(box)
 
     def _default_radius(self, agent: Any) -> float:
         radii = [radius for radius in agent.visibility_radii() if radius is not None]

@@ -7,9 +7,8 @@ produce exactly the same agent states after every tick (see the equivalence
 tests in ``tests/brace/``).
 
 It also doubles as the single-node performance subject of Figures 3 and 4 —
-the ``index`` argument switches between the quadratic nested-loop join
-(``None``) and the log-linear indexed join (``"kdtree"``, ``"grid"``,
-``"quadtree"``).
+the ``spatial_backend`` argument switches between the quadratic nested-loop
+join (``"python"``) and the columnar grid (``"vectorized"``).
 """
 
 from __future__ import annotations
@@ -94,17 +93,12 @@ class SequentialEngine:
     ----------
     world:
         The :class:`~repro.core.world.World` to simulate (mutated in place).
-    index:
-        Spatial index for the query phase: ``"kdtree"``, ``"grid"``,
-        ``"quadtree"`` or ``None`` for the nested-loop join.
-    cell_size:
-        Cell size when ``index == "grid"``.
     check_visibility:
         Forwarded to the query context; disable only for benchmarks.
     spatial_backend:
-        ``"python"``, ``"vectorized"`` or ``None`` (automatic) — how the
-        query phase's spatial joins execute; states are bit-identical
-        either way.
+        ``"vectorized"`` (the columnar grid, the default) or ``"python"``
+        (a linear scan per probe, the nested-loop join) — how the query
+        phase's spatial joins execute; states are bit-identical either way.
     on_tick_end:
         Optional callback ``f(world, tick_statistics)`` invoked after every tick.
     """
@@ -112,15 +106,11 @@ class SequentialEngine:
     def __init__(
         self,
         world: World,
-        index: str | None = "kdtree",
-        cell_size: float | None = None,
         check_visibility: bool = True,
-        spatial_backend: str | None = None,
+        spatial_backend: str = "vectorized",
         on_tick_end: Callable[[World, TickStatistics], None] | None = None,
     ):
         self.world = world
-        self.index = index
-        self.cell_size = cell_size
         self.check_visibility = check_visibility
         self.spatial_backend = spatial_backend
         self.on_tick_end = on_tick_end
@@ -142,8 +132,6 @@ class SequentialEngine:
             agents,
             tick=world.tick,
             seed=world.seed,
-            index=self.index,
-            cell_size=self.cell_size,
             check_visibility=self.check_visibility,
             spatial_backend=self.spatial_backend,
         )

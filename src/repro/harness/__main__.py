@@ -21,15 +21,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", choices=[*experiment_names(), "all"])
     parser.add_argument("--full", action="store_true", help="use paper-scale parameters")
     parser.add_argument(
-        "--backend",
-        choices=["python", "vectorized"],
-        default=None,
-        help=(
-            "spatial backend for the indexed join series of experiments "
-            "that take one (figure3, figure4)"
-        ),
-    )
-    parser.add_argument(
         "--list", action="store_true", help="describe the chosen experiments and exit"
     )
     arguments = parser.parse_args(argv)
@@ -37,18 +28,10 @@ def main(argv: list[str] | None = None) -> int:
     names = experiment_names() if arguments.experiment == "all" else [arguments.experiment]
     if arguments.list:
         for name in names:
-            experiment = EXPERIMENTS[name]
-            backend = "  [--backend]" if experiment.backend_parameter else ""
-            print(f"{name:15s} {experiment.description}{backend}")
+            print(f"{name:15s} {EXPERIMENTS[name].description}")
         return 0
     for name in names:
-        backend = arguments.backend
-        if backend is not None and EXPERIMENTS[name].backend_parameter is None:
-            if arguments.experiment == "all":
-                backend = None  # only applies to experiments that take one
-            else:
-                parser.error(f"experiment {name!r} does not take --backend")
-        result = run_experiment(name, arguments.full, backend)
+        result = run_experiment(name, arguments.full)
         print(result.format_table())
         print()
     return 0

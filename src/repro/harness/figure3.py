@@ -7,8 +7,9 @@ Three series, exactly as in the paper:
 * **BRACE - no indexing** — the agent framework with the nested-loop join
   (every vehicle scans every other vehicle): quadratic in the number of
   vehicles, i.e. in the segment length;
-* **BRACE - indexing** — the agent framework with the k-d tree converting
-  the neighbour enumeration into an orthogonal range query: log-linear.
+* **BRACE - indexing** — the agent framework with the columnar grid
+  answering every vehicle's neighbour enumeration as a range query in one
+  batched kernel per tick.
 
 Total simulation time (wall-clock seconds) is reported per segment length.
 """
@@ -66,14 +67,11 @@ def run_figure3(
     ticks: int = 10,
     seed: int = 11,
     base_parameters: TrafficParameters | None = None,
-    spatial_backend: str | None = "python",
 ) -> Figure3Result:
     """Sweep the segment length and time the three implementations.
 
-    ``spatial_backend`` selects how the *indexed* series executes its joins;
-    the default is the paper-faithful interpreted path, and ``--backend
-    vectorized`` from the CLI re-runs the series on the columnar kernels.
-    The un-indexed series is always the interpreted quadratic baseline.
+    The un-indexed series is the linear scan (``spatial_backend="python"``),
+    the indexed one the columnar grid (``"vectorized"``).
     """
     base_parameters = base_parameters or TrafficParameters()
     result = Figure3Result(ticks=ticks)
@@ -86,15 +84,13 @@ def run_figure3(
         result.mitsim_seconds.append(baseline.run(ticks))
 
         world = build_traffic_world(parameters, seed=seed)
-        engine = SequentialEngine(world, index=None, check_visibility=False)
+        engine = SequentialEngine(world, check_visibility=False, spatial_backend="python")
         start = time.perf_counter()
         engine.run(ticks)
         result.no_index_seconds.append(time.perf_counter() - start)
 
         world = build_traffic_world(parameters, seed=seed)
-        engine = SequentialEngine(
-            world, index="kdtree", check_visibility=False, spatial_backend=spatial_backend
-        )
+        engine = SequentialEngine(world, check_visibility=False)
         start = time.perf_counter()
         engine.run(ticks)
         result.index_seconds.append(time.perf_counter() - start)

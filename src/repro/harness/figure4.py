@@ -1,7 +1,7 @@
 """Figure 4 — fish single-node performance: indexing vs visibility range.
 
 The fish school simulation is run on a single node with and without the
-k-d tree index while the visibility (attraction) radius ``rho`` grows.  As in
+columnar grid while the visibility (attraction) radius ``rho`` grows.  As in
 the paper, indexing helps by a factor of two to three, but its advantage
 shrinks as the visibility range grows because each index probe returns more
 and more of the school.
@@ -58,14 +58,11 @@ def run_figure4(
     num_fish: int = 400,
     ticks: int = 5,
     seed: int = 5,
-    spatial_backend: str | None = "python",
 ) -> Figure4Result:
     """Sweep the visibility radius and time the indexed and un-indexed engines.
 
-    ``spatial_backend`` selects how the *indexed* series executes its joins;
-    the default is the paper-faithful interpreted path, and ``--backend
-    vectorized`` from the CLI re-runs the series on the columnar kernels.
-    The un-indexed series is always the interpreted quadratic baseline.
+    The un-indexed series is the linear scan (``spatial_backend="python"``),
+    the indexed one the columnar grid (``"vectorized"``).
     """
     result = Figure4Result(ticks=ticks, num_fish=num_fish)
     for visibility in visibility_ranges:
@@ -74,15 +71,13 @@ def run_figure4(
         result.visibility_ranges.append(visibility)
 
         world = build_fish_world(num_fish, parameters, seed=seed, fish_class=fish_class)
-        engine = SequentialEngine(world, index=None, check_visibility=False)
+        engine = SequentialEngine(world, check_visibility=False, spatial_backend="python")
         start = time.perf_counter()
         engine.run(ticks)
         result.no_index_seconds.append(time.perf_counter() - start)
 
         world = build_fish_world(num_fish, parameters, seed=seed, fish_class=fish_class)
-        engine = SequentialEngine(
-            world, index="kdtree", check_visibility=False, spatial_backend=spatial_backend
-        )
+        engine = SequentialEngine(world, check_visibility=False)
         start = time.perf_counter()
         engine.run(ticks)
         result.index_seconds.append(time.perf_counter() - start)

@@ -4,8 +4,8 @@ Four configurations of the predator simulation on a 16-worker BRACE cluster,
 as in the paper:
 
 * **No-Opt** — non-local bite assignments (two reduce passes) and no spatial
-  index in the query phase;
-* **Idx-Only** — non-local assignments with the k-d tree index;
+  index in the query phase (a linear scan per probe);
+* **Idx-Only** — non-local assignments with the columnar grid;
 * **Inv-Only** — the effect-inverted (local) formulation, no index, single
   reduce pass;
 * **Idx+Inv** — inverted and indexed.
@@ -70,14 +70,14 @@ def _run_configuration(
     seed: int,
     parameters: PredatorParameters,
     non_local: bool,
-    index: str | None,
+    indexed: bool,
 ) -> float:
     world = build_predator_world(num_fish, parameters, seed=seed, non_local=non_local)
     config = BraceConfig(
         num_workers=workers,
         ticks_per_epoch=max(1, ticks),
         non_local_effects=non_local,
-        index=index,
+        spatial_backend="vectorized" if indexed else "python",
         check_visibility=False,
         load_balance=False,
     )
@@ -96,15 +96,15 @@ def run_figure5(
     parameters = parameters or PredatorParameters()
     result = Figure5Result(num_fish=num_fish, workers=workers, ticks=ticks)
     result.throughputs["No-Opt"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=True, index=None
+        num_fish, workers, ticks, seed, parameters, non_local=True, indexed=False
     )
     result.throughputs["Idx-Only"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=True, index="kdtree"
+        num_fish, workers, ticks, seed, parameters, non_local=True, indexed=True
     )
     result.throughputs["Inv-Only"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=False, index=None
+        num_fish, workers, ticks, seed, parameters, non_local=False, indexed=False
     )
     result.throughputs["Idx+Inv"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=False, index="kdtree"
+        num_fish, workers, ticks, seed, parameters, non_local=False, indexed=True
     )
     return result

@@ -65,7 +65,6 @@ def _run(world, workers: int, ticks: int, load_balance: bool, ticks_per_epoch: i
     config = BraceConfig(
         num_workers=workers,
         ticks_per_epoch=ticks_per_epoch,
-        index="kdtree",
         check_visibility=False,
         load_balance=load_balance,
         load_balance_threshold=1.1,

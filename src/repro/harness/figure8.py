@@ -53,7 +53,6 @@ def _epoch_times(world, workers: int, epochs: int, ticks_per_epoch: int, load_ba
     config = BraceConfig(
         num_workers=workers,
         ticks_per_epoch=ticks_per_epoch,
-        index="kdtree",
         check_visibility=False,
         load_balance=load_balance,
         load_balance_threshold=1.1,

@@ -21,30 +21,6 @@ from repro.harness.figure7 import run_figure7, run_figure7_brasil
 from repro.harness.figure8 import run_figure8
 from repro.harness.table2 import run_table2
 
-#: Cost profile of the ``"vectorized"`` columnar grid backend, measured on
-#: the 10k-agent fish radius join of ``benchmarks/test_spatial_kernel.py``.
-#: Recorded as documentation for tuning and for the rationale behind the
-#: optimizer's backend pin (``select_index`` references these figures in
-#: its reasoning; no code consumes them at runtime).  Absolute values are
-#: machine-dependent — the *ratios* are the point: the interpreted path
-#: pays ~1ms of interpreter overhead per probe that the batch kernels
-#: amortize into ~1e-7 s per candidate.
-VECTORIZED_GRID_COSTS = {
-    #: Packing one agent's position into the per-tick float64 snapshot.
-    "snapshot_seconds_per_agent": 5e-7,
-    #: Binning + lexsort bucketing, per indexed point.
-    "build_seconds_per_point": 2e-7,
-    #: Batched enumeration + exact filter, per candidate pair examined.
-    "join_seconds_per_candidate": 1.3e-7,
-    #: Interpreted (python backend) cost per probe at fish-benchmark density,
-    #: for comparison.
-    "python_seconds_per_probe": 1.1e-3,
-    #: Measured wall-clock ratio python/vectorized on the 10k-agent join
-    #: (the benchmark asserts >= 5.0).
-    "measured_speedup_10k_fish": 7.0,
-}
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One reproducible experiment: a runner plus its two parameter scales."""
@@ -60,29 +36,17 @@ class Experiment:
     #: Parameters closer to paper scale (minutes of runtime); keys not
     #: present here fall back to the laptop values.
     full: dict[str, Any] = field(default_factory=dict)
-    #: Name of the runner's spatial-backend keyword, when it has one —
-    #: these experiments accept ``--backend {python,vectorized}`` from the
-    #: CLI to re-run their indexed series on either join implementation.
-    backend_parameter: str | None = None
 
-    def parameters(
-        self, full: bool = False, backend: str | None = None
-    ) -> dict[str, Any]:
+    def parameters(self, full: bool = False) -> dict[str, Any]:
         """The keyword arguments for one scale (full overrides laptop)."""
         parameters = dict(self.laptop)
         if full:
             parameters.update(self.full)
-        if backend is not None:
-            if self.backend_parameter is None:
-                raise ValueError(
-                    f"experiment {self.name!r} does not take a spatial backend"
-                )
-            parameters[self.backend_parameter] = backend
         return parameters
 
-    def run(self, full: bool = False, backend: str | None = None) -> Any:
+    def run(self, full: bool = False) -> Any:
         """Execute the experiment; returns its ``*Result`` object."""
-        return self.runner(**self.parameters(full, backend))
+        return self.runner(**self.parameters(full))
 
 
 _REGISTRY = [
@@ -99,7 +63,6 @@ _REGISTRY = [
         run_figure3,
         laptop={"segment_lengths": (500.0, 1000.0, 2000.0, 4000.0), "ticks": 10},
         full={"segment_lengths": (2500.0, 5000.0, 10000.0, 20000.0), "ticks": 20},
-        backend_parameter="spatial_backend",
     ),
     Experiment(
         "figure4",
@@ -115,7 +78,6 @@ _REGISTRY = [
             "num_fish": 2000,
             "ticks": 10,
         },
-        backend_parameter="spatial_backend",
     ),
     Experiment(
         "figure5",
@@ -172,19 +134,14 @@ def experiment_names() -> list[str]:
     return list(EXPERIMENTS)
 
 
-def run_experiment(name: str, full: bool = False, backend: str | None = None) -> Any:
-    """Run one registered experiment by name; raises KeyError when unknown.
-
-    ``backend`` forces the spatial backend of experiments that take one
-    (``figure3``/``figure4``); passing it for any other experiment raises
-    :class:`ValueError`.
-    """
+def run_experiment(name: str, full: bool = False) -> Any:
+    """Run one registered experiment by name; raises KeyError when unknown."""
     try:
         experiment = EXPERIMENTS[name]
     except KeyError:
         known = ", ".join(EXPERIMENTS)
         raise KeyError(f"unknown experiment {name!r}; expected one of: {known}") from None
-    return experiment.run(full, backend)
+    return experiment.run(full)
 
 
 def run_all(full: bool = False) -> dict[str, Any]:

@@ -4,7 +4,7 @@ The paper validates its BRASIL reimplementation of MITSIM's lane-changing and
 acceleration models by comparing, per lane, the lane changing frequency, the
 average density and the average velocity, reported as RMSPE.  Here the agent
 implementation (run through the framework with a fixed 200-unit lookahead and
-a spatial index) plays the role of the BRACE reimplementation and the
+the columnar grid) plays the role of the BRACE reimplementation and the
 hand-coded per-lane nearest-neighbour simulator plays the role of MITSIM.
 Both start from identical initial conditions and use the same per-vehicle
 random streams, so the residual error comes from the same source the paper
@@ -127,7 +127,6 @@ def run_table2(
     agent_collector = TrafficStatisticsCollector(parameters)
     engine = SequentialEngine(
         world,
-        index="kdtree",
         on_tick_end=lambda w, _stats: agent_collector.observe(w.agents()),
     )
 

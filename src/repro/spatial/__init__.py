@@ -1,26 +1,21 @@
-"""Spatial substrate: vectors, boxes, indexes, partitioning and joins.
+"""Spatial substrate: vectors, boxes, the columnar grid, partitioning and joins.
 
 Behavioral simulations are abstracted by the paper as *iterated spatial
 joins*; this package provides every spatial primitive those joins need:
 
 * :mod:`repro.spatial.vec` — small fixed-dimension vectors.
 * :mod:`repro.spatial.bbox` — axis-aligned bounding boxes.
-* :mod:`repro.spatial.kdtree` — a semidynamic k-d tree (range, radius, kNN).
-* :mod:`repro.spatial.grid` — a uniform grid index.
-* :mod:`repro.spatial.quadtree` — a point quadtree.
 * :mod:`repro.spatial.partitioning` — rectilinear grid / strip partitioning
   of space onto workers, with owned sets and partition visible regions.
-* :mod:`repro.spatial.join` — spatial self-join algorithms used by the
-  query phase.
-* :mod:`repro.spatial.columnar` — NumPy-backed columnar snapshots and batch
-  join kernels (the ``"vectorized"`` spatial backend).
+* :mod:`repro.spatial.columnar` — NumPy-backed columnar snapshots and the
+  columnar grid's batch join kernels: the runtime's one spatial index (the
+  ``"vectorized"`` spatial backend).
+* :mod:`repro.spatial.join` — the nested-loop self-join, the linear-scan
+  oracle the grid is checked against.
 """
 
 from repro.spatial.vec import Vec2, Vec3
 from repro.spatial.bbox import BBox
-from repro.spatial.kdtree import KDTree
-from repro.spatial.grid import UniformGrid
-from repro.spatial.quadtree import QuadTree
 from repro.spatial.partitioning import (
     Partition,
     GridPartitioning,
@@ -28,7 +23,6 @@ from repro.spatial.partitioning import (
 )
 from repro.spatial.join import (
     nested_loop_self_join,
-    index_self_join,
     neighbor_lists,
 )
 from repro.spatial.columnar import (
@@ -44,14 +38,10 @@ __all__ = [
     "Vec2",
     "Vec3",
     "BBox",
-    "KDTree",
-    "UniformGrid",
-    "QuadTree",
     "Partition",
     "GridPartitioning",
     "StripPartitioning",
     "nested_loop_self_join",
-    "index_self_join",
     "neighbor_lists",
     "PointSet",
     "VectorizedGrid",

@@ -25,8 +25,8 @@ spirit of MADlib-style vectorized bulk operators:
 
 Exactness contract
 ------------------
-The kernels never approximate: candidate enumeration may differ from the
-interpreted indexes, but the final membership tests use the same float64
+The kernels never approximate: candidate enumeration differs from the
+linear scan, but the final membership tests use the same float64
 comparisons Python performs (``lo <= p <= hi`` box tests — in dimension 0
 as the ``left``/``right`` binary searches over the sorted column, which
 select exactly that closed set; squared Euclidean distance accumulated
@@ -411,11 +411,10 @@ class VectorizedGrid:
 
         Returns ``(probe_ids, match_rows, examined)`` with the pair arrays
         sorted by ``(probe, row)``.  ``examined[p]`` counts the candidates
-        an interpreted index would have surfaced for probe ``p`` — the rows
-        inside its closed box — so per-probe work units are comparable
-        across the python and vectorized backends (virtual-time figures must
-        not shift when the backend flips mid-sweep).  Here those are the
-        matches themselves: one ``bincount`` of the final probe ids.
+        a per-probe range query would surface for probe ``p`` — the rows
+        inside its closed box — which is what the query context charges
+        as work.  Here those are the matches themselves: one ``bincount``
+        of the final probe ids.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
@@ -440,8 +439,8 @@ class VectorizedGrid:
         """Exact Euclidean-ball matches around every center, in one sweep.
 
         Matches satisfy the closed box ``center ± radius`` *and* the squared
-        Euclidean distance test, exactly like the interpreted path (a box
-        range query pruned by distance).  The box test is not redundant: for
+        Euclidean distance test, exactly like the linear scan (a box test
+        pruned by distance).  The box test is not redundant: for
         subnormal-scale offsets the squared distance underflows to zero
         while the box still excludes the point.  ``examined`` (see
         :meth:`batch_range_query`) is the box candidates, a superset of the
@@ -467,7 +466,7 @@ class VectorizedGrid:
                 # Left-to-right accumulation, as in _pairwise_dist_sq.
                 diff = coordinate - center
                 dist_sq = diff * diff if dist_sq is None else dist_sq + diff * diff
-            # Work charge = the box candidates an interpreted index surfaces;
+            # Work charge = the box candidates a range query surfaces;
             # matches additionally pass the distance test.
             near = dist_sq <= radius_sq
             if inside is None:

@@ -2,80 +2,29 @@
 
 Processing one tick of a behavioral simulation is "similar to a spatial
 self-join": each agent is joined with every agent inside its visible region.
-Two strategies are provided, matching the paper's single-node experiments:
+The paper's single-node experiments compare two strategies, and so does this
+module:
 
 * :func:`nested_loop_self_join` — the un-indexed quadratic scan (the
-  "BRACE - no indexing" series of Figures 3 and 4).
-* :func:`index_self_join` — an orthogonal range query against a spatial
-  index built for the tick (the "BRACE - indexing" series).
+  "BRACE - no indexing" series of Figures 3 and 4), kept as the oracle every
+  indexed result is checked against.
+* the columnar grid of :mod:`repro.spatial.columnar` — one batched range
+  query per tick over a position snapshot (the "BRACE - indexing" series).
 
 Both return, for each probe item, the list of items falling inside its query
 box; :func:`neighbor_lists` is a radius-based convenience wrapper used by the
 fish and predator models.  The semantic entry points
 (:func:`visible_region_self_join`, :func:`neighbor_lists`) report matches in
-item order whatever the index, and accept ``backend="vectorized"`` to run on
-the columnar kernels of :mod:`repro.spatial.columnar` instead.
+item order whatever the strategy, and accept ``backend="vectorized"`` to run
+on the columnar kernels instead of the scan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.spatial.bbox import BBox
-from repro.spatial.columnar import (
-    derive_cell_size,
-    vectorized_neighbor_lists,
-    vectorized_self_join,
-)
-from repro.spatial.grid import UniformGrid
-from repro.spatial.kdtree import KDTree
-from repro.spatial.quadtree import QuadTree
-
-IndexFactory = Callable[..., Any]
-
-_INDEX_FACTORIES: dict[str, IndexFactory] = {
-    "kdtree": KDTree,
-    "grid": UniformGrid,
-    "quadtree": QuadTree,
-}
-
-
-def available_indexes() -> list[str]:
-    """Names of the spatial index implementations usable by :func:`index_self_join`."""
-    return sorted(_INDEX_FACTORIES)
-
-
-def build_index(
-    items: Iterable[Any],
-    key: Callable[[Any], Sequence[float]],
-    index: str = "kdtree",
-    cell_size: float | None = None,
-):
-    """Build the named spatial index over ``items``.
-
-    ``cell_size`` is only used by the grid index.  Pass an explicit value
-    (typically the visibility diameter); when omitted, a size is derived
-    from the data extent via
-    :func:`~repro.spatial.columnar.derive_cell_size` — the grid never
-    silently falls back to 1.0-unit cells, which degraded real workloads
-    into near-linear bucket scans.  A non-positive ``cell_size`` raises
-    :class:`ValueError` immediately.
-    """
-    if index not in _INDEX_FACTORIES:
-        raise ValueError(f"unknown spatial index {index!r}; choose from {available_indexes()}")
-    if index == "grid":
-        if cell_size is not None and not cell_size > 0:
-            raise ValueError(
-                f"grid cell_size must be positive, got {cell_size!r}; pass the "
-                "visibility diameter, or None to derive one from the data extent"
-            )
-        items = list(items)
-        if cell_size is None:
-            cell_size = derive_cell_size([tuple(map(float, key(item))) for item in items])
-        return UniformGrid(items, cell_size, key=key)
-    if index == "quadtree":
-        return QuadTree(items, key=key)
-    return KDTree(items, key=key)
+from repro.spatial.columnar import vectorized_neighbor_lists, vectorized_self_join
 
 
 def nested_loop_self_join(
@@ -86,9 +35,9 @@ def nested_loop_self_join(
     """Quadratic self-join: test every pair of items.
 
     Returns a mapping from the index of each probe item in ``items`` to the
-    list of items whose point falls inside ``query_box(probe)``.  The probe
-    item itself is included when it falls inside its own box, mirroring the
-    semantics of a BRASIL ``foreach`` over the full extent.
+    list of items whose point falls inside ``query_box(probe)``, in item
+    order.  The probe item itself is included when it falls inside its own
+    box, mirroring the semantics of a BRASIL ``foreach`` over the full extent.
     """
     points = [tuple(map(float, key(item))) for item in items]
     result: dict[int, list[Any]] = {}
@@ -102,50 +51,8 @@ def nested_loop_self_join(
     return result
 
 
-def index_self_join(
-    items: Sequence[Any],
-    key: Callable[[Any], Sequence[float]],
-    query_box: Callable[[Any], BBox],
-    index: str = "kdtree",
-    cell_size: float | None = None,
-) -> dict[int, list[Any]]:
-    """Index-driven self-join: one range query per probe item.
-
-    Semantically identical to :func:`nested_loop_self_join` (up to the order
-    of the matches) but with log-linear instead of quadratic cost for bounded
-    visible regions.
-    """
-    spatial_index = build_index(items, key, index=index, cell_size=cell_size)
-    result: dict[int, list[Any]] = {}
-    for probe_index, probe in enumerate(items):
-        result[probe_index] = spatial_index.range_query(query_box(probe))
-    return result
-
-
-def _item_order(items: Sequence[Any]) -> dict[int, int]:
-    """Object id → position in ``items`` (the canonical match order)."""
-    return {id(item): position for position, item in enumerate(items)}
-
-
-def _canonicalize(joined: dict[int, list[Any]], items: Sequence[Any]) -> dict[int, list[Any]]:
-    """Sort every probe's matches into item order, in place.
-
-    Index strategies enumerate candidates in index-specific order; sorting
-    the matches back into item order makes the join's output — and every
-    floating-point accumulation downstream — independent of the access path
-    (and bit-identical to the columnar kernels, which emit item order
-    natively).
-    """
-    order = _item_order(items)
-    for matches in joined.values():
-        if len(matches) > 1:
-            matches.sort(key=lambda match: order[id(match)])
-    return joined
-
-
 def visible_region_self_join(
     agents: Sequence[Any],
-    index: str | None = "kdtree",
     cell_size: float | None = None,
     backend: str = "python",
 ) -> dict[int, list[Any]]:
@@ -154,13 +61,12 @@ def visible_region_self_join(
     This is the σ_V join of the BRASIL semantics: the query box of each probe
     agent is its ``visible_region()`` (derived from the script's
     ``#range``/``#visibility`` annotations), so the join is driven by the
-    declarations rather than an ad-hoc radius.  ``index=None`` selects the
-    nested-loop strategy; agents with unbounded visibility match the whole
+    declarations rather than an ad-hoc radius.  The default backend is the
+    nested-loop scan; agents with unbounded visibility match the whole
     extent.  The probe agent itself is excluded from its matches; matches
-    come back in agent order regardless of the index.
-    ``backend="vectorized"`` delegates to the columnar
-    :func:`~repro.spatial.columnar.vectorized_self_join` (same output, one
-    batched kernel).
+    come back in agent order.  ``backend="vectorized"`` delegates to the
+    columnar :func:`~repro.spatial.columnar.vectorized_self_join` (same
+    output, one batched kernel; ``cell_size`` applies to it only).
     """
     if backend == "vectorized":
         return vectorized_self_join(agents, cell_size=cell_size)
@@ -177,32 +83,24 @@ def visible_region_self_join(
             global_box[0] = BBox.of_points(other.position() for other in agents)
         return global_box[0]
 
-    key = lambda agent: agent.position()
-    if index is None:
-        joined = nested_loop_self_join(agents, key, query_box)
-    else:
-        joined = index_self_join(agents, key, query_box, index=index, cell_size=cell_size)
-    return _canonicalize(
-        {
-            probe_index: [match for match in matches if match is not agents[probe_index]]
-            for probe_index, matches in joined.items()
-        },
-        agents,
-    )
+    joined = nested_loop_self_join(agents, lambda agent: agent.position(), query_box)
+    return {
+        probe_index: [match for match in matches if match is not agents[probe_index]]
+        for probe_index, matches in joined.items()
+    }
 
 
 def neighbor_lists(
     items: Sequence[Any],
     key: Callable[[Any], Sequence[float]],
     radius: float,
-    index: str | None = "kdtree",
     include_self: bool = False,
     backend: str = "python",
 ) -> dict[int, list[Any]]:
     """Radius-based neighbour lists for every item, in item order.
 
-    ``index=None`` selects the nested-loop strategy;
-    ``backend="vectorized"`` delegates to the columnar
+    The default backend is the nested-loop scan; ``backend="vectorized"``
+    delegates to the columnar
     :func:`~repro.spatial.columnar.vectorized_neighbor_lists` (same output,
     one batched kernel).  The probe item is excluded from its own neighbour
     list unless ``include_self`` is True.
@@ -213,36 +111,20 @@ def neighbor_lists(
     points = [tuple(map(float, key(item))) for item in items]
     # One conversion per item, looked up per candidate pair — the candidate
     # points must not be rebuilt inside the quadratic pruning loop.
-    point_of: dict[int, tuple] = {
-        id(item): point for item, point in zip(items, points)
-    }
+    point_of: dict[int, tuple] = {id(item): point for item, point in zip(items, points)}
     radius_sq = radius * radius
-
-    def prune(probe_index: int, candidates: Iterable[Any]) -> list[Any]:
+    joined = nested_loop_self_join(
+        items, key, lambda item: BBox.around(point_of[id(item)], radius)
+    )
+    result: dict[int, list[Any]] = {}
+    for probe_index, candidates in joined.items():
         center = points[probe_index]
         matches = []
         for candidate in candidates:
             if candidate is items[probe_index] and not include_self:
                 continue
             point = point_of[id(candidate)]
-            dist_sq = sum((p - c) ** 2 for p, c in zip(point, center))
-            if dist_sq <= radius_sq:
+            if sum((p - c) ** 2 for p, c in zip(point, center)) <= radius_sq:
                 matches.append(candidate)
-        return matches
-
-    if index is None:
-        joined = nested_loop_self_join(
-            items, key, lambda item: BBox.around(point_of[id(item)], radius)
-        )
-    else:
-        joined = index_self_join(
-            items,
-            key,
-            lambda item: BBox.around(point_of[id(item)], radius),
-            index=index,
-            cell_size=radius if radius > 0 else None,
-        )
-    return _canonicalize(
-        {probe_index: prune(probe_index, matches) for probe_index, matches in joined.items()},
-        items,
-    )
+        result[probe_index] = matches
+    return result

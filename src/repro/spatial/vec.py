@@ -2,7 +2,7 @@
 
 The simulations in the paper are two- or three-dimensional; these classes are
 deliberately tiny, immutable and dependency-free so they can be used as agent
-state, as k-d tree keys and as dictionary keys.
+state, as spatial keys and as dictionary keys.
 """
 
 from __future__ import annotations

@@ -20,9 +20,15 @@ class TestFailFast:
         with pytest.raises(BraceError, match="unknown executor 'proces'"):
             make_session().with_executor("proces")
 
-    def test_unknown_index_fails_at_the_call(self):
-        with pytest.raises(BraceError, match="unknown spatial index"):
-            make_session().with_index("rtree")
+    @pytest.mark.parametrize("index", ["rtree", "kdtree", "quadtree", "auto"])
+    def test_unknown_index_fails_at_the_call(self, index):
+        with pytest.raises(BraceError, match="expected 'grid' .* or None"):
+            make_session().with_index(index)
+
+    @pytest.mark.parametrize("backend", [None, "auto", "kdtree"])
+    def test_spatial_backend_takes_two_values(self, backend):
+        with pytest.raises(BraceError, match="unknown spatial backend"):
+            make_session().with_spatial_backend(backend)
 
     def test_unknown_partitioning_scheme(self):
         with pytest.raises(BraceError, match="unknown partitioning scheme"):
@@ -36,9 +42,10 @@ class TestFailFast:
         with pytest.raises(BraceError, match="grid_cells only applies"):
             make_session().with_options(grid_cells=(2, 2))
 
-    def test_negative_cell_size(self):
-        with pytest.raises(BraceError, match="cell_size must be positive"):
-            make_session().with_index("grid", cell_size=-1.0)
+    @pytest.mark.parametrize("option", ["index", "cell_size"])
+    def test_removed_index_options_are_rejected(self, option):
+        with pytest.raises(BraceError, match=f"unknown configuration option '{option}'"):
+            make_session().with_options(**{option: "kdtree" if option == "index" else 2.0})
 
     def test_unknown_option_lists_valid_fields(self):
         with pytest.raises(BraceError, match="unknown configuration option 'bogus'"):
@@ -102,8 +109,7 @@ class TestBuilderCompilation:
         builder.set(num_workers=3)
         config = builder.build()
         assert config.num_workers == 3
-        assert builder.explicitly_set("num_workers")
-        assert not builder.explicitly_set("executor")
+        assert config.executor == BraceConfig().executor
 
     def test_every_braceconfig_field_is_reachable(self):
         builder = ConfigBuilder()
@@ -111,21 +117,22 @@ class TestBuilderCompilation:
             # set() accepts each field by name (with its current value).
             builder.set(**{field.name: getattr(BraceConfig(), field.name)})
 
-    def test_explicit_cell_size_survives_script_overrides(self):
-        from repro.api import Simulation
+    @pytest.mark.parametrize("source", ["agents", "script"])
+    @pytest.mark.parametrize("index,backend", [(None, "python"), ("grid", "vectorized")])
+    def test_with_index_writes_the_spatial_backend(self, source, index, backend):
         from repro.simulations.traffic import RING_LENGTH
         from repro.simulations.traffic.brasil_scripts import TRAFFIC_SCRIPT
 
-        session = Simulation.from_script(
-            TRAFFIC_SCRIPT, num_agents=8, seed=1, bounds=((0.0, RING_LENGTH),)
-        ).with_index("grid", cell_size=123.0)
-        assert session.config.index == "grid"
-        assert session.config.cell_size == 123.0
-        # Without an explicit cell size the optimizer's choice applies.
-        forced = Simulation.from_script(
-            TRAFFIC_SCRIPT, num_agents=8, seed=1, bounds=((0.0, RING_LENGTH),)
-        ).with_index("grid")
-        assert forced.config.cell_size not in (None, 123.0)
+        if source == "agents":
+            session = make_session()
+        else:
+            session = Simulation.from_script(
+                TRAFFIC_SCRIPT, num_agents=8, seed=1, bounds=((0.0, RING_LENGTH),)
+            )
+        # Start from the other value, so the call is what sets it.
+        other = "vectorized" if backend == "python" else "python"
+        session.with_spatial_backend(other).with_index(index)
+        assert session.config.spatial_backend == backend
 
     def test_configuration_frozen_after_start(self):
         from repro.core.errors import SimulationSessionError

@@ -263,15 +263,16 @@ class TestRepr:
 
 class TestProvenanceRoundTrip:
     """result.provenance.config must reproduce the run without re-deriving
-    any automatic default: every knob the runtime resolved (seed, spatial
-    backend, plan backend) is recorded as the concrete choice that ran."""
+    any automatic default: every knob the runtime resolved (seed, plan
+    backend) is recorded as the concrete choice that ran, next to the
+    spatial backend every shard ran."""
 
     def test_automatic_knobs_are_recorded_resolved(self, full_run_result):
         result = full_run_result
         config = result.provenance.config
-        # The session never set these; the defaults are None/auto — the
-        # provenance must hold what actually executed instead.
-        assert config.spatial_backend in ("python", "vectorized")
+        # The session never set these; the provenance must hold what
+        # actually executed instead of an automatic default.
+        assert config.spatial_backend == "vectorized"
         # Hand-written RingCar has no plan kernels: auto resolves to the
         # interpreter, and the provenance records that concrete choice.
         assert config.plan_backend == "interpreted"

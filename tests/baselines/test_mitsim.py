@@ -88,7 +88,7 @@ class TestBaselineVsAgentFramework:
     def test_baseline_is_faster_than_generic_framework(self, parameters):
         ticks = 5
         world = build_traffic_world(parameters, seed=19)
-        engine = SequentialEngine(world, index="kdtree", check_visibility=False)
+        engine = SequentialEngine(world, check_visibility=False)
         start = time.perf_counter()
         engine.run(ticks)
         framework_seconds = time.perf_counter() - start

@@ -160,8 +160,6 @@ def query_round(workers, tick) -> None:
         worker.run_query_phase(
             tick=tick,
             seed=SEED,
-            index="grid",
-            cell_size=None,
             check_visibility=True,
             spatial_backend="vectorized",
             plan_backend="interpreted",

@@ -26,7 +26,7 @@ class TestConfigValidation:
             {"partitioning": "hilbert"},
             {"partitioning": "grid"},  # grid without grid_cells
             {"partitioning": "grid", "grid_cells": (2, 3), "num_workers": 4},
-            {"index": "rtree"},
+            {"spatial_backend": None},
             {"load_balance_threshold": 0.5},
             {"checkpoint_interval_epochs": 0},
         ],

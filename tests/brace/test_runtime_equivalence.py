@@ -2,7 +2,7 @@
 
 This is the repository's core correctness invariant (Theorem 1 made
 executable): regardless of the number of workers, the partitioning, the
-spatial index, load balancing or the presence of non-local effects, a BRACE
+spatial backend, load balancing or the presence of non-local effects, a BRACE
 run is indistinguishable from a sequential run of the same world.
 """
 
@@ -37,13 +37,14 @@ class TestLocalEffectEquivalence:
         runtime.run(5)
         assert world.same_state_as(reference, tolerance=1e-9)
 
-    @pytest.mark.parametrize("index", [None, "kdtree", "grid", "quadtree"])
-    def test_index_choice_does_not_change_results(self, index):
-        reference = sequential_reference(Boid, seed=23, ticks=4)
+    @pytest.mark.parametrize("reference_backend", ["python", "vectorized"])
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_spatial_backend_does_not_change_results(self, backend, reference_backend):
+        reference = make_boid_world(num_agents=40, seed=23, agent_class=Boid)
+        SequentialEngine(reference, spatial_backend=reference_backend).run(4)
         world = make_boid_world(num_agents=40, seed=23, agent_class=Boid)
-        config = BraceConfig(num_workers=4, index=index, cell_size=10.0)
-        BraceRuntime(world, config).run(4)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        BraceRuntime(world, BraceConfig(num_workers=4, spatial_backend=backend)).run(4)
+        assert world.same_state_as(reference, tolerance=0.0)
 
     def test_grid_partitioning_matches_sequential(self):
         reference = sequential_reference(Boid, seed=29, ticks=4)

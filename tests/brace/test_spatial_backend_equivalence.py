@@ -1,10 +1,11 @@
 """Bit-identical world states across spatial backends.
 
-The columnar kernels are an *execution* strategy, never a semantic one:
-``spatial_backend="python"`` and ``"vectorized"`` must produce exactly the
-same agent states — on every executor, for both the fish and the traffic
-workloads, and through the BRASIL script front door whose optimizer now pins
-the vectorized backend.
+The columnar grid is an *execution* strategy, never a semantic one:
+``spatial_backend="vectorized"`` (the grid, the default) and ``"python"``
+(the linear-scan oracle) must produce exactly the same agent states — on
+every executor, for both the fish and the traffic workloads, and through the
+BRASIL script front door.  And the backend the configuration names is the
+one every shard runs, whatever its extent size.
 """
 
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
+from repro.brasil import build_script_world, compile_script, config_for_script
 from repro.core.agent import Agent
+from repro.core.engine import SequentialEngine
 from repro.core.errors import BraceError
 from repro.core.fields import EffectField, StateField
 from repro.core.world import World
@@ -56,6 +59,60 @@ def build_star_world(count=60):
     return world
 
 
+class BackendSpy(Agent):
+    """Records, in its state, whether its query phase ran on the grid."""
+
+    x = StateField(0.0, spatial=True, visibility=2.0)
+    y = StateField(0.0, spatial=True, visibility=2.0)
+    on_grid = StateField(-1.0)
+    grid_seen = EffectField("min")
+
+    def query(self, ctx):
+        ctx.visible(self)
+        self.grid_seen = 1.0 if ctx.spatial_backend == "vectorized" else 0.0
+
+    def update(self, ctx):
+        self.on_grid = self.grid_seen
+
+
+def build_lopsided_world():
+    """200 spies on two strips: shard 0 owns 190, shard 1 only 10.
+
+    Shard 1's extent (10 owned, no replicas: nobody is within reach of the
+    strip boundary at x = 50) is far below 64 agents; the world is far
+    above it.
+    """
+    world = World(bounds=BBox([(0, 100), (0, 100)]))
+    for index in range(190):
+        world.add_agent(BackendSpy(x=1.0 + (index % 19) * 2.0, y=1.0 + (index // 19) * 9.0))
+    for index in range(10):
+        world.add_agent(BackendSpy(x=70.0 + index * 2.5, y=50.0))
+    return world
+
+
+#: Anisotropic visible region: a narrow x reach and a wide y reach.
+ANISOTROPIC_SCRIPT = """
+class Walker {
+    public state float x : (x + dx); #range[-3, 3];
+    public state float y : (y + dy); #range[-8, 8];
+    public state float dx : (near > 0) ? (0 - sx / near) * 0.1 : dx;
+    public state float dy : (near > 0) ? (0 - sy / near) * 0.1 : dy;
+
+    private effect float sx : sum;
+    private effect float sy : sum;
+    private effect int near : sum;
+
+    public void run() {
+        foreach (Walker w : Extent<Walker>) {
+            sx <- w.x - x;
+            sy <- w.y - y;
+            near <- 1;
+        }
+    }
+}
+"""
+
+
 def final_states(world):
     return {agent.agent_id: agent.state_dict() for agent in world.agents()}
 
@@ -90,9 +147,13 @@ class TestBackendEquivalence:
         assert python_states == vectorized_states
 
     @pytest.mark.parametrize("workload", ["fish", "traffic"])
-    def test_auto_matches_forced_backends(self, workload):
-        auto_states = run_backend(workload, None, "serial")
-        assert auto_states == run_backend(workload, "python", "serial")
+    def test_default_config_runs_the_grid(self, workload):
+        assert BraceConfig().spatial_backend == "vectorized"
+        world = build_world(workload)
+        with BraceRuntime(world, BraceConfig(num_workers=3, ticks_per_epoch=2)) as runtime:
+            runtime.run(TICKS)
+            assert runtime.config.spatial_backend == "vectorized"
+        assert final_states(world) == run_backend(workload, "python", "serial")
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_extent_iteration_order_does_not_depend_on_the_backend(self, executor):
@@ -108,20 +169,30 @@ class TestBackendEquivalence:
             states[backend] = final_states(world)
         assert states["python"] == states["vectorized"]
 
-    def test_index_choice_is_bit_neutral(self):
-        # Canonical match ordering makes the access path invisible even at
-        # the last bit — a stronger form of the old tolerance-based check.
-        reference = None
-        for index in ("kdtree", "grid", "quadtree", None):
-            world = build_world("fish")
-            config = BraceConfig(num_workers=3, index=index, cell_size=12.0)
-            with BraceRuntime(world, config) as runtime:
-                runtime.run(TICKS)
-            states = final_states(world)
-            if reference is None:
-                reference = states
-            else:
-                assert states == reference, f"index {index!r} changed states"
+
+
+class TestWhatRanIsWhatIsRecorded:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_small_shard_runs_the_configured_backend(self, executor):
+        session = (
+            Simulation.from_agents(build_lopsided_world())
+            .with_workers(2)
+            .with_executor(executor, max_workers=2)
+            .with_load_balancing(False)
+        )
+        with session:
+            result = session.run(1)
+        assert result.provenance.config.spatial_backend == "vectorized"
+        # Every agent's query phase — the 10 on the small shard included —
+        # ran on the grid the provenance names.
+        assert {state["on_grid"] for state in result.final_states.values()} == {1.0}
+
+    def test_small_extent_contexts_run_the_grid(self):
+        from repro.core.context import QueryContext
+
+        for count in (0, 1, 2, 63, 64):
+            agents = [BackendSpy(agent_id=i, x=float(i), y=0.0) for i in range(count)]
+            assert QueryContext(agents, tick=0, seed=0).spatial_backend == "vectorized"
 
 
 class TestScriptFrontDoor:
@@ -138,34 +209,21 @@ class TestScriptFrontDoor:
                 result = session.run(TICKS)
             return result.final_states
 
-        vectorized = run(None)  # optimizer pins "vectorized" for uniform radii
+        vectorized = run(None)  # the default: the grid
         assert vectorized == run("python")
 
-    def test_optimizer_pins_vectorized_for_uniform_radii(self):
-        from repro.brasil import compile_script
-        from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
+    @pytest.mark.parametrize("plan", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("spatial", ["python", "vectorized"])
+    def test_anisotropic_radii_match_the_scan_oracle(self, spatial, plan):
+        compiled = compile_script(ANISOTROPIC_SCRIPT)
+        oracle = build_script_world(compiled, num_agents=80, seed=4)
+        SequentialEngine(oracle, spatial_backend="python").run(TICKS)
 
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        assert compiled.index_selection.spatial_backend == "vectorized"
-        assert compiled.brace_config_overrides()["spatial_backend"] == "vectorized"
-
-    def test_explicit_config_backend_beats_the_pin(self):
-        from repro.brasil import compile_script, config_for_script
-        from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
-
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        # No explicit choice: the optimizer's pin applies.
-        assert config_for_script(compiled).spatial_backend == "vectorized"
-        # An explicitly configured backend survives the pin...
-        base = BraceConfig(spatial_backend="python")
-        assert config_for_script(compiled, base).spatial_backend == "python"
-        # ...including when the access path is forced.
-        assert (
-            config_for_script(compiled, base, index="kdtree").spatial_backend
-            == "python"
-        )
-        # A forced access path alone drops the pin back to auto.
-        assert config_for_script(compiled, index="kdtree").spatial_backend is None
+        world = build_script_world(compiled, num_agents=80, seed=4)
+        base = BraceConfig(num_workers=3, spatial_backend=spatial, plan_backend=plan)
+        with BraceRuntime(world, config_for_script(compiled, base)) as runtime:
+            runtime.run(TICKS)
+        assert final_states(world) == final_states(oracle)
 
 
 class TestConfigSurface:
@@ -182,3 +240,35 @@ class TestConfigSurface:
         world = build_world("fish")
         session = Simulation.from_agents(world).with_spatial_backend("vectorized")
         assert session._builder.build().spatial_backend == "vectorized"
+
+
+class TestBackendOnTheWire:
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_query_command_round_trips(self, backend):
+        from repro.brace.shards import QueryCommand
+        from tests.wire_double import roundtrip
+
+        command = QueryCommand(
+            migrated_in=[],
+            replicas_in=[],
+            tick=3,
+            seed=7,
+            check_visibility=False,
+            spatial_backend=backend,
+            plan_backend="compiled",
+        )
+        decoded, _ = roundtrip(command)
+        assert (decoded.tick, decoded.seed, decoded.check_visibility) == (3, 7, False)
+        assert (decoded.spatial_backend, decoded.plan_backend) == (backend, "compiled")
+
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_every_shard_runs_the_configured_backend(self, backend):
+        from tests.wire_double import CodecRoundTripExecutor
+
+        world = build_lopsided_world()
+        config = BraceConfig(num_workers=2, spatial_backend=backend, load_balance=False)
+        with BraceRuntime(world, config) as runtime:
+            runtime.executor = CodecRoundTripExecutor()
+            runtime.run(1)
+        expected = 1.0 if backend == "vectorized" else 0.0
+        assert {agent.on_grid for agent in world.agents()} == {expected}

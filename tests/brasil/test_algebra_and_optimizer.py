@@ -143,7 +143,9 @@ class TestTranslation:
         # Compare against the values the interpreter accumulated before the update.
         reference = build_world(compiled.agent_class, num_agents=25, seed=6)
         reference_agents = reference.agents()
-        context = QueryContext(reference_agents, tick=0, seed=reference.seed, index=None)
+        context = QueryContext(
+            reference_agents, tick=0, seed=reference.seed, spatial_backend="python"
+        )
         with phase(Phase.QUERY):
             for agent in reference_agents:
                 agent.query(context)

@@ -78,11 +78,8 @@ class TestCompilation:
     def test_brace_config_overrides(self):
         local = compile_script(PREDATOR_LOCAL_SCRIPT)
         overrides = local.brace_config_overrides()
-        assert overrides["non_local_effects"] is False
-        # The optimizer's access-path selection rides along: the predator's
-        # uniform #range[-8, 8] visibility selects a grid join.
-        assert overrides["index"] == "grid"
-        assert overrides["cell_size"] == 16.0
+        # The reduce-pass structure is the only thing a script configures.
+        assert overrides == {"non_local_effects": False}
         non_local = compile_script(PREDATOR_NON_LOCAL_SCRIPT, effect_inversion="off")
         assert non_local.brace_config_overrides()["non_local_effects"] is True
 
@@ -132,14 +129,13 @@ class TestInterpretedExecution:
         SequentialEngine(second).run(4)
         assert first.same_state_as(second)
 
-    def test_use_index_flag_does_not_change_semantics(self):
-        indexed = compile_script(FISH_SCHOOL_SCRIPT, use_index=True)
-        scanned = compile_script(FISH_SCHOOL_SCRIPT, use_index=False)
-        first = build_world(indexed.agent_class, num_agents=40, seed=8)
-        second = build_world(scanned.agent_class, num_agents=40, seed=8)
-        SequentialEngine(first).run(3)
-        SequentialEngine(second).run(3)
-        assert first.same_state_as(second, tolerance=1e-9)
+    def test_foreach_semantics_do_not_depend_on_the_access_path(self):
+        compiled = compile_script(FISH_SCHOOL_SCRIPT)
+        grid = build_world(compiled.agent_class, num_agents=40, seed=8)
+        scan = build_world(compiled.agent_class, num_agents=40, seed=8)
+        SequentialEngine(grid, spatial_backend="vectorized").run(3)
+        SequentialEngine(scan, spatial_backend="python").run(3)
+        assert grid.same_state_as(scan, tolerance=0.0)
 
     def test_compiled_script_runs_on_brace(self):
         compiled = compile_script(FISH_SCHOOL_SCRIPT)

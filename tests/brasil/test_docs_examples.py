@@ -55,7 +55,7 @@ class TestBrasilDocExamples:
         world = World(bounds=BBox(((-50.0, 50.0), (-50.0, 50.0))), seed=1)
         for position in range(-20, 20, 2):
             world.add_agent(compiled.make_agent(x=float(position), y=float(-position) / 2))
-        SequentialEngine(world, index="kdtree").run(2)
+        SequentialEngine(world).run(2)
         assert world.agent_count() == 20
 
 

@@ -589,7 +589,7 @@ class TestTwoClassExtent:
         agents = list(world.agents())
         critters = [agent for agent in agents if isinstance(agent, compiled.agent_class)]
         owned = critters[:-1]
-        query = QueryContext(agents, tick=0, seed=seed, index="grid", spatial_backend="vectorized")
+        query = QueryContext(agents, tick=0, seed=seed, spatial_backend="vectorized")
         with phase(Phase.QUERY):
             _query_loop(owned, query, plan_backend)
         with phase(Phase.UPDATE):

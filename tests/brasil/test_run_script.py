@@ -17,7 +17,6 @@ from repro.brasil import (
     compiled_class_for_spec,
     config_for_script,
     run_script,
-    select_index,
 )
 from repro.core.errors import BrasilError
 from repro.core.soa import states_equal
@@ -101,44 +100,27 @@ class TestCompiledAgentPickling:
         assert isinstance(clone, first.agent_class)
 
 
-class TestIndexSelection:
-    def test_uniform_bounded_visibility_selects_grid(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        selection = compiled.index_selection
-        assert selection.index == "grid"
-        assert selection.cell_size == pytest.approx(12.0)
-
-    def test_selection_flows_into_brace_config(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        config = config_for_script(compiled)
-        assert config.index == "grid"
-        assert config.cell_size == pytest.approx(12.0)
+class TestScriptConfig:
+    def test_inverted_script_needs_one_reduce_pass(self):
+        config = config_for_script(compile_script(FISH_SCHOOL_SCRIPT))
         assert config.non_local_effects is False  # inversion removed them
 
-    def test_explicit_index_overrides_selection(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        config = config_for_script(compiled, index="kdtree")
-        assert config.index == "kdtree"
-        assert config.cell_size is None
+    def test_uninverted_script_keeps_the_second_reduce_pass(self):
+        compiled = compile_script(FISH_SCHOOL_SCRIPT, effect_inversion="off")
+        assert config_for_script(compiled).non_local_effects is True
 
-    def test_forced_grid_keeps_a_sensible_cell_size(self):
-        # Forcing index="grid" must not fall back to UniformGrid's 1.0-unit
-        # default cells; the visibility-derived size is kept.
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        config = config_for_script(compiled, index="grid")
-        assert config.index == "grid"
-        assert config.cell_size == pytest.approx(12.0)
+    def test_the_grid_is_the_default_access_path(self):
+        config = config_for_script(compile_script(FISH_SCHOOL_SCRIPT))
+        assert config.spatial_backend == "vectorized"
 
-    def test_unbounded_visibility_selects_scan(self):
-        source = """
-        class Walker {
-            public state float x : x + 1;
-            public void run() { }
-        }
-        """
-        selection = select_index(compile_script(source).info)
-        assert selection.index is None
-        assert "no spatial fields" in selection.reason
+    def test_the_callers_spatial_backend_passes_through(self):
+        compiled = compile_script(FISH_SCHOOL_SCRIPT)
+        config = config_for_script(compiled, BraceConfig(spatial_backend="python"))
+        assert config.spatial_backend == "python"
+
+    def test_overrides_are_the_reduce_pass_structure_only(self):
+        compiled = compile_script(FISH_SCHOOL_SCRIPT)
+        assert compiled.brace_config_overrides() == {"non_local_effects": False}
 
 
 class TestRunScriptInputs:

@@ -11,6 +11,7 @@ from repro.core.context import QueryContext, UpdateContext, agent_rng
 from repro.core.errors import VisibilityError, WorldError
 from repro.core.fields import StateField
 from repro.core.ordering import agent_sort_key
+from repro.spatial.bbox import BBox
 
 from tests.conftest import Boid, make_boid_world
 
@@ -27,11 +28,11 @@ def brute_force_neighbors(agents, probe, radius):
 
 
 class TestNeighborQueries:
-    @pytest.mark.parametrize("index", [None, "kdtree", "grid", "quadtree"])
-    def test_neighbors_match_brute_force(self, index):
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_neighbors_match_brute_force(self, backend):
         world = make_boid_world(num_agents=50, seed=9)
         agents = world.agents()
-        context = QueryContext(agents, tick=0, seed=0, index=index, cell_size=6.0)
+        context = QueryContext(agents, tick=0, seed=0, spatial_backend=backend)
         for probe in agents[:10]:
             expected = brute_force_neighbors(agents, probe, 6.0)
             actual = context.neighbors(probe, 6.0)
@@ -76,15 +77,58 @@ class TestNeighborQueries:
             a.agent_id for a in expected
         )
 
-    def test_nearest(self):
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_nearest(self, backend):
         world = make_boid_world(num_agents=30, seed=2)
         agents = world.agents()
-        context = QueryContext(agents, tick=0, seed=0)
+        context = QueryContext(agents, tick=0, seed=0, spatial_backend=backend)
         probe = agents[0]
         nearest = context.nearest(probe, k=3)
         distances = [math.dist(a.position(), probe.position()) for a in nearest]
         assert distances == sorted(distances)
         assert probe not in nearest
+
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    @pytest.mark.parametrize(
+        "order,k,expected",
+        [
+            # Agents 1 at (1, 0) and 2 at (-1, 0) tie for the probe 3 at the
+            # origin: the tie goes to canonical order, however the extent
+            # was assembled.
+            ((1, 2, 3), 1, [1]),
+            ((2, 1, 3), 1, [1]),
+            ((3, 2, 1), 1, [1]),
+            ((2, 3, 1), 2, [1, 2]),
+            ((2, 1, 3), 5, [1, 2]),
+            ((1, 2, 3), 0, []),
+            ((1, 2, 3), -1, []),
+            ((2, 1, 3), -1, []),
+        ],
+    )
+    def test_nearest_breaks_ties_in_canonical_order(self, backend, order, k, expected):
+        positions = {1: (1.0, 0.0), 2: (-1.0, 0.0), 3: (0.0, 0.0)}
+        agents = {i: Near(agent_id=i, x=positions[i][0], y=positions[i][1]) for i in order}
+        context = QueryContext(
+            [agents[i] for i in order], tick=0, seed=0, spatial_backend=backend
+        )
+        assert [a.agent_id for a in context.nearest(agents[3], k=k)] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_nearest_is_independent_of_extent_order(self, data):
+        agents, _ = data.draw(extents())
+        probe = agents[0]
+        k = data.draw(st.integers(min_value=-1, max_value=len(agents) + 1))
+        shuffled = data.draw(st.permutations(agents))
+        answers = {
+            (backend, tuple(a.agent_id for a in extent)): [
+                a.agent_id
+                for a in QueryContext(extent, 0, 0, spatial_backend=backend).nearest(probe, k)
+            ]
+            for backend in ("python", "vectorized")
+            for extent in (agents, shuffled)
+        }
+        assert len({tuple(found) for found in answers.values()}) == 1
 
     def test_agents_returns_full_extent(self):
         world = make_boid_world(num_agents=7)
@@ -98,10 +142,11 @@ class TestNeighborQueries:
         context.neighbors(world.agents()[0], 6.0)
         assert context.work_units > 0
 
-    def test_unknown_index_rejected(self):
+    @pytest.mark.parametrize("backend", [None, "auto", "kdtree"])
+    def test_unknown_backend_rejected(self, backend):
         world = make_boid_world(num_agents=3)
-        with pytest.raises(WorldError):
-            QueryContext(world.agents(), tick=0, seed=0, index="rtree")
+        with pytest.raises(WorldError, match="unknown spatial backend"):
+            QueryContext(world.agents(), tick=0, seed=0, spatial_backend=backend)
 
 
 class TestRandomStreams:
@@ -238,20 +283,18 @@ def _assert_pairs_equal_loop(agents, probes, **options):
 
 class TestVisiblePairs:
     @settings(max_examples=150, deadline=None)
-    @given(extents(), st.sampled_from(["kdtree", "grid", None]))
-    def test_vectorized_pairs_equal_looped_visible(self, extent, index):
+    @given(extents())
+    def test_vectorized_pairs_equal_looped_visible(self, extent):
         agents, probes = extent
-        _assert_pairs_equal_loop(agents, probes, index=index, spatial_backend="vectorized")
+        context = QueryContext(agents, tick=0, seed=0)
+        assert context.spatial_backend == "vectorized"  # whatever the extent size
+        _assert_pairs_equal_loop(agents, probes)
 
     @settings(max_examples=100, deadline=None)
-    @given(extents(), st.sampled_from(["kdtree", "grid", "quadtree", None]))
-    def test_python_backend_pairs_equal_looped_visible(self, extent, index):
-        # N < 64 resolves to the python backend on its own; index=None is
-        # the un-indexed nested-loop baseline.
+    @given(extents())
+    def test_python_backend_pairs_equal_looped_visible(self, extent):
         agents, probes = extent
-        context = QueryContext(agents, tick=0, seed=0, index=index)
-        assert context.spatial_backend == "python"
-        _assert_pairs_equal_loop(agents, probes, index=index)
+        _assert_pairs_equal_loop(agents, probes, spatial_backend="python")
 
     @settings(max_examples=60, deadline=None)
     @given(extents(classes=(Near, Far, Everywhere)), st.sampled_from(["python", "vectorized"]))
@@ -263,7 +306,7 @@ class TestVisiblePairs:
     @given(extents(allow_nan=True), st.sampled_from(["python", "vectorized"]))
     def test_nan_coordinate(self, extent, backend):
         agents, probes = extent
-        _assert_pairs_equal_loop(agents, probes, index=None, spatial_backend=backend)
+        _assert_pairs_equal_loop(agents, probes, spatial_backend=backend)
 
     @settings(max_examples=60, deadline=None)
     @given(extents(), _COORDINATES, _COORDINATES)
@@ -304,7 +347,137 @@ class TestVisiblePairs:
         vectorized = QueryContext(agents, 0, 0, spatial_backend="vectorized")
         python = QueryContext(agents, 0, 0, spatial_backend="python")
         assert _paired(vectorized, agents, agents) == _looped(python, agents)
-        assert (vectorized.work_units, vectorized.index_probes) == (
-            python.work_units,
-            python.index_probes,
+        # The scan charges the whole extent per probe and probes no index.
+        assert (python.work_units, python.index_probes) == (len(agents) ** 2, 0)
+        assert vectorized.index_probes == len(agents)
+
+
+# ---------------------------------------------------------------------------
+# The linear scan is the grid's oracle
+# ---------------------------------------------------------------------------
+def _ids(agents):
+    return [agent.agent_id for agent in agents]
+
+
+def _backends(agents):
+    """``(scan, grid)`` contexts over the same extent."""
+    return tuple(
+        QueryContext(agents, tick=0, seed=0, check_visibility=False, spatial_backend=backend)
+        for backend in ("python", "vectorized")
+    )
+
+
+def _grid_charge(agents, boxes):
+    """What the grid charges for one probe per box: log descent + box candidates."""
+    descent = max(1, int(math.log2(len(agents) + 1)))
+    return sum(
+        descent + sum(box.contains_point(agent.position()) for agent in agents)
+        for box in boxes
+    )
+
+
+_RADII = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 50.0])
+
+
+class TestScanAgainstGrid:
+    """Same answers on both backends; each charges its own rule.
+
+    The scan charges the whole extent per query and probes no index; the
+    grid charges one probe, plus one log-cost descent and the candidates
+    inside the probe's box as work.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(extents(), _RADII, st.booleans())
+    def test_neighbors(self, extent, radius, include_self):
+        agents, probes = extent
+        scan, grid = _backends(agents)
+        for probe in probes:
+            assert _ids(scan.neighbors(probe, radius, include_self)) == _ids(
+                grid.neighbors(probe, radius, include_self)
+            )
+        assert (scan.work_units, scan.index_probes) == (len(agents) * len(probes), 0)
+        boxes = [BBox.around(probe.position(), radius) for probe in probes]
+        assert (grid.work_units, grid.index_probes) == (
+            _grid_charge(agents, boxes),
+            len(probes),
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(extents(), _COORDINATES, _COORDINATES, _RADII, st.booleans())
+    def test_neighbors_in_box(self, extent, x, y, half_side, include_self):
+        agents, probes = extent
+        scan, grid = _backends(agents)
+        box = BBox.around((x, y), half_side)
+        for probe in probes:
+            assert _ids(scan.neighbors_in_box(probe, box, include_self)) == _ids(
+                grid.neighbors_in_box(probe, box, include_self)
+            )
+        assert (scan.work_units, scan.index_probes) == (len(agents) * len(probes), 0)
+        assert (grid.work_units, grid.index_probes) == (
+            _grid_charge(agents, [box] * len(probes)),
+            len(probes),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(extents(), st.booleans())
+    def test_visible(self, extent, include_self):
+        agents, probes = extent
+        scan, grid = _backends(agents)
+        for probe in probes:
+            assert _ids(scan.visible(probe, include_self)) == _ids(
+                grid.visible(probe, include_self)
+            )
+        assert (scan.work_units, scan.index_probes) == (len(agents) * len(probes), 0)
+        boxes = [probe.visible_region() for probe in probes]
+        assert (grid.work_units, grid.index_probes) == (
+            _grid_charge(agents, boxes),
+            len(probes),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents(classes=(Near, Far, Everywhere)))
+    def test_visible_pairs(self, extent):
+        agents, probes = extent
+        scan, grid = _backends(agents)
+        assert _paired(scan, agents, probes) == _paired(grid, agents, probes)
+        assert scan.index_probes == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents(), st.integers(min_value=-1, max_value=16), st.sampled_from([None, 1.0, 5.0]))
+    def test_nearest(self, extent, k, max_radius):
+        agents, probes = extent
+        scan, grid = _backends(agents)
+        for probe in probes:
+            assert _ids(scan.nearest(probe, k, max_radius)) == _ids(
+                grid.nearest(probe, k, max_radius)
+            )
+        assert (scan.work_units, scan.index_probes) == (len(agents) * len(probes), 0)
+        assert (grid.work_units, grid.index_probes) == (0, len(probes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents(), _COORDINATES, _COORDINATES, _RADII)
+    def test_probe_from_outside_the_extent(self, extent, x, y, radius):
+        agents, _ = extent
+        outsider = Near(agent_id=99, x=x, y=y)
+        scan, grid = _backends(agents)
+        assert _ids(scan.neighbors(outsider, radius)) == _ids(grid.neighbors(outsider, radius))
+        assert _ids(scan.visible(outsider)) == _ids(grid.visible(outsider))
+        assert _ids(scan.nearest(outsider, 3)) == _ids(grid.nearest(outsider, 3))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 63, 64])
+    def test_small_extents_run_on_the_grid(self, count):
+        # The grid serves every extent size, however small, with the
+        # scan's answers.
+        agents = [
+            (Near if i % 3 else Far)(agent_id=i, x=float(i % 8), y=float(i // 8) * 1.5)
+            for i in range(count)
+        ]
+        probes = agents + [Far(agent_id=count, x=3.5, y=2.0)]
+        scan, grid = _backends(agents)
+        assert grid.spatial_backend == "vectorized"
+        for probe in probes:
+            assert _ids(scan.neighbors(probe, 2.0)) == _ids(grid.neighbors(probe, 2.0))
+            assert _ids(scan.visible(probe)) == _ids(grid.visible(probe))
+            assert _ids(scan.nearest(probe, 2)) == _ids(grid.nearest(probe, 2))
+        assert grid.index_probes == 3 * len(probes)

@@ -46,13 +46,24 @@ class TestTickExecution:
         SequentialEngine(second).run(3)
         assert not first.same_state_as(second)
 
-    @pytest.mark.parametrize("index", [None, "kdtree", "grid", "quadtree"])
-    def test_index_choice_does_not_change_results(self, index):
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_spatial_backend_does_not_change_results(self, backend):
         reference = make_boid_world(seed=13)
-        SequentialEngine(reference, index="kdtree").run(4)
+        SequentialEngine(reference).run(4)
         candidate = make_boid_world(seed=13)
-        SequentialEngine(candidate, index=index, cell_size=10.0).run(4)
-        assert reference.same_state_as(candidate, tolerance=1e-9)
+        SequentialEngine(candidate, spatial_backend=backend).run(4)
+        assert reference.same_state_as(candidate, tolerance=0.0)
+
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_work_charges_follow_the_backend(self, backend):
+        world = make_boid_world(num_agents=30, seed=13)
+        stats = SequentialEngine(world, spatial_backend=backend).run_tick()
+        if backend == "python":
+            # One neighbour scan per boid, each charged the whole extent.
+            assert (stats.work_units, stats.index_probes) == (30 * 30, 0)
+        else:
+            assert stats.index_probes == 30
+            assert 0 < stats.work_units < 30 * 30
 
     def test_on_tick_end_callback(self, small_boid_world):
         observed = []

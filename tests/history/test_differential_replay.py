@@ -102,13 +102,13 @@ def cached_references():
     return get
 
 
-# The serial/auto recording is read-only for its consumers, so one
+# The serial/default-backend recording is read-only for its consumers, so one
 # recording per workload serves every test that replays it.
 @pytest.fixture(scope="module", params=sorted(WORLDS))
 def serial_recording(request, tmp_path_factory):
     workload = request.param
     path = tmp_path_factory.mktemp(f"replay-{workload}") / "run"
-    record_run(WORLDS[workload], path, executor="serial", backend=None)
+    record_run(WORLDS[workload], path, executor="serial", backend="vectorized")
     return workload, History.open(path)
 
 

@@ -1,17 +1,11 @@
-"""Tests for the spatial self-join algorithms."""
+"""Tests for the spatial self-join algorithms: the nested-loop scan and its grid twin."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spatial.bbox import BBox
-from repro.spatial.join import (
-    available_indexes,
-    build_index,
-    index_self_join,
-    neighbor_lists,
-    nested_loop_self_join,
-)
+from repro.spatial.join import neighbor_lists, nested_loop_self_join
 
 coordinate = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 points_strategy = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30)
@@ -26,35 +20,24 @@ def fixed_box(point):
 
 
 class TestSelfJoins:
-    def test_available_indexes(self):
-        assert set(available_indexes()) == {"kdtree", "grid", "quadtree"}
-
-    def test_build_index_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            build_index([(0, 0)], identity_key, index="rtree")
-
     def test_nested_loop_includes_self_when_in_box(self):
         points = [(0.0, 0.0), (1.0, 1.0), (100.0, 100.0)]
         joined = nested_loop_self_join(points, identity_key, fixed_box)
         assert sorted(joined[0]) == [(0.0, 0.0), (1.0, 1.0)]
         assert joined[2] == [(100.0, 100.0)]
 
-    @pytest.mark.parametrize("index", ["kdtree", "grid", "quadtree"])
-    def test_index_join_matches_nested_loop(self, index):
-        rng = np.random.default_rng(0)
-        points = [tuple(map(float, rng.uniform(-20, 20, size=2))) for _ in range(80)]
-        expected = nested_loop_self_join(points, identity_key, fixed_box)
-        actual = index_self_join(points, identity_key, fixed_box, index=index, cell_size=5.0)
-        for probe_index in range(len(points)):
-            assert sorted(actual[probe_index]) == sorted(expected[probe_index])
+    def test_nested_loop_matches_come_in_item_order(self):
+        points = [(3.0, 0.0), (-2.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        joined = nested_loop_self_join(points, identity_key, fixed_box)
+        assert joined[2] == points
 
     @settings(max_examples=30, deadline=None)
     @given(points_strategy)
-    def test_property_index_join_matches_nested_loop(self, points):
-        expected = nested_loop_self_join(points, identity_key, fixed_box)
-        actual = index_self_join(points, identity_key, fixed_box, index="kdtree")
-        for probe_index in range(len(points)):
-            assert sorted(map(repr, actual[probe_index])) == sorted(map(repr, expected[probe_index]))
+    def test_property_nested_loop_is_the_box_predicate(self, points):
+        joined = nested_loop_self_join(points, identity_key, fixed_box)
+        for probe_index, probe in enumerate(points):
+            box = fixed_box(probe)
+            assert joined[probe_index] == [p for p in points if box.contains_point(p)]
 
 
 class TestNeighborLists:
@@ -75,11 +58,10 @@ class TestNeighborLists:
         assert (3.0, 4.0) in lists[0]
         assert (4.0, 4.0) not in lists[0]
 
-    @pytest.mark.parametrize("index", [None, "kdtree", "grid", "quadtree"])
-    def test_all_strategies_agree(self, index):
+    @pytest.mark.parametrize("radius", [0.0, 1.5, 4.0, 40.0])
+    def test_scan_and_grid_agree(self, radius):
         rng = np.random.default_rng(1)
         points = [tuple(map(float, rng.uniform(-10, 10, size=2))) for _ in range(50)]
-        reference = neighbor_lists(points, identity_key, radius=4.0, index=None)
-        candidate = neighbor_lists(points, identity_key, radius=4.0, index=index)
-        for probe_index in range(len(points)):
-            assert sorted(candidate[probe_index]) == sorted(reference[probe_index])
+        reference = neighbor_lists(points, identity_key, radius=radius)
+        candidate = neighbor_lists(points, identity_key, radius=radius, backend="vectorized")
+        assert reference == candidate
