@@ -12,8 +12,8 @@ asking for its neighbours within the Couzin attraction radius — through
 
 Both backends return bit-identical neighbour lists (asserted here); only
 the speed differs.  The smoke configuration runs on every CI push, writes
-``BENCH_spatial.json`` and fails whenever the grid is *slower* than the
-scan — the perf-regression guard.
+``BENCH_spatial.json`` and fails whenever the grid's lead over the scan
+falls below ``MIN_SMOKE_SPEEDUP`` — the perf-regression guard.
 """
 
 import time
@@ -30,6 +30,10 @@ RADIUS = 6.0
 SMOKE_AGENTS = 500
 #: Wall-clock floor per timing sample; best-of keeps CI noise down.
 TIMING_ROUNDS = 2
+#: The smoke row's regression bar: the grid wins by about 110x at
+#: ``SMOKE_AGENTS`` on a 2-vCPU Xeon, so a 20x floor leaves room for a noisy
+#: runner yet fails once the batch path loses most of its lead.
+MIN_SMOKE_SPEEDUP = 20.0
 
 
 def join_seconds(agents, backend):
@@ -75,9 +79,8 @@ class TestSpatialKernelSmoke:
     def test_vectorized_not_slower_and_identical(self, once):
         row = once(run_comparison, SMOKE_AGENTS)
         write_results([row])
-        # The regression bar for CI: the grid must never lose to the scan at
-        # smoke size (it wins by two orders of magnitude locally; a ratio
-        # below 1.0 means the batch path rotted).
-        assert row["speedup"] >= 1.0, (
-            f"vectorized backend slower than python: {row['speedup']:.2f}x"
+        assert row["speedup"] >= MIN_SMOKE_SPEEDUP, (
+            f"the grid leads the scan by only {row['speedup']:.1f}x at "
+            f"{SMOKE_AGENTS} agents (floor {MIN_SMOKE_SPEEDUP:.0f}x): "
+            f"scan {row['python_seconds']:.3f}s, grid {row['vectorized_seconds']:.4f}s"
         )

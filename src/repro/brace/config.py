@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.context import SPATIAL_BACKENDS
 from repro.core.errors import BraceError
 
 
@@ -198,7 +199,7 @@ class BraceConfig:
                     "admits nodes that prove knowledge of the shared secret "
                     "(loopback listeners may run without one)"
                 )
-        if self.spatial_backend not in ("vectorized", "python"):
+        if self.spatial_backend not in SPATIAL_BACKENDS:
             raise BraceError(
                 f"unknown spatial backend {self.spatial_backend!r}; expected "
                 "'vectorized' (the columnar grid) or 'python' (the linear scan)"

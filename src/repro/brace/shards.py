@@ -42,6 +42,7 @@ from typing import Any
 
 from repro.brace.worker import DistributionResult, Worker
 from repro.core.agent import Agent
+from repro.core.context import SPATIAL_BACKENDS
 from repro.core.soa import pack_cells, unpack_cells
 from repro.ipc import frames as ipc_frames
 from repro.spatial.bbox import BBox
@@ -444,21 +445,20 @@ def _encode_query_command(command: QueryCommand) -> tuple:
         command.tick,
         command.seed,
         command.check_visibility,
-        # One of two values: a bool is the smallest pickle that carries it.
-        command.spatial_backend == "vectorized",
+        # Its position in SPATIAL_BACKENDS: a small int pickles shorter
+        # than the name, and an unknown backend fails here.
+        SPATIAL_BACKENDS.index(command.spatial_backend),
         command.plan_backend,
     )
 
 
 def _decode_query_command(payload: tuple) -> QueryCommand:
-    migrated_in, replica_deltas, tick, seed, check_visibility, on_grid, plan_backend = payload
+    migrated_in, replica_deltas, *scalars, spatial_backend, plan_backend = payload
     return QueryCommand(
         ipc_frames.unpack_agents(migrated_in),
         _unpack_routed_deltas(replica_deltas),
-        tick,
-        seed,
-        check_visibility,
-        "vectorized" if on_grid else "python",
+        *scalars,
+        SPATIAL_BACKENDS[spatial_backend],
         plan_backend,
     )
 

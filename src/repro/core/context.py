@@ -25,6 +25,10 @@ from repro.core.soa import pack_positions, rows_by_class
 from repro.spatial.bbox import BBox
 from repro.spatial.columnar import PointSet, VectorizedGrid, batch_neighbor_pairs
 
+#: The two spatial backends, the default first: the columnar grid and the
+#: linear-scan oracle.
+SPATIAL_BACKENDS = ("vectorized", "python")
+
 
 def agent_rng(seed: int, tick: int, agent_id: Any) -> np.random.Generator:
     """A deterministic per-(seed, tick, agent) random generator.
@@ -107,7 +111,7 @@ class QueryContext:
         spatial_backend: str = "vectorized",
         snapshot: PointSet | None = None,
     ):
-        if spatial_backend not in ("vectorized", "python"):
+        if spatial_backend not in SPATIAL_BACKENDS:
             raise WorldError(
                 f"unknown spatial backend {spatial_backend!r}; expected 'vectorized' "
                 "(the columnar grid) or 'python' (the linear-scan oracle)"

@@ -93,7 +93,7 @@ def run_figure6(
         config = BraceConfig(
             num_workers=workers,
             ticks_per_epoch=max(1, ticks),
-                check_visibility=False,
+            check_visibility=False,
             load_balance=False,
             executor=executor,
             max_workers=max_workers,

@@ -12,11 +12,11 @@ module:
   query per tick over a position snapshot (the "BRACE - indexing" series).
 
 Both return, for each probe item, the list of items falling inside its query
-box; :func:`neighbor_lists` is a radius-based convenience wrapper used by the
-fish and predator models.  The semantic entry points
-(:func:`visible_region_self_join`, :func:`neighbor_lists`) report matches in
-item order whatever the strategy, and accept ``backend="vectorized"`` to run
-on the columnar kernels instead of the scan.
+box; :func:`neighbor_lists` is a radius-based convenience wrapper.  The
+semantic entry points (:func:`visible_region_self_join`,
+:func:`neighbor_lists`) report matches in item order; their columnar twins
+are :func:`~repro.spatial.columnar.vectorized_self_join` and
+:func:`~repro.spatial.columnar.vectorized_neighbor_lists`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.spatial.bbox import BBox
-from repro.spatial.columnar import vectorized_neighbor_lists, vectorized_self_join
 
 
 def nested_loop_self_join(
@@ -51,26 +50,16 @@ def nested_loop_self_join(
     return result
 
 
-def visible_region_self_join(
-    agents: Sequence[Any],
-    cell_size: float | None = None,
-    backend: str = "python",
-) -> dict[int, list[Any]]:
+def visible_region_self_join(agents: Sequence[Any]) -> dict[int, list[Any]]:
     """Join every agent with the agents inside its *declared* visible region.
 
     This is the σ_V join of the BRASIL semantics: the query box of each probe
     agent is its ``visible_region()`` (derived from the script's
     ``#range``/``#visibility`` annotations), so the join is driven by the
-    declarations rather than an ad-hoc radius.  The default backend is the
-    nested-loop scan; agents with unbounded visibility match the whole
-    extent.  The probe agent itself is excluded from its matches; matches
-    come back in agent order.  ``backend="vectorized"`` delegates to the
-    columnar :func:`~repro.spatial.columnar.vectorized_self_join` (same
-    output, one batched kernel; ``cell_size`` applies to it only).
+    declarations rather than an ad-hoc radius.  Agents with unbounded
+    visibility match the whole extent.  The probe agent itself is excluded
+    from its matches; matches come back in agent order.
     """
-    if backend == "vectorized":
-        return vectorized_self_join(agents, cell_size=cell_size)
-
     # Box covering every agent position, for unbounded-visibility probes;
     # computed at most once per join, not per probe.
     global_box: list[BBox | None] = [None]
@@ -95,19 +84,12 @@ def neighbor_lists(
     key: Callable[[Any], Sequence[float]],
     radius: float,
     include_self: bool = False,
-    backend: str = "python",
 ) -> dict[int, list[Any]]:
     """Radius-based neighbour lists for every item, in item order.
 
-    The default backend is the nested-loop scan; ``backend="vectorized"``
-    delegates to the columnar
-    :func:`~repro.spatial.columnar.vectorized_neighbor_lists` (same output,
-    one batched kernel).  The probe item is excluded from its own neighbour
-    list unless ``include_self`` is True.
+    The probe item is excluded from its own neighbour list unless
+    ``include_self`` is True.
     """
-    if backend == "vectorized":
-        return vectorized_neighbor_lists(items, key, radius, include_self=include_self)
-
     points = [tuple(map(float, key(item))) for item in items]
     # One conversion per item, looked up per candidate pair — the candidate
     # points must not be rebuilt inside the quadratic pruning loop.

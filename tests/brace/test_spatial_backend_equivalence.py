@@ -261,6 +261,21 @@ class TestBackendOnTheWire:
         assert (decoded.tick, decoded.seed, decoded.check_visibility) == (3, 7, False)
         assert (decoded.spatial_backend, decoded.plan_backend) == (backend, "compiled")
 
+    def test_an_unknown_backend_does_not_reach_the_wire(self):
+        from repro.brace.shards import QueryCommand
+        from tests.wire_double import roundtrip
+
+        command = QueryCommand(
+            migrated_in=[],
+            replicas_in=[],
+            tick=0,
+            seed=0,
+            check_visibility=False,
+            spatial_backend="kdtree",
+        )
+        with pytest.raises(ValueError):
+            roundtrip(command)
+
     @pytest.mark.parametrize("backend", ["python", "vectorized"])
     def test_every_shard_runs_the_configured_backend(self, backend):
         from tests.wire_double import CodecRoundTripExecutor

@@ -134,7 +134,7 @@ class TestSelfJoinEquivalence:
             for radius in [2.0, 5.0, None, 0.5] * 20
         ]
         reference = visible_region_self_join(agents)
-        candidate = visible_region_self_join(agents, cell_size=cell_size, backend="vectorized")
+        candidate = vectorized_self_join(agents, cell_size=cell_size)
         assert set(reference) == set(candidate)
         for probe in reference:
             assert reference[probe] == candidate[probe]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spatial.bbox import BBox
+from repro.spatial.columnar import vectorized_neighbor_lists
 from repro.spatial.join import neighbor_lists, nested_loop_self_join
 
 coordinate = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -63,5 +64,5 @@ class TestNeighborLists:
         rng = np.random.default_rng(1)
         points = [tuple(map(float, rng.uniform(-10, 10, size=2))) for _ in range(50)]
         reference = neighbor_lists(points, identity_key, radius=radius)
-        candidate = neighbor_lists(points, identity_key, radius=radius, backend="vectorized")
+        candidate = vectorized_neighbor_lists(points, identity_key, radius)
         assert reference == candidate
