@@ -12,7 +12,7 @@ Run with:  python examples/brasil_compile.py
 import numpy as np
 
 from repro import SequentialEngine, World
-from repro.brasil import compile_script
+from repro.brasil import compile_script, kernel_fallback_reasons
 from repro.brasil.optimizer import optimize_plan
 from repro.brasil.translate import translate_query
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
@@ -34,9 +34,8 @@ def main() -> None:
     print("effect inversion applied:", compiled.was_inverted,
           "-> non-local assignments after compilation:",
           compiled.info.non_local_assignment_count)
-    selection = compiled.plan_selection
-    print("plan kernels: query compiled =", selection.query_compiled,
-          "| update compiled =", selection.update_compiled)
+    print("interpreted phases (none: both run as kernels):",
+          kernel_fallback_reasons(compiled.agent_class))
     print()
     optimized = optimize_plan(translate_query(compiled.class_decl, compiled.info))
     report = optimized.report

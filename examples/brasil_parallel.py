@@ -10,7 +10,7 @@ Run with:  python examples/brasil_parallel.py
 """
 
 from repro import Simulation
-from repro.brasil import compile_script
+from repro.brasil import compile_script, kernel_fallback_reasons
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
 
 TICKS = 5
@@ -23,9 +23,9 @@ def main() -> None:
     print("class:", compiled.class_name)
     print("effect inversion applied:", compiled.was_inverted,
           "-> reduce passes per tick:", 2 if compiled.has_non_local_effects else 1)
-    selection = compiled.plan_selection
-    print(f"plan kernels: query={selection.query_compiled} update={selection.update_compiled}")
-    print("  reason:", selection.reason)
+    # Phases without an entry run as whole-phase kernels; an entry names the
+    # construct that kept that phase interpreted.
+    print("interpreted phases:", kernel_fallback_reasons(compiled.agent_class) or "none")
     print()
 
     results = {}

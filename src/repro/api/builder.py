@@ -10,10 +10,8 @@ it::
     # BraceError: unknown executor 'proces'; expected 'serial', 'thread' or 'process'
 
 rather than as a deep ``KeyError`` ticks into a run.  The builder is shared
-by both session sources: agent sessions build the config directly; script
-sessions hand the built config to
-:func:`repro.brasil.runner.config_for_script`, which layers the compiler's
-own override (the reduce-pass structure) on top.
+by both session sources; a script session sets ``non_local_effects`` from
+the compiler's effect-inversion outcome on top of the built config.
 """
 
 from __future__ import annotations
@@ -198,16 +196,16 @@ class FluentConfig:
         self._builder.set(spatial_backend=backend)
         return self
 
-    def with_plan_backend(self, backend: str | None) -> Any:
+    def with_plan_backend(self, backend: str) -> Any:
         """Choose how BRASIL query/update plans execute.
 
-        ``"compiled"`` runs whole-phase columnar kernels (effect aggregation
-        as scatter-reductions over the spatial join's match lists, update
-        rules as column math over a structure-of-arrays snapshot),
-        ``"interpreted"`` the reference per-agent AST walk, ``None`` restores
-        automatic selection.  Plans outside the provable subset fall back to
-        the interpreter per worker-phase, so agent states are bit-identical
-        whichever backend runs — this knob only trades speed.
+        ``"compiled"`` (the default) runs whole-phase columnar kernels
+        (effect aggregation as scatter-reductions over the spatial join's
+        match lists, update rules as column math over a structure-of-arrays
+        snapshot) wherever the plan compiler proved one, and the interpreter
+        elsewhere; ``"interpreted"`` runs the reference per-agent AST walk
+        everywhere — the oracle.  Agent states are bit-identical whichever
+        backend runs — this knob only trades speed.
         """
         self._check_not_started()
         # Validation happens in ConfigBuilder.set() -> BraceConfig.validate(),

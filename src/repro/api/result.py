@@ -1,12 +1,9 @@
 """The unified result type every :class:`~repro.api.Simulation` run returns.
 
-Before the session layer existed, each entry point had its own result —
-``BraceRuntime.run`` returned :class:`~repro.brace.metrics.BraceRunMetrics`,
-``run_script`` a ``ScriptRunResult`` and every harness figure a bespoke
-``*Result`` dataclass.  :class:`RunResult` unifies them: final agent states,
-the full run metrics, measured IPC bytes and a :class:`Provenance` record
-that says exactly which model, configuration, seed and backend produced the
-numbers — enough to reproduce the run bit for bit.
+Agent and script sessions alike return one :class:`RunResult`: final agent
+states, the full run metrics, measured IPC bytes and a :class:`Provenance`
+record that says exactly which model, configuration, seed and backend
+produced the numbers — enough to reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -46,12 +43,11 @@ class Provenance:
     #: Seed all run randomness derived from.
     seed: int
     #: The exact runtime configuration the session compiled down to, with
-    #: every automatic knob *resolved* to the choice that actually ran:
-    #: ``seed`` is the effective seed and ``plan_backend`` the plan backend
-    #: the BRASIL phases attempted.  ``spatial_backend`` is the configured
-    #: value, which every shard's query phase ran.  Re-running with this
-    #: config reproduces the run bit for bit — backend resolution is
-    #: state-neutral, so pinning it changes nothing but speed.
+    #: ``seed`` resolved to the effective seed.  ``spatial_backend`` and
+    #: ``plan_backend`` are the configured values, which every shard ran
+    #: (:func:`repro.brasil.kernel_fallback_reasons` says which phases of
+    #: a class run interpreted under ``"compiled"``).  Re-running with this
+    #: config reproduces the run bit for bit.
     config: BraceConfig
     #: SHA-256 of the BRASIL source for script runs, None for agent runs.
     script_hash: str | None = None

@@ -1,9 +1,7 @@
 """One front door to the engine: the :class:`Simulation` session object.
 
-A session wraps everything the repo previously exposed through three
-disjoint entry points — ``BraceRuntime(world, config)`` for Python agents,
-``repro.brasil.run_script`` for BRASIL scripts and the bespoke harness
-functions — behind a single lifecycle:
+A session runs Python agents and BRASIL scripts alike behind a single
+lifecycle (``BraceRuntime(world, config)`` stays the engine underneath):
 
 1. **construct** from either source: :meth:`Simulation.from_agents` or
    :meth:`Simulation.from_script`;
@@ -38,7 +36,6 @@ from repro.brace.config import BraceConfig
 from repro.brace.metrics import BraceRunMetrics, EpochStatistics
 from repro.brace.runtime import BraceRuntime
 from repro.brasil.compiler import CompiledScript
-from repro.brasil.kernels import resolve_plan_backend
 from repro.core.agent import Agent
 from repro.core.errors import BraceError, SimulationSessionError
 from repro.core.world import World
@@ -140,11 +137,11 @@ class Simulation(FluentConfig):
     ) -> "Simulation":
         """Create a session by compiling a BRASIL script (path or source).
 
-        Compilation happens here — eagerly — so script errors surface at
-        construction.  The world is populated deterministically exactly as
-        :func:`repro.brasil.runner.build_script_world` does, and the
-        compiler's configuration override (the reduce-pass structure) is
-        applied when the session starts.
+        The one way to run a script.  Compilation happens here — eagerly —
+        so script errors surface at construction.  The world is populated
+        deterministically by :func:`repro.brasil.runner.build_script_world`,
+        and ``non_local_effects`` (the reduce-pass structure) is set from the
+        effect-inversion outcome when the session starts.
         """
         from repro.brasil.runner import (
             _compile_with_label,
@@ -202,8 +199,8 @@ class Simulation(FluentConfig):
         """The configuration the session runs (will run) with.
 
         Before the session starts this is computed from the builder (and,
-        for script sessions, the compiler's overrides); afterwards it is the
-        exact config the runtime was built with.
+        for script sessions, the compiler's ``non_local_effects``);
+        afterwards it is the exact config the runtime was built with.
         """
         if self._runtime is not None:
             return self._runtime.config
@@ -245,9 +242,9 @@ class Simulation(FluentConfig):
     def _compile_config(self) -> BraceConfig:
         config = self._builder.build()
         if self._compiled is not None:
-            from repro.brasil.runner import config_for_script
-
-            config = config_for_script(self._compiled, config)
+            config = dataclasses.replace(
+                config, non_local_effects=self._compiled.has_non_local_effects
+            )
         return config
 
     def _ensure_started(self) -> BraceRuntime:
@@ -448,12 +445,10 @@ class Simulation(FluentConfig):
 
     def _provenance(self, runtime: BraceRuntime) -> Provenance:
         model = tuple(sorted({type(agent).__name__ for agent in self.world.agents()}))
-        # Resolve every automatic knob to the choice that actually ran, so
-        # the recorded config reproduces the run without re-deriving the
-        # defaults: the effective seed and the plan backend the BRASIL
-        # phases attempted.  Both are state-neutral, so pinning them is
-        # safe.  The spatial backend needs no resolving: every shard runs
-        # the configured one.
+        # The recorded config reproduces the run without re-deriving the
+        # defaults: the seed is the effective one.  The spatial and plan
+        # backends need no resolving: every shard runs the configured ones
+        # (kernel_fallback_reasons says which phases of a class compiled).
         config = dataclasses.replace(
             runtime.config,
             seed=runtime.seed,
@@ -462,10 +457,6 @@ class Simulation(FluentConfig):
             # record only *that* auth was configured.
             cluster_secret=(
                 "<scrubbed>" if runtime.config.cluster_secret is not None else None
-            ),
-            plan_backend=resolve_plan_backend(
-                runtime.config.plan_backend,
-                {type(agent) for agent in self.world.agents()},
             ),
         )
         # A wire executor knows which node process hosts which shard; record

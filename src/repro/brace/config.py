@@ -41,8 +41,9 @@ class BraceConfig:
     #: ``min(num_workers, cpu count)``.
     max_workers: int | None = None
 
-    # Cluster backend (executor="cluster") --------------------------------
-    #: Number of node processes hosting the shards.
+    # Wire backends (executor="process" or "cluster") -----------------------
+    #: Number of node processes hosting the shards (``"cluster"``; a
+    #: ``"process"`` executor forks one node per task slot).
     cluster_nodes: int = 2
     #: Address the driver listens on for node connections.  Port 0 picks a
     #: free port; nodes on other machines connect with
@@ -84,18 +85,18 @@ class BraceConfig:
     #: agent states are bit-identical across the two, only the speed and
     #: the work charged differ.
     spatial_backend: str = "vectorized"
-    #: How BRASIL query/update plans execute: ``"interpreted"`` (the
-    #: reference per-agent AST walk), ``"compiled"`` (whole-phase columnar
-    #: kernels — effect aggregation as ``np.ufunc.at`` scatter-reductions
-    #: over the spatial join's match lists, update rules as column math
-    #: over a structure-of-arrays snapshot) or ``None`` for automatic
-    #: selection (compiled wherever the plan compiler can *prove* the
-    #: kernel bit-identical, interpreted otherwise).  Constructs outside
-    #: the provable subset — ``rand()`` in a phase, nested ``foreach``,
-    #: loop-carried locals, ``collect`` effects, hand-written agent
-    #: classes — fall back to the interpreter per worker-phase, so states
-    #: are bit-identical across backends; only the speed differs.
-    plan_backend: str | None = None
+    #: How BRASIL query/update plans execute: ``"compiled"`` runs a phase
+    #: as a whole-phase columnar kernel (effect aggregation as
+    #: ``np.ufunc.at`` scatter-reductions over the spatial join's match
+    #: lists, update rules as column math over a structure-of-arrays
+    #: snapshot) wherever the plan compiler *proved* one bit-identical, and
+    #: the interpreter elsewhere — ``rand()`` in a phase, nested
+    #: ``foreach``, loop-carried locals, ``collect`` effects, hand-written
+    #: agent classes (:func:`repro.brasil.kernels.kernel_fallback_reasons`
+    #: names the construct per class).  ``"interpreted"`` is the oracle:
+    #: the reference per-agent AST walk everywhere.  States are
+    #: bit-identical across the two; only the speed differs.
+    plan_backend: str = "compiled"
 
     # Load balancing -------------------------------------------------------
     load_balance: bool = True
@@ -170,14 +171,7 @@ class BraceConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise BraceError("max_workers must be at least 1 (or None for automatic)")
-        if self.executor == "cluster":
-            if self.cluster_nodes < 1:
-                raise BraceError("cluster_nodes must be at least 1")
-            host, _, port = self.cluster_listen.rpartition(":")
-            if not host or not port.isdigit():
-                raise BraceError(
-                    f"cluster_listen must be HOST:PORT, got {self.cluster_listen!r}"
-                )
+        if self.executor in ("process", "cluster"):
             if not self.heartbeat_interval_seconds > 0:
                 raise BraceError("heartbeat_interval_seconds must be positive")
             if not self.heartbeat_timeout_seconds > self.heartbeat_interval_seconds:
@@ -189,6 +183,14 @@ class BraceConfig:
                 raise BraceError(
                     "readmission_timeout_seconds must be >= 0 "
                     "(0 rehomes lost shards onto survivors immediately)"
+                )
+        if self.executor == "cluster":
+            if self.cluster_nodes < 1:
+                raise BraceError("cluster_nodes must be at least 1")
+            host, _, port = self.cluster_listen.rpartition(":")
+            if not host or not port.isdigit():
+                raise BraceError(
+                    f"cluster_listen must be HOST:PORT, got {self.cluster_listen!r}"
                 )
             from repro.cluster.auth import is_loopback
 
@@ -204,10 +206,11 @@ class BraceConfig:
                 f"unknown spatial backend {self.spatial_backend!r}; expected "
                 "'vectorized' (the columnar grid) or 'python' (the linear scan)"
             )
-        if self.plan_backend not in (None, "interpreted", "compiled"):
+        if self.plan_backend not in ("compiled", "interpreted"):
             raise BraceError(
-                f"unknown plan backend {self.plan_backend!r}; expected "
-                "'interpreted', 'compiled' or None for automatic selection"
+                f"unknown plan backend {self.plan_backend!r}; expected 'compiled' "
+                "(kernels wherever proved, the interpreter elsewhere) or "
+                "'interpreted' (the oracle)"
             )
         if self.load_balance_axis < 0:
             raise BraceError("load_balance_axis must be a non-negative dimension index")

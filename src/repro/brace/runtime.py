@@ -78,7 +78,7 @@ from repro.brace.shards import (
     shard_retain_checkpoint,
     shard_update_phase,
 )
-from repro.brace.worker import Worker
+from repro.brace.worker import ShardSettings, Worker
 from repro.cluster.costmodel import ClusterCostModel, WorkerTickCost
 from repro.cluster.network import NetworkModel
 from repro.cluster._simnode import SimulatedNode
@@ -129,27 +129,11 @@ class BraceRuntime:
         #: flag is the one transport decision: true hands shard payloads over
         #: by reference, false ships them as columnar frames to node
         #: processes (which can be lost, and between which shards can move).
-        #: The cluster backend is built directly so the config's topology
-        #: knobs and the *same* network model that prices virtual time also
-        #: drive the physical shard placement.
-        if self.config.executor == "cluster":
-            from repro.cluster.client import ClusterExecutor
-
-            self.executor = ClusterExecutor(
-                max_workers,
-                num_nodes=self.config.cluster_nodes,
-                listen=self.config.cluster_listen,
-                spawn=self.config.cluster_spawn,
-                heartbeat_interval=self.config.heartbeat_interval_seconds,
-                heartbeat_timeout=self.config.heartbeat_timeout_seconds,
-                secret=self.config.cluster_secret,
-                readmission_timeout=self.config.readmission_timeout_seconds,
-                network=network,
-                sim_nodes=[
-                    SimulatedNode(index, self.config.work_units_per_second)
-                    for index in range(self.config.cluster_nodes)
-                ],
-            )
+        #: Both wire executors are built here from the config, so its
+        #: heartbeat knobs and the *same* network model that prices virtual
+        #: time also drive supervision and the physical shard placement.
+        if self.config.executor in ("process", "cluster"):
+            self.executor = self._wire_executor(max_workers, network)
         else:
             self.executor = make_executor(self.config.executor, max_workers)
 
@@ -196,6 +180,39 @@ class BraceRuntime:
         self._epoch_first_tick = world.tick
         self._epoch_ipc_phase = self._zero_ipc_phase()
 
+    def _wire_executor(self, max_workers: int, network: NetworkModel):
+        """The process or cluster executor the config describes.
+
+        ``"process"`` forks one node per task slot; ``"cluster"`` hosts
+        ``cluster_nodes`` nodes that dial in, which the listen, spawn and
+        secret knobs describe.
+        """
+        from repro.cluster.client import ClusterExecutor, ProcessExecutor
+
+        config = self.config
+        if config.executor == "cluster":
+            wire, num_nodes = ClusterExecutor, config.cluster_nodes
+            options = {
+                "listen": config.cluster_listen,
+                "spawn": config.cluster_spawn,
+                "secret": config.cluster_secret,
+            }
+        else:
+            wire, num_nodes, options = ProcessExecutor, max_workers, {}
+        return wire(
+            max_workers,
+            num_nodes=num_nodes,
+            heartbeat_interval=config.heartbeat_interval_seconds,
+            heartbeat_timeout=config.heartbeat_timeout_seconds,
+            readmission_timeout=config.readmission_timeout_seconds,
+            network=network,
+            sim_nodes=[
+                SimulatedNode(index, config.work_units_per_second)
+                for index in range(num_nodes)
+            ],
+            **options,
+        )
+
     @staticmethod
     def _zero_ipc_phase() -> dict[str, float]:
         return {"serialize": 0.0, "transport": 0.0, "compute": 0.0, "wait": 0.0}
@@ -239,8 +256,6 @@ class BraceRuntime:
         wall_start = time.perf_counter()
 
         self._ensure_shards()
-        # Crossing a wire copies every outgoing agent, which is what lets
-        # shards skip replica clones and ship replica deltas instead.
         transport_copies = not self.executor.shares_memory
         worker_costs = [WorkerTickCost(worker.worker_id) for worker in self.workers]
         num_agents = world.agent_count()
@@ -258,10 +273,7 @@ class BraceRuntime:
                 (
                     worker.worker_id,
                     shard_map_phase,
-                    MapCommand(
-                        boundary=pending.get(worker.worker_id),
-                        transport_copies=transport_copies,
-                    ),
+                    MapCommand(boundary=pending.get(worker.worker_id)),
                 )
                 for worker in self.workers
             ],
@@ -319,10 +331,6 @@ class BraceRuntime:
                         migrated_in=migrated_in[worker.worker_id],
                         replicas_in=replicas_in[worker.worker_id],
                         tick=tick,
-                        seed=self.seed,
-                        check_visibility=config.check_visibility,
-                        spatial_backend=config.spatial_backend,
-                        plan_backend=config.plan_backend,
                     ),
                 )
                 for worker in self.workers
@@ -376,13 +384,7 @@ class BraceRuntime:
                 (
                     worker.worker_id,
                     shard_update_phase,
-                    UpdateCommand(
-                        partials=routed[worker.worker_id],
-                        tick=tick,
-                        seed=self.seed,
-                        world_bounds=world.bounds,
-                        plan_backend=config.plan_backend,
-                    ),
+                    UpdateCommand(partials=routed[worker.worker_id], tick=tick),
                 )
                 for worker in self.workers
             ],
@@ -526,8 +528,8 @@ class BraceRuntime:
     def _ensure_shards(self) -> None:
         """Seed the executor-hosted shards from the driver's workers (lazy).
 
-        Hands each worker's partition, the current partitioning and its
-        owned agents over **once**; afterwards ticks exchange only deltas.
+        Hands each worker's seed (:meth:`_shard_seed`) over **once**;
+        afterwards ticks exchange only deltas.
         Called again after :meth:`recover` (shards are re-seeded from the
         restored world) or after an executor failure invalidated the shard
         state.
@@ -536,18 +538,32 @@ class BraceRuntime:
             return
         if self.executor.has_shards():
             self.executor.teardown_shards()
-        payloads = {
-            worker.worker_id: ShardSeed(
-                partition=worker.partition,
-                partitioning=self.master.partitioning,
-                agents=worker.owned_agents(),
-            )
-            for worker in self.workers
-        }
+        payloads = {worker.worker_id: self._shard_seed(worker) for worker in self.workers}
         self.executor.init_shards(make_resident_worker, payloads)
         self._shards_ready = True
         self._pending_boundary = {}
         self._world_dirty = False
+
+    def _shard_seed(self, worker: Worker) -> ShardSeed:
+        """What hosts ``worker`` as a shard: its partition and owned agents,
+        the current partitioning, and the run-wide settings every shard
+        runs with — the only place those settings are read off the run."""
+        config = self.config
+        return ShardSeed(
+            partition=worker.partition,
+            partitioning=self.master.partitioning,
+            agents=worker.owned_agents(),
+            settings=ShardSettings(
+                seed=self.seed,
+                check_visibility=config.check_visibility,
+                spatial_backend=config.spatial_backend,
+                plan_backend=config.plan_backend,
+                world_bounds=self.world.bounds,
+                # Crossing a wire copies every outgoing agent, which is what
+                # lets shards skip replica clones and ship replica deltas.
+                transport_copies=not self.executor.shares_memory,
+            ),
+        )
 
     def _shard_round(self, tasks, phase: dict[str, float] | None = None):
         """One synchronized round of shard tasks, invalidating state on failure.
@@ -1027,11 +1043,7 @@ class BraceRuntime:
             if lost:
                 self.executor.reseed_shards(
                     {
-                        shard_id: ShardSeed(
-                            partition=self.workers[shard_id].partition,
-                            partitioning=self.master.partitioning,
-                            agents=self.workers[shard_id].owned_agents(),
-                        )
+                        shard_id: self._shard_seed(self.workers[shard_id])
                         for shard_id in sorted(lost)
                     }
                 )

@@ -25,6 +25,9 @@ balancer, :func:`shard_collect_states` for checkpoints and driver sync,
 repartitioning) pull state on demand, exactly as the paper's master talks to
 its slaves once per epoch.
 
+The run-wide settings (:class:`~repro.brace.worker.ShardSettings`) ride the
+:class:`ShardSeed`, so the per-tick commands carry only the tick and deltas.
+
 The protocol is the same on every executor; only the transport differs.
 The serial and thread executors hand these commands and results over **by
 reference** (the shards hold the world's own agents; replicas travel as full
@@ -40,12 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.brace.worker import DistributionResult, Worker
+from repro.brace.worker import DistributionResult, ShardSettings, Worker
 from repro.core.agent import Agent
-from repro.core.context import SPATIAL_BACKENDS
 from repro.core.soa import pack_cells, unpack_cells
 from repro.ipc import frames as ipc_frames
-from repro.spatial.bbox import BBox
 from repro.spatial.partitioning import Partition, SpatialPartitioning
 
 
@@ -61,6 +62,7 @@ class ShardSeed:
     partition: Partition
     partitioning: SpatialPartitioning
     agents: list[Agent]
+    settings: ShardSettings
 
 
 @dataclass
@@ -77,24 +79,14 @@ class BoundaryDelta:
 
 @dataclass
 class MapCommand:
-    """Round 1 input: the previous tick's boundary delta (if any).
-
-    The map phase is one batch on every spatial backend, so it needs no
-    spatial parameters.
-    """
+    """Round 1 input: the previous tick's boundary delta (if any)."""
 
     boundary: BoundaryDelta | None = None
-    #: True when the transport copies everything that crosses it (a wire):
-    #: the shard then skips the per-replica clone and ships replicas as
-    #: per-destination deltas (:class:`repro.ipc.frames.ReplicaDelta`)
-    #: against what each destination already holds.  False (by reference)
-    #: ships the full set of clones every tick.
-    transport_copies: bool = False
 
 
 @dataclass
 class QueryCommand:
-    """Round 2 input: incoming deltas plus the query-phase parameters.
+    """Round 2 input: the incoming deltas.
 
     ``replicas_in`` is a flat list of replica clones by reference; over a
     wire it is one :class:`repro.ipc.frames.ReplicaDelta` per source shard,
@@ -104,10 +96,6 @@ class QueryCommand:
     migrated_in: list[Agent]
     replicas_in: Any
     tick: int
-    seed: int
-    check_visibility: bool
-    spatial_backend: str = "vectorized"
-    plan_backend: str | None = None
 
 
 @dataclass
@@ -122,7 +110,7 @@ class QueryResult:
 
 @dataclass
 class UpdateCommand:
-    """Round 3 input: routed remote partials plus update-phase parameters.
+    """Round 3 input: the routed remote partials.
 
     ``partials`` preserves the driver's global routing order (worker id,
     then :func:`~repro.core.ordering.agent_sort_key`), so combinator merges
@@ -131,9 +119,6 @@ class UpdateCommand:
 
     partials: list[tuple[Any, dict[str, Any]]]
     tick: int
-    seed: int
-    world_bounds: BBox | None
-    plan_backend: str | None = None
 
 
 @dataclass
@@ -159,7 +144,9 @@ class RepartitionCommand:
 
 def make_resident_worker(shard_id: int, seed: ShardSeed) -> Worker:
     """Shard factory: build the resident :class:`Worker` from its seed."""
-    worker = Worker(shard_id, seed.partition, partitioning=seed.partitioning)
+    worker = Worker(
+        shard_id, seed.partition, partitioning=seed.partitioning, settings=seed.settings
+    )
     for agent in seed.agents:
         worker.add_owned(agent)
     return worker
@@ -169,25 +156,19 @@ def shard_map_phase(worker: Worker, command: MapCommand) -> DistributionResult:
     """Round 1: apply the boundary delta, then distribute locally."""
     if command.boundary is not None:
         worker.apply_boundary(command.boundary.kill_ids, command.boundary.spawn_agents)
-    return worker.distribute(transport_copies=command.transport_copies)
+    return worker.distribute()
 
 
 def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:
     """Round 2: install incoming deltas and run the query phase."""
     for agent in command.migrated_in:
         worker.add_owned(agent)
-    if worker._replica_delta_mode:
+    if worker.settings.transport_copies:
         worker.apply_replica_deltas(command.replicas_in)
     else:
         for replica in command.replicas_in:
             worker.install_replica(replica)
-    worker.run_query_phase(
-        tick=command.tick,
-        seed=command.seed,
-        check_visibility=command.check_visibility,
-        spatial_backend=command.spatial_backend,
-        plan_backend=command.plan_backend,
-    )
+    worker.run_query_phase(command.tick)
     return QueryResult(
         replica_partials=worker.touched_replica_partials(),
         work_units=worker.last_query_work_units,
@@ -199,12 +180,7 @@ def shard_update_phase(worker: Worker, command: UpdateCommand) -> UpdateResult:
     """Round 3: merge routed partials (in order) and run the update phase."""
     for agent_id, partials in command.partials:
         worker.merge_remote_partials(agent_id, partials)
-    context = worker.run_update_phase(
-        tick=command.tick,
-        seed=command.seed,
-        world_bounds=command.world_bounds,
-        plan_backend=command.plan_backend,
-    )
+    context = worker.run_update_phase(command.tick)
     return UpdateResult(
         spawn_requests=context.spawn_requests,
         kill_requests=context.kill_requests,
@@ -380,12 +356,17 @@ def _unpack_routed_deltas(payload: list) -> list:
 
 
 def _encode_seed(seed: ShardSeed) -> tuple:
-    return (seed.partition, seed.partitioning, ipc_frames.pack_agents(seed.agents))
+    return (
+        seed.partition,
+        seed.partitioning,
+        ipc_frames.pack_agents(seed.agents),
+        seed.settings,
+    )
 
 
 def _decode_seed(payload: tuple) -> ShardSeed:
-    partition, partitioning, agents = payload
-    return ShardSeed(partition, partitioning, ipc_frames.unpack_agents(agents))
+    partition, partitioning, agents, settings = payload
+    return ShardSeed(partition, partitioning, ipc_frames.unpack_agents(agents), settings)
 
 
 def _encode_boundary(delta: BoundaryDelta) -> tuple:
@@ -400,19 +381,13 @@ def _decode_boundary(payload: tuple) -> BoundaryDelta:
     return BoundaryDelta(unpack_cells(kill_ids), ipc_frames.unpack_agents(spawn_agents))
 
 
-def _encode_map_command(command: MapCommand) -> tuple:
+def _encode_map_command(command: MapCommand) -> tuple | None:
     boundary = command.boundary
-    return (
-        None if boundary is None else _encode_boundary(boundary),
-        command.transport_copies,
-    )
+    return None if boundary is None else _encode_boundary(boundary)
 
 
-def _decode_map_command(payload: tuple) -> MapCommand:
-    boundary, transport_copies = payload
-    return MapCommand(
-        None if boundary is None else _decode_boundary(boundary), transport_copies
-    )
+def _decode_map_command(payload: tuple | None) -> MapCommand:
+    return MapCommand(None if payload is None else _decode_boundary(payload))
 
 
 def _encode_distribution(result: DistributionResult) -> tuple:
@@ -443,23 +418,13 @@ def _encode_query_command(command: QueryCommand) -> tuple:
         ipc_frames.pack_agents(command.migrated_in),
         _pack_routed_deltas(command.replicas_in),
         command.tick,
-        command.seed,
-        command.check_visibility,
-        # Its position in SPATIAL_BACKENDS: a small int pickles shorter
-        # than the name, and an unknown backend fails here.
-        SPATIAL_BACKENDS.index(command.spatial_backend),
-        command.plan_backend,
     )
 
 
 def _decode_query_command(payload: tuple) -> QueryCommand:
-    migrated_in, replica_deltas, *scalars, spatial_backend, plan_backend = payload
+    migrated_in, replica_deltas, tick = payload
     return QueryCommand(
-        ipc_frames.unpack_agents(migrated_in),
-        _unpack_routed_deltas(replica_deltas),
-        *scalars,
-        SPATIAL_BACKENDS[spatial_backend],
-        plan_backend,
+        ipc_frames.unpack_agents(migrated_in), _unpack_routed_deltas(replica_deltas), tick
     )
 
 
@@ -479,17 +444,12 @@ def _decode_query_result(payload: tuple) -> QueryResult:
 
 
 def _encode_update_command(command: UpdateCommand) -> tuple:
-    return (
-        ipc_frames.pack_mapping_rows(command.partials),
-        command.tick,
-        command.seed,
-        command.world_bounds,
-        command.plan_backend,
-    )
+    return (ipc_frames.pack_mapping_rows(command.partials), command.tick)
 
 
 def _decode_update_command(payload: tuple) -> UpdateCommand:
-    return UpdateCommand(ipc_frames.unpack_mapping_rows(payload[0]), *payload[1:])
+    partials, tick = payload
+    return UpdateCommand(ipc_frames.unpack_mapping_rows(partials), tick)
 
 
 def _encode_update_result(result: UpdateResult) -> tuple:

@@ -13,9 +13,9 @@ partials do.
 Every worker runs as a *shard* hosted by the executor (:mod:`repro.brace.
 shards`): in the driver's process on the serial and thread backends, on a
 node process (forked, or dialed in) otherwise.  The code here is the same
-either way; the one thing a worker is told about its host is whether the
-transport copies what it hands out (``transport_copies``), which selects how
-replicas ship — full clones by reference, per-tick deltas over a wire.
+either way.  What a worker knows about its run — the seed, the backends,
+the world box and whether its host's transport copies what it hands out —
+is one :class:`ShardSettings`, fixed when the shard is seeded.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.brace.replication import replication_targets_batch
+from repro.brasil import kernels
 from repro.core.agent import Agent, _set_updating, mutable_cells
 from repro.core.context import QueryContext, UpdateContext
 from repro.core.errors import BraceError
@@ -43,36 +44,30 @@ from repro.ipc.frames import (
     state_field_names,
 )
 from repro.ipc.sizing import agent_frame_bytes
+from repro.spatial.bbox import BBox
 from repro.spatial.columnar import PointSet
 from repro.spatial.partitioning import Partition, SpatialPartitioning
 
 
-def _query_loop(owned: list[Agent], context: QueryContext, plan_backend: str | None) -> None:
+def _query_loop(owned: list[Agent], context: QueryContext, plan_backend: str) -> None:
     """Run the query phase body: compiled plan kernels when allowed, else
     the interpreted per-agent loop.
 
-    ``plan_backend`` semantics: ``"interpreted"`` never compiles; ``None``
-    (automatic) and ``"compiled"`` both attempt the columnar kernels and
-    fall back silently for anything the plan compiler cannot prove.  The
-    import is lazy because :mod:`repro.brasil` imports this module's
-    package back for its runner.
+    ``"interpreted"`` never compiles; ``"compiled"`` runs the columnar
+    kernels wherever the plan compiler proved one and the interpreter
+    elsewhere.
     """
-    if plan_backend != "interpreted":
-        from repro.brasil.kernels import try_compiled_query_phase
-
-        if try_compiled_query_phase(owned, context):
-            return
+    if plan_backend != "interpreted" and kernels.try_compiled_query_phase(owned, context):
+        return
     for agent in owned:
         agent.query(context)
 
 
-def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str | None) -> None:
+def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str) -> None:
     """Run the update phase body: compiled per-class kernels, interpreted rest."""
     remaining = owned
     if plan_backend != "interpreted":
-        from repro.brasil.kernels import try_compiled_update_phase
-
-        remaining = try_compiled_update_phase(owned, context)
+        remaining = kernels.try_compiled_update_phase(owned, context)
     for agent in remaining:
         _set_updating(agent, True)
         try:
@@ -227,6 +222,26 @@ class _SortedAgents:
         return extent.agents, extent.points
 
 
+@dataclass(frozen=True)
+class ShardSettings:
+    """The run-wide values a resident worker runs with.
+
+    None of them can change during a run, so they travel once, in the
+    :class:`~repro.brace.shards.ShardSeed` (and with it in every migration
+    and checkpoint stash), instead of in every tick's commands.
+    """
+
+    #: The run's effective seed (``BraceConfig.seed`` or the world's).
+    seed: int = 0
+    check_visibility: bool = True
+    spatial_backend: str = "vectorized"
+    plan_backend: str = "compiled"
+    world_bounds: BBox | None = None
+    #: True when the host's transport copies everything that crosses it (a
+    #: wire): see :meth:`Worker.distribute`.
+    transport_copies: bool = False
+
+
 @dataclass
 class DistributionResult:
     """What one worker's map phase produced for the rest of the cluster.
@@ -257,9 +272,10 @@ class Worker:
     whole :class:`~repro.spatial.partitioning.SpatialPartitioning` (set via
     :meth:`adopt_partitioning` or the shard seed) so it can compute
     migrations and replication targets locally, and its ``replicas`` dict
-    is the replica cache the query phase joins against.  (The driver also
-    keeps one bare ``Worker`` per partition as a *shadow*: membership only,
-    for ownership, load statistics and the cost model.)
+    is the replica cache the query phase joins against.  ``settings`` are
+    the run-wide values its phases run with.  (The driver also keeps one
+    bare ``Worker`` per partition as a *shadow*: membership only, for
+    ownership, load statistics and the cost model.)
     """
 
     def __init__(
@@ -267,11 +283,13 @@ class Worker:
         worker_id: int,
         partition: Partition,
         partitioning: SpatialPartitioning | None = None,
+        settings: ShardSettings = ShardSettings(),
     ):
         self.worker_id = worker_id
         self.partition = partition
         #: Full partitioning, needed to route migrations and replicas locally.
         self.partitioning = partitioning
+        self.settings = settings
         self.owned: dict[Any, Agent] = {}
         self.replicas: dict[Any, Agent] = {}
         self.last_query_work_units = 0.0
@@ -293,9 +311,6 @@ class Worker:
         #: mutable cell positions)``.  Compared by object identity next tick
         #: to decide which cells actually need reshipping.
         self._replica_sent: dict[int, dict] = {}
-        #: Whether the last map phase ran in replica-delta mode (consulted
-        #: by the query phase to apply incoming deltas incrementally).
-        self._replica_delta_mode = False
         #: Shard-local checkpoint stash: ``tag -> pickled ShardSeed`` taken
         #: at checkpoint boundaries so a *surviving* resident shard can
         #: rewind itself in place after another node dies, without shipping
@@ -434,11 +449,7 @@ class Worker:
     # ------------------------------------------------------------------
     # Shard operations (the map phase, computed shard-locally)
     # ------------------------------------------------------------------
-    def distribute(
-        self,
-        partitioning: SpatialPartitioning | None = None,
-        transport_copies: bool = False,
-    ) -> DistributionResult:
+    def distribute(self, partitioning: SpatialPartitioning | None = None) -> DistributionResult:
         """Run the tick's map phase locally: reset, migrate out, replicate.
 
         The phase is one batch over the owned set: positions are harvested
@@ -460,8 +471,8 @@ class Worker:
         phase's snapshot (:meth:`run_query_phase`), so positions are read
         once per tick.
 
-        ``transport_copies`` says whether everything handed out is copied
-        before anyone mutates the originals.  A wire does exactly that
+        ``settings.transport_copies`` says whether everything handed out is
+        copied before anyone mutates the originals.  A wire does exactly that
         (encoding happens in the same shard task, before the query phase
         runs); a by-reference transport does not.  It selects how replicas
         ship:
@@ -500,7 +511,7 @@ class Worker:
         if partitioning is None:
             raise BraceError(f"worker {self.worker_id} has no partitioning to distribute with")
         result = DistributionResult()
-        self._replica_delta_mode = transport_copies
+        transport_copies = self.settings.transport_copies
         if transport_copies:
             previous_sent = self._replica_sent
             sent: dict[int, dict] = {}
@@ -684,13 +695,14 @@ class Worker:
         """The worker's travelling form for a physical shard migration.
 
         The cluster backend calls this (duck-typed) when re-homing a shard
-        onto another node: only the partition, the partitioning and the
-        owned agents travel — the exact :class:`~repro.brace.shards.
-        ShardSeed` the resident factory rebuilds from.  Replica caches and
-        the delta send history stay behind on purpose; the driver follows
-        every migration with an :meth:`adopt_partitioning` round that
-        clears them on *all* shards, so no shard's send history can claim
-        the rebuilt worker still holds replica rows it lost in transit.
+        onto another node: only the partition, the partitioning, the
+        settings and the owned agents travel — the exact
+        :class:`~repro.brace.shards.ShardSeed` the resident factory rebuilds
+        from.  Replica caches and the delta send history stay behind on
+        purpose; the driver follows every migration with an
+        :meth:`adopt_partitioning` round that clears them on *all* shards,
+        so no shard's send history can claim the rebuilt worker still holds
+        replica rows it lost in transit.
         """
         from repro.brace.shards import ShardSeed
 
@@ -698,6 +710,7 @@ class Worker:
             partition=self.partition,
             partitioning=self.partitioning,
             agents=self.owned_agents(),
+            settings=self.settings,
         )
 
     def collect_states(self) -> dict[Any, dict[str, Any]]:
@@ -711,14 +724,7 @@ class Worker:
     # ------------------------------------------------------------------
     # Phase execution
     # ------------------------------------------------------------------
-    def run_query_phase(
-        self,
-        tick: int,
-        seed: int,
-        check_visibility: bool,
-        spatial_backend: str = "vectorized",
-        plan_backend: str | None = None,
-    ) -> QueryContext:
+    def run_query_phase(self, tick: int) -> QueryContext:
         """Execute the query phase (reduce 1) for every owned agent.
 
         With the vectorized backend the context is served the columnar
@@ -727,24 +733,25 @@ class Worker:
         harvested earlier this tick: positions are packed once per tick, not
         once per phase.
         """
+        settings = self.settings
         owned, replicas = self.owned_agents(), self.replica_agents()
         context = QueryContext(
             # Not the snapshot's merged order: ``ctx.agents()`` hands this
             # list to user code, and it must not depend on the backend.
             owned + replicas,
             tick=tick,
-            seed=seed,
-            check_visibility=check_visibility,
-            spatial_backend=spatial_backend,
-            snapshot=self._build_snapshot(spatial_backend),
+            seed=settings.seed,
+            check_visibility=settings.check_visibility,
+            spatial_backend=settings.spatial_backend,
+            snapshot=self._build_snapshot(),
         )
         with phase(Phase.QUERY):
-            _query_loop(owned, context, plan_backend)
+            _query_loop(owned, context, settings.plan_backend)
         self.last_query_work_units = context.work_units
         self.last_index_probes = context.index_probes
         return context
 
-    def _build_snapshot(self, spatial_backend: str) -> PointSet | None:
+    def _build_snapshot(self) -> PointSet | None:
         """The query phase's columnar snapshot (None on the python backend).
 
         Its rows are the extent in canonical order.  Both tables are already
@@ -753,7 +760,7 @@ class Worker:
         that arrived after it — have their positions read here (everyone's
         when no map phase ran this tick).
         """
-        if spatial_backend != "vectorized":
+        if self.settings.spatial_backend != "vectorized":
             self.last_snapshot = None
             return None
         agents, points = self._owned_rows().extent_with(self._replica_rows())
@@ -780,20 +787,17 @@ class Worker:
             )
         self.owned[agent_id].merge_effect_partials(partials)
 
-    def run_update_phase(
-        self,
-        tick: int,
-        seed: int,
-        world_bounds,
-        plan_backend: str | None = None,
-    ) -> UpdateContext:
+    def run_update_phase(self, tick: int) -> UpdateContext:
         """Execute the update phase for every owned agent, collecting births/deaths."""
+        settings = self.settings
         # Positions change now: the map phase's position rows are stale.
         self._owned_rows().points = None
         self.last_snapshot = None
-        context = UpdateContext(tick=tick, seed=seed, world_bounds=world_bounds)
+        context = UpdateContext(
+            tick=tick, seed=settings.seed, world_bounds=settings.world_bounds
+        )
         with phase(Phase.UPDATE):
-            _update_loop(self.owned_agents(), context, plan_backend)
+            _update_loop(self.owned_agents(), context, settings.plan_backend)
         return context
 
     # ------------------------------------------------------------------

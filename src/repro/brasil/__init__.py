@@ -31,11 +31,14 @@ The compilation pipeline mirrors the paper's:
    assignments into local ones when possible (Theorems 2 and 3);
 4. :mod:`repro.brasil.compiler` packages everything into a Python
    :class:`~repro.core.agent.Agent` subclass executable by the sequential
-   engine and by BRACE, with the access path :mod:`repro.brasil.optimizer`
-   selects for the query phase's join;
+   engine and by BRACE;
 5. where the proof obligations hold, both phases also compile to
-   whole-phase columnar kernels (:mod:`repro.brasil.kernels`) selected by
-   ``BraceConfig.plan_backend``; the class is proved once per process.
+   whole-phase columnar kernels (:mod:`repro.brasil.kernels`), which
+   ``BraceConfig.plan_backend="compiled"`` (the default) runs; the class is
+   proved once per process, and :func:`kernel_fallback_reasons` names what
+   kept a phase interpreted.
+
+:meth:`repro.api.Simulation.from_script` runs a script on BRACE.
 
 :mod:`repro.brasil.translate` translates a query script into a monad
 algebra plan (Appendix B) on which :mod:`repro.brasil.optimizer` applies
@@ -53,17 +56,11 @@ from repro.brasil.compiler import (
 from repro.brasil.effect_inversion import EffectInversionError, invert_effects
 from repro.brasil.kernels import (
     PlanKernelFallback,
+    kernel_fallback_reasons,
     kernels_for_class,
-    resolve_plan_backend,
 )
-from repro.brasil.optimizer import PlanSelection, select_plan
 from repro.brasil.parser import parse
-from repro.brasil.runner import (
-    ScriptRunResult,
-    build_script_world,
-    config_for_script,
-    run_script,
-)
+from repro.brasil.runner import build_script_world
 from repro.brasil.semantics import analyze, ScriptInfo
 
 __all__ = [
@@ -72,18 +69,13 @@ __all__ = [
     "CompiledScript",
     "EffectInversionError",
     "PlanKernelFallback",
-    "PlanSelection",
     "ScriptInfo",
-    "ScriptRunResult",
     "analyze",
     "build_script_world",
     "compile_script",
     "compiled_class_for_spec",
-    "config_for_script",
     "invert_effects",
+    "kernel_fallback_reasons",
     "kernels_for_class",
     "parse",
-    "resolve_plan_backend",
-    "run_script",
-    "select_plan",
 ]

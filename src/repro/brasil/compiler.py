@@ -27,7 +27,7 @@ from typing import Any
 from repro.brasil.ast_nodes import ClassDecl, Script
 from repro.brasil.effect_inversion import EffectInversionError, InversionResult, invert_effects
 from repro.brasil.interpreter import Environment, evaluate, execute_block
-from repro.brasil.optimizer import PlanSelection, select_plan
+from repro.brasil.kernels import kernels_for_class
 from repro.brasil.parser import parse
 from repro.brasil.semantics import ScriptInfo, analyze_class
 from repro.core.agent import Agent, AgentMeta, _rebuild_agent
@@ -151,9 +151,6 @@ class CompiledScript:
     agent_class: type
     inversion: InversionResult | None = None
     spec: AgentClassSpec | None = None
-    #: Which phases the plan compiler proved kernel-compilable: the proof
-    #: the runtime runs, read from ``kernels_for_class(agent_class)``.
-    plan_selection: PlanSelection | None = None
 
     @property
     def class_name(self) -> str:
@@ -174,14 +171,6 @@ class CompiledScript:
     def was_inverted(self) -> bool:
         """True when effect inversion rewrote the script."""
         return self.inversion is not None and self.inversion.inverted
-
-    def brace_config_overrides(self) -> dict[str, Any]:
-        """Configuration the BRACE runtime should adopt for this script.
-
-        Only the reduce-pass structure: ``non_local_effects`` says whether
-        the compiled script still needs the second reduce pass.
-        """
-        return {"non_local_effects": self.has_non_local_effects}
 
     def make_agent(self, agent_id: int | None = None, **state_values: Any):
         """Instantiate one agent with the given initial state."""
@@ -234,6 +223,9 @@ class BrasilCompiler:
         agent_class = _CLASS_REGISTRY.setdefault(
             spec, self._build_agent_class(compiled_decl, info, spec)
         )
+        # The plan-kernel proof, once per class per process (cached on the
+        # class; kernel_fallback_reasons reads what it found).
+        kernels_for_class(agent_class)
 
         return CompiledScript(
             source=source,
@@ -245,7 +237,6 @@ class BrasilCompiler:
             agent_class=agent_class,
             inversion=inversion,
             spec=spec,
-            plan_selection=select_plan(agent_class),
         )
 
     # ------------------------------------------------------------------

@@ -1227,22 +1227,6 @@ def kernel_fallback_reasons(cls) -> Dict[str, str]:
     return dict(cls.__dict__["_plan_fallback_reasons"])
 
 
-def resolve_plan_backend(plan_backend: Optional[str], agent_classes) -> str:
-    """The backend a run with this knob actually attempts.
-
-    For the provenance record: an explicit knob wins; ``None`` (automatic)
-    means "compiled wherever a kernel exists", which resolves to
-    ``compiled`` when at least one class compiled and ``interpreted``
-    otherwise.
-    """
-    if plan_backend in ("interpreted", "compiled"):
-        return plan_backend
-    classes = list(agent_classes)
-    if classes and any(kernels_for_class(cls) != (None, None) for cls in classes):
-        return "compiled"
-    return "interpreted"
-
-
 # ----------------------------------------------------------------------
 # Phase-level entry points (called by the worker layer)
 # ----------------------------------------------------------------------

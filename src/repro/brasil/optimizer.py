@@ -36,63 +36,6 @@ from repro.brasil.algebra import (
 )
 
 
-@dataclass(frozen=True)
-class PlanSelection:
-    """Which phases of a script the plan compiler proved kernel-compilable.
-
-    A report, not a pin on ``BraceConfig.plan_backend``: it is read from
-    the one per-class proof the runtime runs
-    (:func:`~repro.brasil.kernels.kernels_for_class`), so it says exactly
-    what ``plan_backend=None`` will do for this script.  ``reason`` records
-    why.
-    """
-
-    query_compiled: bool
-    update_compiled: bool
-    reason: str
-
-
-def select_plan(agent_class: type) -> PlanSelection:
-    """Report which phases of ``agent_class`` run as whole-phase columnar kernels.
-
-    Feasibility is :func:`repro.brasil.kernels.kernels_for_class` — a phase
-    is compilable exactly when a kernel provably bit-identical to the
-    interpreter exists for it — so the class is proved once per process and
-    the selection cannot disagree with what runs.
-    """
-    from repro.brasil.kernels import kernels_for_class
-
-    query_kernel, update_kernel = kernels_for_class(agent_class)
-    if query_kernel is not None and update_kernel is not None:
-        reason = (
-            "both phases are inside the provable subset: effect aggregation "
-            "runs as scatter-reductions over the spatial join's match lists, "
-            "update rules as column math over a structure-of-arrays snapshot"
-        )
-    elif query_kernel is not None:
-        reason = (
-            "query phase compiles to a scatter-reduction kernel; the update "
-            "rules use a construct outside the provable subset and stay "
-            "interpreted"
-        )
-    elif update_kernel is not None:
-        reason = (
-            "update rules compile to columnar math; the query phase uses a "
-            "construct outside the provable subset (rand(), nested foreach, "
-            "loop-carried locals or unbounded visibility) and stays interpreted"
-        )
-    else:
-        reason = (
-            "neither phase is inside the provable subset; the interpreter "
-            "(the path covering the whole language) executes both"
-        )
-    return PlanSelection(
-        query_compiled=query_kernel is not None,
-        update_compiled=update_kernel is not None,
-        reason=reason,
-    )
-
-
 @dataclass
 class OptimizationReport:
     """Counts of rewrite rule applications."""

@@ -1,42 +1,20 @@
-"""Run BRASIL scripts end to end on the parallel BRACE runtime.
+"""Build the world a compiled BRASIL script runs in.
 
-This is the compilation *backend* the paper promises its users: write a
-simulation in BRASIL once, and the system owns parallelization.
-:func:`run_script` drives the full path —
-
-1. compile the script (semantic checks, effect inversion, the plan-kernel
-   proof);
-2. build a :class:`~repro.core.world.World` populated with deterministic
-   initial agent states;
-3. derive the :class:`~repro.brace.config.BraceConfig` the script needs
-   (the reduce-pass structure from the inversion outcome);
-4. execute on :class:`~repro.brace.runtime.BraceRuntime` with whichever
-   executor backend the caller configured (serial, thread, process or
-   cluster — compiled agents are picklable, see
-   :mod:`repro.brasil.compiler`).  There is one tick protocol: compiled
-   agents live inside executor-hosted shards across ticks and only boundary
-   deltas are exchanged — by reference on the serial and thread backends,
-   as columnar frames on the process and cluster backends, where a script's
-   per-tick IPC therefore scales with its visibility boundary rather than
-   its population (``ScriptRunResult.ipc_bytes()`` reports the measurement).
-
-Because every step is deterministic, the same script with the same seed
-produces bit-identical agent states on every executor backend; the
-equivalence tests in ``tests/brasil/test_run_script.py`` assert exactly
-that for the traffic and fish-school scripts.
+The helpers behind :meth:`repro.api.Simulation.from_script`, the one way to
+run a script: resolve the script argument (a path or the source text),
+compile it with the script's label on any error, and populate a
+:class:`~repro.core.world.World` with deterministic initial agent states —
+so the same call always builds the same world, which is what makes runs on
+different executor backends comparable bit for bit.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.brace.config import BraceConfig
-from repro.brace.metrics import BraceRunMetrics
 from repro.brasil.compiler import CompiledScript, compile_script
 from repro.core.errors import BrasilError
 from repro.core.world import World
@@ -155,107 +133,3 @@ def build_script_world(
         }
         world.add_agent(compiled.make_agent(**values))
     return world
-
-
-def config_for_script(
-    compiled: CompiledScript, config: BraceConfig | None = None
-) -> BraceConfig:
-    """Derive the runtime configuration a compiled script needs.
-
-    Starts from ``config`` (or defaults), then applies the compiler's
-    overrides: ``non_local_effects`` reflects the effect-inversion outcome
-    (one reduce pass when inversion localized every assignment, two
-    otherwise).
-    """
-    base = config if config is not None else BraceConfig()
-    derived = dataclasses.replace(base, **compiled.brace_config_overrides())
-    derived.validate()
-    return derived
-
-
-@dataclass
-class ScriptRunResult:
-    """Everything :func:`run_script` produced."""
-
-    compiled: CompiledScript
-    world: World
-    config: BraceConfig
-    metrics: BraceRunMetrics
-    ticks: int
-
-    def final_states(self) -> dict[Any, dict[str, Any]]:
-        """State of every agent after the run, keyed by agent id."""
-        return {agent.agent_id: agent.state_dict() for agent in self.world.agents()}
-
-    def throughput(self, skip_ticks: int = 0) -> float:
-        """Agent-ticks per virtual second (the paper's scale-up unit)."""
-        return self.metrics.throughput(skip_ticks)
-
-    def ipc_bytes(self) -> int:
-        """Measured driver<->shard bytes for the whole run.
-
-        Real encoded frame sizes from the shard protocol; 0 for runs on
-        memory-sharing backends (nothing crossed a process boundary).
-        """
-        return self.metrics.total_ipc_bytes()
-
-
-def run_script(
-    script: str | Path,
-    config: BraceConfig | None = None,
-    *,
-    class_name: str | None = None,
-    effect_inversion: str = "auto",
-    ticks: int = 10,
-    num_agents: int = 50,
-    initial_states: Sequence[dict[str, Any]] | None = None,
-    bounds: BBox | Sequence[Sequence[float]] | None = None,
-    seed: int = 0,
-) -> ScriptRunResult:
-    """Compile a BRASIL script and run it on the BRACE runtime.
-
-    Parameters
-    ----------
-    script:
-        Path to a BRASIL file, or the source text itself.
-    config:
-        Base :class:`BraceConfig`; pick the executor backend here
-        (``BraceConfig(executor="process", num_workers=8)``).  The
-        script-derived knob (``non_local_effects``) is overridden from the
-        compilation result; everything else passes through untouched.
-    class_name, effect_inversion:
-        Forwarded to :func:`~repro.brasil.compiler.compile_script`.
-    ticks, num_agents, initial_states, bounds, seed:
-        Simulation length and world construction — see
-        :func:`build_script_world`.
-
-    Returns a :class:`ScriptRunResult`; agent states are bit-identical for
-    any executor backend given the same remaining arguments.
-
-    This is a thin shim over the unified session layer: it is equivalent to
-    ``Simulation.from_script(script, ...).run(ticks)`` (see
-    :class:`repro.api.Simulation`), which additionally offers streaming
-    ticks, observers and pause/resume.
-    """
-    from repro.api import Simulation
-
-    session = Simulation.from_script(
-        script,
-        config=config,
-        class_name=class_name,
-        effect_inversion=effect_inversion,
-        num_agents=num_agents,
-        initial_states=initial_states,
-        bounds=bounds,
-        seed=seed,
-    )
-    with session:
-        result = session.run(int(ticks))
-    assert session.compiled is not None
-    return ScriptRunResult(
-        compiled=session.compiled,
-        world=session.world,
-        config=session.config,
-        metrics=result.metrics,
-        ticks=int(ticks),
-    )

@@ -1072,9 +1072,10 @@ class ProcessExecutor(ClusterExecutor):
 
     name = "process"
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
+    def __init__(self, max_workers: Optional[int] = None, **options: Any) -> None:
         workers = default_worker_count() if max_workers is None else int(max_workers)
-        super().__init__(max_workers, num_nodes=workers)
+        options.setdefault("num_nodes", workers)
+        super().__init__(max_workers, **options)
 
     def _attach(self, indices: Sequence[int], timeout: float) -> None:
         """Attach one node per slot in ``indices`` — the forked way.

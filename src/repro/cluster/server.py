@@ -137,7 +137,7 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
         # Ship the whole shard through the codec for a migration.  A state
         # that defines ``migration_seed()`` (the BRACE Worker does) chooses
         # its own travelling form — for Workers that is a ShardSeed of the
-        # owned agents only: retained replicas and the delta send history
+        # owned agents and the run-wide settings only: retained replicas and the delta send history
         # are deliberately left behind, because the driver follows every
         # migration with an adopt_partitioning round that resets them on
         # all shards.  States without the hook travel as themselves and

@@ -23,7 +23,7 @@ figure8     Figure 8 — fish per-epoch time with and without load balancing.
 ==========  =================================================================
 
 ``run_figure6_brasil`` and ``run_figure7_brasil`` regenerate the two
-scale-up figures *from BRASIL source* via ``repro.brasil.run_script``
+scale-up figures *from BRASIL source* via ``Simulation.from_script``
 (``figure6-brasil`` / ``figure7-brasil`` on the command line).
 """
 

@@ -10,7 +10,7 @@ single switch — is reproduced by the network model's inter-switch penalty.
 
 :func:`run_figure6` uses the hand-written Python ``Vehicle`` model;
 :func:`run_figure6_brasil` reproduces the same curve *from BRASIL source*
-through :func:`repro.brasil.runner.run_script` — the paper's end-to-end
+through :meth:`repro.api.Simulation.from_script` — the paper's end-to-end
 claim that scripts, not hand-written agents, are what scales.
 """
 
@@ -121,9 +121,9 @@ def run_figure6_brasil(
     density stays constant, mirroring :func:`run_figure6`'s scale-up design.
     Each cluster size compiles a ring of the right length (BRASIL has no
     parameters, so the length is baked into the generated source) and runs
-    it through ``run_script`` on the configured executor backend.
+    it through :meth:`Simulation.from_script` on the configured executor
+    backend.
     """
-    from repro.brasil.runner import run_script
     from repro.simulations.traffic.brasil_scripts import traffic_script
 
     result = Figure6Result(ticks=ticks, vehicles_per_worker=vehicles_per_worker)
@@ -138,14 +138,14 @@ def run_figure6_brasil(
             executor=executor,
             max_workers=max_workers,
         )
-        run = run_script(
+        with Simulation.from_script(
             traffic_script(length=length),
-            config,
-            ticks=ticks,
+            config=config,
             num_agents=total_vehicles,
             bounds=((0.0, length),),
             seed=seed,
-        )
+        ) as session:
+            run = session.run(ticks)
         result.worker_counts.append(workers)
         result.agents.append(total_vehicles)
         result.throughputs.append(run.throughput())

@@ -10,7 +10,7 @@ in the paper.
 
 :func:`run_figure7` uses the hand-written Couzin fish model;
 :func:`run_figure7_brasil` draws the same comparison from the paper's
-fish-school BRASIL script via :func:`repro.brasil.runner.run_script`.
+fish-school BRASIL script via :meth:`repro.api.Simulation.from_script`.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ def run_figure7_brasil(
     Both curves run the *same* compiled script on identical initial states;
     only the load-balancer flag differs.
     """
-    from repro.brasil.runner import run_script
     from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
 
     result = Figure7Result(ticks=ticks, fish_per_worker=fish_per_worker)
@@ -145,15 +144,14 @@ def run_figure7_brasil(
                 executor=executor,
                 max_workers=max_workers,
             )
-            run = run_script(
+            with Simulation.from_script(
                 FISH_SCHOOL_SCRIPT,
-                config,
-                ticks=ticks,
+                config=config,
                 initial_states=initial_states,
                 bounds=bounds,
                 seed=seed,
-            )
-            return run.throughput()
+            ) as session:
+                return session.run(ticks).throughput()
 
         result.worker_counts.append(workers)
         result.throughput_with_lb.append(throughput(load_balance=True))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import Provenance, RunResult, Simulation, TickEvent
 from repro.brace.metrics import EpochStatistics
+from repro.brasil import kernel_fallback_reasons
 from repro.core.errors import BraceError, SimulationSessionError
 from repro.simulations.traffic import RING_LENGTH, RingCar, build_ring_world
 from repro.simulations.traffic.brasil_scripts import TRAFFIC_SCRIPT
@@ -263,9 +264,8 @@ class TestRepr:
 
 class TestProvenanceRoundTrip:
     """result.provenance.config must reproduce the run without re-deriving
-    any automatic default: every knob the runtime resolved (seed, plan
-    backend) is recorded as the concrete choice that ran, next to the
-    spatial backend every shard ran."""
+    any automatic default: the seed is recorded as the effective one, next
+    to the spatial and plan backends every shard ran."""
 
     def test_automatic_knobs_are_recorded_resolved(self, full_run_result):
         result = full_run_result
@@ -273,9 +273,10 @@ class TestProvenanceRoundTrip:
         # The session never set these; the provenance must hold what
         # actually executed instead of an automatic default.
         assert config.spatial_backend == "vectorized"
-        # Hand-written RingCar has no plan kernels: auto resolves to the
-        # interpreter, and the provenance records that concrete choice.
-        assert config.plan_backend == "interpreted"
+        # The configured plan backend is recorded.  Hand-written RingCar
+        # has no plan kernels, which the proof's report says per phase.
+        assert config.plan_backend == "compiled"
+        assert set(kernel_fallback_reasons(RingCar)) == {"query", "update"}
         assert config.seed == result.provenance.seed
 
     def test_resolution_matches_the_runtime(self):

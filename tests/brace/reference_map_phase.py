@@ -34,7 +34,6 @@ def reference_distribute(
     """``Worker.distribute`` as it was: one Python iteration per owned agent."""
     self = worker
     result = DistributionResult()
-    self._replica_delta_mode = transport_copies
     if transport_copies:
         previous_sent = self._replica_sent
         sent: dict[int, dict] = {}

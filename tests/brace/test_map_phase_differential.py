@@ -20,7 +20,7 @@ import pytest
 
 from repro.brace import replication, worker as worker_module
 from repro.brace.shards import _pack_routed_deltas, _unpack_routed_deltas
-from repro.brace.worker import Worker, _SortedAgents
+from repro.brace.worker import ShardSettings, Worker, _SortedAgents
 from repro.core.agent import Agent
 from repro.core.combinators import COUNT
 from repro.core.errors import BraceError
@@ -78,9 +78,15 @@ def make_agents(count: int = 160) -> list[Agent]:
     return agents
 
 
-def make_workers(partitioning, agents) -> list[Worker]:
+def make_workers(partitioning, agents, transport_copies=False) -> list[Worker]:
+    settings = ShardSettings(
+        seed=SEED,
+        plan_backend="interpreted",
+        world_bounds=BOUNDS,
+        transport_copies=transport_copies,
+    )
     workers = [
-        Worker(part.partition_id, part, partitioning=partitioning)
+        Worker(part.partition_id, part, partitioning=partitioning, settings=settings)
         for part in partitioning.partitions()
     ]
     for agent in agents:
@@ -151,24 +157,17 @@ def describe_worker(worker) -> dict:
         "replica_sent": [
             (target, list(rows.items())) for target, rows in worker._replica_sent.items()
         ],
-        "delta_mode": worker._replica_delta_mode,
     }
 
 
 def query_round(workers, tick) -> None:
     for worker in workers:
-        worker.run_query_phase(
-            tick=tick,
-            seed=SEED,
-            check_visibility=True,
-            spatial_backend="vectorized",
-            plan_backend="interpreted",
-        )
+        worker.run_query_phase(tick)
 
 
 def update_round(workers, tick) -> None:
     for worker in workers:
-        worker.run_update_phase(tick=tick, seed=SEED, world_bounds=BOUNDS)
+        worker.run_update_phase(tick)
 
 
 PARTITIONINGS = {
@@ -183,13 +182,11 @@ PARTITIONINGS = {
 def test_batch_map_phase_equals_the_per_agent_loop(layout, transport_copies):
     partitioning = PARTITIONINGS[layout]()
     agents = make_agents()
-    batch = make_workers(partitioning, copy.deepcopy(agents))
-    reference = make_workers(partitioning, copy.deepcopy(agents))
+    batch = make_workers(partitioning, copy.deepcopy(agents), transport_copies)
+    reference = make_workers(partitioning, copy.deepcopy(agents), transport_copies)
     migrated = removed = refreshed = 0
     for tick in range(7):
-        batch_results = [
-            worker.distribute(transport_copies=transport_copies) for worker in batch
-        ]
+        batch_results = [worker.distribute() for worker in batch]
         reference_results = [
             reference_distribute(worker, partitioning, transport_copies) for worker in reference
         ]
@@ -409,9 +406,14 @@ def counter(monkeypatch):
     return counter
 
 
-def strip_worker(agents, strips=2):
+def strip_worker(agents, strips=2, transport_copies=False):
     partitioning = StripPartitioning.uniform(BOUNDS, 0, strips)
-    worker = Worker(0, partitioning.partition(0), partitioning=partitioning)
+    worker = Worker(
+        0,
+        partitioning.partition(0),
+        partitioning=partitioning,
+        settings=ShardSettings(transport_copies=transport_copies),
+    )
     for agent in agents:
         worker.add_owned(agent)
     return worker
@@ -423,8 +425,8 @@ def test_interior_world_costs_the_map_phase_no_per_agent_call(counter, transport
     agents = [
         Drifter(agent_id=i, x=1.0 + (i % 25), y=float(i % 60)) for i in range(500)
     ]
-    worker = strip_worker(agents)
-    result = worker.distribute(transport_copies=transport_copies)
+    worker = strip_worker(agents, transport_copies=transport_copies)
+    result = worker.distribute()
     assert result.replicas_created == 0 and result.agents_migrated == 0
     assert counter.calls == {
         "repro.brace.replication.replication_targets": 0,
@@ -452,8 +454,8 @@ def test_boundary_world_costs_one_size_call_per_class(counter):
 
 def test_unbounded_class_is_resolved_once_not_per_row(counter):
     beacons = [Beacon(agent_id=i, x=5.0, y=float(i)) for i in range(50)]
-    worker = strip_worker(beacons, strips=3)
-    result = worker.distribute(transport_copies=True)
+    worker = strip_worker(beacons, strips=3, transport_copies=True)
+    result = worker.distribute()
     assert result.replicas_created == 100
     assert counter.calls["repro.brace.worker.agent_frame_bytes"] == 1
     assert counter.calls["Agent.visibility_radii"] == 1

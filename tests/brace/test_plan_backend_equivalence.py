@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
-from repro.brasil import compile_script, run_script
+from repro.brasil import compile_script, kernel_fallback_reasons
 from repro.brasil.runner import build_script_world
 from repro.core.agent import Agent
 from repro.core.engine import SequentialEngine
@@ -40,10 +40,10 @@ def run_cell(workload, executor, spatial, plan):
         plan_backend=plan,
         ticks_per_epoch=2,
     )
-    result = run_script(
-        SCRIPTS[workload], config, num_agents=NUM_AGENTS, ticks=TICKS, seed=5
-    )
-    return result.final_states()
+    with Simulation.from_script(
+        SCRIPTS[workload], config=config, num_agents=NUM_AGENTS, seed=5
+    ) as session:
+        return session.run(TICKS).final_states
 
 
 @pytest.fixture(scope="module")
@@ -78,19 +78,10 @@ class TestPlanBackendMatrix:
         states = run_cell(workload, "process", spatial, plan)
         assert states_equal(states, baseline[workload])
 
-    @pytest.mark.parametrize("workload", sorted(SCRIPTS))
-    def test_auto_matches_forced_backends(self, baseline, workload):
-        # plan_backend=None attempts kernels wherever they exist, so for
-        # these fully-compilable scripts it must equal both forced choices.
-        states = run_cell(workload, "serial", "vectorized", None)
-        assert states_equal(states, baseline[workload])
-
     def test_workloads_actually_compile(self):
         # Non-vacuity: both matrix workloads exercise real kernels.
         for workload, source in SCRIPTS.items():
-            selection = compile_script(source).plan_selection
-            assert selection.query_compiled, workload
-            assert selection.update_compiled, workload
+            assert kernel_fallback_reasons(compile_script(source).agent_class) == {}, workload
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +203,29 @@ class TestConfigSurface:
         with pytest.raises(BraceError, match="plan backend"):
             session.with_plan_backend("jit")
 
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    def test_there_is_no_automatic_backend(self, backend):
+        with pytest.raises(BraceError, match="'compiled'.*'interpreted'"):
+            BraceConfig(plan_backend=backend).validate()
+        session = Simulation.from_script(FISH_SCHOOL_SCRIPT, num_agents=10, seed=1)
+        with pytest.raises(BraceError, match="'compiled'.*'interpreted'"):
+            session.with_plan_backend(backend)
+
     def test_builder_accepts_and_round_trips_backend(self):
         session = Simulation.from_script(
             FISH_SCHOOL_SCRIPT, num_agents=10, seed=1
-        ).with_plan_backend("compiled")
-        assert session._builder.build().plan_backend == "compiled"
+        ).with_plan_backend("interpreted")
+        assert session._builder.build().plan_backend == "interpreted"
 
-    def test_provenance_records_resolved_backend(self):
-        with Simulation.from_script(FISH_SCHOOL_SCRIPT, num_agents=20, seed=2) as sim:
-            result = sim.run(2)
-        # Automatic selection resolved to "compiled" for a fully-compilable
-        # script, and the provenance pins the resolved choice (PR 6 style).
-        assert result.provenance.config.plan_backend == "compiled"
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    def test_provenance_records_the_configured_backend(self, backend):
+        def run(agents):
+            session = Simulation.from_agents(agents, bounds=((-20.0, 20.0), (-20.0, 20.0)))
+            with session.with_workers(2).with_plan_backend(backend) as sim:
+                return sim.run(1).provenance.config.plan_backend
+
+        # The default is "compiled"; whatever is configured is recorded,
+        # for a compilable script and for hand-written agents alike.
+        assert BraceConfig().plan_backend == "compiled"
+        assert run([_CRITTER.make_agent(x=float(i), y=0.0) for i in range(6)]) == backend
+        assert run([Drone(x=float(i), y=1.0) for i in range(3)]) == backend

@@ -19,6 +19,7 @@ from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
 from repro.core.engine import SequentialEngine
 from repro.core.errors import ExecutorError
+from repro.core.soa import states_equal
 from repro.simulations.traffic.workload import build_traffic_world
 
 SEED = 17
@@ -128,6 +129,50 @@ class TestProcessNodeLoss:
             os.kill(runtime.executor.node_pids()[0], signal.SIGKILL)
             with pytest.raises(ExecutorError, match="recover from the last checkpoint"):
                 runtime.run(TOTAL_TICKS - world.tick)
+
+
+class TestSettingsTravelWithTheSeed:
+    """The run-wide settings ride each shard's seed, so a shard rebuilt by
+    a migration or rewound in place from its checkpoint stash runs with
+    them.  The linear scan charges ``len(extent)`` per probe and the grid
+    does not, so a rebuilt worker that fell back to a default backend
+    shows in the per-tick work units."""
+
+    @staticmethod
+    def record_work(runtime, ticks, units):
+        for stats in runtime.supervised_ticks(ticks):
+            units[stats.tick] = [worker.last_query_work_units for worker in runtime.workers]
+
+    def test_migration_and_in_place_recovery_keep_the_settings(self):
+        serial_world, serial_units = build_world(), {}
+        serial_config = make_config("serial", spatial_backend="python")
+        with BraceRuntime(serial_world, serial_config) as runtime:
+            self.record_work(runtime, TOTAL_TICKS, serial_units)
+
+        world, units = build_world(), {}
+        with BraceRuntime(world, make_config("process", spatial_backend="python")) as runtime:
+            self.record_work(runtime, 3, units)  # checkpoint at tick 2
+            # Move one of two shards sharing a node to the other node.
+            home, shards = next(
+                (record["node"], record["shards"])
+                for record in runtime.executor.node_topology()
+                if len(record["shards"]) > 1
+            )
+            runtime.migrate_shard(shards[0], 1 - home)
+            self.record_work(runtime, 2, units)  # the moved shard stashes at tick 4
+            # Kill the node it left: the moved shard is a survivor and
+            # rewinds from its own stash; the killed node's are re-seeded.
+            os.kill(runtime.executor.node_pids()[home], signal.SIGKILL)
+            self.record_work(runtime, TOTAL_TICKS - world.tick, units)
+            (loss,) = [e for e in runtime.fault_events if e["event"] == "node_loss"]
+            assert loss["lost_shards"] and shards[0] not in loss["lost_shards"]
+            (recovered,) = [e for e in runtime.fault_events if e["event"] == "recovered"]
+            assert recovered["partial"] is True
+        assert units == serial_units
+        assert states_equal(
+            {agent.agent_id: agent.state_dict() for agent in world.agents()},
+            {agent.agent_id: agent.state_dict() for agent in serial_world.agents()},
+        )
 
 
 @pytest.mark.slow

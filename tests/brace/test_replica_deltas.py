@@ -1,6 +1,6 @@
 """Replica delta shipping: ship only what the destination doesn't hold.
 
-Over a copying transport (``distribute(transport_copies=True)``) every
+Over a copying transport (``ShardSettings(transport_copies=True)``) every
 destination retains last tick's replicas and the source ships a
 :class:`~repro.ipc.frames.ReplicaDelta` in three parts: additions (whole
 rows the destination does not hold), refreshes (the changed cells of rows
@@ -22,7 +22,7 @@ from repro.brace.shards import (
     _pack_routed_deltas,
     _unpack_routed_deltas,
 )
-from repro.brace.worker import Worker
+from repro.brace.worker import ShardSettings, Worker
 from repro.core.agent import Agent
 from repro.core.errors import BraceError
 from repro.core.fields import StateField
@@ -33,15 +33,16 @@ from repro.spatial.partitioning import StripPartitioning
 from tests.conftest import Boid
 
 
-def make_worker(worker_id=0, partitions=2, width=60.0):
+def make_worker(worker_id=0, partitions=2, width=60.0, transport_copies=True):
     partitioning = StripPartitioning.uniform(
         BBox(((0.0, width), (0.0, width))), 0, partitions
     )
-    return Worker(worker_id, partitioning.partition(worker_id)), partitioning
+    settings = ShardSettings(transport_copies=transport_copies)
+    return Worker(worker_id, partitioning.partition(worker_id), settings=settings), partitioning
 
 
 def distribute(worker, partitioning):
-    return worker.distribute(partitioning, transport_copies=True)
+    return worker.distribute(partitioning)
 
 
 def refreshed(delta):
@@ -214,9 +215,9 @@ class TestDeltaDistribute:
             for i in range(6):
                 worker.add_owned(Boid(agent_id=i, x=24.0 + i, y=5.0))
 
-        full_worker, partitioning = make_worker()
+        full_worker, partitioning = make_worker(transport_copies=False)
         populate(full_worker)
-        full = full_worker.distribute(partitioning, transport_copies=False)
+        full = full_worker.distribute(partitioning)
 
         delta_worker, _ = make_worker()
         populate(delta_worker)

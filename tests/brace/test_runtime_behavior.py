@@ -42,6 +42,39 @@ class TestConfigValidation:
             BraceRuntime(world, BraceConfig(num_workers=2))
 
 
+class TestWireExecutorsReadTheConfig:
+    """Both wire executors are built from the config's wire settings."""
+
+    @pytest.mark.parametrize("executor", ["process", "cluster"])
+    def test_wire_settings_reach_the_executor(self, executor):
+        config = BraceConfig(
+            num_workers=2,
+            executor=executor,
+            max_workers=2,
+            heartbeat_interval_seconds=0.25,
+            heartbeat_timeout_seconds=3.0,
+            readmission_timeout_seconds=4.0,
+            latency_seconds=1e-3,
+            work_units_per_second=5e5,
+        )
+        # Nodes start at the first round; building the runtime starts none.
+        with BraceRuntime(make_boid_world(num_agents=4, seed=0), config) as runtime:
+            wire = runtime.executor
+            assert (wire.heartbeat_interval, wire.heartbeat_timeout) == (0.25, 3.0)
+            assert wire.readmission_timeout == 4.0
+            # The placement model is the one that prices virtual time.
+            assert wire.network is runtime.cost_model.network
+            assert [node.work_units_per_second for node in wire.sim_nodes] == [5e5, 5e5]
+
+    @pytest.mark.parametrize("executor", ["process", "cluster"])
+    def test_an_interval_not_below_the_timeout_is_rejected(self, executor):
+        config = BraceConfig(
+            executor=executor, heartbeat_interval_seconds=2.0, heartbeat_timeout_seconds=2.0
+        )
+        with pytest.raises(BraceError, match="heartbeat_timeout_seconds must exceed"):
+            config.validate()
+
+
 class TestReplication:
     def test_targets_include_owner_and_neighbours_within_visibility(self):
         world = make_boid_world(num_agents=1, seed=0)

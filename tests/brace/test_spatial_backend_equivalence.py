@@ -13,7 +13,7 @@ import pytest
 from repro.api import Simulation
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
-from repro.brasil import build_script_world, compile_script, config_for_script
+from repro.brasil import build_script_world, compile_script
 from repro.core.agent import Agent
 from repro.core.engine import SequentialEngine
 from repro.core.errors import BraceError
@@ -219,11 +219,11 @@ class TestScriptFrontDoor:
         oracle = build_script_world(compiled, num_agents=80, seed=4)
         SequentialEngine(oracle, spatial_backend="python").run(TICKS)
 
-        world = build_script_world(compiled, num_agents=80, seed=4)
-        base = BraceConfig(num_workers=3, spatial_backend=spatial, plan_backend=plan)
-        with BraceRuntime(world, config_for_script(compiled, base)) as runtime:
-            runtime.run(TICKS)
-        assert final_states(world) == final_states(oracle)
+        session = Simulation.from_script(ANISOTROPIC_SCRIPT, num_agents=80, seed=4)
+        session.with_workers(3).with_spatial_backend(spatial).with_plan_backend(plan)
+        with session:
+            session.run(TICKS)
+        assert final_states(session.world) == final_states(oracle)
 
 
 class TestConfigSurface:
@@ -244,37 +244,33 @@ class TestConfigSurface:
 
 class TestBackendOnTheWire:
     @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_query_command_round_trips(self, backend):
-        from repro.brace.shards import QueryCommand
+    def test_shard_seed_round_trips_the_settings(self, backend):
+        from repro.brace.shards import ShardSeed, make_resident_worker
+        from repro.brace.worker import ShardSettings
+        from repro.spatial.partitioning import StripPartitioning
         from tests.wire_double import roundtrip
 
-        command = QueryCommand(
-            migrated_in=[],
-            replicas_in=[],
-            tick=3,
+        bounds = BBox(((0.0, 100.0), (0.0, 100.0)))
+        partitioning = StripPartitioning.uniform(bounds, 0, 2)
+        settings = ShardSettings(
             seed=7,
             check_visibility=False,
             spatial_backend=backend,
-            plan_backend="compiled",
+            plan_backend="interpreted",
+            world_bounds=bounds,
+            transport_copies=True,
         )
-        decoded, _ = roundtrip(command)
-        assert (decoded.tick, decoded.seed, decoded.check_visibility) == (3, 7, False)
-        assert (decoded.spatial_backend, decoded.plan_backend) == (backend, "compiled")
-
-    def test_an_unknown_backend_does_not_reach_the_wire(self):
-        from repro.brace.shards import QueryCommand
-        from tests.wire_double import roundtrip
-
-        command = QueryCommand(
-            migrated_in=[],
-            replicas_in=[],
-            tick=0,
-            seed=0,
-            check_visibility=False,
-            spatial_backend="kdtree",
-        )
-        with pytest.raises(ValueError):
-            roundtrip(command)
+        agents = [Fish(agent_id=i, x=float(i), y=5.0) for i in range(3)]
+        seed = ShardSeed(partitioning.partition(1), partitioning, agents, settings)
+        decoded, size = roundtrip(seed)
+        assert size > 0
+        assert decoded.settings == settings
+        assert [agent.state_dict() for agent in decoded.agents] == [
+            agent.state_dict() for agent in agents
+        ]
+        worker = make_resident_worker(1, decoded)
+        assert worker.settings == settings
+        assert worker.migration_seed().settings == settings
 
     @pytest.mark.parametrize("backend", ["python", "vectorized"])
     def test_every_shard_runs_the_configured_backend(self, backend):

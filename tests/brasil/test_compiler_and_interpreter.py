@@ -75,13 +75,11 @@ class TestCompilation:
         with pytest.raises(BrasilError):
             BrasilCompiler(effect_inversion="sometimes")
 
-    def test_brace_config_overrides(self):
-        local = compile_script(PREDATOR_LOCAL_SCRIPT)
-        overrides = local.brace_config_overrides()
-        # The reduce-pass structure is the only thing a script configures.
-        assert overrides == {"non_local_effects": False}
+    def test_the_reduce_pass_structure(self):
+        # What a script session sets BraceConfig.non_local_effects from.
+        assert compile_script(PREDATOR_LOCAL_SCRIPT).has_non_local_effects is False
         non_local = compile_script(PREDATOR_NON_LOCAL_SCRIPT, effect_inversion="off")
-        assert non_local.brace_config_overrides()["non_local_effects"] is True
+        assert non_local.has_non_local_effects is True
 
     def test_algebra_plan_built_on_demand_for_pure_scripts(self):
         # compile_script runs no algebra pass; the Appendix B library
@@ -142,7 +140,7 @@ class TestInterpretedExecution:
         reference = build_world(compiled.agent_class, num_agents=40, seed=8)
         SequentialEngine(reference).run(4)
         world = build_world(compiled.agent_class, num_agents=40, seed=8)
-        config = BraceConfig(num_workers=4, **compiled.brace_config_overrides())
+        config = BraceConfig(num_workers=4, non_local_effects=compiled.has_non_local_effects)
         BraceRuntime(world, config).run(4)
         assert world.same_state_as(reference, tolerance=1e-9)
 

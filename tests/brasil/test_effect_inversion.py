@@ -174,37 +174,38 @@ class TestErrorMessages:
             invert_effects(parse(source).classes[0])
 
 
-class TestRunScriptSurfacesInversionErrors:
-    """run_script(effect_inversion="on") must raise descriptively, not crash."""
+class TestFromScriptSurfacesInversionErrors:
+    """from_script(effect_inversion="on") must raise descriptively, not crash."""
 
     def test_non_invertible_script_error_keeps_type_and_reason(self):
-        from repro.brasil import run_script
+        from repro.api import Simulation
 
         with pytest.raises(EffectInversionError) as excinfo:
-            run_script(NESTED_FOREACH, ticks=1, num_agents=4, effect_inversion="on")
+            Simulation.from_script(NESTED_FOREACH, num_agents=4, effect_inversion="on")
         message = str(excinfo.value)
         assert "cannot compile BRASIL script" in message
         assert "nested foreach" in message
 
     def test_auto_mode_falls_back_to_two_pass_plan(self):
+        from repro.api import Simulation
         from repro.brace.config import BraceConfig
-        from repro.brasil import run_script
 
-        run = run_script(
+        session = Simulation.from_script(
             NESTED_FOREACH,
-            BraceConfig(num_workers=2),
-            ticks=1,
+            config=BraceConfig(num_workers=2),
             num_agents=4,
             effect_inversion="auto",
         )
-        assert not run.compiled.was_inverted
-        assert run.config.non_local_effects is True
-        assert run.metrics.ticks[-1].num_passes == 3
+        with session:
+            result = session.run(1)
+        assert not session.compiled.was_inverted
+        assert session.config.non_local_effects is True
+        assert result.metrics.ticks[-1].num_passes == 3
 
     def test_script_path_appears_in_the_error(self, tmp_path):
-        from repro.brasil import run_script
+        from repro.api import Simulation
 
         path = tmp_path / "bad.brasil"
         path.write_text(NESTED_FOREACH)
         with pytest.raises(EffectInversionError, match="bad.brasil"):
-            run_script(str(path), ticks=1, effect_inversion="on")
+            Simulation.from_script(str(path), effect_inversion="on")

@@ -32,9 +32,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
 
+from repro.api import Simulation
 from repro.brace.config import BraceConfig
 from repro.brace.worker import _query_loop, _update_loop
-from repro.brasil import compile_script, run_script
+from repro.brasil import compile_script
 from repro.brasil.ast_nodes import BinaryOp, Call
 from repro.brasil.kernels import (
     QueryKernel,
@@ -280,15 +281,21 @@ def brasil_scripts(draw) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _run_script(source: str, config: BraceConfig, *, ticks: int, **world):
+    """Run ``source`` for ``ticks`` ticks; returns the session's RunResult."""
+    with Simulation.from_script(source, config=config, **world) as session:
+        return session.run(ticks)
+
+
 def _run(source: str, plan_backend: str, *, ticks: int = TICKS, seed: int = 3):
     config = BraceConfig(num_workers=2, plan_backend=plan_backend)
-    return run_script(source, config, num_agents=NUM_AGENTS, ticks=ticks, seed=seed)
+    return _run_script(source, config, num_agents=NUM_AGENTS, ticks=ticks, seed=seed)
 
 
 def _assert_differential(source: str, *, ticks: int = TICKS, seed: int = 3) -> None:
     interpreted = _run(source, "interpreted", ticks=ticks, seed=seed)
     compiled = _run(source, "compiled", ticks=ticks, seed=seed)
-    assert states_equal(compiled.final_states(), interpreted.final_states())
+    assert states_equal(compiled.final_states, interpreted.final_states)
     # The kernels charge the same work units and index probes the
     # interpreter would have, so the deterministic cost model (virtual and
     # compute seconds derive from work units) must not notice the backend.
@@ -304,11 +311,15 @@ def _assert_differential(source: str, *, ticks: int = TICKS, seed: int = 3) -> N
 
 
 def _assert_one_proof(source: str) -> None:
-    """The compile-time report is the runtime's own per-class proof."""
-    compiled = compile_script(source)
-    query_kernel, update_kernel = kernels_for_class(compiled.agent_class)
-    assert compiled.plan_selection.query_compiled == (query_kernel is not None)
-    assert compiled.plan_selection.update_compiled == (update_kernel is not None)
+    """The fallback report names exactly the phases the proof left without
+    a kernel."""
+    cls = compile_script(source).agent_class
+    query_kernel, update_kernel = kernels_for_class(cls)
+    assert set(kernel_fallback_reasons(cls)) == {
+        phase_name
+        for phase_name, kernel in (("query", query_kernel), ("update", update_kernel))
+        if kernel is None
+    }
 
 
 class TestFuzzedScripts:
@@ -367,11 +378,9 @@ class TestCombinatorMatrix:
     @pytest.mark.parametrize("target", ["", "p."])
     def test_each_combinator_local_and_inverted(self, combinator: str, target: str):
         source = _combinator_script(combinator, target)
-        selection = compile_script(source).plan_selection
         # The matrix exists to prove the *kernels* agree with the
         # interpreter — every cell must actually compile both phases.
-        assert selection is not None
-        assert selection.query_compiled and selection.update_compiled
+        assert kernel_fallback_reasons(compile_script(source).agent_class) == {}
         _assert_differential(source, ticks=4)
 
     @pytest.mark.parametrize("combinator", ["any", "all"])
@@ -387,8 +396,7 @@ class TestCombinatorMatrix:
             "            near <- (abs(x - p.x) < 1);\n"
             "        }\n    }\n}\n"
         )
-        selection = compile_script(source).plan_selection
-        assert selection is not None and selection.query_compiled
+        assert "query" not in kernel_fallback_reasons(compile_script(source).agent_class)
         _assert_differential(source, ticks=4)
 
     @pytest.mark.parametrize("combinator", ["min", "max"])
@@ -437,7 +445,7 @@ class TestCombinatorMatrix:
         assert "query" not in reasons
         initial = [{"x": index, "y": 0} for index in range(NUM_AGENTS)]
         runs = {
-            backend: run_script(
+            backend: _run_script(
                 source,
                 BraceConfig(num_workers=2, plan_backend=backend),
                 ticks=1,  # the rule stores floats in x from the first update on
@@ -445,9 +453,7 @@ class TestCombinatorMatrix:
             )
             for backend in ("interpreted", "compiled")
         }
-        assert states_equal(
-            runs["compiled"].final_states(), runs["interpreted"].final_states()
-        )
+        assert states_equal(runs["compiled"].final_states, runs["interpreted"].final_states)
 
 
 class TestExactOracle:
@@ -465,8 +471,8 @@ class TestExactOracle:
             "            if (p.x != x) { acc <- p.w; }\n"
             "        }\n    }\n}\n"
         )
-        compiled = _run(source, "compiled").final_states()
-        interpreted = _run(source, "interpreted").final_states()
+        compiled = _run(source, "compiled").final_states
+        interpreted = _run(source, "interpreted").final_states
         assert any(math.isnan(state["w"]) for state in compiled.values())
         assert compiled != interpreted and states_equal(compiled, interpreted)
 
@@ -475,7 +481,7 @@ class TestExactOracle:
             "float w : (cnt > 0) ? (w + acc / cnt) * 0.5 : w;", "float w : cnt;"
         )
         for backend in ("interpreted", "compiled"):
-            states = _run(source, backend).final_states()
+            states = _run(source, backend).final_states
             assert {type(state["w"]) for state in states.values()} == {float}
         _assert_differential(source)
 
@@ -496,7 +502,6 @@ class TestFallbackScripts:
             "        }\n    }\n}\n"
         )
         compiled = compile_script(source)
-        assert not compiled.plan_selection.query_compiled
         # The update rules compiled; the query phase says why it did not.
         assert kernel_fallback_reasons(compiled.agent_class) == {
             "query": "rand() in the query phase"
@@ -518,7 +523,6 @@ class TestFallbackScripts:
             "        }\n    }\n}\n"
         )
         compiled = compile_script(source)
-        assert not compiled.plan_selection.query_compiled
         assert kernel_fallback_reasons(compiled.agent_class) == {"query": "nested foreach"}
         _assert_differential(source, ticks=4)
 
@@ -554,10 +558,10 @@ class TestColumnarQueryPhase:
         count(AgentTable, "row_of")
         count(QueryKernel, "run")
         config = BraceConfig(num_workers=1, plan_backend="compiled", spatial_backend="vectorized")
-        result = run_script(
+        result = _run_script(
             _combinator_script("sum", "p."), config, num_agents=agents, ticks=ticks, seed=3
         )
-        assert len(result.final_states()) == agents
+        assert len(result.final_states) == agents
         # The kernels ran every tick and resolved their pairs in one call...
         assert calls["run"] == ticks
         assert calls["visible_pairs"] == ticks
@@ -635,14 +639,14 @@ class TestSharedSubexpressions:
         source = _SHARING_SCRIPT.format(probe_level=probe_level, pair_level=pair_level)
         assert kernel_fallback_reasons(compile_script(source).agent_class) == {}
         runs = [
-            run_script(
+            _run_script(
                 source,
                 BraceConfig(num_workers=1, plan_backend=backend),
                 num_agents=30,
                 ticks=2,
                 seed=4,
                 bounds=((0.0, 6.0), (0.0, 6.0)),
-            ).final_states()
+            ).final_states
             for backend in ("interpreted", "compiled")
         ]
         assert states_equal(runs[1], runs[0])
@@ -713,7 +717,7 @@ class TestEvaluatorCallCounts:
         config = BraceConfig(num_workers=1, plan_backend="compiled", spatial_backend="vectorized")
         compiled = compile_script(PREDATOR_LOCAL_SCRIPT)
         assert kernel_fallback_reasons(compiled.agent_class) == {}
-        run_script(
+        _run_script(
             PREDATOR_LOCAL_SCRIPT,
             config,
             num_agents=agents,
@@ -774,11 +778,11 @@ class Critter {{
 class TestUpdateKernelTypes:
     def _final_states(self, source: str, ticks: int, **world):
         runs = {}
-        for backend in ("interpreted", None):
+        for backend in ("interpreted", "compiled"):
             config = BraceConfig(num_workers=1, plan_backend=backend)
-            runs[backend] = run_script(source, config, ticks=ticks, seed=2, **world).final_states()
-        assert states_equal(runs[None], runs["interpreted"])
-        return runs[None]
+            runs[backend] = _run_script(source, config, ticks=ticks, seed=2, **world).final_states
+        assert states_equal(runs["compiled"], runs["interpreted"])
+        return runs["compiled"]
 
     def test_int_and_bool_rules_are_refused_and_keep_their_types(self):
         cls = compile_script(_TYPED_STATE_SCRIPT).agent_class
@@ -823,12 +827,7 @@ class TestUpdateKernelTypes:
         assert bool(completed) == kernel_runs
 
 
-class TestPlanSelectionReporting:
-    def test_selection_reports_reason(self):
-        source = _combinator_script("sum", "p.")
-        selection = compile_script(source).plan_selection
-        assert "provable subset" in selection.reason
-
+class TestPlanBackendValidation:
     def test_backend_recorded_in_config_validation(self):
         with pytest.raises(Exception, match="plan backend"):
             dataclasses.replace(BraceConfig(), plan_backend="simd").validate()

@@ -1,23 +1,19 @@
-"""The BRASIL-to-engine backend: run_script across executor backends.
+"""The BRASIL-to-engine backend: ``Simulation.from_script`` across executors.
 
-The acceptance bar of the compilation backend: a BRASIL script executed via
-``run_script`` produces bit-identical agent states on the serial, thread and
-process executors, for a local-effect script (traffic) and an inverted
-non-local one (fish school).
+The acceptance bar of the compilation backend: a BRASIL script run through
+``Simulation.from_script`` produces bit-identical agent states on the
+serial, thread and process executors, for a local-effect script (traffic)
+and an inverted non-local one (fish school).
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.api import Simulation
 from repro.brace.config import BraceConfig
-from repro.brasil import (
-    AgentClassSpec,
-    compile_script,
-    compiled_class_for_spec,
-    config_for_script,
-    run_script,
-)
+from repro.brasil import AgentClassSpec, compile_script, compiled_class_for_spec
 from repro.core.errors import BrasilError
 from repro.core.soa import states_equal
 from repro.simulations.predator.brasil_scripts import FISH_SCHOOL_SCRIPT
@@ -27,42 +23,40 @@ TICKS = 3
 TRAFFIC_BOUNDS = ((0.0, 1000.0),)
 
 
-def run_traffic(executor, **kwargs):
+def run(script, config=None, ticks=TICKS, **world):
+    """Run ``script`` for ``ticks`` ticks; returns ``(session, result)``."""
+    with Simulation.from_script(script, config=config, **world) as session:
+        return session, session.run(ticks)
+
+
+def run_traffic(executor):
     config = BraceConfig(num_workers=4, executor=executor, max_workers=2)
-    return run_script(
-        TRAFFIC_SCRIPT,
-        config,
-        ticks=TICKS,
-        num_agents=60,
-        bounds=TRAFFIC_BOUNDS,
-        seed=3,
-        **kwargs,
-    )
+    return run(TRAFFIC_SCRIPT, config, num_agents=60, bounds=TRAFFIC_BOUNDS, seed=3)
 
 
 def run_fish(executor):
     config = BraceConfig(num_workers=4, executor=executor, max_workers=2)
-    return run_script(FISH_SCHOOL_SCRIPT, config, ticks=TICKS, num_agents=60, seed=5)
+    return run(FISH_SCHOOL_SCRIPT, config, num_agents=60, seed=5)
 
 
 class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_traffic_states_bit_identical_to_serial(self, backend):
-        serial = run_traffic("serial")
-        other = run_traffic(backend)
-        assert states_equal(serial.final_states(), other.final_states())
-        assert serial.world.same_state_as(other.world, tolerance=0.0)
+        serial_session, serial = run_traffic("serial")
+        other_session, other = run_traffic(backend)
+        assert states_equal(serial.final_states, other.final_states)
+        assert serial_session.world.same_state_as(other_session.world, tolerance=0.0)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_fish_states_bit_identical_to_serial(self, backend):
-        serial = run_fish("serial")
-        other = run_fish(backend)
-        assert states_equal(serial.final_states(), other.final_states())
+        _, serial = run_fish("serial")
+        _, other = run_fish(backend)
+        assert states_equal(serial.final_states, other.final_states)
 
     def test_traffic_actually_moves(self):
-        run = run_traffic("serial")
-        positions = [state["x"] for state in run.final_states().values()]
-        speeds = [state["v"] for state in run.final_states().values()]
+        _, result = run_traffic("serial")
+        positions = [state["x"] for state in result.final_states.values()]
+        speeds = [state["v"] for state in result.final_states.values()]
         assert any(speed > 0 for speed in speeds)
         assert all(0.0 <= position < 1000.0 for position in positions)
 
@@ -102,32 +96,36 @@ class TestCompiledAgentPickling:
 
 class TestScriptConfig:
     def test_inverted_script_needs_one_reduce_pass(self):
-        config = config_for_script(compile_script(FISH_SCHOOL_SCRIPT))
+        config = Simulation.from_script(FISH_SCHOOL_SCRIPT).config
         assert config.non_local_effects is False  # inversion removed them
 
     def test_uninverted_script_keeps_the_second_reduce_pass(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT, effect_inversion="off")
-        assert config_for_script(compiled).non_local_effects is True
+        session = Simulation.from_script(FISH_SCHOOL_SCRIPT, effect_inversion="off")
+        assert session.config.non_local_effects is True
 
     def test_the_grid_is_the_default_access_path(self):
-        config = config_for_script(compile_script(FISH_SCHOOL_SCRIPT))
+        config = Simulation.from_script(FISH_SCHOOL_SCRIPT).config
         assert config.spatial_backend == "vectorized"
 
     def test_the_callers_spatial_backend_passes_through(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        config = config_for_script(compiled, BraceConfig(spatial_backend="python"))
+        config = Simulation.from_script(
+            FISH_SCHOOL_SCRIPT, config=BraceConfig(spatial_backend="python")
+        ).config
         assert config.spatial_backend == "python"
 
-    def test_overrides_are_the_reduce_pass_structure_only(self):
-        compiled = compile_script(FISH_SCHOOL_SCRIPT)
-        assert compiled.brace_config_overrides() == {"non_local_effects": False}
+    def test_the_script_sets_the_reduce_pass_structure_only(self):
+        # Every field but non_local_effects is the caller's, even where the
+        # caller's value disagrees with the script.
+        base = BraceConfig(num_workers=3, non_local_effects=True, plan_backend="interpreted")
+        config = Simulation.from_script(FISH_SCHOOL_SCRIPT, config=base).config
+        assert config == dataclasses.replace(base, non_local_effects=False)
 
 
-class TestRunScriptInputs:
+class TestFromScriptInputs:
     def test_accepts_a_script_file_path(self, tmp_path):
         path = tmp_path / "traffic.brasil"
         path.write_text(TRAFFIC_SCRIPT)
-        run = run_script(
+        session, result = run(
             str(path),
             BraceConfig(num_workers=2),
             ticks=1,
@@ -135,29 +133,29 @@ class TestRunScriptInputs:
             bounds=TRAFFIC_BOUNDS,
             seed=1,
         )
-        assert run.world.agent_count() == 10
-        assert len(run.metrics.ticks) == 1
+        assert session.world.agent_count() == 10
+        assert len(result.metrics.ticks) == 1
 
     def test_missing_path_raises_descriptive_error(self):
         with pytest.raises(BrasilError, match="does not exist"):
-            run_script("no_such_script.brasil")
+            Simulation.from_script("no_such_script.brasil")
 
     def test_missing_path_object_raises_the_same_error(self):
         from pathlib import Path
 
         with pytest.raises(BrasilError, match="does not exist"):
-            run_script(Path("no_such_script.brasil"))
+            Simulation.from_script(Path("no_such_script.brasil"))
 
     def test_bounds_dimension_mismatch_rejected(self):
         with pytest.raises(BrasilError, match="spatial field"):
-            run_script(TRAFFIC_SCRIPT, ticks=1, bounds=((0.0, 10.0), (0.0, 10.0)))
+            Simulation.from_script(TRAFFIC_SCRIPT, bounds=((0.0, 10.0), (0.0, 10.0)))
 
     def test_initial_states_take_precedence(self):
-        run = run_script(
+        session, _ = run(
             TRAFFIC_SCRIPT,
             BraceConfig(num_workers=2),
             ticks=1,
             initial_states=[{"x": 10.0}, {"x": 30.0, "v": 2.0}],
             bounds=TRAFFIC_BOUNDS,
         )
-        assert run.world.agent_count() == 2
+        assert session.world.agent_count() == 2

@@ -95,10 +95,16 @@ class TestSingleNodeFigures:
         assert len(rows) == 2
         for row in rows:
             assert row["brace_index_seconds"] < row["brace_no_index_seconds"]
-        # The indexing advantage shrinks as the visibility range grows.
-        small = rows[0]["brace_no_index_seconds"] / rows[0]["brace_index_seconds"]
-        large = rows[-1]["brace_no_index_seconds"] / rows[-1]["brace_index_seconds"]
-        assert large < small
+        # The indexing advantage shrinks as the visibility range grows.  The
+        # work units are the engine's deterministic cost (the wall-time
+        # shape is timed by benchmarks/test_figure4_fish_visibility.py): the
+        # scan charges the whole extent per probe at every radius, the grid
+        # more as each probe's neighbourhood grows.
+        no_index = [row["brace_no_index_work_units"] for row in rows]
+        index = [row["brace_index_work_units"] for row in rows]
+        assert no_index[0] == no_index[-1]
+        assert index[0] < index[-1] < no_index[-1]
+        assert no_index[-1] / index[-1] < no_index[0] / index[0]
         assert "Figure 4" in result.format_table()
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.brace.shards import _pack_routed_deltas, _unpack_routed_deltas
-from repro.brace.worker import Worker
+from repro.brace.worker import ShardSettings, Worker
 from repro.core.agent import Agent
 from repro.core.fields import StateField
 from repro.core.soa import states_equal
@@ -102,7 +102,12 @@ ops = st.tuples(
 
 def make_shards(kinds):
     partitioning = StripPartitioning.uniform(BBox(((0.0, 60.0), (0.0, 60.0))), 0, 2)
-    source = Worker(0, partitioning.partition(0), partitioning=partitioning)
+    source = Worker(
+        0,
+        partitioning.partition(0),
+        partitioning=partitioning,
+        settings=ShardSettings(transport_copies=True),
+    )
     destination = Worker(1, partitioning.partition(1), partitioning=partitioning)
     for agent_id, kind in enumerate(kinds):
         if kind:
@@ -115,7 +120,7 @@ def make_shards(kinds):
 
 def ship(source, destination, codec) -> dict:
     """One tick's map phase, carried to the destination as the wire would."""
-    result = source.distribute(transport_copies=True)
+    result = source.distribute()
     refreshed = {
         agent_id
         for delta in result.replicas_out.values()
