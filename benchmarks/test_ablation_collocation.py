@@ -21,15 +21,16 @@ def test_ablation_collocation(once):
     def run():
         world = build_fish_world(800, parameters, seed=21, fish_class=fish_class)
         with Simulation.from_agents(world, config=config) as session:
-            return session.run(5), world
+            result = session.run(5)
+            return result, world, session.runtime.cost_model.network
 
-    result, world = once(run)
+    result, world, network = once(run)
 
     actual_bytes = result.bytes_over_network()
     # Without collocation every owned agent would cross the network once per tick.
     agent_size = world.agents()[0].approximate_size_bytes()
     hypothetical_extra = sum(stats.num_agents for stats in result.metrics.ticks) * agent_size
-    bandwidth = config.bandwidth_bytes_per_second
+    bandwidth = network.bandwidth_bytes_per_second
     extra_seconds = hypothetical_extra / bandwidth / config.num_workers
     actual_seconds = result.metrics.total_virtual_seconds
     degraded_throughput = result.metrics.total_agent_ticks / (actual_seconds + extra_seconds)

@@ -7,7 +7,7 @@ configuration immediately, so a bad knob fails at the call that introduced
 it::
 
     Simulation.from_agents(world).with_executor("proces")
-    # BraceError: unknown executor 'proces'; expected 'serial', 'thread' or 'process'
+    # BraceError: unknown executor 'proces'; expected 'serial', 'thread', 'process' or 'cluster'
 
 rather than as a deep ``KeyError`` ticks into a run.  The builder is shared
 by both session sources; a script session sets ``non_local_effects`` from
@@ -213,19 +213,12 @@ class FluentConfig:
         self._builder.set(plan_backend=backend)
         return self
 
-    def with_load_balancing(
-        self,
-        enabled: bool = True,
-        threshold: float | None = None,
-        axis: int | None = None,
-    ) -> Any:
+    def with_load_balancing(self, enabled: bool = True, threshold: float | None = None) -> Any:
         """Enable/disable epoch-boundary load balancing and tune its trigger."""
         self._check_not_started()
         overrides: dict[str, Any] = {"load_balance": bool(enabled)}
         if threshold is not None:
             overrides["load_balance_threshold"] = threshold
-        if axis is not None:
-            overrides["load_balance_axis"] = axis
         self._builder.set(**overrides)
         return self
 

@@ -503,7 +503,7 @@ class Simulation(FluentConfig):
         runtime = self._runtime
         assert runtime is not None
         runtime.suspend()
-        size = sum(worker.checkpoint_size_bytes() for worker in runtime.workers)
+        size = sum(runtime.checkpoint_sizes())
         self._pause_points.take(runtime.world, runtime.master.epoch, size)
         self._paused = True
         self._pause_requested = False

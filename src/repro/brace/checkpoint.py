@@ -8,13 +8,14 @@ ticks since then — the standard technique for short-iteration scientific
 computations (Section 3.3).
 
 This module keeps checkpoints in memory (the "stable storage" of the
-simulated cluster) and also provides a deterministic failure injector used by
-the fault-tolerance tests and the checkpointing ablation benchmark.
+simulated cluster) as world snapshots, never as bytes: the tick history
+(:mod:`repro.history.store`, with its own codec) is what persists state.  It
+also provides a deterministic failure injector used by the fault-tolerance
+tests and the checkpointing ablation benchmark.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,23 +23,6 @@ import numpy as np
 
 from repro.core.errors import CheckpointError
 from repro.core.world import World
-
-
-def serialize_snapshot(payload: Any) -> bytes:
-    """Encode a checkpoint payload for stable storage.
-
-    The one codec shared by everything that persists simulation state: the
-    history store's on-disk checkpoints and delta frames both go through it,
-    so a payload written by one layer is always readable by the other.
-    Pickle at the highest protocol round-trips Python floats and ints
-    exactly, which is what the bit-identical replay guarantee rests on.
-    """
-    return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-
-
-def deserialize_snapshot(data: bytes) -> Any:
-    """Decode a payload written by :func:`serialize_snapshot`."""
-    return pickle.loads(data)
 
 
 @dataclass

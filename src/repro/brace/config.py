@@ -11,22 +11,22 @@ from repro.core.errors import BraceError
 
 @dataclass
 class BraceConfig:
-    """Every knob of the BRACE runtime.
+    """The run-time choices of the BRACE runtime.
 
     Parameters mirror the design choices described in Section 3.3 of the
     paper: number of workers, epoch length, how the query phase's spatial
     join executes, whether the model needs the second reduce pass (non-local
     effects), load balancing and checkpointing.
 
-    The cluster-model parameters at the bottom control the virtual-time cost
-    model used for the scale-up experiments.
+    The constants of the virtual-time cost model are not knobs: they live
+    with the models that use them (:mod:`repro.cluster.network`,
+    :mod:`repro.cluster.costmodel`, :mod:`repro.brace.loadbalance`).
     """
 
     # Parallelism and partitioning --------------------------------------
     num_workers: int = 4
     partitioning: str = "strip"  # "strip" (1-D, load-balanceable) or "grid"
     grid_cells: Sequence[int] | None = None  # for "grid": cells per dimension
-    load_balance_axis: int = 0
 
     # Execution backend ---------------------------------------------------
     #: Where the worker shards live: "serial" (inline, the default) and
@@ -101,10 +101,6 @@ class BraceConfig:
     # Load balancing -------------------------------------------------------
     load_balance: bool = True
     load_balance_threshold: float = 1.25  # imbalance ratio that triggers a repartition
-    #: Cost of migrating one agent, expressed in "agent-ticks of work" — moving
-    #: an agent is roughly an order of magnitude cheaper than simulating it
-    #: for the epoch the new partitioning will last.
-    migration_cost_per_agent: float = 0.1
 
     # Fault tolerance -------------------------------------------------------
     checkpointing: bool = False
@@ -112,16 +108,6 @@ class BraceConfig:
 
     # Randomness ------------------------------------------------------------
     seed: int | None = None  # defaults to the world's seed
-
-    # Cluster cost model ------------------------------------------------------
-    work_units_per_second: float = 2_000_000.0
-    bandwidth_bytes_per_second: float = 125_000_000.0
-    latency_seconds: float = 100e-6
-    nodes_per_switch: int = 20
-    inter_switch_penalty: float = 1.6
-    barrier_seconds: float = 250e-6
-    update_work_units_per_agent: float = 2.0
-    map_work_units_per_agent: float = 1.0
 
     def validate(self) -> None:
         """Raise :class:`BraceError` when the configuration is inconsistent.
@@ -212,26 +198,10 @@ class BraceConfig:
                 "(kernels wherever proved, the interpreter elsewhere) or "
                 "'interpreted' (the oracle)"
             )
-        if self.load_balance_axis < 0:
-            raise BraceError("load_balance_axis must be a non-negative dimension index")
         if self.load_balance_threshold < 1.0:
             raise BraceError(
                 "load_balance_threshold is the max/min owned-agents ratio that "
                 f"triggers a repartition and must be >= 1.0, got {self.load_balance_threshold}"
             )
-        if self.migration_cost_per_agent < 0:
-            raise BraceError("migration_cost_per_agent must be >= 0")
         if self.checkpoint_interval_epochs < 1:
             raise BraceError("checkpoint_interval_epochs must be at least 1")
-        for name in (
-            "work_units_per_second",
-            "bandwidth_bytes_per_second",
-            "inter_switch_penalty",
-        ):
-            if not getattr(self, name) > 0:
-                raise BraceError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("latency_seconds", "barrier_seconds"):
-            if getattr(self, name) < 0:
-                raise BraceError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.nodes_per_switch < 1:
-            raise BraceError("nodes_per_switch must be at least 1")

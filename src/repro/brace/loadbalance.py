@@ -44,7 +44,9 @@ class OneDimensionalLoadBalancer:
         before a repartitioning is even considered.
     migration_cost_per_agent:
         Cost, in the same unit as the benefit estimate (owned agents per
-        tick), charged for every agent that changes owner.
+        tick), charged for every agent that changes owner.  The default
+        says moving an agent is roughly an order of magnitude cheaper than
+        simulating it for the epoch the new partitioning will last.
     ticks_to_amortize:
         Over how many future ticks the benefit is assumed to persist; the
         paper amortizes rebalancing over an epoch.

@@ -54,7 +54,6 @@ class Master:
         self.partitioning = self._initial_partitioning()
         self.load_balancer = OneDimensionalLoadBalancer(
             threshold=config.load_balance_threshold,
-            migration_cost_per_agent=config.migration_cost_per_agent,
             ticks_to_amortize=config.ticks_per_epoch,
         )
         self.checkpoint_manager = CheckpointManager()
@@ -68,9 +67,8 @@ class Master:
         config = self.config
         if config.partitioning == "grid":
             return GridPartitioning(self.bounds, list(config.grid_cells))
-        return StripPartitioning.uniform(
-            self.bounds, config.load_balance_axis, config.num_workers
-        )
+        # Strips are cut, and rebalanced, along the first axis.
+        return StripPartitioning.uniform(self.bounds, 0, config.num_workers)
 
     def can_rebalance(self) -> bool:
         """Load balancing is only implemented for strip partitionings."""

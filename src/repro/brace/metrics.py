@@ -54,6 +54,8 @@ class BraceTickStatistics:
     ipc_wait_seconds: float = 0.0
     #: Wall-clock seconds each worker's query phase took, indexed by worker id.
     query_seconds_per_worker: list[float] = field(default_factory=list)
+    #: Work units each worker's query phase charged, indexed by worker id.
+    query_work_units_per_worker: list[float] = field(default_factory=list)
     #: Wall-clock seconds each worker's update phase took, indexed by worker id.
     update_seconds_per_worker: list[float] = field(default_factory=list)
 

@@ -78,8 +78,13 @@ from repro.brace.shards import (
     shard_retain_checkpoint,
     shard_update_phase,
 )
-from repro.brace.worker import ShardSettings, Worker
-from repro.cluster.costmodel import ClusterCostModel, WorkerTickCost
+from repro.brace.worker import ShardSettings
+from repro.cluster.costmodel import (
+    MAP_WORK_UNITS_PER_AGENT,
+    UPDATE_WORK_UNITS_PER_AGENT,
+    ClusterCostModel,
+    WorkerTickCost,
+)
 from repro.cluster.network import NetworkModel
 from repro.cluster._simnode import SimulatedNode
 from repro.core.context import UpdateContext
@@ -103,24 +108,20 @@ class BraceRuntime:
         self.seed = self.config.seed if self.config.seed is not None else world.seed
 
         self.master = Master(self.config, world.bounds)
-        self.workers: list[Worker] = [
-            Worker(partition.partition_id, partition)
-            for partition in self.master.partitioning.partitions()
-        ]
-        network = NetworkModel(
-            latency_seconds=self.config.latency_seconds,
-            bandwidth_bytes_per_second=self.config.bandwidth_bytes_per_second,
-            nodes_per_switch=self.config.nodes_per_switch,
-            inter_switch_penalty=self.config.inter_switch_penalty,
-        )
-        nodes = [
-            SimulatedNode(worker.worker_id, self.config.work_units_per_second)
-            for worker in self.workers
-        ]
+        #: One shard per partition; shard ``i`` owns partition ``i``.
+        self._shard_ids = range(self.master.partitioning.num_partitions())
+        #: Virtual time is priced with the cost models' own constants.
+        network = NetworkModel()
         self.cost_model = ClusterCostModel(
-            network=network, nodes=nodes, barrier_seconds=self.config.barrier_seconds
+            network=network, nodes=[SimulatedNode(shard_id) for shard_id in self._shard_ids]
         )
         self.metrics = BraceRunMetrics()
+        #: The driver's one ownership record: agent id -> owning shard, and
+        #: how many agents each shard owns.  The agents themselves live in
+        #: the world (and, on a wire, in the shards).
+        self._owner_of: dict[Any, int] = {}
+        self._owned_counts: list[int] = []
+        self._rebuild_ownership()
 
         max_workers = self.config.max_workers
         if max_workers is None:
@@ -130,8 +131,8 @@ class BraceRuntime:
         #: by reference, false ships them as columnar frames to node
         #: processes (which can be lost, and between which shards can move).
         #: Both wire executors are built here from the config, so its
-        #: heartbeat knobs and the *same* network model that prices virtual
-        #: time also drive supervision and the physical shard placement.
+        #: heartbeat knobs drive supervision and the *same* network model
+        #: that prices virtual time scores the physical shard placement.
         if self.config.executor in ("process", "cluster"):
             self.executor = self._wire_executor(max_workers, network)
         else:
@@ -170,9 +171,6 @@ class BraceRuntime:
         #: executor; the session layer surfaces them on the run result.
         self.fault_events: list[dict] = []
 
-        self._owner_of: dict[Any, int] = {}
-        self._assign_initial_ownership()
-
         self._epoch_ticks = 0
         self._epoch_virtual_seconds = 0.0
         self._epoch_wall_seconds = 0.0
@@ -206,10 +204,6 @@ class BraceRuntime:
             heartbeat_timeout=config.heartbeat_timeout_seconds,
             readmission_timeout=config.readmission_timeout_seconds,
             network=network,
-            sim_nodes=[
-                SimulatedNode(index, config.work_units_per_second)
-                for index in range(num_nodes)
-            ],
             **options,
         )
 
@@ -220,11 +214,37 @@ class BraceRuntime:
     # ------------------------------------------------------------------
     # Ownership bookkeeping
     # ------------------------------------------------------------------
-    def _assign_initial_ownership(self) -> None:
-        for agent in self.world.agents():
-            owner = self.master.partitioning.partition_of(agent.position())
-            self.workers[owner].add_owned(agent)
-            self._owner_of[agent.agent_id] = owner
+    @staticmethod
+    def _check_placeable(agent: Any) -> None:
+        """BRACE places agents by position: refuse a class it cannot place."""
+        if not agent._spatial_fields:
+            raise BraceError(
+                f"BRACE cannot place {type(agent).__name__} agents: the class "
+                "declares no spatial field"
+            )
+
+    def _place(self, agent: Any) -> int:
+        """The shard whose partition holds ``agent``'s position."""
+        self._check_placeable(agent)
+        return self.master.partitioning.partition_of(agent.position())
+
+    def _own(self, agent_id: Any, owner: int) -> None:
+        """Record ``owner`` as the shard owning ``agent_id``."""
+        previous = self._owner_of.get(agent_id)
+        if previous is not None:
+            self._owned_counts[previous] -= 1
+        self._owner_of[agent_id] = owner
+        self._owned_counts[owner] += 1
+
+    def _rebuild_ownership(self, ownership: dict[Any, int] | None = None) -> None:
+        """Reset the ownership map to ``ownership``, or to the world's agents
+        placed by position under the current partitioning."""
+        if ownership is None:
+            ownership = {agent.agent_id: self._place(agent) for agent in self.world.agents()}
+        self._owner_of = dict(ownership)
+        self._owned_counts = [0] * len(self._shard_ids)
+        for owner in ownership.values():
+            self._owned_counts[owner] += 1
 
     def worker_of(self, agent_id: Any) -> int:
         """Return the id of the worker currently owning ``agent_id``."""
@@ -235,7 +255,19 @@ class BraceRuntime:
 
     def owned_counts(self) -> list[int]:
         """Number of owned agents per worker."""
-        return [worker.owned_count() for worker in self.workers]
+        return list(self._owned_counts)
+
+    def checkpoint_sizes(self) -> list[int]:
+        """Modeled checkpoint bytes per shard: its owned agents' frame sizes.
+
+        Charged from the same frame-size formula as the wire traffic
+        (:func:`repro.ipc.sizing.agent_frame_bytes`), so checkpoint and IPC
+        costs stay on one scale.
+        """
+        sizes = [0] * len(self._shard_ids)
+        for agent_id, owner in self._owner_of.items():
+            sizes[owner] += agent_frame_bytes(self.world.get_agent(agent_id))
+        return sizes
 
     # ------------------------------------------------------------------
     # Tick execution
@@ -245,9 +277,8 @@ class BraceRuntime:
 
         Three shard rounds — map/distribute, query, update — exchange only
         boundary deltas with the executor-hosted workers; the driver keeps
-        shadow workers (membership and, on a copying transport, stale agent
-        objects; no per-tick state) for ownership, load statistics and the
-        cost model.
+        only the ownership map, for routing, load statistics and the cost
+        model.
         """
         config = self.config
         world = self.world
@@ -257,7 +288,7 @@ class BraceRuntime:
 
         self._ensure_shards()
         transport_copies = not self.executor.shares_memory
-        worker_costs = [WorkerTickCost(worker.worker_id) for worker in self.workers]
+        worker_costs = [WorkerTickCost(shard_id) for shard_id in self._shard_ids]
         num_agents = world.agent_count()
         ipc_sent = 0
         ipc_received = 0
@@ -270,12 +301,8 @@ class BraceRuntime:
         pending, self._pending_boundary = self._pending_boundary, {}
         map_results = self._shard_round(
             [
-                (
-                    worker.worker_id,
-                    shard_map_phase,
-                    MapCommand(boundary=pending.get(worker.worker_id)),
-                )
-                for worker in self.workers
+                (shard_id, shard_map_phase, MapCommand(boundary=pending.get(shard_id)))
+                for shard_id in self._shard_ids
             ],
             phase=ipc_phase,
         )
@@ -286,18 +313,14 @@ class BraceRuntime:
         replication_bytes: Counter = Counter()
         agents_migrated = 0
         replicas_created = 0
-        migrated_in: dict[int, list] = {worker.worker_id: [] for worker in self.workers}
-        replicas_in: dict[int, list] = {worker.worker_id: [] for worker in self.workers}
+        migrated_in: dict[int, list] = {shard_id: [] for shard_id in self._shard_ids}
+        replicas_in: dict[int, list] = {shard_id: [] for shard_id in self._shard_ids}
         for result in map_results:
-            source = result.shard_id
             plan = result.value
             for destination, agents in sorted(plan.migrations_out.items()):
                 for agent in agents:
-                    # Move the driver's (possibly stale) twin between shadow
-                    # workers; forward the shard's fresh copy to its new home.
-                    stale = self.workers[source].remove_owned(agent.agent_id)
-                    self.workers[destination].add_owned(stale)
-                    self._owner_of[agent.agent_id] = destination
+                    # Forward the shard's fresh copy to its new home.
+                    self._own(agent.agent_id, destination)
                     migrated_in[destination].append(agent)
             for destination, replicas in sorted(plan.replicas_out.items()):
                 if transport_copies:
@@ -311,9 +334,8 @@ class BraceRuntime:
             agents_migrated += plan.agents_migrated
             replicas_created += plan.replicas_created
 
-        for worker in self.workers:
-            cost = worker_costs[worker.worker_id]
-            cost.work_units += config.map_work_units_per_agent * worker.owned_count()
+        for cost, count in zip(worker_costs, self._owned_counts):
+            cost.work_units += MAP_WORK_UNITS_PER_AGENT * count
 
         bytes_migrated = self._charge_transfers(migration_bytes, worker_costs, network)
         bytes_replicated = self._charge_transfers(replication_bytes, worker_costs, network)
@@ -325,32 +347,31 @@ class BraceRuntime:
         query_results = self._shard_round(
             [
                 (
-                    worker.worker_id,
+                    shard_id,
                     shard_query_phase,
                     QueryCommand(
-                        migrated_in=migrated_in[worker.worker_id],
-                        replicas_in=replicas_in[worker.worker_id],
+                        migrated_in=migrated_in[shard_id],
+                        replicas_in=replicas_in[shard_id],
                         tick=tick,
                     ),
                 )
-                for worker in self.workers
+                for shard_id in self._shard_ids
             ],
             phase=ipc_phase,
         )
         ipc_sent += sum(result.payload_bytes for result in query_results)
         ipc_received += sum(result.result_bytes for result in query_results)
         query_seconds = [result.wall_seconds for result in query_results]
-        for worker, result in zip(self.workers, query_results):
-            worker.last_query_work_units = result.value.work_units
-            worker.last_index_probes = result.value.index_probes
-            worker_costs[worker.worker_id].work_units += result.value.work_units
+        query_work_units = [result.value.work_units for result in query_results]
+        for cost, work_units in zip(worker_costs, query_work_units):
+            cost.work_units += work_units
 
         # ------------------------------------------------------------------
         # Reduce 2 — route partials driver-side in one global order (source
         # worker id, then agent sort key).
         # ------------------------------------------------------------------
         bytes_effects = 0
-        routed: dict[int, list] = {worker.worker_id: [] for worker in self.workers}
+        routed: dict[int, list] = {shard_id: [] for shard_id in self._shard_ids}
         if config.non_local_effects:
             effect_bytes: Counter = Counter()
             for result in query_results:
@@ -381,12 +402,8 @@ class BraceRuntime:
         # ------------------------------------------------------------------
         update_results = self._shard_round(
             [
-                (
-                    worker.worker_id,
-                    shard_update_phase,
-                    UpdateCommand(partials=routed[worker.worker_id], tick=tick),
-                )
-                for worker in self.workers
+                (shard_id, shard_update_phase, UpdateCommand(partials=routed[shard_id], tick=tick))
+                for shard_id in self._shard_ids
             ],
             phase=ipc_phase,
         )
@@ -401,25 +418,25 @@ class BraceRuntime:
             context._kill_requests = set(result.value.kill_requests)
             merged_updates.merge(context)
 
-        for worker in self.workers:
-            cost = worker_costs[worker.worker_id]
-            cost.work_units += config.update_work_units_per_agent * worker.owned_count()
-            cost.agents_owned = worker.owned_count()
+        for cost, count in zip(worker_costs, self._owned_counts):
+            cost.work_units += UPDATE_WORK_UNITS_PER_AGENT * count
+            cost.agents_owned = count
 
         # Births and deaths are decided globally by the driver (deterministic
         # id allocation) and shipped to the shards with the next tick's map
-        # command — or flushed eagerly if an epoch boundary needs them.
+        # command — or flushed eagerly if an epoch boundary needs them.  A
+        # child BRACE cannot place is refused before it joins the world.
+        for _parent_id, _sequence, child in merged_updates.spawn_requests:
+            self._check_placeable(child)
         spawned_agents, killed_ids = apply_births_and_deaths(world, merged_updates)
         for agent_id in killed_ids:
             owner = self._owner_of.pop(agent_id, None)
             if owner is not None:
-                if agent_id in self.workers[owner].owned:
-                    self.workers[owner].remove_owned(agent_id)
+                self._owned_counts[owner] -= 1
                 self._boundary_for(owner).kill_ids.append(agent_id)
         for agent in spawned_agents:
-            owner = self.master.partitioning.partition_of(agent.position())
-            self.workers[owner].add_owned(agent)
-            self._owner_of[agent.agent_id] = owner
+            owner = self._place(agent)
+            self._own(agent.agent_id, owner)
             self._boundary_for(owner).spawn_agents.append(agent)
 
         self._world_dirty = transport_copies
@@ -460,6 +477,7 @@ class BraceRuntime:
             ipc_compute_seconds=ipc_phase["compute"],
             ipc_wait_seconds=ipc_phase["wait"],
             query_seconds_per_worker=query_seconds,
+            query_work_units_per_worker=query_work_units,
             update_seconds_per_worker=update_seconds,
         )
         self.metrics.add_tick(stats)
@@ -471,7 +489,7 @@ class BraceRuntime:
         for key in self._epoch_ipc_phase:
             self._epoch_ipc_phase[key] += ipc_phase[key]
         if self._epoch_ticks >= config.ticks_per_epoch:
-            self._end_of_epoch()
+            self._end_of_epoch(stats)
         return stats
 
     def run(self, ticks: int) -> BraceRunMetrics:
@@ -526,9 +544,9 @@ class BraceRuntime:
     # Shard management
     # ------------------------------------------------------------------
     def _ensure_shards(self) -> None:
-        """Seed the executor-hosted shards from the driver's workers (lazy).
+        """Seed the executor-hosted shards from the ownership map (lazy).
 
-        Hands each worker's seed (:meth:`_shard_seed`) over **once**;
+        Hands each shard's seed (:meth:`_shard_seeds`) over **once**;
         afterwards ticks exchange only deltas.
         Called again after :meth:`recover` (shards are re-seeded from the
         restored world) or after an executor failure invalidated the shard
@@ -538,32 +556,43 @@ class BraceRuntime:
             return
         if self.executor.has_shards():
             self.executor.teardown_shards()
-        payloads = {worker.worker_id: self._shard_seed(worker) for worker in self.workers}
-        self.executor.init_shards(make_resident_worker, payloads)
+        self.executor.init_shards(make_resident_worker, self._shard_seeds(self._shard_ids))
         self._shards_ready = True
         self._pending_boundary = {}
         self._world_dirty = False
 
-    def _shard_seed(self, worker: Worker) -> ShardSeed:
-        """What hosts ``worker`` as a shard: its partition and owned agents,
-        the current partitioning, and the run-wide settings every shard
-        runs with — the only place those settings are read off the run."""
+    def _shard_seeds(self, shard_ids) -> dict[int, ShardSeed]:
+        """What hosts each of ``shard_ids`` as a shard: its partition, the
+        world agents the ownership map gives it (in
+        :func:`~repro.core.ordering.agent_sort_key` order), the current
+        partitioning, and the run-wide settings every shard runs with — the
+        only place those settings are read off the run."""
         config = self.config
-        return ShardSeed(
-            partition=worker.partition,
-            partitioning=self.master.partitioning,
-            agents=worker.owned_agents(),
-            settings=ShardSettings(
-                seed=self.seed,
-                check_visibility=config.check_visibility,
-                spatial_backend=config.spatial_backend,
-                plan_backend=config.plan_backend,
-                world_bounds=self.world.bounds,
-                # Crossing a wire copies every outgoing agent, which is what
-                # lets shards skip replica clones and ship replica deltas.
-                transport_copies=not self.executor.shares_memory,
-            ),
+        partitioning = self.master.partitioning
+        settings = ShardSettings(
+            seed=self.seed,
+            check_visibility=config.check_visibility,
+            spatial_backend=config.spatial_backend,
+            plan_backend=config.plan_backend,
+            world_bounds=self.world.bounds,
+            # Crossing a wire copies every outgoing agent, which is what
+            # lets shards skip replica clones and ship replica deltas.
+            transport_copies=not self.executor.shares_memory,
         )
+        owned: dict[int, list] = {shard_id: [] for shard_id in shard_ids}
+        for agent_id in sorted(self._owner_of, key=agent_sort_key):
+            agents = owned.get(self._owner_of[agent_id])
+            if agents is not None:
+                agents.append(self.world.get_agent(agent_id))
+        return {
+            shard_id: ShardSeed(
+                partition=partitioning.partition(shard_id),
+                partitioning=partitioning,
+                agents=agents,
+                settings=settings,
+            )
+            for shard_id, agents in owned.items()
+        }
 
     def _shard_round(self, tasks, phase: dict[str, float] | None = None):
         """One synchronized round of shard tasks, invalidating state on failure.
@@ -662,7 +691,7 @@ class BraceRuntime:
             return 0
         ipc_bytes = self._flush_pending_boundary()
         results = self._shard_round(
-            [(worker.worker_id, shard_collect_states, None) for worker in self.workers]
+            [(shard_id, shard_collect_states, None) for shard_id in self._shard_ids]
         )
         for result in results:
             for agent_id, state in result.value.items():
@@ -680,7 +709,7 @@ class BraceRuntime:
         "statistics message" the paper's master receives from its slaves.
         """
         results = self._shard_round(
-            [(worker.worker_id, shard_collect_coordinates, axis) for worker in self.workers]
+            [(shard_id, shard_collect_coordinates, axis) for shard_id in self._shard_ids]
         )
         coordinates: list[float] = []
         for result in results:
@@ -759,23 +788,29 @@ class BraceRuntime:
     # ------------------------------------------------------------------
     # Epoch boundary
     # ------------------------------------------------------------------
-    def _end_of_epoch(self) -> None:
-        config = self.config
-        # Shards must reflect this tick's births/deaths before the master
-        # gathers statistics or moves agents around.
-        epoch_ipc_bytes = self._flush_pending_boundary()
+    def _end_of_epoch(self, last_tick: BraceTickStatistics) -> None:
+        master = self.master
         reports = [
             WorkerReport(
-                worker_id=worker.worker_id,
-                owned_agents=worker.owned_count(),
-                work_units=worker.last_query_work_units,
+                worker_id=shard_id,
+                owned_agents=self._owned_counts[shard_id],
+                work_units=last_tick.query_work_units_per_worker[shard_id],
                 bytes_sent=0,
             )
-            for worker in self.workers
+            for shard_id in self._shard_ids
         ]
-        coordinates, coordinate_ipc = self._collect_axis_coordinates(config.load_balance_axis)
-        epoch_ipc_bytes += coordinate_ipc
-        decision = self.master.end_of_epoch(reports, coordinates)
+        epoch_ipc_bytes = 0
+        coordinates: list[float] = []
+        if self.config.load_balance and master.can_rebalance():
+            # The balancer reads every agent's coordinate and may move agents
+            # around: shards must reflect this tick's births/deaths first.
+            # (Checkpoints need no flush here: sync_world flushes.)
+            epoch_ipc_bytes = self._flush_pending_boundary()
+            coordinates, coordinate_ipc = self._collect_axis_coordinates(
+                master.partitioning.axis
+            )
+            epoch_ipc_bytes += coordinate_ipc
+        decision = master.end_of_epoch(reports, coordinates)
 
         rebalanced = False
         migrated_by_balancer = 0
@@ -795,21 +830,20 @@ class BraceRuntime:
             # Checkpoints pull state from the shards: the driver's world is
             # synced once, then snapshot.
             epoch_ipc_bytes += self.sync_world()
-            checkpoint_bytes = sum(worker.checkpoint_size_bytes() for worker in self.workers)
-            self.master.checkpoint_manager.take(self.world, self.master.epoch, checkpoint_bytes)
+            sizes = self.checkpoint_sizes()
+            checkpoint_bytes = sum(sizes)
+            master.checkpoint_manager.take(self.world, master.epoch, checkpoint_bytes)
             epoch_ipc_bytes += self._stash_shard_checkpoints()
             checkpoint_seconds = max(
                 (
-                    self.cost_model.node(worker.worker_id).checkpoint_seconds(
-                        worker.checkpoint_size_bytes()
-                    )
-                    for worker in self.workers
+                    self.cost_model.node(shard_id).checkpoint_seconds(size)
+                    for shard_id, size in enumerate(sizes)
                 ),
                 default=0.0,
             )
 
         epoch_stats = EpochStatistics(
-            epoch=self.master.epoch,
+            epoch=master.epoch,
             first_tick=self._epoch_first_tick,
             ticks=self._epoch_ticks,
             virtual_seconds=self._epoch_virtual_seconds + lb_seconds + checkpoint_seconds,
@@ -849,10 +883,7 @@ class BraceRuntime:
             return 0
         tag = (self.world.tick, self._partitioning_version)
         results = self._shard_round(
-            [
-                (worker.worker_id, shard_retain_checkpoint, {"tag": tag})
-                for worker in self.workers
-            ]
+            [(shard_id, shard_retain_checkpoint, {"tag": tag}) for shard_id in self._shard_ids]
         )
         self._stash_tag = tag
         self._checkpoint_ownership = dict(self._owner_of)
@@ -865,13 +896,13 @@ class BraceRuntime:
 
         Two shard rounds: every shard adopts the new partitioning and hands
         back the agents that no longer belong to it; the driver routes them
-        to their new shards (updating its shadow ownership and charging the
+        to their new shards (updating the ownership map and charging the
         cost model per moved agent) and installs them.
         Returns ``(agents migrated, virtual seconds, measured IPC bytes)``.
         """
         network = self.cost_model.network
         partitioning = self.master.partitioning
-        per_worker_seconds = [0.0] * len(self.workers)
+        per_worker_seconds = [0.0] * len(self._shard_ids)
         migrated = 0
         ipc_bytes = 0
         # Ownership and shard placement are about to shuffle; any stashed
@@ -885,8 +916,7 @@ class BraceRuntime:
         # either) protocol-correct.
         if rebalance_nodes and not self.executor.shares_memory:
             weights = {
-                worker.worker_id: float(max(1, worker.owned_count()))
-                for worker in self.workers
+                shard_id: float(max(1, count)) for shard_id, count in enumerate(self._owned_counts)
             }
             _moves, moved_bytes = self.executor.rebalance_shards(weights)
             ipc_bytes += moved_bytes
@@ -894,28 +924,23 @@ class BraceRuntime:
         adopt_results = self._shard_round(
             [
                 (
-                    worker.worker_id,
+                    shard_id,
                     shard_adopt_partitioning,
                     RepartitionCommand(
-                        partitioning=partitioning,
-                        partition=partitioning.partition(worker.worker_id),
+                        partitioning=partitioning, partition=partitioning.partition(shard_id)
                     ),
                 )
-                for worker in self.workers
+                for shard_id in self._shard_ids
             ]
         )
         ipc_bytes += sum(result.payload_bytes + result.result_bytes for result in adopt_results)
-        for worker in self.workers:
-            worker.partition = partitioning.partition(worker.worker_id)
 
-        incoming: dict[int, list] = {worker.worker_id: [] for worker in self.workers}
+        incoming: dict[int, list] = {shard_id: [] for shard_id in self._shard_ids}
         for result in adopt_results:
             source = result.shard_id
             for destination, agents in sorted(result.value.items()):
                 for agent in agents:
-                    stale = self.workers[source].remove_owned(agent.agent_id)
-                    self.workers[destination].add_owned(stale)
-                    self._owner_of[agent.agent_id] = destination
+                    self._own(agent.agent_id, destination)
                     size = agent_frame_bytes(agent)
                     seconds = network.transfer_seconds(source, destination, size)
                     per_worker_seconds[source] += seconds
@@ -1011,7 +1036,7 @@ class BraceRuntime:
 
         Valid only when the latest shard-local stash matches the restored
         checkpoint *and* the partitioning has not changed since it was
-        taken.  The driver's shadow ownership is rebuilt from the map
+        taken.  The driver's ownership map is reset to the one
         snapshotted at checkpoint time (the stashed shards hold exactly
         those owned sets — position-based reassignment would disagree with
         them for agents whose migration was still pending).  Returns False
@@ -1019,34 +1044,22 @@ class BraceRuntime:
         to the full teardown-and-reseed path, which is always correct.
         """
         lost = set(self.executor.lost_shards())
-        survivors = sorted(
-            worker.worker_id for worker in self.workers if worker.worker_id not in lost
-        )
+        survivors = [shard_id for shard_id in self._shard_ids if shard_id not in lost]
         if not survivors:
             return False
         tag = (checkpoint.tick, self._partitioning_version)
         ownership = self._checkpoint_ownership
         if self._stash_tag != tag or ownership is None:
             return False
-        for worker in self.workers:
-            worker.clear_owned()
-            worker.clear_replicas()
-        self._owner_of = dict(ownership)
-        for agent_id, owner in ownership.items():
-            if not self.world.has_agent(agent_id):
-                return False  # snapshot disagrees with the restored world
-            self.workers[owner].add_owned(self.world.get_agent(agent_id))
+        if not all(self.world.has_agent(agent_id) for agent_id in ownership):
+            return False  # snapshot disagrees with the restored world
+        self._rebuild_ownership(ownership)
         try:
             # Lost shards first: the executor refuses ordinary rounds while
             # shards await re-seeding, and the survivors' restore *is* an
             # ordinary round.
             if lost:
-                self.executor.reseed_shards(
-                    {
-                        shard_id: self._shard_seed(self.workers[shard_id])
-                        for shard_id in sorted(lost)
-                    }
-                )
+                self.executor.reseed_shards(self._shard_seeds(sorted(lost)))
             restore_results = self._shard_round(
                 [
                     (shard_id, shard_restore_checkpoint, {"tag": tag})
@@ -1060,13 +1073,6 @@ class BraceRuntime:
         self._pending_boundary = {}
         self._world_dirty = False
         return True
-
-    def _rebuild_ownership(self) -> None:
-        for worker in self.workers:
-            worker.clear_owned()
-            worker.clear_replicas()
-        self._owner_of.clear()
-        self._assign_initial_ownership()
 
     def run_with_failures(self, ticks: int, injector: FailureInjector) -> BraceRunMetrics:
         """Run ``ticks`` ticks while the injector may fail any of them.
@@ -1097,6 +1103,6 @@ class BraceRuntime:
 
     def __repr__(self) -> str:
         return (
-            f"<BraceRuntime workers={len(self.workers)} tick={self.world.tick} "
+            f"<BraceRuntime workers={len(self._shard_ids)} tick={self.world.tick} "
             f"agents={self.world.agent_count()}>"
         )

@@ -273,9 +273,8 @@ class Worker:
     :meth:`adopt_partitioning` or the shard seed) so it can compute
     migrations and replication targets locally, and its ``replicas`` dict
     is the replica cache the query phase joins against.  ``settings`` are
-    the run-wide values its phases run with.  (The driver also keeps one
-    bare ``Worker`` per partition as a *shadow*: membership only, for
-    ownership, load statistics and the cost model.)
+    the run-wide values its phases run with.  The driver keeps no
+    ``Worker``: its ownership record is an agent id -> shard map.
     """
 
     def __init__(
@@ -347,11 +346,6 @@ class Worker:
             raise BraceError(
                 f"worker {self.worker_id} does not own agent {agent_id}"
             ) from None
-
-    def clear_owned(self) -> None:
-        """Release every owned agent (ownership is about to be rebuilt)."""
-        self.owned.clear()
-        self._owned_table = None
 
     def _owned_rows(self) -> _SortedAgents:
         """The owned table, rebuilt if dropped, with every arrival merged in."""
@@ -799,18 +793,6 @@ class Worker:
         with phase(Phase.UPDATE):
             _update_loop(self.owned_agents(), context, settings.plan_backend)
         return context
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def checkpoint_size_bytes(self) -> int:
-        """Modeled serialized size of a checkpoint of this worker.
-
-        Charged from the same frame-size formula as the wire traffic
-        (:func:`repro.ipc.sizing.agent_frame_bytes`), so checkpoint and IPC
-        costs stay on one scale.
-        """
-        return sum(agent_frame_bytes(agent) for agent in self.owned.values())
 
     def __repr__(self) -> str:
         return (

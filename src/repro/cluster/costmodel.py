@@ -25,6 +25,12 @@ from repro.cluster.network import NetworkModel
 if TYPE_CHECKING:  # annotation-only: keeps ``-m repro.cluster.node`` clean
     from repro.cluster._simnode import SimulatedNode
 
+#: Work units charged per owned agent for the map phase (migration and
+#: replication checks) and for the update phase, on top of the query
+#: phase's measured work units.
+MAP_WORK_UNITS_PER_AGENT = 1.0
+UPDATE_WORK_UNITS_PER_AGENT = 2.0
+
 
 @dataclass
 class WorkerTickCost:

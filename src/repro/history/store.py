@@ -13,9 +13,9 @@ A history store is a directory::
 Checkpoints hold the complete simulation state at one tick (every agent,
 the id allocator, the seed); deltas hold only what changed from the previous
 tick — the transactional/analytical split of the store.  Both kinds of frame
-go through the checkpoint machinery's codec
-(:func:`repro.brace.checkpoint.serialize_snapshot`), so the replay layer
-reads back exactly the Python values the recorder saw.
+go through this module's one codec (:func:`_encode`, highest-protocol
+pickle), so the replay layer reads back exactly the Python values the
+recorder saw.
 
 The store knows nothing about agents or worlds: it moves opaque payloads and
 maintains the tick index, truncation (rewinds after recovery) and retention
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.brace.checkpoint import deserialize_snapshot, serialize_snapshot
 from repro.core.errors import HistoryError
 
 #: On-disk format tag; bump when the layout or payload schema changes.
@@ -45,6 +45,20 @@ _CHECKPOINT_DIR = "checkpoints"
 
 def _checkpoint_name(tick: int) -> str:
     return f"cp_{tick:010d}.bin"
+
+
+def _encode(payload: Any) -> bytes:
+    """Encode one checkpoint or delta frame.
+
+    Pickle at the highest protocol round-trips Python floats and ints
+    exactly, which is what the bit-identical replay guarantee rests on.
+    """
+    return pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+
+
+def _decode(data: bytes) -> Any:
+    """Decode a frame written by :func:`_encode`."""
+    return pickle.loads(data)
 
 
 class HistoryStore:
@@ -180,7 +194,7 @@ class HistoryStore:
                 f"delta for tick {tick} appended out of order "
                 f"(last recorded tick is {self._index[-1][0]}); truncate first"
             )
-        frame = serialize_snapshot(record)
+        frame = _encode(record)
         handle = self._segment()
         offset = handle.tell()
         handle.write(frame)
@@ -210,7 +224,7 @@ class HistoryStore:
         with open(self.path / _SEGMENT, "rb") as handle:
             handle.seek(offset)
             frame = handle.read(length)
-        return deserialize_snapshot(frame)
+        return _decode(frame)
 
     def iter_deltas(self, start_tick: int, end_tick: int) -> Iterator[dict[str, Any]]:
         """Yield the delta frames for ``start_tick..end_tick`` inclusive, in order."""
@@ -226,7 +240,7 @@ class HistoryStore:
     # ------------------------------------------------------------------
     def write_checkpoint(self, tick: int, payload: dict[str, Any]) -> int:
         """Persist a full-state checkpoint at ``tick``; returns bytes written."""
-        frame = serialize_snapshot(payload)
+        frame = _encode(payload)
         target = self.path / _CHECKPOINT_DIR / _checkpoint_name(tick)
         target.write_bytes(frame)
         return len(frame)
@@ -236,7 +250,7 @@ class HistoryStore:
         target = self.path / _CHECKPOINT_DIR / _checkpoint_name(tick)
         if not target.exists():
             raise HistoryError(f"no checkpoint recorded at tick {tick}")
-        return deserialize_snapshot(target.read_bytes())
+        return _decode(target.read_bytes())
 
     def checkpoint_ticks(self) -> list[int]:
         """Every tick with a full checkpoint, ascending."""

@@ -95,11 +95,11 @@ class TestBuilderCompilation:
         assert config.checkpoint_interval_epochs == 2
 
     def test_base_config_passes_through_untouched_fields(self):
-        base = BraceConfig(num_workers=6, latency_seconds=1e-3)
+        base = BraceConfig(num_workers=6, load_balance_threshold=2.0)
         session = Simulation.from_agents(build_ring_world(8, seed=1), config=base)
         config = session.with_epochs(4).config
         assert config.num_workers == 6
-        assert config.latency_seconds == 1e-3
+        assert config.load_balance_threshold == 2.0
         assert config.ticks_per_epoch == 4
         # The base object itself was never mutated.
         assert base.ticks_per_epoch == BraceConfig().ticks_per_epoch

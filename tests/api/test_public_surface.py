@@ -14,6 +14,7 @@ import pytest
 import repro
 import repro.api
 from repro.api import Provenance, RunResult, Simulation
+from repro.brace.config import BraceConfig
 from repro.core.errors import BraceError
 
 REPRO_EXPORTS = {
@@ -116,6 +117,46 @@ PROVENANCE_FIELDS = {
     "nodes",
 }
 
+BRACE_CONFIG_FIELDS = {
+    "num_workers",
+    "partitioning",
+    "grid_cells",
+    "executor",
+    "max_workers",
+    "cluster_nodes",
+    "cluster_listen",
+    "cluster_spawn",
+    "heartbeat_interval_seconds",
+    "heartbeat_timeout_seconds",
+    "cluster_secret",
+    "readmission_timeout_seconds",
+    "ticks_per_epoch",
+    "non_local_effects",
+    "check_visibility",
+    "spatial_backend",
+    "plan_backend",
+    "load_balance",
+    "load_balance_threshold",
+    "checkpointing",
+    "checkpoint_interval_epochs",
+    "seed",
+}
+
+#: Cost-model constants that used to mirror the models' own defaults as
+#: config fields; they live in repro.cluster and repro.brace.loadbalance.
+COST_MODEL_CONSTANTS = (
+    "load_balance_axis",
+    "migration_cost_per_agent",
+    "work_units_per_second",
+    "bandwidth_bytes_per_second",
+    "latency_seconds",
+    "nodes_per_switch",
+    "inter_switch_penalty",
+    "barrier_seconds",
+    "map_work_units_per_agent",
+    "update_work_units_per_agent",
+)
+
 
 def test_repro_all_matches_snapshot():
     assert set(repro.__all__) == REPRO_EXPORTS
@@ -149,12 +190,26 @@ def test_transport_knobs_were_removed_deliberately():
             session.with_options(**{knob: None})
 
 
+@pytest.mark.parametrize("name", COST_MODEL_CONSTANTS)
+def test_cost_model_constants_were_removed_deliberately(name):
+    # One record per constant: the models own them, the config does not.
+    session = Simulation.from_agents([], bounds=((0.0, 1.0),))
+    with pytest.raises(BraceError, match="unknown configuration option"):
+        session.with_options(**{name: 1})
+    with pytest.raises(TypeError):
+        BraceConfig(**{name: 1})
+
+
 def test_run_result_fields_match_snapshot():
     assert {field.name for field in dataclasses.fields(RunResult)} == RUN_RESULT_FIELDS
 
 
 def test_provenance_fields_match_snapshot():
     assert {field.name for field in dataclasses.fields(Provenance)} == PROVENANCE_FIELDS
+
+
+def test_brace_config_fields_match_snapshot():
+    assert {field.name for field in dataclasses.fields(BraceConfig)} == BRACE_CONFIG_FIELDS
 
 
 def test_version_is_a_sane_string():

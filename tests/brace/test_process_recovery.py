@@ -141,7 +141,7 @@ class TestSettingsTravelWithTheSeed:
     @staticmethod
     def record_work(runtime, ticks, units):
         for stats in runtime.supervised_ticks(ticks):
-            units[stats.tick] = [worker.last_query_work_units for worker in runtime.workers]
+            units[stats.tick] = stats.query_work_units_per_worker
 
     def test_migration_and_in_place_recovery_keep_the_settings(self):
         serial_world, serial_units = build_world(), {}

@@ -119,7 +119,7 @@ def check_mirror(executor: str, seed: int, agents: int, workers: int, ticks: int
             owners = {agent.agent_id: copy.deepcopy(agent.state_dict()) for agent in world.agents()}
             runtime.run(1)  # ends with a sync: the world is the next tick's owners
             views = runtime.executor.run_sharded_tasks(
-                [(worker.worker_id, mirror_view, None) for worker in runtime.workers]
+                [(shard_id, mirror_view, None) for shard_id in range(workers)]
             )
             for view in views:
                 owned, replicas = view.value

@@ -6,12 +6,48 @@ from repro.brace.config import BraceConfig
 from repro.brace.replication import replication_targets
 from repro.brace.runtime import BraceRuntime
 from repro.brace.worker import Worker
+from repro.cluster._simnode import SimulatedNode
+from repro.cluster.network import NetworkModel
+from repro.core.agent import Agent
 from repro.core.errors import BraceError
+from repro.core.fields import StateField
 from repro.core.world import World
+from repro.ipc import agent_frame_bytes
 from repro.spatial.bbox import BBox
 from repro.spatial.partitioning import StripPartitioning
 
 from tests.conftest import Boid, SpawningAgent, make_boid_world
+
+
+class Tally(Agent):
+    """An agent without a spatial field: BRACE has no position to place it by."""
+
+    count = StateField(0)
+
+    def query(self, ctx):
+        pass
+
+    def update(self, ctx):
+        self.count = self.count + 1
+
+
+class TallyParent(Agent):
+    """A placeable agent whose child, born at tick 1, is a :class:`Tally`."""
+
+    x = StateField(0.0, spatial=True, visibility=5.0, reachability=1.0)
+    y = StateField(0.0, spatial=True, visibility=5.0, reachability=1.0)
+
+    def query(self, ctx):
+        pass
+
+    def update(self, ctx):
+        if ctx.tick == 1:
+            ctx.spawn(self, Tally())
+
+
+def owned_ids(worker, _payload):
+    """Shard task: the ids the resident worker owns."""
+    return set(worker.owned)
 
 
 class TestConfigValidation:
@@ -54,17 +90,18 @@ class TestWireExecutorsReadTheConfig:
             heartbeat_interval_seconds=0.25,
             heartbeat_timeout_seconds=3.0,
             readmission_timeout_seconds=4.0,
-            latency_seconds=1e-3,
-            work_units_per_second=5e5,
         )
         # Nodes start at the first round; building the runtime starts none.
         with BraceRuntime(make_boid_world(num_agents=4, seed=0), config) as runtime:
             wire = runtime.executor
             assert (wire.heartbeat_interval, wire.heartbeat_timeout) == (0.25, 3.0)
             assert wire.readmission_timeout == 4.0
-            # The placement model is the one that prices virtual time.
+            # The placement model is the one that prices virtual time, and
+            # both run on the models' own constants.
             assert wire.network is runtime.cost_model.network
-            assert [node.work_units_per_second for node in wire.sim_nodes] == [5e5, 5e5]
+            assert runtime.cost_model.network == NetworkModel()
+            assert wire.sim_nodes == [SimulatedNode(0), SimulatedNode(1)]
+            assert runtime.cost_model.nodes == [SimulatedNode(0), SimulatedNode(1)]
 
     @pytest.mark.parametrize("executor", ["process", "cluster"])
     def test_an_interval_not_below_the_timeout_is_rejected(self, executor):
@@ -121,14 +158,15 @@ class TestWorkerMechanics:
         with pytest.raises(BraceError):
             worker.merge_remote_partials(99, {"pull_x": 1.0})
 
-    def test_checkpoint_size_grows_with_population(self):
-        partitioning = StripPartitioning.uniform(BBox(((0.0, 60.0), (0.0, 60.0))), 0, 2)
-        worker = Worker(0, partitioning.partition(0))
-        assert worker.checkpoint_size_bytes() == 0
-        worker.add_owned(Boid(agent_id=1))
-        single = worker.checkpoint_size_bytes()
-        worker.add_owned(Boid(agent_id=2))
-        assert worker.checkpoint_size_bytes() == 2 * single
+    def test_checkpoint_sizes_follow_the_ownership_map(self):
+        world = make_boid_world(num_agents=40, seed=3)
+        runtime = BraceRuntime(world, BraceConfig(num_workers=4))
+        runtime.run(3)
+        single = agent_frame_bytes(world.agents()[0])
+        assert runtime.checkpoint_sizes() == [
+            count * single for count in runtime.owned_counts()
+        ]
+        assert sum(runtime.checkpoint_sizes()) == world.agent_count() * single
 
 
 class TestRuntimeMetrics:
@@ -142,14 +180,63 @@ class TestRuntimeMetrics:
         assert stats.max_worker_agents >= stats.min_worker_agents
         assert stats.num_passes == 2
 
-    def test_ownership_tracking_after_ticks(self):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_ownership_map_matches_the_shards(self, executor):
+        world = make_boid_world(num_agents=60, seed=7, agent_class=SpawningAgent, size=30.0)
+        config = BraceConfig(
+            num_workers=3, executor=executor, max_workers=2, load_balance_threshold=1.01,
+            ticks_per_epoch=2,
+        )
+        with BraceRuntime(world, config) as runtime:
+            runtime.run(8)
+            assert sum(tick.agents_migrated for tick in runtime.metrics.ticks) > 0
+            assert sum(tick.spawned + tick.killed for tick in runtime.metrics.ticks) > 0
+            # Births and deaths of the last tick are still pending: the next
+            # round ships them, exactly as the next tick's map command would.
+            runtime._flush_pending_boundary()
+            shards = runtime.executor.run_sharded_tasks(
+                [(shard_id, owned_ids, None) for shard_id in range(3)]
+            )
+            for shard in shards:
+                expected = {
+                    agent.agent_id
+                    for agent in world.agents()
+                    if runtime.worker_of(agent.agent_id) == shard.shard_id
+                }
+                assert shard.value == expected
+                assert runtime.owned_counts()[shard.shard_id] == len(expected)
+            assert sum(runtime.owned_counts()) == world.agent_count()
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_an_agent_without_a_spatial_field_is_refused(self, executor):
+        world = make_boid_world(num_agents=4, seed=3)
+        world.add_agent(Tally())
+        config = BraceConfig(num_workers=2, executor=executor, max_workers=2)
+        with pytest.raises(BraceError, match="Tally agents: the class declares no spatial"):
+            BraceRuntime(world, config)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_a_birth_without_a_spatial_field_is_refused(self, executor):
+        world = make_boid_world(num_agents=4, seed=3, agent_class=TallyParent)
+        config = BraceConfig(num_workers=2, executor=executor, max_workers=2)
+        with BraceRuntime(world, config) as runtime:
+            runtime.run_tick()
+            with pytest.raises(BraceError, match="Tally agents: the class declares no spatial"):
+                runtime.run_tick()
+            # The child never joined the world.
+            assert world.agent_count() == 4
+            assert not any(isinstance(agent, Tally) for agent in world.agents())
+
+    def test_epochs_without_balancing_or_checkpoints_move_no_bytes(self):
         world = make_boid_world(num_agents=40, seed=3)
-        runtime = BraceRuntime(world, BraceConfig(num_workers=4))
-        runtime.run(3)
-        assert sum(runtime.owned_counts()) == world.agent_count()
-        for agent in world.agents():
-            owner = runtime.worker_of(agent.agent_id)
-            assert agent.agent_id in runtime.workers[owner].owned
+        config = BraceConfig(
+            num_workers=2, executor="process", max_workers=2, ticks_per_epoch=2,
+            load_balance=False, checkpointing=False,
+        )
+        with BraceRuntime(world, config) as runtime:
+            runtime.run(6)
+            assert len(runtime.metrics.epochs) == 3
+            assert [epoch.ipc_bytes for epoch in runtime.metrics.epochs] == [0, 0, 0]
 
     def test_worker_of_unknown_agent(self):
         world = make_boid_world(num_agents=5, seed=3)
@@ -199,7 +286,8 @@ class TestByReferenceTransport:
 
     @staticmethod
     def assert_shards_alias_world(runtime):
-        # Epochs of one tick flush births/deaths to the shards every tick.
+        # Balanced epochs of one tick flush births/deaths to the shards
+        # every tick.
         owned = {}
         for shard in runtime.executor._shards.values():
             owned.update(shard.owned)
