@@ -24,8 +24,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import is_, is_not
-from typing import Any, Iterable
+from operator import attrgetter, is_, is_not
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.brasil import kernels
 from repro.core.agent import Agent, _set_updating, mutable_cells
 from repro.core.context import QueryContext, UpdateContext
 from repro.core.errors import BraceError
+from repro.core.fields import raw_effect_writes
 from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
 from repro.core.soa import pack_positions
@@ -49,25 +50,42 @@ from repro.spatial.columnar import PointSet
 from repro.spatial.partitioning import Partition, SpatialPartitioning
 
 
-def _query_loop(owned: list[Agent], context: QueryContext, plan_backend: str) -> None:
+def _query_loop(
+    owned: list[Agent],
+    context: QueryContext,
+    plan_backend: str,
+    keep: Callable[[kernels.EffectHandoff], None] | None = None,
+) -> None:
     """Run the query phase body: compiled plan kernels when allowed, else
     the interpreted per-agent loop.
 
     ``"interpreted"`` never compiles; ``"compiled"`` runs the columnar
     kernels wherever the plan compiler proved one and the interpreter
-    elsewhere.
+    elsewhere.  A compiled phase writes the owned agents' effects onto them
+    unless ``keep`` takes the :class:`~repro.brasil.kernels.EffectHandoff`
+    instead — a caller that passes ``keep`` hands the hand-off on to
+    :func:`_update_loop`.
     """
-    if plan_backend != "interpreted" and kernels.try_compiled_query_phase(owned, context):
+    if plan_backend != "interpreted" and kernels.try_compiled_query_phase(owned, context, keep):
         return
     for agent in owned:
         agent.query(context)
 
 
-def _update_loop(owned: list[Agent], context: UpdateContext, plan_backend: str) -> None:
-    """Run the update phase body: compiled per-class kernels, interpreted rest."""
+def _update_loop(
+    owned: list[Agent],
+    context: UpdateContext,
+    plan_backend: str,
+    handoff: kernels.EffectHandoff | None = None,
+) -> None:
+    """Run the update phase body: compiled per-class kernels, interpreted
+    rest.  ``handoff`` is the query phase's, for ``owned``; whatever does
+    not read it gets its effects materialized onto the agents first."""
     remaining = owned
     if plan_backend != "interpreted":
-        remaining = kernels.try_compiled_update_phase(owned, context)
+        remaining = kernels.try_compiled_update_phase(owned, context, handoff)
+    elif handoff is not None:
+        handoff.materialize()
     for agent in remaining:
         _set_updating(agent, True)
         try:
@@ -316,12 +334,19 @@ class Worker:
         #: its state back over the wire.  Pickled at stash time — later
         #: mutation of the live agents cannot corrupt a stashed epoch.
         self.checkpoint_stash: dict = {}
+        #: The compiled query kernel's effects for the owned agents, held
+        #: from the query round to the update round of one tick (the owned
+        #: objects keep identity effects meanwhile); None otherwise.
+        self._effect_handoff: kernels.EffectHandoff | None = None
+        #: :func:`~repro.core.fields.raw_effect_writes` when the last map
+        #: phase reset effects; None before the first one.
+        self._raw_writes_seen: int | None = None
 
     # ------------------------------------------------------------------
     # Ownership management
     # ------------------------------------------------------------------
     def add_owned(self, agent: Agent) -> None:
-        """Take ownership of ``agent``.
+        """Take ownership of ``agent``; its effects start at identity.
 
         BRACE places agents by position: a class without spatial fields has
         no owner to compute and is refused.
@@ -331,6 +356,10 @@ class Worker:
                 f"worker {self.worker_id} cannot own {type(agent).__name__} "
                 f"agent {agent.agent_id}: the class declares no spatial field"
             )
+        # An arrival (seed, spawn, migration, repartition, checkpoint
+        # rebuild) may carry any accumulator; see _reset_effects.
+        if agent._effect_fields or agent._effects_touched:
+            agent.reset_effects()
         if agent.agent_id in self.owned:
             self._owned_table = None  # a replaced object: its row is stale
         elif self._owned_table is not None:
@@ -459,7 +488,8 @@ class Worker:
         byte accounting matches a centralized map phase exactly).  Replicas
         destined for this very partition — an agent that migrated away but
         is still visible here — are installed directly.  An interior agent
-        costs no Python beyond its effect reset.
+        whose effects are at identity costs no Python at all
+        (:meth:`_reset_effects`).
 
         The harvested rows stay with the owned table and become the query
         phase's snapshot (:meth:`run_query_phase`), so positions are read
@@ -473,7 +503,7 @@ class Worker:
 
         * without copies each replica is a fresh ``clone()`` and every
           destination receives its full replica list every tick;
-        * with copies the clone is skipped (effects were just reset, so the
+        * with copies the clone is skipped (effects are at identity, so the
           agent itself *is* the replica snapshot) and shipping switches to
           *delta mode*: destinations retain last tick's replicas, and
           ``replicas_out`` carries :class:`~repro.ipc.frames.ReplicaDelta`
@@ -505,6 +535,7 @@ class Worker:
         if partitioning is None:
             raise BraceError(f"worker {self.worker_id} has no partitioning to distribute with")
         result = DistributionResult()
+        self._materialize_effects()  # left over only when an update round failed
         transport_copies = self.settings.transport_copies
         if transport_copies:
             previous_sent = self._replica_sent
@@ -515,11 +546,7 @@ class Worker:
             self.clear_replicas()
         table = self._owned_rows()
         owned = table.agents
-        for agent in owned:
-            # A class without effect fields has nothing to reset unless
-            # something was touched.
-            if agent._effect_fields or agent._effects_touched:
-                agent.reset_effects()
+        self._reset_effects(owned)
         owners, replicates, targets_of, everywhere = self._harvest_positions(
             table, partitioning
         )
@@ -625,6 +652,34 @@ class Worker:
             self._replica_sent = sent
         return result
 
+    def _reset_effects(self, owned: list[Agent]) -> None:
+        """Bring every owned agent's effects back to identity, visiting only
+        the agents whose effects can differ from it.
+
+        An owned agent's effects can differ from identity only when
+        (a) a field is touched: an assignment, a routed merge or
+        :meth:`~repro.core.agent.Agent.set_effect_partials` since its reset;
+        or (b) an effect write bypassed the query phase anywhere in the
+        process since the last map phase (a raw assignment or an
+        :meth:`~repro.core.agent.Agent.restore`, which leave no touched
+        mark — on a by-reference executor the driver's agents are these).
+        Arrivals are reset by :meth:`add_owned`, and nothing else writes an
+        owned agent's effects: a compiled class's stay in the hand-off's
+        columns.  Under (b) every agent is reset.  Replicas are reset where
+        they are made (a clone, below) or retained
+        (:meth:`apply_replica_deltas`); in delta mode the agent itself ships,
+        already at identity.
+        """
+        raw_writes = raw_effect_writes()
+        if raw_writes != self._raw_writes_seen:
+            for agent in owned:
+                if agent._effect_fields or agent._effects_touched:
+                    agent.reset_effects()
+            self._raw_writes_seen = raw_writes
+            return
+        for agent in compress(owned, map(attrgetter("_effects_touched"), owned)):
+            agent.reset_effects()
+
     def _harvest_positions(
         self, table: _SortedAgents, partitioning: SpatialPartitioning
     ) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]], list[int]]:
@@ -700,6 +755,7 @@ class Worker:
         """
         from repro.brace.shards import ShardSeed
 
+        self._materialize_effects()
         return ShardSeed(
             partition=self.partition,
             partitioning=self.partitioning,
@@ -728,6 +784,7 @@ class Worker:
         once per phase.
         """
         settings = self.settings
+        self._materialize_effects()  # a query round's hand-off is its own
         owned, replicas = self.owned_agents(), self.replica_agents()
         context = QueryContext(
             # Not the snapshot's merged order: ``ctx.agents()`` hands this
@@ -740,7 +797,7 @@ class Worker:
             snapshot=self._build_snapshot(),
         )
         with phase(Phase.QUERY):
-            _query_loop(owned, context, settings.plan_backend)
+            _query_loop(owned, context, settings.plan_backend, self._hold_effects)
         self.last_query_work_units = context.work_units
         self.last_index_probes = context.index_probes
         return context
@@ -773,16 +830,40 @@ class Worker:
             if replica._effects_touched
         }
 
+    def _hold_effects(self, handoff: kernels.EffectHandoff) -> None:
+        """Keep the query kernel's hand-off for this tick's update phase."""
+        self._effect_handoff = handoff
+
+    def _materialize_effects(self) -> None:
+        """Write a held hand-off's effects onto the owned agents; drop it."""
+        handoff, self._effect_handoff = self._effect_handoff, None
+        if handoff is not None:
+            handoff.materialize()
+
     def merge_remote_partials(self, agent_id: Any, partials: dict[str, Any]) -> None:
-        """Merge effect partials produced at another partition into an owned agent."""
-        if agent_id not in self.owned:
+        """Merge effect partials produced at another partition into an owned agent.
+
+        Into the hand-off's accumulator columns while one is held; on the
+        object (after materializing it) when a column cannot take them.
+        """
+        agent = self.owned.get(agent_id)
+        if agent is None:
             raise BraceError(
                 f"worker {self.worker_id} received partials for agent {agent_id} it does not own"
             )
-        self.owned[agent_id].merge_effect_partials(partials)
+        handoff = self._effect_handoff
+        if handoff is not None:
+            if handoff.merge(agent, partials):
+                return
+            self._materialize_effects()
+        agent.merge_effect_partials(partials)
 
     def run_update_phase(self, tick: int) -> UpdateContext:
-        """Execute the update phase for every owned agent, collecting births/deaths."""
+        """Execute the update phase for every owned agent, collecting births/deaths.
+
+        Consumes the query phase's hand-off; a phase that fails leaves its
+        effects on the agents, as the interpreter would have.
+        """
         settings = self.settings
         # Positions change now: the map phase's position rows are stale.
         self._owned_rows().points = None
@@ -790,8 +871,14 @@ class Worker:
         context = UpdateContext(
             tick=tick, seed=settings.seed, world_bounds=settings.world_bounds
         )
-        with phase(Phase.UPDATE):
-            _update_loop(self.owned_agents(), context, settings.plan_backend)
+        handoff, self._effect_handoff = self._effect_handoff, None
+        try:
+            with phase(Phase.UPDATE):
+                _update_loop(self.owned_agents(), context, settings.plan_backend, handoff)
+        except BaseException:
+            if handoff is not None:
+                handoff.materialize()
+            raise
         return context
 
     def __repr__(self) -> str:

@@ -5,10 +5,14 @@ agent's ``run()`` body and update rules one agent — one *pair*, inside a
 ``foreach`` — at a time.  This module compiles whole query and update
 plans to NumPy so a phase becomes a handful of array operations: effect
 aggregation turns into ``np.ufunc.at`` scatter-reductions over the spatial
-join's pair arrays (:meth:`~repro.core.context.QueryContext.visible_pairs`:
-no agent object is touched between the join and the effect writeback), and
-update rules turn into column arithmetic over a
-:class:`~repro.core.soa.AgentTable` structure-of-arrays snapshot.
+join's pair arrays (:meth:`~repro.core.context.QueryContext.visible_pairs`),
+and update rules turn into column arithmetic over a
+:class:`~repro.core.soa.AgentTable` structure-of-arrays snapshot.  On a
+worker no agent object is touched between the join and the update kernel:
+the query kernel hands its table and its effect accumulators to the update
+kernel as an :class:`EffectHandoff`, and writes only the replica rows'
+effects onto objects; a reader that needs the probes' effects on the
+objects materializes the hand-off first.
 
 Bit-identity with the interpreter is the contract, never tolerance, so the
 compiler only accepts constructs it can prove equivalent:
@@ -53,8 +57,8 @@ for the interpreter to process from scratch.
 from __future__ import annotations
 
 from itertools import compress
-from operator import is_, mod
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter, is_, mod
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +82,8 @@ from repro.brasil.ast_nodes import (
 )
 from repro.brasil.builtins import BUILTIN_FUNCTIONS
 from repro.brasil.semantics import ScriptInfo
-from repro.core.soa import AgentTable, UnpackableValueError, pack_column
+from repro.core.combinators import get_combinator
+from repro.core.soa import AgentTable, UnpackableValueError, pack_column, pack_value
 
 
 class PlanKernelFallback(Exception):
@@ -458,15 +463,20 @@ class QueryKernel:
         #: ``id(node) -> (key, later_uses)`` of the repeated sub-expressions.
         self.shared = sharing.shared()
 
-    def run(self, owned: Sequence[Any], context: Any) -> None:
+    def run(self, owned: Sequence[Any], context: Any) -> EffectHandoff:
         """Execute the query phase for ``owned`` probes against ``context``.
+
+        The effects of the extent rows that are not probes (the replicas,
+        which the second reduce pass reads) are written onto their agents;
+        the probes' come back as an :class:`EffectHandoff` for the update
+        kernel.
 
         Raises :class:`PlanKernelFallback` (before any mutation) when a
         runtime-only condition blocks the compiled path.
         """
         frame = _VectorFrame.for_query(self, owned, context)
         frame.exec_block(self.body.statements, True, "probe")
-        frame.writeback_effects()
+        return frame.hand_off()
 
 
 class UpdateKernel:
@@ -488,8 +498,15 @@ class UpdateKernel:
             sharing.expression(expr)
         self.shared = sharing.shared()
 
-    def run(self, agents: Sequence[Any], context: Any) -> None:
+    def run(
+        self, agents: Sequence[Any], context: Any, handoff: Optional[EffectHandoff] = None
+    ) -> None:
         """Apply every update rule to ``agents`` (all of this class).
+
+        With a ``handoff`` (whose probes are ``agents``) the effects are read
+        from its accumulator columns and the state from its table's probe
+        rows: nothing is packed again.  Without one both are packed from the
+        agent objects.
 
         Raises :class:`PlanKernelFallback` before anything is mutated when a
         value the rules need cannot be packed into a ``float64`` column.
@@ -498,20 +515,27 @@ class UpdateKernel:
             return
         cls = type(agents[0])
         try:
-            table = AgentTable(agents, self.state_field_names)
-            effect_columns = {}
-            for name in self.effect_reads:
-                combinator = cls._effect_fields[name].combinator
-                effect_columns[name] = pack_column(
-                    [combinator.finalize(agent._effects[name]) for agent in agents]
-                )
+            if handoff is None:
+                table, rows = AgentTable(agents, self.state_field_names), None
+                effect_columns = {}
+                for name in self.effect_reads:
+                    combinator = cls._effect_fields[name].combinator
+                    effect_columns[name] = pack_column(
+                        [combinator.finalize(agent._effects[name]) for agent in agents]
+                    )
+            else:
+                table, rows = handoff.table, handoff.probe_rows
+                effect_columns = {
+                    name: handoff.accumulators[name].finalized(rows)
+                    for name in self.effect_reads
+                }
         except UnpackableValueError as exc:
             raise PlanKernelFallback(str(exc)) from exc
-        frame = _VectorFrame.for_update(self, table, effect_columns)
+        frame = _VectorFrame.for_update(self, table, effect_columns, rows)
         computed = [(field, frame.eval(expr, "probe")) for field, expr in self.rules]
         # All reads and computation are done; from here on, writeback only.
         for field, (values, valid) in computed:
-            old = table.column(field)
+            old = frame._state_column(field, "probe", of_match=False)
             new = np.asarray(values, dtype=np.float64)
             descriptor = cls._state_fields[field]
             reach = descriptor.reachability if descriptor.spatial else None
@@ -522,7 +546,14 @@ class UpdateKernel:
                 high = old + reach
                 stepped = np.where(low > new, low, new)
                 new = np.where(high < stepped, high, stepped)
-            table.set_column(field, np.where(valid, new, old))
+            new = np.where(valid, new, old)
+            if rows is not None:
+                # Replica rows of the query table keep their packed values,
+                # so the writeback below leaves those agents alone.
+                column = table.column(field).copy()
+                column[rows] = new
+                new = column
+            table.set_column(field, new)
         table.writeback()
 
 
@@ -733,14 +764,38 @@ def _apply(expr, evaluated):
     return _apply_call(expr.function, values, valid)
 
 
-class _Accumulator:
-    """One effect field's scatter target, initialized from live effects."""
+#: Column dtypes of the accumulators that are not ``float64``; a ``mean``
+#: accumulator is a ``float64`` sum column plus an ``int64`` count column.
+_ACCUMULATOR_DTYPES = {"count": np.int64, "any": np.bool_, "all": np.bool_}
 
-    def __init__(self, field: str, combinator_name: str, raw_values: list):
+#: The one Python type each accumulator column holds exactly: a value of
+#: another type (an ``int`` merged into a ``sum``) would come back from the
+#: column as this one.
+_HELD_TYPES = {"count": int, "any": bool, "all": bool}
+
+_INT64 = np.iinfo(np.int64)
+
+
+class _Accumulator:
+    """One effect field's scatter target over the kernel's table rows.
+
+    Initialized from live effects, or — when ``raw_values`` is None, no row
+    having been assigned since its reset — as the combinator's identity.
+    """
+
+    def __init__(self, field: str, combinator_name: str, raw_values: Optional[list], size: int):
         self.field = field
         self.combinator = combinator_name
-        self.touch = np.zeros(len(raw_values), dtype=bool)
-        if combinator_name == "count":
+        self.touch = np.zeros(size, dtype=bool)
+        if raw_values is None:
+            identity = get_combinator(combinator_name).identity()
+            if combinator_name == "mean":
+                self.sums = np.full(size, identity[0], dtype=np.float64)
+                self.counts = np.full(size, identity[1], dtype=np.int64)
+            else:
+                dtype = _ACCUMULATOR_DTYPES.get(combinator_name, np.float64)
+                self.data = np.full(size, identity, dtype=dtype)
+        elif combinator_name == "count":
             if any(type(value) is not int for value in raw_values):
                 raise PlanKernelFallback(f"count accumulator for {field!r} not int")
             self.data = np.array(raw_values, dtype=np.int64)
@@ -794,9 +849,61 @@ class _Accumulator:
             np.add.at(self.counts, rows, 1)
         self.touch[rows] = True
 
-    def writeback(self, agents: Sequence[Any]) -> None:
-        """Store combined accumulators into the touched agents' effects."""
-        rows = np.flatnonzero(self.touch)
+    def value(self, row: int):
+        """The accumulator of ``row`` as the Python value an agent holds."""
+        if self.combinator == "mean":
+            return (self.sums[row].item(), self.counts[row].item())
+        return self.data[row].item()
+
+    def holds(self, value) -> bool:
+        """Whether the column stores ``value`` exactly, type included."""
+        if self.combinator == "mean":
+            return (
+                type(value) is tuple
+                and len(value) == 2
+                and type(value[0]) is float
+                and type(value[1]) is int
+                and _INT64.min <= value[1] <= _INT64.max
+            )
+        if type(value) is not _HELD_TYPES.get(self.combinator, float):
+            return False
+        return self.combinator != "count" or _INT64.min <= value <= _INT64.max
+
+    def put(self, row: int, value) -> None:
+        """Store a value :meth:`holds` accepts as ``row``'s assigned total."""
+        if self.combinator == "mean":
+            self.sums[row], self.counts[row] = value
+        else:
+            self.data[row] = value
+        self.touch[row] = True
+
+    def finalized(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        """``combinator.finalize`` then :func:`pack_column`, over ``rows``.
+
+        ``None`` means every row.  Bit-identical to the per-agent form; a
+        count a ``float64`` cannot carry raises :class:`UnpackableValueError`
+        as :func:`pack_column` would.
+        """
+        if self.combinator == "mean":
+            sums, counts = self.sums, self.counts
+            if rows is not None:
+                sums, counts = sums[rows], counts[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(counts == 0, 0.0, sums / counts)
+        data = self.data if rows is None else self.data[rows]
+        if self.combinator == "count":
+            wide = np.flatnonzero((data > 2**53) | (data < -(2**53)))
+            for value in data[wide].tolist():
+                pack_value(value)  # raises where the round trip is lossy
+        return data.astype(np.float64, copy=False)
+
+    def writeback(self, agents: Sequence[Any], rows: Optional[np.ndarray]) -> None:
+        """Store the combined accumulators of the touched ``rows`` (None:
+        every row) into their agents' effects."""
+        if rows is None:
+            rows = np.flatnonzero(self.touch)
+        else:
+            rows = rows[self.touch[rows]]
         # tolist() rebuilds native ints / bools / floats with exact values.
         if self.combinator == "mean":
             values = list(zip(self.sums[rows].tolist(), self.counts[rows].tolist()))
@@ -807,6 +914,73 @@ class _Accumulator:
             agent = agents[row]
             agent._effects[field] = value
             agent._effects_touched.add(field)
+
+
+class EffectHandoff:
+    """A compiled class's effects in columns, from the query kernel to the
+    update kernel of one tick.
+
+    ``table`` is the query kernel's packed extent, ``accumulators`` its
+    per-field effect columns over the table's rows, ``probe_rows`` the table
+    row of each of ``owned`` (None: row ``i`` is ``owned[i]``).  The
+    non-probe rows were written onto their agents when the hand-off was
+    made; the probe rows' effects live only here until the update kernel
+    reads them (:meth:`UpdateKernel.run`) or :meth:`materialize` writes them
+    onto the agents for a reader that needs the objects.
+    """
+
+    __slots__ = ("table", "accumulators", "probe_rows", "owned")
+
+    def __init__(self, table: AgentTable, accumulators, probe_rows, owned: Sequence[Any]):
+        self.table = table
+        self.accumulators: Dict[str, _Accumulator] = accumulators
+        self.probe_rows: Optional[np.ndarray] = probe_rows
+        self.owned = owned
+
+    def probes_are(self, agents: Sequence[Any]) -> bool:
+        """Whether ``agents`` are the probes, object for object, in order."""
+        owned = self.owned
+        return len(agents) == len(owned) and all(map(is_, agents, owned))
+
+    def merge(self, agent: Any, partials: Dict[str, Any]) -> bool:
+        """Merge routed ``partials`` into ``agent``'s accumulator rows.
+
+        Each field's own combinator ``merge`` runs on the row's current
+        Python value, as :meth:`~repro.core.agent.Agent.merge_effect_partials`
+        does on the object.  Returns False, with nothing merged, when the
+        agent is not in the table, a field is unknown, a merge raises or a
+        merged value is one its column cannot hold exactly: the caller then
+        materializes and merges on the object.
+        """
+        try:
+            row = self.table.row_of(agent)
+        except KeyError:
+            return False
+        fields = type(agent)._effect_fields
+        merged = []
+        for name, partial in partials.items():
+            accumulator = self.accumulators.get(name)
+            if accumulator is None:
+                return False
+            try:
+                value = fields[name].combinator.merge(accumulator.value(row), partial)
+            except Exception:  # the object path raises it again, as it always has
+                return False
+            if not accumulator.holds(value):
+                return False
+            merged.append((accumulator, value))
+        for accumulator, value in merged:
+            accumulator.put(row, value)
+        return True
+
+    def materialize(self) -> None:
+        """Write the probe rows' assigned effects onto their agents — the
+        writeback the query kernel skipped.  Idempotent."""
+        rows = self.probe_rows
+        if rows is None:
+            rows = np.arange(len(self.owned), dtype=np.intp)
+        for accumulator in self.accumulators.values():
+            accumulator.writeback(self.table.agents, rows)
 
 
 class _VectorFrame:
@@ -886,17 +1060,30 @@ class _VectorFrame:
             frame.in_class = in_class
             frame.table_rows = np.cumsum(in_class) - 1
         frame.state_fields = set(kernel.state_field_names)
+        # The map phase resets effects and only an assignment (which marks
+        # the field touched) moves them off the identity: an untouched
+        # extent starts from identity columns without reading an agent.
+        assigned = any(map(attrgetter("_effects_touched"), extent))
         frame.accumulators = {
             field: _Accumulator(
-                field, combinator, [agent._effects[field] for agent in extent]
+                field,
+                combinator,
+                [agent._effects[field] for agent in extent] if assigned else None,
+                len(extent),
             )
             for field, combinator in kernel.effect_combinators.items()
         }
         return frame
 
     @classmethod
-    def for_update(cls, kernel: UpdateKernel, table: AgentTable, effect_columns):
-        frame = cls(table, kernel.shared, None)
+    def for_update(
+        cls,
+        kernel: UpdateKernel,
+        table: AgentTable,
+        effect_columns,
+        probe_rows: Optional[np.ndarray],
+    ):
+        frame = cls(table, kernel.shared, probe_rows)
         frame.effect_columns = effect_columns
         frame.state_fields = set(kernel.state_field_names)
         return frame
@@ -1102,11 +1289,19 @@ class _VectorFrame:
         self._memo["pair"].clear()
 
     # -- writeback ------------------------------------------------------
-    def writeback_effects(self) -> None:
-        """Flush accumulators into the extent agents' effect dicts."""
-        agents = self.table.agents
-        for field in self.kernel.effect_combinators:
-            self.accumulators[field].writeback(agents)
+    def hand_off(self) -> EffectHandoff:
+        """Write back the rows that are not probes; keep the probes' effects.
+
+        The hand-off takes the table and the accumulators, nothing else:
+        the context, the pair arrays and the locals die with this frame.
+        """
+        if self.probe_rows is not None:
+            others = np.ones(len(self.table), dtype=bool)
+            others[self.probe_rows] = False
+            rows = np.flatnonzero(others)
+            for accumulator in self.accumulators.values():
+                accumulator.writeback(self.table.agents, rows)
+        return EffectHandoff(self.table, self.accumulators, self.probe_rows, self.probes)
 
 
 # ----------------------------------------------------------------------
@@ -1230,34 +1425,55 @@ def kernel_fallback_reasons(cls) -> Dict[str, str]:
 # ----------------------------------------------------------------------
 # Phase-level entry points (called by the worker layer)
 # ----------------------------------------------------------------------
-def try_compiled_query_phase(owned: Sequence[Any], context: Any) -> bool:
+def try_compiled_query_phase(
+    owned: Sequence[Any],
+    context: Any,
+    keep: Optional[Callable[[EffectHandoff], None]] = None,
+) -> bool:
     """Run the whole query phase compiled; ``False`` means "not executed".
 
     All-or-nothing per worker: every owned agent must share one compiled
     class, otherwise the caller's interpreted loop runs instead.  On a
     runtime fallback the context's work accounting is restored so the
-    interpreted rerun charges exactly once.
+    interpreted rerun charges exactly once.  ``keep`` receives the
+    :class:`EffectHandoff` that holds the probes' effects; without it they
+    are written onto the probes (materialized) before this returns.
     """
     if not owned:
         return False
-    cls = type(owned[0])
-    if any(type(agent) is not cls for agent in owned):
+    classes = set(map(type, owned))
+    if len(classes) != 1:
         return False
-    kernel = kernels_for_class(cls)[0]
+    kernel = kernels_for_class(classes.pop())[0]
     if kernel is None:
         return False
     saved_work = (context.work_units, context.index_probes)
     try:
-        kernel.run(owned, context)
-        return True
+        handoff = kernel.run(owned, context)
     except PlanKernelFallback:
         context.work_units, context.index_probes = saved_work
         return False
+    if keep is None:
+        handoff.materialize()
+    else:
+        keep(handoff)
+    return True
 
 
-def try_compiled_update_phase(owned: Sequence[Any], context: Any) -> List[Any]:
+def try_compiled_update_phase(
+    owned: Sequence[Any], context: Any, handoff: Optional[EffectHandoff] = None
+) -> List[Any]:
     """Run compiled update kernels; return the agents still needing the
-    interpreted loop, in their original (canonical) order."""
+    interpreted loop, in their original (canonical) order.
+
+    ``handoff`` is this tick's query hand-off for ``owned``: the update
+    kernel reads it, and every other reader — a class without an update
+    kernel, a runtime fallback, probes that are not ``owned`` — gets its
+    effects materialized onto the agents first.
+    """
+    if handoff is not None and not handoff.probes_are(owned):
+        handoff.materialize()
+        handoff = None
     interpreted_classes = set()
     groups: Dict[type, Sequence[Any]] = {}
     if len(set(map(type, owned))) == 1:
@@ -1267,13 +1483,15 @@ def try_compiled_update_phase(owned: Sequence[Any], context: Any) -> List[Any]:
             groups.setdefault(type(agent), []).append(agent)
     for cls, agents in groups.items():
         kernel = kernels_for_class(cls)[1]
-        if kernel is None:
-            interpreted_classes.add(cls)
-            continue
-        try:
-            kernel.run(agents, context)
-        except PlanKernelFallback:
-            interpreted_classes.add(cls)
+        if kernel is not None:
+            try:
+                kernel.run(agents, context, handoff)
+                continue
+            except PlanKernelFallback:
+                pass
+        if handoff is not None:
+            handoff.materialize()
+        interpreted_classes.add(cls)
     if not interpreted_classes:
         return []
     return [agent for agent in owned if type(agent) in interpreted_classes]

@@ -25,7 +25,7 @@ import math
 from typing import Any, Iterator
 
 from repro.core.errors import AgentDefinitionError
-from repro.core.fields import EffectField, StateField
+from repro.core.fields import EffectField, StateField, note_raw_effect_write
 from repro.core.soa import cells_equal
 from repro.spatial.bbox import BBox
 
@@ -384,6 +384,7 @@ class Agent(metaclass=AgentMeta):
 
     def restore(self, snapshot: dict[str, Any]) -> None:
         """Restore state and effects from a snapshot taken with :meth:`snapshot`."""
+        note_raw_effect_write()  # the restored effects carry no touched mark
         _bind_agent(
             self,
             snapshot["agent_id"],

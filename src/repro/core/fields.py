@@ -25,6 +25,7 @@ concurrent writes from many agents are order-independent.
 
 from __future__ import annotations
 
+import threading
 from typing import Any
 
 from repro.core import phase as _phase
@@ -40,6 +41,29 @@ _thread_phase = _phase._state
 _QUERY = Phase.QUERY
 _UPDATE = Phase.UPDATE
 _IDLE = Phase.IDLE
+
+#: Effect values written outside a query phase in this process: raw
+#: assignments (setup code, an unenforced update phase) and
+#: :meth:`~repro.core.agent.Agent.restore`.  Such a write leaves no touched
+#: mark, so a shard's map phase compares this count with the one it last
+#: saw to know whether an agent it never saw assigned may still hold a
+#: non-identity accumulator.  Process-wide on purpose: the writer holds an
+#: agent, not the shard that owns it.  A write another caller counts can
+#: only make a map phase reset every agent, never change a result.
+_raw_effect_writes = 0
+_raw_effect_writes_lock = threading.Lock()
+
+
+def raw_effect_writes() -> int:
+    """How many effect writes bypassed the query phase so far (monotone)."""
+    return _raw_effect_writes
+
+
+def note_raw_effect_write() -> None:
+    """Count one effect write made outside a query phase."""
+    global _raw_effect_writes
+    with _raw_effect_writes_lock:
+        _raw_effect_writes += 1
 
 
 class StateField:
@@ -178,6 +202,7 @@ class EffectField:
             )
         # IDLE: direct (raw) assignment, used by setup code and tests.
         instance._effects[self.name] = value
+        note_raw_effect_write()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<effect field {self.name!r} combinator={self.combinator.name}>"

@@ -8,7 +8,11 @@ handful of array operations.  :class:`AgentTable` is the bridge: it packs
 one class's agents — in the same canonical order the
 :class:`~repro.spatial.columnar.PointSet` snapshot harvested by
 ``Worker.distribute`` uses — into ``float64`` columns, and writes dirty
-columns back to the owning objects afterwards.
+columns back to the owning objects afterwards.  On a worker one table
+serves a whole tick: the query kernel packs it over the extent and hands it,
+with its effect accumulator columns, to the update kernel
+(:class:`repro.brasil.kernels.EffectHandoff`), whose rules gather their
+state columns from the probe rows; effects never pass through this module.
 
 Bit-identity is the contract, so packing is conservative:
 

@@ -811,8 +811,8 @@ class TestUpdateKernelTypes:
         completed = []
         plain_run = UpdateKernel.run
 
-        def recording_run(kernel, agents, context):
-            plain_run(kernel, agents, context)
+        def recording_run(kernel, agents, context, handoff=None):
+            plain_run(kernel, agents, context, handoff)
             completed.append(len(agents))
 
         monkeypatch.setattr(UpdateKernel, "run", recording_run)

@@ -25,6 +25,7 @@ import pytest
 
 from repro.api import Simulation
 from repro.core.engine import SequentialEngine
+from repro.core.soa import states_equal
 from repro.history import History
 from repro.simulations.fish.fish import Fish
 from repro.simulations.fish.workload import build_fish_world
@@ -126,7 +127,7 @@ def test_state_at_matches_fresh_run_across_backends(
     assert history.base_tick == 0
     assert history.last_tick == TICKS
     for tick in range(TICKS + 1):
-        assert history.state_at(tick) == reference[tick], (
+        assert states_equal(history.state_at(tick), reference[tick]), (
             f"replay diverged at tick {tick} ({workload}, {executor}, {backend})"
         )
 
@@ -137,7 +138,7 @@ def test_walk_matches_state_at(serial_recording):
     walked = dict(history.walk())
     assert sorted(walked) == list(range(TICKS + 1))
     for tick, states in walked.items():
-        assert states == history.state_at(tick)
+        assert states_equal(states, history.state_at(tick))
 
 
 def test_state_at_equals_literally_truncated_fresh_runs(serial_recording):
@@ -147,7 +148,7 @@ def test_state_at_equals_literally_truncated_fresh_runs(serial_recording):
         fresh = Simulation.from_agents(WORLDS[workload]())
         with fresh:
             fresh.run(tick)
-            assert history.state_at(tick) == fresh.states(), (
+            assert states_equal(history.state_at(tick), fresh.states()), (
                 f"history disagrees with a fresh {tick}-tick run"
             )
 
@@ -183,7 +184,7 @@ def test_recovery_rewinds_the_store_and_rerecords(tmp_path, executor):
     reference = reference_states(fish_world, total)
     history = History.open(tmp_path / "run")
     for tick in range(total + 1):
-        assert history.state_at(tick) == reference[tick], (
+        assert states_equal(history.state_at(tick), reference[tick]), (
             f"post-recovery replay diverged at tick {tick} ({executor})"
         )
 
@@ -209,7 +210,7 @@ def test_recovery_across_pause_resume_boundary(tmp_path):
     reference = reference_states(ring_world, total)
     history = History.open(tmp_path / "run")
     for tick in range(total + 1):
-        assert history.state_at(tick) == reference[tick]
+        assert states_equal(history.state_at(tick), reference[tick])
 
 
 def test_dynamic_population_replays_births_deaths_and_ids(tmp_path):

@@ -15,6 +15,7 @@ from repro.api import Simulation
 from repro.core.agent import Agent
 from repro.core.errors import HistoryError, SimulationSessionError
 from repro.core.fields import StateField
+from repro.core.soa import states_equal
 from repro.core.world import World
 from repro.harness.table2 import rmspe_from_histories
 from repro.history import History, HistoryStore
@@ -263,7 +264,7 @@ class TestSessionIntegration:
         with session:
             session.run(4)
             final = session.states()
-        assert session.history.state_at(4) == final
+        assert states_equal(session.history.state_at(4), final)
 
 
 class TestProvenanceManifest:
@@ -320,7 +321,7 @@ def test_store_reuse_via_simulation_history_matches_reopen(tmp_path):
         live = session.history
         reopened = History.open(tmp_path / "run")
         for tick in range(6):
-            assert live.state_at(tick) == reopened.state_at(tick)
+            assert states_equal(live.state_at(tick), reopened.state_at(tick))
 
 
 def test_history_store_exported_from_package():
