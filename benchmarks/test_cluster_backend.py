@@ -71,8 +71,7 @@ def run_wire(executor: str, num_agents: int):
         ticks_per_epoch=1000,  # no epoch events inside the measurement
         load_balance=False,
         executor=executor,
-        max_workers=NUM_WORKERS,
-        cluster_nodes=NUM_NODES,
+        max_workers=NUM_NODES,
         heartbeat_interval_seconds=0.1,
     )
     with Simulation.from_agents(build_strip_world(num_agents), config=config) as session:

@@ -7,7 +7,7 @@ configuration immediately, so a bad knob fails at the call that introduced
 it::
 
     Simulation.from_agents(world).with_executor("proces")
-    # BraceError: unknown executor 'proces'; expected 'serial', 'thread', 'process' or 'cluster'
+    # BraceError: unknown executor 'proces'; expected one of 'serial', 'thread', ...
 
 rather than as a deep ``KeyError`` ticks into a run.  The builder is shared
 by both session sources; a script session sets ``non_local_effects`` from
@@ -83,11 +83,12 @@ class FluentConfig:
     def with_executor(self, executor: str, max_workers: int | None = None) -> Any:
         """Choose the execution backend: "serial", "thread", "process" or "cluster".
 
-        ``max_workers`` bounds the pool.  "serial" and "thread" host the
-        worker shards in this process and hand deltas over by reference;
-        "process" and "cluster" ship them as columnar frames.  The "cluster"
-        backend hosts shards on socket-connected node processes — tune the
-        node topology with :meth:`with_nodes`.
+        ``max_workers`` is the number of parallel hosts: threads for
+        "thread", node processes for "process" and "cluster".  "serial" and
+        "thread" host the worker shards in this process and hand deltas over
+        by reference; "process" and "cluster" ship them as columnar frames.
+        The "cluster" backend hosts shards on socket-connected node
+        processes — tune the node topology with :meth:`with_nodes`.
         """
         self._check_not_started()
         overrides: dict[str, Any] = {"executor": executor}
@@ -106,9 +107,10 @@ class FluentConfig:
         secret: str | None = None,
         readmission_timeout: float | None = None,
     ) -> Any:
-        """Configure the cluster backend's node topology.
+        """Configure the wire backends' node topology.
 
-        ``num_nodes`` is how many worker node processes host the shards;
+        ``num_nodes`` is how many node processes host the shards — the
+        same host count as ``with_executor(..., max_workers=num_nodes)``;
         ``listen`` the ``host:port`` the driver accepts them on (port 0
         picks a free port); ``spawn=False`` waits for externally started
         nodes (``python -m repro.cluster.node --connect host:port``) instead
@@ -120,10 +122,11 @@ class FluentConfig:
         and the run recovers from the last checkpoint.  ``secret`` is the
         shared HMAC key nodes must prove knowledge of before joining —
         mandatory for non-localhost listeners, and scrubbed from provenance.
-        Only meaningful together with ``with_executor("cluster")``.
+        The listen, spawn and secret settings apply to
+        ``with_executor("cluster")`` only.
         """
         self._check_not_started()
-        overrides: dict[str, Any] = {"cluster_nodes": int(num_nodes)}
+        overrides: dict[str, Any] = {"max_workers": int(num_nodes)}
         if listen is not None:
             overrides["cluster_listen"] = listen
         if spawn is not None:

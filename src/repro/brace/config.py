@@ -7,6 +7,7 @@ from typing import Sequence
 
 from repro.core.context import SPATIAL_BACKENDS
 from repro.core.errors import BraceError
+from repro.core.executor import EXECUTOR_KINDS
 
 
 @dataclass
@@ -37,19 +38,17 @@ class BraceConfig:
     #: the same wire executor and ship deltas as columnar frames, so agent
     #: classes must be importable by name there.
     executor: str = "serial"
-    #: Parallel task slots for the thread/process executors.  ``None`` uses
-    #: ``min(num_workers, cpu count)``.
+    #: Parallel hosts: threads for ``"thread"``, node processes for
+    #: ``"process"`` and ``"cluster"`` (``"serial"`` has one).  ``None``
+    #: uses ``min(num_workers, cpu count)``, or 2 nodes for ``"cluster"``.
     max_workers: int | None = None
 
     # Wire backends (executor="process" or "cluster") -----------------------
-    #: Number of node processes hosting the shards (``"cluster"``; a
-    #: ``"process"`` executor forks one node per task slot).
-    cluster_nodes: int = 2
     #: Address the driver listens on for node connections.  Port 0 picks a
     #: free port; nodes on other machines connect with
     #: ``python -m repro.cluster.node --connect host:port``.
     cluster_listen: str = "127.0.0.1:0"
-    #: Auto-spawn ``cluster_nodes`` localhost node subprocesses.  ``False``
+    #: Auto-spawn ``max_workers`` localhost node subprocesses.  ``False``
     #: waits for externally started nodes to dial in instead.
     cluster_spawn: bool = True
     #: Seconds between a node's liveness frames.
@@ -150,10 +149,10 @@ class BraceConfig:
                     "the product of grid_cells must equal num_workers "
                     f"({total} != {self.num_workers})"
                 )
-        if self.executor not in ("serial", "thread", "process", "cluster"):
+        if self.executor not in EXECUTOR_KINDS:
             raise BraceError(
-                f"unknown executor {self.executor!r}; "
-                "expected 'serial', 'thread', 'process' or 'cluster'"
+                f"unknown executor {self.executor!r}; expected one of "
+                + ", ".join(repr(kind) for kind in EXECUTOR_KINDS)
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise BraceError("max_workers must be at least 1 (or None for automatic)")
@@ -171,8 +170,6 @@ class BraceConfig:
                     "(0 rehomes lost shards onto survivors immediately)"
                 )
         if self.executor == "cluster":
-            if self.cluster_nodes < 1:
-                raise BraceError("cluster_nodes must be at least 1")
             host, _, port = self.cluster_listen.rpartition(":")
             if not host or not port.isdigit():
                 raise BraceError(

@@ -50,7 +50,6 @@ the shards from the restored world.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from typing import Any
@@ -123,20 +122,14 @@ class BraceRuntime:
         self._owned_counts: list[int] = []
         self._rebuild_ownership()
 
-        max_workers = self.config.max_workers
-        if max_workers is None:
-            max_workers = max(1, min(self.config.num_workers, os.cpu_count() or 1))
         #: Execution backend hosting the worker shards.  Its ``shares_memory``
         #: flag is the one transport decision: true hands shard payloads over
         #: by reference, false ships them as columnar frames to node
         #: processes (which can be lost, and between which shards can move).
-        #: Both wire executors are built here from the config, so its
-        #: heartbeat knobs drive supervision and the *same* network model
-        #: that prices virtual time scores the physical shard placement.
-        if self.config.executor in ("process", "cluster"):
-            self.executor = self._wire_executor(max_workers, network)
-        else:
-            self.executor = make_executor(self.config.executor, max_workers)
+        #: It is built from the config, so its heartbeat knobs drive
+        #: supervision and the *same* network model that prices virtual
+        #: time scores the physical shard placement.
+        self.executor = make_executor(self.config, network)
 
         #: Callbacks invoked with each epoch's :class:`EpochStatistics` right
         #: after the epoch boundary completes (load balancing, checkpointing
@@ -177,35 +170,6 @@ class BraceRuntime:
         self._epoch_agent_ticks = 0
         self._epoch_first_tick = world.tick
         self._epoch_ipc_phase = self._zero_ipc_phase()
-
-    def _wire_executor(self, max_workers: int, network: NetworkModel):
-        """The process or cluster executor the config describes.
-
-        ``"process"`` forks one node per task slot; ``"cluster"`` hosts
-        ``cluster_nodes`` nodes that dial in, which the listen, spawn and
-        secret knobs describe.
-        """
-        from repro.cluster.client import ClusterExecutor, ProcessExecutor
-
-        config = self.config
-        if config.executor == "cluster":
-            wire, num_nodes = ClusterExecutor, config.cluster_nodes
-            options = {
-                "listen": config.cluster_listen,
-                "spawn": config.cluster_spawn,
-                "secret": config.cluster_secret,
-            }
-        else:
-            wire, num_nodes, options = ProcessExecutor, max_workers, {}
-        return wire(
-            max_workers,
-            num_nodes=num_nodes,
-            heartbeat_interval=config.heartbeat_interval_seconds,
-            heartbeat_timeout=config.heartbeat_timeout_seconds,
-            readmission_timeout=config.readmission_timeout_seconds,
-            network=network,
-            **options,
-        )
 
     @staticmethod
     def _zero_ipc_phase() -> dict[str, float]:

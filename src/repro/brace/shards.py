@@ -72,11 +72,6 @@ class BoundaryDelta:
     kill_ids: list[Any] = field(default_factory=list)
     spawn_agents: list[Agent] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        """True when there is nothing to apply."""
-        return not self.kill_ids and not self.spawn_agents
-
-
 @dataclass
 class MapCommand:
     """Round 1 input: the previous tick's boundary delta (if any)."""

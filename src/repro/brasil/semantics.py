@@ -85,13 +85,6 @@ def _local_names(block: Block) -> set[str]:
     return names
 
 
-def _expression_uses_rand(expression) -> bool:
-    return any(
-        isinstance(node, Call) and node.function == "rand"
-        for node in walk_expressions(expression)
-    )
-
-
 def analyze_class(declaration: ClassDecl) -> ScriptInfo:
     """Check one class and return the derived :class:`ScriptInfo`.
 

@@ -1,7 +1,7 @@
 """The wire executors: resident shards hosted on node processes.
 
-:class:`ClusterExecutor` implements the executor contract of
-:mod:`repro.mapreduce.executor` for every backend that does not share the
+:class:`ClusterExecutor` implements the shard-host contract of
+:mod:`repro.core.executor` for every backend that does not share the
 driver's memory.  Node processes run the one shard host
 (:mod:`repro.cluster.server`) and the driver speaks to each over a
 :class:`~repro.cluster.protocol.FrameChannel`; every command and result
@@ -12,11 +12,11 @@ logic, supervision, migration and fault log below are shared; how a node
 is *attached* is the one thing that varies:
 
 * ``executor="cluster"`` (:class:`ClusterExecutor`) — the driver listens on
-  a configurable address and nodes dial in over TCP: auto-spawned localhost
-  subprocesses by default, or started on other machines with ``python -m
-  repro.cluster.node --connect host:port``.  Frames are additionally
-  HMAC-SHA256-authenticated whenever a ``cluster_secret`` is configured
-  (mandatory for non-loopback listeners).
+  a configurable address and ``max_workers`` nodes dial in over TCP:
+  auto-spawned localhost subprocesses by default, or started on other
+  machines with ``python -m repro.cluster.node --connect host:port``.
+  Frames are additionally HMAC-SHA256-authenticated whenever a
+  ``cluster_secret`` is configured (mandatory for non-loopback listeners).
 * ``executor="process"`` (:class:`ProcessExecutor`) — the zero-configuration
   local case: ``max_workers`` nodes forked over private socketpairs, with
   no listener, token or handshake.
@@ -76,14 +76,8 @@ from repro.cluster.protocol import (
 from repro.cluster.retry import RetryPolicy
 from repro.cluster.server import serve_socketpair
 from repro.core.errors import ExecutorError, NodeLossError
+from repro.core.executor import Executor, ShardTaskResult, _is_pickling_error
 from repro.ipc.frames import ColumnarCodec
-from repro.mapreduce.executor import (
-    Executor,
-    ShardTaskResult,
-    TaskResult,
-    _is_pickling_error,
-    default_worker_count,
-)
 
 __all__ = ["ClusterExecutor", "ProcessExecutor"]
 
@@ -186,17 +180,20 @@ class _NodeConnection:
 class ClusterExecutor(Executor):
     """The wire executor: resident shards on node processes, nodes dial in.
 
-    ``num_nodes`` node processes host the shards; with ``spawn=True``
-    (the default) they are started as localhost subprocesses, otherwise
-    the executor waits for externally started nodes to connect to
-    ``listen``.  ``secret`` arms HMAC authentication of every frame and
-    is required for non-loopback listen addresses; ``retry`` carries the
-    connect/accept/stall/backoff policy (defaults preserve the historic
-    constants); ``readmission_timeout`` bounds how long a degraded run
+    ``max_workers`` node processes host the shards (2 by default).  It is
+    the one host count: an explicit ``max_workers`` sets the node count,
+    where it used to be ignored in favour of a separate node-count
+    setting.  With ``spawn=True`` (the default) they are started as
+    localhost subprocesses, otherwise the executor waits for externally
+    started nodes to connect to ``listen``.  ``secret`` arms HMAC
+    authentication of every frame and is required for non-loopback listen
+    addresses; ``retry`` carries the connect/accept/stall/backoff policy
+    (defaults preserve the historic constants); ``readmission_timeout`` bounds how long a degraded run
     waits for an external replacement node before rehoming lost shards
-    onto survivors.  ``network``/``sim_nodes`` parameterize the
-    placement cost model (they default to the stock
-    :class:`NetworkModel` and homogeneous nodes).
+    onto survivors.  ``network`` is the model that scores shard placement
+    over homogeneous nodes (the stock :class:`NetworkModel` by default).
+    A node runs shard commands only: the in-process :meth:`run_tasks`
+    loop of the memory-sharing backends is refused here.
     """
 
     name = "cluster"
@@ -204,9 +201,8 @@ class ClusterExecutor(Executor):
 
     def __init__(
         self,
-        max_workers: Optional[int] = None,
+        max_workers: Optional[int] = 2,
         *,
-        num_nodes: int = 2,
         listen: str = "127.0.0.1:0",
         spawn: bool = True,
         heartbeat_interval: float = 0.5,
@@ -215,11 +211,8 @@ class ClusterExecutor(Executor):
         retry: Optional[RetryPolicy] = None,
         readmission_timeout: Optional[float] = None,
         network: Optional[NetworkModel] = None,
-        sim_nodes: Optional[Sequence[SimulatedNode]] = None,
     ) -> None:
         super().__init__(max_workers)
-        if num_nodes < 1:
-            raise ExecutorError("the cluster executor needs at least one node")
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
             raise ExecutorError("heartbeat interval and timeout must be positive")
         if heartbeat_timeout <= heartbeat_interval:
@@ -227,7 +220,6 @@ class ClusterExecutor(Executor):
                 "heartbeat_timeout must exceed heartbeat_interval, or every "
                 "slow phase reads as a dead node"
             )
-        self.num_nodes = int(num_nodes)
         self.listen_address = listen
         self.spawn = bool(spawn)
         self.heartbeat_interval = float(heartbeat_interval)
@@ -244,16 +236,6 @@ class ClusterExecutor(Executor):
             else self.retry.readmission_timeout_seconds
         )
         self.network = network if network is not None else NetworkModel()
-        self.sim_nodes: List[SimulatedNode] = (
-            list(sim_nodes)
-            if sim_nodes is not None
-            else [SimulatedNode(index) for index in range(self.num_nodes)]
-        )
-        if len(self.sim_nodes) != self.num_nodes:
-            raise ExecutorError(
-                f"sim_nodes describes {len(self.sim_nodes)} nodes but "
-                f"num_nodes is {self.num_nodes}"
-            )
         self._listener: Optional[socket.socket] = None
         self._token = secrets.token_hex(16) if self.spawn else None
         self._nodes: Dict[int, _NodeConnection] = {}
@@ -299,7 +281,7 @@ class ClusterExecutor(Executor):
                 raise ExecutorError(
                     f"cluster executor could not bind {self.listen_address!r}: {error}"
                 ) from error
-            listener.listen(self.num_nodes)
+            listener.listen(self.max_workers)
             self._listener = listener
         return self._listener.getsockname()[:2]
 
@@ -331,8 +313,8 @@ class ClusterExecutor(Executor):
         return process
 
     def _ensure_nodes(self) -> None:
-        """Bring the node set up to ``num_nodes`` live connections."""
-        missing = [index for index in range(self.num_nodes) if index not in self._nodes]
+        """Bring the node set up to ``max_workers`` live connections."""
+        missing = [index for index in range(self.max_workers) if index not in self._nodes]
         if not missing:
             return
         try:
@@ -340,7 +322,7 @@ class ClusterExecutor(Executor):
         except socket.timeout:
             host, port = self._listener.getsockname()[:2]
             raise ExecutorError(
-                f"cluster executor expected {self.num_nodes} nodes but only "
+                f"cluster executor expected {self.max_workers} nodes but only "
                 f"{len(self._nodes)} connected within "
                 f"{self.retry.accept_timeout_seconds:.0f}s; start the missing "
                 f"nodes with 'python -m repro.cluster.node --connect {host}:{port}'"
@@ -784,36 +766,6 @@ class ClusterExecutor(Executor):
         )
 
     # ------------------------------------------------------------------
-    # Stateless tasks
-    # ------------------------------------------------------------------
-    def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> List[TaskResult]:
-        """Round-robin the callables across the nodes (pickled whole)."""
-        if not tasks:
-            return []
-        self._ensure_nodes()
-        order = sorted(self._nodes)
-        replies, _ = self._round(
-            (self._nodes[order[position % len(order)]], "call", None, self._dumps_task(task))
-            for position, task in enumerate(tasks)
-        )
-        return [
-            TaskResult(position, pickle.loads(blob), meta["wall_seconds"])
-            for position, (_, meta, blob) in enumerate(replies)
-        ]
-
-    def _dumps_task(self, task: Callable[[], Any]) -> bytes:
-        try:
-            return pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, AttributeError, TypeError) as error:
-            if not _is_pickling_error(error):
-                raise
-            raise ExecutorError(
-                f"the {self.name} executor could not serialize a task: {error}. "
-                "Tasks must be picklable (module-level functions, "
-                "functools.partial over importable callables)."
-            ) from error
-
-    # ------------------------------------------------------------------
     # Resident shards
     # ------------------------------------------------------------------
     def init_shards(
@@ -834,9 +786,8 @@ class ClusterExecutor(Executor):
             shard_id: float(len(getattr(payload, "agents", ()) or ()) or 1)
             for shard_id, payload in payloads.items()
         }
-        placement = plan_placement(
-            sorted(payloads), weights, self.sim_nodes, self.network
-        )
+        nodes = [SimulatedNode(index) for index in range(self.max_workers)]
+        placement = plan_placement(sorted(payloads), weights, nodes, self.network)
         try:
             self._seed_round(placement, payloads)
         except BaseException:
@@ -921,13 +872,14 @@ class ClusterExecutor(Executor):
         """Physically re-home one shard onto another node; returns the
         bytes of shard state that crossed the wire.
 
-        The shard's owned agents travel as one codec-encoded seed frame
-        (collect on the source, re-build via the original factory on the
-        destination).  Replica caches and delta send histories do **not**
+        The shard travels as its ``migration_seed()`` — for a BRACE
+        Worker, one codec-encoded seed frame of its owned agents — collected
+        on the source and re-built via the original factory on the
+        destination.  Replica caches and delta send histories do **not**
         travel — the caller must follow up with a full
         ``adopt_partitioning`` round so every shard reships its replicas
-        from scratch (the BRACE runtime's
-        ``_apply_new_partitioning_resident`` does exactly that).
+        from scratch (the BRACE runtime's ``_apply_new_partitioning`` does
+        exactly that).
         """
         source_index = self._shard_to_node.get(shard_id)
         if source_index is None:
@@ -936,7 +888,7 @@ class ClusterExecutor(Executor):
             raise ExecutorError(f"{self.name} node {node_index} is not connected")
         if source_index == node_index:
             return 0
-        ((kind, meta, blob),), _ = self._round(
+        ((kind, _, blob),), _ = self._round(
             [(self._node(source_index), "collect_shard", {"shard_id": shard_id}, b"")]
         )
         if kind != "shard_state":
@@ -945,12 +897,8 @@ class ClusterExecutor(Executor):
             )
         destination = self._node(node_index)
         try:
-            # States with a migration_seed() hook rebuild through the original
-            # factory; plain states install verbatim (factory=None).
-            factory = self._shard_factory if meta.get("reseed") else None
-            self._round(
-                [(destination, "init_shard", {"shard_id": shard_id, "factory": factory}, blob)]
-            )
+            seed = {"shard_id": shard_id, "factory": self._shard_factory}
+            self._round([(destination, "init_shard", seed, blob)])
         except NodeLossError as error:
             # The shard's state left its source and never landed: it is
             # lost with the destination, whatever the supervisor decided
@@ -978,7 +926,7 @@ class ClusterExecutor(Executor):
         positions = plan_placement(
             sorted(self._shard_to_node),
             weights,
-            [self.sim_nodes[index] for index in live],
+            [SimulatedNode(index) for index in live],
             self.network,
         )
         placement = {shard_id: live[position] for shard_id, position in positions.items()}
@@ -1071,11 +1019,6 @@ class ProcessExecutor(ClusterExecutor):
     """
 
     name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None, **options: Any) -> None:
-        workers = default_worker_count() if max_workers is None else int(max_workers)
-        options.setdefault("num_nodes", workers)
-        super().__init__(max_workers, **options)
 
     def _attach(self, indices: Sequence[int], timeout: float) -> None:
         """Attach one node per slot in ``indices`` — the forked way.

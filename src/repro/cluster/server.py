@@ -2,8 +2,10 @@
 
 A *node* is a process that hosts resident shards for a driver and serves
 its commands one at a time, in arrival order — shard seeding, the
-per-tick delta rounds, whole-shard collection for migrations, stateless
-callables — replying to each.  :func:`serve_channel` is that loop and
+per-tick delta rounds, whole-shard collection for migrations — replying
+to each.  It runs shard commands and nothing else: there is no command
+that executes a free-standing callable, and a shard is only ever built
+by a shard factory.  :func:`serve_channel` is that loop and
 :func:`_handle` the only place a framed shard command executes; every
 wire executor talks to it.  A daemon thread emits ``heartbeat`` frames on
 an interval so the driver can tell a slow shard from a dead node while a
@@ -107,12 +109,9 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
     if kind == "init_shard":
         shard_id = meta["shard_id"]
         factory = meta["factory"]
-        payload = state.codec.decode(blob)
-        # factory=None installs the payload as the shard state directly —
-        # the migration path for states without a re-seeding protocol.
-        state.shards[shard_id] = (
-            factory(shard_id, payload) if factory is not None else payload
-        )
+        if not callable(factory):
+            raise TypeError(f"init_shard needs a shard factory, got {factory!r}")
+        state.shards[shard_id] = factory(shard_id, state.codec.decode(blob))
         return "ok", {"shard_id": shard_id, "pid": os.getpid()}, b""
     if kind == "run_task":
         shard_id = meta["shard_id"]
@@ -134,33 +133,18 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
             result_blob,
         )
     if kind == "collect_shard":
-        # Ship the whole shard through the codec for a migration.  A state
-        # that defines ``migration_seed()`` (the BRACE Worker does) chooses
-        # its own travelling form — for Workers that is a ShardSeed of the
-        # owned agents and the run-wide settings only: retained replicas and the delta send history
-        # are deliberately left behind, because the driver follows every
-        # migration with an adopt_partitioning round that resets them on
-        # all shards.  States without the hook travel as themselves and
-        # are installed verbatim on the destination.
+        # A shard migrates as its ``migration_seed()``, which the driver
+        # rebuilds through the shard factory on the destination.  For the
+        # BRACE Worker that is a ShardSeed of the owned agents and the
+        # run-wide settings only: retained replicas and the delta send
+        # history are deliberately left behind, because the driver follows
+        # every migration with an adopt_partitioning round that resets
+        # them on all shards.  The shard leaves this node only once its
+        # seed is encoded.
         shard_id = meta["shard_id"]
-        shard_state = state.shards.pop(shard_id)
-        seed_hook = getattr(shard_state, "migration_seed", None)
-        payload = seed_hook() if seed_hook is not None else shard_state
-        return (
-            "shard_state",
-            {"shard_id": shard_id, "reseed": seed_hook is not None},
-            state.codec.encode(payload),
-        )
-    if kind == "call":
-        task = pickle.loads(blob)
-        start = time.perf_counter()
-        value = task()
-        wall_seconds = time.perf_counter() - start
-        return (
-            "result",
-            {"wall_seconds": wall_seconds},
-            pickle.dumps(value, pickle.HIGHEST_PROTOCOL),
-        )
+        seed = state.codec.encode(state.shards[shard_id].migration_seed())
+        del state.shards[shard_id]
+        return "shard_state", {"shard_id": shard_id}, seed
     if kind == "reset":
         # The echoed nonce lets the driver drain stale replies left over
         # from an aborted round: everything queued before this ack is old.

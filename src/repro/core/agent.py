@@ -264,11 +264,6 @@ class Agent(metaclass=AgentMeta):
         return list(cls._spatial_fields)
 
     @classmethod
-    def spatial_dim(cls) -> int:
-        """Number of spatial dimensions."""
-        return len(cls._spatial_fields)
-
-    @classmethod
     def visibility_radii(cls) -> tuple[float | None, ...]:
         """Per-dimension visibility bounds (None = unbounded)."""
         return cls._visibility_radii

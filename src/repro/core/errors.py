@@ -66,10 +66,6 @@ class NodeLossError(ExecutorError):
         self.action = action
 
 
-class ClusterError(ReproError):
-    """Raised by the simulated cluster (unknown node, routing failure...)."""
-
-
 class BraceError(ReproError):
     """Raised by the BRACE runtime."""
 

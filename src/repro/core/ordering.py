@@ -37,8 +37,3 @@ def agent_sort_key(agent_id: Any) -> tuple:
     ):
         return (0, agent_id, "")
     return (1, 0.0, str(agent_id))
-
-
-def sorted_agent_ids(agent_ids) -> list:
-    """``agent_ids`` sorted by :func:`agent_sort_key`."""
-    return sorted(agent_ids, key=agent_sort_key)

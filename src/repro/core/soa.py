@@ -329,11 +329,6 @@ class AgentTable:
             raise KeyError(name)
         self._dirty.add(name)
 
-    @property
-    def dirty_fields(self) -> frozenset:
-        """The set of columns that will be written back."""
-        return frozenset(self._dirty)
-
     def writeback(self) -> None:
         """Write dirty columns back into the agents' ``_state`` dicts.
 

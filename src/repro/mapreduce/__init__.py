@@ -1,18 +1,23 @@
-"""The executor contract BRACE runs its shard rounds on.
+"""The executors BRACE runs its shard rounds on.
 
 BRACE extends MapReduce: a tick is three shard rounds (distribute, query,
 update) over resident shards, the map–reduce–reduce passes of the paper's
 Appendix A run where each shard lives.  This package supplies *where* the
-rounds run — the :class:`Executor` backends and their shard-host contract
-(:mod:`repro.mapreduce.executor`); the rounds themselves are the BRACE
-runtime's (:mod:`repro.brace`).
+rounds run — the four :class:`Executor` backends, every one a shard host
+under the contract of :mod:`repro.core.executor`, and :func:`make_executor`,
+which builds the one a :class:`~repro.brace.config.BraceConfig` names with
+``max_workers`` parallel hosts (threads, or node processes on the wire).
+On ``executor="cluster"`` an explicit ``max_workers`` is the node count;
+it used to be ignored there in favour of a separate node-count setting.
+The rounds themselves are the BRACE runtime's (:mod:`repro.brace`).
 """
 
 from repro.mapreduce.executor import (
     Executor,
+    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     TaskResult,
+    ThreadExecutor,
     make_executor,
 )
 
@@ -24,13 +29,3 @@ __all__ = [
     "TaskResult",
     "make_executor",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy for the reason given in :mod:`repro.mapreduce.executor`: the class
-    # lives with the wire client, which imports this package.
-    if name == "ProcessExecutor":
-        from repro.mapreduce.executor import ProcessExecutor
-
-        return ProcessExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -123,7 +123,6 @@ BRACE_CONFIG_FIELDS = {
     "grid_cells",
     "executor",
     "max_workers",
-    "cluster_nodes",
     "cluster_listen",
     "cluster_spawn",
     "heartbeat_interval_seconds",

@@ -131,8 +131,8 @@ class TestClusterConfigValidation:
         BraceConfig(executor="cluster").validate()
 
     def test_bad_node_count_rejected(self):
-        with pytest.raises(BraceError, match="cluster_nodes"):
-            BraceConfig(executor="cluster", cluster_nodes=0).validate()
+        with pytest.raises(BraceError, match="max_workers"):
+            BraceConfig(executor="cluster", max_workers=0).validate()
 
     def test_bad_listen_address_rejected(self):
         with pytest.raises(BraceError, match="cluster_listen"):

@@ -100,7 +100,7 @@ class TestWireExecutorsReadTheConfig:
             # both run on the models' own constants.
             assert wire.network is runtime.cost_model.network
             assert runtime.cost_model.network == NetworkModel()
-            assert wire.sim_nodes == [SimulatedNode(0), SimulatedNode(1)]
+            assert wire.max_workers == 2
             assert runtime.cost_model.nodes == [SimulatedNode(0), SimulatedNode(1)]
 
     @pytest.mark.parametrize("executor", ["process", "cluster"])

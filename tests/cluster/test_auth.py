@@ -75,7 +75,7 @@ class TestPrimitives:
 class TestListenPolicy:
     def test_non_loopback_listen_requires_secret(self):
         executor = ClusterExecutor(
-            1, num_nodes=1, spawn=False, listen="203.0.113.5:0"
+            1, spawn=False, listen="203.0.113.5:0"
         )
         try:
             with pytest.raises(ExecutorError, match="non-loopback"):
@@ -112,7 +112,6 @@ class TestHandshake:
     def test_impostors_refused_then_legitimate_node_admitted(self):
         executor = ClusterExecutor(
             1,
-            num_nodes=1,
             listen="127.0.0.1:0",
             spawn=False,
             secret=SECRET,
@@ -180,7 +179,7 @@ class TestHandshake:
                 node.wait(timeout=10)
 
     def test_loopback_without_secret_is_unauthenticated(self):
-        executor = ClusterExecutor(1, num_nodes=1, heartbeat_interval=0.2)
+        executor = ClusterExecutor(1, heartbeat_interval=0.2)
         try:
             executor.init_shards(make_box, {0: 1})
             (record,) = executor.node_topology()

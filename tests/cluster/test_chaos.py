@@ -238,7 +238,6 @@ class TestExecutorUnderChaos:
         # total loss, surfaced as NodeLossError — never a wrong result.
         executor = ClusterExecutor(
             1,
-            num_nodes=1,
             listen="127.0.0.1:0",
             spawn=False,
             heartbeat_interval=0.2,
@@ -272,7 +271,6 @@ class TestExecutorUnderChaos:
     def test_delay_below_heartbeat_timeout_changes_nothing(self):
         executor = ClusterExecutor(
             1,
-            num_nodes=1,
             listen="127.0.0.1:0",
             spawn=False,
             heartbeat_interval=0.2,

@@ -18,7 +18,7 @@ from tests.mapreduce.test_shard_contract import add_task, make_counter
 
 
 def test_dial_in_nodes_record_their_tcp_peer_address():
-    executor = ClusterExecutor(2, num_nodes=2, heartbeat_interval=0.1)
+    executor = ClusterExecutor(2, heartbeat_interval=0.1)
     try:
         executor.init_shards(make_counter, {0: 0, 1: 0})
         for record in executor.node_topology():
@@ -47,7 +47,7 @@ class TestExternalNodes:
             ],
         )
         executor = ClusterExecutor(
-            1, num_nodes=1, listen=f"127.0.0.1:{port}", spawn=False
+            1, listen=f"127.0.0.1:{port}", spawn=False
         )
         try:
             executor.init_shards(make_counter, {0: 5})

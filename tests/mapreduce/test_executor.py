@@ -1,21 +1,33 @@
-"""Tests for the stateless half of the executor contract.
+"""Tests for how executors are built, and the in-process task loop.
 
-The contract under test: ``make_executor`` resolves every backend name,
-``run_tasks`` returns results in submission order with per-task timing on
-every backend (a word count run as a map batch and a reduce batch comes out
-identical on serial, thread and process), task errors surface with their
-original type, and executor failures are MapReduce errors.  The resident-shard half of the
-contract has its own suite, ``test_shard_contract.py``.
+The contract under test: ``make_executor`` builds every backend from a
+``BraceConfig`` with one host count, ``max_workers`` (threads for
+``thread``, node processes for ``process`` and ``cluster``), whose unset
+default is pinned per executor; ``ProcessExecutor`` is a plain import in
+either import order; and the memory-sharing backends' ``run_tasks`` returns
+results in submission order with per-task timing (a word count run as a map
+batch and a reduce batch comes out identical on serial and thread), task
+errors surface with their original type, and executor failures are
+MapReduce errors.  A wire executor runs shard rounds only; the shard-host
+half of the contract has its own suite, ``test_shard_contract.py``.
 """
 
+import os
+import subprocess
+import sys
 import threading
 from collections import defaultdict
 from functools import partial
 
 import pytest
 
-from repro.core.errors import ExecutorError, MapReduceError
+import repro.mapreduce
+import repro.mapreduce.executor
+from repro.api import Simulation
+from repro.brace.config import BraceConfig
+from repro.core.errors import BraceError, ExecutorError, MapReduceError
 from repro.mapreduce.executor import (
+    ClusterExecutor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -23,24 +35,29 @@ from repro.mapreduce.executor import (
     make_executor,
     wall_clock_imbalance,
 )
+from tests.conftest import make_boid_world
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread"]
 
 
 class TestExecutorBasics:
-    def test_make_executor_kinds(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread", 2), ThreadExecutor)
-        assert isinstance(make_executor("process", 2), ProcessExecutor)
-
-    def test_make_executor_passthrough(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
+    @pytest.mark.parametrize(
+        "kind, cls",
+        [
+            ("serial", SerialExecutor),
+            ("thread", ThreadExecutor),
+            ("process", ProcessExecutor),
+            ("cluster", ClusterExecutor),
+        ],
+    )
+    def test_make_executor_kinds(self, kind, cls):
+        # Wire nodes start at the first round, so building one starts none.
+        with make_executor(BraceConfig(executor=kind, max_workers=2)) as executor:
+            assert type(executor) is cls
 
     def test_make_executor_rejects_unknown(self):
-        with pytest.raises(MapReduceError):
-            make_executor("quantum")
+        with pytest.raises(BraceError, match="unknown executor"):
+            make_executor(BraceConfig(executor="quantum"))
 
     def test_serial_executor_is_single_slot(self):
         assert SerialExecutor(max_workers=8).max_workers == 1
@@ -61,7 +78,74 @@ class TestExecutorBasics:
         assert issubclass(ExecutorError, MapReduceError)
 
 
-# Module-level task bodies: the process backend pickles them by name.
+class TestHostCount:
+    """One host count, ``max_workers``, with a pinned default per executor."""
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_unset_count_is_min_of_workers_and_cpus(self, kind):
+        for num_workers in (1, 64):
+            config = BraceConfig(num_workers=num_workers, executor=kind)
+            with make_executor(config) as executor:
+                assert executor.max_workers == min(num_workers, default_worker_count())
+
+    def test_unset_count_is_one_for_serial(self):
+        with make_executor(BraceConfig(num_workers=8)) as executor:
+            assert executor.max_workers == 1
+
+    def test_unset_count_is_two_nodes_for_cluster(self):
+        with make_executor(BraceConfig(num_workers=8, executor="cluster")) as executor:
+            assert executor.max_workers == 2
+
+    def test_an_explicit_count_sets_the_cluster_node_count(self):
+        with make_executor(BraceConfig(executor="cluster", max_workers=3)) as executor:
+            assert executor.max_workers == 3
+
+    def test_with_nodes_and_with_executor_write_the_same_field(self):
+        world = make_boid_world(4)
+        by_nodes = Simulation.from_agents(world).with_executor("cluster").with_nodes(3)
+        by_executor = Simulation.from_agents(world).with_executor("cluster", max_workers=3)
+        assert by_nodes.config.max_workers == by_executor.config.max_workers == 3
+
+    def test_with_nodes_forks_that_many_process_nodes(self):
+        session = (
+            Simulation.from_agents(make_boid_world(12))
+            .with_workers(3)
+            .with_executor("process")
+            .with_nodes(3)
+        )
+        with session:
+            session.run(1)
+            pids = session.runtime.executor.node_pids()
+        assert len(pids) == 3 and len(set(pids.values())) == 3
+
+
+class TestImports:
+    """``ProcessExecutor`` is a plain import: no module ``__getattr__``."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("repro.cluster.client", "repro.mapreduce.executor"),
+            ("repro.mapreduce.executor", "repro.cluster.client"),
+        ],
+    )
+    def test_either_import_order_works_in_a_fresh_interpreter(self, first, second):
+        script = (
+            f"import {first}, {second}, repro.mapreduce\n"
+            "from repro.mapreduce.executor import "
+            "Executor, ProcessExecutor, SerialExecutor, ThreadExecutor\n"
+            "assert repro.mapreduce.ProcessExecutor is repro.cluster.client.ProcessExecutor\n"
+            "assert ProcessExecutor is repro.cluster.client.ProcessExecutor\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("module", [repro.mapreduce, repro.mapreduce.executor])
+    def test_no_module_getattr(self, module):
+        assert "__getattr__" not in vars(module)
+
+
+# Module-level task bodies.
 def word_count_map(line):
     return [(word, 1) for word in line.split()]
 
@@ -76,10 +160,6 @@ def identity(value):
 
 def raise_key_error(name):
     raise KeyError(name)
-
-
-def raise_type_error(message):
-    raise TypeError(message)
 
 
 WORD_COUNT_INPUT = [
@@ -97,7 +177,7 @@ EXPECTED_COUNTS = [
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def backend(request):
-    executor = make_executor(request.param, max_workers=2)
+    executor = make_executor(BraceConfig(executor=request.param, max_workers=2))
     yield executor
     executor.shutdown()
 
@@ -116,7 +196,7 @@ def map_reduce(executor, lines):
 
 
 class TestBackendEquivalence:
-    """Results cross every backend intact and in submission order."""
+    """Results come back intact and in submission order."""
 
     def test_word_count_identical_across_backends(self, backend):
         _mapped, output = map_reduce(backend, WORD_COUNT_INPUT)
@@ -150,13 +230,6 @@ class TestTaskErrors:
         # The executor survives a failed batch.
         assert [result.value for result in backend.run_tasks([partial(identity, 2)])] == [2]
 
-    def test_genuine_type_error_is_not_reported_as_pickling(self, backend):
-        # Only errors that talk about pickling become ExecutorErrors; a
-        # TypeError raised by the task body itself passes through unchanged.
-        with pytest.raises(TypeError, match="bad operand") as raised:
-            backend.run_tasks([partial(raise_type_error, "bad operand")])
-        assert not isinstance(raised.value, ExecutorError)
-
 
 class TestTaskAccounting:
     def test_map_and_reduce_tasks_recorded(self):
@@ -181,10 +254,10 @@ class TestWallClockImbalance:
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_zero_workers_rejected(self, kind):
+    @pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
+    def test_zero_workers_rejected(self, cls):
         with pytest.raises(ExecutorError, match="max_workers"):
-            make_executor(kind, 0)
+            cls(0)
 
     def test_default_is_the_cpu_count(self):
         assert ThreadExecutor().max_workers == default_worker_count() >= 1

@@ -7,7 +7,7 @@ half of this suite runs on all four.  The two *wire* executors — forked
 TCP — are one client class speaking to one shard host, so everything past
 the attachment (pinned node processes, measured bytes, typed errors, stream
 hygiene after an aborted round, migration, supervised node loss) is checked
-once, on both.
+once, on both.  A wire runs shard rounds only: it refuses ``run_tasks``.
 """
 
 import os
@@ -17,6 +17,7 @@ from functools import partial
 
 import pytest
 
+from repro.brace.config import BraceConfig
 from repro.cluster.client import ClusterExecutor
 from repro.core.errors import ExecutorError, NodeLossError
 from repro.mapreduce.executor import make_executor
@@ -27,8 +28,8 @@ WIRE = ["process", "cluster"]
 
 def build(kind):
     if kind == "cluster":
-        return ClusterExecutor(2, num_nodes=2, heartbeat_interval=0.1)
-    return make_executor(kind, max_workers=2)
+        return ClusterExecutor(2, heartbeat_interval=0.1)
+    return make_executor(BraceConfig(executor=kind, max_workers=2))
 
 
 # One executor per kind for the whole module, wiped between tests: node
@@ -67,14 +68,29 @@ def wire(shared_wire):
 class CounterShard:
     """Minimal resident state: remembers its payload and counts calls."""
 
-    def __init__(self, shard_id, start):
+    def __init__(self, shard_id, start, calls=0):
         self.shard_id = shard_id
         self.value = start
-        self.calls = 0
+        self.calls = calls
+
+    def migration_seed(self):
+        """What travels on a migration: the value and the call count."""
+        return (self.value, self.calls)
 
 
 def make_counter(shard_id, payload):
+    """Seed a counter from a start value, or rebuild one from its migration seed."""
+    if isinstance(payload, tuple):
+        return CounterShard(shard_id, *payload)
     return CounterShard(shard_id, payload)
+
+
+class PlainShard:
+    """A shard state without a ``migration_seed()``: it cannot migrate."""
+
+
+def make_plain(shard_id, payload):
+    return PlainShard()
 
 
 def add_task(shard, amount):
@@ -85,6 +101,10 @@ def add_task(shard, amount):
 
 def failing_task(shard, payload):
     raise KeyError("missing-thing")
+
+
+def type_error_task(shard, message):
+    raise TypeError(message)
 
 
 def shard_pid(_shard, _payload):
@@ -147,11 +167,6 @@ class TestEveryExecutor:
             # Real encoded sizes in both directions.
             assert all(r.payload_bytes > 0 and r.result_bytes > 0 for r in results)
 
-    def test_run_tasks_returns_results_in_submission_order(self, executor):
-        results = executor.run_tasks([partial(identity_task, i * i) for i in range(5)])
-        assert [r.value for r in results] == [0, 1, 4, 9, 16]
-        assert [r.index for r in results] == list(range(5))
-
 
 class TestWireResidency:
     def test_shards_are_pinned_to_node_processes(self, wire):
@@ -191,9 +206,17 @@ class TestWireErrors:
         with pytest.raises(ExecutorError, match="picklable"):
             wire.run_sharded_tasks([(0, add_task, lambda: None)])
 
-    def test_unpicklable_task_rejected_with_guidance(self, wire):
-        with pytest.raises(ExecutorError, match="picklable"):
-            wire.run_tasks([lambda: 1])
+    def test_run_tasks_is_refused_with_a_pointer_to_shard_rounds(self, wire):
+        with pytest.raises(ExecutorError, match="run_sharded_tasks"):
+            wire.run_tasks([partial(identity_task, 1)])
+
+    def test_genuine_type_error_is_not_reported_as_pickling(self, wire):
+        # Only errors that talk about pickling become ExecutorErrors; a
+        # TypeError raised by the task body itself passes through unchanged.
+        wire.init_shards(make_counter, {0: 0})
+        with pytest.raises(TypeError, match="bad operand") as raised:
+            wire.run_sharded_tasks([(0, type_error_task, "bad operand")])
+        assert not isinstance(raised.value, ExecutorError)
 
     def test_remote_task_error_surfaces_original_type(self, wire):
         wire.init_shards(make_counter, {0: 0})
@@ -221,12 +244,6 @@ class TestAbortedRoundLeavesNoStaleReply:
             wire.run_sharded_tasks([(0, add_task, 5), (9, add_task, 1)])
         assert wire.run_sharded_tasks([(0, add_task, 100)])[0].value == (0, 105, 2)
 
-    def test_stateless_task_that_fails_to_pickle_mid_round(self, wire):
-        with pytest.raises(ExecutorError, match="picklable"):
-            wire.run_tasks([partial(identity_task, "stale"), lambda: 1])
-        (result,) = wire.run_tasks([partial(identity_task, "fresh")])
-        assert result.value == "fresh"
-
     def test_reseed_payload_that_fails_to_encode(self, wire):
         wire.init_shards(make_counter, {0: 0, 1: 0, 2: 0, 3: 0})
         victim = wire.shard_node(0)
@@ -253,8 +270,17 @@ class TestMigration:
         assert wire.migrate_shard(0, destination) > 0
         assert wire.shard_node(0) == destination
         assert wire.shard_host_pid(0) == wire.node_pids()[destination]
-        # The migrated shard kept its mutated state, not its seed payload.
+        # The migrated shard kept its mutated value and call count (its
+        # migration seed), not its seed payload.
         assert wire.run_sharded_tasks([(0, add_task, 1)])[0].value == (0, 102, 2)
+
+    def test_a_shard_without_a_migration_seed_stays_put(self, wire):
+        wire.init_shards(make_plain, {0: None})
+        source = wire.shard_node(0)
+        with pytest.raises(AttributeError, match="migration_seed"):
+            wire.migrate_shard(0, 1 - source)
+        assert wire.shard_node(0) == source
+        assert wire.run_sharded_tasks([(0, shard_pid, None)])[0].value == wire.shard_host_pid(0)
 
     def test_migrate_to_current_node_is_noop(self, wire):
         wire.init_shards(make_counter, {0: 0})
@@ -310,7 +336,7 @@ class TestForkedAttachment:
         # node 1 a copy of node 0's, and each node a copy of its own.  Had
         # either kept its copy, closing the driver's end would not read as
         # end-of-stream on the node — it would serve a driver that is gone.
-        executor = make_executor("process", max_workers=2)
+        executor = make_executor(BraceConfig(executor="process", max_workers=2))
         try:
             executor.init_shards(make_counter, {0: 0, 1: 0})
             first, second = (executor._nodes[index] for index in (0, 1))
@@ -325,7 +351,7 @@ class TestForkedAttachment:
             executor.shutdown()
 
     def test_nodes_are_reused_across_shard_sets(self):
-        with make_executor("process", max_workers=2) as executor:
+        with make_executor(BraceConfig(executor="process", max_workers=2)) as executor:
             executor.init_shards(make_counter, {0: 0, 1: 0})
             pids = executor.node_pids()
             executor.teardown_shards()
