@@ -234,8 +234,10 @@ class FluentConfig:
     def with_checkpointing(self, every_epochs: int = 1, enabled: bool = True) -> Any:
         """Take a coordinated checkpoint every ``every_epochs`` epochs.
 
-        ``enabled=False`` turns checkpointing off (``pause()`` keeps working —
-        it snapshots on demand rather than on the epoch schedule).
+        A checkpoint is every shard's state image, captured in one shard
+        round.  ``enabled=False`` turns checkpointing off (``pause()`` keeps
+        working — it captures the same images on demand rather than on the
+        epoch schedule).
         """
         self._check_not_started()
         self._builder.set(

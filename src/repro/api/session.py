@@ -12,9 +12,9 @@ lifecycle (``BraceRuntime(world, config)`` stays the engine underneath):
    :meth:`stream`, which yields one :class:`~repro.api.events.TickEvent`
    per tick and fires registered observers (:meth:`on_tick`,
    :meth:`on_epoch`, :meth:`on_checkpoint`);
-4. **pause/resume** at any tick boundary — :meth:`pause` snapshots the
-   world through the checkpoint machinery and releases the resident
-   shards, :meth:`resume` restores bit-identically;
+4. **pause/resume** at any tick boundary — :meth:`pause` captures the
+   shards' state images through the checkpoint machinery and releases the
+   resident shards, :meth:`resume` restores them bit-identically;
 5. **close** (or leave a ``with`` block), which guarantees resident-shard
    teardown and executor shutdown.
 
@@ -80,7 +80,7 @@ class Simulation(FluentConfig):
         self._pause_requested = False
         self._active_stream: Generator[TickEvent, None, None] | None = None
 
-        #: Pause snapshots ride on the same machinery as failure checkpoints.
+        #: Pause points are checkpoints: the same images, the same restore.
         self._pause_points = CheckpointManager(keep_last=1)
         self._epoch_events: list[EpochStatistics] = []
         self._checkpoints_taken: list[int] = []
@@ -480,11 +480,12 @@ class Simulation(FluentConfig):
     def pause(self) -> "Simulation":
         """Suspend at the current (or next) tick boundary.
 
-        Snapshots the world through the checkpoint machinery and releases
-        the executor-hosted shards, so a paused session holds no state in
-        node processes.  From inside an observer (or between ``next()``
-        calls on an active stream) the pause takes effect at the next tick
-        boundary and ends the stream; otherwise it is immediate.
+        Captures the shards' state images through the checkpoint machinery,
+        rebuilds the world from them and releases the executor-hosted
+        shards, so a paused session holds no state in node processes.  From
+        inside an observer (or between ``next()`` calls on an active stream)
+        the pause takes effect at the next tick boundary and ends the
+        stream; otherwise it is immediate.
         """
         self._check_open()
         if self._paused:
@@ -502,21 +503,21 @@ class Simulation(FluentConfig):
     def _do_pause(self) -> None:
         runtime = self._runtime
         assert runtime is not None
-        runtime.suspend()
-        size = sum(runtime.checkpoint_sizes())
-        self._pause_points.take(runtime.world, runtime.master.epoch, size)
+        checkpoint, ipc_bytes = runtime.checkpoint(self._pause_points)
+        runtime.metrics.add_sync_ipc(ipc_bytes)
+        runtime.restore(checkpoint, release_shards=True)
         self._paused = True
         self._pause_requested = False
 
     def resume(self) -> "Simulation":
-        """Restore the pause snapshot; the next run/stream continues bit-identically."""
+        """Restore the pause point; the next run/stream continues bit-identically,
+        per-tick statistics included."""
         self._check_open()
         if not self._paused:
             raise SimulationSessionError("resume() called but the session is not paused")
         runtime = self._runtime
         assert runtime is not None
-        checkpoint = self._pause_points.latest()
-        runtime.restore_world(checkpoint.world_snapshot)
+        runtime.restore(self._pause_points.latest())
         self._paused = False
         return self
 

@@ -7,36 +7,41 @@ Failures are handled by restoring the last checkpoint and re-executing the
 ticks since then — the standard technique for short-iteration scientific
 computations (Section 3.3).
 
-This module keeps checkpoints in memory (the "stable storage" of the
-simulated cluster) as world snapshots, never as bytes: the tick history
-(:mod:`repro.history.store`, with its own codec) is what persists state.  It
-also provides a deterministic failure injector used by the fault-tolerance
-tests and the checkpointing ablation benchmark.
+A checkpoint is the shards' state images (:func:`repro.brace.shards.
+encode_image`), kept in memory — the "stable storage" of the simulated
+cluster — with the tick, epoch, id counter and seed the world resumes
+from; :meth:`repro.brace.runtime.BraceRuntime.restore` puts a run back onto
+them.  The tick history (:mod:`repro.history.store`) is what persists
+state.  This module also provides a deterministic failure injector used by
+the fault-tolerance tests and the checkpointing ablation benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Callable
 
 import numpy as np
 
 from repro.core.errors import CheckpointError
 from repro.core.world import World
 
-
 @dataclass
 class Checkpoint:
-    """A snapshot of the whole simulation at an epoch boundary."""
+    """The whole simulation at a tick boundary, as one image per shard."""
 
     tick: int
     epoch: int
-    world_snapshot: dict[str, Any]
-    size_bytes: int
+    next_id: int
+    seed: int
+    #: The tag each shard stashed its image under.
+    tag: int
+    #: ``shard id -> state image``.
+    images: dict[int, bytes]
 
 
 class CheckpointManager:
-    """Stores epoch checkpoints and restores the most recent one on failure."""
+    """Keeps the most recent epoch checkpoints."""
 
     def __init__(self, keep_last: int = 2):
         if keep_last < 1:
@@ -44,21 +49,24 @@ class CheckpointManager:
         self.keep_last = keep_last
         self._checkpoints: list[Checkpoint] = []
         self.total_checkpoints = 0
-        self.total_bytes = 0
 
-    def take(self, world: World, epoch: int, size_bytes: int) -> Checkpoint:
-        """Snapshot ``world`` at the current tick."""
+    def take(
+        self, world: World, epoch: int, tag: int, capture: Callable[[], dict[int, bytes]]
+    ) -> Checkpoint:
+        """Checkpoint the run at ``world``'s current tick; ``capture()`` is
+        the shard round in which every shard hands over its image."""
         checkpoint = Checkpoint(
             tick=world.tick,
             epoch=epoch,
-            world_snapshot=world.snapshot(),
-            size_bytes=size_bytes,
+            next_id=world.next_agent_id,
+            seed=world.seed,
+            tag=tag,
+            images=capture(),
         )
         self._checkpoints.append(checkpoint)
         if len(self._checkpoints) > self.keep_last:
             self._checkpoints.pop(0)
         self.total_checkpoints += 1
-        self.total_bytes += size_bytes
         return checkpoint
 
     def latest(self) -> Checkpoint:
@@ -70,12 +78,6 @@ class CheckpointManager:
     def has_checkpoint(self) -> bool:
         """True when at least one checkpoint exists."""
         return bool(self._checkpoints)
-
-    def restore_latest(self, world: World) -> Checkpoint:
-        """Restore ``world`` from the most recent checkpoint and return it."""
-        checkpoint = self.latest()
-        world.restore(checkpoint.world_snapshot)
-        return checkpoint
 
 
 class FailureInjector:

@@ -82,11 +82,6 @@ class BraceTickStatistics:
         return wall_clock_imbalance(self.query_seconds_per_worker)
 
     @property
-    def update_wall_imbalance(self) -> float:
-        """Max-over-mean wall-clock ratio across the workers' update phases."""
-        return wall_clock_imbalance(self.update_seconds_per_worker)
-
-    @property
     def ipc_bytes_total(self) -> int:
         """Measured driver<->shard bytes for this tick (both directions)."""
         return self.ipc_bytes_sent + self.ipc_bytes_received
@@ -116,7 +111,7 @@ class EpochStatistics:
     checkpoint_bytes: int
     agents_migrated_by_balancer: int
     #: Measured driver<->shard bytes spent on epoch-boundary coordination
-    #: (boundary flush, coordinate pull, repartition moves, checkpoint sync).
+    #: (boundary flush, coordinate pull, repartition moves, checkpoint capture).
     ipc_bytes: int = 0
     #: Per-phase IPC seconds summed over the epoch's ticks (measured wall
     #: clock, not part of the determinism contract — see the tick fields).
@@ -124,11 +119,6 @@ class EpochStatistics:
     ipc_transport_seconds: float = 0.0
     ipc_compute_seconds: float = 0.0
     ipc_wait_seconds: float = 0.0
-
-    @property
-    def seconds_per_epoch(self) -> float:
-        """Virtual time this epoch took (the y-axis of Figure 8)."""
-        return self.virtual_seconds
 
 
 @dataclass
@@ -138,7 +128,7 @@ class BraceRunMetrics:
     ticks: list[BraceTickStatistics] = field(default_factory=list)
     epochs: list[EpochStatistics] = field(default_factory=list)
     #: Measured driver<->shard bytes spent pulling full world state outside
-    #: epoch boundaries (end-of-run sync, on-demand ``sync_world`` calls).
+    #: epoch boundaries (end-of-run and on-demand syncs, pause captures).
     sync_ipc_bytes: int = 0
 
     def add_tick(self, stats: BraceTickStatistics) -> None:
@@ -157,11 +147,6 @@ class BraceRunMetrics:
     def total_virtual_seconds(self) -> float:
         """Virtual time across all recorded ticks."""
         return sum(t.virtual_seconds for t in self.ticks)
-
-    @property
-    def total_wall_seconds(self) -> float:
-        """Wall-clock time across all recorded ticks."""
-        return sum(t.wall_seconds for t in self.ticks)
 
     @property
     def total_agent_ticks(self) -> int:
@@ -200,20 +185,13 @@ class BraceRunMetrics:
     def total_ipc_bytes(self) -> int:
         """Measured driver<->shard bytes across every tick and epoch boundary.
 
-        Real pickled payload/result sizes (not the cost model's estimates);
+        Real encoded payload/result sizes (not the cost model's estimates);
         0 unless the run used a backend that crosses a process boundary.
         Includes per-tick rounds, epoch-boundary coordination and
         out-of-band world syncs.
         """
         tick_bytes = sum(t.ipc_bytes_total for t in self.ticks)
         return tick_bytes + sum(e.ipc_bytes for e in self.epochs) + self.sync_ipc_bytes
-
-    def mean_ipc_bytes_per_tick(self, skip_ticks: int = 0) -> float:
-        """Average measured driver<->shard bytes per tick (epoch traffic excluded)."""
-        ticks = self.ticks[skip_ticks:]
-        if not ticks:
-            return 0.0
-        return sum(t.ipc_bytes_total for t in ticks) / len(ticks)
 
     def ipc_phase_breakdown(self, skip_ticks: int = 0) -> dict[str, float]:
         """Summed per-tick IPC phase seconds: serialize/transport/compute/wait.

@@ -43,18 +43,20 @@ transport is the only thing that varies, and the runtime reads it off
 
 At epoch boundaries the master may rebalance the partitioning (Figures 7/8)
 — physically moving agents between shards — and trigger coordinated
-checkpoints (which pull state from the shards), from which
-:meth:`BraceRuntime.recover` restores after an injected failure by re-seeding
-the shards from the restored world.
+checkpoints: one shard round in which every shard hands over its state
+image (:meth:`BraceRuntime.checkpoint`).  :meth:`BraceRuntime.restore` is
+the one way back onto the images, after a failure (:meth:`BraceRuntime.
+recover`) and on the session layer's pause and resume.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from typing import Any
 
-from repro.brace.checkpoint import FailureInjector
+from repro.brace.checkpoint import Checkpoint, CheckpointManager, FailureInjector
 from repro.brace.config import BraceConfig
 from repro.brace.master import Master, WorkerReport
 from repro.brace.metrics import BraceRunMetrics, BraceTickStatistics, EpochStatistics
@@ -65,16 +67,17 @@ from repro.brace.shards import (
     RepartitionCommand,
     ShardSeed,
     UpdateCommand,
+    decode_image,
     make_resident_worker,
     shard_adopt_partitioning,
     shard_apply_boundary,
+    shard_capture,
     shard_collect_coordinates,
     shard_collect_states,
     shard_install_owned,
     shard_map_phase,
     shard_query_phase,
-    shard_restore_checkpoint,
-    shard_retain_checkpoint,
+    shard_rewind,
     shard_update_phase,
 )
 from repro.brace.worker import ShardSettings
@@ -118,9 +121,7 @@ class BraceRuntime:
         #: The driver's one ownership record: agent id -> owning shard, and
         #: how many agents each shard owns.  The agents themselves live in
         #: the world (and, on a wire, in the shards).
-        self._owner_of: dict[Any, int] = {}
-        self._owned_counts: list[int] = []
-        self._rebuild_ownership()
+        self._rebuild_ownership({agent.agent_id: self._place(agent) for agent in world.agents()})
 
         #: Execution backend hosting the worker shards.  Its ``shares_memory``
         #: flag is the one transport decision: true hands shard payloads over
@@ -151,29 +152,25 @@ class BraceRuntime:
         #: (never on a by-reference transport: the shards hold the world's
         #: own agents).
         self._world_dirty = False
-        #: Bumped whenever the partitioning (or the physical shard layout)
-        #: changes; part of the checkpoint stash tag so :meth:`recover`
-        #: never restores a stashed epoch across a layout it predates.
-        self._partitioning_version = 0
-        #: ``(tick, partitioning_version)`` of the latest shard-local
-        #: checkpoint stash, and the driver's ownership map at that instant
-        #: (used to re-seed lost shards with their natural owned sets).
-        self._stash_tag: tuple[int, int] | None = None
-        self._checkpoint_ownership: dict[Any, int] | None = None
+        #: Checkpoint tags: a shard's stash never answers for another capture.
+        self._capture_tags = itertools.count()
         #: Supervision events (node deaths, recoveries) drained from the
         #: executor; the session layer surfaces them on the run result.
         self.fault_events: list[dict] = []
-
-        self._epoch_ticks = 0
-        self._epoch_virtual_seconds = 0.0
-        self._epoch_wall_seconds = 0.0
-        self._epoch_agent_ticks = 0
-        self._epoch_first_tick = world.tick
-        self._epoch_ipc_phase = self._zero_ipc_phase()
+        self._start_epoch()
 
     @staticmethod
     def _zero_ipc_phase() -> dict[str, float]:
         return {"serialize": 0.0, "transport": 0.0, "compute": 0.0, "wait": 0.0}
+
+    def _start_epoch(self) -> None:
+        """Open a new epoch's accumulators at the world's current tick."""
+        self._epoch_ticks = 0
+        self._epoch_virtual_seconds = 0.0
+        self._epoch_wall_seconds = 0.0
+        self._epoch_agent_ticks = 0
+        self._epoch_first_tick = self.world.tick
+        self._epoch_ipc_phase = self._zero_ipc_phase()
 
     # ------------------------------------------------------------------
     # Ownership bookkeeping
@@ -200,12 +197,9 @@ class BraceRuntime:
         self._owner_of[agent_id] = owner
         self._owned_counts[owner] += 1
 
-    def _rebuild_ownership(self, ownership: dict[Any, int] | None = None) -> None:
-        """Reset the ownership map to ``ownership``, or to the world's agents
-        placed by position under the current partitioning."""
-        if ownership is None:
-            ownership = {agent.agent_id: self._place(agent) for agent in self.world.agents()}
-        self._owner_of = dict(ownership)
+    def _rebuild_ownership(self, ownership: dict[Any, int]) -> None:
+        """Reset the ownership map to ``ownership`` (agent id -> shard)."""
+        self._owner_of = ownership
         self._owned_counts = [0] * len(self._shard_ids)
         for owner in ownership.values():
             self._owned_counts[owner] += 1
@@ -512,25 +506,25 @@ class BraceRuntime:
 
         Hands each shard's seed (:meth:`_shard_seeds`) over **once**;
         afterwards ticks exchange only deltas.
-        Called again after :meth:`recover` (shards are re-seeded from the
-        restored world) or after an executor failure invalidated the shard
-        state.
+        Called again after :meth:`restore` released the shards (they are
+        re-seeded from the restored world) or after an executor failure
+        invalidated the shard state.
         """
         if self._shards_ready:
             return
         if self.executor.has_shards():
             self.executor.teardown_shards()
-        self.executor.init_shards(make_resident_worker, self._shard_seeds(self._shard_ids))
+        self.executor.init_shards(make_resident_worker, self._shard_seeds())
         self._shards_ready = True
         self._pending_boundary = {}
         self._world_dirty = False
 
-    def _shard_seeds(self, shard_ids) -> dict[int, ShardSeed]:
-        """What hosts each of ``shard_ids`` as a shard: its partition, the
-        world agents the ownership map gives it (in
-        :func:`~repro.core.ordering.agent_sort_key` order), the current
-        partitioning, and the run-wide settings every shard runs with — the
-        only place those settings are read off the run."""
+    def _shard_seeds(self) -> dict[int, ShardSeed]:
+        """What hosts each shard: its partition, the world agents the
+        ownership map gives it (in :func:`~repro.core.ordering.agent_sort_key`
+        order), the current partitioning, and the run-wide settings every
+        shard runs with — the only place those settings are read off the
+        run."""
         config = self.config
         partitioning = self.master.partitioning
         settings = ShardSettings(
@@ -543,11 +537,9 @@ class BraceRuntime:
             # lets shards skip replica clones and ship replica deltas.
             transport_copies=not self.executor.shares_memory,
         )
-        owned: dict[int, list] = {shard_id: [] for shard_id in shard_ids}
+        owned: dict[int, list] = {shard_id: [] for shard_id in self._shard_ids}
         for agent_id in sorted(self._owner_of, key=agent_sort_key):
-            agents = owned.get(self._owner_of[agent_id])
-            if agents is not None:
-                agents.append(self.world.get_agent(agent_id))
+            owned[self._owner_of[agent_id]].append(self.world.get_agent(agent_id))
         return {
             shard_id: ShardSeed(
                 partition=partitioning.partition(shard_id),
@@ -625,9 +617,9 @@ class BraceRuntime:
     def _flush_pending_boundary(self) -> int:
         """Ship pending births/deaths to their shards; returns IPC bytes.
 
-        Normally the boundary rides along with the next tick's map command;
-        epoch-boundary operations (coordinate pulls, repartitioning,
-        checkpoints, final sync) need the shards' membership current *now*.
+        Normally the boundary rides along with the next tick's map command
+        (or a checkpoint's capture); coordinate pulls, repartitioning and
+        syncs need the shards' membership current *now*.
         """
         if not self._pending_boundary or not self._shards_ready:
             self._pending_boundary = {}
@@ -646,10 +638,10 @@ class BraceRuntime:
 
         Returns the measured IPC bytes the sync cost (0 when nothing had to
         be pulled — a by-reference transport, whose shards hold the world's
-        own agents, or an already-clean world).  This is the one
-        deliberately world-sized transfer of the protocol; it happens at the
-        end of :meth:`run`, before checkpoints, and on demand — never per
-        tick.
+        own agents, or an already-clean world).  Besides a checkpoint's
+        capture, this is the one deliberately world-sized transfer of the
+        protocol; it happens at the end of :meth:`run` and on demand — never
+        per tick.
         """
         if not (self._shards_ready and self._world_dirty):
             return 0
@@ -681,35 +673,6 @@ class BraceRuntime:
         return coordinates, sum(
             result.payload_bytes + result.result_bytes for result in results
         )
-
-    def suspend(self) -> None:
-        """Pull resident state back and release the executor-hosted shards.
-
-        After suspending, the driver's world holds the authoritative agent
-        states and no simulation state lives inside the executor; the runtime
-        stays fully usable — the next tick lazily re-seeds the shards.  This
-        is the teardown half of the session layer's ``pause()``: a paused
-        simulation keeps no shard state on its node processes.
-        """
-        self.metrics.add_sync_ipc(self.sync_world())
-        if self._shards_ready:
-            self._invalidate_shards()
-
-    def restore_world(self, snapshot: dict[str, Any]) -> None:
-        """Reset the runtime onto a world snapshot taken at a tick boundary.
-
-        The counterpart of :meth:`suspend` used by the session layer's
-        ``resume()``: the world is restored exactly as checkpoint recovery
-        does (same machinery), ownership is rebuilt from agent positions
-        under the current partitioning, and any resident shard state is
-        dropped so the next tick re-seeds from the restored agents.  Unlike
-        :meth:`recover`, accumulated metrics and the current epoch's
-        progress are kept — suspending is not a failure.
-        """
-        self.world.restore(snapshot)
-        self._rebuild_ownership()
-        self._invalidate_shards()
-        self._world_dirty = False
 
     def close(self) -> None:
         """Sync any resident state back and release the executor's workers."""
@@ -768,7 +731,7 @@ class BraceRuntime:
         if self.config.load_balance and master.can_rebalance():
             # The balancer reads every agent's coordinate and may move agents
             # around: shards must reflect this tick's births/deaths first.
-            # (Checkpoints need no flush here: sync_world flushes.)
+            # (Checkpoints need no flush here: the capture carries them.)
             epoch_ipc_bytes = self._flush_pending_boundary()
             coordinates, coordinate_ipc = self._collect_axis_coordinates(
                 master.partitioning.axis
@@ -791,13 +754,10 @@ class BraceRuntime:
         checkpoint_seconds = 0.0
         if decision.checkpoint:
             checkpointed = True
-            # Checkpoints pull state from the shards: the driver's world is
-            # synced once, then snapshot.
-            epoch_ipc_bytes += self.sync_world()
             sizes = self.checkpoint_sizes()
             checkpoint_bytes = sum(sizes)
-            master.checkpoint_manager.take(self.world, master.epoch, checkpoint_bytes)
-            epoch_ipc_bytes += self._stash_shard_checkpoints()
+            _checkpoint, capture_ipc = self.checkpoint(master.checkpoint_manager)
+            epoch_ipc_bytes += capture_ipc
             checkpoint_seconds = max(
                 (
                     self.cost_model.node(shard_id).checkpoint_seconds(size)
@@ -826,32 +786,7 @@ class BraceRuntime:
         self.metrics.add_epoch(epoch_stats)
         for listener in self.epoch_listeners:
             listener(epoch_stats)
-
-        self._epoch_ticks = 0
-        self._epoch_virtual_seconds = 0.0
-        self._epoch_wall_seconds = 0.0
-        self._epoch_agent_ticks = 0
-        self._epoch_first_tick = self.world.tick
-        self._epoch_ipc_phase = self._zero_ipc_phase()
-
-    def _stash_shard_checkpoints(self) -> int:
-        """Have every resident shard stash its own seed for this checkpoint.
-
-        Only runs on a wire, which can lose a *subset* of its shards: after
-        a node death the surviving shards rewind themselves from this stash
-        in place, so recovery re-ships only the lost shards instead of
-        tearing every node's state down.  Returns the measured IPC bytes of
-        the stash round.
-        """
-        if not self._shards_ready or self.executor.shares_memory:
-            return 0
-        tag = (self.world.tick, self._partitioning_version)
-        results = self._shard_round(
-            [(shard_id, shard_retain_checkpoint, {"tag": tag}) for shard_id in self._shard_ids]
-        )
-        self._stash_tag = tag
-        self._checkpoint_ownership = dict(self._owner_of)
-        return sum(result.payload_bytes + result.result_bytes for result in results)
+        self._start_epoch()
 
     def _apply_new_partitioning(
         self, rebalance_nodes: bool = True
@@ -869,9 +804,6 @@ class BraceRuntime:
         per_worker_seconds = [0.0] * len(self._shard_ids)
         migrated = 0
         ipc_bytes = 0
-        # Ownership and shard placement are about to shuffle; any stashed
-        # checkpoint epoch predates the new layout.
-        self._partitioning_version += 1
 
         # A wire places shards on node processes and gets a chance to
         # re-home them for the new load before the adopt round; the round
@@ -954,6 +886,89 @@ class BraceRuntime:
     # ------------------------------------------------------------------
     # Fault tolerance
     # ------------------------------------------------------------------
+    def checkpoint(self, manager: CheckpointManager) -> tuple[Checkpoint, int]:
+        """Checkpoint the run into ``manager`` with one shard round of
+        :func:`shard_capture`; returns the checkpoint and the capture's
+        measured IPC bytes.  The world is not synced: the images are the
+        state."""
+        tag = next(self._capture_tags)
+        ipc_bytes = 0
+
+        def capture() -> dict[int, bytes]:
+            nonlocal ipc_bytes
+            self._ensure_shards()
+            # The births/deaths still pending ride along, as with a map command.
+            pending, self._pending_boundary = self._pending_boundary, {}
+            results = self._shard_round(
+                [
+                    (shard_id, shard_capture, (tag, pending.get(shard_id)))
+                    for shard_id in self._shard_ids
+                ]
+            )
+            ipc_bytes = sum(result.payload_bytes + result.result_bytes for result in results)
+            return {result.shard_id: result.value for result in results}
+
+        return manager.take(self.world, self.master.epoch, tag, capture), ipc_bytes
+
+    def restore(self, checkpoint: Checkpoint, release_shards: bool = False) -> bool:
+        """Put the run back onto ``checkpoint``'s state images — the one
+        restore path, behind :meth:`recover` and the session's pause/resume.
+
+        Rebuilds the world and reinstates the partitioning from the images;
+        each agent is owned by the shard whose image holds it, so migrations
+        pending at the capture still happen.  On a wire whose shards are up,
+        survivors rewind from their stash in place (see
+        :meth:`_rewind_shards`); otherwise, and with ``release_shards``, the
+        next tick re-seeds every shard.  Metrics and epoch progress are
+        kept.  Returns True when shards rewound in place.
+        """
+        seeds = {
+            shard_id: decode_image(image) for shard_id, image in checkpoint.images.items()
+        }
+        self.world.rewind(
+            checkpoint.tick,
+            checkpoint.next_id,
+            checkpoint.seed,
+            [agent for seed in seeds.values() for agent in seed.agents],
+        )
+        self.master.partitioning = seeds[0].partitioning
+        self._rebuild_ownership(
+            {agent.agent_id: shard_id for shard_id, seed in seeds.items() for agent in seed.agents}
+        )
+        in_place = (
+            not release_shards
+            and self._shards_ready
+            and not self.executor.shares_memory
+            and self._rewind_shards(checkpoint.tag, seeds)
+        )
+        if not in_place:
+            self._invalidate_shards()
+        self._pending_boundary = {}
+        self._world_dirty = False
+        return in_place
+
+    def _rewind_shards(self, tag: int, seeds: dict[int, ShardSeed]) -> bool:
+        """Re-seed the lost shards from their images and rewind the
+        survivors from their stash (:func:`shard_rewind`); False when none
+        survived, a survivor's stash lacks the tag (a migration or re-seed
+        rebuilt it) or a round fails."""
+        lost = set(self.executor.lost_shards())
+        survivors = [shard_id for shard_id in self._shard_ids if shard_id not in lost]
+        if not survivors:
+            return False
+        try:
+            # Lost shards first: the executor refuses ordinary rounds while
+            # shards await re-seeding, and the survivors' rewind *is* an
+            # ordinary round.
+            if lost:
+                self.executor.reseed_shards({shard_id: seeds[shard_id] for shard_id in lost})
+            results = self._shard_round(
+                [(shard_id, shard_rewind, tag) for shard_id in survivors]
+            )
+        except ExecutorError:
+            return False
+        return all(result.value for result in results)
+
     def recover(self) -> int:
         """Restore the last coordinated checkpoint after a failure.
 
@@ -961,82 +976,23 @@ class BraceRuntime:
         :class:`repro.core.errors.CheckpointError` when no checkpoint exists.
         """
         tick_before_failure = self.world.tick
-        checkpoint = self.master.checkpoint_manager.restore_latest(self.world)
+        checkpoint = self.master.checkpoint_manager.latest()
+        in_place = self.restore(checkpoint)
         ticks_lost = max(0, tick_before_failure - checkpoint.tick)
-        restored_in_place = (
-            self._shards_ready
-            and not self.executor.shares_memory
-            and self._recover_shards_in_place(checkpoint)
-        )
-        if not restored_in_place:
-            self._rebuild_ownership()
-            # Resident state died with the "failed" workers: drop the shards
-            # and lazily re-seed them from the restored world next tick.
-            self._invalidate_shards()
-            self._world_dirty = False
         # Any partially accumulated epoch is discarded along with the lost ticks.
-        self._epoch_ticks = 0
-        self._epoch_virtual_seconds = 0.0
-        self._epoch_wall_seconds = 0.0
-        self._epoch_agent_ticks = 0
-        self._epoch_first_tick = self.world.tick
-        self._epoch_ipc_phase = self._zero_ipc_phase()
+        self._start_epoch()
         self.fault_events.append(
             {
                 "event": "recovered",
                 "restored_tick": checkpoint.tick,
                 "failed_tick": tick_before_failure,
                 "ticks_lost": ticks_lost,
-                "partial": bool(restored_in_place),
+                "partial": in_place,
             }
         )
         for listener in self.recovery_listeners:
             listener(self.world, checkpoint.tick, tick_before_failure)
         return ticks_lost
-
-    def _recover_shards_in_place(self, checkpoint) -> bool:
-        """Partial recovery: rewind survivors shard-locally, re-ship only
-        the lost shards.
-
-        Valid only when the latest shard-local stash matches the restored
-        checkpoint *and* the partitioning has not changed since it was
-        taken.  The driver's ownership map is reset to the one
-        snapshotted at checkpoint time (the stashed shards hold exactly
-        those owned sets — position-based reassignment would disagree with
-        them for agents whose migration was still pending).  Returns False
-        on any mismatch or mid-recovery failure; the caller then falls back
-        to the full teardown-and-reseed path, which is always correct.
-        """
-        lost = set(self.executor.lost_shards())
-        survivors = [shard_id for shard_id in self._shard_ids if shard_id not in lost]
-        if not survivors:
-            return False
-        tag = (checkpoint.tick, self._partitioning_version)
-        ownership = self._checkpoint_ownership
-        if self._stash_tag != tag or ownership is None:
-            return False
-        if not all(self.world.has_agent(agent_id) for agent_id in ownership):
-            return False  # snapshot disagrees with the restored world
-        self._rebuild_ownership(ownership)
-        try:
-            # Lost shards first: the executor refuses ordinary rounds while
-            # shards await re-seeding, and the survivors' restore *is* an
-            # ordinary round.
-            if lost:
-                self.executor.reseed_shards(self._shard_seeds(sorted(lost)))
-            restore_results = self._shard_round(
-                [
-                    (shard_id, shard_restore_checkpoint, {"tag": tag})
-                    for shard_id in survivors
-                ]
-            )
-        except ExecutorError:
-            return False
-        if not all(result.value.get("restored") for result in restore_results):
-            return False
-        self._pending_boundary = {}
-        self._world_dirty = False
-        return True
 
     def run_with_failures(self, ticks: int, injector: FailureInjector) -> BraceRunMetrics:
         """Run ``ticks`` ticks while the injector may fail any of them.

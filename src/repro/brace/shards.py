@@ -20,10 +20,12 @@ round per phase:
    back; the new states stay resident.
 
 Epoch-boundary operations (:func:`shard_collect_coordinates` for the load
-balancer, :func:`shard_collect_states` for checkpoints and driver sync,
+balancer, :func:`shard_capture` for checkpoints,
 :func:`shard_adopt_partitioning` / :func:`shard_install_owned` for physical
 repartitioning) pull state on demand, exactly as the paper's master talks to
-its slaves once per epoch.
+its slaves once per epoch; :func:`shard_collect_states` syncs the driver's
+world on demand.  A shard's one state image is its :class:`ShardSeed`
+encoded by :func:`encode_image`.
 
 The run-wide settings (:class:`~repro.brace.worker.ShardSettings`) ride the
 :class:`ShardSeed`, so the per-tick commands carry only the tick and deltas.
@@ -40,11 +42,14 @@ bottom of this module registers how each one packs.
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.brace.worker import DistributionResult, ShardSettings, Worker
 from repro.core.agent import Agent
+from repro.core.errors import CheckpointError
 from repro.core.soa import pack_cells, unpack_cells
 from repro.ipc import frames as ipc_frames
 from repro.spatial.partitioning import Partition, SpatialPartitioning
@@ -188,7 +193,7 @@ def shard_apply_boundary(worker: Worker, delta: BoundaryDelta) -> int:
 
 
 def shard_collect_states(worker: Worker, _payload: Any = None) -> dict[Any, dict[str, Any]]:
-    """Pull every owned agent's state (driver sync, checkpoints)."""
+    """Pull every owned agent's state (driver sync)."""
     return worker.collect_states()
 
 
@@ -209,57 +214,83 @@ def shard_install_owned(worker: Worker, agents: list[Agent]) -> int:
     return worker.install_owned(agents)
 
 
-#: How many stashed checkpoint epochs a resident shard keeps.  Two covers
-#: the window where the runtime is taking a new checkpoint while the
-#: previous one is still the latest restorable epoch.
+#: Images a resident shard keeps in its stash: two covers a capture that
+#: failed while the previous checkpoint is still the latest restorable one.
 STASH_KEEP = 2
 
 
-def shard_retain_checkpoint(worker: Worker, payload: dict) -> int:
-    """Stash this shard's seed under a checkpoint tag, shard-locally.
+def shard_capture(worker: Worker, command: tuple[int, BoundaryDelta | None]) -> bytes:
+    """Apply the ``(tag, pending boundary delta)`` command's delta, then
+    capture this shard's state image, stash it under ``tag`` and return it.
 
-    Called by the runtime at every checkpoint boundary so that if a
-    *different* node later dies, this surviving shard can rewind itself
-    in place (:func:`shard_restore_checkpoint`) instead of being torn
-    down and re-shipped from the driver.  The seed is pickled now —
-    future ticks mutate the live agents, a stashed epoch must not move
-    with them.  Returns the stashed byte count.
+    The driver's checkpoint and the shard then hold the same bytes: after
+    another node dies, this surviving shard rewinds from its stash in place
+    (:func:`shard_rewind`) instead of being re-shipped.
     """
-    import pickle
-
-    tag = payload["tag"]
-    blob = pickle.dumps(worker.migration_seed(), pickle.HIGHEST_PROTOCOL)
-    worker.checkpoint_stash[tag] = blob
-    while len(worker.checkpoint_stash) > STASH_KEEP:
-        worker.checkpoint_stash.pop(next(iter(worker.checkpoint_stash)))
-    return len(blob)
-
-
-def shard_restore_checkpoint(worker: Worker, payload: dict) -> dict:
-    """Rewind this shard to a stashed checkpoint epoch, in place.
-
-    Returns ``{"restored": False}`` when the tag is not stashed (the
-    caller falls back to a full re-seed, which is always correct).  On a
-    hit the worker is rebuilt exactly as :func:`make_resident_worker`
-    would from a fresh seed — the stashed seed is unpickled and the
-    worker's entire ``__dict__`` swapped for the fresh build's, so the
-    rewind is equivalent to re-seeding over the wire and stays correct
-    for any future :class:`Worker` field.  The stash itself survives the
-    swap (the same checkpoint may be restored again after a second
-    failure).
-    """
-    import pickle
-
-    tag = payload["tag"]
-    blob = worker.checkpoint_stash.get(tag)
-    if blob is None:
-        return {"restored": False}
-    fresh = make_resident_worker(worker.worker_id, pickle.loads(blob))
+    tag, boundary = command
+    if boundary is not None:
+        worker.apply_boundary(boundary.kill_ids, boundary.spawn_agents)
+    image = encode_image(worker.migration_seed(), local_classes=True)
     stash = worker.checkpoint_stash
+    stash[tag] = image
+    while len(stash) > STASH_KEEP:
+        stash.pop(next(iter(stash)))
+    return image
+
+
+def shard_rewind(worker: Worker, tag: int) -> bool:
+    """Rewind this shard, in place, to the image stashed under ``tag``.
+
+    Returns False when the tag is not stashed (the caller then re-seeds
+    every shard from the checkpoint's images).  On a hit the worker's whole
+    ``__dict__`` is swapped for a fresh :func:`make_resident_worker` build,
+    a re-seed that never crosses the wire and stays correct for any future
+    :class:`Worker` field.  The stash survives the swap: the same checkpoint
+    may be restored again after a second failure.
+    """
+    stash = worker.checkpoint_stash
+    image = stash.get(tag)
+    if image is None:
+        return False
+    fresh = make_resident_worker(worker.worker_id, decode_image(image))
     worker.__dict__.clear()
     worker.__dict__.update(fresh.__dict__)
     worker.checkpoint_stash = stash
-    return {"restored": True}
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The state image: a checkpoint's, a stash's, a migrating or seeded shard's
+# ---------------------------------------------------------------------------
+
+_IMAGE_CODEC = ipc_frames.ColumnarCodec()
+#: Format tag, then the CRC-32 of the codec bytes that follow.
+_IMAGE_HEADER = struct.Struct(">4sI")
+_IMAGE_MAGIC = b"SIM1"
+
+
+def encode_image(seed: Any, local_classes: bool = False) -> bytes:
+    """Encode a shard seed (a :class:`ShardSeed` for BRACE) as its image.
+
+    ``local_classes`` admits agent classes the codec cannot name by module
+    path (a factory's), which only an in-process shard can hold.
+    """
+    body = _IMAGE_CODEC.encode(seed, local_classes)
+    return _IMAGE_HEADER.pack(_IMAGE_MAGIC, zlib.crc32(body)) + body
+
+
+def decode_image(image: bytes) -> Any:
+    """The exact seed :func:`encode_image` encoded; a truncated or altered
+    image raises :class:`~repro.core.errors.CheckpointError`, never a codec
+    error."""
+    try:
+        magic, checksum = _IMAGE_HEADER.unpack_from(image)
+        body = memoryview(image)[_IMAGE_HEADER.size :]
+        if magic == _IMAGE_MAGIC and zlib.crc32(body) == checksum:
+            return _IMAGE_CODEC.decode(body, local_classes=True)
+    except Exception as error:  # noqa: BLE001 - truncated, or a local class of another process
+        raise CheckpointError(f"a shard image does not decode: {error!r}") from error
+    raise CheckpointError("a shard image is damaged: its checksum does not match")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +318,8 @@ def _pack_replica_deltas(replicas_out: dict) -> list:
 
     Parts holding the *same rows* — what ``distribute`` produces when an
     agent replicates to every neighbour — are packed once and shared, so
-    both the pack pass and the pickled bytes scale with distinct agents, not
-    with ``agents × destinations`` (pickle's memo dedupes the shared
+    both the pack pass and the encoded bytes scale with distinct agents, not
+    with ``agents × destinations`` (the codec's memo dedupes the shared
     frame's buffers on the wire).  Refresh rows are recognized by their
     value tuples, which ``distribute`` builds once per agent.
     """

@@ -328,11 +328,12 @@ class Worker:
         #: mutable cell positions)``.  Compared by object identity next tick
         #: to decide which cells actually need reshipping.
         self._replica_sent: dict[int, dict] = {}
-        #: Shard-local checkpoint stash: ``tag -> pickled ShardSeed`` taken
-        #: at checkpoint boundaries so a *surviving* resident shard can
-        #: rewind itself in place after another node dies, without shipping
-        #: its state back over the wire.  Pickled at stash time — later
-        #: mutation of the live agents cannot corrupt a stashed epoch.
+        #: Shard-local checkpoint stash: ``tag -> state image``, the same
+        #: bytes the driver's checkpoint keeps for this shard
+        #: (:func:`~repro.brace.shards.shard_capture`), so a *surviving*
+        #: resident shard can rewind itself in place after another node
+        #: dies.  Encoded at capture time — later mutation of the live
+        #: agents cannot reach a stashed image.
         self.checkpoint_stash: dict = {}
         #: The compiled query kernel's effects for the owned agents, held
         #: from the query round to the update round of one tick (the owned
@@ -741,9 +742,10 @@ class Worker:
         return outgoing
 
     def migration_seed(self):
-        """The worker's travelling form for a physical shard migration.
+        """The worker's state image before encoding: its seed.
 
-        The cluster backend calls this (duck-typed) when re-homing a shard
+        A checkpoint captures it (:func:`~repro.brace.shards.shard_capture`)
+        and the cluster backend calls it (duck-typed) when re-homing a shard
         onto another node: only the partition, the partitioning, the
         settings and the owned agents travel — the exact
         :class:`~repro.brace.shards.ShardSeed` the resident factory rebuilds

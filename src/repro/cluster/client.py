@@ -57,6 +57,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.brace.shards import encode_image
 from repro.cluster.auth import (
     SECRET_ENV_VAR,
     TOKEN_ENV_VAR,
@@ -606,10 +607,11 @@ class ClusterExecutor(Executor):
     # ------------------------------------------------------------------
     # Wire helpers
     # ------------------------------------------------------------------
-    def _encode_payload(self, payload) -> bytes:
-        """Encode a shard payload as one columnar frame, classifying failures."""
+    def _encode_payload(self, payload, encode=None) -> bytes:
+        """Encode a shard payload as one columnar frame (or with ``encode``),
+        classifying failures."""
         try:
-            return self._codec.encode(payload)
+            return (encode or self._codec.encode)(payload)
         except (pickle.PickleError, AttributeError, TypeError) as error:
             if not _is_pickling_error(error):
                 raise
@@ -741,13 +743,13 @@ class ClusterExecutor(Executor):
 
     def _seed_round(self, homes: Dict[int, int], payloads: Dict[int, Any]) -> None:
         """One round building shard ``s`` from ``payloads[s]``, through the
-        shard factory, on node ``homes[s]``."""
+        shard factory, on node ``homes[s]``; a seed travels as its image."""
         self._round(
             (
                 self._node(homes[shard_id]),
                 "init_shard",
                 {"shard_id": shard_id, "factory": self._shard_factory},
-                self._encode_payload(payloads[shard_id]),
+                self._encode_payload(payloads[shard_id], encode_image),
             )
             for shard_id in sorted(homes)
         )
@@ -872,8 +874,8 @@ class ClusterExecutor(Executor):
         """Physically re-home one shard onto another node; returns the
         bytes of shard state that crossed the wire.
 
-        The shard travels as its ``migration_seed()`` — for a BRACE
-        Worker, one codec-encoded seed frame of its owned agents — collected
+        The shard travels as the state image of its ``migration_seed()`` —
+        for a BRACE Worker, the encoded seed of its owned agents — collected
         on the source and re-built via the original factory on the
         destination.  Replica caches and delta send histories do **not**
         travel — the caller must follow up with a full

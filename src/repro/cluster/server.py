@@ -35,8 +35,10 @@ executing a command it cannot trust, and the driver's supervision treats
 the silence as a node death.
 
 Shard states live in this process for its whole lifetime (the resident
-contract); the codec is armed by importing :mod:`repro.brace.shards`,
-which registers every protocol payload type with the columnar wire.
+contract); a shard is built from, and migrates as, its state image
+(:func:`repro.brace.shards.encode_image`).  The codec is armed by importing
+:mod:`repro.brace.shards`, which registers every protocol payload type with
+the columnar wire.
 """
 from __future__ import annotations
 
@@ -49,7 +51,8 @@ import time
 import traceback
 from typing import Any, Dict, Optional
 
-import repro.brace.shards  # noqa: F401  (registers wire types with the codec)
+# Importing the shard protocol also registers its wire types with the codec.
+from repro.brace.shards import decode_image, encode_image
 from repro.cluster.auth import (
     SECRET_ENV_VAR,
     TOKEN_ENV_VAR,
@@ -111,7 +114,7 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
         factory = meta["factory"]
         if not callable(factory):
             raise TypeError(f"init_shard needs a shard factory, got {factory!r}")
-        state.shards[shard_id] = factory(shard_id, state.codec.decode(blob))
+        state.shards[shard_id] = factory(shard_id, decode_image(blob))
         return "ok", {"shard_id": shard_id, "pid": os.getpid()}, b""
     if kind == "run_task":
         shard_id = meta["shard_id"]
@@ -133,18 +136,18 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
             result_blob,
         )
     if kind == "collect_shard":
-        # A shard migrates as its ``migration_seed()``, which the driver
-        # rebuilds through the shard factory on the destination.  For the
-        # BRACE Worker that is a ShardSeed of the owned agents and the
-        # run-wide settings only: retained replicas and the delta send
+        # A shard migrates as the image of its ``migration_seed()``, which
+        # the driver rebuilds through the shard factory on the destination.
+        # For the BRACE Worker that is a ShardSeed of the owned agents and
+        # the run-wide settings only: retained replicas and the delta send
         # history are deliberately left behind, because the driver follows
         # every migration with an adopt_partitioning round that resets
         # them on all shards.  The shard leaves this node only once its
-        # seed is encoded.
+        # image is encoded.
         shard_id = meta["shard_id"]
-        seed = state.codec.encode(state.shards[shard_id].migration_seed())
+        image = encode_image(state.shards[shard_id].migration_seed())
         del state.shards[shard_id]
-        return "shard_state", {"shard_id": shard_id}, seed
+        return "shard_state", {"shard_id": shard_id}, image
     if kind == "reset":
         # The echoed nonce lets the driver drain stale replies left over
         # from an aborted round: everything queued before this ack is old.

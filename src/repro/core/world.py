@@ -105,40 +105,20 @@ class World:
         """Remove every agent (id allocation is not reset)."""
         self._agents.clear()
 
-    # ------------------------------------------------------------------
-    # Snapshots (used by checkpointing and by run-equivalence tests)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """A deep snapshot of the world: tick, id counter and every agent."""
-        return {
-            "tick": self.tick,
-            "next_id": self._next_id,
-            "seed": self.seed,
-            "agents": [agent.snapshot() for agent in self.agents()],
-            "agent_classes": {type(agent).__name__: type(agent) for agent in self.agents()},
-        }
-
-    def restore(self, snapshot: dict[str, Any]) -> None:
-        """Restore the world from a snapshot taken with :meth:`snapshot`."""
-        self.tick = snapshot["tick"]
-        self._next_id = snapshot["next_id"]
-        self.seed = snapshot["seed"]
-        classes = snapshot["agent_classes"]
-        self._agents = {}
-        for agent_snapshot in snapshot["agents"]:
-            agent_class = classes[agent_snapshot["class"]]
-            agent = agent_class.__new__(agent_class)
-            Agent.__init__(agent, agent_id=agent_snapshot["agent_id"])
-            agent.restore(agent_snapshot)
-            self._agents[agent.agent_id] = agent
+    def rewind(self, tick: int, next_id: int, seed: int, agents: Iterable[Agent]) -> None:
+        """Put the world back at ``tick`` with exactly ``agents``, the id
+        counter at ``next_id`` and ``seed`` (a checkpoint's restore)."""
+        self.tick = tick
+        self._next_id = next_id
+        self.seed = seed
+        self._agents = {agent.agent_id: agent for agent in agents}
 
     def copy(self) -> "World":
         """An independent deep copy of the world (same seed and tick)."""
-        duplicate = World(bounds=self.bounds, seed=self.seed)
-        duplicate.tick = self.tick
-        duplicate._next_id = self._next_id
-        for agent in self.agents():
-            duplicate._agents[agent.agent_id] = agent.clone()
+        duplicate = World(bounds=self.bounds)
+        duplicate.rewind(
+            self.tick, self._next_id, self.seed, (agent.clone() for agent in self.agents())
+        )
         return duplicate
 
     def same_state_as(self, other: "World", tolerance: float = 0.0) -> bool:

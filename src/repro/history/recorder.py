@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.errors import HistoryError
 from repro.core.ordering import agent_sort_key
-from repro.core.soa import PackedColumn, pack_cells, unpack_cells
+from repro.core.soa import PackedColumn, cells_equal, pack_cells, unpack_cells
 from repro.core.world import World
 from repro.history.store import HistoryStore
 
@@ -206,7 +206,11 @@ class HistoryRecorder:
                 spawned.append(agent.clone())
                 continue
             state = agent.state_dict()
-            if state != previous:
+            # ``==`` hides a 0.0 -> -0.0 or a 1 -> 1.0 write: a row it calls
+            # unchanged is decided cell by cell under the repo's one equality.
+            if state != previous or not all(
+                cells_equal(value, previous[name]) for name, value in state.items()
+            ):
                 ids, rows = changed_by_class.setdefault(
                     type(agent).__name__, ([], [])
                 )

@@ -43,6 +43,7 @@ lists, coordinate lists, state maps — are recognized structurally.
 
 from __future__ import annotations
 
+import io
 import pickle
 import weakref
 from dataclasses import dataclass, field
@@ -613,6 +614,22 @@ def _from_wire(wire: tuple):
     return decode(payload)
 
 
+#: Classes pickle cannot find by module path (a factory's, or one defined in
+#: a function), by the token a process-local blob names them with; kept
+#: alive, so a token never dangles.
+_LOCAL_CLASSES: dict[int, type] = {}
+
+
+def _local_class_token(obj) -> int | None:
+    if isinstance(obj, type):
+        try:
+            pickle.dumps(obj)
+        except (pickle.PicklingError, AttributeError):
+            _LOCAL_CLASSES[id(obj)] = obj
+            return id(obj)
+    return None
+
+
 class ColumnarCodec:
     """Encode/decode protocol payloads as columnar delta frames.
 
@@ -627,10 +644,30 @@ class ColumnarCodec:
 
     protocol = pickle.HIGHEST_PROTOCOL
 
-    def encode(self, obj) -> bytes:
-        """Serialize ``obj`` to a columnar frame blob."""
-        return pickle.dumps(_to_wire(obj), self.protocol)
+    def encode(self, obj, local_classes: bool = False) -> bytes:
+        """Serialize ``obj`` to a columnar frame blob.
 
-    def decode(self, blob):
+        With ``local_classes`` a class pickle cannot name by reference
+        travels as a token naming it in this process, for a blob only this
+        process decodes (``decode(..., local_classes=True)``); the token
+        hook costs a call per object, so only a failed plain pickle uses it.
+        """
+        wire = _to_wire(obj)
+        try:
+            return pickle.dumps(wire, self.protocol)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            if not local_classes:
+                raise
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, self.protocol)
+        pickler.persistent_id = _local_class_token
+        pickler.dump(wire)
+        return buffer.getvalue()
+
+    def decode(self, blob, local_classes: bool = False):
         """Restore the exact payload of an :meth:`encode` blob."""
-        return _from_wire(pickle.loads(blob))
+        if not local_classes:
+            return _from_wire(pickle.loads(blob))
+        unpickler = pickle.Unpickler(io.BytesIO(blob))
+        unpickler.persistent_load = _LOCAL_CLASSES.__getitem__
+        return _from_wire(unpickler.load())

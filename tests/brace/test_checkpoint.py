@@ -5,23 +5,38 @@ import pytest
 from repro.brace.checkpoint import CheckpointManager, FailureInjector
 from repro.brace.config import BraceConfig
 from repro.brace.runtime import BraceRuntime
+from repro.brace.shards import ShardSeed, decode_image, encode_image
+from repro.brace.worker import ShardSettings
 from repro.core.engine import SequentialEngine
 from repro.core.errors import BraceError, CheckpointError
+from repro.core.world import World
+from repro.spatial.partitioning import StripPartitioning
 
 from tests.conftest import Boid, make_boid_world
 
 
 class TestCheckpointManager:
-    def test_take_and_restore(self):
+    def test_take_keeps_the_captured_images(self):
         world = make_boid_world(num_agents=10, seed=1)
+        world.tick = 6
+        partitioning = StripPartitioning.uniform(world.bounds, 0, 1)
+        seed = ShardSeed(partitioning.partition(0), partitioning, world.agents(), ShardSettings())
         manager = CheckpointManager()
-        manager.take(world, epoch=1, size_bytes=100)
+        checkpoint = manager.take(world, epoch=1, tag=3, capture=lambda: {0: encode_image(seed)})
+        assert manager.latest() is checkpoint
+        assert (checkpoint.tick, checkpoint.epoch, checkpoint.tag) == (6, 1, 3)
+        assert (checkpoint.next_id, checkpoint.seed) == (world.next_agent_id, world.seed)
         original = world.copy()
         SequentialEngine(world).run(3)
+        restored = World(bounds=world.bounds)
+        restored.rewind(
+            checkpoint.tick,
+            checkpoint.next_id,
+            checkpoint.seed,
+            decode_image(checkpoint.images[0]).agents,
+        )
+        assert restored.same_state_as(original)
         assert not world.same_state_as(original)
-        manager.restore_latest(world)
-        assert world.same_state_as(original)
-        assert world.tick == original.tick
 
     def test_latest_without_checkpoint_raises(self):
         manager = CheckpointManager()
@@ -34,7 +49,7 @@ class TestCheckpointManager:
         manager = CheckpointManager(keep_last=2)
         for epoch in range(5):
             world.tick = epoch
-            manager.take(world, epoch=epoch, size_bytes=10)
+            manager.take(world, epoch=epoch, tag=epoch, capture=dict)
         assert manager.total_checkpoints == 5
         assert manager.latest().epoch == 4
 

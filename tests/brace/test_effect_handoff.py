@@ -324,7 +324,7 @@ def _session(source: str, workers: int) -> Simulation:
 
 #: Between-tick writes that leave no touched mark (raw assignment,
 #: restore), one that does (set_effect_partials), and a pause/resume
-#: (suspend + restore_world re-seeds every shard from restored agents).
+#: (the pause point's images rebuild the world and re-seed every shard).
 _OPERATIONS = st.lists(
     st.tuples(
         st.sampled_from(["raw", "restore", "partials", "pause"]),

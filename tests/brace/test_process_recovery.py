@@ -1,9 +1,10 @@
 """Checkpointing and recovery across a real process boundary.
 
-Coordinated checkpoints pull state out of the resident shards, ``recover()``
-restores the driver's world and re-seeds the shards, and the recovered run
-must match an uninterrupted :class:`~repro.core.engine.SequentialEngine` run
-bit for bit.
+A coordinated checkpoint is one shard round in which every resident shard
+captures its state image (its encoded seed, also kept in its own stash);
+``recover()`` rebuilds the driver's world from the images and rewinds or
+re-seeds the shards from them, and the recovered run must match an
+uninterrupted :class:`~repro.core.engine.SequentialEngine` run bit for bit.
 """
 
 import os

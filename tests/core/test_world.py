@@ -62,15 +62,16 @@ class TestAgentManagement:
 
 
 class TestSnapshots:
-    def test_snapshot_restore_round_trip(self):
+    def test_rewind_round_trip(self):
         world = make_boid_world(num_agents=10)
-        snapshot = world.snapshot()
         original = world.copy()
+        kept = [agent.clone() for agent in world.agents()]
         for agent in world.agents():
             agent.set_state_dict({"x": agent.x + 5.0})
-        world.tick = 99
-        world.restore(snapshot)
+        world.add_agent(Boid())
+        world.rewind(original.tick, original.next_agent_id, original.seed, kept)
         assert world.tick == original.tick
+        assert world.next_agent_id == original.next_agent_id
         assert world.same_state_as(original)
 
     def test_copy_is_deep(self):

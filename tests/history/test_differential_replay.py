@@ -24,12 +24,16 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Simulation
+from repro.core.agent import Agent
 from repro.core.engine import SequentialEngine
+from repro.core.fields import StateField
 from repro.core.soa import states_equal
+from repro.core.world import World
 from repro.history import History
 from repro.simulations.fish.fish import Fish
 from repro.simulations.fish.workload import build_fish_world
 from repro.simulations.traffic.ring import build_ring_world
+from repro.spatial.bbox import BBox
 from tests.conftest import SpawningAgent, make_boid_world
 
 TICKS = 10
@@ -233,7 +237,7 @@ def test_dynamic_population_replays_births_deaths_and_ids(tmp_path):
     populations = set()
     for tick in range(ticks + 1):
         states = history.state_at(tick)
-        assert states == reference[tick]
+        assert states_equal(states, reference[tick])
         populations.add(frozenset(states))
     # The scenario exercised real population churn, not a fixed roster.
     assert len(populations) > 1
@@ -257,4 +261,44 @@ def test_history_readable_while_the_run_is_live(tmp_path):
             reader = History.open(tmp_path / "run")
             assert reader.last_tick == event.tick + 1
             seen.append(reader.state_at(event.tick + 1))
-        assert seen[-1] == session.states()
+        assert states_equal(seen[-1], session.states())
+
+
+class SignFlipper(Agent):
+    """Writes values that ``==`` calls unchanged: the sign of a zero and the
+    type of a whole number."""
+
+    x = StateField(0.0, spatial=True, visibility=1.0, reachability=1.0)
+    zero = StateField(0.0)
+    whole = StateField(1)
+
+    def query(self, ctx):
+        pass
+
+    def update(self, ctx):
+        if ctx.tick == 2:
+            self.zero = -0.0
+        if ctx.tick == 4:
+            self.whole = 1.0
+
+
+def test_writes_equal_under_dict_equality_are_recorded(tmp_path):
+    """A 0.0 -> -0.0 or 1 -> 1.0 write is a change under ``states_equal``,
+    so the recorder stores it and a replay reproduces it."""
+
+    def world_builder():
+        world = World(bounds=BBox(((0.0, 10.0),)), seed=1)
+        world.add_agents(SignFlipper(x=float(index)) for index in range(3))
+        return world
+
+    ticks = 6
+    session = Simulation.from_agents(world_builder()).with_history(tmp_path / "run")
+    with session:
+        live = {}
+        for event in session.stream(ticks):
+            live[event.tick + 1] = session.states()
+    history = History.open(tmp_path / "run")
+    for tick, states in live.items():
+        assert states_equal(history.state_at(tick), states)
+    assert all(repr(state["zero"]) == "-0.0" for state in live[ticks].values())
+    assert all(type(state["whole"]) is float for state in live[ticks].values())

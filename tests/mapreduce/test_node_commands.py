@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.brace.shards import encode_image
 from repro.cluster.protocol import FrameChannel
 from repro.cluster.server import serve_socketpair
 from repro.ipc.frames import ColumnarCodec
@@ -69,7 +70,7 @@ def node():
 
 def init_shard(channel, shard_id, factory, start):
     return request(
-        channel, "init_shard", {"shard_id": shard_id, "factory": factory}, CODEC.encode(start)
+        channel, "init_shard", {"shard_id": shard_id, "factory": factory}, encode_image(start)
     )
 
 
