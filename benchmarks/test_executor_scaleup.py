@@ -105,7 +105,7 @@ def test_executor_smoke_tiny():
     """Tiny-size smoke: one serial and one process run stay bit-identical."""
     serial_world = _run_tiny("serial", 1)
     process_world = _run_tiny("process", 2)
-    assert serial_world.same_state_as(process_world, tolerance=0.0)
+    assert serial_world.same_state_as(process_world)
 
 
 @pytest.mark.slow
@@ -139,7 +139,7 @@ def test_executor_scaleup(once):
     assert all(row["wall_seconds"] > 0.0 for row in results)
     # The parallel backends are *correct*: bit-identical to the serial run.
     for row in results:
-        assert serial_world.same_state_as(row["world"], tolerance=0.0), (
+        assert serial_world.same_state_as(row["world"]), (
             f"{row['executor']} x{row['max_workers']} diverged from serial"
         )
     # Load accounting is live: imbalance is a finite ratio >= 1.

@@ -133,7 +133,7 @@ def measure_path(path, reference):
             )
             assert loss["action"] == ("respawned" if path == "respawn" else "rehomed")
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(reference, tolerance=0.0)
+        assert world.same_state_as(reference)
         return {
             "path": path,
             "action": loss["action"],

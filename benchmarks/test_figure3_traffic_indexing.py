@@ -1,7 +1,7 @@
 """Benchmark: Figure 3 — traffic single-node time vs segment length.
 
-The un-indexed engine grows roughly quadratically with segment length, the
-indexed engine log-linearly, and the hand-coded baseline stays fastest —
+BRACE on the linear scan grows roughly quadratically with segment length,
+BRACE on the grid log-linearly, and the hand-coded baseline stays fastest —
 the same ordering and growth shape the paper reports.
 """
 
@@ -25,3 +25,9 @@ def test_figure3_indexing_vs_segment_length(once):
     no_index_growth = rows[-1]["brace_no_index_seconds"] / rows[0]["brace_no_index_seconds"]
     index_growth = rows[-1]["brace_index_seconds"] / rows[0]["brace_index_seconds"]
     assert no_index_growth > 1.5 * index_growth
+    # The same shape in the deterministic work units.
+    no_index_work_growth = (
+        rows[-1]["brace_no_index_work_units"] / rows[0]["brace_no_index_work_units"]
+    )
+    index_work_growth = rows[-1]["brace_index_work_units"] / rows[0]["brace_index_work_units"]
+    assert no_index_work_growth > 1.5 * index_work_growth

@@ -4,14 +4,14 @@ Shows what the compiler does to the paper's fish script: parsing, semantic
 analysis (state-effect pattern enforcement), effect inversion and the
 plan-kernel proof; then translates the query phase to a monad algebra plan
 and optimizes it (the Appendix B library, which the compiler itself does not
-run) — and finally runs the compiled agent class on the sequential engine.
+run) — and finally runs the compiled agent class on BRACE.
 
 Run with:  python examples/brasil_compile.py
 """
 
 import numpy as np
 
-from repro import SequentialEngine, World
+from repro import Simulation, World
 from repro.brasil import compile_script, kernel_fallback_reasons
 from repro.brasil.optimizer import optimize_plan
 from repro.brasil.translate import translate_query
@@ -62,10 +62,10 @@ def main() -> None:
                 vy=float(rng.uniform(-1, 1)),
             )
         )
-    engine = SequentialEngine(world)
-    engine.run(10)
-    print(f"ran 10 ticks of the compiled script over {world.agent_count()} fish "
-          f"({engine.statistics.throughput():,.0f} agent ticks/s)")
+    with Simulation.from_agents(world).with_workers(1) as session:
+        result = session.run(10)
+    print(f"ran 10 ticks of the compiled script over {result.num_agents} fish "
+          f"({result.wall_throughput():,.0f} agent ticks/s, wall clock)")
 
 
 if __name__ == "__main__":

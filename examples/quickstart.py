@@ -1,10 +1,10 @@
 """Quickstart: write an agent once, run it through the `Simulation` session.
 
 The example defines a tiny flocking agent directly in Python using the
-state-effect pattern, runs it sequentially on the single-node reference
-engine and then through `repro.Simulation` — the unified front door to the
-parallel BRACE runtime — streaming per-tick events, and checks that both
-executions produce the same agent states: the core guarantee of the
+state-effect pattern, runs it through `repro.Simulation` — the unified
+front door to the parallel BRACE runtime — streaming per-tick events, and
+checks that the result equals the sequential reference engine's (the naive
+oracle: a linear scan per query) bit for bit: the core guarantee of the
 framework.
 
 Run with:  python examples/quickstart.py
@@ -53,7 +53,7 @@ class Boid(Agent):
         self.y = self.y + self.vy
 
 
-def build_world(seed: int = 42, num_boids: int = 500) -> World:
+def build_world(seed: int = 42, num_boids: int = 200) -> World:
     """Scatter boids uniformly over a 200x200 box."""
     world = World(bounds=BBox(((0.0, 200.0), (0.0, 200.0))), seed=seed)
     rng = np.random.default_rng(seed)
@@ -72,12 +72,6 @@ def build_world(seed: int = 42, num_boids: int = 500) -> World:
 def main() -> None:
     ticks = 20
 
-    sequential_world = build_world()
-    sequential = SequentialEngine(sequential_world)
-    sequential.run(ticks)
-    print(f"sequential: {ticks} ticks, "
-          f"{sequential.statistics.throughput():,.0f} agent ticks/s (wall clock)")
-
     # The same model through the unified session API: four BRACE workers,
     # streamed tick by tick so we can watch epoch boundaries go by.
     session = (
@@ -94,10 +88,13 @@ def main() -> None:
         result = sim.result()
 
     print(f"BRACE (4 workers): {result.throughput():,.0f} agent ticks/s (virtual time), "
+          f"{result.wall_throughput():,.0f} agent ticks/s (wall clock), "
           f"{result.bytes_over_network():,} bytes over the network")
     print(result.provenance.describe())
 
-    identical = sequential_world.same_state_as(sim.world, tolerance=1e-9)
+    sequential_world = build_world()
+    SequentialEngine(sequential_world).run(ticks)
+    identical = sequential_world.same_state_as(sim.world)
     print(f"sequential and BRACE agent states identical: {identical}")
 
 

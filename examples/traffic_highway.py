@@ -1,14 +1,14 @@
 """Traffic example: a multi-lane highway with MITSIM-style drivers.
 
-Runs the traffic simulation on the agent framework, collects per-lane
+Runs the traffic simulation on BRACE, collects per-lane
 statistics, and validates them against the hand-coded baseline simulator —
 a miniature version of the paper's Table 2 experiment.
 
 Run with:  python examples/traffic_highway.py
 """
 
+from repro import Simulation
 from repro.baselines.mitsim import HandCodedTrafficSimulator
-from repro.core.engine import SequentialEngine
 from repro.simulations.traffic import (
     TrafficParameters,
     TrafficStatisticsCollector,
@@ -21,13 +21,13 @@ def main() -> None:
     parameters = TrafficParameters(segment_length=3000.0, num_lanes=4)
     ticks = 50
 
-    # Agent-framework run (this is what BRACE distributes across workers).
+    # Agent-framework run on BRACE, observed after every tick.
     world = build_traffic_world(parameters, seed=7)
     agent_stats = TrafficStatisticsCollector(parameters)
-    engine = SequentialEngine(
-        world, on_tick_end=lambda w, _s: agent_stats.observe(w.agents())
-    )
-    engine.run(ticks)
+    session = Simulation.from_agents(world).with_workers(1)
+    session.on_tick(lambda _event: agent_stats.observe(world.agents()))
+    with session:
+        result = session.run(ticks)
 
     # Hand-coded baseline from the same initial conditions.
     baseline = HandCodedTrafficSimulator(parameters, seed=7)
@@ -36,7 +36,7 @@ def main() -> None:
     baseline.run(ticks, baseline_stats)
 
     print(f"{world.agent_count()} vehicles, {ticks} ticks")
-    print(f"agent framework: {engine.statistics.total_seconds:.2f}s, "
+    print(f"agent framework: {result.metrics.total_wall_seconds:.2f}s, "
           f"baseline: {baseline.total_seconds:.2f}s")
     print()
     print("lane  avg speed (agents)  avg speed (baseline)  changes/vehicle-tick")

@@ -149,6 +149,16 @@ class BraceRunMetrics:
         return sum(t.virtual_seconds for t in self.ticks)
 
     @property
+    def total_wall_seconds(self) -> float:
+        """Wall-clock time across all recorded ticks."""
+        return sum(t.wall_seconds for t in self.ticks)
+
+    @property
+    def total_work_units(self) -> float:
+        """Query-phase work units charged across all ticks and workers."""
+        return sum(sum(t.query_work_units_per_worker) for t in self.ticks)
+
+    @property
     def total_agent_ticks(self) -> int:
         """Agent-ticks across all recorded ticks."""
         return sum(t.agent_ticks for t in self.ticks)

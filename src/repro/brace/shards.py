@@ -105,7 +105,6 @@ class QueryResult:
     #: ``agent_id -> touched effect accumulators`` for hosted replicas.
     replica_partials: dict[Any, dict[str, Any]]
     work_units: float
-    index_probes: int
 
 
 @dataclass
@@ -172,7 +171,6 @@ def shard_query_phase(worker: Worker, command: QueryCommand) -> QueryResult:
     return QueryResult(
         replica_partials=worker.touched_replica_partials(),
         work_units=worker.last_query_work_units,
-        index_probes=worker.last_index_probes,
     )
 
 
@@ -458,15 +456,12 @@ def _encode_query_result(result: QueryResult) -> tuple:
     return (
         ipc_frames.pack_mapping_rows(list(result.replica_partials.items())),
         result.work_units,
-        result.index_probes,
     )
 
 
 def _decode_query_result(payload: tuple) -> QueryResult:
-    partials, work_units, index_probes = payload
-    return QueryResult(
-        dict(ipc_frames.unpack_mapping_rows(partials)), work_units, index_probes
-    )
+    partials, work_units = payload
+    return QueryResult(dict(ipc_frames.unpack_mapping_rows(partials)), work_units)
 
 
 def _encode_update_command(command: UpdateCommand) -> tuple:

@@ -310,7 +310,6 @@ class Worker:
         self.owned: dict[Any, Agent] = {}
         self.replicas: dict[Any, Agent] = {}
         self.last_query_work_units = 0.0
-        self.last_index_probes = 0
         #: The columnar snapshot served to the last vectorized query phase.
         self.last_snapshot: PointSet | None = None
         #: The owned set in canonical order.  Between a map phase and the
@@ -801,7 +800,6 @@ class Worker:
         with phase(Phase.QUERY):
             _query_loop(owned, context, settings.plan_backend, self._hold_effects)
         self.last_query_work_units = context.work_units
-        self.last_index_probes = context.index_probes
         return context
 
     def _build_snapshot(self) -> PointSet | None:

@@ -12,8 +12,9 @@ built on (Section 2.1 of the paper):
 * spatial state fields carry **visibility** and **reachability** bounds — the
   neighborhood property that makes spatial partitioning effective.
 
-:class:`repro.core.engine.SequentialEngine` is the single-node reference
-implementation; the BRACE runtime must produce identical agent states.
+:class:`repro.core.engine.SequentialEngine` is the single-node, deliberately
+naive reference (linear scan, per-agent interpreter); the BRACE runtime must
+produce identical agent states.
 """
 
 from repro.core.agent import Agent

@@ -199,7 +199,10 @@ class Agent(metaclass=AgentMeta):
         state: dict[str, Any] = {}
         effects: dict[str, Any] = {}
         for field_name, field in self._state_fields.items():
-            state[field_name] = copy.copy(field.default)
+            default = field.default
+            if type(default) not in _ATOMIC_TYPES and field_name not in field_values:
+                default = copy.copy(default)
+            state[field_name] = default
         for field_name, field in self._effect_fields.items():
             effects[field_name] = field.combinator.identity()
         _bind_agent(self, agent_id, state, effects, set())
@@ -388,28 +391,17 @@ class Agent(metaclass=AgentMeta):
             set(),
         )
 
-    def same_state_as(self, other: "Agent", tolerance: float = 0.0) -> bool:
-        """True when ``other`` has the same id and (numerically close) state.
+    def same_state_as(self, other: "Agent") -> bool:
+        """True when ``other`` has the same id, class name and state.
 
-        ``tolerance`` is used both as a relative and an absolute bound
-        (``math.isclose``); 0.0 demands exact equality under
-        :func:`repro.core.soa.cells_equal` (float bit patterns, types
-        distinguished).
+        Exact under :func:`repro.core.soa.cells_equal`: float bit patterns,
+        types distinguished.
         """
         if self.agent_id != other.agent_id or type(self).__name__ != type(other).__name__:
             return False
-        for field_name in self._state_fields:
-            mine = self._state[field_name]
-            theirs = other._state[field_name]
-            if tolerance == 0.0:
-                if not cells_equal(mine, theirs):
-                    return False
-            elif isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
-                if not math.isclose(mine, theirs, rel_tol=tolerance, abs_tol=tolerance):
-                    return False
-            elif mine != theirs:
-                return False
-        return True
+        return all(
+            cells_equal(self._state[name], other._state[name]) for name in self._state_fields
+        )
 
     def approximate_size_bytes(self) -> int:
         """Modeled wire footprint: one row of a columnar delta frame.

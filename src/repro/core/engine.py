@@ -1,21 +1,20 @@
-"""The sequential reference engine.
+"""The sequential reference engine: the one deliberately naive oracle.
 
 This engine runs the state-effect tick loop on a single Python process with
-no partitioning, replication or distribution.  It is the semantic ground
-truth: the BRACE runtime, regardless of worker count or optimizations, must
-produce exactly the same agent states after every tick (see the equivalence
-tests in ``tests/brace/``).
-
-It also doubles as the single-node performance subject of Figures 3 and 4 —
-the ``spatial_backend`` argument switches between the quadratic nested-loop
-join (``"python"``) and the columnar grid (``"vectorized"``).
+no partitioning, replication or distribution, answering every ``visible()``
+with a linear scan and every agent's ``query``/``update`` with the
+per-agent interpreter.  It is the semantic ground truth: the BRACE runtime,
+regardless of worker count, spatial backend, plan backend or executor, must
+produce exactly the same agent states after every tick (see the
+equivalence tests in ``tests/brace/``).  It shares neither the columnar
+grid nor the compiled kernels with the runtime it checks, and it is never
+timed: the paper's figures run BRACE (``repro.harness``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.agent import _set_updating
 from repro.core.context import QueryContext, UpdateContext
@@ -25,15 +24,11 @@ from repro.core.world import World
 
 @dataclass
 class TickStatistics:
-    """Measurements for one simulated tick."""
+    """What one simulated tick did (deterministic; no wall clock)."""
 
     tick: int
     num_agents: int
-    query_seconds: float
-    update_seconds: float
-    total_seconds: float
     work_units: int
-    index_probes: int
     spawned: int = 0
     killed: int = 0
 
@@ -45,18 +40,13 @@ class TickStatistics:
 
 @dataclass
 class RunStatistics:
-    """Aggregated measurements for a multi-tick run."""
+    """Aggregated statistics for a multi-tick run."""
 
     ticks: list[TickStatistics] = field(default_factory=list)
 
     def add(self, tick_stats: TickStatistics) -> None:
         """Append the statistics of one tick."""
         self.ticks.append(tick_stats)
-
-    @property
-    def total_seconds(self) -> float:
-        """Total wall-clock time across every recorded tick."""
-        return sum(t.total_seconds for t in self.ticks)
 
     @property
     def total_agent_ticks(self) -> int:
@@ -68,23 +58,6 @@ class RunStatistics:
         """Total abstract work units (candidate evaluations) performed."""
         return sum(t.work_units for t in self.ticks)
 
-    def throughput(self) -> float:
-        """Agent-ticks per second of wall-clock time."""
-        seconds = self.total_seconds
-        if seconds == 0:
-            return 0.0
-        return self.total_agent_ticks / seconds
-
-    def discard_warmup(self, warmup_ticks: int) -> "RunStatistics":
-        """Return statistics with the first ``warmup_ticks`` ticks removed.
-
-        The paper eliminates start-up transients "by discarding initial ticks
-        until a stable tick rate is achieved".
-        """
-        trimmed = RunStatistics()
-        trimmed.ticks = self.ticks[warmup_ticks:]
-        return trimmed
-
 
 class SequentialEngine:
     """Single-process reference implementation of the tick loop.
@@ -95,25 +68,13 @@ class SequentialEngine:
         The :class:`~repro.core.world.World` to simulate (mutated in place).
     check_visibility:
         Forwarded to the query context; disable only for benchmarks.
-    spatial_backend:
-        ``"vectorized"`` (the columnar grid, the default) or ``"python"``
-        (a linear scan per probe, the nested-loop join) — how the query
-        phase's spatial joins execute; states are bit-identical either way.
-    on_tick_end:
-        Optional callback ``f(world, tick_statistics)`` invoked after every tick.
+
+    A caller that wants a per-tick hook loops over :meth:`run_tick`.
     """
 
-    def __init__(
-        self,
-        world: World,
-        check_visibility: bool = True,
-        spatial_backend: str = "vectorized",
-        on_tick_end: Callable[[World, TickStatistics], None] | None = None,
-    ):
+    def __init__(self, world: World, check_visibility: bool = True):
         self.world = world
         self.check_visibility = check_visibility
-        self.spatial_backend = spatial_backend
-        self.on_tick_end = on_tick_end
         self.statistics = RunStatistics()
 
     # ------------------------------------------------------------------
@@ -123,28 +84,21 @@ class SequentialEngine:
         """Execute one tick (query phase, update phase, births/deaths)."""
         world = self.world
         agents = world.agents()
-        tick_start = time.perf_counter()
 
         for agent in agents:
             agent.reset_effects()
 
+        # Always the linear scan ("python"): the oracle shares no index.
         query_context = QueryContext(
-            agents,
-            tick=world.tick,
-            seed=world.seed,
-            check_visibility=self.check_visibility,
-            spatial_backend=self.spatial_backend,
+            agents, world.tick, world.seed, self.check_visibility, "python"
         )
-        query_start = time.perf_counter()
         with phase(Phase.QUERY):
             for agent in agents:
                 agent.query(query_context)
-        query_seconds = time.perf_counter() - query_start
 
         update_context = UpdateContext(
             tick=world.tick, seed=world.seed, world_bounds=world.bounds
         )
-        update_start = time.perf_counter()
         with phase(Phase.UPDATE):
             for agent in agents:
                 _set_updating(agent, True)
@@ -152,27 +106,18 @@ class SequentialEngine:
                     agent.update(update_context)
                 finally:
                     _set_updating(agent, False)
-        update_seconds = time.perf_counter() - update_start
 
         spawned_agents, killed_ids = apply_births_and_deaths(world, update_context)
-        spawned, killed = len(spawned_agents), len(killed_ids)
         world.tick += 1
 
-        total_seconds = time.perf_counter() - tick_start
         tick_stats = TickStatistics(
             tick=world.tick - 1,
             num_agents=len(agents),
-            query_seconds=query_seconds,
-            update_seconds=update_seconds,
-            total_seconds=total_seconds,
             work_units=query_context.work_units,
-            index_probes=query_context.index_probes,
-            spawned=spawned,
-            killed=killed,
+            spawned=len(spawned_agents),
+            killed=len(killed_ids),
         )
         self.statistics.add(tick_stats)
-        if self.on_tick_end is not None:
-            self.on_tick_end(world, tick_stats)
         return tick_stats
 
     def run(self, ticks: int) -> RunStatistics:

@@ -214,7 +214,7 @@ def states_equal(mine: Mapping, theirs: Mapping) -> bool:
     """Exact equality of two ``{agent_id: {field: value}}`` state maps.
 
     The one oracle behind every bit-identity claim (``RunResult.
-    same_states_as``, ``World.same_state_as(tolerance=0.0)``, the
+    same_states_as``, ``World.same_state_as``, the
     differential suites): same agents, same fields, every cell equal under
     :func:`cells_equal`, walked in :func:`~repro.core.ordering.agent_sort_key`
     order.  ``dict ==`` is the wrong oracle — under it two runs that both

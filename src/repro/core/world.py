@@ -121,12 +121,12 @@ class World:
         )
         return duplicate
 
-    def same_state_as(self, other: "World", tolerance: float = 0.0) -> bool:
-        """True when both worlds hold the same agents with the same state."""
+    def same_state_as(self, other: "World") -> bool:
+        """True when both worlds hold the same agents with exactly the same state."""
         if self.agent_ids() != other.agent_ids():
             return False
         return all(
-            self.get_agent(agent_id).same_state_as(other.get_agent(agent_id), tolerance)
+            self.get_agent(agent_id).same_state_as(other.get_agent(agent_id))
             for agent_id in self.agent_ids()
         )
 

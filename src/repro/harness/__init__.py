@@ -9,12 +9,12 @@ Run ``python -m repro.harness <experiment>`` for a command-line entry point.
 ==========  =================================================================
 Driver      Paper result it regenerates
 ==========  =================================================================
-table2      Table 2 — RMSPE validation of the traffic model vs the
-            hand-coded MITSIM-style baseline.
-figure3     Figure 3 — traffic single-node time vs segment length
-            (MITSIM vs BRACE without/with spatial indexing).
-figure4     Figure 4 — fish single-node time vs visibility range
-            (with/without spatial indexing).
+table2      Table 2 — RMSPE validation of the traffic model (on BRACE,
+            one worker) vs the hand-coded MITSIM-style baseline.
+figure3     Figure 3 — traffic single-node time and work vs segment length
+            (MITSIM vs one-worker BRACE without/with spatial indexing).
+figure4     Figure 4 — fish single-node time and work vs visibility range
+            (one-worker BRACE with/without spatial indexing).
 figure5     Figure 5 — predator throughput under the four optimization
             configurations (No-Opt, Idx-Only, Inv-Only, Idx+Inv).
 figure6     Figure 6 — traffic scale-up (throughput vs worker count).
@@ -22,6 +22,8 @@ figure7     Figure 7 — fish scale-up with and without load balancing.
 figure8     Figure 8 — fish per-epoch time with and without load balancing.
 ==========  =================================================================
 
+Every driver runs BRACE (:func:`repro.harness.common.run_brace` for Table 2
+and Figures 3–5); none times the sequential oracle.
 ``run_figure6_brasil`` and ``run_figure7_brasil`` regenerate the two
 scale-up figures *from BRASIL source* via ``Simulation.from_script``
 (``figure6-brasil`` / ``figure7-brasil`` on the command line).

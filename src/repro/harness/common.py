@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
+
+from repro.api import RunResult, Simulation, TickEvent
+from repro.brace.config import BraceConfig
+from repro.core.world import World
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:
@@ -42,3 +46,33 @@ def speedup(reference: float, candidate: float) -> float:
     if candidate == 0:
         return float("inf") if reference > 0 else 1.0
     return reference / candidate
+
+
+def run_brace(
+    world: World,
+    ticks: int,
+    *,
+    indexed: bool,
+    workers: int = 1,
+    non_local: bool = False,
+    on_tick: Callable[[TickEvent], None] | None = None,
+) -> RunResult:
+    """Run ``world`` on BRACE for ``ticks`` ticks, with or without the grid.
+
+    The figures' one configuration: the serial executor, one epoch for the
+    whole run, no visibility checks and no load balancing.  ``indexed``
+    picks the columnar grid (``spatial_backend="vectorized"``) over the
+    linear scan (``"python"``); ``on_tick`` observes every tick.
+    """
+    config = BraceConfig(
+        num_workers=workers,
+        ticks_per_epoch=max(1, ticks),
+        non_local_effects=non_local,
+        spatial_backend="vectorized" if indexed else "python",
+        check_visibility=False,
+        load_balance=False,
+    )
+    with Simulation.from_agents(world, config=config) as session:
+        if on_tick is not None:
+            session.on_tick(on_tick)
+        return session.run(ticks)

@@ -1,23 +1,21 @@
 """Figure 4 — fish single-node performance: indexing vs visibility range.
 
-The fish school simulation is run on a single node with and without the
-columnar grid while the visibility (attraction) radius ``rho`` grows.  As in
-the paper, indexing helps by a factor of two to three, but its advantage
-shrinks as the visibility range grows because each index probe returns more
-and more of the school.  Next to the wall time, each series records the
-engine's deterministic work units (what Figures 5–8 build their virtual time
-from): the scan charges a whole extent per probe at every radius, the grid
-only the candidates near each probe, so the shrinking advantage shows in
-them without timing noise.
+The fish school simulation is run on BRACE with one worker, with and
+without the columnar grid, while the visibility (attraction) radius ``rho``
+grows.  As in the paper, indexing helps by a factor of two to three, but
+its advantage shrinks as the visibility range grows because each index
+probe returns more and more of the school.  Next to the wall time, each
+series records the runtime's deterministic work units (what Figures 5–8
+build their virtual time from): the scan charges a whole extent per probe
+at every radius, the grid only the candidates near each probe, so the
+shrinking advantage shows in them without timing noise.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.core.engine import SequentialEngine
-from repro.harness.common import format_table
+from repro.harness.common import format_table, run_brace
 from repro.simulations.fish import CouzinParameters, build_fish_world, make_fish_class
 
 
@@ -72,10 +70,11 @@ def run_figure4(
     ticks: int = 5,
     seed: int = 5,
 ) -> Figure4Result:
-    """Sweep the visibility radius and time the indexed and un-indexed engines.
+    """Sweep the visibility radius and time BRACE with and without the grid.
 
-    The un-indexed series is the linear scan (``spatial_backend="python"``),
-    the indexed one the columnar grid (``"vectorized"``).
+    The un-indexed series is BRACE on the linear scan
+    (``spatial_backend="python"``), the indexed one BRACE on the columnar
+    grid (``"vectorized"``), both on one worker of the serial executor.
     """
     result = Figure4Result(ticks=ticks, num_fish=num_fish)
     for visibility in visibility_ranges:
@@ -83,17 +82,12 @@ def run_figure4(
         fish_class = make_fish_class(parameters)
         result.visibility_ranges.append(visibility)
 
-        world = build_fish_world(num_fish, parameters, seed=seed, fish_class=fish_class)
-        engine = SequentialEngine(world, check_visibility=False, spatial_backend="python")
-        start = time.perf_counter()
-        statistics = engine.run(ticks)
-        result.no_index_seconds.append(time.perf_counter() - start)
-        result.no_index_work_units.append(statistics.total_work_units)
-
-        world = build_fish_world(num_fish, parameters, seed=seed, fish_class=fish_class)
-        engine = SequentialEngine(world, check_visibility=False)
-        start = time.perf_counter()
-        statistics = engine.run(ticks)
-        result.index_seconds.append(time.perf_counter() - start)
-        result.index_work_units.append(statistics.total_work_units)
+        for indexed, seconds, work_units in (
+            (False, result.no_index_seconds, result.no_index_work_units),
+            (True, result.index_seconds, result.index_work_units),
+        ):
+            world = build_fish_world(num_fish, parameters, seed=seed, fish_class=fish_class)
+            metrics = run_brace(world, ticks, indexed=indexed).metrics
+            seconds.append(metrics.total_wall_seconds)
+            work_units.append(metrics.total_work_units)
     return result

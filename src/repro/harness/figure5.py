@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api import Simulation
-from repro.brace.config import BraceConfig
-from repro.harness.common import format_table
+from repro.harness.common import format_table, run_brace
 from repro.simulations.predator import PredatorParameters, build_predator_world
 
 
@@ -63,28 +61,6 @@ class Figure5Result:
         )
 
 
-def _run_configuration(
-    num_fish: int,
-    workers: int,
-    ticks: int,
-    seed: int,
-    parameters: PredatorParameters,
-    non_local: bool,
-    indexed: bool,
-) -> float:
-    world = build_predator_world(num_fish, parameters, seed=seed, non_local=non_local)
-    config = BraceConfig(
-        num_workers=workers,
-        ticks_per_epoch=max(1, ticks),
-        non_local_effects=non_local,
-        spatial_backend="vectorized" if indexed else "python",
-        check_visibility=False,
-        load_balance=False,
-    )
-    with Simulation.from_agents(world, config=config) as session:
-        return session.run(ticks).throughput()
-
-
 def run_figure5(
     num_fish: int = 600,
     workers: int = 16,
@@ -95,16 +71,13 @@ def run_figure5(
     """Run the four configurations and collect their throughputs."""
     parameters = parameters or PredatorParameters()
     result = Figure5Result(num_fish=num_fish, workers=workers, ticks=ticks)
-    result.throughputs["No-Opt"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=True, indexed=False
-    )
-    result.throughputs["Idx-Only"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=True, indexed=True
-    )
-    result.throughputs["Inv-Only"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=False, indexed=False
-    )
-    result.throughputs["Idx+Inv"] = _run_configuration(
-        num_fish, workers, ticks, seed, parameters, non_local=False, indexed=True
-    )
+    for name, non_local, indexed in (
+        ("No-Opt", True, False),
+        ("Idx-Only", True, True),
+        ("Inv-Only", False, False),
+        ("Idx+Inv", False, True),
+    ):
+        world = build_predator_world(num_fish, parameters, seed=seed, non_local=non_local)
+        run = run_brace(world, ticks, indexed=indexed, workers=workers, non_local=non_local)
+        result.throughputs[name] = run.throughput()
     return result

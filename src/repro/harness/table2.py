@@ -3,7 +3,7 @@
 The paper validates its BRASIL reimplementation of MITSIM's lane-changing and
 acceleration models by comparing, per lane, the lane changing frequency, the
 average density and the average velocity, reported as RMSPE.  Here the agent
-implementation (run through the framework with a fixed 200-unit lookahead and
+implementation (run on BRACE, one worker, with a fixed 200-unit lookahead and
 the columnar grid) plays the role of the BRACE reimplementation and the
 hand-coded per-lane nearest-neighbour simulator plays the role of MITSIM.
 Both start from identical initial conditions and use the same per-vehicle
@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines.mitsim import HandCodedTrafficSimulator
-from repro.core.engine import SequentialEngine
-from repro.harness.common import format_table
+from repro.harness.common import format_table, run_brace
 from repro.simulations.traffic import (
     TrafficParameters,
     TrafficStatisticsCollector,
@@ -125,16 +124,14 @@ def run_table2(
 
     world = build_traffic_world(parameters, seed=seed)
     agent_collector = TrafficStatisticsCollector(parameters)
-    engine = SequentialEngine(
-        world,
-        on_tick_end=lambda w, _stats: agent_collector.observe(w.agents()),
-    )
 
     baseline = HandCodedTrafficSimulator(parameters, seed=seed)
     baseline.load_from_world(world)
     baseline_collector = TrafficStatisticsCollector(parameters)
 
-    engine.run(ticks)
+    run_brace(
+        world, ticks, indexed=True, on_tick=lambda _event: agent_collector.observe(world.agents())
+    )
     baseline.run(ticks, baseline_collector)
 
     comparison = compare_lane_statistics(baseline_collector, agent_collector)

@@ -1,11 +1,10 @@
 """Tests for the hand-coded MITSIM-style baseline simulator."""
 
-import time
-
 import pytest
 
 from repro.baselines.mitsim import HandCodedTrafficSimulator
 from repro.core.engine import SequentialEngine
+from repro.harness.common import run_brace
 from repro.simulations.traffic import (
     TrafficParameters,
     TrafficStatisticsCollector,
@@ -67,10 +66,10 @@ class TestBaselineVsAgentFramework:
         ticks = 40
         world = build_traffic_world(parameters, seed=17)
         agent_collector = TrafficStatisticsCollector(parameters)
-        SequentialEngine(
-            world, check_visibility=False,
-            on_tick_end=lambda w, _s: agent_collector.observe(w.agents()),
-        ).run(ticks)
+        engine = SequentialEngine(world, check_visibility=False)
+        for _ in range(ticks):
+            engine.run_tick()
+            agent_collector.observe(world.agents())
 
         baseline = HandCodedTrafficSimulator(parameters, seed=17)
         baseline.load_from_world(build_traffic_world(parameters, seed=17))
@@ -88,10 +87,8 @@ class TestBaselineVsAgentFramework:
     def test_baseline_is_faster_than_generic_framework(self, parameters):
         ticks = 5
         world = build_traffic_world(parameters, seed=19)
-        engine = SequentialEngine(world, check_visibility=False)
-        start = time.perf_counter()
-        engine.run(ticks)
-        framework_seconds = time.perf_counter() - start
+        run = run_brace(world, ticks, indexed=True)
+        framework_seconds = run.metrics.total_wall_seconds
 
         baseline = HandCodedTrafficSimulator(parameters, seed=19)
         baseline.populate()

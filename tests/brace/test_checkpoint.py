@@ -110,7 +110,7 @@ class TestRuntimeRecovery:
         runtime.recover()          # lose tick 4
         remaining = 8 - world.tick
         runtime.run(remaining)     # re-execute to tick 8
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     def test_recover_without_checkpoint_raises(self):
         world = make_boid_world(num_agents=10, seed=9)
@@ -132,4 +132,4 @@ class TestRuntimeRecovery:
         injector = FailureInjector(0.25, seed=3)
         runtime.run_with_failures(8, injector)
         assert world.tick == 8
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)

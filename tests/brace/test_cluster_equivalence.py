@@ -85,7 +85,7 @@ class TestClusterEquivalence:
     @pytest.mark.parametrize("model", ["fish", "traffic", "predator"])
     def test_states_bit_identical_to_sequential(self, model, executor):
         world, metrics = run_model(model, executor)
-        assert world.same_state_as(sequential_reference(model), tolerance=0.0)
+        assert world.same_state_as(sequential_reference(model))
         assert metrics.ticks[0].num_passes == (3 if model == "predator" else 2)
 
     def test_statistics_identical_to_serial(self):
@@ -116,7 +116,7 @@ class TestForcedMigrationEquivalence:
             assert moved_bytes > 0
             assert runtime.executor.shard_node(shard_id) == destination
             runtime.run(3)
-        assert cluster_world.same_state_as(sequential_reference(model, 6), tolerance=0.0)
+        assert cluster_world.same_state_as(sequential_reference(model, 6))
 
     def test_migrate_shard_requires_cluster_backend(self):
         world = build_traffic_world(seed=11, num_vehicles=40)

@@ -83,7 +83,7 @@ class TestTrafficEquivalence:
     def test_states_bit_identical_to_sequential(self, backend):
         reference = sequential(build_traffic_world(seed=11, num_vehicles=80), TICKS)
         world, _ = run_traffic(backend)
-        assert world.same_state_as(reference, tolerance=0.0)
+        assert world.same_state_as(reference)
 
     @pytest.mark.parametrize("backend", ["thread", "process", "codec"])
     def test_statistics_identical_to_serial(self, backend):
@@ -189,7 +189,7 @@ class TestDynamicPopulationEquivalence:
         world, metrics = run_predator(backend)
         assert sum(tick.spawned + tick.killed for tick in metrics.ticks) > 0
         assert world.agent_count() == reference.agent_count()
-        assert world.same_state_as(reference, tolerance=0.0)
+        assert world.same_state_as(reference)
 
 
 class TestRebalanceEquivalence:
@@ -203,7 +203,7 @@ class TestRebalanceEquivalence:
             build(), backend, 6, num_workers=4, ticks_per_epoch=2, load_balance_threshold=1.05
         )
         assert any(epoch.rebalanced for epoch in metrics.epochs)
-        assert world.same_state_as(sequential(build(), 6), tolerance=0.0)
+        assert world.same_state_as(sequential(build(), 6))
 
 
 class TestProcessBackendErrorPath:

@@ -72,7 +72,7 @@ class TestProcessCheckpointRecovery:
             assert sum(runtime.owned_counts()) == world.agent_count()
             runtime.run(TOTAL_TICKS - world.tick)
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)
 
     def test_run_with_failures_on_process_backend_matches_serial(self, serial_reference):
         world = build_world()
@@ -80,7 +80,7 @@ class TestProcessCheckpointRecovery:
         with BraceRuntime(world, make_config("process")) as runtime:
             runtime.run_with_failures(TOTAL_TICKS, injector)
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)
 
     def test_checkpoints_record_bytes_and_epoch_ipc(self):
         world = build_world()
@@ -121,7 +121,7 @@ class TestProcessNodeLoss:
             assert pids_after[0] == pids_before[0]
             assert pids_after[1] != pids_before[1]
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)
 
     def test_node_loss_without_a_checkpoint_raises_the_recovery_error(self):
         world = build_world()
@@ -213,7 +213,7 @@ class TestClusterNodeFailureRecovery:
             assert sum(runtime.owned_counts()) == world.agent_count()
             runtime.run(TOTAL_TICKS - world.tick)
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)
 
     def test_run_with_failures_on_cluster_backend_matches_serial(self, serial_reference):
         world = build_world()
@@ -221,7 +221,7 @@ class TestClusterNodeFailureRecovery:
         with BraceRuntime(world, self.cluster_config()) as runtime:
             runtime.run_with_failures(TOTAL_TICKS, injector)
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)
 
 
 def _free_port():
@@ -288,7 +288,7 @@ class TestSupervisedNodeLoss:
             assert pids_after[0] == pids_before[0]
             assert pids_after[1] != pids_before[1]
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)
 
     def test_external_replacement_is_readmitted(self, serial_reference):
         port = _free_port()
@@ -321,7 +321,7 @@ class TestSupervisedNodeLoss:
                 assert pids_after[0] == pids_before[0]
                 assert pids_after[1] == nodes[-1].pid
             assert world.tick == TOTAL_TICKS
-            assert world.same_state_as(serial_reference, tolerance=0.0)
+            assert world.same_state_as(serial_reference)
         finally:
             for node in nodes:
                 node.kill()
@@ -358,7 +358,7 @@ class TestSupervisedNodeLoss:
                 assert topology[0]["pid"] == pids_before[0]
                 assert sorted(topology[0]["shards"]) == [0, 1, 2]
             assert world.tick == TOTAL_TICKS
-            assert world.same_state_as(serial_reference, tolerance=0.0)
+            assert world.same_state_as(serial_reference)
         finally:
             for node in nodes:
                 node.kill()
@@ -389,4 +389,4 @@ class TestSupervisedNodeLoss:
                 event["event"] == "node_loss" for event in runtime.fault_events
             )
         assert world.tick == TOTAL_TICKS
-        assert world.same_state_as(serial_reference, tolerance=0.0)
+        assert world.same_state_as(serial_reference)

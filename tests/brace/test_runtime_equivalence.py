@@ -35,16 +35,20 @@ class TestLocalEffectEquivalence:
         world = make_boid_world(num_agents=40, seed=19, agent_class=Boid)
         runtime = BraceRuntime(world, BraceConfig(num_workers=workers, ticks_per_epoch=2))
         runtime.run(5)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     @pytest.mark.parametrize("reference_backend", ["python", "vectorized"])
     @pytest.mark.parametrize("backend", ["python", "vectorized"])
     def test_spatial_backend_does_not_change_results(self, backend, reference_backend):
+        # Grid vs scan across worker counts: both sides on BRACE, and both
+        # equal to the scan oracle.
         reference = make_boid_world(num_agents=40, seed=23, agent_class=Boid)
-        SequentialEngine(reference, spatial_backend=reference_backend).run(4)
+        config = BraceConfig(num_workers=1, spatial_backend=reference_backend)
+        BraceRuntime(reference, config).run(4)
         world = make_boid_world(num_agents=40, seed=23, agent_class=Boid)
         BraceRuntime(world, BraceConfig(num_workers=4, spatial_backend=backend)).run(4)
-        assert world.same_state_as(reference, tolerance=0.0)
+        assert world.same_state_as(reference)
+        assert world.same_state_as(sequential_reference(Boid, seed=23, ticks=4))
 
     def test_grid_partitioning_matches_sequential(self):
         reference = sequential_reference(Boid, seed=29, ticks=4)
@@ -52,7 +56,7 @@ class TestLocalEffectEquivalence:
         config = BraceConfig(num_workers=4, partitioning="grid", grid_cells=(2, 2),
                              load_balance=False)
         BraceRuntime(world, config).run(4)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     def test_load_balancing_does_not_change_results(self):
         reference = sequential_reference(Boid, seed=31, ticks=6)
@@ -62,7 +66,7 @@ class TestLocalEffectEquivalence:
         )
         runtime = BraceRuntime(world, config)
         runtime.run(6)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -74,7 +78,7 @@ class TestLocalEffectEquivalence:
         reference = sequential_reference(Boid, seed=seed, ticks=ticks, num_agents=25)
         world = make_boid_world(num_agents=25, seed=seed, agent_class=Boid)
         BraceRuntime(world, BraceConfig(num_workers=workers, ticks_per_epoch=2)).run(ticks)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
 
 class TestNonLocalEffectEquivalence:
@@ -84,7 +88,7 @@ class TestNonLocalEffectEquivalence:
         world = make_boid_world(num_agents=40, seed=37, agent_class=NonLocalBoid)
         config = BraceConfig(num_workers=workers, non_local_effects=True, ticks_per_epoch=2)
         BraceRuntime(world, config).run(5)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     @pytest.mark.parametrize("workers", [1, 3, 5])
     def test_local_model_also_correct_under_second_reduce_pass(self, workers):
@@ -93,7 +97,7 @@ class TestNonLocalEffectEquivalence:
         world = make_boid_world(num_agents=40, seed=4, agent_class=Boid)
         config = BraceConfig(num_workers=workers, non_local_effects=True)
         BraceRuntime(world, config).run(3)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     def test_two_pass_grid_partitioning_matches_sequential(self):
         reference = sequential_reference(NonLocalBoid, seed=11, ticks=4)
@@ -101,7 +105,7 @@ class TestNonLocalEffectEquivalence:
         config = BraceConfig(num_workers=4, non_local_effects=True, partitioning="grid",
                              grid_cells=(2, 2), load_balance=False)
         BraceRuntime(world, config).run(4)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
     def test_non_local_effects_without_flag_is_an_error(self):
         world = make_boid_world(num_agents=20, seed=37, agent_class=NonLocalBoid)
@@ -127,7 +131,7 @@ class TestDynamicPopulationEquivalence:
         world = make_boid_world(num_agents=30, seed=8, agent_class=SpawningAgent, size=20.0)
         BraceRuntime(world, BraceConfig(num_workers=workers, ticks_per_epoch=3)).run(8)
         assert world.agent_ids() == reference.agent_ids()
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
 
 class Climber(Agent):
@@ -164,4 +168,4 @@ class TestAgentsOutsideTheWorldBox:
         assert min(agent.y for agent in reference.agents()) > 70.0
         world = build()
         BraceRuntime(world, BraceConfig(num_workers=2, load_balance=False)).run(12)
-        assert world.same_state_as(reference, tolerance=0.0)
+        assert world.same_state_as(reference)

@@ -217,7 +217,7 @@ class TestScriptFrontDoor:
     def test_anisotropic_radii_match_the_scan_oracle(self, spatial, plan):
         compiled = compile_script(ANISOTROPIC_SCRIPT)
         oracle = build_script_world(compiled, num_agents=80, seed=4)
-        SequentialEngine(oracle, spatial_backend="python").run(TICKS)
+        SequentialEngine(oracle).run(TICKS)
 
         session = Simulation.from_script(ANISOTROPIC_SCRIPT, num_agents=80, seed=4)
         session.with_workers(3).with_spatial_backend(spatial).with_plan_backend(plan)

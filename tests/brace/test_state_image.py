@@ -98,7 +98,7 @@ def test_full_path_recover_keeps_every_tick_statistic():
         assert recovered["partial"] is False  # in process: the full path
         runtime.run(TOTAL_TICKS - world.tick)
         assert _rows(runtime.metrics.ticks) == expected
-    assert world.same_state_as(reference, tolerance=0.0)
+    assert world.same_state_as(reference)
 
 
 def test_recover_reinstates_the_checkpoint_partitioning():
@@ -119,7 +119,7 @@ def test_recover_reinstates_the_checkpoint_partitioning():
         assert runtime.master.partitioning.boundaries != cuts
         runtime.run(TOTAL_TICKS - world.tick)
         assert _rows(runtime.metrics.ticks) == expected
-    assert world.same_state_as(reference, tolerance=0.0)
+    assert world.same_state_as(reference)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestCrossBackendEquivalence:
         serial_session, serial = run_traffic("serial")
         other_session, other = run_traffic(backend)
         assert states_equal(serial.final_states, other.final_states)
-        assert serial_session.world.same_state_as(other_session.world, tolerance=0.0)
+        assert serial_session.world.same_state_as(other_session.world)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_fish_states_bit_identical_to_serial(self, backend):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.brace.config import BraceConfig
+from repro.brace.runtime import BraceRuntime
 from repro.core.engine import RunStatistics, SequentialEngine, apply_births_and_deaths
 from repro.core.context import UpdateContext
 
@@ -14,8 +16,9 @@ class TestTickExecution:
         stats = engine.run_tick()
         assert boid_world.tick == 1
         assert stats.num_agents == 60
-        assert stats.total_seconds > 0
         assert stats.agent_ticks == 60
+        # The oracle is the linear scan: one boid's scan costs the extent.
+        assert stats.work_units == 60 * 60
 
     def test_agents_actually_move(self, boid_world):
         before = {agent.agent_id: agent.position() for agent in boid_world.agents()}
@@ -30,7 +33,7 @@ class TestTickExecution:
         statistics = engine.run(4)
         assert len(statistics.ticks) == 4
         assert statistics.total_agent_ticks == 4 * 20
-        assert statistics.throughput() > 0
+        assert statistics.total_work_units == 4 * 20 * 20
 
     def test_deterministic_across_runs(self):
         first = make_boid_world(seed=21)
@@ -48,30 +51,32 @@ class TestTickExecution:
 
     @pytest.mark.parametrize("backend", ["python", "vectorized"])
     def test_spatial_backend_does_not_change_results(self, backend):
+        # One-worker BRACE on either access path equals the scan oracle.
         reference = make_boid_world(seed=13)
         SequentialEngine(reference).run(4)
         candidate = make_boid_world(seed=13)
-        SequentialEngine(candidate, spatial_backend=backend).run(4)
-        assert reference.same_state_as(candidate, tolerance=0.0)
+        config = BraceConfig(num_workers=1, spatial_backend=backend)
+        BraceRuntime(candidate, config).run(4)
+        assert reference.same_state_as(candidate)
 
     @pytest.mark.parametrize("backend", ["python", "vectorized"])
     def test_work_charges_follow_the_backend(self, backend):
+        oracle = SequentialEngine(make_boid_world(num_agents=30, seed=13)).run_tick()
         world = make_boid_world(num_agents=30, seed=13)
-        stats = SequentialEngine(world, spatial_backend=backend).run_tick()
+        config = BraceConfig(num_workers=1, spatial_backend=backend)
+        (work_units,) = BraceRuntime(world, config).run_tick().query_work_units_per_worker
         if backend == "python":
-            # One neighbour scan per boid, each charged the whole extent.
-            assert (stats.work_units, stats.index_probes) == (30 * 30, 0)
+            # One neighbour scan per boid, each charged the whole extent:
+            # exactly what the oracle charges.
+            assert work_units == oracle.work_units == 30 * 30
         else:
-            assert stats.index_probes == 30
-            assert 0 < stats.work_units < 30 * 30
+            assert 0 < work_units < 30 * 30
 
-    def test_on_tick_end_callback(self, small_boid_world):
-        observed = []
-        engine = SequentialEngine(
-            small_boid_world, on_tick_end=lambda world, stats: observed.append(stats.tick)
-        )
-        engine.run(3)
+    def test_per_tick_hook_is_a_loop_over_run_tick(self, small_boid_world):
+        engine = SequentialEngine(small_boid_world)
+        observed = [engine.run_tick().tick for _ in range(3)]
         assert observed == [0, 1, 2]
+        assert [stats.tick for stats in engine.statistics.ticks] == observed
 
     def test_reachability_clamp_limits_motion(self):
         world = make_boid_world(num_agents=10, seed=5)
@@ -122,14 +127,7 @@ class TestBirthsAndDeaths:
 
 
 class TestRunStatistics:
-    def test_discard_warmup(self, small_boid_world):
-        engine = SequentialEngine(small_boid_world)
-        engine.run(5)
-        trimmed = engine.statistics.discard_warmup(2)
-        assert len(trimmed.ticks) == 3
-        assert trimmed.total_agent_ticks == 3 * 20
-
     def test_empty_statistics(self):
         statistics = RunStatistics()
-        assert statistics.throughput() == 0.0
-        assert statistics.total_seconds == 0.0
+        assert statistics.total_agent_ticks == 0
+        assert statistics.total_work_units == 0

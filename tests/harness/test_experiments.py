@@ -7,6 +7,7 @@ Absolute numbers are not checked — that is EXPERIMENTS.md's job.
 
 import pytest
 
+from repro.core.engine import SequentialEngine
 from repro.harness import (
     run_figure3,
     run_figure4,
@@ -17,6 +18,7 @@ from repro.harness import (
     run_table2,
 )
 from repro.harness.common import format_table, speedup
+from repro.simulations.traffic import TrafficParameters, build_traffic_world
 
 
 class TestCommonHelpers:
@@ -87,7 +89,23 @@ class TestSingleNodeFigures:
         no_index_growth = rows[-1]["brace_no_index_seconds"] / rows[0]["brace_no_index_seconds"]
         index_growth = rows[-1]["brace_index_seconds"] / rows[0]["brace_index_seconds"]
         assert no_index_growth > index_growth
+        # The same shape in the deterministic work units: the scan's grow
+        # quadratically with the segment length, the grid's about linearly.
+        no_index_work_growth = (
+            rows[-1]["brace_no_index_work_units"] / rows[0]["brace_no_index_work_units"]
+        )
+        index_work_growth = rows[-1]["brace_index_work_units"] / rows[0]["brace_index_work_units"]
+        assert no_index_work_growth > 1.5 * index_work_growth
         assert "Figure 3" in result.format_table()
+
+    def test_scan_series_charges_the_oracles_work_units(self):
+        # One-worker BRACE on the scan charges exactly what the naive
+        # oracle does, so the figure's no-index curve is the paper's.
+        result = run_figure3(segment_lengths=(400.0,), ticks=2, seed=11)
+        world = build_traffic_world(TrafficParameters().scaled_to(400.0), seed=11)
+        oracle = SequentialEngine(world, check_visibility=False).run(2)
+        assert result.no_index_work_units == [oracle.total_work_units]
+        assert 0 < result.index_work_units[0] < oracle.total_work_units
 
     def test_figure4_shape(self):
         result = run_figure4(visibility_ranges=(3.0, 12.0), num_fish=250, ticks=3, seed=5)
@@ -96,7 +114,7 @@ class TestSingleNodeFigures:
         for row in rows:
             assert row["brace_index_seconds"] < row["brace_no_index_seconds"]
         # The indexing advantage shrinks as the visibility range grows.  The
-        # work units are the engine's deterministic cost (the wall-time
+        # work units are BRACE's deterministic cost (the wall-time
         # shape is timed by benchmarks/test_figure4_fish_visibility.py): the
         # scan charges the whole extent per probe at every radius, the grid
         # more as each probe's neighbourhood grows.

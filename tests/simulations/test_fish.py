@@ -95,7 +95,7 @@ class TestDynamics:
         SequentialEngine(reference, check_visibility=False).run(5)
         world = build_fish_world(60, parameters, seed=6)
         BraceRuntime(world, BraceConfig(num_workers=4, check_visibility=False)).run(5)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
 
 class TestStatistics:

@@ -44,7 +44,7 @@ class TestFormulationEquivalence:
         second = build_predator_world(60, parameters, seed=3, agent_class=local_class)
         SequentialEngine(first, check_visibility=False).run(ticks)
         SequentialEngine(second, check_visibility=False).run(ticks)
-        assert first.same_state_as(second, tolerance=1e-9)
+        assert first.same_state_as(second)
 
     def test_dynamic_population_equivalence(self):
         parameters = PredatorParameters()
@@ -54,7 +54,7 @@ class TestFormulationEquivalence:
         SequentialEngine(first, check_visibility=False).run(5)
         SequentialEngine(second, check_visibility=False).run(5)
         assert first.agent_ids() == second.agent_ids()
-        assert first.same_state_as(second, tolerance=1e-9)
+        assert first.same_state_as(second)
 
     def test_non_local_brace_matches_local_sequential(self):
         parameters = PredatorParameters()
@@ -63,7 +63,7 @@ class TestFormulationEquivalence:
         world = build_predator_world(60, parameters, seed=7, non_local=True)
         config = BraceConfig(num_workers=4, non_local_effects=True, check_visibility=False)
         BraceRuntime(world, config).run(4)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
 
 class TestPopulationDynamics:

@@ -89,10 +89,10 @@ class TestDriverBehaviour:
     def test_rightmost_lane_less_popular(self, parameters):
         world = build_traffic_world(parameters, seed=7)
         collector = TrafficStatisticsCollector(parameters)
-        SequentialEngine(
-            world, check_visibility=False,
-            on_tick_end=lambda w, _s: collector.observe(w.agents()),
-        ).run(20)
+        engine = SequentialEngine(world, check_visibility=False)
+        for _ in range(20):
+            engine.run_tick()
+            collector.observe(world.agents())
         summary = collector.summary()
         rightmost = parameters.num_lanes - 1
         other_density = sum(
@@ -106,7 +106,7 @@ class TestDriverBehaviour:
         world = build_traffic_world(parameters, seed=9)
         config = BraceConfig(num_workers=4, check_visibility=False)
         BraceRuntime(world, config).run(5)
-        assert world.same_state_as(reference, tolerance=1e-9)
+        assert world.same_state_as(reference)
 
 
 class TestStatistics:
@@ -114,10 +114,10 @@ class TestStatistics:
         world = build_traffic_world(parameters, seed=3)
         collector = TrafficStatisticsCollector(parameters)
         collector.observe(world.agents())  # baseline observation of the initial lanes
-        SequentialEngine(
-            world, check_visibility=False,
-            on_tick_end=lambda w, _s: collector.observe(w.agents()),
-        ).run(10)
+        engine = SequentialEngine(world, check_visibility=False)
+        for _ in range(10):
+            engine.run_tick()
+            collector.observe(world.agents())
         total_changes = sum(stats.lane_changes_out for stats in collector.lanes.values())
         assert total_changes == sum(vehicle.lane_changes for vehicle in world.agents())
 
