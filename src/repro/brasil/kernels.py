@@ -5,8 +5,9 @@ agent's ``run()`` body and update rules one agent — one *pair*, inside a
 ``foreach`` — at a time.  This module compiles whole query and update
 plans to NumPy so a phase becomes a handful of array operations: effect
 aggregation turns into ``np.ufunc.at`` scatter-reductions over the spatial
-join's pair arrays (:meth:`~repro.core.context.QueryContext.visible_pairs`),
-and update rules turn into column arithmetic over a
+join's pair arrays, one cache-sized block of whole probes at a time
+(:meth:`~repro.core.context.QueryContext.visible_pairs`), and update rules
+turn into column arithmetic over a
 :class:`~repro.core.soa.AgentTable` structure-of-arrays snapshot.  On a
 worker no agent object is touched between the join and the update kernel:
 the query kernel hands its table and its effect accumulators to the update
@@ -27,8 +28,9 @@ compiler only accepts constructs it can prove equivalent:
   the interpreter calls, because their NumPy counterparts are not
   guaranteed bit-identical;
 * scatter order replicates the interpreter's fold order: pairs are laid
-  out probe-major / match-ascending, and ``ufunc.at`` applies duplicates
-  element by element in that order.  Fields whose combinator fold is
+  out probe-major / match-ascending, blocks never split a probe and run in
+  probe order, and ``ufunc.at`` applies duplicates element by element in
+  that order.  Fields whose combinator fold is
   order-sensitive (``sum``, ``product``, ``mean``) are only compiled when
   a single statement writes them (or all writers are per-probe local
   assignments), so the per-target combine order provably matches;
@@ -42,7 +44,7 @@ scalars, NIL validity and the statement mask stay ``True`` until an
 operator or an ``if`` actually switches a lane off, comparisons stay
 boolean, and a compound sub-expression the body repeats (found once, at
 kernel-compile time, by :class:`_SharingPass`) is evaluated once per
-``foreach`` execution and released at its last use.
+block of a ``foreach`` and released at its last use.
 
 Anything outside the provable subset — ``rand()`` in the phase, nested
 ``foreach``, loop-carried local accumulators, agent-valued locals, the
@@ -1248,39 +1250,50 @@ class _VectorFrame:
             raise PlanKernelFallback(f"statement {type(statement).__name__}")
 
     def _exec_foreach(self, statement: ForEach, mask) -> None:
-        # One set-at-a-time call resolves every active probe's extent:
+        # One set-at-a-time call resolves every active probe's extent —
         # the matches, order and work accounting of the interpreter's
-        # ``visible()`` per probe, as pair index arrays.
+        # ``visible()`` per probe — as pair index arrays, one block of
+        # whole probes at a time.  The body runs once per block: pair-space
+        # values (locals, the memo, scatter targets) live for one block,
+        # the accumulators for the whole phase.  Each accumulator row still
+        # folds its values in the probe-major, match-ascending order of the
+        # whole pair list, because a block never splits a probe.
         if mask is True:
             active, probes = None, self.probes
         else:
             active = np.flatnonzero(mask)
             probes = [self.probes[index] for index in active.tolist()]
-        pair_probe, pair_rows = self.context.visible_pairs(probes)
-        if self.in_class is not None:
-            same_class = np.flatnonzero(self.in_class[pair_rows])
-            pair_probe = pair_probe[same_class]
-            pair_rows = self.table_rows[pair_rows[same_class]]
-        if active is not None:
-            pair_probe = active[pair_probe]
-        saved_locals = dict(self.locals)
-        self.pair_probe = pair_probe
-        self.pair_rows = pair_rows
+        saved_locals = self.locals
+        declared: set = set()
         self.loopvar = statement.variable
-        self.exec_block(statement.body.statements, True, "pair")
+        for pair_probe, pair_rows in self.context.visible_pairs(probes):
+            if self.in_class is not None:
+                same_class = np.flatnonzero(self.in_class[pair_rows])
+                pair_probe = pair_probe[same_class]
+                pair_rows = self.table_rows[pair_rows[same_class]]
+            if active is not None:
+                pair_probe = active[pair_probe]
+            self.locals = dict(saved_locals)
+            self.pair_probe = pair_probe
+            self.pair_rows = pair_rows
+            self._pair_targets = None
+            self._memo["pair"].clear()
+            self.exec_block(statement.body.statements, True, "pair")
+            declared.update(
+                name
+                for name, entry in self.locals.items()
+                if entry is _POISON or entry[2] == "pair"
+            )
         # Locals declared (or re-declared) inside the loop held the last
         # iteration's scalar in the interpreter; no single vector
         # represents that, so reads after the loop fall back.
-        restored: Dict[str, Any] = {}
-        for name, entry in self.locals.items():
-            if entry is _POISON or entry[2] == "pair":
-                previous = saved_locals.get(name, _POISON)
-                if previous is _POISON or previous[2] == "pair":
-                    restored[name] = _POISON
-                else:
-                    restored[name] = previous
+        restored = dict(saved_locals)
+        for name in declared:
+            previous = saved_locals.get(name, _POISON)
+            if previous is _POISON or previous[2] == "pair":
+                restored[name] = _POISON
             else:
-                restored[name] = entry
+                restored[name] = previous
         self.locals = restored
         self.pair_probe = None
         self.pair_rows = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from operator import is_
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -132,11 +132,10 @@ class QueryContext:
         self._probe_base = max(1, int(math.log2(len(self._agents) + 1)))
         #: radius -> the self-join's per-row runs (see :meth:`_row_runs`).
         self._neighbor_batches: dict[float, tuple] = {}
-        #: Lazily computed σ_V batch over the snapshot (vectorized only), as
-        #: CSR: row ``r`` matched ``match_rows[offsets[r]:offsets[r + 1]]``
-        #: (ascending, self included) and surfaced ``examined[r]`` candidates;
-        #: ``probe_ids`` is the join's own expansion of ``offsets`` (the
-        #: probing row of every entry of ``match_rows``).
+        #: The σ_V index and every snapshot row's probe box (vectorized
+        #: only; see :meth:`_visible_index`).
+        self._visible_grid: tuple[VectorizedGrid, np.ndarray, np.ndarray] | None = None
+        #: The whole extent's σ_V batch as CSR (see :meth:`_visible_csr`).
         self._visible_batch: tuple[np.ndarray, ...] | None = None
         #: The σ_V batch as per-row runs, for per-agent :meth:`visible` calls.
         self._visible_runs: tuple | None = None
@@ -363,27 +362,31 @@ class QueryContext:
         items = snapshot.items
         return [items[match] for match in rows]
 
-    def visible_pairs(self, probes: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
-        """Every probe's visible matches at once, as two parallel index arrays.
+    def visible_pairs(self, probes: Sequence[Any]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every probe's visible matches, as parallel index arrays per block.
 
-        The set-at-a-time form of :meth:`visible` for the plan kernels:
-        pair ``k`` says probe ``probes[pair_probe[k]]`` sees the agent at
+        The set-at-a-time form of :meth:`visible` for the plan kernels.
+        Each item is one block of whole probes, in probe order: pair ``k``
+        of a block says probe ``probes[pair_probe[k]]`` sees the agent at
         canonical row ``pair_rows[k]`` (the snapshot's row order, i.e.
         ascending :func:`agent_sort_key` over the extent).  Pairs are laid
-        out probe-major, matches ascending, the probe itself excluded —
-        exactly what calling ``visible(probe)`` once per probe, in order,
-        returns — and ``work_units`` / ``index_probes`` are charged exactly
-        what those calls would charge.
+        out probe-major, matches ascending, the probe itself excluded, so
+        the blocks concatenate to exactly what calling ``visible(probe)``
+        once per probe, in order, returns.  ``work_units`` /
+        ``index_probes`` are charged exactly what those calls would charge
+        once every block has been drawn.  There is always at least one
+        block.
 
-        When the vectorized batch covers every probe the arrays are gathered
-        straight from its CSR — and when the probes *are* the snapshot, row
-        for row, they are the join's own pair arrays minus the self pairs;
-        otherwise (python backend, unbounded visibility, a probe outside the
-        snapshot) they are assembled from :meth:`visible` itself, so callers
-        have one code path.
+        When the vectorized batch covers every probe, only the probes' own
+        boxes are joined, a block of at most
+        :data:`~repro.spatial.columnar.BLOCK_CANDIDATES` candidates at a
+        time, so no pair array longer than a block is ever built; otherwise
+        (python backend, unbounded visibility, a probe outside the
+        snapshot) the one block is assembled from :meth:`visible` itself,
+        so callers have one code path.
         """
         if not probes:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+            return iter([(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))])
         rows = self._batch_rows(probes)
         if rows is None:
             rank = self._rank()
@@ -393,24 +396,24 @@ class QueryContext:
                 counts.append(len(matches))
                 matched.extend(rank[id(match)] for match in matches)
             pair_probe = np.repeat(np.arange(len(probes), dtype=np.intp), counts)
-            return pair_probe, np.array(matched, dtype=np.intp)
-        offsets, probe_ids, match_rows, examined = self._visible_csr()
+            return iter([(pair_probe, np.array(matched, dtype=np.intp))])
+        grid, lows, highs = self._visible_index()
+        if len(rows) == len(lows) and (rows == np.arange(len(rows))).all():
+            rows = None  # probe k is row k: its box is the index's own
+        else:
+            lows, highs = lows[rows], highs[rows]
+        runs = grid.probe_runs(lows, highs)
         self.index_probes += len(probes)
-        self.work_units += len(probes) * self._probe_work(0) + int(examined[rows].sum())
-        if len(rows) == len(examined) and (rows == np.arange(len(rows))).all():
-            # Probe k is row k: the join's (probe, row) pairs are the answer.
-            others = np.flatnonzero(match_rows != probe_ids)
-            return probe_ids[others], match_rows[others]
-        starts = offsets[rows]
-        counts = offsets[rows + 1] - starts
-        pair_probe = np.repeat(np.arange(len(probes), dtype=np.intp), counts)
-        # Position of every pair inside match_rows: each probe's run start
-        # plus the pair's offset within its run.
-        positions = np.arange(len(pair_probe), dtype=np.intp)
-        positions += np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        pair_rows = match_rows[positions]
-        others = np.flatnonzero(pair_rows != rows[pair_probe])
-        return pair_probe[others], pair_rows[others]
+        self.work_units += len(probes) * self._probe_work(0)
+        return self._visible_blocks(grid, lows, highs, runs, rows)
+
+    def _visible_blocks(self, grid, lows, highs, runs, rows):
+        """Join ``runs`` block by block; drop each probe's self pair."""
+        for block in runs.blocks():
+            probe_ids, match_rows, examined = grid.batch_range_query(lows, highs, runs, block)
+            self.work_units += int(examined.sum())
+            others = np.flatnonzero(match_rows != (probe_ids if rows is None else rows[probe_ids]))
+            yield probe_ids[others], match_rows[others]
 
     def _batch_rows(self, probes: Sequence[Any]) -> np.ndarray | None:
         """Snapshot rows of ``probes`` when the σ_V batch serves all of them."""
@@ -427,22 +430,33 @@ class QueryContext:
         return np.array(rows, dtype=np.intp)
 
     def _visible_csr(self) -> tuple[np.ndarray, ...]:
-        """The σ_V batch ``(offsets, probe_ids, match_rows, examined)``, joined at most once."""
+        """The whole extent's σ_V batch ``(offsets, probe_ids, match_rows,
+        examined)``, joined at most once and only for per-agent
+        :meth:`visible` calls: row ``r`` matched
+        ``match_rows[offsets[r]:offsets[r + 1]]`` (ascending, self included)
+        and surfaced ``examined[r]`` candidates."""
         if self._visible_batch is None:
-            self._visible_batch = self._build_visible_batch(self._ensure_snapshot())
+            grid, lows, highs = self._visible_index()
+            # Every row probes, as one unbounded block.
+            probe_ids, match_rows, examined = grid.batch_range_query(lows, highs)
+            offsets = np.searchsorted(probe_ids, np.arange(len(lows) + 1))
+            self._visible_batch = offsets, probe_ids, match_rows, examined
         return self._visible_batch
 
-    def _build_visible_batch(self, snapshot: PointSet):
-        """Batch σ_V probe: every row's declared visible region at once.
+    def _visible_index(self) -> tuple[VectorizedGrid, np.ndarray, np.ndarray]:
+        """The σ_V index over the snapshot and every row's probe box, built once.
 
         Probe boxes are column arithmetic per agent class — ``points -
         radii`` / ``points + radii``, the same float64 operations
         :meth:`BBox.around` performs per agent, including its rejection of
         a negative radius.  Rows with unbounded visibility never consult
         the batch (they take the full-extent path), so their probe boxes
-        stay voided — the kernel marks them invalid and does no work for
+        stay voided — the join marks them invalid and does no work for
         them.
         """
+        if self._visible_grid is not None:
+            return self._visible_grid
+        snapshot = self._ensure_snapshot()
         points = snapshot.points
         lows = np.full_like(points, np.inf)
         highs = np.full_like(points, -np.inf)
@@ -468,10 +482,8 @@ class QueryContext:
             cell = np.maximum((bounded_highs - bounded_lows).max(axis=0) / 2, 1e-12)
         else:
             cell = np.maximum(points.max(axis=0) - points.min(axis=0), 1.0)
-        grid = VectorizedGrid(snapshot, cell)
-        probe_ids, match_rows, examined = grid.batch_range_query(lows, highs)
-        offsets = np.searchsorted(probe_ids, np.arange(len(points) + 1))
-        return offsets, probe_ids, match_rows, examined
+        self._visible_grid = VectorizedGrid(snapshot, cell), lows, highs
+        return self._visible_grid
 
     def _nearest_vectorized(self, agent, center, k: int) -> list[Any]:
         snapshot = self._ensure_snapshot()

@@ -61,13 +61,27 @@ class Figure3Result:
         ]
 
     def format_table(self) -> str:
-        """Text rendering of the three curves."""
+        """Text rendering of the three curves and the BRACE work units."""
         rows = [
-            [row["segment_length"], row["mitsim_seconds"], row["brace_no_index_seconds"], row["brace_index_seconds"]]
+            [
+                row["segment_length"],
+                row["mitsim_seconds"],
+                row["brace_no_index_seconds"],
+                row["brace_index_seconds"],
+                row["brace_no_index_work_units"],
+                row["brace_index_work_units"],
+            ]
             for row in self.rows()
         ]
         return format_table(
-            ["Segment length", "MITSIM [s]", "BRACE no-indexing [s]", "BRACE indexing [s]"],
+            [
+                "Segment length",
+                "MITSIM [s]",
+                "BRACE no-indexing [s]",
+                "BRACE indexing [s]",
+                "no-indexing work units",
+                "indexing work units",
+            ],
             rows,
             title="Figure 3: Traffic — total simulation time vs segment length",
         )

@@ -52,13 +52,25 @@ class Figure4Result:
         ]
 
     def format_table(self) -> str:
-        """Text rendering of the two curves."""
+        """Text rendering of the two curves and their work units."""
         rows = [
-            [row["visibility"], row["brace_no_index_seconds"], row["brace_index_seconds"]]
+            [
+                row["visibility"],
+                row["brace_no_index_seconds"],
+                row["brace_index_seconds"],
+                row["brace_no_index_work_units"],
+                row["brace_index_work_units"],
+            ]
             for row in self.rows()
         ]
         return format_table(
-            ["Visibility range", "BRACE no-indexing [s]", "BRACE indexing [s]"],
+            [
+                "Visibility range",
+                "BRACE no-indexing [s]",
+                "BRACE indexing [s]",
+                "no-indexing work units",
+                "indexing work units",
+            ],
             rows,
             title="Figure 4: Fish — total simulation time vs visibility range",
         )

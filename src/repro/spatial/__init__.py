@@ -1,9 +1,8 @@
-"""Spatial substrate: vectors, boxes, the columnar grid, partitioning and joins.
+"""Spatial substrate: boxes, the columnar grid, partitioning and joins.
 
 Behavioral simulations are abstracted by the paper as *iterated spatial
 joins*; this package provides every spatial primitive those joins need:
 
-* :mod:`repro.spatial.vec` — small fixed-dimension vectors.
 * :mod:`repro.spatial.bbox` — axis-aligned bounding boxes.
 * :mod:`repro.spatial.partitioning` — rectilinear grid / strip partitioning
   of space onto workers, with owned sets and partition visible regions.
@@ -14,7 +13,6 @@ joins*; this package provides every spatial primitive those joins need:
   oracle the grid is checked against.
 """
 
-from repro.spatial.vec import Vec2, Vec3
 from repro.spatial.bbox import BBox
 from repro.spatial.partitioning import (
     Partition,
@@ -35,8 +33,6 @@ from repro.spatial.columnar import (
 )
 
 __all__ = [
-    "Vec2",
-    "Vec3",
     "BBox",
     "Partition",
     "GridPartitioning",

@@ -17,7 +17,9 @@ spirit of MADlib-style vectorized bulk operators:
   more.  Only dimensions ``>= 1`` ever surface a candidate outside the box;
 * :func:`batch_range_query` / :func:`batch_neighbor_lists` — answer *all*
   probes of a tick in a handful of array operations instead of one Python
-  query per probe;
+  query per probe; the grid's own methods also answer one block of whole
+  probes at a time (:class:`ProbeRuns`), so a caller never holds more than
+  :data:`BLOCK_CANDIDATES` candidates;
 * :func:`vectorized_self_join` / :func:`vectorized_neighbor_lists` — the
   σ_V join and the radius join, returning the same per-probe match lists as
   :func:`repro.spatial.join.visible_region_self_join` and
@@ -36,7 +38,11 @@ interpreted join.  The cell sweep this index replaced is kept verbatim in
 Matches are reported in ascending snapshot-row order, which equals the item
 order of the snapshot — the canonical order the query contexts also use —
 so downstream floating-point accumulations are bit-identical across
-backends as well.
+backends as well.  Blocks change none of this: a block is a run of whole
+probes, so its ``(probe, row)`` pairs are a contiguous slice of the whole
+batch's, and the blocks of a tick, in probe order, concatenate to the whole
+batch array for array (``examined`` included).  Every per-probe and
+per-target fold order downstream is therefore the same under any cut.
 
 The one semantic difference: self-exclusion is positional (row ``i`` is not
 its own neighbour) rather than by object identity, which only matters when
@@ -55,6 +61,12 @@ import numpy as np
 MAX_SPAN_PER_DIM = 8
 #: Cap on the total number of cells a probe may touch (product over dims).
 MAX_CELLS_PER_PROBE = 64
+#: Candidate pairs one block of a blocked join surfaces at most (a probe
+#: with more candidates is a block of its own).  Chosen by measurement on
+#: the 8000-agent predator tick: smaller blocks touch fewer fresh pages
+#: per tick, larger ones pay the plan kernel's fixed per-block cost less
+#: often, and 32 768 gave the lowest tick time of 16 384, 32 768 and 65 536.
+BLOCK_CANDIDATES = 32768
 
 
 def _as_matrix(points: Any) -> np.ndarray:
@@ -215,6 +227,46 @@ def _cells_per_axis_cap(count: int, binned_dims: int) -> float:
     return float(2 ** (bits // binned_dims))
 
 
+class ProbeRuns:
+    """The per-tick half of a blocked join: where every probe's candidates lie.
+
+    Row ``p`` describes probe ``p``: for each cell offset ``o`` its
+    candidates are the sorted-key slots ``starts[p, o] : starts[p, o] +
+    counts[p, o]`` of the grid; a ``wide`` probe is answered by a columnar
+    scan of all ``count`` rows instead.  Built by
+    :meth:`VectorizedGrid.probe_runs`; every array is probe-sized.
+    """
+
+    __slots__ = ("starts", "counts", "wide", "candidates")
+
+    def __init__(self, starts: np.ndarray, counts: np.ndarray, wide: np.ndarray, count: int):
+        self.starts = starts
+        self.counts = counts
+        self.wide = wide
+        #: Candidates each probe surfaces before the exact filter.
+        self.candidates = counts.sum(axis=1) + wide * count
+
+    def blocks(self) -> list[slice]:
+        """Cut the probes into runs of whole probes, in probe order.
+
+        Each block surfaces at most :data:`BLOCK_CANDIDATES` candidates,
+        except a single probe with more, which is a block of its own.  There
+        is always at least one block.  Because the join lays pairs out
+        probe-major, the blocks' pair arrays concatenate to the whole
+        batch's, whatever the budget.
+        """
+        budget = BLOCK_CANDIDATES
+        total = len(self.candidates)
+        cumulative = np.cumsum(self.candidates)
+        cuts, start, done = [], 0, 0
+        while start < total:
+            stop = int(np.searchsorted(cumulative, done + budget, side="right"))
+            stop = max(stop, start + 1)
+            cuts.append(slice(start, stop))
+            start, done = stop, int(cumulative[stop - 1])
+        return cuts or [slice(0, 0)]
+
+
 class VectorizedGrid:
     """A rank-run index over a :class:`PointSet`, built with array ops only.
 
@@ -286,15 +338,11 @@ class VectorizedGrid:
         self._sorted_keys = keys[self._order]
 
     # ------------------------------------------------------------------
-    # The batched join sweep
+    # The batched join: a per-tick step over probes, a per-block step
+    # over their candidates
     # ------------------------------------------------------------------
-    def _batch_join(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run every probe box through the index with an exact ``keep`` filter.
+    def probe_runs(self, lows: np.ndarray, highs: np.ndarray) -> ProbeRuns:
+        """Locate every probe box's candidate runs in the index.
 
         ``lows``/``highs`` are ``(n_probes, dim)`` closed box bounds; they
         may be infinite, and a box with ``low > high`` (or a NaN bound) in
@@ -307,29 +355,27 @@ class VectorizedGrid:
         are the run of sorted keys between ``cell * n + lo_rank`` and
         ``cell * n + hi_rank``.
 
-        ``keep(probe_ids, rows)`` returns the exact-match mask of a chunk of
-        candidates (every one already inside the box in dimension 0);
-        ``keep=None`` says every candidate is a match (a 1-D range query).
-        Returns ``(probe_ids, match_rows)`` sorted by ``(probe, row)``.
-
-        Each chunk is filtered *before* anything global happens, so memory
-        traffic scales with the matches, not the candidates; the final
-        per-probe ordering costs one single-key sort of composite ``probe *
-        n + row`` keys.  Probes whose clamped box spans more than
+        Every array here is probe-sized: nothing is expanded into
+        candidates.  Probes whose clamped box spans more than
         :data:`MAX_SPAN_PER_DIM` cells in a binned dimension (or
-        :data:`MAX_CELLS_PER_PROBE` overall) fall back to one exact columnar
-        scan each, so unbounded visible regions cannot blow up the cell
-        enumeration.
+        :data:`MAX_CELLS_PER_PROBE` overall) are marked ``wide`` and later
+        answered by one exact columnar scan each, so unbounded visible
+        regions cannot blow up the cell enumeration.
         """
         count = len(self.pointset)
-        empty = np.zeros(0, dtype=np.int64)
-        if count == 0 or len(lows) == 0:
-            return empty, empty
-
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
-        lo_rank = np.searchsorted(self._sorted_first, lows[:, 0], side="left")
-        hi_rank = np.searchsorted(self._sorted_first, highs[:, 0], side="right")
+        if count == 0 or len(lows) == 0:
+            nothing = np.zeros((len(lows), 0), dtype=np.int64)
+            return ProbeRuns(nothing, nothing, np.zeros(len(lows), dtype=bool), count)
+
+        # Needles in ascending order make binary searches walk forwards
+        # (about four times faster than in probe order).
+        by_low = np.argsort(lows[:, 0])
+        lo_rank = np.empty(len(lows), dtype=np.int64)
+        hi_rank = np.empty(len(lows), dtype=np.int64)
+        lo_rank[by_low] = np.searchsorted(self._sorted_first, lows[by_low, 0], side="left")
+        hi_rank[by_low] = np.searchsorted(self._sorted_first, highs[by_low, 0], side="right")
         valid = (lows <= highs).all(axis=1) & (lo_rank < hi_rank)
         # Clamp into (just beyond) the occupied extent so ±inf or far-away
         # boxes bin cleanly; validity is judged on the clamped cells below.
@@ -354,6 +400,47 @@ class VectorizedGrid:
         )
         narrow = valid & ~wide
 
+        offsets = list(np.ndindex(*(offset_span[narrow].max(axis=0) + 1))) if narrow.any() else []
+        starts = np.zeros((len(lows), len(offsets)), dtype=np.int64)
+        counts = np.zeros((len(lows), len(offsets)), dtype=np.int64)
+        base_keys = ((low_cells - self._min_cell) @ self._strides) * count + lo_rank
+        rank_span = hi_rank - lo_rank
+        # One key order serves every offset (an offset adds one constant),
+        # and needles in key order make the binary searches walk forwards.
+        by_key = np.flatnonzero(narrow)
+        by_key = by_key[np.argsort(base_keys[by_key])]
+        for column, offset in enumerate(offsets):
+            offset = np.asarray(offset, dtype=np.int64)
+            probes = by_key[(offset <= offset_span[by_key]).all(axis=1)]
+            low_keys = base_keys[probes] + (offset @ self._strides) * count
+            run_starts = np.searchsorted(self._sorted_keys, low_keys)
+            run_ends = np.searchsorted(self._sorted_keys, low_keys + rank_span[probes])
+            starts[probes, column] = run_starts
+            counts[probes, column] = run_ends - run_starts
+        return ProbeRuns(starts, counts, wide, count)
+
+    def _join_block(
+        self,
+        runs: ProbeRuns,
+        block: slice,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Expand, filter and order the candidates of one block of probes.
+
+        ``lows``/``highs`` are the block's own boxes (block-local rows).
+        ``keep(probe_ids, rows)`` returns the exact-match mask of a chunk of
+        candidates (every one already inside the box in dimension 0, probe
+        ids block-local); ``keep=None`` says every candidate is a match (a
+        1-D range query).  Returns block-local ``(probe_ids, match_rows)``
+        sorted by ``(probe, row)``.
+
+        Candidates are filtered *before* they are ordered, so the one
+        single-key sort of composite ``probe * n + row`` keys runs over the
+        block's matches only.
+        """
+        count = len(self.pointset)
         key_chunks: list[np.ndarray] = []
 
         def collect(probe_ids: np.ndarray, rows: np.ndarray) -> None:
@@ -363,38 +450,25 @@ class VectorizedGrid:
                 probe_ids, rows = probe_ids[matched], rows[matched]
             key_chunks.append(probe_ids * count + rows)
 
-        if narrow.any():
-            base_keys = ((low_cells - self._min_cell) @ self._strides) * count
-            rank_span = hi_rank - lo_rank
-            for offset in np.ndindex(*(offset_span[narrow].max(axis=0) + 1)):
-                offset = np.asarray(offset, dtype=np.int64)
-                probes = np.flatnonzero(narrow & (offset <= offset_span).all(axis=1))
-                if len(probes) == 0:
-                    continue
-                low_keys = base_keys[probes] + (offset @ self._strides) * count
-                low_keys += lo_rank[probes]
-                # Chunk order is free (the final sort fixes it), and needles
-                # in key order make both binary searches walk forwards.
-                by_key = np.argsort(low_keys)
-                probes, low_keys = probes[by_key], low_keys[by_key]
-                starts = np.searchsorted(self._sorted_keys, low_keys)
-                ends = np.searchsorted(self._sorted_keys, low_keys + rank_span[probes])
-                counts = ends - starts
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                cumulative = np.cumsum(counts) - counts
-                positions = np.arange(total, dtype=np.int64)
-                positions += np.repeat(starts - cumulative, counts)
-                collect(np.repeat(probes, counts), self._order[positions])
+        run_counts = runs.counts[block]
+        per_probe = run_counts.sum(axis=1)
+        total = int(per_probe.sum())
+        if total:
+            # Runs probe-major, cell offsets within a probe: one expansion.
+            run_counts = run_counts.ravel()
+            run_starts = runs.starts[block].ravel()
+            positions = np.arange(total, dtype=np.int64)
+            positions += np.repeat(run_starts - (np.cumsum(run_counts) - run_counts), run_counts)
+            probe_ids = np.repeat(np.arange(len(per_probe), dtype=np.int64), per_probe)
+            collect(probe_ids, self._order[positions])
 
-        for probe in np.flatnonzero(wide):
+        for probe in np.flatnonzero(runs.wide[block]):
             rows = self.pointset.scan_box(lows[probe], highs[probe])
             collect(np.full(len(rows), probe, dtype=np.int64), rows)
 
         if not key_chunks:
-            return empty, empty
-        keys = np.concatenate(key_chunks)
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        keys = np.concatenate(key_chunks) if len(key_chunks) > 1 else key_chunks[0]
         # (probe, row) pairs are unique across cell offsets, so one unstable
         # single-key sort recovers the canonical (probe, row) order.
         keys.sort()
@@ -405,19 +479,33 @@ class VectorizedGrid:
     # Exact batch joins
     # ------------------------------------------------------------------
     def batch_range_query(
-        self, lows: np.ndarray, highs: np.ndarray
+        self,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        runs: ProbeRuns | None = None,
+        block: slice | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact closed-box matches for every probe box, in one sweep.
+        """Exact closed-box matches for every probe box of ``block``.
 
         Returns ``(probe_ids, match_rows, examined)`` with the pair arrays
         sorted by ``(probe, row)``.  ``examined[p]`` counts the candidates
-        a per-probe range query would surface for probe ``p`` — the rows
-        inside its closed box — which is what the query context charges
-        as work.  Here those are the matches themselves: one ``bincount``
-        of the final probe ids.
+        a per-probe range query would surface for the block's ``p``-th
+        probe — the rows inside its closed box — which is what the query
+        context charges as work.  Here those are the matches themselves:
+        one ``bincount`` of the final probe ids.
+
+        ``runs`` is :meth:`probe_runs` of these same boxes and ``block`` a
+        slice of whole probes (one of ``runs.blocks()``); ``probe_ids`` stay
+        indices into ``lows``.  Without them the whole batch is one block.
+        Blocks in probe order concatenate to the whole batch's arrays.
         """
         lows = np.asarray(lows, dtype=np.float64)
         highs = np.asarray(highs, dtype=np.float64)
+        if runs is None:
+            runs = self.probe_runs(lows, highs)
+        if block is None:
+            block = slice(0, len(lows))
+        lows, highs = lows[block], highs[block]
         # Dimension 0 is exact by rank; only the others need the box test.
         columns = _columns(self.pointset.points)[1:]
         low_columns, high_columns = _columns(lows)[1:], _columns(highs)[1:]
@@ -430,13 +518,21 @@ class VectorizedGrid:
                 inside &= coordinate <= high[probe_ids]
             return inside
 
-        probe_ids, match_rows = self._batch_join(lows, highs, keep if columns else None)
-        return probe_ids, match_rows, np.bincount(probe_ids, minlength=len(lows))
+        probe_ids, match_rows = self._join_block(
+            runs, block, lows, highs, keep if columns else None
+        )
+        examined = np.bincount(probe_ids, minlength=len(lows))
+        probe_ids += block.start
+        return probe_ids, match_rows, examined
 
     def batch_radius_query(
-        self, centers: np.ndarray, radius: float
+        self,
+        centers: np.ndarray,
+        radius: float,
+        runs: ProbeRuns | None = None,
+        block: slice | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact Euclidean-ball matches around every center, in one sweep.
+        """Exact Euclidean-ball matches around every center of ``block``.
 
         Matches satisfy the closed box ``center ± radius`` *and* the squared
         Euclidean distance test, exactly like the linear scan (a box test
@@ -444,11 +540,18 @@ class VectorizedGrid:
         subnormal-scale offsets the squared distance underflows to zero
         while the box still excludes the point.  ``examined`` (see
         :meth:`batch_range_query`) is the box candidates, a superset of the
-        matches, counted chunk by chunk.
+        matches, counted chunk by chunk.  ``runs`` is :meth:`probe_runs` of
+        the boxes ``centers ∓ radius``; ``block`` as for
+        :meth:`batch_range_query`.
         """
         centers = np.asarray(centers, dtype=np.float64)
         radius = float(radius)
         radius_sq = radius * radius
+        if runs is None:
+            runs = self.probe_runs(centers - radius, centers + radius)
+        if block is None:
+            block = slice(0, len(centers))
+        centers = centers[block]
         columns = _columns(self.pointset.points)
         center_columns = _columns(centers)
         examined = np.zeros(len(centers), dtype=np.int64)
@@ -475,7 +578,10 @@ class VectorizedGrid:
             examined[:] += np.bincount(probe_ids[inside], minlength=len(examined))
             return inside & near
 
-        probe_ids, match_rows = self._batch_join(centers - radius, centers + radius, keep)
+        probe_ids, match_rows = self._join_block(
+            runs, block, centers - radius, centers + radius, keep
+        )
+        probe_ids += block.start
         return probe_ids, match_rows, examined
 
 

@@ -537,7 +537,7 @@ class TestFallbackScripts:
 
 class TestColumnarQueryPhase:
     """Exact call counts (cannot flake): a compiled vectorized tick asks the
-    context for pair arrays once, never for per-agent object lists."""
+    context for its pair blocks once, never for per-agent object lists."""
 
     def test_compiled_tick_makes_no_per_agent_or_per_pair_calls(self, monkeypatch):
         agents, ticks = 80, 2
@@ -554,6 +554,7 @@ class TestColumnarQueryPhase:
 
         count(QueryContext, "visible")
         count(QueryContext, "visible_pairs")
+        count(QueryContext, "_visible_csr")
         count(PointSet, "take")
         count(AgentTable, "row_of")
         count(QueryKernel, "run")
@@ -565,9 +566,11 @@ class TestColumnarQueryPhase:
         # The kernels ran every tick and resolved their pairs in one call...
         assert calls["run"] == ticks
         assert calls["visible_pairs"] == ticks
-        # ...with no object-at-a-time bridge left around them.
+        # ...with no object-at-a-time bridge left around them, and never
+        # the whole-extent pair CSR that per-agent visible() calls read.
         assert "visible" not in calls
         assert "take" not in calls
+        assert "_visible_csr" not in calls
         # One class, every row probing in row order: one anchoring lookup
         # and an identity pass, not a lookup per agent.
         assert calls["row_of"] == ticks

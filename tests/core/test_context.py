@@ -256,10 +256,18 @@ def _looped(context, probes):
     ]
 
 
+def _concatenated(blocks):
+    """``visible_pairs``' blocks as one ``(pair_probe, pair_rows)``."""
+    blocks = list(blocks)
+    assert blocks, "visible_pairs yields at least one block"
+    for pair_probe, pair_rows in blocks:
+        assert pair_probe.dtype == pair_rows.dtype == np.intp
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+
+
 def _paired(context, agents, probes):
     canonical = sorted(agents, key=lambda agent: agent_sort_key(agent.agent_id))
-    pair_probe, pair_rows = context.visible_pairs(probes)
-    assert pair_probe.dtype == pair_rows.dtype == np.intp
+    pair_probe, pair_rows = _concatenated(context.visible_pairs(probes))
     return [
         (probe, canonical[row].agent_id)
         for probe, row in zip(pair_probe.tolist(), pair_rows.tolist())
@@ -317,7 +325,7 @@ class TestVisiblePairs:
 
     def test_no_probes_no_pairs_no_charge(self):
         context = QueryContext([Near(agent_id=0)], tick=0, seed=0, spatial_backend="vectorized")
-        pair_probe, pair_rows = context.visible_pairs([])
+        pair_probe, pair_rows = _concatenated(context.visible_pairs([]))
         assert len(pair_probe) == len(pair_rows) == 0
         assert (context.work_units, context.index_probes) == (0, 0)
 

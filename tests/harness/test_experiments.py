@@ -5,6 +5,8 @@ asserted: who wins, whether curves grow, whether the optimization helps.
 Absolute numbers are not checked — that is EXPERIMENTS.md's job.
 """
 
+import re
+
 import pytest
 
 from repro.core.engine import SequentialEngine
@@ -96,7 +98,16 @@ class TestSingleNodeFigures:
         )
         index_work_growth = rows[-1]["brace_index_work_units"] / rows[0]["brace_index_work_units"]
         assert no_index_work_growth > 1.5 * index_work_growth
-        assert "Figure 3" in result.format_table()
+        table = result.format_table().splitlines()
+        assert table[0].startswith("Figure 3")
+        assert re.split(r"\s{2,}", table[1].strip())[-2:] == [
+            "no-indexing work units",
+            "indexing work units",
+        ]
+        assert table[-1].split()[-2:] == [
+            str(largest["brace_no_index_work_units"]),
+            str(largest["brace_index_work_units"]),
+        ]
 
     def test_scan_series_charges_the_oracles_work_units(self):
         # One-worker BRACE on the scan charges exactly what the naive
@@ -123,7 +134,13 @@ class TestSingleNodeFigures:
         assert no_index[0] == no_index[-1]
         assert index[0] < index[-1] < no_index[-1]
         assert no_index[-1] / index[-1] < no_index[0] / index[0]
-        assert "Figure 4" in result.format_table()
+        table = result.format_table().splitlines()
+        assert table[0].startswith("Figure 4")
+        assert re.split(r"\s{2,}", table[1].strip())[-2:] == [
+            "no-indexing work units",
+            "indexing work units",
+        ]
+        assert table[-1].split()[-2:] == [str(no_index[-1]), str(index[-1])]
 
 
 class TestDistributedFigures:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.spatial import columnar
 from repro.spatial.columnar import PointSet, VectorizedGrid, _cells_per_axis_cap
 
 from tests.spatial.cell_sweep_oracle import CellSweepGrid
@@ -36,6 +37,54 @@ def _assert_same_join(got, expected) -> None:
         assert np.array_equal(ours, theirs), name
 
 
+def _random_cuts(count: int) -> list[slice]:
+    """Blocks of whole probes at random cut points, in probe order."""
+    if count == 0:
+        return [slice(0, 0)]
+    rng = np.random.default_rng(count)
+    inner = rng.choice(np.arange(1, count), size=rng.integers(0, count), replace=False)
+    bounds = [0, *sorted(inner.tolist()), count]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _budget_blocks(runs, budget: int) -> list[slice]:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "BLOCK_CANDIDATES", budget)
+        return runs.blocks()
+
+
+def _assert_blocks_concatenate(join, runs, count, whole) -> None:
+    """``join(block)`` over any cut into whole probes rebuilds ``whole``."""
+    cuts = [_random_cuts(count), runs.blocks()]
+    cuts += [_budget_blocks(runs, budget) for budget in (1, 5)]
+    for blocks in cuts:
+        assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        parts = [join(block) for block in blocks]
+        _assert_same_join([np.concatenate(arrays) for arrays in zip(*parts)], whole)
+
+
+def _assert_range_blocks(grid, lows, highs) -> None:
+    runs = grid.probe_runs(lows, highs)
+    _assert_blocks_concatenate(
+        lambda block: grid.batch_range_query(lows, highs, runs, block),
+        runs,
+        len(lows),
+        grid.batch_range_query(lows, highs),
+    )
+
+
+def _assert_radius_blocks(grid, centers, radius) -> None:
+    centers = np.asarray(centers, dtype=np.float64)
+    runs = grid.probe_runs(centers - radius, centers + radius)
+    _assert_blocks_concatenate(
+        lambda block: grid.batch_radius_query(centers, radius, runs, block),
+        runs,
+        len(centers),
+        grid.batch_radius_query(centers, radius),
+    )
+
+
 def _assert_range_equal(points, lows, highs, cell) -> None:
     pointset = _pointset(points)
     # The sweep raised (``np.ndindex`` of a negative reach) when every
@@ -49,18 +98,22 @@ def _assert_range_equal(points, lows, highs, cell) -> None:
     )
     expected_examined = np.zeros(len(lows), dtype=np.int64)
     expected_examined[proper] = examined
+    grid = VectorizedGrid(pointset, cell)
     _assert_same_join(
-        VectorizedGrid(pointset, cell).batch_range_query(lows, highs),
+        grid.batch_range_query(lows, highs),
         (proper[probe_ids], match_rows, expected_examined),
     )
+    _assert_range_blocks(grid, lows, highs)
 
 
 def _assert_radius_equal(points, centers, radius, cell) -> None:
     pointset = _pointset(points)
+    grid = VectorizedGrid(pointset, cell)
     _assert_same_join(
-        VectorizedGrid(pointset, cell).batch_radius_query(centers, radius),
+        grid.batch_radius_query(centers, radius),
         CellSweepGrid(pointset, cell).batch_radius_query(centers, radius),
     )
+    _assert_radius_blocks(grid, centers, radius)
 
 
 @st.composite
@@ -130,10 +183,10 @@ class TestRankRunEqualsCellSweep:
         points = np.array([[0.0, 0.0], [1.0, 1.0]])
         lows = np.array([[np.nan, -5.0], [-5.0, np.nan], [-5.0, -5.0]])
         highs = np.array([[5.0, 5.0], [5.0, 5.0], [5.0, np.nan]])
-        probe_ids, match_rows, examined = VectorizedGrid(
-            _pointset(points), 1.0
-        ).batch_range_query(lows, highs)
+        grid = VectorizedGrid(_pointset(points), 1.0)
+        probe_ids, match_rows, examined = grid.batch_range_query(lows, highs)
         assert len(probe_ids) == 0 and len(match_rows) == 0 and not examined.any()
+        _assert_range_blocks(grid, lows, highs)
 
     def test_probes_outside_the_extent(self):
         rng = np.random.default_rng(5)
@@ -174,6 +227,47 @@ class TestRankRunEqualsCellSweep:
         _assert_range_equal(some, nothing, nothing, 1.0)
         _assert_radius_equal(nothing, some, 1.0, 1.0)
         _assert_radius_equal(some, nothing, 1.0, 1.0)
+
+
+class TestProbeRunBlocks:
+    """``ProbeRuns.blocks`` cuts whole probes, in order, to a candidate budget."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        world=_worlds(bound=_BOUND),
+        cell=_CELL,
+        budget=st.sampled_from([1, 2, 5, 16, 2**62]),
+    )
+    def test_blocks_are_greedy_runs_of_whole_probes(self, world, cell, budget):
+        points, lows, highs = world
+        runs = VectorizedGrid(_pointset(points), cell).probe_runs(lows, highs)
+        blocks = _budget_blocks(runs, budget)
+        assert blocks[0].start == 0 and blocks[-1].stop == len(lows)
+        for block, following in zip(blocks, blocks[1:] + [None]):
+            assert block.stop > block.start
+            candidates = int(runs.candidates[block].sum())
+            # Within budget unless one probe alone exceeds it; and maximal:
+            # the next probe would not have fitted.
+            assert candidates <= budget or block.stop - block.start == 1
+            if following is not None:
+                assert candidates + int(runs.candidates[following.start]) > budget
+
+    def test_candidates_cover_the_matches(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-5, 5, size=(200, 2))
+        grid = VectorizedGrid(_pointset(points), 1.0)
+        runs = grid.probe_runs(points - 1.0, points + 1.0)
+        # A narrow probe's candidates are its runs; the matches are the
+        # candidates that pass the exact filter.
+        _, _, examined = grid.batch_range_query(points - 1.0, points + 1.0)
+        assert (runs.candidates >= examined).all()
+        assert not runs.wide.any()
+
+    def test_wide_probes_count_the_whole_scan(self):
+        points = np.random.default_rng(4).uniform(-5, 5, size=(50, 2))
+        grid = VectorizedGrid(_pointset(points), 0.01)
+        runs = grid.probe_runs(points - 3.0, points + 3.0)
+        assert runs.wide.all() and (runs.candidates == 50).all()
 
 
 class TestKeySpace:
