@@ -66,7 +66,7 @@ class Simulation(FluentConfig):
                 "construct sessions with Simulation.from_agents(...) or "
                 "Simulation.from_script(...)"
             )
-        self.world = world
+        self._world = world
         self._source = source
         self._builder = ConfigBuilder(config)
         self._compiled: CompiledScript | None = None
@@ -185,9 +185,23 @@ class Simulation(FluentConfig):
         return self._closed
 
     @property
+    def world(self) -> World:
+        """The session's world: the agents and their current states.
+
+        Once running, reading it is reading
+        :attr:`BraceRuntime.world <repro.brace.runtime.BraceRuntime.world>`
+        — on the in-process executors the agents are brought up to the
+        shards first, so an observer sees (and may write) the state the
+        last tick produced.
+        """
+        if self._runtime is not None:
+            return self._runtime.world
+        return self._world
+
+    @property
     def tick(self) -> int:
         """The world's current tick."""
-        return self.world.tick
+        return self._world.tick
 
     @property
     def compiled(self) -> CompiledScript | None:
@@ -249,13 +263,13 @@ class Simulation(FluentConfig):
 
     def _ensure_started(self) -> BraceRuntime:
         if self._runtime is None:
-            runtime = BraceRuntime(self.world, self._compile_config())
+            runtime = BraceRuntime(self._world, self._compile_config())
             runtime.epoch_listeners.append(self._epoch_events.append)
             self._runtime = runtime
             if self._recorder is not None:
                 provenance = dataclasses.asdict(self._provenance(runtime))
                 provenance["model"] = list(provenance["model"])
-                self._recorder.start(self.world, provenance=provenance)
+                self._recorder.start(self._world, provenance=provenance)
                 runtime.recovery_listeners.append(self._recorder.handle_restore)
         return self._runtime
 
@@ -392,7 +406,7 @@ class Simulation(FluentConfig):
                         # Recording needs the authoritative post-tick world;
                         # states() above already synced it otherwise.
                         runtime.metrics.add_sync_ipc(runtime.sync_world())
-                    self._recorder.record(self.world)
+                    self._recorder.record(self._world)
                     persisted = True
                 event = TickEvent(
                     tick=stats.tick,
@@ -425,7 +439,7 @@ class Simulation(FluentConfig):
         """Current state of every agent (resident shards synced first)."""
         if self._runtime is not None:
             self._runtime.metrics.add_sync_ipc(self._runtime.sync_world())
-        return {agent.agent_id: agent.state_dict() for agent in self.world.agents()}
+        return {agent.agent_id: agent.state_dict() for agent in self._world.agents()}
 
     def result(self) -> RunResult:
         """The unified result for everything this session has executed."""
@@ -444,7 +458,7 @@ class Simulation(FluentConfig):
         )
 
     def _provenance(self, runtime: BraceRuntime) -> Provenance:
-        model = tuple(sorted({type(agent).__name__ for agent in self.world.agents()}))
+        model = tuple(sorted({type(agent).__name__ for agent in self._world.agents()}))
         # The recorded config reproduces the run without re-deriving the
         # defaults: the seed is the effective one.  The spatial and plan
         # backends need no resolving: every shard runs the configured ones
@@ -555,6 +569,6 @@ class Simulation(FluentConfig):
             else "ready"
         )
         return (
-            f"<Simulation source={self._source!r} agents={self.world.agent_count()} "
-            f"tick={self.world.tick} state={state}>"
+            f"<Simulation source={self._source!r} agents={self._world.agent_count()} "
+            f"tick={self._world.tick} state={state}>"
         )

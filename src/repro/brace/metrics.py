@@ -58,6 +58,12 @@ class BraceTickStatistics:
     query_work_units_per_worker: list[float] = field(default_factory=list)
     #: Wall-clock seconds each worker's update phase took, indexed by worker id.
     update_seconds_per_worker: list[float] = field(default_factory=list)
+    #: Rows each worker wrote onto agent objects from resident columns during
+    #: the tick's rounds and its epoch boundary, indexed by worker id: the
+    #: map phase's shipped and migrated rows, and every whole-shard sync
+    #: (a capture, births and deaths, an interpreted phase).  0 on a steady
+    #: compiled tick.  A deterministic count, unlike the seconds above.
+    rows_materialized_per_worker: list[int] = field(default_factory=list)
 
     @property
     def agent_ticks(self) -> int:

@@ -30,8 +30,10 @@ transport is the only thing that varies, and the runtime reads it off
 ``executor.shares_memory``:
 
 * **by reference** (serial, thread): shards hold the world's own agent
-  objects and payloads are handed over as they are — no copy, no bytes, no
-  sync; replicas travel as full clones;
+  objects and payloads are handed over as they are — no copy, no bytes;
+  replicas travel as full clones.  A shard may keep its compiled class's
+  columns resident, ahead of those objects, and reading
+  :attr:`BraceRuntime.world` writes them back first;
 * **columnar frames** (process, cluster): the shards live on node processes
   behind the one wire executor (:mod:`repro.cluster.client`); payloads cross
   as :mod:`repro.ipc.frames` frames, replicas travel as per-tick deltas
@@ -76,6 +78,7 @@ from repro.brace.shards import (
     shard_collect_states,
     shard_install_owned,
     shard_map_phase,
+    shard_materialize,
     shard_query_phase,
     shard_rewind,
     shard_update_phase,
@@ -102,7 +105,7 @@ class BraceRuntime:
     """Distributed (simulated) execution of a behavioral simulation."""
 
     def __init__(self, world: World, config: BraceConfig | None = None):
-        self.world = world
+        self._world = world
         self.config = config or BraceConfig()
         self.config.validate()
         if world.bounds is None:
@@ -148,16 +151,35 @@ class BraceRuntime:
         self._shards_ready = False
         #: Births/deaths applied driver-side but not yet shipped to shards.
         self._pending_boundary: dict[int, BoundaryDelta] = {}
-        #: True when shard-resident states are newer than the driver's world
-        #: (never on a by-reference transport: the shards hold the world's
-        #: own agents).
+        #: True when shard-resident states are newer than the driver's world:
+        #: after every tick on a wire; by reference, when a shard keeps
+        #: resident columns ahead of the world's own agents.
         self._world_dirty = False
+        #: Rows each shard materialized during the current tick's rounds and
+        #: its epoch boundary (None outside them); see
+        #: ``BraceTickStatistics.rows_materialized_per_worker``.
+        self._tick_materialized: list[int] | None = None
         #: Checkpoint tags: a shard's stash never answers for another capture.
         self._capture_tags = itertools.count()
         #: Supervision events (node deaths, recoveries) drained from the
         #: executor; the session layer surfaces them on the run result.
         self.fault_events: list[dict] = []
         self._start_epoch()
+
+    @property
+    def world(self) -> World:
+        """The driver's world.
+
+        By reference the shards hold the world's own agents, and reading
+        the world first writes back whatever resident columns ran ahead of
+        them (:meth:`sync_world`), so it reads — and a write to an agent
+        steers the next tick — exactly as if every tick had written its
+        objects.  Free when nothing is resident.  On a wire the world holds
+        the states of the last :meth:`sync_world`.
+        """
+        if self.executor.shares_memory:
+            self.sync_world()
+        return self._world
 
     @staticmethod
     def _zero_ipc_phase() -> dict[str, float]:
@@ -169,7 +191,7 @@ class BraceRuntime:
         self._epoch_virtual_seconds = 0.0
         self._epoch_wall_seconds = 0.0
         self._epoch_agent_ticks = 0
-        self._epoch_first_tick = self.world.tick
+        self._epoch_first_tick = self._world.tick
         self._epoch_ipc_phase = self._zero_ipc_phase()
 
     # ------------------------------------------------------------------
@@ -224,7 +246,7 @@ class BraceRuntime:
         """
         sizes = [0] * len(self._shard_ids)
         for agent_id, owner in self._owner_of.items():
-            sizes[owner] += agent_frame_bytes(self.world.get_agent(agent_id))
+            sizes[owner] += agent_frame_bytes(self._world.get_agent(agent_id))
         return sizes
 
     # ------------------------------------------------------------------
@@ -239,13 +261,14 @@ class BraceRuntime:
         model.
         """
         config = self.config
-        world = self.world
+        world = self._world
         tick = world.tick
         network = self.cost_model.network
         wall_start = time.perf_counter()
 
         self._ensure_shards()
         transport_copies = not self.executor.shares_memory
+        materialized = self._tick_materialized = [0] * len(self._shard_ids)
         worker_costs = [WorkerTickCost(shard_id) for shard_id in self._shard_ids]
         num_agents = world.agent_count()
         ipc_sent = 0
@@ -397,7 +420,9 @@ class BraceRuntime:
             self._own(agent.agent_id, owner)
             self._boundary_for(owner).spawn_agents.append(agent)
 
-        self._world_dirty = transport_copies
+        self._world_dirty = transport_copies or any(
+            result.value.resident for result in update_results
+        )
 
         # ------------------------------------------------------------------
         # Epilogue: charge the cost model, record the tick, advance the world
@@ -437,6 +462,8 @@ class BraceRuntime:
             query_seconds_per_worker=query_seconds,
             query_work_units_per_worker=query_work_units,
             update_seconds_per_worker=update_seconds,
+            # The epoch boundary below still adds its rounds' rows.
+            rows_materialized_per_worker=materialized,
         )
         self.metrics.add_tick(stats)
 
@@ -448,6 +475,7 @@ class BraceRuntime:
             self._epoch_ipc_phase[key] += ipc_phase[key]
         if self._epoch_ticks >= config.ticks_per_epoch:
             self._end_of_epoch(stats)
+        self._tick_materialized = None
         return stats
 
     def run(self, ticks: int) -> BraceRunMetrics:
@@ -474,10 +502,10 @@ class BraceRuntime:
         from making progress.  (:meth:`run_tick` itself always raises —
         callers driving ticks directly own their recovery policy.)
         """
-        target_tick = self.world.tick + ticks
-        best_tick = self.world.tick
+        target_tick = self._world.tick + ticks
+        best_tick = self._world.tick
         stalled_recoveries = 0
-        while self.world.tick < target_tick:
+        while self._world.tick < target_tick:
             try:
                 stats = self.run_tick()
             except NodeLossError as error:
@@ -488,8 +516,8 @@ class BraceRuntime:
                     and self.master.checkpoint_manager.has_checkpoint()
                 ):
                     raise
-                if self.world.tick > best_tick:
-                    best_tick = self.world.tick
+                if self._world.tick > best_tick:
+                    best_tick = self._world.tick
                     stalled_recoveries = 0
                 stalled_recoveries += 1
                 if stalled_recoveries > 3:
@@ -532,14 +560,14 @@ class BraceRuntime:
             check_visibility=config.check_visibility,
             spatial_backend=config.spatial_backend,
             plan_backend=config.plan_backend,
-            world_bounds=self.world.bounds,
+            world_bounds=self._world.bounds,
             # Crossing a wire copies every outgoing agent, which is what
             # lets shards skip replica clones and ship replica deltas.
             transport_copies=not self.executor.shares_memory,
         )
         owned: dict[int, list] = {shard_id: [] for shard_id in self._shard_ids}
         for agent_id in sorted(self._owner_of, key=agent_sort_key):
-            owned[self._owner_of[agent_id]].append(self.world.get_agent(agent_id))
+            owned[self._owner_of[agent_id]].append(self._world.get_agent(agent_id))
         return {
             shard_id: ShardSeed(
                 partition=partitioning.partition(shard_id),
@@ -563,6 +591,9 @@ class BraceRuntime:
         """
         start = time.perf_counter()
         results = self._shard_round_raw(tasks)
+        if self._tick_materialized is not None:
+            for result in results:
+                self._tick_materialized[result.shard_id] += result.rows_materialized
         if phase is not None and not self.executor.shares_memory:
             round_wall = time.perf_counter() - start
             serialize = sum(result.serialize_seconds for result in results)
@@ -637,13 +668,22 @@ class BraceRuntime:
         """Pull resident agent states back into the driver's world.
 
         Returns the measured IPC bytes the sync cost (0 when nothing had to
-        be pulled — a by-reference transport, whose shards hold the world's
-        own agents, or an already-clean world).  Besides a checkpoint's
-        capture, this is the one deliberately world-sized transfer of the
-        protocol; it happens at the end of :meth:`run` and on demand — never
-        per tick.
+        be pulled — a by-reference transport, or an already-clean world).
+        Besides a checkpoint's capture, this is the one deliberately
+        world-sized transfer of the protocol; it happens at the end of
+        :meth:`run` and on demand — never per tick.  By reference the shards
+        hold the world's own agents, and the sync is one in-process round
+        that writes their resident columns back onto them
+        (:func:`~repro.brace.shards.shard_materialize`), run only when a
+        shard kept some.
         """
         if not (self._shards_ready and self._world_dirty):
+            return 0
+        if self.executor.shares_memory:
+            self._shard_round(
+                [(shard_id, shard_materialize, None) for shard_id in self._shard_ids]
+            )
+            self._world_dirty = False
             return 0
         ipc_bytes = self._flush_pending_boundary()
         results = self._shard_round(
@@ -651,8 +691,8 @@ class BraceRuntime:
         )
         for result in results:
             for agent_id, state in result.value.items():
-                if self.world.has_agent(agent_id):
-                    self.world.get_agent(agent_id).set_state_dict(state)
+                if self._world.has_agent(agent_id):
+                    self._world.get_agent(agent_id).set_state_dict(state)
         self._world_dirty = False
         return ipc_bytes + sum(
             result.payload_bytes + result.result_bytes for result in results
@@ -908,7 +948,7 @@ class BraceRuntime:
             ipc_bytes = sum(result.payload_bytes + result.result_bytes for result in results)
             return {result.shard_id: result.value for result in results}
 
-        return manager.take(self.world, self.master.epoch, tag, capture), ipc_bytes
+        return manager.take(self._world, self.master.epoch, tag, capture), ipc_bytes
 
     def restore(self, checkpoint: Checkpoint, release_shards: bool = False) -> bool:
         """Put the run back onto ``checkpoint``'s state images — the one
@@ -925,7 +965,7 @@ class BraceRuntime:
         seeds = {
             shard_id: decode_image(image) for shard_id, image in checkpoint.images.items()
         }
-        self.world.rewind(
+        self._world.rewind(
             checkpoint.tick,
             checkpoint.next_id,
             checkpoint.seed,
@@ -975,7 +1015,7 @@ class BraceRuntime:
         Returns the number of ticks lost (to be re-executed).  Raises
         :class:`repro.core.errors.CheckpointError` when no checkpoint exists.
         """
-        tick_before_failure = self.world.tick
+        tick_before_failure = self._world.tick
         checkpoint = self.master.checkpoint_manager.latest()
         in_place = self.restore(checkpoint)
         ticks_lost = max(0, tick_before_failure - checkpoint.tick)
@@ -991,7 +1031,7 @@ class BraceRuntime:
             }
         )
         for listener in self.recovery_listeners:
-            listener(self.world, checkpoint.tick, tick_before_failure)
+            listener(self._world, checkpoint.tick, tick_before_failure)
         return ticks_lost
 
     def run_with_failures(self, ticks: int, injector: FailureInjector) -> BraceRunMetrics:
@@ -1005,8 +1045,8 @@ class BraceRuntime:
         """
         if not self.config.checkpointing:
             raise BraceError("run_with_failures requires checkpointing to be enabled")
-        target_tick = self.world.tick + ticks
-        while self.world.tick < target_tick:
+        target_tick = self._world.tick + ticks
+        while self._world.tick < target_tick:
             if injector.should_fail() and self.master.checkpoint_manager.has_checkpoint():
                 self.recover()
                 continue
@@ -1023,6 +1063,6 @@ class BraceRuntime:
 
     def __repr__(self) -> str:
         return (
-            f"<BraceRuntime workers={len(self._shard_ids)} tick={self.world.tick} "
-            f"agents={self.world.agent_count()}>"
+            f"<BraceRuntime workers={len(self._shard_ids)} tick={self._world.tick} "
+            f"agents={self._world.agent_count()}>"
         )

@@ -24,8 +24,10 @@ balancer, :func:`shard_capture` for checkpoints,
 :func:`shard_adopt_partitioning` / :func:`shard_install_owned` for physical
 repartitioning) pull state on demand, exactly as the paper's master talks to
 its slaves once per epoch; :func:`shard_collect_states` syncs the driver's
-world on demand.  A shard's one state image is its :class:`ShardSeed`
-encoded by :func:`encode_image`.
+world on demand over a wire, :func:`shard_materialize` by reference (each
+first writes the shard's resident columns back onto its agent objects).  A
+shard's one state image is its :class:`ShardSeed` encoded by
+:func:`encode_image`.
 
 The run-wide settings (:class:`~repro.brace.worker.ShardSettings`) ride the
 :class:`ShardSeed`, so the per-tick commands carry only the tick and deltas.
@@ -126,6 +128,11 @@ class UpdateResult:
 
     spawn_requests: list[tuple[Any, int, Any]]
     kill_requests: set[Any]
+    #: Whether the shard's owned objects now lag its resident columns
+    #: (:meth:`Worker.materialize`).  Read by reference only: a wire never
+    #: shares the shard's objects, and its world sync pulls states anyway,
+    #: so the flag does not travel.
+    resident: bool = False
 
 
 @dataclass
@@ -182,6 +189,7 @@ def shard_update_phase(worker: Worker, command: UpdateCommand) -> UpdateResult:
     return UpdateResult(
         spawn_requests=context.spawn_requests,
         kill_requests=context.kill_requests,
+        resident=worker.has_resident(),
     )
 
 
@@ -193,6 +201,12 @@ def shard_apply_boundary(worker: Worker, delta: BoundaryDelta) -> int:
 def shard_collect_states(worker: Worker, _payload: Any = None) -> dict[Any, dict[str, Any]]:
     """Pull every owned agent's state (driver sync)."""
     return worker.collect_states()
+
+
+def shard_materialize(worker: Worker, _payload: Any = None) -> None:
+    """Write the shard's resident columns onto its agent objects (the
+    by-reference driver sync: the objects are the driver's own)."""
+    worker.materialize()
 
 
 def shard_collect_coordinates(worker: Worker, axis: int) -> list[float]:

@@ -37,7 +37,7 @@ from repro.core.errors import BraceError
 from repro.core.fields import raw_effect_writes
 from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
-from repro.core.soa import pack_positions
+from repro.core.soa import AgentTable, pack_positions
 from repro.ipc.frames import (
     LazyAgentFrame,
     ReplicaDelta,
@@ -55,6 +55,8 @@ def _query_loop(
     context: QueryContext,
     plan_backend: str,
     keep: Callable[[kernels.EffectHandoff], None] | None = None,
+    resident: kernels.ResidentRows | None = None,
+    materialize: Callable[[], None] | None = None,
 ) -> None:
     """Run the query phase body: compiled plan kernels when allowed, else
     the interpreted per-agent loop.
@@ -64,10 +66,16 @@ def _query_loop(
     elsewhere.  A compiled phase writes the owned agents' effects onto them
     unless ``keep`` takes the :class:`~repro.brasil.kernels.EffectHandoff`
     instead — a caller that passes ``keep`` hands the hand-off on to
-    :func:`_update_loop`.
+    :func:`_update_loop`.  ``resident`` columns are the kernel's to merge;
+    the interpreter reads objects, so ``materialize`` writes them back
+    before it runs.
     """
-    if plan_backend != "interpreted" and kernels.try_compiled_query_phase(owned, context, keep):
+    if plan_backend != "interpreted" and kernels.try_compiled_query_phase(
+        owned, context, keep, resident
+    ):
         return
+    if materialize is not None:
+        materialize()
     for agent in owned:
         agent.query(context)
 
@@ -140,16 +148,18 @@ def _row_delta(prev: tuple | None, state: dict, names: tuple) -> tuple:
 class _SortedAgents:
     """Agents in canonical (:func:`agent_sort_key`) order, as a small table.
 
-    Three parallel sequences — the agents, the sort keys that ordered them
-    (computed once per residency) and, between a harvest and the next update
-    phase, their position rows.  Only the methods here rearrange them, and
-    always all three at once.  Merges and :meth:`keep` rebind the sequences
-    rather than mutate them, so a list handed out earlier stays what it was;
+    Parallel sequences — the agents, the sort keys that ordered them
+    (computed once per residency), between a harvest and the next update
+    phase their position rows, and while the worker keeps resident columns
+    (owned table only) each row's row of them.  Only the methods here
+    rearrange them, and always all at once.  Merges and :meth:`keep` rebind
+    the sequences rather than mutate them, so a list handed out earlier
+    stays what it was;
     :meth:`remove` and :meth:`replace` edit one row in place, which is what
     the replica table — whose lists are never handed out — uses them for.
     """
 
-    __slots__ = ("agents", "keys", "points", "_late")
+    __slots__ = ("agents", "keys", "points", "resident", "_late")
 
     def __init__(self, agents: Iterable[Agent] = ()):
         self.agents: list[Agent] = []
@@ -157,6 +167,9 @@ class _SortedAgents:
         #: ``(n, dim)`` positions, rows parallel to ``agents``; None when
         #: not harvested (or stale).
         self.points: np.ndarray | None = None
+        #: Per row, its row of the worker's resident columns (-1: merged in
+        #: since, read from its object); None when nothing is resident.
+        self.resident: np.ndarray | None = None
         self._late: list[Agent] = list(agents)
 
     def insert(self, agent: Agent) -> None:
@@ -170,20 +183,27 @@ class _SortedAgents:
             self._merge(late, [agent_sort_key(agent.agent_id) for agent in late])
         return self
 
-    def _merge(self, late: list[Agent], late_keys: list[tuple]) -> None:
+    def _merge(self, late: list[Agent], late_keys: list[tuple]) -> list[int]:
         """Merge the agents ``late`` (any order) in by their ``late_keys``.
 
         One sort of the row numbers over the stored keys: Timsort finds the
         already-sorted run and merges the rest into it, no key function
         runs, and ties keep the resident row first.  Position rows, when
-        held, are permuted along (the newcomers' are read here).
+        held, are permuted along (the newcomers' are read here), and so are
+        resident rows (the newcomers have none).  Returns the order: merged
+        row ``i`` was row ``order[i]`` of this table followed by ``late``.
         """
         agents, keys = self.agents + late, self.keys + late_keys
         order = sorted(range(len(keys)), key=keys.__getitem__)
         if self.points is not None:
             self.points = np.concatenate([self.points, pack_positions(late)])[order]
+        if self.resident is not None:
+            self.resident = np.concatenate(
+                [self.resident, np.full(len(late), -1, dtype=np.intp)]
+            )[order]
         self.agents = [agents[row] for row in order]
         self.keys = [keys[row] for row in order]
+        return order
 
     def _row_of(self, agent_id: Any) -> int:
         """The settled row holding ``agent_id``, found by its sort key."""
@@ -219,10 +239,25 @@ class _SortedAgents:
         self.keys = list(compress(self.keys, flags))
         if self.points is not None:
             self.points = self.points[mask]
+        if self.resident is not None:
+            self.resident = self.resident[mask]
 
-    def harvest(self) -> np.ndarray | None:
-        """Read every agent's position into ``points`` (None when empty)."""
-        self.points = pack_positions(self.agents) if self.agents else None
+    def harvest(self, columns: AgentTable | None = None) -> np.ndarray | None:
+        """Read every row's position into ``points`` (None when empty).
+
+        Resident rows read the spatial columns of ``columns`` (the worker's
+        resident table); the others read their objects.
+        """
+        if not self.agents:
+            self.points = None
+        elif columns is None or self.resident is None:
+            self.points = pack_positions(self.agents)
+        else:
+            points = columns.points()[self.resident]
+            fresh = np.flatnonzero(self.resident < 0)
+            if len(fresh):
+                points[fresh] = pack_positions([self.agents[row] for row in fresh.tolist()])
+            self.points = points
         return self.points
 
     def extent_with(self, other: _SortedAgents) -> tuple[list[Agent], np.ndarray]:
@@ -231,13 +266,28 @@ class _SortedAgents:
         Neither table changes.  Rows harvested here are reused; ``other``'s
         positions (and everyone's, when nothing was harvested) are read now.
         """
-        extent = _SortedAgents()
-        extent.agents, extent.keys, extent.points = self.agents, self.keys, self.points
-        if other.agents:
-            extent._merge(other.agents, other.keys)
-        if extent.points is None:
-            return extent.agents, pack_positions(extent.agents)
+        extent, _rows = self.merged_with(other)
         return extent.agents, extent.points
+
+    def merged_with(self, other: _SortedAgents) -> tuple[_SortedAgents, np.ndarray | None]:
+        """This table and ``other`` merged into a new table, in canonical
+        order, plus the merged row of each of this table's rows (None: row
+        ``i`` stayed row ``i``).
+
+        The merged table holds every row's position (see
+        :meth:`extent_with`) and, when this table has resident rows, each
+        row's resident row (-1 for ``other``'s).  Neither table changes.
+        """
+        extent = _SortedAgents()
+        extent.agents, extent.keys = self.agents, self.keys
+        extent.points, extent.resident = self.points, self.resident
+        rows = None
+        if other.agents:
+            order = extent._merge(other.agents, other.keys)
+            rows = np.flatnonzero(np.array(order) < len(self.agents))
+        if extent.points is None:
+            extent.points = pack_positions(extent.agents)
+        return extent, rows
 
 
 @dataclass(frozen=True)
@@ -341,6 +391,15 @@ class Worker:
         #: :func:`~repro.core.fields.raw_effect_writes` when the last map
         #: phase reset effects; None before the first one.
         self._raw_writes_seen: int | None = None
+        #: The owned rows' state in columns, ahead of the owned objects:
+        #: what the last update kernel wrote, kept from the update phase
+        #: through the next map phase into the next query kernel (the owned
+        #: table's ``resident`` maps its rows here); None when the objects
+        #: are the state.  See :meth:`materialize`.
+        self._resident: AgentTable | None = None
+        #: Rows written onto agent objects from columns that were ahead of
+        #: them, summed over the worker's life (every sync point counts).
+        self.rows_materialized = 0
 
     # ------------------------------------------------------------------
     # Ownership management
@@ -361,14 +420,14 @@ class Worker:
         if agent._effect_fields or agent._effects_touched:
             agent.reset_effects()
         if agent.agent_id in self.owned:
-            self._owned_table = None  # a replaced object: its row is stale
+            self._drop_owned_table()  # a replaced object: its row is stale
         elif self._owned_table is not None:
             self._owned_table.insert(agent)
         self.owned[agent.agent_id] = agent
 
     def remove_owned(self, agent_id: Any) -> Agent:
         """Release ownership of the agent with ``agent_id`` and return it."""
-        self._owned_table = None
+        self._drop_owned_table()
         try:
             return self.owned.pop(agent_id)
         except KeyError:
@@ -381,6 +440,58 @@ class Worker:
         if self._owned_table is None:
             self._owned_table = _SortedAgents(self.owned.values())
         return self._owned_table.settle()
+
+    def _drop_owned_table(self) -> None:
+        """Drop the owned table (its rows go stale); the objects become the
+        state first, since the resident columns are keyed by its rows."""
+        self.materialize()
+        self._owned_table = None
+
+    # ------------------------------------------------------------------
+    # Resident columns
+    # ------------------------------------------------------------------
+    def materialize(self) -> None:
+        """Bring every owned agent object up to the shard's state.
+
+        The whole-shard sync point: a held query hand-off and the resident
+        columns are written back (:meth:`~repro.core.soa.AgentTable.
+        writeback`, which writes only the cells that moved) and dropped, so
+        the objects are the state again and the next compiled query phase
+        packs them through the one pack path.  Every reader of the owned
+        objects as a whole calls it first: a capture, a migration seed, a
+        state or coordinate pull, a repartitioning, a tick boundary's births
+        and deaths, an interpreted phase.  Free when nothing is ahead.
+        """
+        self._materialize_effects()
+        resident = self._resident
+        if resident is None:
+            return
+        rows = self._owned_table.resident
+        self._forget_resident()
+        self.rows_materialized += resident.writeback(rows[rows >= 0])
+
+    def has_resident(self) -> bool:
+        """Whether owned objects lag resident columns (see :meth:`materialize`)."""
+        return self._resident is not None
+
+    def _forget_resident(self) -> None:
+        """Drop the resident columns without writing them (absorbed elsewhere)."""
+        self._resident = None
+        if self._owned_table is not None:
+            self._owned_table.resident = None
+
+    def _keep_resident(self, columns: AgentTable) -> None:
+        """Keep ``columns`` — the owned rows, in order, ahead of their
+        objects — resident into the next tick.
+
+        Only the columnar snapshot reads positions from them; a shard on
+        the python spatial backend writes them back at once.
+        """
+        if self.settings.spatial_backend != "vectorized":
+            self.rows_materialized += columns.writeback()
+            return
+        self._resident = columns
+        self._owned_rows().resident = np.arange(len(columns), dtype=np.intp)
 
     def owned_agents(self) -> list[Agent]:
         """Owned agents sorted by id (deterministic iteration order).
@@ -493,7 +604,12 @@ class Worker:
 
         The harvested rows stay with the owned table and become the query
         phase's snapshot (:meth:`run_query_phase`), so positions are read
-        once per tick.
+        once per tick.  While the last update kernel's columns are resident
+        they are read from its spatial columns, not from the objects, and
+        only the boundary rows — the agents this phase ships or migrates —
+        are written back onto their objects first (:meth:`materialize` is
+        the whole-shard form); every other owned object stays behind the
+        columns.
 
         ``settings.transport_copies`` says whether everything handed out is
         copied before anyone mutates the originals.  A wire does exactly that
@@ -551,6 +667,10 @@ class Worker:
             table, partitioning
         )
         migrates = owners != self.worker_id
+        boundary = np.flatnonzero(migrates | replicates)
+        if self._resident is not None and len(boundary):
+            # The rows read as objects below: shipped, cloned or migrated.
+            self.rows_materialized += self._resident.writeback(table.resident[boundary])
         if migrates.any():
             # Ownership first, all at once: the migrants leave the dict and
             # their rows leave the table (``owned`` keeps the old rows for
@@ -558,7 +678,6 @@ class Worker:
             for agent in compress(owned, migrates.tolist()):
                 del self.owned[agent.agent_id]
             table.keep(~migrates)
-        boundary = np.flatnonzero(migrates | replicates)
         # Per class: agent_frame_bytes (it depends on the class only) and the
         # declared field names.
         classes: dict[type, tuple] = {}
@@ -683,14 +802,14 @@ class Worker:
     def _harvest_positions(
         self, table: _SortedAgents, partitioning: SpatialPartitioning
     ) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]], list[int]]:
-        """Pack the owned positions; resolve owners and replication targets.
+        """Harvest the owned positions; resolve owners and replication targets.
 
         The matrix stays with the owned table as its position rows, for the
         query phase's snapshot.  Returns the owner of every row plus what
         :func:`~repro.brace.replication.replication_targets_batch` says
         about them.
         """
-        points = table.harvest()
+        points = table.harvest(self._resident)
         if points is None:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), {}, []
         owners = partitioning.partition_of_batch(points)
@@ -703,6 +822,8 @@ class Worker:
         on the driver's world: killed agents leave the owned set, spawned agents
         (already carrying their driver-assigned ids) join it.
         """
+        if kill_ids or spawn_agents:
+            self.materialize()
         if kill_ids:
             self._owned_table = None
         for agent_id in kill_ids:
@@ -712,7 +833,11 @@ class Worker:
         return self.owned_count()
 
     def install_owned(self, agents: list[Agent]) -> int:
-        """Take ownership of agents shipped from another shard; returns the count."""
+        """Take ownership of agents shipped from another shard; returns the count.
+
+        They are arrivals: resident columns stay, and the next compiled query
+        packs only the new rows.
+        """
         for agent in agents:
             self.add_owned(agent)
         return self.owned_count()
@@ -726,6 +851,7 @@ class Worker:
         in another partition are removed here and handed back, keyed by
         their new owner, for the driver to route.
         """
+        self.materialize()
         self.partitioning = partitioning
         self.partition = partition
         # Ownership is reshuffling under the delta protocol's feet: drop
@@ -756,7 +882,7 @@ class Worker:
         """
         from repro.brace.shards import ShardSeed
 
-        self._materialize_effects()
+        self.materialize()
         return ShardSeed(
             partition=self.partition,
             partitioning=self.partitioning,
@@ -766,10 +892,12 @@ class Worker:
 
     def collect_states(self) -> dict[Any, dict[str, Any]]:
         """State of every owned agent, keyed by id (driver sync / checkpoint pull)."""
+        self.materialize()
         return {agent.agent_id: agent.state_dict() for agent in self.owned_agents()}
 
     def collect_coordinates(self, axis: int) -> list[float]:
         """Owned agents' positions along ``axis`` (load-balancer statistics)."""
+        self.materialize()
         return [agent.position()[axis] for agent in self.owned_agents()]
 
     # ------------------------------------------------------------------
@@ -782,11 +910,15 @@ class Worker:
         snapshot over the extent — owned agents plus replicas, in canonical
         order — assembled from the position rows :meth:`distribute`
         harvested earlier this tick: positions are packed once per tick, not
-        once per phase.
+        once per phase.  Resident columns go to the query kernel, which
+        packs only the extent rows they do not hold and carries them into
+        its hand-off; an interpreted phase gets the objects written back
+        first.
         """
         settings = self.settings
         self._materialize_effects()  # a query round's hand-off is its own
         owned, replicas = self.owned_agents(), self.replica_agents()
+        snapshot, resident = self._build_snapshot()
         context = QueryContext(
             # Not the snapshot's merged order: ``ctx.agents()`` hands this
             # list to user code, and it must not depend on the backend.
@@ -795,39 +927,57 @@ class Worker:
             seed=settings.seed,
             check_visibility=settings.check_visibility,
             spatial_backend=settings.spatial_backend,
-            snapshot=self._build_snapshot(),
+            snapshot=snapshot,
         )
         with phase(Phase.QUERY):
-            _query_loop(owned, context, settings.plan_backend, self._hold_effects)
+            _query_loop(
+                owned,
+                context,
+                settings.plan_backend,
+                self._hold_effects,
+                resident,
+                self.materialize,
+            )
+        # The columns went into the hand-off, or were written back.
+        self._forget_resident()
         self.last_query_work_units = context.work_units
         return context
 
-    def _build_snapshot(self) -> PointSet | None:
-        """The query phase's columnar snapshot (None on the python backend).
+    def _build_snapshot(self) -> tuple[PointSet | None, kernels.ResidentRows | None]:
+        """The query phase's columnar snapshot (None on the python backend)
+        and where the resident columns sit in it (None when none are).
 
         Its rows are the extent in canonical order.  Both tables are already
         sorted, so that is one merge over their stored keys, and the owned
         rows come from the map phase's harvest: only the replicas — rows
-        that arrived after it — have their positions read here (everyone's
-        when no map phase ran this tick).
+        that arrived after it — have their positions read here (the owned
+        rows' too when no map phase ran this tick).
         """
         if self.settings.spatial_backend != "vectorized":
             self.last_snapshot = None
-            return None
-        agents, points = self._owned_rows().extent_with(self._replica_rows())
-        self.last_snapshot = PointSet(agents, points=points)
-        return self.last_snapshot
+            return None, None
+        table = self._owned_rows()
+        if table.points is None:
+            table.harvest(self._resident)
+        extent, probe_rows = table.merged_with(self._replica_rows())
+        self.last_snapshot = PointSet(extent.agents, points=extent.points)
+        if self._resident is None:
+            return self.last_snapshot, None
+        return self.last_snapshot, kernels.ResidentRows(
+            self._resident, extent.resident, probe_rows
+        )
 
     def touched_replica_partials(self) -> dict[Any, dict[str, Any]]:
         """Effect partials assigned to replicas during this tick's query phase.
 
         These are the non-local effect assignments that must be routed to the
-        owning partitions by the second reduce pass.
+        owning partitions by the second reduce pass.  Only the touched
+        replicas are visited.
         """
+        replicas = list(self.replicas.values())
         return {
-            agent_id: replica.touched_effect_partials()
-            for agent_id, replica in self.replicas.items()
-            if replica._effects_touched
+            replica.agent_id: replica.touched_effect_partials()
+            for replica in compress(replicas, map(attrgetter("_effects_touched"), replicas))
         }
 
     def _hold_effects(self, handoff: kernels.EffectHandoff) -> None:
@@ -835,10 +985,11 @@ class Worker:
         self._effect_handoff = handoff
 
     def _materialize_effects(self) -> None:
-        """Write a held hand-off's effects onto the owned agents; drop it."""
+        """Write a held hand-off's effects (and the state its table holds
+        ahead) onto the owned agents; drop it."""
         handoff, self._effect_handoff = self._effect_handoff, None
         if handoff is not None:
-            handoff.materialize()
+            self.rows_materialized += handoff.materialize()
 
     def merge_remote_partials(self, agent_id: Any, partials: dict[str, Any]) -> None:
         """Merge effect partials produced at another partition into an owned agent.
@@ -862,7 +1013,10 @@ class Worker:
         """Execute the update phase for every owned agent, collecting births/deaths.
 
         Consumes the query phase's hand-off; a phase that fails leaves its
-        effects on the agents, as the interpreter would have.
+        effects (and its state) on the agents, as the interpreter would
+        have.  When the update kernel ran on the hand-off, the new state is
+        in its table's columns, and the owned rows stay resident (see
+        :meth:`materialize`): no agent object is written.
         """
         settings = self.settings
         # Positions change now: the map phase's position rows are stale.
@@ -877,8 +1031,10 @@ class Worker:
                 _update_loop(self.owned_agents(), context, settings.plan_backend, handoff)
         except BaseException:
             if handoff is not None:
-                handoff.materialize()
+                self.rows_materialized += handoff.materialize()
             raise
+        if handoff is not None and handoff.updated:
+            self._keep_resident(handoff.probe_table())
         return context
 
     def __repr__(self) -> str:

@@ -8,12 +8,16 @@ aggregation turns into ``np.ufunc.at`` scatter-reductions over the spatial
 join's pair arrays, one cache-sized block of whole probes at a time
 (:meth:`~repro.core.context.QueryContext.visible_pairs`), and update rules
 turn into column arithmetic over a
-:class:`~repro.core.soa.AgentTable` structure-of-arrays snapshot.  On a
+:class:`~repro.core.soa.AgentTable` structure-of-arrays table.  On a
 worker no agent object is touched between the join and the update kernel:
 the query kernel hands its table and its effect accumulators to the update
 kernel as an :class:`EffectHandoff`, and writes only the replica rows'
 effects onto objects; a reader that needs the probes' effects on the
-objects materializes the hand-off first.
+objects materializes the hand-off first.  The update kernel leaves the new
+state in the table's columns, and the worker keeps the owned rows resident
+into the next tick: the next query kernel takes them as
+:class:`ResidentRows` and packs only the rows they do not hold (replicas,
+arrivals), so a steady compiled tick packs and writes back no object.
 
 Bit-identity with the interpreter is the contract, never tolerance, so the
 compiler only accepts constructs it can prove equivalent:
@@ -465,18 +469,21 @@ class QueryKernel:
         #: ``id(node) -> (key, later_uses)`` of the repeated sub-expressions.
         self.shared = sharing.shared()
 
-    def run(self, owned: Sequence[Any], context: Any) -> EffectHandoff:
+    def run(
+        self, owned: Sequence[Any], context: Any, resident: Optional[ResidentRows] = None
+    ) -> EffectHandoff:
         """Execute the query phase for ``owned`` probes against ``context``.
 
         The effects of the extent rows that are not probes (the replicas,
         which the second reduce pass reads) are written onto their agents;
         the probes' come back as an :class:`EffectHandoff` for the update
-        kernel.
+        kernel.  With ``resident`` columns only the extent rows they do not
+        hold are packed from their objects.
 
         Raises :class:`PlanKernelFallback` (before any mutation) when a
         runtime-only condition blocks the compiled path.
         """
-        frame = _VectorFrame.for_query(self, owned, context)
+        frame = _VectorFrame.for_query(self, owned, context, resident)
         frame.exec_block(self.body.statements, True, "probe")
         return frame.hand_off()
 
@@ -507,8 +514,10 @@ class UpdateKernel:
 
         With a ``handoff`` (whose probes are ``agents``) the effects are read
         from its accumulator columns and the state from its table's probe
-        rows: nothing is packed again.  Without one both are packed from the
-        agent objects.
+        rows: nothing is packed again, and the new state stays in the
+        table's columns, ahead of the objects (``handoff.updated``), for
+        the caller to keep resident or write back.  Without one both are
+        packed from the agent objects and the new state is written back.
 
         Raises :class:`PlanKernelFallback` before anything is mutated when a
         value the rules need cannot be packed into a ``float64`` column.
@@ -556,7 +565,10 @@ class UpdateKernel:
                 column[rows] = new
                 new = column
             table.set_column(field, new)
-        table.writeback()
+        if handoff is None:
+            table.writeback()
+        else:
+            handoff.updated = True
 
 
 def _names_in(expr) -> List[str]:
@@ -918,31 +930,66 @@ class _Accumulator:
             agent._effects_touched.add(field)
 
 
+class ResidentRows:
+    """A shard's resident columns, placed in one query phase's extent.
+
+    ``table`` holds the owned rows of one compiled class, ahead of their
+    objects (:mod:`repro.core.soa`).  ``extent_rows[e]`` is the table row
+    standing for canonical extent row ``e``, or -1 for a row the query
+    kernel packs from its object now (a replica, an arrival);
+    ``probe_rows[i]`` is the extent row of probe ``i`` (None: probe ``i``
+    is extent row ``i``).  The worker builds both from the one merge of
+    its owned and replica tables (:meth:`repro.brace.worker._SortedAgents.
+    merged_with`); the table is the last update kernel's, so it holds every
+    field of the probes' one class.
+    """
+
+    __slots__ = ("table", "extent_rows", "probe_rows")
+
+    def __init__(
+        self, table: AgentTable, extent_rows: np.ndarray, probe_rows: Optional[np.ndarray]
+    ):
+        self.table = table
+        self.extent_rows = extent_rows
+        self.probe_rows = probe_rows
+
+
 class EffectHandoff:
     """A compiled class's effects in columns, from the query kernel to the
     update kernel of one tick.
 
-    ``table`` is the query kernel's packed extent, ``accumulators`` its
-    per-field effect columns over the table's rows, ``probe_rows`` the table
-    row of each of ``owned`` (None: row ``i`` is ``owned[i]``).  The
-    non-probe rows were written onto their agents when the hand-off was
-    made; the probe rows' effects live only here until the update kernel
-    reads them (:meth:`UpdateKernel.run`) or :meth:`materialize` writes them
-    onto the agents for a reader that needs the objects.
+    ``table`` is the query kernel's extent, ``accumulators`` its per-field
+    effect columns over the table's rows, ``probe_rows`` the table row of
+    each of ``owned`` (None: row ``i`` is ``owned[i]``).  The non-probe
+    rows' effects were written onto their agents when the hand-off was
+    made; the probe rows' live only here until the update kernel reads them
+    (:meth:`UpdateKernel.run`, which then writes the new state into
+    ``table`` and sets ``updated``) or :meth:`materialize` writes them onto
+    the agents for a reader that needs the objects.  The table's probe rows
+    may be ahead of their objects (resident columns), so materializing
+    writes their state too.
     """
 
-    __slots__ = ("table", "accumulators", "probe_rows", "owned")
+    __slots__ = ("table", "accumulators", "probe_rows", "owned", "updated")
 
     def __init__(self, table: AgentTable, accumulators, probe_rows, owned: Sequence[Any]):
         self.table = table
         self.accumulators: Dict[str, _Accumulator] = accumulators
         self.probe_rows: Optional[np.ndarray] = probe_rows
         self.owned = owned
+        #: True once the update kernel wrote the new state into ``table``.
+        self.updated = False
 
     def probes_are(self, agents: Sequence[Any]) -> bool:
         """Whether ``agents`` are the probes, object for object, in order."""
         owned = self.owned
         return len(agents) == len(owned) and all(map(is_, agents, owned))
+
+    def probe_table(self) -> AgentTable:
+        """The probes' rows of ``table``, as a table of their own."""
+        if self.probe_rows is None:
+            return self.table
+        return self.table.take(self.probe_rows)
 
     def merge(self, agent: Any, partials: Dict[str, Any]) -> bool:
         """Merge routed ``partials`` into ``agent``'s accumulator rows.
@@ -975,14 +1022,16 @@ class EffectHandoff:
             accumulator.put(row, value)
         return True
 
-    def materialize(self) -> None:
-        """Write the probe rows' assigned effects onto their agents — the
-        writeback the query kernel skipped.  Idempotent."""
+    def materialize(self) -> int:
+        """Write the probe rows' assigned effects and their state onto their
+        agents — everything the kernels kept in columns.  Idempotent.
+        Returns the rows whose state was ahead of their objects."""
         rows = self.probe_rows
         if rows is None:
             rows = np.arange(len(self.owned), dtype=np.intp)
         for accumulator in self.accumulators.values():
             accumulator.writeback(self.table.agents, rows)
+        return self.table.writeback(rows)
 
 
 class _VectorFrame:
@@ -1021,7 +1070,13 @@ class _VectorFrame:
 
     # -- construction --------------------------------------------------
     @classmethod
-    def for_query(cls, kernel: QueryKernel, owned: Sequence[Any], context: Any):
+    def for_query(
+        cls,
+        kernel: QueryKernel,
+        owned: Sequence[Any],
+        context: Any,
+        resident: Optional[ResidentRows] = None,
+    ):
         canonical = context._canonical_agents()
         classes = list(map(type, canonical))
         if len(set(classes)) == 1 and classes[0].__name__ == kernel.class_name:
@@ -1031,18 +1086,40 @@ class _VectorFrame:
                 (cls_.__name__ == kernel.class_name for cls_ in classes), bool, len(classes)
             )
             extent = list(compress(canonical, in_class.tolist()))
+        table_rows = None if in_class is None else np.cumsum(in_class) - 1
         try:
-            table = AgentTable(extent, kernel.state_field_names)
+            if resident is None:
+                table = AgentTable(extent, kernel.state_field_names)
+                packed = extent
+            else:
+                rows = resident.extent_rows
+                if in_class is not None:
+                    rows = rows[in_class]
+                table = AgentTable.with_resident(
+                    extent, kernel.state_field_names, resident.table, rows
+                )
+                packed = [extent[row] for row in np.flatnonzero(rows < 0).tolist()]
         except UnpackableValueError as exc:
             raise PlanKernelFallback(str(exc)) from exc
+        # Resident rows passed these checks when they were packed, and since
+        # then only the update kernel wrote them (floats) and only the map
+        # phase touched their effects (a reset): only packed rows are judged.
         for name in kernel.float_guard:
-            if any(type(agent._state[name]) is not float for agent in extent):
+            if any(type(agent._state[name]) is not float for agent in packed):
                 raise PlanKernelFallback(f"non-float value in float field {name!r}")
         try:
+            if resident is not None:
+                # The worker's merge placed the probes; one anchoring lookup
+                # checks it.
+                probe_rows = resident.probe_rows
+                if probe_rows is not None and table_rows is not None:
+                    probe_rows = table_rows[probe_rows]
+                if table.row_of(owned[0]) != (0 if probe_rows is None else probe_rows[0]):
+                    raise PlanKernelFallback("resident rows do not line up with the probes")
             # Every row probing in row order needs no lane -> row gather:
             # the first probe anchors row 0 through the table's own index,
             # one identity pass proves the rest.
-            if (
+            elif (
                 len(owned) == len(extent)
                 and table.row_of(owned[0]) == 0
                 and all(map(is_, owned, extent))
@@ -1060,12 +1137,12 @@ class _VectorFrame:
         frame.probes = owned
         if in_class is not None:
             frame.in_class = in_class
-            frame.table_rows = np.cumsum(in_class) - 1
+            frame.table_rows = table_rows
         frame.state_fields = set(kernel.state_field_names)
         # The map phase resets effects and only an assignment (which marks
         # the field touched) moves them off the identity: an untouched
         # extent starts from identity columns without reading an agent.
-        assigned = any(map(attrgetter("_effects_touched"), extent))
+        assigned = any(map(attrgetter("_effects_touched"), packed))
         frame.accumulators = {
             field: _Accumulator(
                 field,
@@ -1442,6 +1519,7 @@ def try_compiled_query_phase(
     owned: Sequence[Any],
     context: Any,
     keep: Optional[Callable[[EffectHandoff], None]] = None,
+    resident: Optional[ResidentRows] = None,
 ) -> bool:
     """Run the whole query phase compiled; ``False`` means "not executed".
 
@@ -1451,6 +1529,9 @@ def try_compiled_query_phase(
     interpreted rerun charges exactly once.  ``keep`` receives the
     :class:`EffectHandoff` that holds the probes' effects; without it they
     are written onto the probes (materialized) before this returns.
+    ``resident`` columns (the shard's, ahead of the probes' objects) are
+    merged into the kernel's table instead of packing those rows; on a
+    False return they are untouched and still ahead.
     """
     if not owned:
         return False
@@ -1462,7 +1543,7 @@ def try_compiled_query_phase(
         return False
     saved_work = (context.work_units, context.index_probes)
     try:
-        handoff = kernel.run(owned, context)
+        handoff = kernel.run(owned, context, resident)
     except PlanKernelFallback:
         context.work_units, context.index_probes = saved_work
         return False

@@ -853,6 +853,7 @@ class ClusterExecutor(Executor):
                     result_bytes=len(blob),
                     serialize_seconds=encode_seconds + meta["codec_seconds"] + decode_seconds,
                     transport_seconds=send,
+                    rows_materialized=meta["rows_materialized"],
                 )
             )
         return results

@@ -67,6 +67,7 @@ from repro.cluster.protocol import (
     ProtocolError,
 )
 from repro.cluster.retry import RetryPolicy
+from repro.core.executor import materialized_rows
 from repro.ipc.frames import ColumnarCodec
 
 __all__ = ["serve", "serve_channel", "serve_socketpair", "main"]
@@ -123,16 +124,19 @@ def _handle(state: _NodeState, kind: str, meta: Any, blob: bytes) -> tuple:
         start = time.perf_counter()
         payload = state.codec.decode(blob)
         codec_seconds = time.perf_counter() - start
+        shard = state.shards[shard_id]
+        materialized = materialized_rows(shard)
         start = time.perf_counter()
-        value = meta["fn"](state.shards[shard_id], payload)
+        value = meta["fn"](shard, payload)
         wall_seconds = time.perf_counter() - start
+        materialized = max(0, materialized_rows(shard) - materialized)
         start = time.perf_counter()
         result_blob = state.codec.encode(value)
         codec_seconds += time.perf_counter() - start
         return (
             "result",
             {"shard_id": shard_id, "wall_seconds": wall_seconds,
-             "codec_seconds": codec_seconds},
+             "codec_seconds": codec_seconds, "rows_materialized": materialized},
             result_blob,
         )
     if kind == "collect_shard":

@@ -68,6 +68,9 @@ class ShardTaskResult:
     result_bytes: int = 0   #: Encoded result size shipped back.
     serialize_seconds: float = 0.0  #: Encode + decode time, both ends.
     transport_seconds: float = 0.0  #: Socket send time of the command frame.
+    #: Rows the task wrote onto agent objects from columns that were ahead
+    #: of them (:func:`materialized_rows`), counted where the shard lives.
+    rows_materialized: int = 0
 
 
 def _timed_shard_call(fn: Callable[[Any, Any], Any], state: Any, payload: Any) -> tuple[Any, float]:
@@ -75,6 +78,23 @@ def _timed_shard_call(fn: Callable[[Any, Any], Any], state: Any, payload: Any) -
     start = time.perf_counter()
     value = fn(state, payload)
     return value, time.perf_counter() - start
+
+
+def materialized_rows(state: Any) -> int:
+    """A shard state's running count of rows it wrote onto agent objects
+    (its ``rows_materialized``; 0 for a state that keeps none)."""
+    return getattr(state, "rows_materialized", 0)
+
+
+def _shard_task(
+    shard_id: int, fn: Callable[[Any, Any], Any], state: Any, payload: Any
+) -> ShardTaskResult:
+    """Run one shard task in process: its value, timing and materialized rows."""
+    before = materialized_rows(state)
+    value, seconds = _timed_shard_call(fn, state, payload)
+    return ShardTaskResult(
+        shard_id, value, seconds, rows_materialized=max(0, materialized_rows(state) - before)
+    )
 
 
 def _is_pickling_error(error: BaseException) -> bool:
@@ -168,11 +188,10 @@ class Executor:
         frames and report the measured bytes.
         """
         states = self._require_shards(tasks)
-        results = []
-        for shard_id, fn, payload in tasks:
-            value, seconds = _timed_shard_call(fn, states[shard_id], payload)
-            results.append(ShardTaskResult(shard_id, value, seconds))
-        return results
+        return [
+            _shard_task(shard_id, fn, states[shard_id], payload)
+            for shard_id, fn, payload in tasks
+        ]
 
     def teardown_shards(self) -> None:
         """Drop every resident shard state (idempotent)."""

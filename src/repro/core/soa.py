@@ -4,15 +4,24 @@ The interpreted runtime stores agent state as one ``dict`` per agent object
 (:class:`~repro.core.agent.Agent`).  The columnar plan kernels
 (:mod:`repro.brasil.kernels`) instead want each numeric field of a class as
 one contiguous NumPy column so a whole query or update phase becomes a
-handful of array operations.  :class:`AgentTable` is the bridge: it packs
-one class's agents — in the same canonical order the
-:class:`~repro.spatial.columnar.PointSet` snapshot harvested by
-``Worker.distribute`` uses — into ``float64`` columns, and writes dirty
-columns back to the owning objects afterwards.  On a worker one table
-serves a whole tick: the query kernel packs it over the extent and hands it,
-with its effect accumulator columns, to the update kernel
-(:class:`repro.brasil.kernels.EffectHandoff`), whose rules gather their
-state columns from the probe rows; effects never pass through this module.
+handful of array operations.  :class:`AgentTable` is that column form: it
+packs one class's agents — in the same canonical order the
+:class:`~repro.spatial.columnar.PointSet` snapshot uses — into ``float64``
+columns.
+
+On a worker the table is *resident*.  The query kernel hands it, with its
+effect accumulator columns, to the update kernel
+(:class:`repro.brasil.kernels.EffectHandoff`); the update kernel writes the
+new state into it; and the owned rows stay with the shard into the next
+tick, whose map phase reads positions from the spatial columns and whose
+query kernel reuses the rows instead of packing the objects again.  So the
+columns run ahead of the objects, and :meth:`AgentTable.writeback` is
+*materialization*: it brings the objects up to the columns, only where
+someone reads them — the rows a map phase ships or migrates, the whole
+shard before a capture, a sync, a repartitioning or an interpreted phase.
+Constructing a table is the one pack path; a shard that materialized
+everything builds its next table through it again.  Effects never pass
+through this module.
 
 Bit-identity is the contract, so packing is conservative:
 
@@ -28,10 +37,11 @@ Writeback is keyed by the *object references* captured at pack time, not by
 row position in some later list, so agents born or killed between pack and
 writeback cannot shift rows: new agents are simply not in the table, and
 rows whose agents left the world write to an unreferenced ``_state`` dict,
-which is harmless.  A cell whose packed bit pattern never changed is not
-written at all, so it keeps the *original* Python object (same type, same
-NaN payload), making a pack → writeback round-trip bit-identical to not
-packing at all.
+which is harmless.  A cell whose bit pattern never moved since the objects
+were last written is not written at all, so it keeps the *original* Python
+object (same type, same NaN payload), making a pack → writeback round-trip
+bit-identical to not packing at all.  A cell that moved and moved back is
+written, as one writeback per update would have written it.
 """
 
 from __future__ import annotations
@@ -275,13 +285,19 @@ def pack_positions(agents: Sequence) -> np.ndarray:
 
 
 class AgentTable:
-    """Columnar (structure-of-arrays) view over one class's agents.
+    """Columnar (structure-of-arrays) table over one class's agents.
 
     ``agents`` must all be instances of the same agent class and should be
     supplied in canonical order (``sorted(key=agent_sort_key)``) so rows
     line up with the worker's ``PointSet`` snapshot.  ``field_names``
     defaults to every declared state field of the class, in declaration
     order — the same order ``position()`` uses for spatial fields.
+
+    Constructing a table is the one pack path.  A table built from another
+    (:meth:`take`, :meth:`with_resident`) gathers columns and packs nothing
+    it already holds.  Columns may run ahead of the objects: each column
+    set since the objects were last written keeps a mask of the rows whose
+    bits moved, and :meth:`writeback` writes exactly those cells.
     """
 
     def __init__(self, agents: Sequence, field_names: Sequence[str] | None = None):
@@ -292,59 +308,162 @@ class AgentTable:
             else:
                 field_names = []
         self.field_names: List[str] = list(field_names)
-        self._row_of: Dict[int, int] = {id(a): i for i, a in enumerate(self.agents)}
+        self._row_of: Dict[int, int] | None = None
         self._columns: Dict[str, np.ndarray] = {}
-        self._packed_originals: Dict[str, np.ndarray] = {}
-        self._dirty: set = set()
+        #: ``field -> rows whose bits moved since the objects were written``,
+        #: for every column set since then.
+        self._changed: Dict[str, np.ndarray] = {}
+        #: Columns mutated in place (:meth:`mark_dirty`): judged against the
+        #: objects themselves at :meth:`writeback`.
+        self._in_place: set = set()
         for name in self.field_names:
-            packed = pack_column([agent._state[name] for agent in self.agents])
-            self._columns[name] = packed
-            self._packed_originals[name] = packed.copy()
+            self._columns[name] = pack_column([agent._state[name] for agent in self.agents])
+
+    @classmethod
+    def _from_parts(cls, agents: List, field_names: List[str], columns, changed) -> "AgentTable":
+        table = cls.__new__(cls)
+        table.agents = agents
+        table.field_names = field_names
+        table._row_of = None
+        table._columns = columns
+        table._changed = changed
+        table._in_place = set()
+        return table
+
+    @classmethod
+    def with_resident(
+        cls,
+        agents: Sequence,
+        field_names: Sequence[str],
+        resident: "AgentTable",
+        rows: np.ndarray,
+    ) -> "AgentTable":
+        """A table over ``agents`` that reuses ``resident``'s columns.
+
+        Row ``i`` is ``resident`` row ``rows[i]`` when that is ``>= 0`` —
+        columns, and the cells still to be written, carried over — and is
+        packed from ``agents[i]`` otherwise; only those rows are packed.
+        ``resident`` must hold every one of ``field_names``.  When every row
+        is ``resident``'s own, in its order, ``resident`` itself is returned.
+        """
+        names = list(field_names)
+        fresh = np.flatnonzero(rows < 0)
+        if (
+            not len(fresh)
+            and len(rows) == len(resident)
+            and names == resident.field_names
+            and (rows == np.arange(len(rows))).all()
+        ):
+            return resident
+        kept = np.flatnonzero(rows >= 0)
+        source = rows[kept]
+        agents = list(agents)
+        packed = AgentTable([agents[row] for row in fresh.tolist()], names) if len(fresh) else None
+        columns: Dict[str, np.ndarray] = {}
+        for name in names:
+            column = np.empty(len(agents), dtype=np.float64)
+            column[kept] = resident._columns[name][source]
+            if packed is not None:
+                column[fresh] = packed._columns[name]
+            columns[name] = column
+        changed: Dict[str, np.ndarray] = {}
+        for name, moved in resident._changed.items():
+            if name in columns:
+                mask = np.zeros(len(agents), dtype=bool)
+                mask[kept] = moved[source]
+                changed[name] = mask
+        return cls._from_parts(agents, names, columns, changed)
+
+    def take(self, rows: np.ndarray) -> "AgentTable":
+        """The table of ``rows`` only (columns and unwritten cells gathered)."""
+        return self._from_parts(
+            [self.agents[row] for row in rows.tolist()],
+            self.field_names,
+            {name: column[rows] for name, column in self._columns.items()},
+            {name: moved[rows] for name, moved in self._changed.items()},
+        )
 
     def __len__(self) -> int:
         return len(self.agents)
 
     def row_of(self, agent) -> int:
         """Row index of ``agent`` (by object identity)."""
+        if self._row_of is None:
+            self._row_of = {id(a): i for i, a in enumerate(self.agents)}
         return self._row_of[id(agent)]
 
     def column(self, name: str) -> np.ndarray:
         """The packed ``float64`` column for state field ``name``."""
         return self._columns[name]
 
+    def points(self) -> np.ndarray:
+        """The rows' positions as one ``(n, dim)`` matrix: the class's spatial
+        columns, so row ``i`` is what ``agents[i].position()`` returns once
+        the row is written back."""
+        if not self.agents:
+            return np.zeros((0, 0), dtype=np.float64)
+        names = type(self.agents[0])._spatial_fields
+        return np.column_stack([self._columns[name] for name in names])
+
     def set_column(self, name: str, values: np.ndarray) -> None:
-        """Replace a column and mark it dirty for :meth:`writeback`."""
+        """Replace a column; the rows whose bits moved are written back later."""
         column = np.asarray(values, dtype=np.float64)
         if column.shape != (len(self.agents),):
             raise ValueError(
                 f"column {name!r} has shape {column.shape}, "
                 f"expected ({len(self.agents)},)"
             )
+        # uint64 views compare bit patterns: NaN payloads and the sign of
+        # zero count, exactly as cells_equal defines "same".
+        moved = column.view(np.uint64) != self._columns[name].view(np.uint64)
+        prior = self._changed.get(name)
+        self._changed[name] = moved if prior is None else prior | moved
         self._columns[name] = column
-        self._dirty.add(name)
 
     def mark_dirty(self, name: str) -> None:
         """Mark a column mutated in place as needing :meth:`writeback`."""
         if name not in self._columns:
             raise KeyError(name)
-        self._dirty.add(name)
+        self._in_place.add(name)
 
-    def writeback(self) -> None:
-        """Write dirty columns back into the agents' ``_state`` dicts.
+    def writeback(self, rows: np.ndarray | None = None) -> int:
+        """Write the cells that moved back into the agents' ``_state`` dicts.
 
-        Only cells whose bit pattern differs from the packed original are
-        written, as Python floats — matching what the interpreted update
-        path stores for computed values.  Every other cell keeps the
-        original Python object (its type and, for NaN, its identity).
+        The one materialization step: only cells whose bit pattern moved
+        since the objects were last written are written, as Python floats —
+        matching what the interpreted update path stores for computed
+        values.  Every other cell keeps the original Python object (its type
+        and, for NaN, its identity).  ``rows`` limits the write to those
+        rows (the rest stay ahead); None writes every row.  Returns the
+        number of rows brought current: all of them, or 0 when no cell of
+        the table was ahead.
         """
         agents = self.agents
-        for name in sorted(self._dirty):
+        for name in self._in_place:
+            objects = pack_column([agent._state[name] for agent in agents])
+            moved = self._columns[name].view(np.uint64) != objects.view(np.uint64)
+            prior = self._changed.get(name)
+            self._changed[name] = moved if prior is None else prior | moved
+        self._in_place.clear()
+        if not self._changed:
+            return 0
+        for name in sorted(self._changed):
+            moved = self._changed[name]
+            if rows is None:
+                written = np.flatnonzero(moved)
+            else:
+                written = rows[moved[rows]]
+                if len(written):
+                    moved = moved.copy()
+                    moved[written] = False
+                if moved.any():
+                    self._changed[name] = moved
+                else:
+                    del self._changed[name]
             column = self._columns[name]
-            # uint64 views compare bit patterns: NaN payloads and the sign
-            # of zero count, exactly as cells_equal defines "same".
-            changed = np.flatnonzero(
-                column.view(np.uint64) != self._packed_originals[name].view(np.uint64)
-            )
-            for row, value in zip(changed.tolist(), column[changed].tolist()):
+            for row, value in zip(written.tolist(), column[written].tolist()):
                 agents[row]._state[name] = value
-        self._dirty.clear()
+        if rows is None:
+            self._changed = {}
+            return len(agents)
+        return len(rows)

@@ -42,6 +42,7 @@ from repro.core.executor import (
     Executor,
     ShardTaskResult,
     TaskResult,
+    _shard_task,
     _timed_shard_call,
     default_worker_count,
 )
@@ -157,8 +158,7 @@ class ThreadExecutor(Executor):
             state = states[shard_id]
             out = []
             for index, fn, payload in items:
-                value, seconds = _timed_shard_call(fn, state, payload)
-                out.append((index, ShardTaskResult(shard_id, value, seconds)))
+                out.append((index, _shard_task(shard_id, fn, state, payload)))
             return out
 
         pool = self._ensure_pool()

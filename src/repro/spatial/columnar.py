@@ -52,6 +52,7 @@ the very same Python object is indexed at two rows.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -65,8 +66,12 @@ MAX_CELLS_PER_PROBE = 64
 #: with more candidates is a block of its own).  Chosen by measurement on
 #: the 8000-agent predator tick: smaller blocks touch fewer fresh pages
 #: per tick, larger ones pay the plan kernel's fixed per-block cost less
-#: often, and 32 768 gave the lowest tick time of 16 384, 32 768 and 65 536.
-BLOCK_CANDIDATES = 32768
+#: often.  With the join's block step in reused buffers, 16 384 and 32 768
+#: run equally fast (0.061 s median CPU per tick, 8 alternating runs each
+#: on a shared 2-vCPU box), and 16 384 takes about 470 minor page faults
+#: per query phase where 32 768 takes about 2 400: the plan kernel's
+#: block-sized temporaries stay small enough to be reused in place.
+BLOCK_CANDIDATES = 16384
 
 
 def _as_matrix(points: Any) -> np.ndarray:
@@ -94,6 +99,51 @@ def _pairwise_dist_sq(diff: np.ndarray) -> np.ndarray:
     for dimension in range(1, diff.shape[1]):
         total = total + diff[:, dimension] * diff[:, dimension]
     return total
+
+
+class _BlockScratch:
+    """One thread's buffers for the per-block step of a blocked join.
+
+    A block of at most :data:`BLOCK_CANDIDATES` candidates expands, gathers,
+    compares and orders its candidates in these arrays instead of in fresh
+    block-sized temporaries, so a tick's blocks reuse the same pages rather
+    than have the allocator trim and fault them back in block after block.
+    Nothing here leaves :meth:`VectorizedGrid._join_block`: the pair arrays
+    it returns are fresh, since callers may hold on to a block.
+    """
+
+    __slots__ = ("size", "ramp", "positions", "rows", "keys", "values", "bounds", "inside", "test")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.ramp = np.arange(size, dtype=np.int64)
+        self.positions = np.empty(size, dtype=np.int64)
+        self.rows = np.empty(size, dtype=np.intp)
+        self.keys = np.empty(size, dtype=np.int64)
+        self.values = np.empty(size, dtype=np.float64)
+        self.bounds = np.empty(size, dtype=np.float64)
+        self.inside = np.empty(size, dtype=bool)
+        self.test = np.empty(size, dtype=bool)
+
+
+_SCRATCH = threading.local()
+
+
+def _block_scratch(candidates: int) -> _BlockScratch | None:
+    """This thread's scratch when a block of ``candidates`` fits a block
+    budget; None (allocate as needed) for a larger one, so no buffer beyond
+    one budget is ever retained."""
+    if candidates > BLOCK_CANDIDATES:
+        return None
+    scratch = getattr(_SCRATCH, "buffers", None)
+    if scratch is None or scratch.size < candidates:
+        scratch = _SCRATCH.buffers = _BlockScratch(BLOCK_CANDIDATES)
+    return scratch
+
+
+def _slot(scratch: _BlockScratch | None, name: str, length: int) -> np.ndarray | None:
+    """The first ``length`` cells of one scratch buffer (None: allocate)."""
+    return None if scratch is None else getattr(scratch, name)[:length]
 
 
 def _columns(matrix: np.ndarray) -> list[np.ndarray]:
@@ -237,14 +287,26 @@ class ProbeRuns:
     :meth:`VectorizedGrid.probe_runs`; every array is probe-sized.
     """
 
-    __slots__ = ("starts", "counts", "wide", "candidates")
+    __slots__ = ("starts", "counts", "wide", "candidates", "low_columns", "high_columns")
 
-    def __init__(self, starts: np.ndarray, counts: np.ndarray, wide: np.ndarray, count: int):
+    def __init__(
+        self,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        wide: np.ndarray,
+        count: int,
+        lows: np.ndarray,
+        highs: np.ndarray,
+    ):
         self.starts = starts
         self.counts = counts
         self.wide = wide
         #: Candidates each probe surfaces before the exact filter.
         self.candidates = counts.sum(axis=1) + wide * count
+        #: The probe boxes split per dimension once, for every block's
+        #: exact filter.
+        self.low_columns = _columns(lows)
+        self.high_columns = _columns(highs)
 
     def blocks(self) -> list[slice]:
         """Cut the probes into runs of whole probes, in probe order.
@@ -304,6 +366,9 @@ class VectorizedGrid:
         self._sorted_first = np.zeros(0, dtype=np.float64)
         self._order = np.zeros(0, dtype=np.intp)
         self._sorted_keys = np.zeros(0, dtype=np.int64)
+        #: The indexed points split per dimension (see :func:`_columns`),
+        #: once per index rather than once per block.
+        self._point_columns = _columns(points)
         if count == 0 or dim == 0:
             return
         first = points[:, 0]
@@ -367,7 +432,9 @@ class VectorizedGrid:
         highs = np.asarray(highs, dtype=np.float64)
         if count == 0 or len(lows) == 0:
             nothing = np.zeros((len(lows), 0), dtype=np.int64)
-            return ProbeRuns(nothing, nothing, np.zeros(len(lows), dtype=bool), count)
+            return ProbeRuns(
+                nothing, nothing, np.zeros(len(lows), dtype=bool), count, lows, highs
+            )
 
         # Needles in ascending order make binary searches walk forwards
         # (about four times faster than in probe order).
@@ -417,7 +484,7 @@ class VectorizedGrid:
             run_ends = np.searchsorted(self._sorted_keys, low_keys + rank_span[probes])
             starts[probes, column] = run_starts
             counts[probes, column] = run_ends - run_starts
-        return ProbeRuns(starts, counts, wide, count)
+        return ProbeRuns(starts, counts, wide, count, lows, highs)
 
     def _join_block(
         self,
@@ -425,46 +492,63 @@ class VectorizedGrid:
         block: slice,
         lows: np.ndarray,
         highs: np.ndarray,
-        keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+        keep: Callable[..., np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand, filter and order the candidates of one block of probes.
 
         ``lows``/``highs`` are the block's own boxes (block-local rows).
-        ``keep(probe_ids, rows)`` returns the exact-match mask of a chunk of
-        candidates (every one already inside the box in dimension 0, probe
-        ids block-local); ``keep=None`` says every candidate is a match (a
-        1-D range query).  Returns block-local ``(probe_ids, match_rows)``
-        sorted by ``(probe, row)``.
+        ``keep(probe_ids, rows, scratch)`` returns the exact-match mask of a
+        chunk of candidates (every one already inside the box in dimension
+        0, probe ids block-local), computed in ``scratch`` when that is not
+        None; ``keep=None`` says every candidate is a match (a 1-D range
+        query).  Returns block-local ``(probe_ids, match_rows)`` sorted by
+        ``(probe, row)``, both fresh arrays.
 
         Candidates are filtered *before* they are ordered, so the one
         single-key sort of composite ``probe * n + row`` keys runs over the
-        block's matches only.
+        block's matches only.  A block within the budget works in this
+        thread's :class:`_BlockScratch`; a larger one allocates.
         """
         count = len(self.pointset)
         key_chunks: list[np.ndarray] = []
 
-        def collect(probe_ids: np.ndarray, rows: np.ndarray) -> None:
+        def match_keys(probe_ids: np.ndarray, rows: np.ndarray, scratch) -> np.ndarray:
             if keep is not None:
-                # Index arrays beat a boolean mask applied to two arrays.
-                matched = np.flatnonzero(keep(probe_ids, rows))
-                probe_ids, rows = probe_ids[matched], rows[matched]
-            key_chunks.append(probe_ids * count + rows)
+                mask = keep(probe_ids, rows, scratch)
+                if not mask.all():
+                    # Index arrays beat a boolean mask applied to two arrays.
+                    matched = np.flatnonzero(mask)
+                    probe_ids = np.take(
+                        probe_ids, matched, out=_slot(scratch, "keys", len(matched)), mode="clip"
+                    )
+                    rows = np.take(
+                        rows, matched, out=_slot(scratch, "positions", len(matched)), mode="clip"
+                    )
+            keys = np.multiply(probe_ids, count, out=_slot(scratch, "keys", len(rows)))
+            return np.add(keys, rows, out=keys)
 
         run_counts = runs.counts[block]
         per_probe = run_counts.sum(axis=1)
         total = int(per_probe.sum())
         if total:
-            # Runs probe-major, cell offsets within a probe: one expansion.
+            scratch = _block_scratch(total)
+            # Runs probe-major, cell offsets within a probe: one expansion,
+            # a ramp plus each run's shift.  The repeats allocate: an int64
+            # cumulative sum in their place runs at 3.5 ns per candidate,
+            # which made the expansion nearly three times slower.
             run_counts = run_counts.ravel()
-            run_starts = runs.starts[block].ravel()
-            positions = np.arange(total, dtype=np.int64)
-            positions += np.repeat(run_starts - (np.cumsum(run_counts) - run_counts), run_counts)
+            shifts = runs.starts[block].ravel() - (np.cumsum(run_counts) - run_counts)
+            ramp = np.arange(total, dtype=np.int64) if scratch is None else scratch.ramp[:total]
+            positions = np.add(
+                ramp, np.repeat(shifts, run_counts), out=_slot(scratch, "positions", total)
+            )
             probe_ids = np.repeat(np.arange(len(per_probe), dtype=np.int64), per_probe)
-            collect(probe_ids, self._order[positions])
+            rows = np.take(self._order, positions, out=_slot(scratch, "rows", total), mode="clip")
+            key_chunks.append(match_keys(probe_ids, rows, scratch))
 
         for probe in np.flatnonzero(runs.wide[block]):
             rows = self.pointset.scan_box(lows[probe], highs[probe])
-            collect(np.full(len(rows), probe, dtype=np.int64), rows)
+            key_chunks.append(match_keys(np.full(len(rows), probe, dtype=np.int64), rows, None))
 
         if not key_chunks:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -472,8 +556,7 @@ class VectorizedGrid:
         # (probe, row) pairs are unique across cell offsets, so one unstable
         # single-key sort recovers the canonical (probe, row) order.
         keys.sort()
-        probe_ids = keys // count
-        return probe_ids, keys - probe_ids * count
+        return np.divmod(keys, count)
 
     # ------------------------------------------------------------------
     # Exact batch joins
@@ -507,15 +590,24 @@ class VectorizedGrid:
             block = slice(0, len(lows))
         lows, highs = lows[block], highs[block]
         # Dimension 0 is exact by rank; only the others need the box test.
-        columns = _columns(self.pointset.points)[1:]
-        low_columns, high_columns = _columns(lows)[1:], _columns(highs)[1:]
+        columns = self._point_columns[1:]
+        low_columns = [column[block] for column in runs.low_columns[1:]]
+        high_columns = [column[block] for column in runs.high_columns[1:]]
 
-        def keep(probe_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            inside = True
+        def keep(probe_ids: np.ndarray, rows: np.ndarray, scratch) -> np.ndarray:
+            n = len(rows)
+            inside = None
             for column, low, high in zip(columns, low_columns, high_columns):
-                coordinate = column[rows]
-                inside &= coordinate >= low[probe_ids]
-                inside &= coordinate <= high[probe_ids]
+                coordinate = np.take(column, rows, out=_slot(scratch, "values", n), mode="clip")
+                bound = np.take(low, probe_ids, out=_slot(scratch, "bounds", n), mode="clip")
+                if inside is None:
+                    inside = np.greater_equal(coordinate, bound, out=_slot(scratch, "inside", n))
+                else:
+                    test = np.greater_equal(coordinate, bound, out=_slot(scratch, "test", n))
+                    np.logical_and(inside, test, out=inside)
+                bound = np.take(high, probe_ids, out=bound, mode="clip")
+                test = np.less_equal(coordinate, bound, out=_slot(scratch, "test", n))
+                np.logical_and(inside, test, out=inside)
             return inside
 
         probe_ids, match_rows = self._join_block(
@@ -552,11 +644,13 @@ class VectorizedGrid:
         if block is None:
             block = slice(0, len(centers))
         centers = centers[block]
-        columns = _columns(self.pointset.points)
+        columns = self._point_columns
         center_columns = _columns(centers)
         examined = np.zeros(len(centers), dtype=np.int64)
 
-        def keep(probe_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        def keep(probe_ids: np.ndarray, rows: np.ndarray, _scratch) -> np.ndarray:
+            # The radius join runs over whole extents (one unbounded block),
+            # so its filter allocates rather than using the block scratch.
             inside = None  # every lane, until a dimension >= 1 says otherwise
             dist_sq = None
             for dimension, (column, center_column) in enumerate(zip(columns, center_columns)):

@@ -84,7 +84,8 @@ SIMULATION_SURFACE = {
     "pause",
     "resume",
     "close",
-    # introspection (``world`` is a per-instance attribute, not listed here)
+    # introspection (``world`` reads through the runtime once it started)
+    "world",
     "started",
     "paused",
     "closed",
