@@ -34,7 +34,6 @@ from repro.brasil import kernels
 from repro.core.agent import Agent, _set_updating, mutable_cells
 from repro.core.context import QueryContext, UpdateContext
 from repro.core.errors import BraceError
-from repro.core.fields import raw_effect_writes
 from repro.core.ordering import agent_sort_key
 from repro.core.phase import Phase, phase
 from repro.core.soa import AgentTable, pack_positions
@@ -388,9 +387,6 @@ class Worker:
         #: from the query round to the update round of one tick (the owned
         #: objects keep identity effects meanwhile); None otherwise.
         self._effect_handoff: kernels.EffectHandoff | None = None
-        #: :func:`~repro.core.fields.raw_effect_writes` when the last map
-        #: phase reset effects; None before the first one.
-        self._raw_writes_seen: int | None = None
         #: The owned rows' state in columns, ahead of the owned objects:
         #: what the last update kernel wrote, kept from the update phase
         #: through the next map phase into the next query kernel (the owned
@@ -407,17 +403,20 @@ class Worker:
     def add_owned(self, agent: Agent) -> None:
         """Take ownership of ``agent``; its effects start at identity.
 
-        BRACE places agents by position: a class without spatial fields has
-        no owner to compute and is refused.
+        An arrival (seed, spawn, migration, repartition, checkpoint rebuild)
+        decoded from a frame or an image, or cloned, is at identity already;
+        one handed over by reference is reset only when it has a touched
+        field, since an untouched accumulator is at identity
+        (:mod:`repro.core.fields`).  BRACE places agents by position: a
+        class without spatial fields has no owner to compute and is
+        refused.
         """
         if not agent._spatial_fields:
             raise BraceError(
                 f"worker {self.worker_id} cannot own {type(agent).__name__} "
                 f"agent {agent.agent_id}: the class declares no spatial field"
             )
-        # An arrival (seed, spawn, migration, repartition, checkpoint
-        # rebuild) may carry any accumulator; see _reset_effects.
-        if agent._effect_fields or agent._effects_touched:
+        if agent._effects_touched:
             agent.reset_effects()
         if agent.agent_id in self.owned:
             self._drop_owned_table()  # a replaced object: its row is stale
@@ -599,7 +598,7 @@ class Worker:
         byte accounting matches a centralized map phase exactly).  Replicas
         destined for this very partition — an agent that migrated away but
         is still visible here — are installed directly.  An interior agent
-        whose effects are at identity costs no Python at all
+        with no touched effect field costs no Python at all
         (:meth:`_reset_effects`).
 
         The harvested rows stay with the owned table and become the query
@@ -617,15 +616,17 @@ class Worker:
         runs); a by-reference transport does not.  It selects how replicas
         ship:
 
-        * without copies each replica is a fresh ``clone()`` and every
-          destination receives its full replica list every tick;
-        * with copies the clone is skipped (effects are at identity, so the
-          agent itself *is* the replica snapshot) and shipping switches to
-          *delta mode*: destinations retain last tick's replicas, and
-          ``replicas_out`` carries :class:`~repro.ipc.frames.ReplicaDelta`
-          objects in three parts — *additions* (whole rows the destination
-          does not hold), *refreshes* (only the changed cells of rows it
-          does hold) and *removals*.
+        * without copies each replica is a fresh ``clone()`` (id and state,
+          accumulators at identity) and every destination receives its full
+          replica list every tick;
+        * with copies the clone is skipped (a frame carries id and state
+          only, so the agent itself *is* the replica snapshot) and shipping
+          switches to *delta mode*: destinations retain last tick's
+          replicas, and ``replicas_out`` carries
+          :class:`~repro.ipc.frames.ReplicaDelta` objects in three parts —
+          *additions* (whole rows the destination does not hold),
+          *refreshes* (only the changed cells of rows it does hold) and
+          *removals*.
 
         "Changed" is decided cell by cell, by object identity of the state
         values against the row last sent to that destination, never by
@@ -703,7 +704,6 @@ class Worker:
                     result.replication_pair_bytes[(owner, target)] += size
                     result.replicas_created += 1
                     replica = agent.clone()
-                    replica.reset_effects()
                     if target == self.worker_id:
                         self.install_replica(replica)
                     else:
@@ -773,29 +773,18 @@ class Worker:
 
     def _reset_effects(self, owned: list[Agent]) -> None:
         """Bring every owned agent's effects back to identity, visiting only
-        the agents whose effects can differ from it.
+        the agents with a touched field.
 
-        An owned agent's effects can differ from identity only when
-        (a) a field is touched: an assignment, a routed merge or
-        :meth:`~repro.core.agent.Agent.set_effect_partials` since its reset;
-        or (b) an effect write bypassed the query phase anywhere in the
-        process since the last map phase (a raw assignment or an
-        :meth:`~repro.core.agent.Agent.restore`, which leave no touched
-        mark — on a by-reference executor the driver's agents are these).
-        Arrivals are reset by :meth:`add_owned`, and nothing else writes an
-        owned agent's effects: a compiled class's stay in the hand-off's
-        columns.  Under (b) every agent is reset.  Replicas are reset where
-        they are made (a clone, below) or retained
-        (:meth:`apply_replica_deltas`); in delta mode the agent itself ships,
-        already at identity.
+        Every write that moves an accumulator off its identity marks the
+        field touched (a query-phase assignment, a raw assignment between
+        ticks, a routed merge, :meth:`~repro.core.agent.Agent.set_effect_partials`),
+        so an untouched agent is at identity already.  Arrivals are reset by
+        :meth:`add_owned`, and a compiled class's effects stay in the
+        hand-off's columns.  Replicas start at identity where they are made
+        (a clone, or a decoded frame) and are reset where they are retained
+        (:meth:`apply_replica_deltas`); in delta mode the agent itself
+        ships, and a frame carries no accumulator.
         """
-        raw_writes = raw_effect_writes()
-        if raw_writes != self._raw_writes_seen:
-            for agent in owned:
-                if agent._effect_fields or agent._effects_touched:
-                    agent.reset_effects()
-            self._raw_writes_seen = raw_writes
-            return
         for agent in compress(owned, map(attrgetter("_effects_touched"), owned)):
             agent.reset_effects()
 

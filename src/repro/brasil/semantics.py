@@ -67,12 +67,6 @@ class ScriptInfo:
             name in self.visibility_radii for name in self.spatial_field_names
         )
 
-    def min_visibility_radius(self) -> float | None:
-        """The smallest per-dimension visibility radius, or None when unbounded."""
-        if not self.has_bounded_visibility:
-            return None
-        return min(self.visibility_radii[name] for name in self.spatial_field_names)
-
 
 def _local_names(block: Block) -> set[str]:
     """Names bound by local declarations or foreach variables anywhere in ``block``."""

@@ -84,12 +84,6 @@ class NetworkModel:
         transfer = num_bytes / self.bandwidth_bytes_per_second * penalty
         return latency + transfer
 
-    def broadcast_seconds(self, src: int, destinations: list[int], num_bytes: int) -> float:
-        """Simulated time for ``src`` to send ``num_bytes`` to every destination."""
-        return sum(
-            self.transfer_seconds(src, dst, num_bytes) for dst in destinations if dst != src
-        )
-
     def reset_totals(self) -> None:
         """Zero the running usage totals."""
         self.totals = NetworkTotals()

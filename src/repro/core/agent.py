@@ -12,10 +12,13 @@ state: ``agent.x`` is an ordinary attribute load, and every write passes
 through :meth:`Agent.__setattr__`, which enforces the phase rules on
 declared state fields and rejects undeclared attributes (an executor only
 carries declared state, so an ad-hoc attribute would silently diverge
-between them).  Agents also expose explicit snapshot/merge hooks so the
-BRACE runtime can replicate them to other partitions, merge partially
-aggregated effects coming back from replicas, checkpoint workers and compare
-runs for equivalence.
+between them).  Agents also expose clone/merge hooks so the BRACE runtime
+can replicate them to other partitions, merge partially aggregated effects
+coming back from replicas and compare runs for equivalence.
+
+Effect accumulators belong to one tick (see :mod:`repro.core.fields`): a
+clone, like a frame or a state image (:mod:`repro.ipc.frames`), carries an
+agent's id and state, and its accumulators start at identity.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from typing import Any, Iterator
 
 from repro.core.errors import AgentDefinitionError
-from repro.core.fields import EffectField, StateField, note_raw_effect_write
+from repro.core.fields import EffectField, StateField
 from repro.core.soa import cells_equal
 from repro.spatial.bbox import BBox
 
@@ -67,6 +70,22 @@ def _copy_mapping(mapping: dict) -> dict:
                 for name, value in mapping.items()
             }
     return dict(mapping)
+
+
+def identity_effects(cls) -> dict:
+    """New accumulators for an agent of ``cls``, at its combinator identities.
+
+    In declaration order.  Immutable identities come from the class's one
+    template; a mutable one (a custom combinator that collects into a list)
+    is made anew for every agent, so no two agents share it.
+    """
+    identities = cls._effect_identities
+    if not cls._mutable_effect_fields:
+        return identities.copy()
+    return {
+        name: identities[name] if name in identities else field.combinator.identity()
+        for name, field in cls._effect_fields.items()
+    }
 
 
 #: Every attribute :class:`Agent` itself defines (slots, methods, class
@@ -151,9 +170,11 @@ class AgentMeta(type):
             **{field_name: field.write for field_name, field in state_fields.items()},
             **{field_name: field.__set__ for field_name, field in effect_fields.items()},
         }
-        # reset_effects runs once per agent per tick: identities that are
-        # immutable are shared from one per-class template; the others
-        # (a custom collect-into-a-list combinator) are made per agent.
+        # The one identity template: construction, clone, frame decoding
+        # (identity_effects) and reset_effects build accumulators from it.
+        # Immutable identities are shared from this per-class dict; the
+        # others (a custom collect-into-a-list combinator) are made per
+        # agent.
         identities = {
             field_name: field.combinator.identity()
             for field_name, field in effect_fields.items()
@@ -197,15 +218,12 @@ class Agent(metaclass=AgentMeta):
 
     def __init__(self, agent_id: int | None = None, **field_values: Any):
         state: dict[str, Any] = {}
-        effects: dict[str, Any] = {}
         for field_name, field in self._state_fields.items():
             default = field.default
             if type(default) not in _ATOMIC_TYPES and field_name not in field_values:
                 default = copy.copy(default)
             state[field_name] = default
-        for field_name, field in self._effect_fields.items():
-            effects[field_name] = field.combinator.identity()
-        _bind_agent(self, agent_id, state, effects, set())
+        _bind_agent(self, agent_id, state, identity_effects(type(self)), set())
         unknown = set(field_values) - set(self._state_fields)
         if unknown:
             raise AgentDefinitionError(
@@ -292,13 +310,6 @@ class Agent(metaclass=AgentMeta):
         radii = [radius for radius in self.visibility_radii()]
         return BBox.around(self.position(), radii)
 
-    def reachable_region(self) -> BBox | None:
-        """The box the agent may move into during the next update, or None if unbounded."""
-        radii = self.reachability_radii()
-        if not radii or any(radius is None for radius in radii):
-            return None
-        return BBox.around(self.position(), list(radii))
-
     # ------------------------------------------------------------------
     # Raw state / effect access (bypasses phase enforcement)
     # ------------------------------------------------------------------
@@ -353,42 +364,22 @@ class Agent(metaclass=AgentMeta):
         return field.combinator.finalize(self._effects[field_name])
 
     # ------------------------------------------------------------------
-    # Replication / checkpointing helpers
+    # Replication helpers
     # ------------------------------------------------------------------
     def clone(self) -> "Agent":
-        """A deep copy sharing nothing mutable with the original.
+        """A copy with the same id and state, sharing nothing mutable.
 
-        Used for replication, so it is on the per-replica hot path:
-        immutable values (the overwhelming majority — floats, ints, bools,
-        strings) are shared rather than walked through ``copy.deepcopy``,
-        which is an order of magnitude cheaper and observably identical.
+        Its accumulators start at identity with no touched field: an effect
+        belongs to the tick that wrote it, and a copy is taken between
+        ticks (a replica, a world copy, a history checkpoint).  Used for
+        replication, so it is on the per-replica hot path: immutable state
+        values (the overwhelming majority — floats, ints, bools, strings)
+        are shared rather than walked through ``copy.deepcopy``, which is an
+        order of magnitude cheaper and observably identical.
         """
+        cls = type(self)
         return _rebuild_agent(
-            type(self),
-            _copy_mapping(self._state),
-            self.agent_id,
-            _copy_mapping(self._effects),
-            set(self._effects_touched),
-        )
-
-    def snapshot(self) -> dict[str, Any]:
-        """A serializable snapshot (class name, id, state, effects)."""
-        return {
-            "class": type(self).__name__,
-            "agent_id": self.agent_id,
-            "state": _copy_mapping(self._state),
-            "effects": _copy_mapping(self._effects),
-        }
-
-    def restore(self, snapshot: dict[str, Any]) -> None:
-        """Restore state and effects from a snapshot taken with :meth:`snapshot`."""
-        note_raw_effect_write()  # the restored effects carry no touched mark
-        _bind_agent(
-            self,
-            snapshot["agent_id"],
-            _copy_mapping(snapshot["state"]),
-            _copy_mapping(snapshot["effects"]),
-            set(),
+            cls, _copy_mapping(self._state), self.agent_id, identity_effects(cls), set()
         )
 
     def same_state_as(self, other: "Agent") -> bool:

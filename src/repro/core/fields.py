@@ -21,11 +21,17 @@ field is a plain attribute load; every write goes through
 state-effect pattern (see :mod:`repro.core.phase`); effect fields are data
 descriptors that route assignments through the field's combinator so that
 concurrent writes from many agents are order-independent.
+
+An effect lives inside one tick: written in the query phase, read by the
+same tick's update phase, dead after it.  Every write that can move an
+accumulator off its combinator identity (a query-phase fold, a raw
+assignment outside a query phase) adds the field to the agent's touched
+set, so an agent with no touched field holds identities, and resetting the
+touched agents resets every live accumulator.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.core import phase as _phase
@@ -41,29 +47,6 @@ _thread_phase = _phase._state
 _QUERY = Phase.QUERY
 _UPDATE = Phase.UPDATE
 _IDLE = Phase.IDLE
-
-#: Effect values written outside a query phase in this process: raw
-#: assignments (setup code, an unenforced update phase) and
-#: :meth:`~repro.core.agent.Agent.restore`.  Such a write leaves no touched
-#: mark, so a shard's map phase compares this count with the one it last
-#: saw to know whether an agent it never saw assigned may still hold a
-#: non-identity accumulator.  Process-wide on purpose: the writer holds an
-#: agent, not the shard that owns it.  A write another caller counts can
-#: only make a map phase reset every agent, never change a result.
-_raw_effect_writes = 0
-_raw_effect_writes_lock = threading.Lock()
-
-
-def raw_effect_writes() -> int:
-    """How many effect writes bypassed the query phase so far (monotone)."""
-    return _raw_effect_writes
-
-
-def note_raw_effect_write() -> None:
-    """Count one effect write made outside a query phase."""
-    global _raw_effect_writes
-    with _raw_effect_writes_lock:
-        _raw_effect_writes += 1
 
 
 class StateField:
@@ -200,9 +183,11 @@ class EffectField:
                 f"effect field {self.name!r} written during the update phase; "
                 "effects may only be assigned in the query phase"
             )
-        # IDLE: direct (raw) assignment, used by setup code and tests.
+        # IDLE (or an unenforced update phase): a raw assignment, used by
+        # setup code and tests.  It marks the field touched like a
+        # query-phase write, so an untouched accumulator is at identity.
         instance._effects[self.name] = value
-        note_raw_effect_write()
+        instance._effects_touched.add(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<effect field {self.name!r} combinator={self.combinator.name}>"

@@ -30,7 +30,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.errors import HistoryError
 
@@ -208,10 +208,6 @@ class HistoryStore:
             )
         return len(frame)
 
-    def has_delta(self, tick: int) -> bool:
-        """True when a delta frame for ``tick`` is retained."""
-        return tick in self._tick_lookup
-
     def read_delta(self, tick: int) -> dict[str, Any]:
         """Load the delta frame for ``tick``."""
         try:
@@ -225,11 +221,6 @@ class HistoryStore:
             handle.seek(offset)
             frame = handle.read(length)
         return _decode(frame)
-
-    def iter_deltas(self, start_tick: int, end_tick: int) -> Iterator[dict[str, Any]]:
-        """Yield the delta frames for ``start_tick..end_tick`` inclusive, in order."""
-        for tick in range(start_tick, end_tick + 1):
-            yield self.read_delta(tick)
 
     def delta_ticks(self) -> list[int]:
         """Every tick with a retained delta frame, ascending."""

@@ -16,11 +16,11 @@ This module packs that traffic into **columnar frames** instead:
   bools and exact ints as NumPy arrays, anything else through the pickle
   escape column), an id column, the field-name tuple once, and a
   :class:`ClassHandle` naming the class once per group;
-* effects are not shipped at all in the common case — on the wire agents
-  almost always carry freshly reset accumulators, so each group records
-  only the rare rows whose effects differ bit-for-bit from the class's
-  combinator identities, and decode manufactures fresh identities for the
-  rest;
+* effects are not shipped: an accumulator belongs to the tick that wrote
+  it (:mod:`repro.core.fields`), and a frame moves agents between ticks, so
+  it carries ids and state only and decode starts every accumulator at the
+  class's combinator identities
+  (:func:`~repro.core.agent.identity_effects`) with no touched field;
 * partial rows group by their exact field-key tuple, giving one
   ``PackedColumn`` per accumulator field instead of one dict per agent;
 * replica refreshes (:class:`ReplicaDelta`) carry only the changed cells of
@@ -47,6 +47,7 @@ import io
 import pickle
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Sequence
@@ -55,6 +56,7 @@ import numpy as np
 
 from repro.core.agent import (
     Agent,
+    identity_effects,
     _set_agent_id,
     _set_dict,
     _set_effects,
@@ -63,7 +65,7 @@ from repro.core.agent import (
     _set_updating,
 )
 from repro.core.errors import BraceError
-from repro.core.soa import PackedColumn, cells_equal, pack_cells, unpack_cells
+from repro.core.soa import PackedColumn, pack_cells, unpack_cells
 
 
 def _float_matrix(value_rows: list) -> np.ndarray | None:
@@ -131,74 +133,6 @@ def state_field_names(cls: type) -> tuple:
     return names
 
 
-#: Cache of per-class effect identity templates: ``cls -> (template dict,
-#: all-immutable flag)``.  Weak keys so generated BRASIL classes can die.
-_EFFECT_TEMPLATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-_SCALAR_IMMUTABLE = (float, int, bool, str, bytes, type(None))
-
-
-def _is_immutable(value) -> bool:
-    if isinstance(value, _SCALAR_IMMUTABLE):
-        return True
-    if isinstance(value, (tuple, frozenset)):
-        return all(_is_immutable(item) for item in value)
-    return False
-
-
-def _effect_template(cls: type) -> tuple[dict, bool]:
-    entry = _EFFECT_TEMPLATES.get(cls)
-    if entry is None:
-        template = {
-            name: spec.combinator.identity()
-            for name, spec in cls._effect_fields.items()
-        }
-        fast = all(_is_immutable(value) for value in template.values())
-        entry = (template, fast)
-        _EFFECT_TEMPLATES[cls] = entry
-    return entry
-
-
-def _fresh_effects(cls: type) -> dict:
-    """A brand-new identity accumulator dict for ``cls``.
-
-    When every identity value is immutable the cached template is shallow
-    copied; otherwise (``COLLECT``'s list identity, say) each accumulator
-    is manufactured fresh so decoded agents never share mutable state.
-    """
-    template, fast = _effect_template(cls)
-    if fast:
-        return dict(template)
-    return {
-        name: spec.combinator.identity()
-        for name, spec in cls._effect_fields.items()
-    }
-
-
-def _effects_are_default(effects: dict, template: dict) -> bool:
-    """True when ``effects`` equals the identity template bit-for-bit.
-
-    Uses exact-cell comparison for floats (NaN counts as equal to itself,
-    ``-0.0`` does **not** equal ``0.0``) so a checkpoint-restored
-    accumulator that merely *compares* equal to the identity still ships
-    as an override — decode must never flip a bit.
-    """
-    if len(effects) != len(template):
-        return False
-    for name, ref in template.items():
-        if name not in effects:
-            return False
-        value = effects[name]
-        if type(value) is not type(ref):
-            return False
-        if isinstance(ref, float):
-            if not cells_equal(value, ref):
-                return False
-        elif value != ref:
-            return False
-    return True
-
-
 @dataclass
 class _AgentGroup:
     """One concrete class's rows of an :class:`AgentFrame`.
@@ -212,7 +146,6 @@ class _AgentGroup:
     fields: tuple
     ids: PackedColumn
     columns: list
-    effect_overrides: list = field(default_factory=list)
     matrix: np.ndarray | None = None
 
 
@@ -263,40 +196,25 @@ def pack_agents(agents: Sequence) -> AgentFrame:
             columns = [pack_cells(column) for column in zip(*value_rows)]
         else:
             columns = []
-        template, _ = _effect_template(cls)
-        if template:
-            overrides = [
-                (offset, dict(agent._effects), tuple(agent._effects_touched))
-                for offset, agent in enumerate(group_agents)
-                if agent._effects_touched
-                or not _effects_are_default(agent._effects, template)
-            ]
-        else:
-            # No declared effect fields: an override only exists when some
-            # out-of-band accumulator was grafted onto the instance.
-            overrides = [
-                (offset, dict(agent._effects), tuple(agent._effects_touched))
-                for offset, agent in enumerate(group_agents)
-                if agent._effects_touched or agent._effects
-            ]
         groups.append(
-            _AgentGroup(class_handle(cls), rows, fields, ids, columns, overrides, matrix)
+            _AgentGroup(class_handle(cls), rows, fields, ids, columns, matrix)
         )
     return AgentFrame(len(agents), groups, escapes)
 
 
 def unpack_agents(frame: AgentFrame) -> list:
-    """Rebuild the exact agent list a frame was packed from.
+    """Rebuild the agent list a frame was packed from.
 
-    Decoded agents are *new objects* with bit-identical ``agent_id``,
-    ``_state`` and ``_effects`` — the same contract pickle gives.
+    Decoded agents are *new objects* with bit-identical ``agent_id`` and
+    ``_state``; their accumulators are at identity with no touched field
+    (an escape is the pickled agent, as it was packed).
     """
     out: list = [None] * frame.length
     for group in frame.groups:
         cls = group.handle.resolve()
         rows = group.rows.tolist()
         ids = unpack_cells(group.ids)
-        matrix = getattr(group, "matrix", None)
+        matrix = group.matrix
         if matrix is not None:
             # One C call rebuilds every row's Python floats exactly.
             value_rows = iter(matrix.tolist())
@@ -312,7 +230,10 @@ def unpack_agents(frame: AgentFrame) -> list:
             # row's layout (``Worker.distribute``) then compares pointers.
             fields = state_field_names(cls)
         new = cls.__new__
-        template, fast = _effect_template(cls)
+        if cls._mutable_effect_fields:
+            fresh_effects = partial(identity_effects, cls)
+        else:
+            fresh_effects = cls._effect_identities.copy
         # The slots are filled through their descriptors, inline (as
         # core.agent._bind_agent does): the state dict is both the
         # ``_state`` slot and the instance ``__dict__``.
@@ -323,13 +244,9 @@ def unpack_agents(frame: AgentFrame) -> list:
             _set_state(agent, state)
             _set_agent_id(agent, agent_id)
             _set_updating(agent, False)
-            _set_effects(agent, dict(template) if fast else _fresh_effects(cls))
+            _set_effects(agent, fresh_effects())
             _set_effects_touched(agent, set())
             out[row] = agent
-        for offset, effects, touched in group.effect_overrides:
-            agent = out[rows[offset]]
-            _set_effects(agent, dict(effects))
-            _set_effects_touched(agent, set(touched))
     for row, agent in frame.escapes:
         out[row] = agent
     return out
@@ -529,7 +446,7 @@ def unpack_mapping_rows(frame: MappingFrame) -> list:
     for group in frame.groups:
         rows = group.rows.tolist()
         keys = unpack_cells(group.keys)
-        matrix = getattr(group, "matrix", None)
+        matrix = group.matrix
         if matrix is not None:
             value_rows = matrix.tolist()
         else:

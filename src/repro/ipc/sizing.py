@@ -9,7 +9,8 @@ marginal cost knowable in closed form — every packable state or effect
 cell is exactly one 8-byte array element, the id column adds one more, and
 the per-group headers amortize to a small per-row constant — so the cost
 model and the measured traffic can finally be charged from the same
-formula.
+formula.  (The formula also charges one cell per effect field, which a
+frame does not carry; see :func:`agent_frame_bytes`.)
 
 Every modeled byte count in :mod:`repro.brace.runtime` and
 :mod:`repro.brace.worker` routes through these helpers **unconditionally**
@@ -39,6 +40,11 @@ def agent_frame_bytes(agent) -> int:
     structure, never from instance values, so the number is identical on
     every backend and in every process — a determinism requirement, since
     the cost model's virtual seconds are derived from it.
+
+    A frame carries no effect cells (accumulators stay inside their tick,
+    see :mod:`repro.ipc.frames`), yet the formula still charges one per
+    effect field: it is the cost model's row size, and keeping it keeps
+    every modeled byte count, virtual second and figure unchanged.
 
     This is the canonical formula; :meth:`repro.core.agent.Agent.
     approximate_size_bytes` now *delegates* here (lazily, so ``core``

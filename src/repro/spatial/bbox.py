@@ -116,18 +116,6 @@ class BBox:
     # ------------------------------------------------------------------
     # Combinators
     # ------------------------------------------------------------------
-    def intersection(self, other: "BBox") -> "BBox | None":
-        """Return the overlapping box, or None when the boxes are disjoint."""
-        self._check_dim(other)
-        intervals = []
-        for (lo, hi), (olo, ohi) in zip(self.intervals, other.intervals):
-            new_lo = max(lo, olo)
-            new_hi = min(hi, ohi)
-            if new_lo > new_hi:
-                return None
-            intervals.append((new_lo, new_hi))
-        return BBox(tuple(intervals))
-
     def union(self, other: "BBox") -> "BBox":
         """Return the tightest box containing both boxes."""
         self._check_dim(other)

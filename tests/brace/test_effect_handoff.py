@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import gc
 import math
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -33,7 +31,6 @@ from repro.brace.worker import ShardSettings, Worker
 from repro.brasil import compile_script, kernel_fallback_reasons
 from repro.brasil import kernels
 from repro.core.combinators import get_combinator
-from repro.core.fields import note_raw_effect_write, raw_effect_writes
 from repro.core.soa import UnpackableValueError, cells_equal, pack_column, states_equal
 from repro.core.world import World
 from repro.ipc.frames import pack_agents, unpack_agents
@@ -322,12 +319,12 @@ def _session(source: str, workers: int) -> Simulation:
     return session.with_workers(workers).with_executor("serial").with_load_balancing(False)
 
 
-#: Between-tick writes that leave no touched mark (raw assignment,
-#: restore), one that does (set_effect_partials), and a pause/resume
-#: (the pause point's images rebuild the world and re-seed every shard).
+#: Between-tick effect writes (a raw assignment, set_effect_partials) and a
+#: pause/resume (the pause point's images rebuild the world and re-seed
+#: every shard).
 _OPERATIONS = st.lists(
     st.tuples(
-        st.sampled_from(["raw", "restore", "partials", "pause"]),
+        st.sampled_from(["raw", "partials", "pause"]),
         st.integers(0, 10**6),
         st.floats(-5.0, 5.0, allow_nan=False),
     ),
@@ -349,10 +346,6 @@ def _apply(session: Simulation, operation) -> None:
         nudged = type(identity)(value)
     if kind == "raw":
         setattr(agent, field, nudged)
-    elif kind == "restore":
-        snapshot = agent.snapshot()
-        snapshot["effects"][field] = nudged
-        agent.restore(snapshot)
     elif kind == "partials":
         agent.set_effect_partials({field: nudged})
     elif session.started:
@@ -396,35 +389,12 @@ class TestMapPhaseReset:
         worker = Worker(0, partitioning.partition(0), partitioning=partitioning)
         worker.add_owned(SpawningAgent(agent_id=0, x=1.0, y=1.0))
         sender = SpawningAgent(agent_id=1, x=2.0, y=2.0)
-        sender.crowd = 5  # a raw write, counted in this process ...
-        frame = pack_agents([sender])
-        worker.distribute()  # ... and seen by this map phase
+        sender.crowd = 5  # a raw write between ticks
+        worker.distribute()
         # Decoding (as a node does for a migrant, a spawn or a repartition
-        # arrival) writes the accumulator without counting a raw write.
-        (arrival,) = unpack_agents(frame)
-        assert arrival._effects["crowd"] == 5 and not arrival._effects_touched
+        # arrival) starts every accumulator at identity, untouched.
+        (arrival,) = unpack_agents(pack_agents([sender]))
+        assert _identity_effects(arrival)
         worker.add_owned(arrival)
         worker.distribute()
         assert all(map(_identity_effects, worker.owned.values()))
-
-
-def test_raw_write_count_loses_no_update_across_threads():
-    """The count is process-wide and bumped from any thread (an unenforced
-    update phase on the thread executor): no increment may be lost."""
-    threads, bumps = 8, 2000
-    start = raw_effect_writes()
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pool = [
-            threading.Thread(target=lambda: [note_raw_effect_write() for _ in range(bumps)])
-            for _ in range(threads)
-        ]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in pool)
-    finally:
-        sys.setswitchinterval(switch)
-    assert raw_effect_writes() - start == threads * bumps

@@ -36,7 +36,6 @@ class TestScriptInfo:
         assert info.spatial_field_names == ["x"]
         assert info.visibility_radii == {"x": 2.0}
         assert info.has_bounded_visibility
-        assert info.min_visibility_radius() == 2.0
         assert not info.has_non_local_effects
         assert info.local_assignment_count == 2
         assert info.has_run_method

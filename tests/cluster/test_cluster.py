@@ -41,9 +41,9 @@ class TestNetworkModel:
         across_switches = network.transfer_seconds(0, 2, 1000)
         assert across_switches == pytest.approx(2.0 * same_switch)
 
-    def test_broadcast_and_totals(self):
+    def test_totals_and_reset(self):
         network = NetworkModel(latency_seconds=0.0, bandwidth_bytes_per_second=1000.0)
-        seconds = network.broadcast_seconds(0, [0, 1, 2], 1000)
+        seconds = sum(network.transfer_seconds(0, dst, 1000) for dst in (1, 2))
         assert seconds == pytest.approx(2.0)
         assert network.totals.messages == 2
         network.reset_totals()

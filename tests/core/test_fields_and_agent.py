@@ -7,7 +7,6 @@ from repro.core.combinators import COLLECT, MEAN, MIN, SUM, Combinator
 from repro.core.errors import AgentDefinitionError, PhaseViolationError
 from repro.core.fields import EffectField, StateField
 from repro.core.phase import Phase, phase, set_enforcement
-from repro.spatial.bbox import BBox
 
 from tests.conftest import Boid
 
@@ -85,7 +84,6 @@ class TestDeclarations:
         assert agent.visibility_radii() == (4.0, 4.0)
         assert agent.reachability_radii() == (1.0, 1.0)
         assert agent.visible_region().contains_point((6.0, 4.0))
-        assert agent.reachable_region() == BBox(((2.0, 4.0), (3.0, 5.0)))
         assert Probe.has_bounded_visibility()
 
 
@@ -228,7 +226,7 @@ class TestEffectAggregation:
             agent.merge_effect_partials({"nope": 1.0})
 
 
-class TestCloningAndSnapshots:
+class TestCloning:
     def test_clone_is_independent(self):
         agent = Probe(x=3.0)
         agent.agent_id = 7
@@ -237,44 +235,20 @@ class TestCloningAndSnapshots:
         assert agent.x == 3.0
         assert duplicate.agent_id == 7
 
-    def test_snapshot_restore_round_trip(self):
-        agent = Probe(x=3.0, plain=2.0)
-        agent.agent_id = 1
-        snapshot = agent.snapshot()
-        agent.x = 8.0
-        agent.restore(snapshot)
-        assert agent.x == 3.0
-        assert agent.plain == 2.0
-
-    def test_snapshot_deep_copies_mutable_values(self):
+    def test_clone_deep_copies_mutable_state(self):
         agent = Gatherer(trail=[1, [2]])
         agent.agent_id = 1
-        with phase(Phase.QUERY):
-            agent.bag = "b"
-            agent.average = 2.0
-        snapshot = agent.snapshot()
-        assert snapshot["state"] == {"x": 0.0, "trail": [1, [2]]}
-        assert snapshot["effects"]["bag"] == ["b"]
-        # Later mutation of the live agent cannot reach the snapshot ...
+        duplicate = agent.clone()
+        assert duplicate.state_dict() == {"x": 0.0, "trail": [1, [2]]}
+        assert duplicate._state is not agent._state
+        assert duplicate._state["trail"] is not agent._state["trail"]
+        assert duplicate._state["trail"][1] is not agent._state["trail"][1]
+        # Later mutation of the original cannot reach the clone, nor the
+        # clone's the original.
         agent._state["trail"][1].append(3)
-        agent._effects["bag"].append("late")
-        assert snapshot["state"]["trail"] == [1, [2]]
-        assert snapshot["effects"]["bag"] == ["b"]
-        # ... and a restored agent shares nothing mutable with it.
-        other = Gatherer()
-        other.restore(snapshot)
-        assert other.state_dict() == {"x": 0.0, "trail": [1, [2]]}
-        assert other.effect_partials() == snapshot["effects"]
-        assert other._state is not snapshot["state"]
-        assert other._effects is not snapshot["effects"]
-        assert other._state["trail"] is not snapshot["state"]["trail"]
-        assert other._state["trail"][1] is not snapshot["state"]["trail"][1]
-        assert other._effects["bag"] is not snapshot["effects"]["bag"]
-        other._state["trail"][1].append(4)
-        other._effects["bag"].append("mine")
-        assert snapshot["state"]["trail"] == [1, [2]]
-        assert snapshot["effects"]["bag"] == ["b"]
-        assert other.touched_effect_partials() == {}
+        assert duplicate._state["trail"] == [1, [2]]
+        duplicate._state["trail"][1].append(4)
+        assert agent._state["trail"] == [1, [2, 3]]
 
     def test_same_state_as(self):
         first = Probe(x=1.0)

@@ -207,24 +207,6 @@ class TestAgentFrames:
         decoded = unpack_agents(pack_agents(agents))
         assert_agents_bit_identical(agents, decoded)
 
-    def test_touched_effects_ship_as_overrides(self):
-        quiet = make_boid(0)
-        loud = make_boid(1)
-        loud.set_effect_partials({"pull_x": -0.0, "neighbor_count": 3})
-        decoded = unpack_agents(pack_agents([quiet, loud]))
-        assert decoded[0]._effects_touched == set()
-        assert decoded[1]._effects_touched == {"pull_x", "neighbor_count"}
-        assert bits(decoded[1]._effects["pull_x"]) == bits(-0.0)
-        assert decoded[1]._effects["neighbor_count"] == 3
-
-    def test_untouched_nondefault_effects_still_ship(self):
-        # A checkpoint-restored accumulator can differ from the identity
-        # without being in _effects_touched; skipping it would flip bits.
-        agent = make_boid(0)
-        agent._effects["pull_x"] = -0.0  # identity is 0.0 — differs by sign bit
-        decoded = unpack_agents(pack_agents([agent]))
-        assert bits(decoded[0]._effects["pull_x"]) == bits(-0.0)
-
     def test_mutable_effect_identities_are_not_shared(self):
         agents = [CollectingAgent(agent_id=0), CollectingAgent(agent_id=1)]
         decoded = unpack_agents(pack_agents(agents))

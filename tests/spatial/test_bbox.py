@@ -76,12 +76,6 @@ class TestPredicates:
 
 
 class TestCombinators:
-    def test_intersection(self):
-        a = BBox(((0.0, 2.0), (0.0, 2.0)))
-        b = BBox(((1.0, 3.0), (1.0, 3.0)))
-        assert a.intersection(b).intervals == ((1.0, 2.0), (1.0, 2.0))
-        assert a.intersection(BBox(((5.0, 6.0), (5.0, 6.0)))) is None
-
     def test_union(self):
         a = BBox(((0.0, 1.0),))
         b = BBox(((2.0, 3.0),))
@@ -118,13 +112,6 @@ class TestProperties:
     @given(box_strategy(), box_strategy())
     def test_intersection_symmetric(self, a, b):
         assert a.intersects(b) == b.intersects(a)
-
-    @given(box_strategy(), box_strategy())
-    def test_intersection_contained_in_both(self, a, b):
-        overlap = a.intersection(b)
-        if overlap is not None:
-            assert a.contains_box(overlap)
-            assert b.contains_box(overlap)
 
     @given(box_strategy(), box_strategy())
     def test_union_contains_both(self, a, b):
